@@ -5,8 +5,8 @@ RUFF ?= ruff
 
 .PHONY: test lint bench bench-quick bench-inflight bench-multiget \
 	bench-failover bench-recovery bench-sweep bench-simcore \
-	bench-tenants bench-scale bench-smoke chaos-soak figures examples \
-	clean
+	bench-tenants bench-scale bench-smoke chaos-soak perf perf-quick \
+	perf-compare figures examples clean
 
 test:
 	$(PYTEST) tests/
@@ -92,6 +92,20 @@ bench-smoke:
 			BENCH_inflight.json BENCH_multiget.json BENCH_failover.json \
 			BENCH_recovery.json BENCH_sweep.json BENCH_chaos.json \
 			BENCH_simcore.json BENCH_tenants.json BENCH_scale.json
+
+# The repo's benchmark (BENCHMARK.json): six workloads, untraced +
+# traced, every metric by name -> perf/results/latest.json (~2 min;
+# perf-quick ~35 s, plumbing smoke only).  Compare two result files
+# against the BENCHMARK.json bounds with
+# `make perf-compare A=perf/results/baseline_a.json B=perf/results/latest.json`.
+perf:
+	python3 perf/run.py
+
+perf-quick:
+	python3 perf/run.py --quick
+
+perf-compare:
+	python3 perf/compare.py $(A) $(B)
 
 figures:
 	python -m repro.bench all --scale 0.5

@@ -1239,9 +1239,9 @@ def recovery_dualfail(scale: float = 1.0,
       the log, so the run must finish with **zero lost acked writes**
       (the hard CI gate) and typed errors only;
     * ``ack_on_replicate`` — the contrast row: acks return off the
-      replication post, so writes acked inside the last unflushed
-      group-commit window may die with both copies.  ``lost_acked_writes``
-      bounds that window (<= one group commit of records).
+      replication post, so writes acked while their group is still
+      staged or in flight may die with both copies.  ``lost_acked_writes``
+      bounds that exposure (about one device write of records).
 
     Also reported: the blackout window, recovered throughput ratio,
     records replayed, and replay throughput (records/ms of recovery
@@ -1369,7 +1369,7 @@ def write_recovery_artifact(rows: list[dict],
                        "log (torn tail truncated, guardian-validated), "
                        "per ack mode — ack_on_flush must lose zero acked "
                        "writes with typed errors only; ack_on_replicate "
-                       "bounds its loss to one group-commit window "
+                       "bounds its loss to one device write "
                        "(1 shard, replicas=1, durable log on, 200 ms ZK "
                        "sessions)",
         "unit": "kops / ms",

@@ -36,8 +36,9 @@ experiments promise:
 * recovery_dualfail rows must show the durability contract held per ack
   mode: at least one durable-log recovery, recovered throughput >= 80%
   of pre-kill, a bounded blackout, zero untyped errors everywhere, and
-  — hard-required for the ``ack_on_flush`` row — zero lost acked
-  writes;
+  — hard-required for the ``ack_on_flush`` row — zero lost acked writes
+  and pre-kill throughput >= 0.9x the ``ack_on_replicate`` row's (acks
+  park behind the flush; the sweep never stalls on it);
 * simcore_kernel rows must carry digest_match == True (the batched and
   legacy kernels dispatched bit-identically on the traced run), a
   legacy baseline at speedup 1.0 per bench, the batched sweep_loop
@@ -439,6 +440,13 @@ def validate_artifact(payload: dict) -> list[str]:
         if not any(row.get("ack_mode") == "ack_on_flush" for row in rows):
             problems.append("no ack_on_flush row (the durability contract "
                             "under test)")
+        pre = {row.get("ack_mode"): row.get("pre_kops") for row in rows}
+        flush, rep = pre.get("ack_on_flush"), pre.get("ack_on_replicate")
+        if (isinstance(flush, (int, float)) and isinstance(rep, (int, float))
+                and flush < 0.9 * rep):
+            problems.append(f"ack_on_flush pre_kops {flush!r} is below 0.9x "
+                            f"ack_on_replicate's {rep!r}: acks must park "
+                            f"behind the flush, not stall the shard sweep")
         for i, row in enumerate(rows):
             label = f"row {i} (ack_mode={row.get('ack_mode')!r})"
             if row.get("untyped_errors") != 0:

@@ -514,6 +514,14 @@ class DurabilityConfig:
     Disabled by default: the durable tier is strictly additive to the
     replication ring, and enabling it changes event schedules (golden
     digests pin the default-off behavior).
+
+    Group commit is self-clocked (a flush starts whenever records are
+    staged and the device is idle), so there is no batching knob.
+
+    Stated limit of ``ack_on_flush``: a full log (``log_bytes``) is
+    fail-soft — the overflowing group is dropped, counted in
+    ``durable.log_full``, and its acks are still released; benches
+    hard-fail on a non-zero count.
     """
 
     #: Master switch: give every primary shard a PM device + durable log.
@@ -521,19 +529,14 @@ class DurabilityConfig:
     #: When an acked write counts as safe on the durability path:
     #: "ack_on_replicate" — ack as soon as the secondary write posts
     #: (log flush is purely write-behind); "ack_on_flush" — the response
-    #: additionally waits for the group-commit flush covering the write,
-    #: so every acked write is durable even if primary AND secondary die.
+    #: parks until the group-commit flush covering the write lands, so
+    #: every acked write is durable even if primary AND secondary die.
     ack_mode: str = "ack_on_replicate"
     #: PM write latency and bandwidth (bytes per nanosecond).
     pm_write_latency_ns: int = 3_000
     pm_bandwidth_bpns: float = 2.0
     #: Device capacity per shard (watermark block + log frames).
     log_bytes: int = 32 << 20
-    #: Group-commit aging window: a flush gathers everything appended
-    #: within this long of the first pending record...
-    group_commit_ns: int = 50_000
-    #: ...or flushes early once this many records are pending.
-    group_commit_records: int = 64
     #: Primary CPU cost to stage one record (off the replication path).
     append_cost_ns: int = 150
     #: Recovery CPU cost per replayed record (on top of store apply cost).

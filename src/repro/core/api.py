@@ -201,7 +201,7 @@ class HydraCluster:
                 dlog = DurableLog(self.sim, self.config, device,
                                   metrics=self.metrics,
                                   name=f"{shard.shard_id}.dlog")
-                shard.durable = dlog
+                shard.attach_durable(dlog)
                 self.durable_devices[shard.shard_id] = device
                 self.durable_logs[shard.shard_id] = dlog
 
@@ -343,7 +343,7 @@ class HydraCluster:
                               name=f"{shard_id}.dlog",
                               start_seq=scan.next_seq, tail=valid_end,
                               wm_epoch=epoch)
-            shard.durable = dlog
+            shard.attach_durable(dlog)
             self.durable_logs[shard_id] = dlog
             dlog.start()
             # The replication fan-out died with the correlated crash; the

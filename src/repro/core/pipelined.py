@@ -55,7 +55,6 @@ class PipelinedShard(Shard):
         ]
         self._queue = Store(sim)
         self._store_lock = RwLock(sim)
-        self._procs: list = []
         #: Per-I/O-thread connection partitions, re-derived only when the
         #: connection set actually changes (``_conn_gen``) instead of
         #: rebuilt every sweep.
@@ -80,18 +79,11 @@ class PipelinedShard(Shard):
         for wid, w_core in enumerate(self.worker_cores):
             self._procs.append(self.sim.process(
                 self._worker_loop(w_core), name=f"{self.shard_id}.w{wid}"))
-        self._proc = self._procs[0]
         if self.store.reclaimer._proc is None:
             self.store.reclaimer.start()
 
     def kill(self) -> None:
-        self.alive = False
-        self.store.reclaimer.stop()
-        for p in self._procs:
-            if p.is_alive:
-                p.interrupt("killed")
-        if self.durable is not None:
-            self.durable.crash()
+        super().kill()
         # Requests handed off but never picked up by a worker die with the
         # process; count them so availability experiments can see how much
         # in-flight work a failover drops on the floor.
@@ -99,7 +91,6 @@ class PipelinedShard(Shard):
         if dropped:
             self._queue.items.clear()
             self.metrics.counter("shard.dropped_handoffs").add(dropped)
-        self._teardown_conns()
 
     # -- I/O dispatchers ------------------------------------------------------
     def _my_conns(self, tid: int) -> list[Connection]:
@@ -189,26 +180,7 @@ class PipelinedShard(Shard):
         if not self.hydra.rdma_write_messaging:
             cost += self.cpu.sendrecv_server_extra_ns
         yield core.execute(cost)
-        if (self.replicator is not None and is_write
-                and result.status is Status.OK):
-            rep_cost, wait_ev = self.replicator.replicate(
-                req.op, req.key, req.value, result.version)
-            yield core.execute(rep_cost)
-            if wait_ev is not None:
-                if batch is not None:
-                    batch.rep_waits.append(wait_ev)
-                else:
-                    yield wait_ev
-        if (self.durable is not None and is_write
-                and result.status is Status.OK):
-            dur_cost, flush_ev = self.durable.append(
-                req.op, req.key, req.value, result.version)
-            yield core.execute(dur_cost)
-            if flush_ev is not None:
-                if batch is not None:
-                    batch.rep_waits.append(flush_ev)
-                else:
-                    yield flush_ev
+        yield from self._commit_write(core, batch, req, result)
         if is_write:
             self._store_lock.write_release()
         else:
@@ -295,11 +267,8 @@ class PipelinedShard(Shard):
                     if wait_ev is not None:
                         batch.rep_waits.append(wait_ev)
                 if durable is not None and is_write and result.status is ok:
-                    dur_cost, flush_ev = durable.append(
-                        _OP_BY_CODE[op], key, value, result.version)
-                    yield core.execute(dur_cost)
-                    if flush_ev is not None:
-                        batch.rep_waits.append(flush_ev)
+                    yield core.execute(self._stage_durable(
+                        batch, _OP_BY_CODE[op], key, value, result.version))
                 if is_write:
                     lock.write_release()
                 else:

@@ -34,6 +34,7 @@ per op flat as connections x slots grow (each has a ``hydra`` knob):
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import count
 from typing import Optional
@@ -91,12 +92,15 @@ class _SweepBatch:
     instead of once per mutation.
     """
 
-    __slots__ = ("resp", "rep_waits", "first_ns", "tenant_slots")
+    __slots__ = ("resp", "rep_waits", "commit_seq", "first_ns",
+                 "tenant_slots")
 
     def __init__(self):
         #: conn_id -> (conn, [(slot, encoded response), ...])
         self.resp: dict[int, tuple["Connection", list]] = {}
         self.rep_waits: list = []
+        #: Highest durable-log seq this batch staged (0 = none); see _park.
+        self.commit_seq = 0
         #: Sim time the oldest still-buffered response entered the batch
         #: (None while empty) — drives the age-based flush
         #: (``hydra.resp_flush_max_ns``).
@@ -185,6 +189,8 @@ class Shard:
             scribble_on_reclaim=scribble_on_reclaim,
             export_index=export_index,
         )
+        #: Every store this instance owns (sub-sharded instances add more).
+        self.substores: list[ShardStore] = [self.store]
         self.conns: list[Connection] = []
         self.doorbell = Gate(sim)
         #: Ready-connection scheduling state: connections flagged dirty by
@@ -198,9 +204,11 @@ class Shard:
         self._tcp_conns: list = []
         #: Replication hook; installed by the HA wiring (repro.replication).
         self.replicator = None
-        #: Durable write-behind log; installed by the cluster's durability
-        #: wiring (repro.durable) when ``config.durability.enabled``.
+        #: Durable write-behind log (:meth:`attach_durable`), if enabled.
         self.durable = None
+        #: Commit queue (``ack_on_flush``), in park order: ``(commit_seq,
+        #: [(conn, entries), ...])`` of swept batches awaiting their flush.
+        self._parked: deque = deque()
         #: Gray-failure state: True = the shard thread has stopped sweeping
         #: while the process, NIC, and QPs all stay up (wedged core, lost
         #: scheduler quantum).  Heartbeats keep flowing, so SWAT never
@@ -208,7 +216,7 @@ class Shard:
         self._gray = False
         self._gray_gate = Gate(sim)
         self.alive = False
-        self._proc = None
+        self._procs: list = []
         # -- flat hot path (hydra.flat_hot_paths) --------------------------
         self._flat = (config.hydra.flat_hot_paths
                       and self.hydra.transport == "rdma")
@@ -252,19 +260,29 @@ class Shard:
             listener = stack.listen(port)
             self.sim.process(self._tcp_acceptor(listener),
                              name=f"{self.shard_id}.accept")
-        self._proc = self.sim.process(self._run(), name=self.shard_id)
+        self._procs = [self.sim.process(self._run(), name=self.shard_id)]
         if self.store.reclaimer._proc is None:
             self.store.reclaimer.start()
 
     def kill(self) -> None:
         """Crash the shard process (failure injection)."""
         self.alive = False
-        self.store.reclaimer.stop()
-        if self._proc is not None and self._proc.is_alive:
-            self._proc.interrupt("killed")
+        for store in self.substores:
+            store.reclaimer.stop()
+        for p in self._procs:
+            if p.is_alive:
+                p.interrupt("killed")
         if self.durable is not None:
             self.durable.crash()
         self._teardown_conns()
+
+    def attach_durable(self, dlog) -> None:
+        """Install the durable log and hook its commit notifications."""
+        self.durable = dlog
+        dlog.on_commit = self._release_parked
+        self._c_parked = self.metrics.counter("shard.parked_batches")
+        self._c_parked_dropped = self.metrics.counter("shard.parked_dropped")
+        self._c_parked_peak = self.metrics.counter("shard.parked_peak")
 
     def _teardown_conns(self) -> None:
         """Destroy every connection's QPs on death.
@@ -294,6 +312,7 @@ class Shard:
         self._gray = False
         self._gray_gate.fire()
         self.doorbell.fire()
+        self._release_parked()
 
     def store_for_key(self, key: bytes) -> ShardStore:
         """The store an out-of-band loader should install ``key`` into
@@ -602,20 +621,7 @@ class Shard:
         self._count_index_mutation(req, result)
         yield self.core.execute(
             self.cpu.parse_ns + result.cost_ns + self.cpu.build_response_ns)
-        if (self.replicator is not None and req.op in WRITE_OPS
-                and result.status is Status.OK):
-            rep_cost, wait_ev = self.replicator.replicate(
-                req.op, req.key, req.value, result.version)
-            yield self.core.execute(rep_cost)
-            if wait_ev is not None:
-                yield wait_ev
-        if (self.durable is not None and req.op in WRITE_OPS
-                and result.status is Status.OK):
-            dur_cost, flush_ev = self.durable.append(
-                req.op, req.key, req.value, result.version)
-            yield self.core.execute(dur_cost)
-            if flush_ev is not None:
-                yield flush_ev
+        yield from self._commit_write(self.core, None, req, result)
         # No remote pointer over TCP: one-sided reads are impossible.
         resp = Response(op=req.op, status=result.status, req_id=req.req_id,
                         value=result.value, version=result.version)
@@ -734,37 +740,7 @@ class Shard:
         if not self.hydra.rdma_write_messaging:
             cost += self.cpu.sendrecv_server_extra_ns
         yield self.core.execute(cost)
-        if (self.replicator is not None and req.op in WRITE_OPS
-                and result.status is Status.OK):
-            # Replication is issued after local processing; in rdma_log
-            # mode the shard moves on immediately and the secondary's merge
-            # overlaps with the *next* requests, while strict mode blocks
-            # for the full request/acknowledge round trip.  When this
-            # sweep batches responses, the ack wait joins the sweep's
-            # batch (awaited once in _finish_sweep, before any response
-            # of the sweep is flushed) instead of stalling here.
-            rep_cost, wait_ev = self.replicator.replicate(
-                req.op, req.key, req.value, result.version)
-            yield self.core.execute(rep_cost)
-            if wait_ev is not None:
-                if batch is not None:
-                    batch.rep_waits.append(wait_ev)
-                else:
-                    yield wait_ev
-        if (self.durable is not None and req.op in WRITE_OPS
-                and result.status is Status.OK):
-            # Write-behind durable append: stage the record and move on.
-            # Under ack_on_flush the group-commit flush event joins the
-            # sweep batch exactly like a replication ack, so the response
-            # flushes only once the write is on persistent media.
-            dur_cost, flush_ev = self.durable.append(
-                req.op, req.key, req.value, result.version)
-            yield self.core.execute(dur_cost)
-            if flush_ev is not None:
-                if batch is not None:
-                    batch.rep_waits.append(flush_ev)
-                else:
-                    yield flush_ev
+        yield from self._commit_write(self.core, batch, req, result)
         resp = Response(
             op=req.op, status=result.status, req_id=req.req_id,
             value=result.value,
@@ -893,11 +869,8 @@ class Shard:
                     if wait_ev is not None:
                         rep_waits.append(wait_ev)
                 if durable is not None and is_ok_write:
-                    dur_cost, flush_ev = durable.append(
-                        _OP_BY_CODE[op], key, vals[i], result.version)
-                    yield core_execute(dur_cost)
-                    if flush_ev is not None:
-                        rep_waits.append(flush_ev)
+                    yield core_execute(self._stage_durable(
+                        batch, _OP_BY_CODE[op], key, vals[i], result.version))
                 # Respond: straight to wire bytes, buffered for the
                 # sweep's doorbell-coalesced flush (the scalar _respond
                 # batch branch, inlined).
@@ -1085,9 +1058,84 @@ class Shard:
             self.metrics.counter("shard.resp_coalesced").add(len(chunk) - 1)
             batch_ev.callbacks.append(self._count_undeliverable)
 
+    def _stage_durable(self, batch: Optional[_SweepBatch], op: Op,
+                       key: bytes, value: bytes, version: int) -> int:
+        """Durable stage of the write pipeline (store -> replicate ->
+        durable -> respond): stage the record and move on.  Returns the CPU
+        cost; the batch notes the seq its responses will park behind."""
+        cost, seq = self.durable.append(op, key, value, version)
+        if batch is not None:
+            batch.commit_seq = seq
+        return cost
+
+    def _commit_write(self, core: Core, batch: Optional[_SweepBatch],
+                      req: Request, result):
+        """Scalar-path replicate and durable stages of the write pipeline.
+
+        In rdma_log mode the shard moves on at once and the secondary's
+        merge overlaps the *next* requests; strict mode blocks for the
+        request/acknowledge round trip — once per sweep (in
+        :meth:`_finish_sweep`, before any of its responses is flushed)
+        when responses are batched, right here otherwise.  The durable
+        append never blocks a batching sweep; batch-less callers (TCP,
+        ``resp_doorbell_batch=0``) wait until the log releases the record.
+        """
+        if req.op not in WRITE_OPS or result.status is not Status.OK:
+            return
+        if self.replicator is not None:
+            rep_cost, wait_ev = self.replicator.replicate(
+                req.op, req.key, req.value, result.version)
+            yield core.execute(rep_cost)
+            if wait_ev is not None:
+                if batch is not None:
+                    batch.rep_waits.append(wait_ev)
+                else:
+                    yield wait_ev
+        if self.durable is not None:
+            yield core.execute(self._stage_durable(
+                batch, req.op, req.key, req.value, result.version))
+            if batch is None:
+                yield from self.durable.wait_released()
+
+    def _park(self, batch: _SweepBatch) -> None:
+        """Queue the batch's responses until the log releases its records
+        (no-op if it already has, or acks do not wait for the flush)."""
+        seq, batch.commit_seq = batch.commit_seq, 0
+        durable = self.durable
+        if seq <= durable.released_seq or not durable.ack_on_flush:
+            return
+        parked = self._parked
+        parked.append((seq, list(batch.resp.values())))
+        batch.resp.clear()
+        self._c_parked.add()
+        if len(parked) > self._c_parked_peak.value:
+            self._c_parked_peak.value = len(parked)
+        if not durable.alive:
+            self._release_parked()  # crashed log: dropped, never acked
+
+    def _release_parked(self) -> None:
+        """Durable-log commit callback: flush every parked batch the log
+        has released, in park order, in flush-completion context (no
+        process, no event per batch).  Deferred while gray-wedged; dropped
+        and counted when the shard or its log is dead — a write whose
+        flush never landed is never acked."""
+        parked = self._parked
+        if not parked:
+            return
+        durable = self.durable
+        if not (self.alive and durable.alive):
+            self._c_parked_dropped.add(len(parked))
+            parked.clear()
+        elif not self._gray:
+            upto = durable.released_seq
+            while parked and parked[0][0] <= upto:
+                for conn, entries in parked.popleft()[1]:
+                    self._flush_conn(conn, entries)
+
     def _finish_sweep(self, batch: Optional[_SweepBatch]):
         """Settle one sweep: wait once on the batch of replication acks,
-        then flush every connection's buffered responses."""
+        park the responses behind any unreleased ``ack_on_flush`` log
+        records the sweep staged, and flush whatever is left."""
         if batch is None:
             return
         if batch.rep_waits:
@@ -1095,6 +1143,8 @@ class Shard:
                 len(batch.rep_waits))
             yield self.sim.all_of(batch.rep_waits)
             batch.rep_waits.clear()
+        if batch.commit_seq:
+            self._park(batch)
         if batch.resp:
             for conn, entries in list(batch.resp.values()):
                 self._flush_conn(conn, entries)

@@ -30,8 +30,7 @@ from ..protocol import Op, Request, Response, Status
 from ..protocol.messages import _REQ
 from ..sim import Interrupt, MetricSet, Simulator, Store
 from .errors import LifecycleError
-from .shard import (_MAX_OP, _OP_BY_CODE, _WRITE_HI, _WRITE_LO, Shard,
-                    WRITE_OPS)
+from .shard import _MAX_OP, _OP_BY_CODE, _WRITE_HI, _WRITE_LO, Shard
 from .store import ShardStore
 
 __all__ = ["SubShardedShard"]
@@ -62,7 +61,6 @@ class SubShardedShard(Shard):
                          export_index=False)
         # The base-class store becomes sub-shard 0; the rest get their own
         # stores and cores within the same NUMA domain where possible.
-        self.substores: list[ShardStore] = [self.store]
         self.subcores: list[Core] = []
         self._queues: list[Store] = [Store(sim) for _ in range(n_subshards)]
         for k in range(1, n_subshards):
@@ -76,7 +74,6 @@ class SubShardedShard(Shard):
             self.subcores.append(machine.allocate_core(
                 f"{shard_id}.sub{k}"))
         self.n_subshards = n_subshards
-        self._procs: list = []
         #: Flat hand-off (hydra.flat_hot_paths): dispatcher and executors
         #: must agree on the queue item shape, so the mode is fixed here.
         #: Requires response batching — the flat executor responds through
@@ -108,21 +105,9 @@ class SubShardedShard(Shard):
         for k in range(self.n_subshards):
             self._procs.append(self.sim.process(
                 self._executor_loop(k), name=f"{self.shard_id}.sub{k}"))
-        self._proc = self._procs[0]
         for store in self.substores:
             if store.reclaimer._proc is None:
                 store.reclaimer.start()
-
-    def kill(self) -> None:
-        self.alive = False
-        for store in self.substores:
-            store.reclaimer.stop()
-        for p in self._procs:
-            if p.is_alive:
-                p.interrupt("killed")
-        if self.durable is not None:
-            self.durable.crash()
-        self._teardown_conns()
 
     # -- dispatcher (owns every connection) --------------------------------
     def _dispatch_loop(self):
@@ -241,11 +226,8 @@ class SubShardedShard(Shard):
                 yield core.execute(result.cost_ns + lock_build)
                 if (self.durable is not None and result.status is Status.OK
                         and _WRITE_LO <= op <= _WRITE_HI):
-                    dur_cost, flush_ev = self.durable.append(
-                        _OP_BY_CODE[op], key, value, result.version)
-                    yield core.execute(dur_cost)
-                    if flush_ev is not None:
-                        batch.rep_waits.append(flush_ev)
+                    yield core.execute(self._stage_durable(
+                        batch, _OP_BY_CODE[op], key, value, result.version))
                 self._respond_flat(conn, slot, op, rid, result, store,
                                    batch)
                 if (not queue.items or self._batch_full(batch)
@@ -270,16 +252,7 @@ class SubShardedShard(Shard):
                 yield core.execute(result.cost_ns
                                    + self.cpu.build_response_ns
                                    + SEND_LOCK_NS)
-                if (self.durable is not None and req.op in WRITE_OPS
-                        and result.status is Status.OK):
-                    dur_cost, flush_ev = self.durable.append(
-                        req.op, req.key, req.value, result.version)
-                    yield core.execute(dur_cost)
-                    if flush_ev is not None:
-                        if batch is not None:
-                            batch.rep_waits.append(flush_ev)
-                        else:
-                            yield flush_ev
+                yield from self._commit_write(core, batch, req, result)
                 resp = Response(
                     op=req.op, status=result.status, req_id=req.req_id,
                     value=result.value,

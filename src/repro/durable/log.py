@@ -23,12 +23,14 @@ each flush so a crash mid-watermark-write always leaves one valid slot
 
 Appends are asynchronous and off the replication path: the shard calls
 :meth:`DurableLog.append` at write-commit time, paying only a small CPU
-cost; a flusher process group-commits everything pending after an aging
-window (or once ``group_commit_records`` pile up).  Under
-``ack_mode="ack_on_flush"`` the append also returns the batch's shared
-flush event, which the shard joins into the same wait-set as the
-replication ack — an acked write is then durable once *either* the
-secondary ack or the log flush has landed.
+cost and getting the record's log sequence number back.  Group commit is
+*self-clocked*: the flusher starts a device write the moment anything is
+staged and the device is idle, and whatever is appended while that write
+and its watermark are in flight forms the next group.  ``released_seq``
+advances (and ``on_commit`` runs, in flush-completion context) only
+after data blob *and* watermark have landed; under ``ack_on_flush`` the
+shard holds each response until ``released_seq`` covers its record, so
+an acked write is durable even if primary and secondary both die.
 """
 
 from __future__ import annotations
@@ -36,12 +38,12 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from ..protocol import Op
 from ..protocol.indicator import HEAD_MAGIC
 from ..replication.log import LogRecord, RecordType
-from ..sim import Event, Gate, Interrupt, MetricSet
+from ..sim import Gate, Interrupt, MetricSet
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..config import SimConfig
@@ -197,7 +199,7 @@ def replay_into(sim: "Simulator", device: "PMDevice", scan: DurableScan,
 # ---------------------------------------------------------------------------
 
 class DurableLog:
-    """Group-committed write-behind appender over one :class:`PMDevice`."""
+    """Self-clocked group-commit appender over one :class:`PMDevice`."""
 
     def __init__(self, sim: "Simulator", config: "SimConfig",
                  device: "PMDevice", metrics: Optional[MetricSet] = None,
@@ -207,20 +209,33 @@ class DurableLog:
         self.config = config
         self.dur = config.durability
         self.device = device
-        self.metrics = metrics or MetricSet(sim)
+        self.metrics = m = metrics or MetricSet(sim)
         self.name = name
         #: Last sequence number assigned to an append.
         self.seq = start_seq
         #: Highest sequence persisted (data + watermark landed).
         self.flushed_seq = start_seq
+        #: Highest sequence whose acks may go out: ``flushed_seq``, or past
+        #: it when a full log dropped a group (fail-soft ``log_full``).
+        self.released_seq = start_seq
         self.tail = tail
         self.wm_epoch = wm_epoch
         self.pending: list[LogRecord] = []
+        #: Sim time the oldest pending record was staged.
+        self._staged_ns = 0
+        #: Runs whenever ``released_seq`` advances and on :meth:`crash`:
+        #: the shard releases / drops the responses parked behind it.
+        self.on_commit: Callable[[], None] = lambda: None
         self.alive = False
         self._arm = Gate(sim)
-        self._full = Gate(sim)
-        self._flush_ev: Optional[Event] = None
+        self._released = Gate(sim)
         self._proc = None
+        self._c_flushes = m.counter("durable.flushes")
+        self._c_records = m.counter("durable.records")
+        self._c_log_full = m.counter("durable.log_full")
+        self._t_group = m.tally("durable.group_records")
+        #: Staged -> released, per group: the pipeline's "durable wait".
+        self._t_commit_wait = m.tally("durable.commit_wait_ns")
 
     @property
     def ack_on_flush(self) -> bool:
@@ -228,27 +243,27 @@ class DurableLog:
 
     # -- primary-side hook ---------------------------------------------------
     def append(self, op: Op, key: bytes, value: bytes,
-               version: int) -> tuple[int, Optional[Event]]:
-        """Stage one record; returns (cpu_cost_ns, optional flush event).
+               version: int) -> tuple[int, int]:
+        """Stage one record; returns (cpu_cost_ns, log seq).
 
         Mirrors the replicator hook shape: the caller charges the CPU
-        cost and, when an event comes back (``ack_on_flush``), joins it
-        into the sweep's wait-set alongside replication acks.  All
-        records staged before the next flush share one event.
+        cost and moves on; under ``ack_on_flush`` it holds the response
+        until ``released_seq`` reaches the returned sequence number.
         """
         self.seq += 1
+        if not self.pending:
+            self._staged_ns = self.sim.now
+            self._arm.fire()
         self.pending.append(LogRecord(RecordType.DATA, self.seq, op=op,
                                       key=key, value=value, version=version))
-        if len(self.pending) == 1:
-            self._arm.fire()
-        if len(self.pending) >= self.dur.group_commit_records:
-            self._full.fire()
-        ev = None
-        if self.ack_on_flush:
-            if self._flush_ev is None:
-                self._flush_ev = Event(self.sim)
-            ev = self._flush_ev
-        return self.dur.append_cost_ns, ev
+        return self.dur.append_cost_ns, self.seq
+
+    def wait_released(self):
+        """Block (generator) until everything staged so far is released:
+        the batch-less ``ack_on_flush`` wait.  A crashed log never releases."""
+        seq = self.seq
+        while self.ack_on_flush and self.released_seq < seq:
+            yield self._released.wait()
 
     # -- lifecycle -----------------------------------------------------------
     def start(self) -> None:
@@ -261,8 +276,8 @@ class DurableLog:
 
         Staged-but-unflushed records are exactly the write-behind
         exposure; under ``ack_on_flush`` none of them were acked on the
-        durability path (their flush event never fired), so losing them
-        here cannot lose an acked write.
+        durability path (``released_seq`` never reached them), so losing
+        them here cannot lose an acked write.
         """
         self.alive = False
         if self._proc is not None and self._proc.is_alive:
@@ -272,7 +287,7 @@ class DurableLog:
             self.metrics.counter("durable.lost_pending").add(
                 len(self.pending))
         self.pending = []
-        self._flush_ev = None
+        self.on_commit()
 
     # -- flusher -------------------------------------------------------------
     def _flusher(self):
@@ -281,41 +296,38 @@ class DurableLog:
                 if not self.pending:
                     yield self._arm.wait()
                     continue
-                if len(self.pending) < self.dur.group_commit_records:
-                    # Age the group: more appends coalesce into this flush.
-                    yield self.sim.any_of([
-                        self.sim.timeout(self.dur.group_commit_ns),
-                        self._full.wait(),
-                    ])
-                batch, ev = self.pending, self._flush_ev
-                self.pending, self._flush_ev = [], None
+                # Device idle: commit what is staged now; appends during
+                # this write form the next group.
+                batch, staged_ns = self.pending, self._staged_ns
+                self.pending = []
+                last = batch[-1].seq
                 blob = b"".join(_frame(r.encode()) for r in batch)
                 if self.tail + len(blob) > self.device.capacity:
                     # Fail-soft: the replication path still protects these
                     # writes; count loudly so benches can hard-fail on it.
-                    self.metrics.counter("durable.log_full").add(len(batch))
-                    if ev is not None:
-                        ev.succeed(None)
-                    continue
-                cost = self.device.begin_write(self.tail, blob)
-                yield self.sim.timeout(cost)
-                self.device.commit_write()
-                self.tail += len(blob)
-                self.flushed_seq = batch[-1].seq
-                yield from self._write_watermark()
-                self.metrics.counter("durable.flushes").add()
-                self.metrics.counter("durable.records").add(len(batch))
-                self.metrics.tally("durable.group_records").observe(
-                    len(batch))
-                if ev is not None:
-                    ev.succeed(None)
+                    self._c_log_full.add(len(batch))
+                else:
+                    cost = self.device.begin_write(self.tail, blob)
+                    yield self.sim.timeout(cost)
+                    self.device.commit_write()
+                    self.tail += len(blob)
+                    yield from self._write_watermark(last)
+                    self.flushed_seq = last
+                    self._c_flushes.add()
+                    self._c_records.add(len(batch))
+                    self._t_group.observe(len(batch))
+                # Persisted or dropped: either way the acks may go out.
+                self.released_seq = last
+                self._t_commit_wait.observe(self.sim.now - staged_ns)
+                self._released.fire()
+                self.on_commit()
         except Interrupt:
             pass
 
-    def _write_watermark(self):
+    def _write_watermark(self, seq: int):
         self.wm_epoch += 1
         slot = _WM_SLOT_BYTES * (self.wm_epoch % 2)
-        payload = _WM.pack(self.flushed_seq, self.wm_epoch)
+        payload = _WM.pack(seq, self.wm_epoch)
         blob = payload + _U64.pack(_guardian(payload))
         cost = self.device.begin_write(slot, blob)
         yield self.sim.timeout(cost)

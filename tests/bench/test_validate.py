@@ -1,6 +1,7 @@
 """The artifact schema validator behind `make bench-smoke`."""
 
 import json
+from pathlib import Path
 
 from repro.bench.validate import main, validate_artifact
 
@@ -113,3 +114,16 @@ def test_sweep_needs_a_unity_baseline_row():
     payload = good_sweep_payload()
     payload["rows"][0]["cpu_ratio"] = 1.1
     assert any("baseline" in p for p in validate_artifact(payload))
+
+
+def test_recovery_ack_on_flush_must_keep_pace_with_ack_on_replicate():
+    # The committed artefact doubles as the fixture: it must pass as is.
+    artefact = Path(__file__).parents[2] / "BENCH_recovery.json"
+    payload = json.loads(artefact.read_text())
+    assert validate_artifact(payload) == []
+    # The durability tax the parked-response pipeline removed: a flush
+    # row that again trails the replicate row by > 10% is a regression.
+    flush = next(r for r in payload["rows"]
+                 if r["ack_mode"] == "ack_on_flush")
+    flush["pre_kops"] = 26.3
+    assert any("0.9x" in p for p in validate_artifact(payload))

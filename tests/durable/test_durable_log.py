@@ -5,8 +5,10 @@ flushed frame is indicator-headed and guardian-summed; a crash lands an
 8-byte-aligned prefix whose scan classifies as a *torn tail* (truncate)
 while non-zero media past a bad frame is *corruption* (stop, report);
 replay force-applies logged versions so running it twice is idempotent;
-and in ``ack_on_flush`` mode the shared flush event fires only after the
-data blob *and* the watermark have landed.
+group commit is self-clocked (an idle device commits at once, appends
+during an in-flight write form the next group); and ``released_seq``
+advances — and ``on_commit`` runs — only after the data blob *and* the
+watermark have landed.
 """
 
 import pytest
@@ -45,11 +47,11 @@ def make_store(sim, config):
 
 
 def append_n(dlog, n, start=0, value=b"v" * 24):
-    events = []
+    seqs = []
     for i in range(start, start + n):
-        _cost, ev = dlog.append(Op.PUT, f"k{i:04d}".encode(), value, i + 1)
-        events.append(ev)
-    return events
+        _cost, seq = dlog.append(Op.PUT, f"k{i:04d}".encode(), value, i + 1)
+        seqs.append(seq)
+    return seqs
 
 
 def replay(sim, device, scan, store, config):
@@ -67,11 +69,11 @@ def replay(sim, device, scan, store, config):
 # -- clean path ---------------------------------------------------------------
 
 def test_flush_scan_roundtrip_clean_end():
-    sim, _cfg, device, dlog, metrics = make_env(group_commit_records=4)
+    sim, _cfg, device, dlog, metrics = make_env()
     dlog.start()
-    append_n(dlog, 6)
+    assert append_n(dlog, 6) == [1, 2, 3, 4, 5, 6]
     sim.run(until=10_000_000)
-    assert dlog.flushed_seq == 6
+    assert dlog.flushed_seq == dlog.released_seq == 6
     scan = scan_log(device)
     assert scan.stop_reason == "clean_end"
     assert [r.seq for r in scan.records] == [1, 2, 3, 4, 5, 6]
@@ -82,49 +84,76 @@ def test_flush_scan_roundtrip_clean_end():
     assert metrics.counter("durable.records").value == 6
 
 
-def test_group_commit_coalesces_and_event_waits_for_watermark():
-    sim, _cfg, device, dlog, metrics = make_env(
-        ack_mode="ack_on_flush", group_commit_records=2)
+def test_self_clocked_groups_and_release_waits_for_watermark():
+    sim, _cfg, device, dlog, metrics = make_env(ack_mode="ack_on_flush")
     dlog.start()
-    ev = append_n(dlog, 2)
-    # Every record staged before one flush shares one event.
-    assert ev[0] is ev[1] and ev[0] is not None
-    seen = []
+    commits = []
 
-    def waiter():
-        yield ev[0]
-        # At flush-event time both the data frames and the watermark
-        # must already be on media: durable means replayable *now*.
+    def on_commit():
+        # At release time both the data frames and the watermark must
+        # already be on media: durable means replayable *now*.
         scan = scan_log(device)
-        seen.append((sim.now, scan.next_seq, scan.watermark_seq))
+        commits.append((sim.now, dlog.released_seq, scan.next_seq,
+                        scan.watermark_seq))
 
-    sim.process(waiter())
+    dlog.on_commit = on_commit
+    append_n(dlog, 1)
+    blob_cost = device.write_cost(8 + 24 + 5 + 24 + 8)
+    wm_cost = device.write_cost(24)
+    # Idle device: the lone record's write starts at once (no aging
+    # window); two more arrive while it is in flight.
+    sim.run(until=blob_cost // 2)
+    assert device._inflight is not None
+    append_n(dlog, 2, start=1)
+    # Blob landed, watermark still in flight: nothing is released yet.
+    sim.run(until=blob_cost + wm_cost // 2)
+    assert scan_log(device).next_seq == 1
+    assert dlog.released_seq == 0 and not commits
     sim.run(until=10_000_000)
-    assert seen and seen[0][1] == 2 and seen[0][2] == 2
-    assert seen[0][0] > 0  # the PM write cost was actually paid
-    # A post-flush append opens a fresh batch with a fresh event.
-    _cost, ev3 = dlog.append(Op.PUT, b"late", b"v", 3)
-    assert ev3 is not None and ev3 is not ev[0]
-    assert metrics.tally("durable.group_records").count >= 1
+    # Group 1 = the lone record, group 2 = what arrived during its write.
+    assert [(c[1], c[2], c[3]) for c in commits] == [(1, 1, 1), (3, 3, 3)]
+    assert commits[0][0] == blob_cost + wm_cost
+    assert metrics.counter("durable.flushes").value == 2
+    group = metrics.tally("durable.group_records")
+    assert (group.min, group.max) == (1, 2)
+    wait = metrics.tally("durable.commit_wait_ns")
+    assert wait.count == 2 and wait.min == blob_cost + wm_cost
 
 
-def test_ack_on_replicate_returns_no_event():
-    _sim, _cfg, _device, dlog, _m = make_env(ack_mode="ack_on_replicate")
-    cost, ev = dlog.append(Op.PUT, b"k", b"v", 1)
-    assert cost > 0 and ev is None
+def test_wait_released_blocks_only_under_ack_on_flush():
+    for ack_mode, blocks in (("ack_on_replicate", False),
+                             ("ack_on_flush", True)):
+        sim, _cfg, _device, dlog, _m = make_env(ack_mode=ack_mode)
+        dlog.start()
+        cost, seq = dlog.append(Op.PUT, b"k", b"v", 1)
+        assert cost > 0 and seq == 1
+        done = []
+
+        def waiter():
+            yield from dlog.wait_released()
+            done.append(sim.now)
+
+        sim.process(waiter())
+        sim.run(until=10_000_000)
+        assert done and (done[0] > 0) is blocks
+
+
+def test_removed_group_commit_knobs_are_rejected_loudly():
+    for knob in ("group_commit_ns", "group_commit_records"):
+        with pytest.raises(TypeError, match=knob):
+            SimConfig().with_overrides(durability={knob: 1})
 
 
 # -- crash artifacts ----------------------------------------------------------
 
 def test_crash_mid_flush_leaves_truncatable_torn_tail():
-    sim, cfg, device, dlog, _m = make_env(
-        group_commit_records=100, group_commit_ns=10_000)
+    sim, cfg, device, dlog, _m = make_env()
     dlog.start()
     append_n(dlog, 3, value=b"v" * 96)
-    # The aging window lapses at 10 us and the blob write begins; crash
-    # partway through so only a word-aligned prefix lands.
-    cost = device.write_cost(3 * (8 + 24 + 96 + 8))
-    sim.run(until=10_000 + cost // 2)
+    # The blob write begins at once; crash partway through so only a
+    # word-aligned prefix lands.
+    cost = device.write_cost(3 * (8 + 24 + 5 + 96 + 8))
+    sim.run(until=cost // 2)
     dlog.crash()
     assert device.torn_writes == 1
     scan = scan_log(device)
@@ -142,7 +171,7 @@ def test_crash_mid_flush_leaves_truncatable_torn_tail():
 
 
 def test_crash_with_no_inflight_write_is_harmless():
-    sim, _cfg, device, dlog, metrics = make_env(group_commit_records=2)
+    sim, _cfg, device, dlog, metrics = make_env()
     dlog.start()
     append_n(dlog, 2)
     sim.run(until=10_000_000)
@@ -158,7 +187,7 @@ def test_crash_with_no_inflight_write_is_harmless():
 
 
 def test_mid_log_corruption_reported_as_guardian_mismatch():
-    sim, _cfg, device, dlog, _m = make_env(group_commit_records=1)
+    sim, _cfg, device, dlog, _m = make_env()
     dlog.start()
     append_n(dlog, 3, value=b"v" * 8)
     sim.run(until=10_000_000)
@@ -177,7 +206,7 @@ def test_mid_log_corruption_reported_as_guardian_mismatch():
 # -- replay semantics ---------------------------------------------------------
 
 def test_double_replay_is_idempotent_and_versions_monotonic():
-    sim, cfg, device, dlog, _m = make_env(group_commit_records=1)
+    sim, cfg, device, dlog, _m = make_env()
     dlog.start()
     dlog.append(Op.PUT, b"a", b"v1", 1)
     dlog.append(Op.PUT, b"a", b"v2", 2)
@@ -197,7 +226,7 @@ def test_double_replay_is_idempotent_and_versions_monotonic():
 
 
 def test_watermark_survives_losing_one_slot():
-    sim, _cfg, device, dlog, _m = make_env(group_commit_records=1)
+    sim, _cfg, device, dlog, _m = make_env()
     dlog.start()
     dlog.append(Op.PUT, b"k", b"v", 1)
     sim.run(until=5_000_000)
@@ -212,21 +241,20 @@ def test_watermark_survives_losing_one_slot():
     assert read_watermark(device) == (1, 1)
 
 
-def test_log_full_is_fail_soft_and_still_fires_the_ack():
+def test_log_full_is_fail_soft_and_still_releases_the_ack():
     sim, _cfg, device, dlog, metrics = make_env(
-        capacity=128, ack_mode="ack_on_flush", group_commit_records=1)
+        capacity=128, ack_mode="ack_on_flush")
     dlog.start()
-    _cost, ev = dlog.append(Op.PUT, b"k", b"v" * 200, 1)
-    fired = []
-
-    def waiter():
-        yield ev
-        fired.append(sim.now)
-
-    sim.process(waiter())
+    commits = []
+    dlog.on_commit = lambda: commits.append(dlog.released_seq)
+    dlog.append(Op.PUT, b"k", b"v" * 200, 1)
     sim.run(until=10_000_000)
+    # A stated limit of ack_on_flush, not a silent one: the group is
+    # dropped and counted, nothing claims to be persisted, but the acks
+    # parked behind it are released so the shard cannot deadlock.
     assert metrics.counter("durable.log_full").value == 1
-    assert fired  # the sweep must not deadlock on a full log
+    assert commits == [1]
+    assert dlog.flushed_seq == 0 and device.writes == 0
 
 
 # -- device model -------------------------------------------------------------

@@ -16,6 +16,7 @@ from repro.core.errors import (
     RecoveryInProgress,
     ShardUnavailable,
 )
+from repro.protocol import Status
 
 _MS = 1_000_000
 
@@ -34,6 +35,58 @@ def test_dual_crash_recovers_from_durable_log(ack_mode):
     if ack_mode == "ack_on_flush":
         # The hard durability gate: an ack meant the group commit landed.
         assert row["lost_acked_writes"] == 0
+
+
+# The commit pipeline (stage -> park -> release) lives in the base Shard;
+# the sub-sharded and pipelined variants must carry a correlated crash
+# through it too.  (Sub-sharded instances take no replication hooks, so
+# their "every copy" is the primary alone.)
+@pytest.mark.parametrize("hydra, replicas", [
+    ({"subshards": 2}, 0),
+    ({"pipelined_shards": True}, 1),
+], ids=["subshard", "pipelined"])
+def test_variant_dual_crash_loses_no_flush_acked_write(hydra, replicas):
+    cfg = SimConfig().with_overrides(
+        hydra=hydra, replication={"replicas": replicas},
+        durability={"enabled": True, "ack_mode": "ack_on_flush"},
+        coord={"heartbeat_ns": 50 * _MS, "session_timeout_ns": 200 * _MS},
+        client={"op_timeout_ns": 5 * _MS},
+    )
+    cluster = HydraCluster(config=cfg, n_server_machines=1,
+                           shards_per_server=1, n_client_machines=1)
+    cluster.enable_ha()
+    cluster.start()
+    sim = cluster.sim
+    sid = cluster.routing.shard_ids()[0]
+    old_shard = cluster.routing.resolve(sid)
+    acked: dict[bytes, bytes] = {}
+    finished = []
+
+    def writer(cid, client):
+        # Disjoint keys per writer, so "last acked value" is unambiguous.
+        for i in range(120):
+            key, value = f"w{cid}-{i % 8}".encode(), f"{cid}-{i}".encode()
+            status = yield from client.put(key, value)
+            assert status is Status.OK
+            acked[key] = value
+        finished.append(cid)
+
+    def killer():
+        yield sim.timeout(500_000)  # mid-stream: writes staged and parked
+        assert acked and not finished
+        cluster.servers[0].kill()
+        for sec in cluster.secondaries.get(sid, []):
+            sec.kill()
+            sec.machine.nic.fail()
+
+    sim.process(killer())
+    cluster.run(*[writer(c, cluster.client()) for c in range(3)])
+    m = cluster.metrics
+    assert m.counter("durable.recoveries").value == 1
+    assert m.counter("shard.parked_batches").value > 0
+    assert cluster.routing.resolve(sid) is not old_shard
+    survivor = cluster.routing.resolve(sid).store.dump()
+    assert {k: survivor.get(k) for k in acked} == acked
 
 
 def test_recovery_bumps_routing_generation_and_clears_flag():
