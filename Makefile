@@ -3,13 +3,18 @@
 PYTEST ?= python -m pytest
 RUFF ?= ruff
 
-.PHONY: test lint bench bench-quick bench-inflight bench-multiget \
+.PHONY: test test-fast lint bench bench-quick bench-inflight bench-multiget \
 	bench-failover bench-recovery bench-sweep bench-simcore \
 	bench-tenants bench-scale bench-smoke chaos-soak perf perf-quick \
 	perf-compare figures examples clean
 
 test:
 	$(PYTEST) tests/
+
+# Inner loop: everything but the seven `soak`-marked tests (~2 min of the
+# ~16).  `make test` and CI still run all of them.
+test-fast:
+	$(PYTEST) tests/ -m "not soak"
 
 lint:
 	@if command -v $(RUFF) >/dev/null 2>&1; then \

@@ -20,7 +20,6 @@ from ..hardware import Core, Machine
 from ..protocol import Request, Response, Status
 from ..protocol.messages import _REQ
 from ..sim import Interrupt, MetricSet, RwLock, Simulator, Store
-from .errors import LifecycleError
 from .shard import (_MAX_OP, _OP_BY_CODE, _WRITE_HI, _WRITE_LO, Connection,
                     Shard, WRITE_OPS)
 from .store import ShardStore
@@ -69,18 +68,11 @@ class PipelinedShard(Shard):
         return len(self.io_cores) + len(self.worker_cores)
 
     # -- lifecycle ---------------------------------------------------------
-    def start(self) -> None:
-        if self.alive:
-            raise LifecycleError(f"{self.shard_id} already running")
-        self.alive = True
-        for tid, io_core in enumerate(self.io_cores):
-            self._procs.append(self.sim.process(
-                self._io_loop(tid, io_core), name=f"{self.shard_id}.io{tid}"))
-        for wid, w_core in enumerate(self.worker_cores):
-            self._procs.append(self.sim.process(
-                self._worker_loop(w_core), name=f"{self.shard_id}.w{wid}"))
-        if self.store.reclaimer._proc is None:
-            self.store.reclaimer.start()
+    def _threads(self) -> list[tuple]:
+        return [(f".io{tid}", self._ingest_loop(core, tid))
+                for tid, core in enumerate(self.io_cores)] + [
+            (f".w{wid}", self._worker_loop(core))
+            for wid, core in enumerate(self.worker_cores)]
 
     def kill(self) -> None:
         super().kill()
@@ -93,7 +85,7 @@ class PipelinedShard(Shard):
             self.metrics.counter("shard.dropped_handoffs").add(dropped)
 
     # -- I/O dispatchers ------------------------------------------------------
-    def _my_conns(self, tid: int) -> list[Connection]:
+    def _pool(self, tid: int) -> list[Connection]:
         """This I/O thread's connection partition, cached until the
         connection set changes (``_conn_gen`` bumps on connect /
         disconnect).  The sweeps used to rebuild every partition from
@@ -108,45 +100,18 @@ class PipelinedShard(Shard):
                 c for c in self.conns if c.conn_id % n == tid]
         return conns
 
-    def _io_loop(self, tid: int, core: Core):
-        h = self.hydra
-        idle_sweeps = 0
-        try:
-            while self.alive:
-                conns = self._my_conns(tid)
-                if not conns:
-                    yield self.doorbell.wait()
-                    continue
-                # The partition is gen-fresh: dropped connections are
-                # already pruned, so skip the membership re-filter.
-                picked = self._select_conns(owned=conns, owned_fresh=True)
-                if picked:
-                    self.metrics.counter("shard.sweeps").add()
-                    yield core.execute(self._sweep_cost(picked))
-                else:
-                    yield core.execute(self.cpu.poll_probe_ns)
-                processed = 0
-                for conn in picked:
-                    ready, extra_ns = self._poll_conn(conn)
-                    if extra_ns:
-                        yield core.execute(extra_ns)
-                    for slot, payload in ready:
-                        # Hand off to a worker: queueing + cacheline bounce.
-                        yield core.execute(h.pipeline_handoff_ns)
-                        self._queue.put((conn, slot, payload))
-                        processed += 1
-                if processed:
-                    idle_sweeps = 0
-                    continue
-                if any(c.conn_id in self._ready for c in conns):
-                    continue  # a doorbell fired mid-sweep on our partition
-                idle_sweeps += 1
-                if idle_sweeps < self.cpu.idle_polls_before_sleep:
-                    continue
-                yield from self._idle_wait(core)
-                idle_sweeps = 0
-        except Interrupt:
-            self.alive = False
+    def _ingest(self, core: Core, picked: list[Connection]):
+        processed = 0
+        for conn in picked:
+            ready, extra_ns = self._poll_conn(conn)
+            if extra_ns:
+                yield core.execute(extra_ns)
+            for slot, payload in ready:
+                # Hand off to a worker: queueing + cacheline bounce.
+                yield core.execute(self.hydra.pipeline_handoff_ns)
+                self._queue.put((conn, slot, payload))
+                processed += 1
+        return processed
 
     # -- workers ---------------------------------------------------------
     def _worker_body(self, conn, slot: int, req: Request, batch,

@@ -7,11 +7,20 @@ against the store, replicates mutations, and RDMA-Writes the response —
 no hand-offs, no locks, no context switches.
 
 Polling model: requests are detected by sustained polling with the
-indicator format.  After ``idle_polls_before_sleep`` empty sweeps the
-thread enters high-resolution sleep (§4.2.1); in the simulator the sleep
-phase blocks on a doorbell and charges half a sleep quantum of detection
-latency on wake-up, so the latency/CPU trade-off of the real design is
-preserved without simulating dead sweeps.
+indicator format; after ``idle_polls_before_sleep`` empty probes the
+thread enters high-resolution sleep (§4.2.1).  Neither phase schedules
+per-probe events: an idle poller is one wait on its doorbell
+(:meth:`Shard._idle`).  A doorbell at time ``t`` of a spin that began at
+``t0`` is swept at the probe boundary a per-probe loop would have seen it
+on, ``t0 + max(1, ceil((t - t0) / poll_probe_ns)) * poll_probe_ns``; one
+that arrives after the spin window is swept at ``t + idle_sleep_ns // 2``
+(the mean residual sleep).  The core is held busy for exactly the spin
+window, so the latency/CPU trade-off of the real design is kept without
+simulating dead probes.  The one place results can differ from a
+per-probe model is the order of same-nanosecond events: the wake is
+enqueued at doorbell time rather than one probe earlier, so two shards
+that wake in the same nanosecond may reach their shared NIC in the other
+order.
 
 Sweep scalability: three independently-ablatable layers keep server CPU
 per op flat as connections x slots grow (each has a ``hydra`` knob):
@@ -34,6 +43,7 @@ per op flat as connections x slots grow (each has a ``hydra`` knob):
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import count
@@ -70,6 +80,11 @@ WRITE_OPS = frozenset({Op.PUT, Op.INSERT, Op.UPDATE, Op.DELETE})
 #: the safety net that catches a connection whose hint was lost.
 FULL_SWEEP_EVERY = 64
 _conn_ids = count(1)
+#: Doorbell value of a control wake (gray failure, disconnect): it makes a
+#: poller still spinning look at what changed -- wedged or left without
+#: connections, it stops at its next probe boundary -- and does not wake
+#: one already asleep.
+_HALT = object()
 
 #: Wire opcode -> Op member: the flat parse path resolves opcodes with a
 #: list index instead of the Op(...) enum call.
@@ -81,6 +96,14 @@ _MAX_OP = int(max(Op))
 #: tests membership with a range compare instead of a set lookup.
 _WRITE_LO, _WRITE_HI = int(Op.PUT), int(Op.DELETE)
 assert all(_WRITE_LO <= int(o) <= _WRITE_HI for o in WRITE_OPS)
+
+
+def _probes_run(elapsed: int, window: int, probe: int) -> int:
+    """Probes a per-probe spin of ``window`` ns has finished when it next
+    checks the flag, ``elapsed`` ns in; 0 once the window is over."""
+    if elapsed > window or not window:
+        return 0
+    return max(1, -(-elapsed // probe))
 
 
 class _SweepBatch:
@@ -231,6 +254,13 @@ class Shard:
         self._c_index_mut = m.counter("shard.index_mutations_versioned")
         self._c_resp_overflow = m.counter("shard.resp_overflow")
         self._c_age_flushes = m.counter("shard.age_flushes")
+        self._c_sweeps = m.counter("shard.sweeps")
+        self._c_probes = m.counter("shard.probes")
+        self._c_probes_skipped = m.counter("shard.probes_skipped")
+        self._c_full_sweeps = m.counter("shard.full_sweeps")
+        self._c_drain_deferred = m.counter("shard.drain_deferred")
+        self._c_resp_doorbells = m.counter("shard.resp_doorbells")
+        self._c_resp_coalesced = m.counter("shard.resp_coalesced")
         #: Reused parse scratch: parallel arrays one sweep batch wide
         #: (grown on demand, never shrunk) — the sweep's analogue of the
         #: kernel's flat calendar slots.
@@ -251,18 +281,26 @@ class Shard:
         if self.alive:
             raise LifecycleError(f"{self.shard_id} already running")
         self.alive = True
-        if self.hydra.transport == "tcp":
-            stack = self.machine.tcp
-            port = 7100
-            while port in stack.listeners:
-                port += 1
-            self.tcp_port = port
-            listener = stack.listen(port)
-            self.sim.process(self._tcp_acceptor(listener),
-                             name=f"{self.shard_id}.accept")
-        self._procs = [self.sim.process(self._run(), name=self.shard_id)]
-        if self.store.reclaimer._proc is None:
-            self.store.reclaimer.start()
+        self._procs = [self.sim.process(loop, name=self.shard_id + tag)
+                       for tag, loop in self._threads()]
+        for store in self.substores:
+            if store.reclaimer._proc is None:
+                store.reclaimer.start()
+
+    def _threads(self) -> list[tuple]:
+        """``(name suffix, generator)`` of each thread :meth:`kill` must
+        interrupt, in start order; the variants run more than one."""
+        if self.hydra.transport != "tcp":
+            return [("", self._ingest_loop(self.core))]
+        stack = self.machine.tcp
+        port = 7100
+        while port in stack.listeners:
+            port += 1
+        self.tcp_port = port
+        listener = stack.listen(port)
+        self.sim.process(self._tcp_acceptor(listener),
+                         name=f"{self.shard_id}.accept")
+        return [("", self._tcp_run())]
 
     def kill(self) -> None:
         """Crash the shard process (failure injection)."""
@@ -305,6 +343,7 @@ class Shard:
         """
         self._gray = True
         self.metrics.counter("shard.gray_failures").add()
+        self.doorbell.fire(_HALT)
 
     def gray_recover(self) -> None:
         """Leave gray failure and resume sweeping (buffered requests are
@@ -394,6 +433,7 @@ class Shard:
             self._conn_gen += 1
         self._ready.pop(conn.conn_id, None)
         conn.close()
+        self.doorbell.fire(_HALT)
 
     # -- main loop ---------------------------------------------------------
     def _mark_ready(self, conn: Connection) -> None:
@@ -402,36 +442,36 @@ class Shard:
             self._ready[conn.conn_id] = conn
         self.doorbell.fire(conn)
 
-    def _select_conns(self, owned: Optional[list] = None,
-                      owned_fresh: bool = False) -> list[Connection]:
-        """Pick the connections the next sweep should probe.
+    def _pool(self, tid: Optional[int] = None) -> list[Connection]:
+        """The connections poller ``tid`` sweeps: all of them, except that
+        pipelined I/O threads partition them among themselves."""
+        return self.conns
+
+    def _select_conns(self, pool: list[Connection]) -> list[Connection]:
+        """Pick the connections of (non-empty) ``pool`` the next sweep
+        should probe.
 
         With ready hints on, only flagged connections (drained from the
         ready set); every ``FULL_SWEEP_EVERY``-th *working* sweep is a
         full sweep over the whole pool — the safety net against a lost
         hint.  The cadence advances only when a sweep actually had ready
-        work, so an idle shard spinning before sleep never degenerates
-        into periodic O(conns x slots) walks.  The result is rotated so
-        a hot connection at the front cannot starve the rest.
-        ``owned`` restricts the pool (pipelined I/O threads partition the
-        connections among themselves); ``owned_fresh`` promises the list
-        was derived at the current ``_conn_gen`` — dropped connections
-        already pruned — so the membership filter can be skipped.
+        work, so an idle shard never degenerates into periodic
+        O(conns x slots) walks.  The result is rotated so a hot
+        connection at the front cannot starve the rest.
         """
-        pool = self.conns if owned is None else \
-            (owned if owned_fresh else
-             [c for c in owned if c in self.conns])
-        if not pool:
-            return []
         if not self.hydra.ready_hints:
             picked = pool
         else:
             picked = [c for c in pool if c.conn_id in self._ready]
             if not picked:
+                if pool is self.conns:
+                    # Whatever is still flagged belongs to dropped
+                    # connections (a late write landed after disconnect).
+                    self._ready.clear()
                 return []
             self._sweep_seq += 1
             if self._sweep_seq % FULL_SWEEP_EVERY == 0:
-                self.metrics.counter("shard.full_sweeps").add()
+                self._c_full_sweeps.add()
                 for c in pool:
                     self._ready.pop(c.conn_id, None)
                 picked = pool
@@ -489,14 +529,12 @@ class Shard:
                 if deferred:
                     occ_restore(conn.req_region, deferred, layout.n_slots,
                                 layout.occ_offset)
-                    self.metrics.counter("shard.drain_deferred").add(
-                        len(deferred))
+                    self._c_drain_deferred.add(len(deferred))
                     # occ_restore bypasses write() (no doorbell): re-mark
                     # explicitly so the next sweep picks the rest up.
                     self._mark_ready(conn)
-                self.metrics.counter("shard.probes").add(probed)
-                self.metrics.counter("shard.probes_skipped").add(
-                    layout.n_slots - probed)
+                self._c_probes.add(probed)
+                self._c_probes_skipped.add(layout.n_slots - probed)
                 return ready, self.cpu.poll_probe_ns * (
                     probed + max(0, word_probes - 1))
             start = conn.sweep_cursor if budget > 0 else 0
@@ -513,13 +551,13 @@ class Shard:
                     clear(conn.req_region, off, len(payload))
                     ready.append((slot, payload))
             if deferred_plain:
-                self.metrics.counter("shard.drain_deferred").add()
+                self._c_drain_deferred.add()
                 self._mark_ready(conn)
-            self.metrics.counter("shard.probes").add(layout.n_slots)
+            self._c_probes.add(layout.n_slots)
             return ready, 0
         while True:
             if budget > 0 and len(ready) >= budget:
-                self.metrics.counter("shard.drain_deferred").add()
+                self._c_drain_deferred.add()
                 self._mark_ready(conn)
                 return ready, 0
             cqe = conn.shard_qp.recv_cq.poll_one()
@@ -540,23 +578,68 @@ class Shard:
         return (self.cpu.cq_poll_ns * max(1, len(conns))
                 + self.cpu.post_recv_ns)
 
-    def _idle_wait(self, core: Core):
-        """Idle phase after ``idle_polls_before_sleep`` empty sweeps:
-        high-resolution sleep, or pegged-core busy polling when the
-        ``cpu.sleep_backoff`` ablation turns sleeping off."""
-        if self.cpu.sleep_backoff:
-            # Block until a doorbell, then pay the average residual
-            # sleep before detection.
-            yield self.doorbell.wait()
-            yield core.execute(self.cpu.idle_sleep_ns // 2)
-        else:
-            # Pure busy polling: the core stays pegged while idle
-            # (modeled by accounting the whole wait as busy) but a
-            # request is picked up by the very next probe.
-            core.busy.add(1.0)
-            yield self.doorbell.wait()
-            core.busy.add(-1.0)
-            yield core.execute(self.cpu.poll_probe_ns)
+    def _flagged(self, tid: Optional[int] = None) -> bool:
+        """Has a doorbell flagged a connection poller ``tid`` owns?"""
+        ready = self._ready
+        return bool(ready) and (tid is None or any(
+            c.conn_id in ready for c in self._pool(tid)))
+
+    def _idle(self, core: Core, idle_sweeps: int, swept: bool,
+              tid: Optional[int] = None):
+        """Idle tail of an ingest loop after a pass that processed
+        nothing; returns the new count of consecutive idle polls.
+
+        ``swept`` says the pass was a real sweep that came up empty: it
+        counts as one idle poll, and the thread sleeps once
+        ``idle_polls_before_sleep`` of them ran.  Otherwise nothing was
+        flagged (ready hints), and the probes the thread would burn
+        re-checking the flag are one wait: the core is held busy for the
+        rest of the spin window — all along under the pegged-core
+        ablation (``cpu.sleep_backoff`` off) — and the poller blocks on
+        the doorbell.  A doorbell inside the window resumes it at the
+        probe boundary that would have seen it; one after the window
+        finds it asleep and costs the mean residual sleep (one probe when
+        pegged).  No timer is armed for the end of the window: the busy
+        gauge drops there by itself (:meth:`TimeWeighted.hold`).
+        """
+        cpu = self.cpu
+        probe = cpu.poll_probe_ns
+        window = max(1, cpu.idle_polls_before_sleep - idle_sweeps) * probe
+        if swept:
+            if self._flagged(tid):
+                return idle_sweeps  # a doorbell fired mid-sweep
+            if window > probe:
+                return idle_sweeps + 1
+            window = 0  # that was the last idle poll: straight to sleep
+        sim = self.sim
+        t0 = sim.now
+        core.busy.hold(1.0, t0 + window if cpu.sleep_backoff else math.inf)
+        try:
+            while True:
+                cause = yield self.doorbell.wait()
+                probes = _probes_run(sim.now - t0, window, probe)
+                # Doorbells rung in the same instant share one gate event
+                # and only the first one's value is seen, so a spinner
+                # goes by the state a control wake leaves, not by _HALT.
+                if self._flagged(tid) or (
+                        self._gray or not self._pool(tid) if probes
+                        else cause is not _HALT):
+                    break
+        except Interrupt:
+            # Killed mid-wait: a probe in flight is charged to its end.
+            probes = _probes_run(sim.now - t0, window, probe)
+            core.busy.release(max(sim.now, t0 + probes * probe))
+            raise
+        core.busy.release(sim.now)
+        if probes:
+            rest = t0 + probes * probe - sim.now
+            if rest:
+                yield core.execute(rest)
+            # The probe that saw the flag is the next sweep's, not idle.
+            return idle_sweeps + probes - self._flagged(tid)
+        yield core.execute(cpu.idle_sleep_ns // 2 if cpu.sleep_backoff
+                           else probe)
+        return 0
 
     def _tcp_acceptor(self, listener):
         while self.alive:
@@ -639,62 +722,59 @@ class Shard:
             # teardown): the response is undeliverable, not a shard crash.
             self.metrics.counter("shard.undeliverable_responses").add()
 
-    def _run(self):
-        if self.hydra.transport == "tcp":
-            yield from self._tcp_run()
-            return
+    def _ingest_loop(self, core: Core, tid: Optional[int] = None):
+        """The polling loop of an ingest thread, shared by every variant:
+        wait out gray failure and an empty pool, sweep the flagged
+        connections through :meth:`_ingest`, idle when there was nothing
+        to do (:meth:`_idle`)."""
         idle_sweeps = 0
         try:
             while self.alive:
+                pool = self._pool(tid)
                 if self._gray:
                     # Gray failure: the thread is wedged.  Doorbells still
                     # fire and QPs still deliver, but nothing sweeps until
                     # gray_recover() releases the gate.
                     yield self._gray_gate.wait()
-                    continue
-                if not self.conns:
+                elif not pool:
                     yield self.doorbell.wait()
-                    continue
-                picked = self._select_conns()
-                if picked:
-                    self.metrics.counter("shard.sweeps").add()
-                    yield self.core.execute(self._sweep_cost(picked))
                 else:
-                    # Nothing flagged ready: one probe to check the flag.
-                    yield self.core.execute(self.cpu.poll_probe_ns)
-                processed = 0
-                batch = self._new_batch()
-                for conn in picked:
-                    ready, extra_ns = self._poll_conn(conn)
-                    if extra_ns:
-                        yield self.core.execute(extra_ns)
-                    if self._flat and batch is not None:
-                        if ready:
-                            processed += len(ready)
-                            yield from self._handle_batch(conn, ready,
-                                                          batch)
-                        continue
-                    for slot, payload in ready:
-                        yield from self._handle(conn, slot, payload, batch)
-                        processed += 1
-                        if self._batch_aged(batch):
-                            # Mid-sweep age flush: don't let early
-                            # responses wait out the rest of a big sweep.
-                            self.metrics.counter("shard.age_flushes").add()
-                            yield from self._finish_sweep(batch)
-                yield from self._finish_sweep(batch)
-                if processed:
-                    idle_sweeps = 0
-                    continue
-                if self._ready:
-                    continue  # a doorbell fired mid-sweep
-                idle_sweeps += 1
-                if idle_sweeps < self.cpu.idle_polls_before_sleep:
-                    continue
-                yield from self._idle_wait(self.core)
-                idle_sweeps = 0
+                    picked = self._select_conns(pool)
+                    if picked:
+                        self._c_sweeps.add()
+                        yield core.execute(self._sweep_cost(picked))
+                        if (yield from self._ingest(core, picked)):
+                            idle_sweeps = 0
+                            continue
+                    idle_sweeps = yield from self._idle(
+                        core, idle_sweeps, bool(picked), tid)
         except Interrupt:
             self.alive = False
+
+    def _ingest(self, core: Core, picked: list[Connection]):
+        """Drain and handle what one sweep of ``picked`` finds; returns
+        the number of requests processed."""
+        processed = 0
+        batch = self._new_batch()
+        for conn in picked:
+            ready, extra_ns = self._poll_conn(conn)
+            if extra_ns:
+                yield core.execute(extra_ns)
+            if self._flat and batch is not None:
+                if ready:
+                    processed += len(ready)
+                    yield from self._handle_batch(conn, ready, batch)
+                continue
+            for slot, payload in ready:
+                yield from self._handle(conn, slot, payload, batch)
+                processed += 1
+                if self._batch_aged(batch):
+                    # Mid-sweep age flush: don't let early responses
+                    # wait out the rest of a big sweep.
+                    self._c_age_flushes.add()
+                    yield from self._finish_sweep(batch)
+        yield from self._finish_sweep(batch)
+        return processed
 
     # -- request execution ---------------------------------------------------
     def _execute(self, req: Request) -> StoreResult:
@@ -977,7 +1057,7 @@ class Shard:
         try:
             if self.hydra.rdma_write_messaging:
                 conn.shard_qp.post_write(rptr, frame(data))
-                self.metrics.counter("shard.resp_doorbells").add()
+                self._c_resp_doorbells.add()
             else:
                 conn.shard_qp.post_send(data)
         except QpError:
@@ -1054,8 +1134,8 @@ class Shard:
                 self.metrics.counter("shard.undeliverable_responses").add(
                     len(chunk))
                 continue
-            self.metrics.counter("shard.resp_doorbells").add()
-            self.metrics.counter("shard.resp_coalesced").add(len(chunk) - 1)
+            self._c_resp_doorbells.add()
+            self._c_resp_coalesced.add(len(chunk) - 1)
             batch_ev.callbacks.append(self._count_undeliverable)
 
     def _stage_durable(self, batch: Optional[_SweepBatch], op: Op,

@@ -94,72 +94,39 @@ class SubShardedShard(Shard):
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> None:
-        if self.alive:
-            raise LifecycleError(f"{self.shard_id} already running")
         if self.replicator is not None:
             raise LifecycleError(
                 "sub-sharded instances do not support replication hooks")
-        self.alive = True
-        self._procs = [self.sim.process(self._dispatch_loop(),
-                                        name=f"{self.shard_id}.dispatch")]
-        for k in range(self.n_subshards):
-            self._procs.append(self.sim.process(
-                self._executor_loop(k), name=f"{self.shard_id}.sub{k}"))
-        for store in self.substores:
-            if store.reclaimer._proc is None:
-                store.reclaimer.start()
+        super().start()
+
+    def _threads(self) -> list[tuple]:
+        return [(".dispatch", self._ingest_loop(self.core))] + [
+            (f".sub{k}", self._executor_loop(k))
+            for k in range(self.n_subshards)]
 
     # -- dispatcher (owns every connection) --------------------------------
-    def _dispatch_loop(self):
-        idle_sweeps = 0
-        try:
-            while self.alive:
-                if not self.conns:
-                    yield self.doorbell.wait()
+    def _ingest(self, core, picked):
+        processed = 0
+        for conn in picked:
+            ready, extra_ns = self._poll_conn(conn)
+            if extra_ns:
+                yield core.execute(extra_ns)
+            if self._flat_sub:
+                processed += yield from self._dispatch_flat(conn, ready)
+                continue
+            for slot, payload in ready:
+                self.metrics.counter("shard.requests").add()
+                try:
+                    req = Request.decode(payload)
+                except (ValueError, KeyError):
+                    self.metrics.counter("shard.bad_requests").add()
                     continue
-                picked = self._select_conns()
-                if picked:
-                    self.metrics.counter("shard.sweeps").add()
-                    yield self.core.execute(self._sweep_cost(picked))
-                else:
-                    yield self.core.execute(self.cpu.poll_probe_ns)
-                processed = 0
-                for conn in picked:
-                    ready, extra_ns = self._poll_conn(conn)
-                    if extra_ns:
-                        yield self.core.execute(extra_ns)
-                    if self._flat_sub:
-                        processed += yield from self._dispatch_flat(
-                            conn, ready)
-                        continue
-                    for slot, payload in ready:
-                        self.metrics.counter("shard.requests").add()
-                        try:
-                            req = Request.decode(payload)
-                        except (ValueError, KeyError):
-                            self.metrics.counter("shard.bad_requests").add()
-                            continue
-                        self.metrics.counter(f"shard.op.{req.op.name}").add()
-                        yield self.core.execute(
-                            self.cpu.parse_ns + DISPATCH_NS)
-                        self._queues[self._substore_for(req.key)].put(
-                            (conn, slot, req))
-                        processed += 1
-                if processed:
-                    idle_sweeps = 0
-                    continue
-                if self._ready:
-                    continue
-                idle_sweeps += 1
-                if idle_sweeps < self.cpu.idle_polls_before_sleep:
-                    continue
-                # Honors cpu.sleep_backoff like the base shard loop (the
-                # dispatcher used to sleep unconditionally, skewing the
-                # busy-poll ablation's CPU numbers).
-                yield from self._idle_wait(self.core)
-                idle_sweeps = 0
-        except Interrupt:
-            self.alive = False
+                self.metrics.counter(f"shard.op.{req.op.name}").add()
+                yield core.execute(self.cpu.parse_ns + DISPATCH_NS)
+                self._queues[self._substore_for(req.key)].put(
+                    (conn, slot, req))
+                processed += 1
+        return processed
 
     def _dispatch_flat(self, conn, ready):
         """Flat-array hand-off: unpack each header in place and enqueue a

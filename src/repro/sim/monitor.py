@@ -141,7 +141,15 @@ class Tally:
 
 
 class TimeWeighted:
-    """A gauge integrated over simulated time (e.g. CPU busy fraction)."""
+    """A gauge integrated over simulated time (e.g. CPU busy fraction).
+
+    On top of the level :meth:`set` / :meth:`add` move, it carries at
+    most one *hold*: a raise that ends at a known future instant with no
+    event scheduled for it (:meth:`hold` / :meth:`release`).  The hold is
+    folded into the integral by the updates and averages that follow its
+    start, so a poller that spins for a fixed window and then sleeps is
+    accounted exactly without a wake-up just to lower the gauge.
+    """
 
     def __init__(self, name: str, sim: "Simulator", initial: float = 0.0):
         self.name = name
@@ -150,13 +158,29 @@ class TimeWeighted:
         self._last_change = sim.now
         self._area = 0.0
         self._start = sim.now
+        #: The open hold: the instant it ends (None = no hold) and what
+        #: it adds to ``_value`` until then.
+        self._hold_end: Optional[float] = None
+        self._held = 0.0
+
+    def _settle(self, now: int) -> None:
+        """Integrate up to ``now`` or the end of the open hold, whichever
+        is first; a hold that has ended is closed."""
+        upto = min(now, self._hold_end)
+        self._area += (self._value + self._held) * (upto - self._last_change)
+        self._last_change = upto
+        if self._hold_end <= now:
+            self._hold_end = None
 
     @property
     def value(self) -> float:
-        return self._value
+        live = self._hold_end is not None and self.sim.now < self._hold_end
+        return self._value + live * self._held
 
     def set(self, value: float) -> None:
         now = self.sim.now
+        if self._hold_end is not None:
+            self._settle(now)
         self._area += self._value * (now - self._last_change)
         self._value = value
         self._last_change = now
@@ -164,15 +188,33 @@ class TimeWeighted:
     def add(self, delta: float) -> None:
         self.set(self._value + delta)
 
+    def hold(self, delta: float, until: float) -> None:
+        """Add ``delta`` to the gauge from now until time ``until``
+        (``math.inf``: until :meth:`release`), whatever :meth:`set` and
+        :meth:`add` do to the level underneath meanwhile."""
+        self.set(self._value)
+        assert self._hold_end is None, "one hold at a time"
+        self._hold_end = until
+        self._held = delta
+
+    def release(self, at: int) -> None:
+        """End the open hold at time ``at`` (not before now) instead; a
+        hold that has already ended by then is left as it was."""
+        if self._hold_end is not None and at < self._hold_end:
+            self._hold_end = at
+
     def time_average(self) -> float:
         now = self.sim.now
+        if self._hold_end is not None:
+            self._settle(now)
         elapsed = now - self._start
         if elapsed <= 0:
-            return self._value
+            return self.value
         area = self._area + self._value * (now - self._last_change)
         return area / elapsed
 
     def reset(self) -> None:
+        self.set(self._value)
         self._area = 0.0
         self._start = self._last_change = self.sim.now
 

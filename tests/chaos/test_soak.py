@@ -32,6 +32,7 @@ def test_torn_storm_contract_and_replay():
     assert c["schedule_hash"] != a["schedule_hash"]
 
 
+@pytest.mark.soak
 def test_gray_failure_storm_is_survived_by_deadlines():
     row = run_soak("gray", 23, **_SMALL)
     _check_contract(row)
@@ -70,6 +71,7 @@ def test_stale_pointer_storm_traversal_contract_and_replay():
     assert a == b  # same seed -> same storm, same traversal outcome
 
 
+@pytest.mark.soak
 def test_dualfail_storm_recovers_through_the_durable_log():
     """Correlated primary+secondary kill: no survivor to promote, so the
     shard must come back from the durable write-behind log, the skew
@@ -102,6 +104,7 @@ def test_storm_matrix_variants_hold_the_contract(profile, seed, variant):
     assert a == b  # the variant cells replay bit-identically too
 
 
+@pytest.mark.soak
 def test_storm_matrix_double_replica_survives_mixed():
     row = run_soak("mixed", 167, replicas=2, **_SMALL)
     _check_contract(row)

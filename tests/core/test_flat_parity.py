@@ -28,7 +28,7 @@ def _mixed_procs(cluster):
     tenant = cluster.client(machine_index=0, tenant="gold")
 
     def app(ci, client):
-        for i in range(16):
+        for i in range(24):
             key = b"c%d.k%d" % (ci, i % 5)
             kind = (ci + i) % 6
             try:

@@ -34,6 +34,7 @@ def ha_cluster(n_client_machines=1, **hydra):
 
 
 # -- the tentpole: ride-through under load --------------------------------
+@pytest.mark.soak
 def test_failover_under_load_is_invisible_to_clients():
     """Kill the primary mid-write-storm: zero client-visible exceptions,
     zero lost acked writes, bounded blackout, failover metrics recorded."""

@@ -9,6 +9,7 @@ from repro.protocol import Status
 MS = 1_000_000
 
 
+@pytest.mark.soak
 def test_failover_during_write_storm_loses_no_acked_write():
     cfg = SimConfig().with_overrides(
         replication={"replicas": 1},

@@ -6,6 +6,7 @@ checks every response against a model dictionary; invariants over the
 arena and index are asserted after every step.
 """
 
+import pytest
 from hypothesis import settings
 from hypothesis.stateful import (
     Bundle,
@@ -18,6 +19,8 @@ from hypothesis import strategies as st
 
 from repro import HydraCluster
 from repro.protocol import Status
+
+pytestmark = pytest.mark.soak
 
 KEYS = [f"key-{i}".encode() for i in range(12)]
 

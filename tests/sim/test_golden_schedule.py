@@ -19,6 +19,8 @@ Two golden workloads:
 Plus the BENCH_chaos replay identity re-asserted on the batched kernel.
 """
 
+import pytest
+
 from repro.chaos import harness as chaos_harness
 from repro.chaos.harness import run_soak
 from repro.core.api import HydraCluster
@@ -155,6 +157,7 @@ def test_chaos_storm_reproduces_seed_kernel_exactly(monkeypatch):
     assert row_legacy["injected_faults"] > 0  # the storm actually raged
 
 
+@pytest.mark.soak
 def test_bench_chaos_replay_identity_on_batched_kernel():
     """Re-assert the BENCH_chaos determinism column's contract on the
     default (batched) kernel: same seed, same storm, same verdict."""

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim import Counter, MetricSet, Simulator, Tally, TimeWeighted
+from repro.sim import (Counter, MetricSet, Simulator, Tally, TimeWeighted,
+                       kernel_snapshot)
 from repro.sim.rng import StreamRegistry
 
 
@@ -89,6 +90,65 @@ def test_time_weighted_add_and_reset():
     g.reset()
     sim.run(until=200)
     assert g.time_average() == pytest.approx(5.0)
+
+
+def test_time_weighted_hold_ends_without_an_event():
+    sim = Simulator()
+    g = TimeWeighted("busy", sim)
+    sim.run(until=100)
+    g.hold(1.0, 400)
+    before = kernel_snapshot(sim)["events_dispatched"]
+    sim.run(until=250)
+    assert g.value == 1.0
+    g.add(1.0)                      # the level underneath moves freely
+    assert g.value == 2.0
+    sim.run(until=300)
+    g.add(-1.0)
+    sim.run(until=1000)
+    assert g.value == 0.0
+    assert g.time_average() == (300 + 50) / 1000
+    assert kernel_snapshot(sim)["events_dispatched"] == before
+    g.hold(1.0, 1100)               # the first one has ended
+    sim.run(until=2000)
+    assert g.time_average() == (350 + 100) / 2000
+
+
+def test_time_weighted_release_moves_the_end_of_a_hold_forward_only():
+    sim = Simulator()
+    g = TimeWeighted("busy", sim)
+    g.hold(1.0, math.inf)
+    sim.run(until=100)
+    g.release(125)
+    g.release(500)                  # later than the end it has: ignored
+    assert g.value == 1.0
+    sim.run(until=125)
+    assert g.value == 0.0
+    sim.run(until=1000)
+    g.release(1000)                 # nothing open: ignored
+    assert g.time_average() == 125 / 1000
+
+
+def test_time_weighted_one_hold_at_a_time():
+    sim = Simulator()
+    g = TimeWeighted("busy", sim)
+    g.hold(1.0, 400)
+    sim.run(until=100)
+    with pytest.raises(AssertionError):
+        g.hold(1.0, 800)
+
+
+def test_time_weighted_set_under_an_open_hold_never_goes_negative():
+    # Core.unpin() does busy.set(0.0); a hold still open rides it out.
+    sim = Simulator()
+    g = TimeWeighted("busy", sim)
+    g.hold(1.0, 400)
+    sim.run(until=100)
+    g.set(0.0)
+    assert g.value == 1.0
+    g.reset()
+    sim.run(until=1000)
+    assert g.value == 0.0
+    assert g.time_average() == 300 / 900
 
 
 def test_metricset_lazy_instruments_and_snapshot():
