@@ -6,7 +6,7 @@ RUFF ?= ruff
 .PHONY: test test-fast lint bench bench-quick bench-inflight bench-multiget \
 	bench-failover bench-recovery bench-sweep bench-simcore \
 	bench-tenants bench-scale bench-smoke chaos-soak perf perf-quick \
-	perf-compare figures examples clean
+	perf-compare figures examples loc clean
 
 test:
 	$(PYTEST) tests/
@@ -117,6 +117,11 @@ figures:
 
 examples:
 	@for ex in examples/*.py; do echo "== $$ex"; python $$ex; done
+
+# Code lines per package (physical minus blank / comment / docstring):
+# the measure a PR reports its src/ delta with.
+loc:
+	python3 tools/loc.py src/repro
 
 clean:
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -38,9 +38,10 @@ and one-sided traversal are disabled so every op exercises the message
 hot path end to end: client marshal -> NIC WQE chain -> shard sweep ->
 flat parse/execute/respond -> doorbell batch -> client drain.
 
-Sizing at 64 servers is explicit: the default 64 MB per-shard arena
-would eagerly allocate 4 GB of bytearrays, so cells run with a 1 MB
-arena and 1k-bucket tables (the working set is one key per client),
+Sizing at 64 servers is explicit: cells run with a 1 MB arena (chosen
+when the default 64 MB one was 4 GB of eagerly committed bytearrays;
+arenas are demand-paged now, the sizing is kept so rows stay comparable)
+and 1k-bucket tables (the working set is one key per client),
 and 8 message slots per connection so clients sharing a
 (machine, shard) connection pipeline instead of convoying.
 """

@@ -1,6 +1,7 @@
 """Simulated persistent-memory device with torn-write-at-crash semantics.
 
-The device is plain ``bytearray`` media owned by the *cluster*, not by
+The device is plain zeroed media (demand-paged, see
+:func:`repro.rdma.memory.zeroed_buffer`) owned by the *cluster*, not by
 the shard process that writes it — so it survives ``Shard.kill()`` and
 machine death, which is the whole point of the durable tier.
 
@@ -21,6 +22,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
+from ..rdma.memory import zeroed_buffer
+
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim import Simulator
 
@@ -37,7 +40,7 @@ class PMDevice:
         self.sim = sim
         self.name = name
         self.capacity = capacity_bytes
-        self.media = bytearray(capacity_bytes)
+        self.media = zeroed_buffer(capacity_bytes)
         self.write_latency_ns = write_latency_ns
         self.bandwidth_bpns = bandwidth_bpns
         #: Highest byte offset ever landed (committed or torn); lets the

@@ -1,7 +1,7 @@
 """Simulated RDMA fabric: NICs, queue pairs, registered memory, verbs.
 
 Substitutes for the paper's Mellanox ConnectX-3 / IS5030 InfiniBand testbed
-(see DESIGN.md §2).  Registered regions are real bytearrays, so one-sided
+(see DESIGN.md §2).  Registered regions are real byte buffers, so one-sided
 accesses observe true memory contents at DMA time.
 """
 

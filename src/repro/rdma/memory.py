@@ -1,20 +1,44 @@
 """Registered memory regions.
 
-A :class:`MemoryRegion` is real addressable storage (a ``bytearray``): RDMA
-Reads return the bytes that are actually there at the simulated instant the
-NIC's DMA engine runs.  This is what lets the guardian-word / lease
-machinery be *tested* rather than assumed — a reclaimed-and-reused extent
-really does serve stale bytes to a stale remote pointer.
+A :class:`MemoryRegion` is real addressable storage (see
+:func:`zeroed_buffer`): RDMA Reads return the bytes that are actually there
+at the simulated instant the NIC's DMA engine runs.  This is what lets the
+guardian-word / lease machinery be *tested* rather than assumed — a
+reclaimed-and-reused extent really does serve stale bytes to a stale remote
+pointer.
 """
 
 from __future__ import annotations
 
+import mmap
 import struct
 
-__all__ = ["MemoryRegion", "AccessViolation"]
+__all__ = ["MemoryRegion", "AccessViolation", "zeroed_buffer"]
 
 _U64 = struct.Struct("<Q")
 _U32 = struct.Struct("<I")
+
+#: Buffers at least this large are demand-paged.  It is glibc's own
+#: malloc-to-mmap cut-over, so a mapping here replaces one the allocator
+#: would have made anyway, and the many small per-connection buffers stay
+#: on the heap.
+_MMAP_MIN_BYTES = 128 << 10
+
+
+def zeroed_buffer(nbytes: int) -> memoryview:
+    """``nbytes`` of zeroed, writable, fixed-size simulated memory.
+
+    Large buffers are anonymous private mappings: untouched pages cost the
+    host nothing, so a 64 MiB arena holding 1 MiB of items is 1 MiB
+    resident.  Small ones are a ``bytearray``.  Either way the caller sees
+    a flat ``memoryview`` — slices are views, ``bytes(view[a:b])`` is one
+    copy, and a slice assignment of the wrong length raises instead of
+    resizing.
+    """
+    if nbytes >= _MMAP_MIN_BYTES:
+        return memoryview(mmap.mmap(
+            -1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS))
+    return memoryview(bytearray(nbytes))
 
 
 class AccessViolation(Exception):
@@ -30,7 +54,7 @@ class MemoryRegion:
     def __init__(self, nbytes: int, numa_domain: int = 0, name: str = ""):
         if nbytes <= 0:
             raise ValueError("region size must be positive")
-        self.buf = bytearray(nbytes)
+        self.buf = zeroed_buffer(nbytes)
         self.nbytes = nbytes
         self.numa_domain = numa_domain
         self.name = name

@@ -3,7 +3,10 @@
 Each NIC has two serial engines — TX and RX — that give it a finite
 operation rate and make payload serialization occupy the port.  All verbs
 are orchestrated as callback chains (not processes) to keep the event count
-per operation small; a 4-verb round trip costs ~6 calendar entries.
+per operation small: a Write is five calendar entries (tx, fly, rx, ack,
+completion), a Read eight.  The RC transport-retry bound costs none of them:
+every WQE of a NIC joins one FIFO deadline queue served by a single timer
+(:meth:`Nic._watch`).
 
 Two properties the higher layers depend on:
 
@@ -100,8 +103,10 @@ class _WriteOp:
     callback pre-bound once at construction, so a recycled record posts a
     WQE with zero new function objects.  The record owns itself: it
     returns to its NIC's freelist only once every scheduled hop (tx, fly,
-    rx, ack, retry timer, optional duplicate redelivery) has run, so a
-    late callback can never observe a reused record.
+    rx, ack, optional duplicate redelivery) has run, so a late callback
+    can never observe a reused record.  The retry deadline is not a hop:
+    :meth:`Nic._watch` holds the completion event, not the record, which
+    therefore recycles at the ack (or where the packet is lost).
 
     The hop sequence — and therefore every simulator event it creates —
     mirrors the scalar closure chain exactly; the schedule-digest parity
@@ -112,7 +117,7 @@ class _WriteOp:
                  "fault", "prop", "peer_nic", "discount", "wc_pool",
                  "pending", "status", "cb_cost_tx", "cb_after_tx",
                  "cb_arrive", "cb_rx_cost", "cb_deliver", "cb_acked",
-                 "cb_redeliver", "cb_expire")
+                 "cb_redeliver")
 
     def __init__(self, nic: "Nic"):
         self.nic = nic
@@ -125,7 +130,6 @@ class _WriteOp:
         self.cb_deliver = self._deliver
         self.cb_acked = self._acked
         self.cb_redeliver = self._redeliver
-        self.cb_expire = self._expire
 
     def begin(self, qp: "QueuePair", region: MemoryRegion, offset: int,
               data: bytes, wr_id: int, coalesced: bool,
@@ -155,11 +159,10 @@ class _WriteOp:
         inj = nic.fabric.fault_injector
         self.fault = inj.rdma_write_fault(nic, qp, region, offset, data) \
             if inj is not None else None
-        timer = sim.timeout(nic.config.fabric.retry_timeout_ns)
-        timer.callbacks.append(self.cb_expire)
+        nic._watch(ev, Opcode.RDMA_WRITE, wr_id, qp.qp_num, pool)
         self.discount = min(nic.cfg.doorbell_ns, nic.cfg.tx_op_ns) \
             if coalesced else 0
-        self.pending = 2  # tx submit + retry timer
+        self.pending = 1  # the tx -> fly -> rx -> ack chain
         nic.tx.submit(self.cb_cost_tx, self.cb_after_tx)
         return ev
 
@@ -174,7 +177,7 @@ class _WriteOp:
     def _arrive(self, _e: Event) -> None:
         peer_nic = self.peer_nic
         if not peer_nic.alive or (self.fault and self.fault.get("drop")):
-            self._done()  # lost in flight; the retry timer ends the op
+            self._done()  # lost in flight; the retry deadline ends the op
             return
         peer_nic.rx.submit(self.cb_rx_cost, self.cb_deliver)
 
@@ -186,7 +189,7 @@ class _WriteOp:
         torn = fault.get("torn_bytes", 0) if fault else 0
         if torn:
             # Injected torn write (see the scalar path): a word-aligned
-            # prefix lands, the RC ack never arrives, the retry timer
+            # prefix lands, the RC ack never arrives, the retry deadline
             # completes the op with RETRY_EXC.
             try:
                 self.region.write(self.offset, self.data[:torn])
@@ -232,14 +235,6 @@ class _WriteOp:
             ev.succeed(wc)
         self._done()
 
-    def _expire(self, _t: Event) -> None:
-        ev = self.ev
-        if not ev.triggered:
-            self.nic._fail_completion(ev, Opcode.RDMA_WRITE,
-                                      WcStatus.RETRY_EXC, self.wr_id,
-                                      self.qp.qp_num, self.wc_pool)
-        self._done()
-
     def _done(self) -> None:
         self.pending -= 1
         if self.pending == 0:
@@ -257,8 +252,9 @@ class _ReadOp:
     """Pooled WQE state for the flat RDMA-Read path.
 
     Read-side twin of :class:`_WriteOp`: same freelist ownership rule
-    (retire only after every scheduled hop has run) and the same
-    hop-for-hop mirroring of the scalar closure chain.
+    (retire only after every scheduled hop has run; the retry deadline
+    holds the completion event, not the record) and the same hop-for-hop
+    mirroring of the scalar closure chain.
     """
 
     __slots__ = ("nic", "qp", "region", "offset", "length", "wr_id", "ev",
@@ -266,7 +262,7 @@ class _ReadOp:
                  "pending", "data", "cb_cost_tx", "cb_after_tx",
                  "cb_arrive", "cb_responder_cost", "cb_responder_done",
                  "cb_response_cost", "cb_response_sent", "cb_back_home",
-                 "cb_home_cost", "cb_complete", "cb_expire")
+                 "cb_home_cost", "cb_complete")
 
     def __init__(self, nic: "Nic"):
         self.nic = nic
@@ -280,7 +276,6 @@ class _ReadOp:
         self.cb_back_home = self._back_home
         self.cb_home_cost = self._home_cost
         self.cb_complete = self._complete
-        self.cb_expire = self._expire
 
     def begin(self, qp: "QueuePair", region: MemoryRegion, offset: int,
               length: int, wr_id: int, coalesced: bool,
@@ -311,11 +306,10 @@ class _ReadOp:
         inj = nic.fabric.fault_injector
         self.fault = inj.rdma_read_fault(nic, qp, region, offset, length) \
             if inj is not None else None
-        timer = sim.timeout(nic.config.fabric.retry_timeout_ns)
-        timer.callbacks.append(self.cb_expire)
+        nic._watch(ev, Opcode.RDMA_READ, wr_id, qp.qp_num, pool)
         self.discount = min(nic.cfg.doorbell_ns, nic.cfg.tx_op_ns) \
             if coalesced else 0
-        self.pending = 2  # tx submit + retry timer
+        self.pending = 1  # the request -> responder -> response chain
         nic.tx.submit(self.cb_cost_tx, self.cb_after_tx)
         return ev
 
@@ -387,14 +381,6 @@ class _ReadOp:
             ev.succeed(wc)
         self._retire_hop()
 
-    def _expire(self, _t: Event) -> None:
-        ev = self.ev
-        if not ev.triggered:
-            self.nic._fail_completion(ev, Opcode.RDMA_READ,
-                                      WcStatus.RETRY_EXC, self.wr_id,
-                                      self.qp.qp_num, self.wc_pool)
-        self._retire_hop()
-
     def _retire_hop(self) -> None:
         self.pending -= 1
         if self.pending == 0:
@@ -432,6 +418,10 @@ class Nic:
         self._flat = config.hydra.flat_hot_paths
         self._write_ops: list[_WriteOp] = []
         self._read_ops: list[_ReadOp] = []
+        #: RC transport retry: ``(deadline, ev, op, wr_id, qp_num, pool)``
+        #: per posted WQE, in post order (see :meth:`_watch`).
+        self._retry_q: Deque[tuple] = deque()
+        self._retry_timer = PooledTimer(sim)
         m = self.metrics
         self._c_w_ops = m.counter("rdma.write.ops")
         self._c_w_bytes = m.counter("rdma.write.bytes")
@@ -482,17 +472,41 @@ class Nic:
             ev.succeed(Completion(opcode=op, status=status, wr_id=wr_id,
                                   qp_num=qp_num))
 
-    def _arm_retry_timer(self, ev: Event, op: Opcode, wr_id: int,
-                         qp_num: int) -> None:
-        """Complete with RETRY_EXC if nothing else finishes the op first."""
-        timer = self.sim.timeout(self.config.fabric.retry_timeout_ns)
+    def _watch(self, ev: Event, op: Opcode, wr_id: int, qp_num: int,
+               pool: Optional[CompletionPool] = None) -> None:
+        """Complete ``ev`` with RETRY_EXC at ``now + retry_timeout_ns``
+        if nothing else finishes the op first.
 
-        def _expire(_t: Event) -> None:
+        The timeout is one constant, so deadlines arrive sorted and a FIFO
+        with one timer armed for its head replaces a timer per WQE.  Acked
+        heads are shed here, on every post, which keeps the queue as long
+        as the in-flight window rather than the last 2 ms of posts.
+        """
+        q = self._retry_q
+        while q and q[0][1].triggered:
+            q.popleft()
+        deadline = self.sim.now + self.config.fabric.retry_timeout_ns
+        assert not q or q[-1][0] <= deadline, "retry deadlines must be FIFO"
+        q.append((deadline, ev, op, wr_id, qp_num, pool))
+        if self._retry_timer.callbacks is None:  # idle: nothing was queued
+            self._retry_fire(None)
+
+    def _retry_fire(self, _t: Optional[Event]) -> None:
+        """Fail every overdue unacked WQE, in post order, and arm the timer
+        for the oldest one still in flight (none: idle until the next post).
+        """
+        q = self._retry_q
+        now = self.sim.now
+        while q:
+            deadline, ev, op, wr_id, qp_num, pool = q[0]
             if not ev.triggered:
+                if deadline > now:
+                    self._retry_timer.rearm(deadline - now).callbacks.append(
+                        self._retry_fire)
+                    return
                 self._fail_completion(ev, op, WcStatus.RETRY_EXC, wr_id,
-                                      qp_num)
-
-        timer.callbacks.append(_expire)
+                                      qp_num, pool)
+            q.popleft()
 
     def issue_write(self, qp: "QueuePair", region: MemoryRegion, offset: int,
                     data: bytes, wr_id: int, coalesced: bool = False,
@@ -525,7 +539,7 @@ class Nic:
         inj = self.fabric.fault_injector
         fault = inj.rdma_write_fault(self, qp, region, offset, data) \
             if inj is not None else None
-        self._arm_retry_timer(ev, op, wr_id, qp.qp_num)
+        self._watch(ev, op, wr_id, qp.qp_num)
 
         def after_tx() -> None:
             delay = fault.get("delay_ns", 0) if fault else 0
@@ -534,9 +548,9 @@ class Nic:
 
         def arrive() -> None:
             if not peer_nic.alive:
-                return  # silently lost; retry timer fires
+                return  # silently lost; the retry deadline fires
             if fault and fault.get("drop"):
-                return  # injected loss; retry timer fires
+                return  # injected loss; the retry deadline fires
             peer_nic.rx.submit(lambda: peer_nic._rx_cost(), deliver)
 
         def deliver() -> None:
@@ -545,7 +559,7 @@ class Nic:
                 # Injected torn write: a word-aligned prefix of the payload
                 # lands (DMA is word-granular, so the occupancy/guardian
                 # words themselves are never half-written) but the RC ack
-                # never arrives — the retry timer ends the op with
+                # never arrives — the retry deadline ends the op with
                 # RETRY_EXC.  Readers must reject the partial frame via
                 # the indicator tail / guardian checks.
                 try:
@@ -619,7 +633,7 @@ class Nic:
         inj = self.fabric.fault_injector
         fault = inj.rdma_read_fault(self, qp, region, offset, length) \
             if inj is not None else None
-        self._arm_retry_timer(ev, op, wr_id, qp.qp_num)
+        self._watch(ev, op, wr_id, qp.qp_num)
         state: dict[str, object] = {}
 
         def after_tx() -> None:
@@ -630,7 +644,7 @@ class Nic:
             if not peer_nic.alive:
                 return
             if fault and fault.get("drop"):
-                return  # response never generated; retry timer fires
+                return  # response never generated; the retry deadline fires
             peer_nic.rx.submit(
                 lambda: peer_nic._rx_cost(extra=peer_nic.cfg.read_responder_ns),
                 responder_done,
@@ -708,7 +722,7 @@ class Nic:
 
         Returns **one** event that fires with a flat ``list[Completion]``
         in request order once the whole chain has finished; every WQE is
-        individually bounded by the retry timer, so the batch event always
+        individually bounded by the retry deadline, so the batch event always
         fires.
         """
         batch = self.sim.event()
@@ -785,7 +799,7 @@ class Nic:
         peer_qp: "QueuePair" = qp.peer
         peer_nic: "Nic" = peer_qp.nic
         prop = self.fabric.prop_ns(self, peer_nic)
-        self._arm_retry_timer(ev, op, wr_id, qp.qp_num)
+        self._watch(ev, op, wr_id, qp.qp_num)
 
         def after_tx() -> None:
             fly = self.sim.timeout(prop)

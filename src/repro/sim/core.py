@@ -321,6 +321,39 @@ class Simulator:
         self.k_dispatched += n
         return n
 
+    def _run_until_processed(self, stop_event: Event) -> None:
+        """``step()`` in a loop, inlined: dispatch one event at a time and
+        stop the moment ``stop_event`` has been processed, leaving the rest
+        of its batch staged.  Returns early if the calendar drains first.
+        """
+        ready = self._ready
+        nq = self._now_q
+        n = 0  # dispatched since k_dispatched was last brought up to date
+        try:
+            while stop_event.callbacks is not None:
+                if ready:
+                    event = ready.popleft()
+                elif nq:
+                    event = nq.popleft()
+                elif self._slot_times or self._heap:
+                    # _advance_clock samples k_peak_pending from it.
+                    self.k_dispatched += n
+                    n = 0
+                    self._advance_clock()
+                    event = ready.popleft()
+                else:
+                    return
+                n += 1
+                if self._tracing:
+                    self._trace_event(event)
+                callbacks, event.callbacks = event.callbacks, None
+                for cb in callbacks:
+                    cb(event)
+                if not event._ok and not event._defused:
+                    raise UnhandledProcessError(event)
+        finally:
+            self.k_dispatched += n
+
     def run(self, until: Optional[int | Event] = None) -> Any:
         """Run the simulation.
 
@@ -353,10 +386,7 @@ class Simulator:
                     break
                 self.step()
         elif stop_event is not None:
-            # Per-event stepping: stop exactly when the awaited event has
-            # been processed, leaving the rest of its batch staged.
-            while not stop_event.processed and self._next_time() is not None:
-                self.step()
+            self._run_until_processed(stop_event)
         else:
             step_batch = self.step_batch
             next_time = self._next_time

@@ -11,6 +11,8 @@ advances — and ``on_commit`` runs — only after the data blob *and* the
 watermark have landed.
 """
 
+import mmap
+
 import pytest
 
 from repro.config import SimConfig
@@ -201,6 +203,33 @@ def test_mid_log_corruption_reported_as_guardian_mismatch():
     assert scan.stop_reason == "guardian_mismatch"
     assert scan.guardian_mismatches == 1
     assert [r.seq for r in scan.records] == [1]
+
+
+@pytest.mark.parametrize("capacity, backing", [(64 << 10, bytearray),
+                                               (1 << 20, mmap.mmap)])
+def test_scan_pokes_raw_media_on_either_backing(capacity, backing):
+    """``scan_log`` walks ``device.media`` directly and the tests above
+    damage it with ``media[i] ^= 0xFF``; the default 1 MiB device is
+    demand-paged, a small one is heap-backed, and the scan must classify
+    the same damage the same way on both."""
+    sim, _cfg, device, dlog, _m = make_env(capacity=capacity)
+    assert type(device.media.obj) is backing
+    dlog.start()
+    append_n(dlog, 3, value=b"v" * 8)
+    sim.run(until=10_000_000)
+    frame = 8 + (24 + 5 + 8) + 8
+    last = LOG_BASE + 2 * frame
+    device.media[last + 8 + 1] ^= 0xFF            # damage the final frame
+    scan = scan_log(device)
+    assert scan.stop_reason == "torn_tail"        # nothing non-zero after it
+    assert [r.seq for r in scan.records] == [1, 2]
+    assert scan.torn_bytes == device.hiwater - last
+    device.media[LOG_BASE + 8 + 1] ^= 0xFF        # and now the first one
+    scan = scan_log(device)
+    assert scan.stop_reason == "guardian_mismatch" and not scan.records
+    device.zero(LOG_BASE, device.hiwater - LOG_BASE)
+    assert scan_log(device).stop_reason == "clean_end"
+    assert not any(device.media[LOG_BASE:])
 
 
 # -- replay semantics ---------------------------------------------------------

@@ -192,6 +192,66 @@ def test_run_until_event_stops_at_processing(legacy):
     assert sim.now == 30
 
 
+@both_kernels
+def test_run_until_event_leaves_the_rest_of_its_batch_staged(legacy):
+    sim = Simulator(legacy=legacy)
+    log = []
+    tag = fired(log)
+    sim.timeout(10).callbacks.append(tag("a"))
+    stop = sim.timeout(10)
+    stop.callbacks.append(tag("stop"))
+    stop.callbacks.append(lambda ev: sim.event().succeed().callbacks.append(
+        tag("wake")))
+    sim.timeout(10).callbacks.append(tag("c"))
+    sim.run(until=stop)
+    assert log == ["a", "stop"] and sim.now == 10
+    sim.run()
+    assert log == ["a", "stop", "c", "wake"] and sim.now == 10
+
+
+def _churn(sim, n=40):
+    """Timers on every tier plus cascading wakes; returns the last event."""
+    def proc(i):
+        for k in range(n):
+            yield sim.timeout((i * 37 + k * 911) % 9_000)
+            yield sim.event().succeed(k)
+    procs = [sim.process(proc(i)) for i in range(5)]
+    return sim.all_of(procs)
+
+
+def test_run_until_event_is_stepping_inlined():
+    """The inlined loop dispatches exactly what ``step()`` in a loop does:
+    same schedule digest, same clock, same telemetry."""
+    runs = []
+    for inlined in (True, False):
+        sim = Simulator()
+        sim.trace_schedule()
+        done = _churn(sim)
+        sim.timeout(50_000_000)  # must stay on the calendar
+        if inlined:
+            sim.run(until=done)
+        else:
+            while not done.processed:
+                sim.step()
+        runs.append((sim.schedule_digest(), sim.now, sim.peek(),
+                     kernel_snapshot(sim)))
+    assert runs[0] == runs[1]
+    assert runs[0][3]["events_dispatched"] > 400
+
+
+def test_run_until_event_keeps_dispatch_count_exact_on_a_crash():
+    sim = Simulator()
+    sim.timeout(5)
+    sim.timeout(7).callbacks.append(
+        lambda ev: sim.event().fail(RuntimeError("boom")))
+    sim.timeout(7)
+    never = sim.event()
+    with pytest.raises(Exception, match="boom"):
+        sim.run(until=never)
+    # t=5, both t=7 timers, then the failed wake that raised.
+    assert sim.k_dispatched == 4 and sim.now == 7
+
+
 # ---------------------------------------------------------------------------
 # PooledTimer contract
 
