@@ -1150,18 +1150,14 @@ class HydraClient:
                                 if s not in pipe.confirmed]
                 else:
                     announce = pipe.slot_req
-                batch_ev = conn.client_qp.post_write_batch([
+                conn.client_qp.post_write_batch([
                     (conn.req_slot_rptrs[slot], frame(data)),
                     (conn.req_occ_rptr,
                      occ_announce(announce, conn.layout.n_slots)),
-                ])
-                if self._flat:
-                    # Fire-and-forget post: recycle its pooled CQEs the
-                    # instant the batch completes (nobody reads them).
-                    batch_ev.callbacks.append(self._recycle_wcs)
+                ], signaled=False)
             else:
                 conn.client_qp.post_write(conn.req_slot_rptrs[slot],
-                                          frame(data))
+                                          frame(data), signaled=False)
         else:
             conn.client_qp.post_recv()
             conn.client_qp.post_send(data)
@@ -1228,14 +1224,6 @@ class HydraClient:
                 self.sim.timeout(remaining),
             ])
             del ev  # loop re-probes regardless of which event fired
-
-    def _recycle_wcs(self, ev) -> None:
-        """Batch-event callback: return pooled CQEs nobody will read
-        (fire-and-forget announce posts) to this NIC's freelist."""
-        release = self.nic.wc_pool.release
-        for wc in ev.value:
-            if wc._live:
-                release(wc)
 
     def _drain(self, pipe: _ConnPipeline):
         """Consume every landed response on one connection (non-blocking).

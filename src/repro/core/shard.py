@@ -68,7 +68,6 @@ from ..protocol import (
 from ..protocol.messages import _REQ, _RESP
 from ..rdma import MemoryRegion, Nic, QpError, QueuePair, RemotePointer
 from ..rdma.tcp import TcpError
-from ..rdma.verbs import WcStatus
 from ..sim import Gate, MetricSet, Interrupt, Simulator, Store
 from .errors import LifecycleError
 from .store import ShardStore, StoreResult
@@ -1056,7 +1055,7 @@ class Shard:
                 return
         try:
             if self.hydra.rdma_write_messaging:
-                conn.shard_qp.post_write(rptr, frame(data))
+                conn.shard_qp.post_write(rptr, frame(data), signaled=False)
                 self._c_resp_doorbells.add()
             else:
                 conn.shard_qp.post_send(data)
@@ -1095,24 +1094,6 @@ class Shard:
         batch.resp.setdefault(conn.conn_id, (conn, []))[1].append(
             (slot, data))
 
-    def _count_undeliverable(self, batch_ev) -> None:
-        """Batch-completion callback: count responses whose WQE failed to
-        post at all (stale rkey, dead NIC — surfaced as ``LOCAL_QP_ERR``).
-        Later transport-level failures are retried by the NIC and are not
-        undeliverable from the shard's point of view."""
-        wcs = batch_ev.value
-        bad = sum(1 for wc in wcs
-                  if not wc.ok and wc.status is WcStatus.LOCAL_QP_ERR)
-        if bad:
-            self.metrics.counter("shard.undeliverable_responses").add(bad)
-        if self._flat:
-            # The shard is the chain's only consumer: recycle the pooled
-            # CQE records for the next doorbell-coalesced flush.
-            release = self.nic.wc_pool.release
-            for wc in wcs:
-                if wc._live:
-                    release(wc)
-
     def _flush_conn(self, conn: Connection, entries: list) -> None:
         """Flush one connection's buffered responses.
 
@@ -1120,7 +1101,10 @@ class Shard:
         chain is posted slot-sorted on the RC QP, whose in-order delivery
         makes every frame visible to the client no later than the last
         write of the chain.  Chains longer than ``resp_doorbell_batch``
-        are split, one doorbell per chain.
+        are split, one doorbell per chain.  The chain is unsignaled: a
+        response is undeliverable only if its WQE failed to post at all
+        (torn-down QP, stale rkey, dead NIC); later transport failures are
+        the client's deadline to detect, not the shard's.
         """
         entries.sort(key=lambda e: e[0])
         cap = max(1, self.hydra.resp_doorbell_batch)
@@ -1129,14 +1113,15 @@ class Shard:
             chain = [(conn.resp_slot_rptrs[slot], frame(data))
                      for slot, data in chunk]
             try:
-                batch_ev = conn.shard_qp.post_write_batch(chain)
+                bad = conn.shard_qp.post_write_batch(chain, signaled=False)
             except QpError:
+                bad = len(chunk)
+            else:
+                self._c_resp_doorbells.add()
+                self._c_resp_coalesced.add(len(chunk) - 1)
+            if bad:
                 self.metrics.counter("shard.undeliverable_responses").add(
-                    len(chunk))
-                continue
-            self._c_resp_doorbells.add()
-            self._c_resp_coalesced.add(len(chunk) - 1)
-            batch_ev.callbacks.append(self._count_undeliverable)
+                    bad)
 
     def _stage_durable(self, batch: Optional[_SweepBatch], op: Op,
                        key: bytes, value: bytes, version: int) -> int:

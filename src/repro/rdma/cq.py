@@ -1,8 +1,9 @@
 """Completion queues.
 
 HydraDB's data path never blocks on a CQ — shards poll request buffers in
-memory — but the Send/Recv baseline mode (§6.2) and the RAMCloud baseline
-drain CQs, and unsignaled-write bookkeeping uses them for flow control.
+memory and every data-path Write is posted unsignaled, so it produces no
+CQE at all — but the Send/Recv baseline mode (§6.2) and the RAMCloud
+baseline drain CQs.
 """
 
 from __future__ import annotations

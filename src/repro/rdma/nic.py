@@ -3,9 +3,14 @@
 Each NIC has two serial engines — TX and RX — that give it a finite
 operation rate and make payload serialization occupy the port.  All verbs
 are orchestrated as callback chains (not processes) to keep the event count
-per operation small: a Write is five calendar entries (tx, fly, rx, ack,
-completion), a Read eight.  The RC transport-retry bound costs none of them:
-every WQE of a NIC joins one FIFO deadline queue served by a single timer
+per operation small.  An unsignaled Write (``IBV_SEND_SIGNALED`` clear, the
+data path's choice: both sides learn of arrival by polling memory) is three
+calendar entries (tx, fly, rx) and stops at delivery; a signaled one adds
+the RC ack and its completion event.  A Read is six (tx, fly, responder,
+response, fly back, home rx) plus its completion event — which a doorbell
+chain runs inline at the home hop, so a chain schedules only its one batch
+event.  The RC transport-retry bound costs none of them: every signaled WQE
+of a NIC joins one FIFO deadline queue served by a single timer
 (:meth:`Nic._watch`).
 
 Two properties the higher layers depend on:
@@ -25,7 +30,7 @@ from collections import deque
 from typing import Callable, Deque, Optional, TYPE_CHECKING
 
 from ..config import SimConfig
-from ..sim import MetricSet, Simulator, TimeWeighted
+from ..sim import MetricSet, Simulator
 from ..sim.events import Event, PooledTimer
 from .memory import AccessViolation, MemoryRegion
 from .verbs import Completion, CompletionPool, Opcode, WcStatus
@@ -49,12 +54,10 @@ class _Engine:
     (QP cache penalty) reflect conditions at execution time.
     """
 
-    __slots__ = ("sim", "busy", "_q", "_active", "_timer", "_done",
-                 "_finish_cb")
+    __slots__ = ("sim", "_q", "_active", "_timer", "_done", "_finish_cb")
 
-    def __init__(self, sim: Simulator, name: str):
+    def __init__(self, sim: Simulator):
         self.sim = sim
-        self.busy = TimeWeighted(name, sim)
         self._q: Deque[tuple[Callable[[], int], Callable[[], None]]] = deque()
         self._active = False
         #: The engine is strictly serial, so one rearmable timer (plus one
@@ -74,7 +77,6 @@ class _Engine:
             return
         cost_fn, done = self._q.popleft()
         self._active = True
-        self.busy.set(1.0)
         self._done = done
         timer = self._timer
         if timer.callbacks is None:
@@ -85,7 +87,6 @@ class _Engine:
 
     def _finish(self, _ev: Event) -> None:
         self._active = False
-        self.busy.set(0.0)
         done, self._done = self._done, None
         done()
         self._start_next()
@@ -93,6 +94,28 @@ class _Engine:
     @property
     def depth(self) -> int:
         return len(self._q)
+
+
+class _ChainWqe(Event):
+    """Completion event of one WQE inside a doorbell chain.
+
+    Its one consumer is the chain collector (:meth:`Nic._batch_collector`),
+    so a successful CQE runs it at the completing hop instead of taking a
+    now-queue round trip of its own.  Failures (``REM_ACCESS_ERR``,
+    ``RETRY_EXC``, ``LOCAL_QP_ERR``) keep the event path.
+    """
+
+    __slots__ = ()
+
+    def succeed(self, value: Completion) -> "Event":
+        if value.status is not WcStatus.SUCCESS:
+            return Event.succeed(self, value)
+        self._ok = True
+        self._value = value
+        callbacks, self.callbacks = self.callbacks, None
+        for cb in callbacks:
+            cb(self)
+        return self
 
 
 class _WriteOp:
@@ -103,10 +126,12 @@ class _WriteOp:
     callback pre-bound once at construction, so a recycled record posts a
     WQE with zero new function objects.  The record owns itself: it
     returns to its NIC's freelist only once every scheduled hop (tx, fly,
-    rx, ack, optional duplicate redelivery) has run, so a late callback
-    can never observe a reused record.  The retry deadline is not a hop:
-    :meth:`Nic._watch` holds the completion event, not the record, which
-    therefore recycles at the ack (or where the packet is lost).
+    rx, then — signaled only — the ack; plus an optional duplicate
+    redelivery) has run, so a late callback can never observe a reused
+    record.  An unsignaled WQE (``ev`` is None) therefore recycles at
+    delivery.  The retry deadline is not a hop: :meth:`Nic._watch` holds
+    the completion event, not the record, which therefore recycles at the
+    ack (or where the packet is lost).
 
     The hop sequence — and therefore every simulator event it creates —
     mirrors the scalar closure chain exactly; the schedule-digest parity
@@ -133,15 +158,17 @@ class _WriteOp:
 
     def begin(self, qp: "QueuePair", region: MemoryRegion, offset: int,
               data: bytes, wr_id: int, coalesced: bool,
-              pool: Optional[CompletionPool]) -> Event:
+              pool: Optional[CompletionPool], chained: bool,
+              signaled: bool) -> "Event | bool":
         nic = self.nic
-        sim = nic.sim
-        ev = sim.event()
+        ev = nic._wqe_event(chained) if signaled else None
         if not nic.alive:
+            nic._write_ops.append(self)
+            if ev is None:
+                return False
             nic._fail_completion(ev, Opcode.RDMA_WRITE,
                                  WcStatus.LOCAL_QP_ERR, wr_id, qp.qp_num,
                                  pool)
-            nic._write_ops.append(self)
             return ev
         self.ev = ev
         self.qp = qp
@@ -159,12 +186,13 @@ class _WriteOp:
         inj = nic.fabric.fault_injector
         self.fault = inj.rdma_write_fault(nic, qp, region, offset, data) \
             if inj is not None else None
-        nic._watch(ev, Opcode.RDMA_WRITE, wr_id, qp.qp_num, pool)
+        if ev is not None:
+            nic._watch(ev, Opcode.RDMA_WRITE, wr_id, qp.qp_num, pool)
         self.discount = min(nic.cfg.doorbell_ns, nic.cfg.tx_op_ns) \
             if coalesced else 0
-        self.pending = 1  # the tx -> fly -> rx -> ack chain
+        self.pending = 1  # the tx -> fly -> rx (-> ack) chain
         nic.tx.submit(self.cb_cost_tx, self.cb_after_tx)
-        return ev
+        return True if ev is None else ev
 
     def _cost_tx(self) -> int:
         return max(0, self.nic._tx_cost(len(self.data)) - self.discount)
@@ -208,6 +236,9 @@ class _WriteOp:
             redeliver = sim.timeout(2 * self.prop + self.peer_nic._rx_cost())
             redeliver.callbacks.append(self.cb_redeliver)
             self.pending += 1
+        if self.ev is None:  # unsignaled: no ack, no CQE
+            self._done()
+            return
         self.status = status  # carried to _acked with no per-hop closure
         ack = sim.timeout(self.prop)
         ack.callbacks.append(self.cb_acked)
@@ -254,7 +285,9 @@ class _ReadOp:
     Read-side twin of :class:`_WriteOp`: same freelist ownership rule
     (retire only after every scheduled hop has run; the retry deadline
     holds the completion event, not the record) and the same hop-for-hop
-    mirroring of the scalar closure chain.
+    mirroring of the scalar closure chain: tx, fly, responder, response,
+    fly back, home rx, then the completion — inline at the home rx hop for
+    a successful WQE of a doorbell chain (:class:`_ChainWqe`).
     """
 
     __slots__ = ("nic", "qp", "region", "offset", "length", "wr_id", "ev",
@@ -279,10 +312,9 @@ class _ReadOp:
 
     def begin(self, qp: "QueuePair", region: MemoryRegion, offset: int,
               length: int, wr_id: int, coalesced: bool,
-              pool: Optional[CompletionPool]) -> Event:
+              pool: Optional[CompletionPool], chained: bool) -> Event:
         nic = self.nic
-        sim = nic.sim
-        ev = sim.event()
+        ev = nic._wqe_event(chained)
         if not nic.alive:
             nic._fail_completion(ev, Opcode.RDMA_READ,
                                  WcStatus.LOCAL_QP_ERR, wr_id, qp.qp_num,
@@ -407,8 +439,8 @@ class Nic:
         self.cfg = config.nic
         self.fabric = fabric
         self.metrics = metrics or MetricSet(sim)
-        self.tx = _Engine(sim, f"nic{nic_id}.tx")
-        self.rx = _Engine(sim, f"nic{nic_id}.rx")
+        self.tx = _Engine(sim)
+        self.rx = _Engine(sim)
         self.qps: list["QueuePair"] = []
         self.alive = True
         # -- flat hot path (hydra.flat_hot_paths) --------------------------
@@ -460,8 +492,12 @@ class Nic:
         return self.cfg.rx_op_ns + self._penalty() + extra
 
     # -- verb orchestration ----------------------------------------------
-    # Each issue_* returns an Event that fires with a Completion.  The
-    # caller (QueuePair) has already validated QP state.
+    # Each issue_* returns an Event that fires with a Completion (an
+    # unsignaled Write returns whether it posted).  The caller (QueuePair)
+    # has already validated QP state.
+
+    def _wqe_event(self, chained: bool) -> Event:
+        return _ChainWqe(self.sim) if chained else Event(self.sim)
 
     def _fail_completion(self, ev: Event, op: Opcode, status: WcStatus,
                          wr_id: int, qp_num: int,
@@ -510,21 +546,29 @@ class Nic:
 
     def issue_write(self, qp: "QueuePair", region: MemoryRegion, offset: int,
                     data: bytes, wr_id: int, coalesced: bool = False,
-                    pool: Optional[CompletionPool] = None) -> Event:
+                    pool: Optional[CompletionPool] = None,
+                    chained: bool = False,
+                    signaled: bool = True) -> "Event | bool":
         """One RDMA Write.  ``coalesced`` WQEs ride an earlier WQE's
         doorbell and skip the per-op MMIO cost (``doorbell_ns``).
 
         ``pool``: CQE freelist the completion record is drawn from (flat
         hot path); ``None`` allocates a fresh :class:`Completion`.
+        ``chained``: the completion's one consumer is a chain collector
+        (:class:`_ChainWqe`).  ``signaled=False`` lands the same bytes at
+        the same instant but generates no ack, CQE or retry deadline, and
+        returns False if the post failed locally (dead NIC), else True.
         """
         if self._flat:
             ops = self._write_ops
             rec = ops.pop() if ops else _WriteOp(self)
             return rec.begin(qp, region, offset, data, wr_id, coalesced,
-                             pool)
-        ev = self.sim.event()
+                             pool, chained, signaled)
+        ev = self._wqe_event(chained) if signaled else None
         op = Opcode.RDMA_WRITE
         if not self.alive:
+            if ev is None:
+                return False
             self._fail_completion(ev, op, WcStatus.LOCAL_QP_ERR, wr_id,
                                   qp.qp_num)
             return ev
@@ -539,7 +583,8 @@ class Nic:
         inj = self.fabric.fault_injector
         fault = inj.rdma_write_fault(self, qp, region, offset, data) \
             if inj is not None else None
-        self._watch(ev, op, wr_id, qp.qp_num)
+        if ev is not None:
+            self._watch(ev, op, wr_id, qp.qp_num)
 
         def after_tx() -> None:
             delay = fault.get("delay_ns", 0) if fault else 0
@@ -586,6 +631,8 @@ class Nic:
                         pass
 
                 redeliver.callbacks.append(_redeliver)
+            if ev is None:
+                return  # unsignaled: no ack, no CQE
             ack = self.sim.timeout(prop)
 
             def _acked(_e: Event) -> None:
@@ -600,23 +647,23 @@ class Nic:
             if coalesced else 0
         self.tx.submit(lambda: max(0, self._tx_cost(len(data)) - discount),
                        after_tx)
-        return ev
+        return True if ev is None else ev
 
     def issue_read(self, qp: "QueuePair", region: MemoryRegion, offset: int,
                    length: int, wr_id: int, coalesced: bool = False,
-                   pool: Optional[CompletionPool] = None) -> Event:
+                   pool: Optional[CompletionPool] = None,
+                   chained: bool = False) -> Event:
         """One RDMA Read.  ``coalesced`` WQEs ride an earlier WQE's
         doorbell and skip the per-op MMIO cost (``doorbell_ns``).
 
-        ``pool``: CQE freelist the completion record is drawn from (flat
-        hot path); ``None`` allocates a fresh :class:`Completion`.
+        ``pool`` and ``chained`` as for :meth:`issue_write`.
         """
         if self._flat:
             ops = self._read_ops
             rec = ops.pop() if ops else _ReadOp(self)
             return rec.begin(qp, region, offset, length, wr_id, coalesced,
-                             pool)
-        ev = self.sim.event()
+                             pool, chained)
+        ev = self._wqe_event(chained)
         op = Opcode.RDMA_READ
         if not self.alive:
             self._fail_completion(ev, op, WcStatus.LOCAL_QP_ERR, wr_id,
@@ -689,7 +736,9 @@ class Nic:
 
         Returns a factory: ``collector(i)`` is the callback that records
         WQE ``i``'s Completion into a flat result array; the last one to
-        land succeeds ``batch`` with the whole array (request order).
+        land succeeds ``batch`` with the whole array (request order).  A
+        successful WQE runs it inline at its completing hop
+        (:class:`_ChainWqe`), a failed one through its completion event.
         """
         results: list = [None] * n
         state = {"remaining": n}
@@ -725,28 +774,11 @@ class Nic:
         individually bounded by the retry deadline, so the batch event always
         fires.
         """
-        batch = self.sim.event()
-        n = len(requests)
-        if n == 0:
-            batch.succeed([])
-            return batch
-        collector = self._batch_collector(batch, n)
-        pool = self.wc_pool if self._flat else None
-        first = True
-        for i, (region, offset, length, wr_id) in enumerate(requests):
-            if region is None:
-                ev = self.sim.event()
-                self._fail_completion(ev, Opcode.RDMA_READ,
-                                      WcStatus.LOCAL_QP_ERR, wr_id,
-                                      qp.qp_num, pool)
-            else:
-                ev = self.issue_read(qp, region, offset, length, wr_id,
-                                     coalesced=not first, pool=pool)
-                first = False
-            ev.callbacks.append(collector(i))
-        return batch
+        return self._post_chain(qp, requests, self.issue_read,
+                                Opcode.RDMA_READ)
 
-    def issue_write_batch(self, qp: "QueuePair", requests: list) -> Event:
+    def issue_write_batch(self, qp: "QueuePair", requests: list,
+                          signaled: bool = True) -> "Event | int":
         """Post several RDMA Writes behind one coalesced doorbell.
 
         The write-side twin of :meth:`issue_read_batch`: ``requests``
@@ -758,8 +790,26 @@ class Nic:
         shard land a batch of slot responses before the final doorbell.
 
         Returns **one** event firing with ``list[Completion]`` in request
-        order once the whole chain has completed.
+        order once the whole chain has completed — or, unsignaled, the
+        number of WQEs that failed to post (``LOCAL_QP_ERR``).
         """
+        if signaled:
+            return self._post_chain(qp, requests, self.issue_write,
+                                    Opcode.RDMA_WRITE)
+        failed, first = 0, True
+        for region, offset, data, wr_id in requests:
+            if region is None:
+                failed += 1
+                continue
+            failed += not self.issue_write(qp, region, offset, data, wr_id,
+                                           not first, signaled=False)
+            first = False
+        return failed
+
+    def _post_chain(self, qp: "QueuePair", requests: list, issue,
+                    op: Opcode) -> Event:
+        """Signaled doorbell chain: post every WQE through ``issue`` and
+        collect their completions into one batch event."""
         batch = self.sim.event()
         n = len(requests)
         if n == 0:
@@ -768,15 +818,14 @@ class Nic:
         collector = self._batch_collector(batch, n)
         pool = self.wc_pool if self._flat else None
         first = True
-        for i, (region, offset, data, wr_id) in enumerate(requests):
+        for i, (region, offset, arg, wr_id) in enumerate(requests):
             if region is None:
                 ev = self.sim.event()
-                self._fail_completion(ev, Opcode.RDMA_WRITE,
-                                      WcStatus.LOCAL_QP_ERR, wr_id,
+                self._fail_completion(ev, op, WcStatus.LOCAL_QP_ERR, wr_id,
                                       qp.qp_num, pool)
             else:
-                ev = self.issue_write(qp, region, offset, data, wr_id,
-                                      coalesced=not first, pool=pool)
+                ev = issue(qp, region, offset, arg, wr_id, not first, pool,
+                           True)
                 first = False
             ev.callbacks.append(collector(i))
         return batch

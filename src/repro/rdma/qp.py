@@ -97,11 +97,15 @@ class QueuePair:
 
     # -- verbs ---------------------------------------------------------------
     def post_write(self, rptr: RemotePointer, data: bytes,
-                   wr_id: int = 0) -> Event:
+                   wr_id: int = 0, signaled: bool = True) -> "Event | bool":
         """One-sided RDMA Write of ``data`` at the remote pointer.
 
         Returns the completion event; the write is visible at the target at
         remote-delivery time (earlier than the initiator's completion).
+        ``signaled=False`` (verbs: ``IBV_SEND_SIGNALED`` clear) requests no
+        completion at all: the bytes land identically, a transport failure
+        goes unreported, and the return value is False only if the post
+        itself failed (``LOCAL_QP_ERR``: dead local NIC).
         """
         self._check_connected()
         if len(data) > rptr.length:
@@ -110,7 +114,7 @@ class QueuePair:
             )
         region = self._resolve(rptr)
         return self.nic.issue_write(self, region, rptr.offset, data,
-                                    self._next_wr(wr_id))
+                                    self._next_wr(wr_id), signaled=signaled)
 
     def post_read(self, rptr: RemotePointer, wr_id: int = 0) -> Event:
         """One-sided RDMA Read of the full remote-pointer extent."""
@@ -143,7 +147,8 @@ class QueuePair:
                              self._next_wr(req.wr_id)))
         return self.nic.issue_read_batch(self, prepared)
 
-    def post_write_batch(self, requests) -> Event:
+    def post_write_batch(self, requests,
+                         signaled: bool = True) -> "Event | int":
         """Post a chain of one-sided Writes with one coalesced doorbell.
 
         The write-side twin of :meth:`post_read_batch`: ``requests`` may
@@ -155,7 +160,8 @@ class QueuePair:
         ``LOCAL_QP_ERR`` — the remaining WQEs in the chain still post.
         RC delivery keeps the chain in post order at the target, so a
         shard can land all of a sweep's responses for one connection in
-        slot order before the single doorbell.
+        slot order before the single doorbell.  ``signaled=False``: no
+        completions; returns the number of ``LOCAL_QP_ERR`` entries.
         """
         self._check_connected()
         prepared = []
@@ -171,7 +177,7 @@ class QueuePair:
                     region = None
             prepared.append((region, req.rptr.offset, req.data,
                              self._next_wr(req.wr_id)))
-        return self.nic.issue_write_batch(self, prepared)
+        return self.nic.issue_write_batch(self, prepared, signaled)
 
     def post_send(self, data: bytes, wr_id: int = 0) -> Event:
         """Two-sided Send; consumes a posted receive at the peer."""

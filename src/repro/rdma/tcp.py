@@ -203,8 +203,8 @@ class TcpStack:
         self.sim = sim
         self.network = network
         self.machine = machine
-        self.wire = _Engine(sim, f"tcp{machine.machine_id}.wire")
-        self.softirq = _Engine(sim, f"tcp{machine.machine_id}.softirq")
+        self.wire = _Engine(sim)
+        self.softirq = _Engine(sim)
         self.listeners: dict[int, Store] = {}
         self.alive = True
 

@@ -57,7 +57,8 @@ class SecondaryLink:
     def place_and_write(self, payload: bytes) -> None:
         """Reserve ring space and issue the RDMA write(s). May raise RingFull."""
         for offset, blob in self.writer.place(payload):
-            self.qp.post_write(self.ring_rptr.slice(offset, len(blob)), blob)
+            self.qp.post_write(self.ring_rptr.slice(offset, len(blob)), blob,
+                               signaled=False)
 
 
 class LogReplicator:

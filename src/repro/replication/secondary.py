@@ -151,7 +151,7 @@ class SecondaryShard:
         ack = Ack(applied_seq=self.applied_seq,
                   consumed=self.reader.consumed,
                   epoch=self._ack_epoch, failed=self.failing)
-        self.qp.post_write(self.ack_rptr, ack.encode())
+        self.qp.post_write(self.ack_rptr, ack.encode(), signaled=False)
 
     def _merge_loop(self):
         try:

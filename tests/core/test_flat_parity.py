@@ -147,8 +147,10 @@ def test_flat_parity_is_stable_across_reruns():
 
 
 def test_scalar_oracle_actually_selects_scalar_paths():
-    """The flag flips real behaviour: flat mode recycles pooled CQEs,
-    the scalar oracle never touches the pools."""
+    """The flag flips real behaviour: flat mode recycles pooled CQEs (on
+    one-sided Read chains, the only CQEs the data path still makes), the
+    scalar oracle never touches the pools."""
+    from tests.rdma.test_completion_pool import one_sided_traffic
     for flat, expect_pool in ((True, True), (False, False)):
         cfg = SimConfig().with_overrides(
             hydra=dict(_HYDRA, flat_hot_paths=flat),
@@ -158,13 +160,7 @@ def test_scalar_oracle_actually_selects_scalar_paths():
         cluster.start()
         assert cluster.shards()[0]._flat is flat
         client = cluster.client()
-
-        def app():
-            for i in range(12):
-                yield from client.put(b"k%d" % i, b"v")
-                yield from client.get(b"k%d" % i)
-
-        cluster.run(app())
+        cluster.run(one_sided_traffic(cluster, client))
         recycled = sum(m.nic.wc_pool.recycled + m.nic.wc_pool.allocated
                        for m in (cluster.server_machines
                                  + cluster.client_machines))

@@ -20,10 +20,11 @@ from repro.protocol import Status
 MS = 1_000_000
 
 
-def ha_cluster(n_client_machines=1, **hydra):
+def ha_cluster(n_client_machines=1, coord=None, **hydra):
     cfg = SimConfig().with_overrides(
         replication={"replicas": 1},
         hydra={"op_timeout_ns": 5 * MS, **hydra},
+        coord=coord or {},
     )
     cluster = HydraCluster(config=cfg, n_server_machines=1,
                            shards_per_server=1,
@@ -34,11 +35,11 @@ def ha_cluster(n_client_machines=1, **hydra):
 
 
 # -- the tentpole: ride-through under load --------------------------------
-@pytest.mark.soak
-def test_failover_under_load_is_invisible_to_clients():
-    """Kill the primary mid-write-storm: zero client-visible exceptions,
-    zero lost acked writes, bounded blackout, failover metrics recorded."""
-    cluster, ha = ha_cluster(n_client_machines=2)
+def _ride_through_failover(horizon_ms, coord=None):
+    """Kill the primary mid-write-storm (writers run until ``horizon_ms``
+    after the kill): zero client-visible exceptions, zero lost acked
+    writes, bounded blackout, failover metrics recorded."""
+    cluster, ha = ha_cluster(n_client_machines=2, coord=coord)
     sim = cluster.sim
     acked: dict[bytes, bytes] = {}
     exceptions: list[BaseException] = []
@@ -51,7 +52,7 @@ def test_failover_under_load_is_invisible_to_clients():
 
     def writer(cid, client):
         i = 0
-        while sim.now < kill_at + 4_000 * MS:
+        while sim.now < kill_at + horizon_ms * MS:
             key = f"c{cid}-k{i:06d}".encode()
             value = f"v{cid}-{i}".encode()
             try:
@@ -87,6 +88,19 @@ def test_failover_under_load_is_invisible_to_clients():
     assert blackout < 3_500 * MS
     after = [t for t in completions if t > kill_at + blackout]
     assert len(after) > 50  # service genuinely resumed
+
+
+@pytest.mark.soak
+def test_failover_under_load_is_invisible_to_clients():
+    _ride_through_failover(4_000)
+
+
+def test_failover_under_short_load_is_invisible_to_clients():
+    """Tier-1 twin of the soak above: same contract, writers stop at
+    kill + 500 ms with ~200 ms failure detection, so the blackout ends
+    well inside the run."""
+    _ride_through_failover(
+        500, coord={"heartbeat_ns": 50 * MS, "session_timeout_ns": 200 * MS})
 
 
 def test_get_and_get_many_ride_through_failover():

@@ -9,11 +9,19 @@ from repro.protocol import Status
 MS = 1_000_000
 
 
-@pytest.mark.soak
-def test_failover_during_write_storm_loses_no_acked_write():
+#: Coordination timing that detects the kill in ~200 ms instead of ~2 s,
+#: so the short twins reach promotion well inside their horizon.
+FAST_HA = {"heartbeat_ns": 50 * MS, "session_timeout_ns": 200 * MS}
+
+
+def _write_storm_through_failover(horizon_ms, coord=None):
+    """Four single-attempt writers hammer one replicated shard whose
+    primary dies at 30 ms; they keep writing until ``horizon_ms`` after
+    the kill.  No acknowledged write may be missing afterwards."""
     cfg = SimConfig().with_overrides(
         replication={"replicas": 1},
         hydra={"op_timeout_ns": 5 * MS},
+        coord=coord or {},
     )
     cluster = HydraCluster(config=cfg, n_server_machines=1,
                            shards_per_server=1, n_client_machines=2)
@@ -31,7 +39,7 @@ def test_failover_during_write_storm_loses_no_acked_write():
     def writer(cid, client):
         i = 0
         # Write until well after failover has completed.
-        while sim.now < kill_at + 4_500 * MS:
+        while sim.now < kill_at + horizon_ms * MS:
             key = f"c{cid}-k{i:06d}".encode()
             value = f"v{cid}-{i}".encode()
             try:
@@ -58,6 +66,19 @@ def test_failover_during_write_storm_loses_no_acked_write():
     assert lost == {}, f"{len(lost)} acknowledged writes lost"
     # Plenty of writes landed both before and after the failover.
     assert len(acked) > 100
+
+
+@pytest.mark.soak
+def test_failover_during_write_storm_loses_no_acked_write():
+    _write_storm_through_failover(4_500)
+
+
+def test_failover_during_short_write_storm_loses_no_acked_write():
+    """Tier-1 twin of the soak above: same storm, same assertions, cut at
+    kill + 500 ms with ~200 ms failure detection — past promotion, but
+    without the ~790k inserts whose ever-longer bucket chains make the
+    soak slow."""
+    _write_storm_through_failover(500, coord=FAST_HA)
 
 
 def test_reads_resume_after_failover_with_stale_pointers():

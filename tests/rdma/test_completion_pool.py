@@ -124,8 +124,31 @@ class _PoolProxy:
         return len(self._pool)
 
 
+def one_sided_traffic(cluster, client):
+    """Pooled CQEs flow only on one-sided Read chains (message-path Writes
+    are unsignaled): rptr-hit GETs of cached keys interleaved with cold
+    ``get_many`` fan-outs that traverse the exported index."""
+    from repro.protocol import Op
+    for i in range(16):
+        key = b"cold%d" % i
+        cluster.route(key).store_for_key(key).upsert(key, b"c%d" % i, Op.PUT)
+
+    def app():
+        for i in range(8):
+            yield from client.put(b"k%d" % i, b"v%d" % i)
+        for i in range(40):
+            if i % 4 == 0:
+                yield from client.get_many(
+                    [b"cold%d" % ((i + j) % 16) for j in range(4)])
+            else:
+                assert (yield from client.get(b"k%d" % (i % 8))) \
+                    == b"v%d" % (i % 8)
+
+    return app()
+
+
 def test_live_flag_holds_under_cluster_traffic():
-    """End to end: while a flat-mode cluster runs a mixed workload, every
+    """End to end: while a flat-mode cluster runs one-sided traffic, every
     record any NIC pool hands out must have been released first —
     acquire-while-live would mean one CQE aliased into two chains."""
     cfg = SimConfig().with_overrides(
@@ -139,15 +162,6 @@ def test_live_flag_holds_under_cluster_traffic():
         pools.append(machine.nic.wc_pool)
         machine.nic.wc_pool = _PoolProxy(machine.nic.wc_pool, live)
     client = cluster.client()
-
-    def app():
-        for i in range(40):
-            key = b"k%d" % (i % 8)
-            if i % 4 == 0:
-                yield from client.put(key, b"v%d" % i)
-            else:
-                yield from client.get(key)
-
-    cluster.run(app())
+    cluster.run(one_sided_traffic(cluster, client))
     assert sum(p.recycled for p in pools) > 0, \
         "flat mode never recycled a record"
