@@ -52,9 +52,10 @@ bench-sweep:
 	python -m repro.bench server_sweep --scale 1.0
 	python -m repro.bench.validate BENCH_sweep.json
 
-# Event-kernel microbench: two-tier calendar + now-queue + pooled timers
-# vs the seed heapq loop (Simulator(legacy=True)), with BLAKE2 schedule
-# digests proving bit-identical dispatch order before any timing counts.
+# Event-kernel microbench: events/sec of the two-tier calendar + now-queue
+# + pooled timers, each schedule shape gated on a committed BLAKE2
+# schedule digest (the dispatch order has not moved) and an absolute
+# events/sec floor.
 bench-simcore:
 	PYTHONPATH=$(CURDIR)/src python -m repro.bench simcore --scale 1.0
 	PYTHONPATH=$(CURDIR)/src python -m repro.bench.validate BENCH_simcore.json
@@ -77,10 +78,9 @@ bench-tenants:
 	PYTHONPATH=$(CURDIR)/src python -m repro.bench tenants --scale 1.0
 	PYTHONPATH=$(CURDIR)/src python -m repro.bench.validate BENCH_tenants.json
 
-# Fig. 12 at cluster scale: 64 servers x 2048 closed-loop clients, the
-# default stack (flat-array hot paths + calendar kernel) timed against
-# the seed stack (scalar paths + heapq kernel) with BLAKE2 schedule
-# digests proving both dispatch bit-identical event sequences.
+# Fig. 12 at cluster scale: 64 servers x 2048 closed-loop clients, each
+# cell's event count and the BLAKE2 schedule digest of its traced reduced
+# clone gated on committed per-shape constants.
 bench-scale:
 	PYTHONPATH=$(CURDIR)/src python -m repro.bench scale --scale 1.0
 	PYTHONPATH=$(CURDIR)/src python -m repro.bench.validate BENCH_scale.json

@@ -108,14 +108,14 @@ EXPERIMENTS: dict[str, tuple[str, Callable[..., list[dict]], bool]] = {
     "chaos": ("Chaos soak — seeded fault storms vs the resilience "
               "contract (acked writes, guardian words, typed errors)",
               chaos_soak, True),
-    "simcore": ("Kernel microbench — two-tier calendar + now-queue + "
-                "pooled timers vs the seed heapq event loop",
+    "simcore": ("Kernel microbench — events/sec of the two-tier "
+                "calendar + now-queue + pooled timers, digests pinned",
                 simcore_kernel, True),
     "tenants": ("Multi-tenant QoS — fair queueing, admission throttling, "
                 "server shed, AIMD autotune (victim vs aggressor)",
                 tenant_fairness, True),
     "scale": ("Fig. 12 at cluster scale — 64 servers x 2048 clients, "
-              "flat hot paths + calendar kernel vs the seed stack",
+              "events and schedule digests pinned per shape",
               scale_matrix, True),
 }
 

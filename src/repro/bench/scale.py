@@ -1,8 +1,7 @@
 """Fig. 12 at cluster scale: 64 servers x 2048 closed-loop clients.
 
 The paper's scalability study (Fig. 12) stops at the testbed's 8
-machines.  This bench extends both axes to the shapes the flat-array
-hot paths (``hydra.flat_hot_paths``) were built for:
+machines.  This bench extends both axes to cluster scale:
 
 * **scale-out** — weak scaling: 1..64 single-shard servers, 32
   closed-loop clients per server (2048 at the top).  Client machines
@@ -18,16 +17,15 @@ hot paths (``hydra.flat_hot_paths``) were built for:
   within the RC retry window; more clients measure overload, not
   shards).
 
-Every cell runs twice: the default configuration (flat hot paths on the
-two-tier calendar kernel) and the seed configuration (scalar per-object
-paths, ``flat_hot_paths=False``, on the seed heapq kernel,
-``Simulator(legacy=True)``).  ``speedup`` is the wall-clock ratio
-between the two — the compounded gain of the kernel rebuild and the
-flat-array protocol paths over the original implementation.  Because
-both refactors preserve schedules, the two cells must dispatch the
-*identical* event sequence: each row carries ``digest_match``, a BLAKE2
-schedule-digest comparison of traced runs at a reduced clone of the
-row's shape (same topology, capped clients/ops so tracing stays cheap).
+Each row reports the simulator's wall clock and event rate for its cell
+next to two pinned numbers: ``events``, the cell's dispatch count, and
+``digest``, the BLAKE2 schedule digest of a traced run at a reduced
+clone of the row's shape (same topology, capped clients/ops so tracing
+stays cheap).  Both must equal the committed constants in
+:data:`PINNED` — frozen while the original per-object paths on the seed
+heapq kernel still ran beside today's stack and dispatched every cell
+identically — so a timing is only reported for a schedule that has not
+moved.  With no second stack to run, a cell costs one timed run.
 
 The workload is a deterministic closed loop (not YCSB: no numpy
 streams, no latency tallies — this bench measures the simulator, the
@@ -36,7 +34,7 @@ preloaded key and issues ``get`` with every 8th op (``j & 7 == 3``) a
 ``put`` — ~12.5% writes, Fig. 12's write mix.  Remote-pointer caching
 and one-sided traversal are disabled so every op exercises the message
 hot path end to end: client marshal -> NIC WQE chain -> shard sweep ->
-flat parse/execute/respond -> doorbell batch -> client drain.
+parse/execute/respond -> doorbell batch -> client drain.
 
 Sizing at 64 servers is explicit: cells run with a 1 MB arena (chosen
 when the default 64 MB one was 4 GB of eagerly committed bytearrays;
@@ -57,7 +55,7 @@ from ..core import HydraCluster
 from ..protocol import Op
 from ..sim import Simulator, kernel_snapshot
 
-__all__ = ["scale_matrix", "write_scale_artifact"]
+__all__ = ["PINNED", "scale_matrix", "write_scale_artifact"]
 
 #: Weak-scaling server counts (1 shard each); the top shape is the
 #: 64-server x 2048-client headline cell.
@@ -86,16 +84,39 @@ _TRACE_OPS = 6
 _REPS_SMALL = 2
 _SMALL_CLIENTS = 256
 
+#: ``(axis, servers, shards, clients, ops)`` -> (events dispatched, digest
+#: of the traced reduced clone), for the full-scale matrix and the
+#: ``--scale 0.05`` smoke cells.
+PINNED = {
+    ("scale_out", 1, 1, 32, 512): (10418, "fb03f526652ac414e6f948d8d0ee07c8"),
+    ("scale_out", 2, 2, 64, 1024): (18140, "ff1138d3a8a7f02eac079e0bcc12cad6"),
+    ("scale_out", 4, 4, 128, 2048): (35903,
+                                     "05183012b2c7bb6e81b129718b47cfdb"),
+    ("scale_out", 8, 8, 256, 4096): (73208,
+                                     "36bace3b7c8edadd0bda771b9408287e"),
+    ("scale_out", 16, 16, 512, 8192): (131710,
+                                       "0ba3a59ae354fff59badda2f02ed6c07"),
+    ("scale_out", 32, 32, 1024, 16384): (253465,
+                                         "37c4b913ea1154cdda0536568b984b21"),
+    ("scale_out", 64, 64, 2048, 32768): (500608,
+                                         "001fae54df372edd6ffaa2afff5cb3e7"),
+    ("scale_up", 1, 1, 64, 1024): (20730, "ce1261071f7e9d2718ff5b2bcf7897cf"),
+    ("scale_up", 1, 2, 64, 1024): (17635, "20cae57d27538bcae646f7b15e5a435b"),
+    ("scale_up", 1, 4, 64, 1024): (18186, "f3afaa34ec79bae6f1dfcf0e2ae425ca"),
+    ("scale_up", 1, 8, 64, 1024): (20563, "4926d0ee673e0f70cee4465f6e4b05ed"),
+    ("scale_out", 1, 1, 8, 32): (677, "77e16e39ad2a651062c041b6f7770371"),
+    ("scale_out", 8, 8, 12, 48): (985, "d635e765076372ab068239eb4b7d9f91"),
+    ("scale_out", 64, 64, 102, 408): (8160,
+                                      "38571bbce47a38869234e961819554f4"),
+    ("scale_up", 1, 1, 8, 32): (677, "77e16e39ad2a651062c041b6f7770371"),
+    ("scale_up", 1, 8, 8, 32): (655, "5f347acec2f5421a1cbcf8577c37e7dc"),
+}
 
-def _config(flat: bool) -> SimConfig:
-    """The bench configuration; ``flat`` toggles the hot-path mode only.
 
-    All other overrides are identical across cells so the schedule (and
-    its digest) depends on nothing but the flag under test.
-    """
+def _config() -> SimConfig:
+    """The bench configuration, identical across cells."""
     return SimConfig().with_overrides(
-        hydra={"flat_hot_paths": flat,
-               "msg_slots_per_conn": 8,
+        hydra={"msg_slots_per_conn": 8,
                "buckets_per_shard": 1 << 10},
         client={"max_inflight_per_conn": 8,
                 "rptr_cache_enabled": False},
@@ -117,19 +138,19 @@ def _client_loop(client, key: bytes, ops: int):
 
 
 def _build(servers: int, shards: int, n_clients: int, ops: int,
-           flat: bool, legacy: bool, trace: bool):
+           trace: bool):
     """Construct one cell: cluster, preloaded keys, client processes.
 
     Returns ``(sim, cluster, procs, total_ops)`` ready to run.
     """
-    sim = Simulator(legacy=legacy)
+    sim = Simulator()
     if trace:
         sim.trace_schedule()
     total_shards = servers * shards
     per_machine = min(_CLIENTS_PER_MACHINE_CAP,
                       max(8, _CLIENTS_PER_CONN * total_shards))
     n_machines = max(1, -(-n_clients // per_machine))
-    cluster = HydraCluster(_config(flat), n_server_machines=servers,
+    cluster = HydraCluster(_config(), n_server_machines=servers,
                            shards_per_server=shards,
                            n_client_machines=n_machines, sim=sim)
     keys = [b"scale.k%06d" % i for i in range(n_clients)]
@@ -149,11 +170,11 @@ def _build(servers: int, shards: int, n_clients: int, ops: int,
     return sim, cluster, procs, n_clients * ops
 
 
-def _timed_cell(servers: int, shards: int, n_clients: int, ops: int,
-                flat: bool, legacy: bool) -> tuple[float, int, int, int]:
+def _timed_cell(servers: int, shards: int, n_clients: int,
+                ops: int) -> tuple[float, int, int, int]:
     """Run one timed cell; returns (wall_s, sim_ns, events, total_ops)."""
     sim, cluster, procs, total = _build(servers, shards, n_clients, ops,
-                                        flat, legacy, trace=False)
+                                        trace=False)
     gc.collect()
     gc.disable()
     try:
@@ -167,11 +188,11 @@ def _timed_cell(servers: int, shards: int, n_clients: int, ops: int,
     return wall, sim.now, events, total
 
 
-def _digest_cell(servers: int, shards: int, n_clients: int, ops: int,
-                 flat: bool, legacy: bool) -> str:
+def _digest_cell(servers: int, shards: int, n_clients: int,
+                 ops: int) -> str:
     """Traced run of a reduced clone; returns the BLAKE2 digest."""
     sim, cluster, procs, _total = _build(servers, shards, n_clients, ops,
-                                         flat, legacy, trace=True)
+                                         trace=True)
     sim.run(until=sim.all_of(procs))
     cluster.stop()
     return sim.schedule_digest()
@@ -180,43 +201,24 @@ def _digest_cell(servers: int, shards: int, n_clients: int, ops: int,
 def _cell_rows(axis: str, servers: int, shards: int, n_clients: int,
                ops: int) -> dict:
     """Measure one matrix cell end to end and build its artifact row."""
-    # Ordering proof first: the default stack (flat paths, batched
-    # kernel) vs the seed stack (scalar paths, heapq kernel) must
-    # dispatch bit-identical schedules on a reduced clone of this shape.
-    t_clients = min(n_clients, _TRACE_CLIENTS)
-    t_ops = min(ops, _TRACE_OPS)
-    match = (_digest_cell(servers, shards, t_clients, t_ops,
-                          flat=True, legacy=False)
-             == _digest_cell(servers, shards, t_clients, t_ops,
-                             flat=False, legacy=True))
+    digest = _digest_cell(servers, shards, min(n_clients, _TRACE_CLIENTS),
+                          min(ops, _TRACE_OPS))
     reps = _REPS_SMALL if n_clients <= _SMALL_CLIENTS else 1
-    best: dict[str, tuple] = {}
-    for _rep in range(reps):
-        for mode, flat, legacy in (("flat", True, False),
-                                   ("seed", False, True)):
-            cell = _timed_cell(servers, shards, n_clients, ops,
-                               flat, legacy)
-            prev = best.get(mode)
-            if prev is None or cell[0] < prev[0]:
-                best[mode] = cell
-    wall, sim_ns, events, total = best["flat"]
-    seed_wall, _seed_ns, seed_events, _ = best["seed"]
+    wall, sim_ns, events, total = min(
+        _timed_cell(servers, shards, n_clients, ops) for _rep in range(reps))
     mops = (total / (sim_ns * 1e-9)) / 1e6 if sim_ns > 0 else 0.0
     return {
         "axis": axis,
         "servers": servers,
-        "shards": servers * shards if axis == "scale_out" else shards,
+        "shards": servers * shards,
         "clients": n_clients,
         "ops": total,
         "throughput_mops": round(mops, 4),
         "normalized": 0.0,  # filled per axis below
         "wall_s": round(wall, 4),
-        "seed_wall_s": round(seed_wall, 4),
         "events": events,
-        "seed_events": seed_events,
         "events_per_sec": round(events / wall, 1) if wall > 0 else 0.0,
-        "speedup": round(seed_wall / wall, 3) if wall > 0 else 0.0,
-        "digest_match": match,
+        "digest": digest,
     }
 
 
@@ -257,15 +259,12 @@ def write_scale_artifact(rows: list[dict],
         "experiment": "scale_matrix",
         "description": "Fig. 12 scale-out/scale-up matrix extended to 64 "
                        "servers x 2048 closed-loop clients (~12.5% "
-                       "writes, message hot path only).  wall_s/events "
-                       "are the default stack (flat-array hot paths on "
-                       "the two-tier calendar kernel); seed_wall_s is "
-                       "the seed stack (scalar per-object paths on the "
-                       "heapq kernel, hydra.flat_hot_paths=False + "
-                       "Simulator(legacy=True)); speedup is their "
-                       "wall-clock ratio.  digest_match proves both "
-                       "stacks dispatch bit-identical schedules (BLAKE2 "
-                       "digests of traced reduced clones of each shape).",
+                       "writes, message hot path only).  wall_s and "
+                       "events_per_sec time the simulator; events and "
+                       "digest (BLAKE2 schedule digest of a traced "
+                       "reduced clone of the shape) must equal the "
+                       "committed per-shape constants, proving the "
+                       "schedule did not move.",
         "unit": "normalized throughput / events/sec",
         "rows": rows,
     }

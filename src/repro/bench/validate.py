@@ -39,16 +39,13 @@ experiments promise:
   — hard-required for the ``ack_on_flush`` row — zero lost acked writes
   and pre-kill throughput >= 0.9x the ``ack_on_replicate`` row's (acks
   park behind the flush; the sweep never stalls on it);
-* simcore_kernel rows must carry digest_match == True (the batched and
-  legacy kernels dispatched bit-identically on the traced run), a
-  legacy baseline at speedup 1.0 per bench, the batched sweep_loop
-  row must stay at or above the 3x regression floor, and full-scale
-  rows must clear an absolute events/sec floor;
-* scale_matrix rows must carry digest_match == True (the flat-array
-  and seed stacks dispatched bit-identically on the traced clone) plus
-  exactly equal event counts at full scale, a 64-server scale-out row,
-  per-axis normalized baselines of 1.0, and full-size cells at or above
-  the flat-vs-seed no-regression wall-clock floor;
+* simcore_kernel rows must carry the committed schedule digest of their
+  bench (``repro.bench.simcore.DIGESTS``: the kernel still dispatches
+  the pinned order) and clear an absolute events/sec floor;
+* scale_matrix rows must match the committed constants of their shape
+  (``repro.bench.scale.PINNED``: event count and the schedule digest of
+  the traced reduced clone), with a 64-server scale-out row and
+  per-axis normalized baselines of 1.0;
 * tenant_fairness rows must show the QoS contract held: Jain's index
   >= 0.9 and victim p99 <= 2x the no-aggressor baseline in every
   fair-queueing cell, client throttles tripping in the admission-capped
@@ -99,40 +96,22 @@ _ROW_KEYS: dict[str, tuple[str, ...]] = {
         "replayed_records", "replay_recs_per_ms", "typed_errors",
         "untyped_errors", "lost_acked_writes"),
     "simcore_kernel": (
-        "bench", "kernel", "events", "wall_s", "events_per_sec",
-        "speedup", "digest_match", "now_rate", "wheel_rate",
-        "heap_rate", "timer_reuse_rate", "peak_calendar"),
+        "bench", "events", "wall_s", "events_per_sec", "digest",
+        "now_rate", "wheel_rate", "heap_rate", "timer_reuse_rate",
+        "peak_calendar"),
     "tenant_fairness": (
         "cell", "kops", "victim_kops", "victim_p99_us", "jain",
         "throttled", "shed", "solo_p99_us", "best_static_kops"),
     "scale_matrix": (
         "axis", "servers", "shards", "clients", "ops", "throughput_mops",
-        "normalized", "wall_s", "seed_wall_s", "events", "seed_events",
-        "events_per_sec", "speedup", "digest_match"),
+        "normalized", "wall_s", "events", "events_per_sec", "digest"),
 }
 
-#: Regression floor for the kernel microbench: the batched kernel must
-#: beat the seed heapq kernel by at least this much on the sweep-loop
-#: shape (the committed artifact shows ~5x; the floor leaves headroom
-#: for CI machine noise without letting a real regression slip by).
-_SIMCORE_SWEEP_FLOOR = 3.0
-
-#: Absolute events/sec floor for full-scale simcore rows (events >=
-#: 100k): the committed artifact shows 0.5-3.4M events/sec; a drop below
-#: this order-of-magnitude guard means the kernel itself regressed
+#: Absolute events/sec floor for every simcore row: the committed
+#: artifact shows 0.5-3.5M events/sec; a drop below this
+#: order-of-magnitude guard means the kernel itself regressed
 #: catastrophically, not that the CI machine is slow.
 _SIMCORE_EPS_FLOOR = 150_000.0
-
-#: Wall-clock floor for the scale matrix's full-size cells: the default
-#: stack (flat hot paths + calendar kernel) must never be slower than
-#: the seed stack (scalar paths + heapq kernel).  The measured compound
-#: speedup on the 64-server x 2048-client shape is ~1.05-1.2x, far below
-#: the kernel microbench's 5x, because digest identity pins the event
-#: chain: both stacks dispatch the identical ~42 events per op, so only
-#: the Python-level cost per event differs (Amdahl's law over the
-#: flag-gated ~10-15% of wall time).  The floor is set just under 1.0 to
-#: absorb timer noise while catching a real inversion.
-_SCALE_SPEEDUP_FLOOR = 0.9
 
 #: chaos_soak row fields that must be exactly zero for the contract.
 _CHAOS_ZERO = ("untyped_errors", "corrupt_values", "lost_acked_writes",
@@ -179,7 +158,7 @@ def validate_artifact(payload: dict) -> list[str]:
             if key.endswith("_kops") or key.endswith("speedup") \
                     or key == "speedup_vs_message" \
                     or key in ("kops", "server_cpu_ns_per_op", "cpu_ratio",
-                               "throughput_mops", "wall_s", "seed_wall_s",
+                               "throughput_mops", "wall_s",
                                "events_per_sec"):
                 if not _positive(row, key):
                     problems.append(f"row {i}: {key} must be a positive "
@@ -294,52 +273,28 @@ def validate_artifact(payload: dict) -> list[str]:
                 problems.append(f"{label}: recovered_ratio must be >= 0.8, "
                                 f"got {ratio!r}")
     if experiment == "simcore_kernel":
+        from .simcore import DIGESTS
         benches = {row.get("bench") for row in rows}
-        for bench in ("sweep_loop", "wake_storm", "mixed_calendar"):
+        for bench in DIGESTS:
             if bench not in benches:
                 problems.append(f"missing bench {bench!r}")
         for i, row in enumerate(rows):
-            label = f"row {i} (bench={row.get('bench')!r}, " \
-                    f"kernel={row.get('kernel')!r})"
-            if row.get("digest_match") is not True:
+            label = f"row {i} (bench={row.get('bench')!r})"
+            if row.get("digest") != DIGESTS.get(row.get("bench")):
                 problems.append(
-                    f"{label}: schedule digests diverged between kernels "
-                    f"— the speedup is meaningless without bit-identical "
-                    f"dispatch order")
-            if row.get("kernel") == "legacy" and row.get("speedup") != 1.0:
-                problems.append(f"{label}: legacy baseline must have "
-                                f"speedup == 1.0, got {row.get('speedup')!r}")
+                    f"{label}: schedule digest {row.get('digest')!r} is not "
+                    f"the committed one — the kernel's dispatch order moved")
             if not _positive(row, "events"):
                 problems.append(f"{label}: events must be positive, "
                                 f"got {row.get('events')!r}")
-            if not _positive(row, "events_per_sec"):
-                problems.append(f"{label}: events_per_sec must be positive, "
-                                f"got {row.get('events_per_sec')!r}")
-            if isinstance(row.get("events"), int) \
-                    and row["events"] >= 100_000:
-                eps = row.get("events_per_sec")
-                if not (isinstance(eps, (int, float))
-                        and eps >= _SIMCORE_EPS_FLOOR):
-                    problems.append(
-                        f"{label}: events/sec regressed below the absolute "
-                        f"{_SIMCORE_EPS_FLOOR:.0f}/s floor, got {eps!r}")
-        for i, row in enumerate(rows):
-            if row.get("bench") != "sweep_loop" \
-                    or row.get("kernel") != "batched":
-                continue
-            if not isinstance(row.get("events"), int) \
-                    or row["events"] < 100_000:
-                # Smoke-scale cells are too short to time reliably; the
-                # floor binds on the full-scale bench-simcore artifact.
-                continue
-            speedup = row.get("speedup")
-            if not (isinstance(speedup, (int, float))
-                    and speedup >= _SIMCORE_SWEEP_FLOOR):
+            eps = row.get("events_per_sec")
+            if not (isinstance(eps, (int, float))
+                    and eps >= _SIMCORE_EPS_FLOOR):
                 problems.append(
-                    f"row {i} (sweep_loop, batched): kernel speedup "
-                    f"regressed below the {_SIMCORE_SWEEP_FLOOR}x floor, "
-                    f"got {speedup!r}")
+                    f"{label}: events/sec regressed below the absolute "
+                    f"{_SIMCORE_EPS_FLOOR:.0f}/s floor, got {eps!r}")
     if experiment == "scale_matrix":
+        from .scale import PINNED
         axes = {row.get("axis") for row in rows}
         for axis in ("scale_out", "scale_up"):
             if axis not in axes:
@@ -350,21 +305,19 @@ def validate_artifact(payload: dict) -> list[str]:
                             "shape)")
         seen_axis: set = set()
         for i, row in enumerate(rows):
-            label = f"row {i} (axis={row.get('axis')!r}, " \
-                    f"servers={row.get('servers')!r}, " \
-                    f"shards={row.get('shards')!r})"
-            if row.get("digest_match") is not True:
+            shape = tuple(row.get(k) for k in ("axis", "servers", "shards",
+                                               "clients", "ops"))
+            label = f"row {i} {shape}"
+            pinned = PINNED.get(shape)
+            if pinned is None:
+                problems.append(f"{label}: no committed constants for this "
+                                f"shape (pinned shapes: --scale 1.0 and "
+                                f"the 0.05 smoke)")
+            elif (row.get("events"), row.get("digest")) != pinned:
                 problems.append(
-                    f"{label}: schedule digests diverged between the flat "
-                    f"and seed stacks — the speedup is meaningless without "
-                    f"bit-identical dispatch order")
-            if row.get("events") != row.get("seed_events") \
-                    or not _positive(row, "events"):
-                problems.append(
-                    f"{label}: both stacks must dispatch the same positive "
-                    f"event count at full scale, got events="
-                    f"{row.get('events')!r} vs seed_events="
-                    f"{row.get('seed_events')!r}")
+                    f"{label}: events/digest "
+                    f"{(row.get('events'), row.get('digest'))!r} differ from "
+                    f"the committed {pinned!r} — the schedule moved")
             axis = row.get("axis")
             if axis not in seen_axis:
                 seen_axis.add(axis)
@@ -376,16 +329,6 @@ def validate_artifact(payload: dict) -> list[str]:
             elif not _positive(row, "normalized"):
                 problems.append(f"{label}: normalized must be a positive "
                                 f"number, got {row.get('normalized')!r}")
-            if isinstance(row.get("events"), int) \
-                    and row["events"] >= 100_000:
-                # Smoke-scale cells are too short to time reliably.
-                speedup = row.get("speedup")
-                if not (isinstance(speedup, (int, float))
-                        and speedup >= _SCALE_SPEEDUP_FLOOR):
-                    problems.append(
-                        f"{label}: flat-stack speedup fell below the "
-                        f"{_SCALE_SPEEDUP_FLOOR}x no-regression floor, "
-                        f"got {speedup!r}")
     if experiment == "tenant_fairness":
         cells = {row.get("cell"): row for row in rows}
         for name in ("w1", "w16", "auto", "solo", "share-nofq",

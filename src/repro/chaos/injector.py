@@ -291,9 +291,8 @@ class FaultInjector:
             idx = int(self.rng.stream("chaos.qp_flap").integers(
                 0, len(conns)))
             sid, conn = conns[idx]
-            # Label by shard + position, not conn_id: connection ids come
-            # from a process-global counter, so they differ between two
-            # clusters in one process even when the runs are identical.
+            # Label by shard + position: the pick is what the seeded
+            # stream chose, independent of how connections are numbered.
             self._record("qp_flap", f"{sid}#{idx}")
             conn.shard_qp.force_error()
 

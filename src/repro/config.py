@@ -188,7 +188,13 @@ class MemoryConfig:
 
 @dataclass
 class HydraConfig:
-    """HydraDB protocol parameters."""
+    """HydraDB protocol parameters.
+
+    The fields choose protocol behaviour — messaging, response batching,
+    shard variant, transport — never between two implementations of the
+    same behaviour: every combination runs through the one shard request
+    body and the one RDMA data path.
+    """
 
     #: Per-connection request/response buffer bytes.
     conn_buf_bytes: int = 16 << 10
@@ -277,14 +283,6 @@ class HydraConfig:
     #: while writes invalidate them across worker cores.
     pipeline_read_penalty: float = 1.3
     pipeline_write_penalty: float = 2.2
-    #: Flat-array protocol hot paths (PR 9): the shard sweep parses whole
-    #: occupancy-word batches into reused parallel arrays, the NIC recycles
-    #: WQE/completion records through freelists, and the client reuses
-    #: per-connection scratch buffers — no per-request Message/closure
-    #: objects on the fast path.  False selects the original scalar
-    #: per-object paths, kept as the ordering oracle: both settings must
-    #: produce bit-identical schedule digests (tests/core/test_flat_parity).
-    flat_hot_paths: bool = True
 
     # -- deprecation shim ----------------------------------------------------
     # PR 8 moved the client/traversal knobs into the typed ClientConfig /

@@ -220,7 +220,8 @@ class HydraCluster:
         return self.routing.resolve(self.ring.owner(hash64(key)))
 
     def shards(self) -> list[Shard]:
-        """All live shards, in ring-member order."""
+        """All live shards, in ring-member order (the order their ids
+        joined the ring — deterministic, not hash-seed dependent)."""
         return [self.routing.resolve(sid) for sid in self.ring.members]
 
     def key_recovering(self, key: bytes) -> bool:

@@ -345,14 +345,10 @@ class HydraClient:
         self._read_ctls = shared.read_ctls
         self._read_use = shared.read_use
         shared.weights[tenant] = qos.weight if qos is not None else 1.0
-        # -- flat hot path (hydra.flat_hot_paths) --------------------------
         # Precomputed counter handles (``MetricSet.counter`` is get-or-
-        # create, so these are the same objects the per-call lookups
-        # returned — totals are identical either way) and reusable drain
-        # scratch lists.  The gather loops burn these per op otherwise:
-        # every response re-resolved its counter through an f-string key.
-        self._flat = (self.hydra.flat_hot_paths
-                      and self.hydra.transport == "rdma")
+        # create, so these are the same objects a per-call lookup would
+        # return) and reusable drain scratch lists: the gather loops would
+        # otherwise resolve a counter through an f-string key per response.
         m = self.metrics
         self._c_messages = m.counter("client.messages")
         self._c_stale = m.counter("client.stale_responses")
@@ -958,14 +954,13 @@ class HydraClient:
                     yield from handle_titem(op, wc, cs)
                 else:  # "bucket" / "confirm"
                     yield from handle_bucket(op, wc, cs)
-            if self._flat:
-                # Every parse above copies out of wc.data; the chain's
-                # pooled CQEs can go back to the freelist.  (An exception
-                # mid-gather leaks them to the GC — correct, unrecycled.)
-                release = self.nic.wc_pool.release
-                for wc in wcs:
-                    if wc._live:
-                        release(wc)
+            # Every parse above copies out of wc.data; the chain's pooled
+            # CQEs can go back to the freelist.  (An exception mid-gather
+            # leaks them to the GC — correct, unrecycled.)
+            release = self.nic.wc_pool.release
+            for wc in wcs:
+                if wc._live:
+                    release(wc)
             lag = pipe - self.sim.now
             if lag > 0:
                 yield self.sim.timeout(lag)
@@ -1090,18 +1085,11 @@ class HydraClient:
         """
         req_id = next(self._req_ids)
         self._c_messages.add()
-        if self._flat:
-            # Pack the wire frame directly from the caller's request —
-            # the scalar oracle builds an intermediate re-keyed Request
-            # dataclass per op purely to call .encode() on it.
-            key, value, tenant = req.key, req.value, self._wire_tenant
-            data = (_REQ.pack(req.op, len(tenant), len(key), len(value),
-                              req_id)
-                    + key + value + tenant)
-        else:
-            req = Request(op=req.op, key=req.key, value=req.value,
-                          req_id=req_id, tenant=self._wire_tenant)
-            data = req.encode()
+        # Pack the wire frame (``Request.encode``'s layout) straight from
+        # the caller's request, re-keyed with this op's req_id and tenant.
+        key, value, tenant = req.key, req.value, self._wire_tenant
+        data = (_REQ.pack(req.op, len(tenant), len(key), len(value), req_id)
+                + key + value + tenant)
         yield self.sim.timeout(self.cpu.parse_ns)  # marshalling
         conn = self.connection_to(shard)
         pipe = self._pipe(conn)
@@ -1235,13 +1223,12 @@ class HydraClient:
         """
         conn = pipe.conn
         landed = 0
-        if self._flat and self.hydra.rdma_write_messaging:
+        if self.hydra.rdma_write_messaging:
             # Reuse a pooled scratch list for the slot-order snapshot
             # instead of allocating one per poll.  Pooled (not a single
             # per-client buffer) because fan-outs park many issue/wait
             # processes mid-drain at the poll-probe yields below — each
-            # concurrent drain needs its own snapshot, exactly as the
-            # scalar sorted() copy provided.
+            # concurrent drain needs its own snapshot.
             scratch = self._drain_scratch
             slots = scratch.pop() if scratch else []
             slots.extend(pipe.slot_req)
@@ -1251,10 +1238,6 @@ class HydraClient:
             finally:
                 slots.clear()
                 scratch.append(slots)
-            return landed
-        if self.hydra.rdma_write_messaging:
-            landed = yield from self._drain_slots(pipe, conn,
-                                                  sorted(pipe.slot_req))
         else:
             while True:
                 cqe = conn.client_qp.recv_cq.poll_one()
@@ -1278,8 +1261,7 @@ class HydraClient:
 
     def _drain_slots(self, pipe: _ConnPipeline, conn: Connection, slots):
         """One-sided drain body: probe each snapshot slot's response
-        frame (shared by the scalar and flat paths — only the snapshot
-        list's allocation differs)."""
+        frame, in slot order."""
         landed = 0
         for slot in slots:
             off = conn.layout.offset(slot)

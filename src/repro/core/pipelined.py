@@ -17,11 +17,11 @@ from typing import Optional
 
 from ..config import SimConfig
 from ..hardware import Core, Machine
-from ..protocol import Request, Response, Status
+from ..protocol import Status
 from ..protocol.messages import _REQ
 from ..sim import Interrupt, MetricSet, RwLock, Simulator, Store
 from .shard import (_MAX_OP, _OP_BY_CODE, _WRITE_HI, _WRITE_LO, Connection,
-                    Shard, WRITE_OPS)
+                    Shard, _run_op)
 from .store import ShardStore
 
 __all__ = ["PipelinedShard"]
@@ -59,9 +59,6 @@ class PipelinedShard(Shard):
         #: rebuilt every sweep.
         self._conn_cache: dict[int, list[Connection]] = {}
         self._conn_cache_gen = -1
-        #: Flat workers respond through the sweep-batch buffer only.
-        self._flat_pipe = (self._flat and self.hydra.rdma_write_messaging
-                           and self.hydra.resp_doorbell_batch > 0)
 
     @property
     def cores_used(self) -> int:
@@ -114,80 +111,29 @@ class PipelinedShard(Shard):
         return processed
 
     # -- workers ---------------------------------------------------------
-    def _worker_body(self, conn, slot: int, req: Request, batch,
-                     core: Core):
-        """Handle one decoded request end to end (admission, lock,
-        execute, replicate, respond, flush check) — the scalar worker
-        body, shared with the flat worker's named-tenant fallback."""
-        h = self.hydra
-        if req.tenant and batch is not None:
-            shed = yield from self._tenant_admit(conn, slot, req,
-                                                 batch, core)
-            if shed:
-                if (not self._queue.items or self._batch_full(batch)
-                        or self._batch_aged(batch)):
-                    yield from self._finish_sweep(batch)
-                return
-        # Workers share the partition: GETs take the lock shared,
-        # mutations exclusive, and mutations bounce the partition's
-        # cachelines between the worker cores.
-        is_write = req.op in WRITE_OPS
-        if is_write:
-            yield self._store_lock.write_acquire()
-            penalty = h.pipeline_write_penalty
-        else:
-            yield self._store_lock.read_acquire()
-            penalty = h.pipeline_read_penalty
-        yield core.execute(h.pipeline_lock_ns)
-        result = self._execute(req)
-        cost = (self.cpu.parse_ns + int(result.cost_ns * penalty)
-                + self.cpu.build_response_ns)
-        if not self.hydra.rdma_write_messaging:
-            cost += self.cpu.sendrecv_server_extra_ns
-        yield core.execute(cost)
-        yield from self._commit_write(core, batch, req, result)
-        if is_write:
-            self._store_lock.write_release()
-        else:
-            self._store_lock.read_release()
-        resp = Response(
-            op=req.op, status=result.status, req_id=req.req_id,
-            value=result.value,
-            rkey=(self.store.region.rkey
-                  if result.status is Status.OK and result.offset >= 0
-                  else 0),
-            roffset=max(result.offset, 0),
-            rlen=result.extent,
-            lease_expiry_ns=result.lease_expiry_ns,
-            version=result.version,
-        )
-        self._respond(conn, resp, slot, batch)
-        if batch is not None and (not self._queue.items
-                                  or self._batch_full(batch)
-                                  or self._batch_aged(batch)):
-            yield from self._finish_sweep(batch)
-
-    def _worker_flat(self, core: Core, batch):
-        """Flat twin of the worker loop: headers unpacked in place, store
-        dispatched on the raw opcode, responses packed straight to wire
-        bytes.  Every lock/execute/replicate/flush yield mirrors
-        :meth:`_worker_body` 1:1 (named tenants fall back to it — the
-        admission path needs the decoded identity), so the schedule
-        digest matches the scalar oracle.  Note the worker loops keep no
-        per-op counters on either path."""
+    def _worker_loop(self, core: Core):
+        """Take hand-offs and run each request end to end: header unpacked
+        in place, admission (named tenants, when there is a batch to
+        account against), store lock, execute, replicate/durable, respond,
+        flush check.  Workers share the partition: GETs take the lock
+        shared, mutations exclusive, and mutations bounce the partition's
+        cachelines between the worker cores.  The workers keep no per-op
+        counters."""
         h = self.hydra
         store = self.store
         queue = self._queue
         lock = self._store_lock
-        replicator = self.replicator
-        durable = self.durable
         unpack = _REQ.unpack_from
         base = _REQ.size
         lock_ns = h.pipeline_lock_ns
         w_pen = h.pipeline_write_penalty
         r_pen = h.pipeline_read_penalty
         parse_build = self.cpu.parse_ns + self.cpu.build_response_ns
-        ok = Status.OK
+        if not h.rdma_write_messaging:
+            parse_build += self.cpu.sendrecv_server_extra_ns
+        # Long-lived response batch: flushed when the hand-off queue
+        # drains or at the resp_doorbell_batch cap, whichever is sooner.
+        batch = self._new_batch()
         try:
             while self.alive:
                 conn, slot, payload = yield queue.get()
@@ -200,10 +146,15 @@ class PipelinedShard(Shard):
                 if bad:
                     self._c_bad_requests.add()
                     continue
-                if tlen:
-                    yield from self._worker_body(
-                        conn, slot, Request.decode(payload), batch, core)
-                    continue
+                if tlen and batch is not None:
+                    shed = yield from self._tenant_admit(
+                        conn, slot, op, rid, payload[base + klen + vlen:],
+                        batch, core)
+                    if shed:
+                        if (not queue.items or self._batch_full(batch)
+                                or self._batch_aged(batch)):
+                            yield from self._finish_sweep(batch)
+                        continue
                 key = payload[base:base + klen]
                 value = payload[base + klen:base + klen + vlen]
                 is_write = _WRITE_LO <= op <= _WRITE_HI
@@ -214,54 +165,21 @@ class PipelinedShard(Shard):
                     yield lock.read_acquire()
                     penalty = r_pen
                 yield core.execute(lock_ns)
-                if op == 1:
-                    result = store.get(key)
-                elif op <= 4:
-                    result = store.upsert(key, value, _OP_BY_CODE[op])
-                elif op == 5:
-                    result = store.remove(key)
-                else:
-                    result = store.lease_renew(key)
+                result = _run_op(store, op, key, value)
                 yield core.execute(parse_build
                                    + int(result.cost_ns * penalty))
-                if (replicator is not None and is_write
-                        and result.status is ok):
-                    rep_cost, wait_ev = replicator.replicate(
-                        _OP_BY_CODE[op], key, value, result.version)
-                    yield core.execute(rep_cost)
-                    if wait_ev is not None:
-                        batch.rep_waits.append(wait_ev)
-                if durable is not None and is_write and result.status is ok:
-                    yield core.execute(self._stage_durable(
-                        batch, _OP_BY_CODE[op], key, value, result.version))
+                if is_write and result.status is Status.OK:
+                    yield from self._commit_write(
+                        core, batch, _OP_BY_CODE[op], key, value,
+                        result.version)
                 if is_write:
                     lock.write_release()
                 else:
                     lock.read_release()
-                self._respond_flat(conn, slot, op, rid, result, store,
-                                   batch)
-                if (not queue.items or self._batch_full(batch)
-                        or self._batch_aged(batch)):
+                self._respond(conn, slot, op, rid, result, store, batch)
+                if batch is not None and (not queue.items
+                                          or self._batch_full(batch)
+                                          or self._batch_aged(batch)):
                     yield from self._finish_sweep(batch)
-        except Interrupt:
-            self.alive = False
-
-    def _worker_loop(self, core: Core):
-        # Long-lived response batch: flushed when the hand-off queue
-        # drains or at the resp_doorbell_batch cap, whichever is sooner.
-        batch = self._new_batch()
-        if self._flat_pipe:
-            yield from self._worker_flat(core, batch)
-            return
-        try:
-            while self.alive:
-                conn, slot, payload = yield self._queue.get()
-                self.metrics.counter("shard.requests").add()
-                try:
-                    req = Request.decode(payload)
-                except (ValueError, KeyError):
-                    self.metrics.counter("shard.bad_requests").add()
-                    continue
-                yield from self._worker_body(conn, slot, req, batch, core)
         except Interrupt:
             self.alive = False

@@ -25,7 +25,10 @@ class HashRing:
         self.vnodes = vnodes
         self._points: list[int] = []          # sorted vnode hashes
         self._owners: dict[int, Hashable] = {}  # vnode hash -> shard id
-        self._members: set[Hashable] = set()
+        #: Members in insertion order (a dict, not a set: iterating a set
+        #: of str ids follows PYTHONHASHSEED, and everything that walks
+        #: the members — connection setup, scale-out — must not).
+        self._members: dict[Hashable, None] = {}
 
     def __len__(self) -> int:
         return len(self._members)
@@ -34,8 +37,9 @@ class HashRing:
         return shard_id in self._members
 
     @property
-    def members(self) -> frozenset:
-        return frozenset(self._members)
+    def members(self) -> tuple:
+        """Every member, in the order it joined the ring."""
+        return tuple(self._members)
 
     def _vnode_hashes(self, shard_id: Hashable) -> Iterable[int]:
         for i in range(self.vnodes):
@@ -44,7 +48,7 @@ class HashRing:
     def add(self, shard_id: Hashable) -> None:
         if shard_id in self._members:
             raise ValueError(f"{shard_id!r} already in ring")
-        self._members.add(shard_id)
+        self._members[shard_id] = None
         for h in self._vnode_hashes(shard_id):
             if h in self._owners:
                 # Astronomically unlikely 64-bit collision; skip the vnode
@@ -56,7 +60,7 @@ class HashRing:
     def remove(self, shard_id: Hashable) -> None:
         if shard_id not in self._members:
             raise ValueError(f"{shard_id!r} not in ring")
-        self._members.discard(shard_id)
+        del self._members[shard_id]
         for h in self._vnode_hashes(shard_id):
             if self._owners.get(h) == shard_id:
                 del self._owners[h]

@@ -46,7 +46,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import count
 from typing import Optional
 
 from ..config import SimConfig
@@ -78,21 +77,20 @@ WRITE_OPS = frozenset({Op.PUT, Op.INSERT, Op.UPDATE, Op.DELETE})
 #: With ready hints on, every N-th sweep probes all connections anyway —
 #: the safety net that catches a connection whose hint was lost.
 FULL_SWEEP_EVERY = 64
-_conn_ids = count(1)
 #: Doorbell value of a control wake (gray failure, disconnect): it makes a
 #: poller still spinning look at what changed -- wedged or left without
 #: connections, it stops at its next probe boundary -- and does not wake
 #: one already asleep.
 _HALT = object()
 
-#: Wire opcode -> Op member: the flat parse path resolves opcodes with a
+#: Wire opcode -> Op member: the request loops resolve opcodes with a
 #: list index instead of the Op(...) enum call.
 _OP_BY_CODE: list = [None] * (max(Op) + 1)
 for _code_op in Op:
     _OP_BY_CODE[_code_op] = _code_op
 _MAX_OP = int(max(Op))
-#: The write opcodes are wire-contiguous (PUT..DELETE); the flat path
-#: tests membership with a range compare instead of a set lookup.
+#: The write opcodes are wire-contiguous (PUT..DELETE); the request loops
+#: test membership with a range compare instead of a set lookup.
 _WRITE_LO, _WRITE_HI = int(Op.PUT), int(Op.DELETE)
 assert all(_WRITE_LO <= int(o) <= _WRITE_HI for o in WRITE_OPS)
 
@@ -103,6 +101,19 @@ def _probes_run(elapsed: int, window: int, probe: int) -> int:
     if elapsed > window or not window:
         return 0
     return max(1, -(-elapsed // probe))
+
+
+def _run_op(store: ShardStore, op: int, key: bytes,
+            value: bytes) -> StoreResult:
+    """Execute one request against ``store``, dispatched on its raw
+    opcode (the base shard's sweep inlines this)."""
+    if op == 1:
+        return store.get(key)
+    if op <= 4:
+        return store.upsert(key, value, _OP_BY_CODE[op])
+    if op == 5:
+        return store.remove(key)
+    return store.lease_renew(key)
 
 
 class _SweepBatch:
@@ -129,8 +140,8 @@ class _SweepBatch:
         self.first_ns: Optional[int] = None
         #: Named-tenant occupancy this sweep: tenant -> slots handled.
         #: Drives the per-sweep shed cap (``qos.server_shed_slots``) and
-        #: the ``shard.tenant.<t>.slots`` tallies.  Anonymous (legacy)
-        #: requests are not tracked — the default path stays untouched.
+        #: the ``shard.tenant.<t>.slots`` tallies.  Anonymous requests
+        #: are not tracked.
         self.tenant_slots: dict[str, int] = {}
 
 
@@ -239,14 +250,11 @@ class Shard:
         self._gray_gate = Gate(sim)
         self.alive = False
         self._procs: list = []
-        # -- flat hot path (hydra.flat_hot_paths) --------------------------
-        self._flat = (config.hydra.flat_hot_paths
-                      and self.hydra.transport == "rdma")
         m = self.metrics
         self._c_requests = m.counter("shard.requests")
         self._c_bad_requests = m.counter("shard.bad_requests")
-        #: Per-op counters indexed by the raw wire opcode — the scalar
-        #: path's ``f"shard.op.{op.name}"`` lookup resolved once.
+        #: Per-op counters indexed by the raw wire opcode (an
+        #: ``f"shard.op.{op.name}"`` lookup resolved once).
         self._c_op = [None] * (max(Op) + 1)
         for _op in Op:
             self._c_op[_op] = m.counter(f"shard.op.{_op.name}")
@@ -268,7 +276,7 @@ class Shard:
         self._ba_keys: list[bytes] = []
         self._ba_vals: list[bytes] = []
         self._ba_rids: list[int] = []
-        self._ba_raw: list = []
+        self._ba_tenants: list[bytes] = []
         #: Connection-set generation: bumped on conn add/drop so holders
         #: of derived connection lists (pipelined I/O threads) re-derive
         #: them only when the set actually changed, instead of rebuilding
@@ -387,7 +395,7 @@ class Shard:
                                    name=f"{self.shard_id}.resp")
         client_nic.register(resp_region)
         conn = Connection(
-            conn_id=next(_conn_ids),
+            conn_id=next(fabric.conn_ids),
             shard_qp=shard_qp,
             client_qp=client_qp,
             req_region=req_region,
@@ -692,20 +700,25 @@ class Shard:
             self.alive = False
 
     def _handle_tcp(self, conn, payload: bytes, outbox=None):
-        self.metrics.counter("shard.requests").add()
+        self._c_requests.add()
         try:
             req = Request.decode(payload)
         except (ValueError, KeyError):
-            self.metrics.counter("shard.bad_requests").add()
+            self._c_bad_requests.add()
             return
-        self.metrics.counter(f"shard.op.{req.op.name}").add()
-        result = self._execute(req)
-        self._count_index_mutation(req, result)
+        op = req.op
+        self._c_op[op].add()
+        result = _run_op(self.store, op, req.key, req.value)
+        is_ok_write = op in WRITE_OPS and result.status is Status.OK
+        if is_ok_write and self.store.export is not None:
+            self._c_index_mut.add()
         yield self.core.execute(
             self.cpu.parse_ns + result.cost_ns + self.cpu.build_response_ns)
-        yield from self._commit_write(self.core, None, req, result)
+        if is_ok_write:
+            yield from self._commit_write(self.core, None, op, req.key,
+                                          req.value, result.version)
         # No remote pointer over TCP: one-sided reads are impossible.
-        resp = Response(op=req.op, status=result.status, req_id=req.req_id,
+        resp = Response(op=op, status=result.status, req_id=req.req_id,
                         value=result.value, version=result.version)
         data = resp.encode()
         if outbox is not None and conn.open:
@@ -759,96 +772,30 @@ class Shard:
             ready, extra_ns = self._poll_conn(conn)
             if extra_ns:
                 yield core.execute(extra_ns)
-            if self._flat and batch is not None:
-                if ready:
-                    processed += len(ready)
-                    yield from self._handle_batch(conn, ready, batch)
-                continue
-            for slot, payload in ready:
-                yield from self._handle(conn, slot, payload, batch)
-                processed += 1
-                if self._batch_aged(batch):
-                    # Mid-sweep age flush: don't let early responses
-                    # wait out the rest of a big sweep.
-                    self._c_age_flushes.add()
-                    yield from self._finish_sweep(batch)
+            if ready:
+                processed += len(ready)
+                yield from self._handle_batch(conn, ready, batch)
         yield from self._finish_sweep(batch)
         return processed
 
     # -- request execution ---------------------------------------------------
-    def _execute(self, req: Request) -> StoreResult:
-        if req.op is Op.GET:
-            return self.store.get(req.key)
-        if req.op in (Op.PUT, Op.INSERT, Op.UPDATE):
-            return self.store.upsert(req.key, req.value, req.op)
-        if req.op is Op.DELETE:
-            return self.store.remove(req.key)
-        if req.op is Op.LEASE_RENEW:
-            return self.store.lease_renew(req.key)
-        return StoreResult(status=Status.ERROR, cost_ns=self.cpu.parse_ns)
-
-    def _count_index_mutation(self, req: Request,
-                              result: StoreResult) -> None:
-        """Count mutations that version-bumped exported index buckets."""
-        if (req.op in WRITE_OPS and result.status is Status.OK
-                and self.store_for_key(req.key).export is not None):
-            self.metrics.counter("shard.index_mutations_versioned").add()
-
-    def _handle(self, conn: Connection, slot: int, payload: bytes,
-                batch: Optional[_SweepBatch] = None):
-        self.metrics.counter("shard.requests").add()
-        try:
-            req = Request.decode(payload)
-        except (ValueError, KeyError):
-            self.metrics.counter("shard.bad_requests").add()
-            return
-        self.metrics.counter(f"shard.op.{req.op.name}").add()
-        yield from self._handle_req(conn, slot, req, batch)
-
-    def _handle_req(self, conn: Connection, slot: int, req: Request,
-                    batch: Optional[_SweepBatch] = None):
-        if req.tenant and batch is not None:
-            shed = yield from self._tenant_admit(conn, slot, req, batch,
-                                                 self.core)
-            if shed:
-                return
-        result = self._execute(req)
-        self._count_index_mutation(req, result)
-        cost = (self.cpu.parse_ns + result.cost_ns
-                + self.cpu.build_response_ns)
-        if not self.hydra.rdma_write_messaging:
-            cost += self.cpu.sendrecv_server_extra_ns
-        yield self.core.execute(cost)
-        yield from self._commit_write(self.core, batch, req, result)
-        resp = Response(
-            op=req.op, status=result.status, req_id=req.req_id,
-            value=result.value,
-            rkey=(self.store.region.rkey
-                  if result.status is Status.OK and result.offset >= 0
-                  else 0),
-            roffset=max(result.offset, 0),
-            rlen=result.extent,
-            lease_expiry_ns=result.lease_expiry_ns,
-            version=result.version,
-        )
-        self._respond(conn, resp, slot, batch)
-
     def _handle_batch(self, conn: Connection, ready: list,
-                      batch: _SweepBatch):
-        """Flat-array sweep inner loop (``hydra.flat_hot_paths``).
+                      batch: Optional[_SweepBatch]):
+        """The request body: one connection's ready requests through
+        parse -> index -> replicate/durable -> respond.
 
-        Processes one connection's whole ready batch through
-        parse→index→respond as parallel arrays: request headers are
-        unpacked with ``struct.unpack_from`` into reused scratch lists
-        (no Request objects), the store is dispatched on the raw opcode,
-        and responses are packed straight to wire bytes (no Response
-        objects, no ``encode()``).  Every simulated yield of the scalar
-        path — the per-request ``core.execute``, replication issue and
-        ack collection, mid-batch age flushes — is preserved 1:1, so the
-        schedule digest stays bit-identical to the scalar oracle
-        (``flat_hot_paths=False``).  Named-tenant requests fall back to
-        the scalar per-request body: admission accounting needs the
-        decoded tenant and is not a hot path.
+        Requests are handled as parallel arrays: headers are unpacked with
+        ``struct.unpack_from`` into reused scratch lists (no Request
+        objects), the store is dispatched on the raw opcode, and responses
+        are packed straight to wire bytes.  Three steps depend on the
+        mode.  Where the response goes: buffered into the sweep ``batch``
+        for its doorbell-coalesced flush, or — with no batch — posted on
+        its own by :meth:`_respond`.  Send/Recv messaging adds its
+        per-request CPU surcharge.  And with no batch, a write's
+        replication/durable wait blocks right here instead of once per
+        sweep (:meth:`_finish_sweep`).  Named-tenant requests pass
+        :meth:`_tenant_admit` first when there is a batch to account them
+        against.
         """
         c_req = self._c_requests
         c_op = self._c_op
@@ -857,20 +804,20 @@ class Shard:
         keys = self._ba_keys
         vals = self._ba_vals
         rids = self._ba_rids
-        raws = self._ba_raw
+        tenants = self._ba_tenants
         while len(ops) < len(ready):
             ops.append(0)
             slots_a.append(0)
             keys.append(b"")
             vals.append(b"")
             rids.append(0)
-            raws.append(None)
+            tenants.append(b"")
         unpack = _REQ.unpack_from
         base = _REQ.size
         n = 0
         # Pass 1 — parse. No simulated time passes here (parsing cost is
-        # charged with the execute below, as on the scalar path), so
-        # batching the parses cannot reorder events.
+        # charged with the execute below), so batching the parses cannot
+        # reorder events.
         for slot, payload in ready:
             c_req.add()
             bad = len(payload) < base
@@ -880,52 +827,48 @@ class Shard:
                        or not 1 <= op <= _MAX_OP)
             if bad:
                 self._c_bad_requests.add()
-                # Keep a no-op entry so pass 2 runs the same per-request
-                # age-flush check the scalar loop runs after a bad one.
-                ops[n] = -2
+                # Keep a no-op entry (opcode 0) so pass 2 still runs the
+                # per-request age-flush check after it.
+                ops[n] = 0
                 n += 1
                 continue
             c_op[op].add()
+            ops[n] = op
             slots_a[n] = slot
             rids[n] = rid
-            if tlen:
-                ops[n] = -1  # tenant request: scalar fallback in pass 2
-                raws[n] = payload
-            else:
-                ops[n] = op
-                keys[n] = payload[base:base + klen]
-                vals[n] = payload[base + klen:base + klen + vlen]
+            keys[n] = payload[base:base + klen]
+            vals[n] = payload[base + klen:base + klen + vlen]
+            tenants[n] = payload[base + klen + vlen:] if tlen else b""
             n += 1
         # Pass 2 — execute + respond, in arrival order.
         sim = self.sim
         cpu = self.cpu
-        core_execute = self.core.execute
+        core = self.core
+        core_execute = core.execute
         store = self.store
         replicator = self.replicator
         durable = self.durable
         # Base shards execute every key against their one store
-        # (store_for_key exists for the sub-sharded loops, which do not
-        # route through this handler).
+        # (store_for_key exists for the sub-sharded executors).
         exported = store.export is not None
         region_rkey = store.region.rkey
         parse_build = cpu.parse_ns + cpu.build_response_ns
+        if not self.hydra.rdma_write_messaging:
+            parse_build += cpu.sendrecv_server_extra_ns
         pack = _RESP.pack
         resp_rptrs = conn.resp_slot_rptrs
         consumed = conn.consumed_pending
         conn_id = conn.conn_id
-        batch_resp = batch.resp
-        rep_waits = batch.rep_waits
         ok = Status.OK
         for i in range(n):
             op = ops[i]
-            slot = slots_a[i]
-            if op == -2:
-                pass  # bad request: counted in pass 1, nothing to do
-            elif op == -1:
-                req = Request.decode(raws[i])
-                raws[i] = None
-                yield from self._handle_req(conn, slot, req, batch)
-            else:
+            if op and tenants[i] and batch is not None:
+                shed = yield from self._tenant_admit(
+                    conn, slots_a[i], op, rids[i], tenants[i], batch, core)
+                if shed:
+                    op = 0
+            if op:
+                slot = slots_a[i]
                 key = keys[i]
                 if op == 1:
                     result = store.get(key)
@@ -941,53 +884,63 @@ class Shard:
                 if is_ok_write and exported:
                     self._c_index_mut.add()
                 yield core_execute(parse_build + result.cost_ns)
+                # The write pipeline (:meth:`_commit_write`, inlined).
                 if replicator is not None and is_ok_write:
                     rep_cost, wait_ev = replicator.replicate(
                         _OP_BY_CODE[op], key, vals[i], result.version)
                     yield core_execute(rep_cost)
                     if wait_ev is not None:
-                        rep_waits.append(wait_ev)
+                        if batch is None:
+                            yield wait_ev
+                        else:
+                            batch.rep_waits.append(wait_ev)
                 if durable is not None and is_ok_write:
                     yield core_execute(self._stage_durable(
                         batch, _OP_BY_CODE[op], key, vals[i], result.version))
-                # Respond: straight to wire bytes, buffered for the
-                # sweep's doorbell-coalesced flush (the scalar _respond
-                # batch branch, inlined).
-                consumed.discard(slot)
-                value = result.value
-                offset = result.offset
-                data = pack(op, status, 0, len(value), rids[i],
-                            region_rkey if (status is ok and offset >= 0)
-                            else 0,
-                            offset if offset > 0 else 0,
-                            result.extent, result.lease_expiry_ns,
-                            result.version) + value
-                if frame_len(len(data)) > resp_rptrs[slot].length:
-                    self._c_resp_overflow.add()
-                    data = pack(op, Status.ERROR, 0, 0, rids[i],
-                                0, 0, 0, 0, 0)
-                if batch.first_ns is None:
-                    batch.first_ns = sim.now
-                batch_resp.setdefault(conn_id, (conn, []))[1].append(
-                    (slot, data))
+                    if batch is None:
+                        yield from durable.wait_released()
+                if batch is None:
+                    self._respond(conn, slot, op, rids[i], result, store,
+                                  None)
+                else:
+                    # Buffer straight to wire bytes for the sweep's
+                    # doorbell-coalesced flush (:meth:`_respond`'s batch
+                    # branch, inlined).
+                    consumed.discard(slot)
+                    value = result.value
+                    offset = result.offset
+                    data = pack(op, status, 0, len(value), rids[i],
+                                region_rkey if (status is ok and offset >= 0)
+                                else 0,
+                                offset if offset > 0 else 0,
+                                result.extent, result.lease_expiry_ns,
+                                result.version) + value
+                    if frame_len(len(data)) > resp_rptrs[slot].length:
+                        self._c_resp_overflow.add()
+                        data = pack(op, Status.ERROR, 0, 0, rids[i],
+                                    0, 0, 0, 0, 0)
+                    if batch.first_ns is None:
+                        batch.first_ns = sim.now
+                    batch.resp.setdefault(conn_id, (conn, []))[1].append(
+                        (slot, data))
             if self._batch_aged(batch):
+                # Mid-sweep age flush: don't let early responses wait out
+                # the rest of a big sweep.
                 self._c_age_flushes.add()
                 yield from self._finish_sweep(batch)
-                # A flush clears the buffered-response map in place;
-                # the cached locals stay valid for the next append.
 
-    def _tenant_admit(self, conn: Connection, slot: int, req: Request,
-                      batch: _SweepBatch, core: Core):
+    def _tenant_admit(self, conn: Connection, slot: int, op: int, rid: int,
+                      tenant: bytes, batch: _SweepBatch, core: Core):
         """Named-tenant occupancy accounting + optional per-sweep shed.
 
-        Anonymous (legacy) requests never reach this — the default client
-        path stays bit-identical.  With ``qos.server_shed_slots > 0``, a
-        tenant that already consumed its slot share of the current sweep
-        is refused cheaply with a typed ``Status.THROTTLED`` response
-        carrying the ``qos.shed_retry_after_ns`` hint — the overload
-        never reaches the store.  Returns True when the request was shed.
+        Anonymous requests never reach this.  With
+        ``qos.server_shed_slots > 0``, a tenant that already consumed its
+        slot share of the current sweep is refused cheaply with a typed
+        ``Status.THROTTLED`` response carrying the
+        ``qos.shed_retry_after_ns`` hint — the overload never reaches the
+        store.  Returns True when the request was shed.
         """
-        tname = req.tenant.decode()
+        tname = tenant.decode()
         used = batch.tenant_slots.get(tname, 0) + 1
         batch.tenant_slots[tname] = used
         self.metrics.counter(f"shard.tenant.{tname}.ops").add()
@@ -997,9 +950,10 @@ class Shard:
         self.metrics.counter("shard.shed_ops").add()
         self.metrics.counter(f"shard.tenant.{tname}.shed").add()
         yield core.execute(self.cpu.parse_ns + self.cpu.build_response_ns)
-        self._respond(conn, Response(
-            op=req.op, status=Status.THROTTLED, req_id=req.req_id,
-            lease_expiry_ns=self.qos_cfg.shed_retry_after_ns), slot, batch)
+        self._respond(conn, slot, op, rid, StoreResult(
+            status=Status.THROTTLED,
+            lease_expiry_ns=self.qos_cfg.shed_retry_after_ns),
+            self.store, batch)
         return True
 
     # -- responses ---------------------------------------------------------
@@ -1028,55 +982,13 @@ class Shard:
             return False
         return self.sim.now - batch.first_ns >= max_ns
 
-    def _respond(self, conn: Connection, resp: Response, slot: int = 0,
-                 batch: Optional[_SweepBatch] = None) -> None:
-        if slot >= 0:
-            # From here the response is on its way (buffered or posted):
-            # the slot may legitimately carry a new frame once the client
-            # drains it, so stop treating announce bits for it as stale.
-            conn.consumed_pending.discard(slot)
-        data = resp.encode()
-        if self.hydra.rdma_write_messaging:
-            rptr = conn.resp_slot_rptrs[max(slot, 0)]
-            if frame_len(len(data)) > rptr.length:
-                # The item outgrew the response slot (e.g. it was PUT over
-                # a bigger-buffered connection): degrade to an ERROR reply
-                # rather than silently dropping — the client sees a clean
-                # failure instead of a timeout.
-                self.metrics.counter("shard.resp_overflow").add()
-                resp = Response(op=resp.op, status=Status.ERROR,
-                                req_id=resp.req_id)
-                data = resp.encode()
-            if batch is not None:
-                if batch.first_ns is None:
-                    batch.first_ns = self.sim.now
-                batch.resp.setdefault(conn.conn_id, (conn, []))[1].append(
-                    (max(slot, 0), data))
-                return
-        try:
-            if self.hydra.rdma_write_messaging:
-                conn.shard_qp.post_write(rptr, frame(data), signaled=False)
-                self._c_resp_doorbells.add()
-            else:
-                conn.shard_qp.post_send(data)
-        except QpError:
-            # The client tore the connection down (failover retry or
-            # teardown) between issuing the request and this response:
-            # the response is undeliverable, not a shard failure.
-            self.metrics.counter("shard.undeliverable_responses").add()
-        # Fire-and-forget: the shard moves to the next request buffer
-        # without waiting for the completion (§4.1.1).
-
-    def _respond_flat(self, conn: Connection, slot: int, op: int, rid: int,
-                      result, store: ShardStore,
-                      batch: _SweepBatch) -> None:
-        """Buffer one response packed straight to wire bytes — the
-        batched branch of :meth:`_respond` without the Response object.
-        Used by the sub-sharded / pipelined flat executors, which respond
-        one op at a time against varying stores (the base sweep inlines
-        this in :meth:`_handle_batch` with the per-sweep state hoisted).
-        """
-        conn.consumed_pending.discard(slot)
+    def _respond(self, conn: Connection, slot: int, op: int, rid: int,
+                 result: StoreResult, store: ShardStore,
+                 batch: Optional[_SweepBatch]) -> None:
+        """Answer one request from ``result`` (packed straight to wire
+        bytes, its remote pointer into ``store``): buffered into ``batch``
+        for the sweep's doorbell-coalesced flush, or — with no batch —
+        posted on its own, as one unsignaled RDMA Write or a Send."""
         status = result.status
         value = result.value
         offset = result.offset
@@ -1086,13 +998,39 @@ class Shard:
                           offset if offset > 0 else 0,
                           result.extent, result.lease_expiry_ns,
                           result.version) + value
-        if frame_len(len(data)) > conn.resp_slot_rptrs[slot].length:
-            self._c_resp_overflow.add()
-            data = _RESP.pack(op, Status.ERROR, 0, 0, rid, 0, 0, 0, 0, 0)
-        if batch.first_ns is None:
-            batch.first_ns = self.sim.now
-        batch.resp.setdefault(conn.conn_id, (conn, []))[1].append(
-            (slot, data))
+        messaging = self.hydra.rdma_write_messaging
+        if messaging:
+            # From here the response is on its way (buffered or posted):
+            # the slot may legitimately carry a new frame once the client
+            # drains it, so stop treating announce bits for it as stale.
+            conn.consumed_pending.discard(slot)
+            rptr = conn.resp_slot_rptrs[slot]
+            if frame_len(len(data)) > rptr.length:
+                # The item outgrew the response slot (e.g. it was PUT over
+                # a bigger-buffered connection): degrade to an ERROR reply
+                # rather than silently dropping — the client sees a clean
+                # failure instead of a timeout.
+                self._c_resp_overflow.add()
+                data = _RESP.pack(op, Status.ERROR, 0, 0, rid, 0, 0, 0, 0, 0)
+            if batch is not None:
+                if batch.first_ns is None:
+                    batch.first_ns = self.sim.now
+                batch.resp.setdefault(conn.conn_id, (conn, []))[1].append(
+                    (slot, data))
+                return
+        # Fire-and-forget: the shard moves to the next request buffer
+        # without waiting for a completion (§4.1.1).
+        try:
+            if messaging:
+                conn.shard_qp.post_write(rptr, frame(data), signaled=False)
+                self._c_resp_doorbells.add()
+            else:
+                conn.shard_qp.post_send(data)
+        except QpError:
+            # The client tore the connection down (failover retry or
+            # teardown) between issuing the request and this response:
+            # the response is undeliverable, not a shard failure.
+            self.metrics.counter("shard.undeliverable_responses").add()
 
     def _flush_conn(self, conn: Connection, entries: list) -> None:
         """Flush one connection's buffered responses.
@@ -1134,8 +1072,9 @@ class Shard:
         return cost
 
     def _commit_write(self, core: Core, batch: Optional[_SweepBatch],
-                      req: Request, result):
-        """Scalar-path replicate and durable stages of the write pipeline.
+                      op: Op, key: bytes, value: bytes, version: int):
+        """Replicate and durable stages of an OK write (the base sweep
+        inlines them).
 
         In rdma_log mode the shard moves on at once and the secondary's
         merge overlaps the *next* requests; strict mode blocks for the
@@ -1143,13 +1082,12 @@ class Shard:
         :meth:`_finish_sweep`, before any of its responses is flushed)
         when responses are batched, right here otherwise.  The durable
         append never blocks a batching sweep; batch-less callers (TCP,
-        ``resp_doorbell_batch=0``) wait until the log releases the record.
+        Send/Recv, ``resp_doorbell_batch=0``) wait until the log releases
+        the record.
         """
-        if req.op not in WRITE_OPS or result.status is not Status.OK:
-            return
         if self.replicator is not None:
-            rep_cost, wait_ev = self.replicator.replicate(
-                req.op, req.key, req.value, result.version)
+            rep_cost, wait_ev = self.replicator.replicate(op, key, value,
+                                                          version)
             yield core.execute(rep_cost)
             if wait_ev is not None:
                 if batch is not None:
@@ -1157,8 +1095,8 @@ class Shard:
                 else:
                     yield wait_ev
         if self.durable is not None:
-            yield core.execute(self._stage_durable(
-                batch, req.op, req.key, req.value, result.version))
+            yield core.execute(self._stage_durable(batch, op, key, value,
+                                                   version))
             if batch is None:
                 yield from self.durable.wait_released()
 

@@ -48,11 +48,10 @@ class CompletionQueue:
                   max_entries: int = 16) -> int:
         """Allocation-free :meth:`poll` into a caller-owned scratch list.
 
-        Companion to the flat hot paths' scratch-buffer discipline: a
-        poll loop can reuse one list per drain instead of allocating.
-        Entries may be pooled records (``CompletionPool``); they pass
-        through by reference and releasing them back to their pool
-        remains the consumer's job.  Returns the number appended.
+        A poll loop can reuse one scratch list per drain instead of
+        allocating.  Entries may be pooled records (``CompletionPool``);
+        they pass through by reference and releasing them back to their
+        pool remains the consumer's job.  Returns the number appended.
         """
         n = 0
         while self._entries and n < max_entries:

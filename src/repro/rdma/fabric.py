@@ -32,6 +32,11 @@ class Fabric:
         self.nics: list[Nic] = []
         self._rkeys = count(start=1)
         self._qp_nums = count(start=1)
+        #: Client-connection ids for the shards on this fabric: numbered
+        #: per cluster, so a run's connection ids (and what pipelined I/O
+        #: threads partition by) do not depend on what ran before it in
+        #: the same process.
+        self.conn_ids = count(start=1)
         self._rkey_table: dict[int, tuple[Nic, MemoryRegion]] = {}
         #: Optional chaos hook (:class:`repro.chaos.FaultInjector`): when
         #: set, every RDMA Write/Read consults it for drop / delay /

@@ -3,15 +3,17 @@
 Each NIC has two serial engines — TX and RX — that give it a finite
 operation rate and make payload serialization occupy the port.  All verbs
 are orchestrated as callback chains (not processes) to keep the event count
-per operation small.  An unsignaled Write (``IBV_SEND_SIGNALED`` clear, the
-data path's choice: both sides learn of arrival by polling memory) is three
-calendar entries (tx, fly, rx) and stops at delivery; a signaled one adds
-the RC ack and its completion event.  A Read is six (tx, fly, responder,
-response, fly back, home rx) plus its completion event — which a doorbell
-chain runs inline at the home hop, so a chain schedules only its one batch
-event.  The RC transport-retry bound costs none of them: every signaled WQE
-of a NIC joins one FIFO deadline queue served by a single timer
-(:meth:`Nic._watch`).
+per operation small; a Write or Read WQE is one pooled record
+(:class:`_WriteOp` / :class:`_ReadOp`) whose pre-bound hops recycle
+through a per-NIC freelist.  An unsignaled Write (``IBV_SEND_SIGNALED``
+clear, the data path's choice: both sides learn of arrival by polling
+memory) is three calendar entries (tx, fly, rx) and stops at delivery;
+a signaled one adds the RC ack and its completion event.  A Read is six
+(tx, fly, responder, response, fly back, home rx) plus its completion
+event — which a doorbell chain runs inline at the home hop, so a chain
+schedules only its one batch event.  The RC transport-retry bound costs
+none of them: every signaled WQE of a NIC joins one FIFO deadline queue
+served by a single timer (:meth:`Nic._watch`).
 
 Two properties the higher layers depend on:
 
@@ -119,10 +121,9 @@ class _ChainWqe(Event):
 
 
 class _WriteOp:
-    """Pooled WQE state for the flat RDMA-Write path.
+    """Pooled WQE state of one RDMA Write.
 
-    The scalar :meth:`Nic.issue_write` builds ~6 closures per WQE; a
-    pooled record carries the same state in ``__slots__`` with every
+    The record carries a WQE's state in ``__slots__`` with every hop
     callback pre-bound once at construction, so a recycled record posts a
     WQE with zero new function objects.  The record owns itself: it
     returns to its NIC's freelist only once every scheduled hop (tx, fly,
@@ -132,10 +133,6 @@ class _WriteOp:
     delivery.  The retry deadline is not a hop: :meth:`Nic._watch` holds
     the completion event, not the record, which therefore recycles at the
     ack (or where the packet is lost).
-
-    The hop sequence — and therefore every simulator event it creates —
-    mirrors the scalar closure chain exactly; the schedule-digest parity
-    tests hold both paths to bit-identical dispatch.
     """
 
     __slots__ = ("nic", "qp", "region", "offset", "data", "wr_id", "ev",
@@ -216,9 +213,12 @@ class _WriteOp:
         fault = self.fault
         torn = fault.get("torn_bytes", 0) if fault else 0
         if torn:
-            # Injected torn write (see the scalar path): a word-aligned
-            # prefix lands, the RC ack never arrives, the retry deadline
-            # completes the op with RETRY_EXC.
+            # Injected torn write: a word-aligned prefix of the payload
+            # lands (DMA is word-granular, so the occupancy/guardian words
+            # themselves are never half-written) but the RC ack never
+            # arrives — the retry deadline ends the op with RETRY_EXC.
+            # Readers must reject the partial frame via the indicator
+            # tail / guardian checks.
             try:
                 self.region.write(self.offset, self.data[:torn])
             except AccessViolation:
@@ -233,6 +233,8 @@ class _WriteOp:
             status = WcStatus.SUCCESS
         sim = self.nic.sim
         if fault and fault.get("duplicate") and status is WcStatus.SUCCESS:
+            # A retransmitted packet applied twice at the target: the same
+            # bytes land again shortly after the first delivery.
             redeliver = sim.timeout(2 * self.prop + self.peer_nic._rx_cost())
             redeliver.callbacks.append(self.cb_redeliver)
             self.pending += 1
@@ -280,14 +282,14 @@ class _WriteOp:
 
 
 class _ReadOp:
-    """Pooled WQE state for the flat RDMA-Read path.
+    """Pooled WQE state of one RDMA Read.
 
-    Read-side twin of :class:`_WriteOp`: same freelist ownership rule
-    (retire only after every scheduled hop has run; the retry deadline
-    holds the completion event, not the record) and the same hop-for-hop
-    mirroring of the scalar closure chain: tx, fly, responder, response,
-    fly back, home rx, then the completion — inline at the home rx hop for
-    a successful WQE of a doorbell chain (:class:`_ChainWqe`).
+    Read-side twin of :class:`_WriteOp`, with the same freelist ownership
+    rule (retire only after every scheduled hop has run; the retry
+    deadline holds the completion event, not the record).  Hops: tx, fly,
+    responder, response, fly back, home rx, then the completion — inline
+    at the home rx hop for a successful WQE of a doorbell chain
+    (:class:`_ChainWqe`).
     """
 
     __slots__ = ("nic", "qp", "region", "offset", "length", "wr_id", "ev",
@@ -443,11 +445,10 @@ class Nic:
         self.rx = _Engine(sim)
         self.qps: list["QueuePair"] = []
         self.alive = True
-        # -- flat hot path (hydra.flat_hot_paths) --------------------------
         #: Freelist of CQE records for doorbell-batched chains; consumers
         #: that finish a chain release its records here for reuse.
         self.wc_pool = CompletionPool()
-        self._flat = config.hydra.flat_hot_paths
+        #: Freelists of pooled WQE records (see :class:`_WriteOp`).
         self._write_ops: list[_WriteOp] = []
         self._read_ops: list[_ReadOp] = []
         #: RC transport retry: ``(deadline, ev, op, wr_id, qp_num, pool)``
@@ -552,102 +553,17 @@ class Nic:
         """One RDMA Write.  ``coalesced`` WQEs ride an earlier WQE's
         doorbell and skip the per-op MMIO cost (``doorbell_ns``).
 
-        ``pool``: CQE freelist the completion record is drawn from (flat
-        hot path); ``None`` allocates a fresh :class:`Completion`.
+        ``pool``: CQE freelist the completion record is drawn from (doorbell
+        chains); ``None`` allocates a fresh :class:`Completion`.
         ``chained``: the completion's one consumer is a chain collector
         (:class:`_ChainWqe`).  ``signaled=False`` lands the same bytes at
         the same instant but generates no ack, CQE or retry deadline, and
         returns False if the post failed locally (dead NIC), else True.
         """
-        if self._flat:
-            ops = self._write_ops
-            rec = ops.pop() if ops else _WriteOp(self)
-            return rec.begin(qp, region, offset, data, wr_id, coalesced,
-                             pool, chained, signaled)
-        ev = self._wqe_event(chained) if signaled else None
-        op = Opcode.RDMA_WRITE
-        if not self.alive:
-            if ev is None:
-                return False
-            self._fail_completion(ev, op, WcStatus.LOCAL_QP_ERR, wr_id,
-                                  qp.qp_num)
-            return ev
-        self.metrics.counter("rdma.write.ops").add()
-        self.metrics.counter("rdma.write.bytes").add(len(data))
-        if coalesced:
-            self.metrics.counter("rdma.write.coalesced").add()
-        else:
-            self.metrics.counter("rdma.write.doorbells").add()
-        peer_nic: "Nic" = qp.peer.nic
-        prop = self.fabric.prop_ns(self, peer_nic)
-        inj = self.fabric.fault_injector
-        fault = inj.rdma_write_fault(self, qp, region, offset, data) \
-            if inj is not None else None
-        if ev is not None:
-            self._watch(ev, op, wr_id, qp.qp_num)
-
-        def after_tx() -> None:
-            delay = fault.get("delay_ns", 0) if fault else 0
-            fly = self.sim.timeout(prop + delay)
-            fly.callbacks.append(lambda _e: arrive())
-
-        def arrive() -> None:
-            if not peer_nic.alive:
-                return  # silently lost; the retry deadline fires
-            if fault and fault.get("drop"):
-                return  # injected loss; the retry deadline fires
-            peer_nic.rx.submit(lambda: peer_nic._rx_cost(), deliver)
-
-        def deliver() -> None:
-            torn = fault.get("torn_bytes", 0) if fault else 0
-            if torn:
-                # Injected torn write: a word-aligned prefix of the payload
-                # lands (DMA is word-granular, so the occupancy/guardian
-                # words themselves are never half-written) but the RC ack
-                # never arrives — the retry deadline ends the op with
-                # RETRY_EXC.  Readers must reject the partial frame via
-                # the indicator tail / guardian checks.
-                try:
-                    region.write(offset, data[:torn])
-                except AccessViolation:
-                    pass
-                return
-            try:
-                region.write(offset, data)
-            except AccessViolation:
-                status = WcStatus.REM_ACCESS_ERR
-            else:
-                status = WcStatus.SUCCESS
-            if fault and fault.get("duplicate") \
-                    and status is WcStatus.SUCCESS:
-                # A retransmitted packet applied twice at the target: the
-                # same bytes land again shortly after the first delivery.
-                redeliver = self.sim.timeout(2 * prop + peer_nic._rx_cost())
-
-                def _redeliver(_e: Event) -> None:
-                    try:
-                        region.write(offset, data)
-                    except AccessViolation:
-                        pass
-
-                redeliver.callbacks.append(_redeliver)
-            if ev is None:
-                return  # unsignaled: no ack, no CQE
-            ack = self.sim.timeout(prop)
-
-            def _acked(_e: Event) -> None:
-                if not ev.triggered:
-                    ev.succeed(Completion(opcode=op, status=status,
-                                          wr_id=wr_id, byte_len=len(data),
-                                          qp_num=qp.qp_num))
-
-            ack.callbacks.append(_acked)
-
-        discount = min(self.cfg.doorbell_ns, self.cfg.tx_op_ns) \
-            if coalesced else 0
-        self.tx.submit(lambda: max(0, self._tx_cost(len(data)) - discount),
-                       after_tx)
-        return True if ev is None else ev
+        ops = self._write_ops
+        rec = ops.pop() if ops else _WriteOp(self)
+        return rec.begin(qp, region, offset, data, wr_id, coalesced, pool,
+                         chained, signaled)
 
     def issue_read(self, qp: "QueuePair", region: MemoryRegion, offset: int,
                    length: int, wr_id: int, coalesced: bool = False,
@@ -658,78 +574,10 @@ class Nic:
 
         ``pool`` and ``chained`` as for :meth:`issue_write`.
         """
-        if self._flat:
-            ops = self._read_ops
-            rec = ops.pop() if ops else _ReadOp(self)
-            return rec.begin(qp, region, offset, length, wr_id, coalesced,
-                             pool, chained)
-        ev = self._wqe_event(chained)
-        op = Opcode.RDMA_READ
-        if not self.alive:
-            self._fail_completion(ev, op, WcStatus.LOCAL_QP_ERR, wr_id,
-                                  qp.qp_num)
-            return ev
-        self.metrics.counter("rdma.read.ops").add()
-        self.metrics.counter("rdma.read.bytes").add(length)
-        if coalesced:
-            self.metrics.counter("rdma.read.coalesced").add()
-        else:
-            self.metrics.counter("rdma.read.doorbells").add()
-        peer_nic: "Nic" = qp.peer.nic
-        prop = self.fabric.prop_ns(self, peer_nic)
-        inj = self.fabric.fault_injector
-        fault = inj.rdma_read_fault(self, qp, region, offset, length) \
-            if inj is not None else None
-        self._watch(ev, op, wr_id, qp.qp_num)
-        state: dict[str, object] = {}
-
-        def after_tx() -> None:
-            fly = self.sim.timeout(prop)
-            fly.callbacks.append(lambda _e: arrive())
-
-        def arrive() -> None:
-            if not peer_nic.alive:
-                return
-            if fault and fault.get("drop"):
-                return  # response never generated; the retry deadline fires
-            peer_nic.rx.submit(
-                lambda: peer_nic._rx_cost(extra=peer_nic.cfg.read_responder_ns),
-                responder_done,
-            )
-
-        def responder_done() -> None:
-            # The DMA engine snapshots host memory *now* — this is the
-            # instant that matters for read/write races.
-            try:
-                state["data"] = region.read(offset, length)
-            except AccessViolation:
-                if not ev.triggered:
-                    self._fail_completion(ev, op, WcStatus.REM_ACCESS_ERR,
-                                          wr_id, qp.qp_num)
-                return
-            peer_nic.tx.submit(lambda: peer_nic._tx_cost(length), response_sent)
-
-        def response_sent() -> None:
-            delay = fault.get("delay_ns", 0) if fault else 0
-            fly = self.sim.timeout(prop + delay)
-            fly.callbacks.append(lambda _e: back_home())
-
-        def back_home() -> None:
-            if not self.alive:
-                return
-            self.rx.submit(lambda: self._rx_cost(), complete)
-
-        def complete() -> None:
-            if not ev.triggered:
-                ev.succeed(Completion(opcode=op, status=WcStatus.SUCCESS,
-                                      wr_id=wr_id, byte_len=length,
-                                      data=state["data"],  # type: ignore[arg-type]
-                                      qp_num=qp.qp_num))
-
-        discount = min(self.cfg.doorbell_ns, self.cfg.tx_op_ns) \
-            if coalesced else 0
-        self.tx.submit(lambda: max(0, self._tx_cost(0) - discount), after_tx)
-        return ev
+        ops = self._read_ops
+        rec = ops.pop() if ops else _ReadOp(self)
+        return rec.begin(qp, region, offset, length, wr_id, coalesced, pool,
+                         chained)
 
     def _batch_collector(self, batch: Event, n: int) -> Callable[[int], Callable[[Event], None]]:
         """Per-WQE accumulator feeding one batch completion event.
@@ -816,7 +664,7 @@ class Nic:
             batch.succeed([])
             return batch
         collector = self._batch_collector(batch, n)
-        pool = self.wc_pool if self._flat else None
+        pool = self.wc_pool
         first = True
         for i, (region, offset, arg, wr_id) in enumerate(requests):
             if region is None:

@@ -67,14 +67,15 @@ class Completion:
 class CompletionPool:
     """Freelist of recycled :class:`Completion` records.
 
-    The flat hot paths (``hydra.flat_hot_paths``) deliver completion
-    chains as pooled records instead of allocating a fresh CQE object per
-    WQE.  ``acquire`` hands out a record that is guaranteed not to sit in
-    any other in-flight chain (records return to the freelist only through
-    an explicit ``release``); consumers that have finished reading a chain
-    release its records so the next doorbell batch can reuse them.  A
-    record that is never released is simply garbage-collected — correct,
-    just not recycled — so fire-and-forget posts need no bookkeeping.
+    Doorbell chains (``Nic.issue_read_batch`` / signaled
+    ``issue_write_batch``) deliver their completions as pooled records
+    instead of allocating a fresh CQE object per WQE.  ``acquire`` hands
+    out a record that is guaranteed not to sit in any other in-flight
+    chain (records return to the freelist only through an explicit
+    ``release``); consumers that have finished reading a chain release
+    its records so the next doorbell batch can reuse them.  A record that
+    is never released is simply garbage-collected — correct, just not
+    recycled — so fire-and-forget posts need no bookkeeping.
     """
 
     __slots__ = ("_free", "allocated", "recycled")

@@ -17,9 +17,9 @@ to a ``now``-deque drained inline after the scheduled batch
 (:meth:`Simulator.step_batch`).
 
 Determinism: both tiers and the ``now``-deque preserve exact ``(time, seq)``
-order, where seq is scheduling order.  The pre-batching single-heap kernel
-is kept behind ``Simulator(legacy=True)`` as the ordering oracle; the golden
-schedule-hash tests prove both kernels dispatch bit-identically.
+order, where seq is scheduling order — the order a single binary heap of
+``(time, seq, event)`` entries would dispatch in.  The golden
+schedule-hash tests pin that order to committed digests.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from itertools import count
 from typing import Any, Iterable, Optional
 
 from .events import (
-    _WHEEL_BITS,
     _WHEEL_MASK,
     _WHEEL_SLOTS,
     AllOf,
@@ -57,25 +56,15 @@ class UnhandledProcessError(SimulationError):
 
 
 class Simulator:
-    """Event loop with integer-nanosecond virtual time.
+    """Event loop with integer-nanosecond virtual time."""
 
-    ``legacy=True`` selects the original single binary-heap calendar (one
-    ``(time, seq, event)`` tuple per event, one ``step()`` per dispatch).
-    It dispatches in exactly the same order as the default batched kernel
-    and exists as the baseline for BENCH_simcore and the golden
-    schedule-hash tests.
-    """
-
-    def __init__(self, legacy: bool = False) -> None:
+    def __init__(self) -> None:
         self._now: int = 0
-        self._legacy = legacy
-        #: Legacy calendar, or the overflow tier of the batched kernel.
+        #: Overflow tier: far-out ``(time, seq, event)`` entries.
         self._heap: list[tuple[int, int, Event]] = []
         self._seq = count()
         self._active_process: Optional[Process] = None
-        # Batched-kernel calendar state (unused when legacy).
-        self._wheel: list[list[Event]] = (
-            [] if legacy else [[] for _ in range(_WHEEL_SLOTS)])
+        self._wheel: list[list[Event]] = [[] for _ in range(_WHEEL_SLOTS)]
         self._slot_times: list[int] = []  # int-heap of armed wheel timestamps
         self._now_q: deque[Event] = deque()  # zero-delay wakes at this instant
         self._ready: deque[Event] = deque()  # current timestamp, being drained
@@ -96,8 +85,6 @@ class Simulator:
         self._tracing = False
         self._trace_uid: Optional[count] = None
         self._trace_hash = None
-        if legacy:
-            self._enqueue = self._enqueue_legacy  # type: ignore[method-assign]
 
     # -- clock ------------------------------------------------------------
     @property
@@ -149,11 +136,6 @@ class Simulator:
             self.k_heap_hits += 1
             heapq.heappush(self._heap, (t, next(self._seq), event))
 
-    def _enqueue_legacy(self, delay: int, event: Event) -> None:
-        self.k_scheduled += 1
-        self.k_heap_hits += 1
-        heapq.heappush(self._heap, (self._now + delay, next(self._seq), event))
-
     def _report_orphan_failure(self, event: Event) -> None:
         # A failure absorbed by an already-triggered condition; schedule a
         # crash so silent data loss cannot occur.
@@ -164,9 +146,10 @@ class Simulator:
         """Start folding every dispatch into a schedule hash.
 
         Events created after this call get a creation-order uid; each
-        dispatch folds ``(now, uid, ok, type)`` into a blake2b digest.  Two
-        kernels driving the same workload must produce identical digests —
-        the golden tests compare the batched kernel against ``legacy=True``.
+        dispatch folds ``(now, uid, ok, type)`` into a blake2b digest, so
+        two runs hash equal only if every event fired at the same time, in
+        the same order, with the same outcome — the golden tests hold
+        whole workloads to committed digests.
         """
         self._tracing = True
         self._trace_uid = count()
@@ -196,8 +179,6 @@ class Simulator:
 
     def peek(self) -> Optional[int]:
         """Time of the next scheduled event, or ``None`` if none remain."""
-        if self._legacy:
-            return self._heap[0][0] if self._heap else None
         return self._next_time()
 
     def _advance_clock(self) -> None:
@@ -248,15 +229,6 @@ class Simulator:
 
     def step(self) -> None:
         """Process exactly one event (kept one-per-call for API compat)."""
-        if self._legacy:
-            if not self._heap:
-                raise SimulationError("step() on an empty event calendar")
-            when, _, event = heapq.heappop(self._heap)
-            if when < self._now:  # pragma: no cover - invariant guard
-                raise SimulationError("event scheduled in the past")
-            self._now = when
-            self._dispatch(event)
-            return
         ready = self._ready
         if ready:
             self._dispatch(ready.popleft())
@@ -271,11 +243,8 @@ class Simulator:
 
         Drains the staged slot list in seq order, then the ``now``-deque
         FIFO (which may keep growing as wakes cascade); returns the number
-        of events dispatched.  In legacy mode this degrades to ``step()``.
+        of events dispatched.
         """
-        if self._legacy:
-            self.step()
-            return 1
         ready = self._ready
         nq = self._now_q
         if not ready and not nq:
@@ -298,8 +267,8 @@ class Simulator:
                     if not event._ok and not event._defused:
                         raise UnhandledProcessError(event)
             except BaseException:
-                # Leave the undispatched tail staged, as the legacy
-                # kernel leaves it in its heap.
+                # Leave the undispatched tail staged, so a caller that
+                # handles the error can keep running from there.
                 for _ in range(n):
                     ready.popleft()
                 self.k_dispatched += n
@@ -377,15 +346,7 @@ class Simulator:
                 raise SimulationError(
                     f"until={stop_time} is in the past (now={self._now})"
                 )
-        if self._legacy:
-            while self._heap:
-                if stop_event is not None and stop_event.processed:
-                    break
-                if stop_time is not None and self._heap[0][0] > stop_time:
-                    self._now = stop_time
-                    break
-                self.step()
-        elif stop_event is not None:
+        if stop_event is not None:
             self._run_until_processed(stop_event)
         else:
             step_batch = self.step_batch

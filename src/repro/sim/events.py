@@ -112,11 +112,8 @@ class Event:
         # the now-deque (the single hottest kernel operation — worth
         # skipping the _enqueue call for).
         sim = self.sim
-        if sim._legacy:
-            sim._enqueue(0, self)
-        else:
-            sim.k_scheduled += 1
-            sim._now_q.append(self)
+        sim.k_scheduled += 1
+        sim._now_q.append(self)
         return self
 
     def fail(self, exc: BaseException) -> "Event":
@@ -127,11 +124,8 @@ class Event:
         self._ok = False
         self._value = exc
         sim = self.sim
-        if sim._legacy:
-            sim._enqueue(0, self)
-        else:
-            sim.k_scheduled += 1
-            sim._now_q.append(self)
+        sim.k_scheduled += 1
+        sim._now_q.append(self)
         return self
 
     def trigger(self, event: "Event") -> None:
@@ -216,10 +210,6 @@ class PooledTimer(Event):
         # per-tick cost of every poll loop, so it pays not to route the
         # recycled timer through another call frame.  k_scheduled is NOT
         # bumped here — kernel_snapshot folds k_timer_rearms back in.
-        if sim._legacy:
-            sim.k_heap_hits += 1
-            heappush(sim._heap, (sim._now + delay, next(sim._seq), self))
-            return self
         if delay == 0:
             sim._now_q.append(self)
             return self

@@ -27,8 +27,8 @@ def kernel_snapshot(sim: "Simulator") -> dict[str, float]:
     and now-queue hits have no counter at all, keeping the two hottest
     paths increment-free.  This derives the full picture (scheduled =
     ``k_scheduled + k_timer_rearms``; now hits = scheduled - wheel -
-    heap) and flattens it for bench reports so BENCH_simcore speedups
-    are attributable to specific tiers.
+    heap) and flattens it for bench reports so a BENCH_simcore
+    events/sec change is attributable to specific tiers.
     """
     scheduled = sim.k_scheduled + sim.k_timer_rearms
     now_hits = scheduled - sim.k_wheel_hits - sim.k_heap_hits

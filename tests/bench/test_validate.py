@@ -127,3 +127,31 @@ def test_recovery_ack_on_flush_must_keep_pace_with_ack_on_replicate():
                  if r["ack_mode"] == "ack_on_flush")
     flush["pre_kops"] = 26.3
     assert any("0.9x" in p for p in validate_artifact(payload))
+
+
+def _committed(name):
+    return json.loads((Path(__file__).parents[2] / name).read_text())
+
+
+def test_simcore_rows_are_gated_on_pinned_digest_and_eps_floor():
+    payload = _committed("BENCH_simcore.json")
+    assert validate_artifact(payload) == []
+    payload["rows"][0]["digest"] = "0" * 32
+    assert any("dispatch order moved" in p
+               for p in validate_artifact(payload))
+    payload = _committed("BENCH_simcore.json")
+    payload["rows"][1]["events_per_sec"] = 1_000.0
+    assert any("floor" in p for p in validate_artifact(payload))
+
+
+def test_scale_rows_must_match_their_shape_constants():
+    payload = _committed("BENCH_scale.json")
+    assert validate_artifact(payload) == []
+    headline = next(r for r in payload["rows"] if r["servers"] == 64)
+    assert headline["events"] == 500_608
+    headline["events"] += 1
+    assert any("schedule moved" in p for p in validate_artifact(payload))
+    payload = _committed("BENCH_scale.json")
+    payload["rows"][0]["clients"] = 33
+    assert any("no committed constants" in p
+               for p in validate_artifact(payload))

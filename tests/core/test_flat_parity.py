@@ -1,168 +1,81 @@
-"""Golden flat-vs-scalar parity: the vectorized hot paths are a pure
-speedup, not a behaviour change.
+"""Flat-batch dispatch reproduces the pinned cluster schedules.
 
-``hydra.flat_hot_paths=False`` keeps the original per-object sweep, CQ
-and client paths as the ordering oracle.  These tests run the same
-mixed workload with schedule tracing on under both settings and assert
-the BLAKE2 dispatch digests match bit for bit — every event fires at
-the same time, in the same order, with the same outcome — across the
-base shard, the sub-sharded and pipelined variants, tenant traffic,
-replication, and a mid-run shard kill (the undeliverable-response
-flush path).  One test also spans the full seed stack (scalar paths on
-``Simulator(legacy=True)``), the exact comparison BENCH_scale times.
+The kernel dispatches either a whole timestamp as one flat batch
+(``step_batch``, behind ``run()`` and ``run(until=<time>)``) or one event
+at a time (``step()``, the granularity of the retired seed heapq kernel,
+which ``run(until=<event>)`` inlines).  ``cluster.run`` takes the
+per-event loop, so the digests in ``test_schedule_digests`` pin that loop
+alone.  Here each scenario's first 40 us are dispatched in flat batches
+and the rest per event: a batch that reordered, dropped or duplicated
+one event would move the digest off its committed literal.
 """
 
-from repro import HydraCluster, SimConfig
-from repro.core.errors import RequestTimeout
-from repro.sim import Simulator
+from tests.core.test_schedule_digests import PINNED, build_scenario
+from tests.dispatch import dispatching
 
-_HYDRA = {"msg_slots_per_conn": 4}
-_CLIENT = {"max_inflight_per_conn": 4}
+_SPLIT_NS = 40_000  # well inside every scenario (the shortest ends ~86 us)
 
 
-def _mixed_procs(cluster):
-    """Three default clients + one named tenant over a mixed op soup:
-    puts, gets, updates, inserts, deletes, and a get_many fan-out (the
-    pooled-CQE gather path)."""
-    clients = [cluster.client(machine_index=0) for _ in range(3)]
-    tenant = cluster.client(machine_index=0, tenant="gold")
-
-    def app(ci, client):
-        for i in range(24):
-            key = b"c%d.k%d" % (ci, i % 5)
-            kind = (ci + i) % 6
-            try:
-                if kind == 0:
-                    yield from client.put(key, b"v%d.%d" % (ci, i))
-                elif kind == 1:
-                    yield from client.get(key)
-                elif kind == 2:
-                    yield from client.update(key, b"u%d" % i)
-                elif kind == 3:
-                    yield from client.insert(key, b"i%d" % i)
-                elif kind == 4:
-                    yield from client.get_many(
-                        [b"c%d.k%d" % (ci, k) for k in range(4)])
-                else:
-                    yield from client.delete(key)
-            except RequestTimeout:
-                pass  # only reachable in the chaos variant
-
-    procs = [app(ci, c) for ci, c in enumerate(clients)]
-    procs.append(app(7, tenant))
-    return procs
-
-
-def _digest(flat, legacy=False, hydra=None, replication=0, chaos=False):
-    sim = Simulator(legacy=legacy)
-    sim.trace_schedule()
-    sections = {"hydra": dict(_HYDRA, flat_hot_paths=flat, **(hydra or {})),
-                "client": dict(_CLIENT)}
-    if replication:
-        sections["replication"] = {"replicas": replication}
-    cluster = HydraCluster(SimConfig().with_overrides(**sections),
-                           n_server_machines=2, shards_per_server=2,
-                           n_client_machines=1, sim=sim)
-    cluster.start()
-    procs = _mixed_procs(cluster)
-    if chaos:
-        procs.append(_chaos_procs(cluster))
-    cluster.run(*procs)
+def _digest(scenario, per_event=False):
+    cluster, gens = build_scenario(scenario)
+    sim = dispatching(cluster.sim, per_event)
+    procs = [sim.process(g) for g in gens]  # as cluster.run() spawns them
+    done = sim.all_of(procs)
+    sim.run(until=_SPLIT_NS)
+    assert not done.processed
+    sim.run(until=done)
     cluster.stop()
     return sim.schedule_digest(), sim.k_dispatched
 
 
-def _chaos_procs(cluster):
-    """Kill one server mid-run; a bounded-deadline client keeps hitting
-    its shards so ops time out, retry and flush undeliverables."""
-    sim = cluster.sim
-    victim = cluster.servers[1]
-    victim_shards = set(victim.shards)
-    dead_keys = [k for k in (b"dead%d" % i for i in range(64))
-                 if cluster.route(k) in victim_shards][:6]
-    live_keys = [k for k in (b"live%d" % i for i in range(64))
-                 if cluster.route(k) not in victim_shards][:6]
-    doomed = cluster.client(machine_index=0, deadline_us=2_000)
-
-    def storm():
-        yield sim.timeout(40_000)
-        for shard in victim.shards:
-            if shard.alive:
-                shard.kill()
-        for dead_key, live_key in zip(dead_keys, live_keys):
-            try:
-                yield from doomed.get(dead_key)
-            except RequestTimeout:
-                pass
-            try:
-                yield from doomed.put(live_key, b"v")
-            except RequestTimeout:
-                pass
-
-    return storm()
-
-
 def test_base_shard_flat_parity():
-    scalar = _digest(flat=False)
-    flat = _digest(flat=True)
-    assert flat == scalar
+    flat = _digest("plain-default")
+    assert flat == _digest("plain-default", per_event=True)
+    assert flat == PINNED["plain-default"]
     assert flat[1] > 2_000  # the run was non-trivial
 
 
 def test_flat_batched_stack_matches_seed_stack():
-    """The BENCH_scale comparison: flat paths on the calendar kernel vs
-    scalar paths on the seed heapq kernel — both refactors preserve
-    schedules, so the digests must compose."""
-    seed = _digest(flat=False, legacy=True)
-    flat = _digest(flat=True, legacy=False)
-    assert flat == seed
-
-
-def test_subsharded_flat_parity():
-    scalar = _digest(flat=False, hydra={"subshards": 2})
-    flat = _digest(flat=True, hydra={"subshards": 2})
-    assert flat == scalar
-
-
-def test_pipelined_flat_parity():
-    scalar = _digest(flat=False, hydra={"pipelined_shards": True})
-    flat = _digest(flat=True, hydra={"pipelined_shards": True})
-    assert flat == scalar
-
-
-def test_replicated_flat_parity():
-    scalar = _digest(flat=False, replication=1)
-    flat = _digest(flat=True, replication=1)
-    assert flat == scalar
-
-
-def test_flat_parity_under_shard_kill():
-    scalar = _digest(flat=False, chaos=True)
-    flat = _digest(flat=True, chaos=True)
-    assert flat == scalar
+    """Every pinned scenario — each shard variant and request-path mode —
+    dispatched in flat batches reproduces the literal frozen while the
+    seed kernel still ran beside the batched one."""
+    for scenario, pinned in PINNED.items():
+        assert _digest(scenario) == pinned, scenario
 
 
 def test_flat_parity_is_stable_across_reruns():
-    assert _digest(flat=True) == _digest(flat=True)
+    """Back to back in one process: connection numbering, pools and
+    counters start afresh with each cluster."""
+    first = _digest("pipelined-default")
+    assert first == _digest("pipelined-default")
+    assert first == PINNED["pipelined-default"]
+
+
+def _window(per_event):
+    """Events dispatched by each turn of ``run()``'s loop over the flat
+    window of the base scenario."""
+    cluster, gens = build_scenario("plain-default")
+    sim = dispatching(cluster.sim, per_event)
+    inner, sizes = sim.step_batch, []
+
+    def counted():
+        before = sim.k_dispatched
+        inner()
+        sizes.append(sim.k_dispatched - before)
+
+    sim.step_batch = counted
+    for gen in gens:
+        sim.process(gen)
+    sim.run(until=_SPLIT_NS)
+    cluster.stop()
+    return sizes
 
 
 def test_scalar_oracle_actually_selects_scalar_paths():
-    """The flag flips real behaviour: flat mode recycles pooled CQEs (on
-    one-sided Read chains, the only CQEs the data path still makes), the
-    scalar oracle never touches the pools."""
-    from tests.rdma.test_completion_pool import one_sided_traffic
-    for flat, expect_pool in ((True, True), (False, False)):
-        cfg = SimConfig().with_overrides(
-            hydra=dict(_HYDRA, flat_hot_paths=flat),
-            client=dict(_CLIENT))
-        cluster = HydraCluster(cfg, n_server_machines=1,
-                               shards_per_server=1)
-        cluster.start()
-        assert cluster.shards()[0]._flat is flat
-        client = cluster.client()
-        cluster.run(one_sided_traffic(cluster, client))
-        recycled = sum(m.nic.wc_pool.recycled + m.nic.wc_pool.allocated
-                       for m in (cluster.server_machines
-                                 + cluster.client_machines))
-        assert (recycled > 0) is expect_pool
-        cluster.stop()
+    """The per-event driver really takes one event per turn and the flat
+    one really batches, over the same events — otherwise the parity above
+    would compare one path with itself."""
+    flat, scalar = _window(False), _window(True)
+    assert set(scalar) == {1}
+    assert max(flat) > 1
+    assert sum(flat) == sum(scalar) == len(scalar) > len(flat)

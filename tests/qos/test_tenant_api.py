@@ -42,7 +42,7 @@ def _mixed_ops(cluster, client, n=60):
 
 
 # ---------------------------------------------------------------------------
-# golden: the default tenant IS the legacy client
+# golden: the default tenant IS the anonymous client
 
 
 def _digest(tenant_kwargs) -> tuple[str, int]:
@@ -57,17 +57,24 @@ def _digest(tenant_kwargs) -> tuple[str, int]:
     return sim.schedule_digest(), sim.k_dispatched
 
 
-def test_default_tenant_schedule_is_bit_identical_to_legacy():
+#: Pinned (schedule digest, events dispatched) of the anonymous client
+#: and of a named tenant on the same workload.
+ANONYMOUS_PINNED = ("bd6c50fb7cf9bf0d795e43f3806bb69e", 3266)
+NAMED_PINNED = ("995c49206d4ff03ac58f65d1e80affb1", 3266)
+
+
+def test_default_tenant_schedule_is_bit_identical_to_anonymous():
     """``tenant="default"`` (no qos) must add ZERO events: same digest,
     same dispatch count, as the anonymous pre-tenant client."""
-    legacy = _digest({})
+    anonymous = _digest({})
     default_tenant = _digest({"tenant": "default"})
-    assert default_tenant == legacy
-    assert legacy[1] > 1_000  # the run was non-trivial
+    assert default_tenant == anonymous == ANONYMOUS_PINNED
+    assert anonymous[1] > 1_000  # the run was non-trivial
 
 
 def test_named_tenant_changes_the_wire_but_still_completes():
     named = _digest({"tenant": "team-a"})
+    assert named == NAMED_PINNED
     assert named[1] > 1_000
 
 

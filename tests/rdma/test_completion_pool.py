@@ -1,4 +1,4 @@
-"""Freelist recycling for pooled CQE records (``hydra.flat_hot_paths``).
+"""Freelist recycling for pooled CQE records (doorbell-chain completions).
 
 The invariant under test: a :class:`Completion` record handed out by
 ``CompletionPool.acquire`` is never visible in two completion chains at
@@ -148,11 +148,12 @@ def one_sided_traffic(cluster, client):
 
 
 def test_live_flag_holds_under_cluster_traffic():
-    """End to end: while a flat-mode cluster runs one-sided traffic, every
-    record any NIC pool hands out must have been released first —
-    acquire-while-live would mean one CQE aliased into two chains."""
+    """End to end: while a cluster runs one-sided traffic, every record
+    any NIC pool hands out must have been released first —
+    acquire-while-live would mean one CQE aliased into two chains — and
+    once the traffic is done every record is back on its freelist."""
     cfg = SimConfig().with_overrides(
-        hydra={"flat_hot_paths": True, "msg_slots_per_conn": 4},
+        hydra={"msg_slots_per_conn": 4},
         client={"max_inflight_per_conn": 4})
     cluster = HydraCluster(cfg, n_server_machines=1, shards_per_server=2)
     cluster.start()
@@ -164,4 +165,7 @@ def test_live_flag_holds_under_cluster_traffic():
     client = cluster.client()
     cluster.run(one_sided_traffic(cluster, client))
     assert sum(p.recycled for p in pools) > 0, \
-        "flat mode never recycled a record"
+        "no record was ever recycled"
+    # The gather hands every chain's records back: each pool ends up
+    # holding every record it ever allocated.
+    assert all(len(p) == p.allocated for p in pools)

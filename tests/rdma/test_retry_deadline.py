@@ -2,29 +2,32 @@
 
 One FIFO of ``(deadline, completion event, ...)`` per NIC with a single
 timer armed for its head replaces a 2 ms ``Timeout`` per WQE.  What must
-hold, on the flat and the scalar verb paths alike: an op that is never
-acked completes with ``RETRY_EXC`` at exactly ``post + retry_timeout_ns``
-in post order, an acked op is never touched again, and nothing the NIC or
-the kernel holds grows with the number of ops acked in the last 2 ms.
+hold, whether the kernel dispatches whole timestamps (``flat``) or one
+event per ``step()`` (``scalar``): an op that is never acked completes
+with ``RETRY_EXC`` at exactly ``post + retry_timeout_ns`` in post order,
+an acked op is never touched again, and nothing the NIC or the kernel
+holds grows with the number of ops acked in the last 2 ms.
 """
 
 import gc
 
 import pytest
 
-from repro.config import SimConfig
 from repro.rdma import RemotePointer, WcStatus
 from repro.rdma.nic import _WriteOp
 from repro.sim import kernel_snapshot
 
+from tests.dispatch import dispatching, granularities
+
 from .conftest import Rig
 
-stacks = pytest.mark.parametrize("flat", [True, False],
-                                 ids=["flat", "scalar"])
+both_granularities = granularities("flat", "scalar")
 
 
-def _rig(flat):
-    return Rig(SimConfig().with_overrides(hydra={"flat_hot_paths": flat}))
+def _rig(per_event):
+    rig = Rig()
+    dispatching(rig.sim, per_event)
+    return rig
 
 
 class _Faults:
@@ -54,12 +57,12 @@ def _expected(rig, posted_at):
 
 # -- RETRY_EXC at exactly post + retry_timeout_ns ------------------------------
 
-@stacks
+@both_granularities
 @pytest.mark.parametrize("case", ["dropped_write", "torn_write",
                                   "dead_peer_write", "dropped_read",
                                   "dead_peer_send"])
-def test_unacked_op_expires_at_exactly_post_plus_timeout(flat, case):
-    rig = _rig(flat)
+def test_unacked_op_expires_at_exactly_post_plus_timeout(per_event, case):
+    rig = _rig(per_event)
     qa, _qb = rig.connect()
     region = rig.region(1)
     rptr = RemotePointer(region.rkey, 0, 64)
@@ -91,9 +94,9 @@ def test_unacked_op_expires_at_exactly_post_plus_timeout(flat, case):
     assert not rig.machines[0].nic._retry_q
 
 
-@stacks
-def test_same_nanosecond_posts_expire_in_post_order(flat):
-    rig = _rig(flat)
+@both_granularities
+def test_same_nanosecond_posts_expire_in_post_order(per_event):
+    rig = _rig(per_event)
     qa, _qb = rig.connect()
     qc, _qd = rig.connect()
     region = rig.region(1)
@@ -115,11 +118,11 @@ def test_same_nanosecond_posts_expire_in_post_order(flat):
                    (t + 1_000, "later", WcStatus.RETRY_EXC)]
 
 
-@stacks
-def test_unacked_op_behind_acked_ones_still_expires_on_time(flat):
+@both_granularities
+def test_unacked_op_behind_acked_ones_still_expires_on_time(per_event):
     """The timer is armed for a head that then completes; the fire at that
     stale deadline must re-arm for the op actually still in flight."""
-    rig = _rig(flat)
+    rig = _rig(per_event)
     qa, _qb = rig.connect()
     region = rig.region(1)
     rptr = RemotePointer(region.rkey, 0, 8)
@@ -137,9 +140,9 @@ def test_unacked_op_behind_acked_ones_still_expires_on_time(flat):
 
 # -- acked ops are left alone ---------------------------------------------------
 
-@stacks
-def test_acked_op_is_never_failed_later(flat):
-    rig = _rig(flat)
+@both_granularities
+def test_acked_op_is_never_failed_later(per_event):
+    rig = _rig(per_event)
     qa, qb = rig.connect()
     region = rig.region(1)
     rptr = RemotePointer(region.rkey, 0, 32)
@@ -157,9 +160,9 @@ def test_acked_op_is_never_failed_later(flat):
     assert not nic._retry_q and nic._retry_timer.idle
 
 
-@stacks
-def test_fire_over_completed_entries_touches_no_completion(flat):
-    rig = _rig(flat)
+@both_granularities
+def test_fire_over_completed_entries_touches_no_completion(per_event):
+    rig = _rig(per_event)
     qa, _qb = rig.connect()
     nic = rig.machines[0].nic
     region = rig.region(1)
@@ -193,13 +196,13 @@ def test_fire_over_completed_entries_touches_no_completion(flat):
 
 # -- footprint tracks the in-flight window --------------------------------------
 
-@stacks
-def test_closed_loop_footprint_is_bounded_by_the_window(flat):
+@both_granularities
+def test_closed_loop_footprint_is_bounded_by_the_window(per_event):
     """20,000 acked writes, 4 in flight: before, each left a 2 ms timer
-    (and, flat, its pooled record) behind — ~6,900 of each at any instant
-    at this rate."""
+    (and its pooled record) behind — ~6,900 of each at any instant at
+    this rate."""
     window, total = 4, 20_000
-    rig = _rig(flat)
+    rig = _rig(per_event)
     qa, _qb = rig.connect()
     nic = rig.machines[0].nic
     region = rig.region(1)
@@ -218,18 +221,17 @@ def test_closed_loop_footprint_is_bounded_by_the_window(flat):
     assert rig.sim.now > 2 * rig.config.fabric.retry_timeout_ns
     assert peak_q <= window
     assert kernel_snapshot(rig.sim)["peak_calendar"] <= 4 * window + 8
-    if flat:
-        gc.collect()
-        live = sum(isinstance(o, _WriteOp) for o in gc.get_objects())
-        assert live <= window
-        assert len(nic._write_ops) == live   # all back on the freelist
+    gc.collect()
+    live = sum(isinstance(o, _WriteOp) for o in gc.get_objects())
+    assert live <= window
+    assert len(nic._write_ops) == live   # all back on the freelist
 
 
 # -- own-NIC fail() / recover() mid-flight --------------------------------------
 
-@stacks
-def test_own_nic_fail_and_recover_mid_flight(flat):
-    rig = _rig(flat)
+@both_granularities
+def test_own_nic_fail_and_recover_mid_flight(per_event):
+    rig = _rig(per_event)
     qa, _qb = rig.connect()
     nic = rig.machines[0].nic
     region = rig.region(1)

@@ -3,11 +3,13 @@
 An unsignaled Write (verbs: ``IBV_SEND_SIGNALED`` clear) runs the same
 tx -> fly -> rx -> deliver hops as a signaled one and lands the same bytes
 at the same instant under every fault, then stops: no ack, no CQE, no
-retry deadline, and (flat) its pooled record is back on the freelist at
+retry deadline, and its pooled record is back on the freelist at
 delivery.  Only a post-time failure (``LOCAL_QP_ERR``) is reported, and
 synchronously.  A successful WQE of a signaled doorbell chain runs the
 chain collector inline at its completing hop; the chain's one batch event
-still fires at the same instant with the same CQE stamps.
+still fires at the same instant with the same CQE stamps.  Each of these
+holds whether the kernel dispatches whole timestamps (``flat``) or one
+event per ``step()`` (``scalar``).
 """
 
 import gc
@@ -20,14 +22,17 @@ from repro.rdma.nic import _ChainWqe, _WriteOp
 from repro.sim import kernel_snapshot
 from repro.sim.events import Event
 
+from tests.dispatch import dispatching, granularities
+
 from .conftest import Rig
 
-stacks = pytest.mark.parametrize("flat", [True, False],
-                                 ids=["flat", "scalar"])
+both_granularities = granularities("flat", "scalar")
 
 
-def _rig(flat):
-    return Rig(SimConfig().with_overrides(hydra={"flat_hot_paths": flat}))
+def _rig(per_event):
+    rig = Rig()
+    dispatching(rig.sim, per_event)
+    return rig
 
 
 class _Faults:
@@ -57,11 +62,11 @@ def _idle(nic):
 
 # -- same landing, nothing left behind -----------------------------------------
 
-@stacks
-def test_unsignaled_write_lands_like_a_signaled_one(flat):
+@both_granularities
+def test_unsignaled_write_lands_like_a_signaled_one(per_event):
     logs = {}
     for signaled in (True, False):
-        rig = _rig(flat)
+        rig = _rig(per_event)
         qa, _qb = rig.connect()
         nic = rig.machines[0].nic
         region = rig.region(1)
@@ -79,17 +84,16 @@ def test_unsignaled_write_lands_like_a_signaled_one(flat):
             assert rig.sim.now == log[-1][0]
             assert rig.sim.peek() is None
         assert _idle(nic)
-        if flat:
-            assert len(nic._write_ops) == 1  # back on the freelist
+        assert len(nic._write_ops) == 1  # back on the freelist
         logs[signaled] = log
     assert logs[False] == logs[True] == [(logs[True][0][0], b"u" * 32)]
 
 
 # -- post-time failures are returned, not completed ------------------------------
 
-@stacks
-def test_local_qp_err_is_returned_at_post(flat):
-    rig = _rig(flat)
+@both_granularities
+def test_local_qp_err_is_returned_at_post(per_event):
+    rig = _rig(per_event)
     qa, _qb = rig.connect()
     nic = rig.machines[0].nic
     region = rig.region(1)
@@ -112,22 +116,21 @@ def test_local_qp_err_is_returned_at_post(flat):
     assert rig.sim.peek() is None
     assert region.read(16, 16) == bytes(16) and len(log) == 2
     assert _idle(nic)
-    if flat:
-        assert len(nic._write_ops) == 2
+    assert len(nic._write_ops) == 2
 
 
 # -- fault injection behaves as before ------------------------------------------
 
-@stacks
+@both_granularities
 @pytest.mark.parametrize("case", ["drop", "torn", "duplicate", "delay",
                                   "dead_peer"])
-def test_faults_land_the_same_bytes_and_leave_no_deadline(flat, case):
+def test_faults_land_the_same_bytes_and_leave_no_deadline(per_event, case):
     fault = {"drop": {"drop": True}, "torn": {"torn_bytes": 8},
              "duplicate": {"duplicate": True},
              "delay": {"delay_ns": 700}}.get(case)
     logs = {}
     for signaled in (True, False):
-        rig = _rig(flat)
+        rig = _rig(per_event)
         qa, _qb = rig.connect()
         nic = rig.machines[0].nic
         region = rig.region(1)
@@ -149,8 +152,7 @@ def test_faults_land_the_same_bytes_and_leave_no_deadline(flat, case):
             assert rig.sim.now < rig.config.fabric.retry_timeout_ns
             assert not log or rig.sim.now == log[-1][0]
         assert _idle(nic)
-        if flat:
-            assert len(nic._write_ops) == 1
+        assert len(nic._write_ops) == 1
         logs[signaled] = log
     assert logs[False] == logs[True]
     expect = {"drop": 0, "dead_peer": 0, "torn": 1, "delay": 1,
@@ -167,7 +169,7 @@ def test_write_records_recycle_at_delivery_and_stay_bounded():
     freelist the moment its write lands, so the pool never grows past the
     window and no retry state accumulates."""
     window, total = 4, 20_000
-    rig = _rig(True)
+    rig = Rig()
     sim = rig.sim
     qa, _qb = rig.connect()
     nic = rig.machines[0].nic
@@ -201,14 +203,15 @@ def test_write_records_recycle_at_delivery_and_stay_bounded():
 
 # -- inline chain completions ---------------------------------------------------
 
-@stacks
-def test_mixed_read_chain_fires_at_the_event_path_instant(flat, monkeypatch):
+@both_granularities
+def test_mixed_read_chain_fires_at_the_event_path_instant(per_event,
+                                                          monkeypatch):
     """Successful WQEs complete inline, failed ones through their event;
     either way the batch fires when and with the stamps it did when every
     WQE took the event path."""
 
     def run():
-        rig = _rig(flat)
+        rig = _rig(per_event)
         qa, _qb = rig.connect()
         region = rig.region(1)
         region.write(0, bytes(range(64)))

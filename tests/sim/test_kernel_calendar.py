@@ -7,8 +7,10 @@ timestamps as batches.  These tests pin the tier routing, the ordering
 rules at tier boundaries (overflow entries migrating into the wheel must
 not be overtaken by same-timestamp wheel inserts), the ``step_batch``
 semantics, the :class:`PooledTimer` rearm/release contract, AnyOf loser
-detachment, and the derived telemetry arithmetic — on both kernels where
-the behaviour is shared.
+detachment, and the derived telemetry arithmetic.  Tests of behaviour
+that must not depend on dispatch granularity run twice: ``batched``
+drives ``run()`` through ``step_batch``, ``legacy`` through one
+``step()`` per event, as the retired single-heap kernel dispatched.
 """
 
 import pytest
@@ -18,10 +20,13 @@ from repro.sim.core import _WHEEL_SLOTS
 from repro.sim.events import PooledTimer, SimulationError
 from repro.sim.resources import Gate
 
+from tests.dispatch import dispatching, granularities
 
-def both_kernels(test):
-    return pytest.mark.parametrize("legacy", [False, True],
-                                   ids=["batched", "legacy"])(test)
+both_granularities = granularities("batched", "legacy")
+
+
+def _sim(per_event):
+    return dispatching(Simulator(), per_event)
 
 
 def fired(log):
@@ -60,12 +65,12 @@ def test_wheel_horizon_advances_with_the_clock():
     assert sim.k_wheel_hits == before + 1
 
 
-@both_kernels
-def test_overflow_migration_keeps_seq_order(legacy):
+@both_granularities
+def test_overflow_migration_keeps_seq_order(per_event):
     """An overflow entry and a later wheel insert for the same timestamp
     must dispatch in insertion order even though they travelled through
     different tiers."""
-    sim = Simulator(legacy=legacy)
+    sim = _sim(per_event)
     log = []
     tag = fired(log)
     t = _WHEEL_SLOTS + 50
@@ -81,9 +86,9 @@ def test_overflow_migration_keeps_seq_order(legacy):
     assert log == ["overflow-first", "wheel-second"]
 
 
-@both_kernels
-def test_now_deque_preserves_fifo_and_runs_before_time_advances(legacy):
-    sim = Simulator(legacy=legacy)
+@both_granularities
+def test_now_deque_preserves_fifo_and_runs_before_time_advances(per_event):
+    sim = _sim(per_event)
     log = []
     tag = fired(log)
 
@@ -154,19 +159,18 @@ def test_step_interleaves_with_step_batch():
     assert log == [0, 1, 2]
 
 
-def test_peek_reports_next_timestamp_on_both_kernels():
-    for legacy in (False, True):
-        sim = Simulator(legacy=legacy)
-        assert sim.peek() is None
-        sim.timeout(42)
-        assert sim.peek() == 42
-        sim.run()
-        assert sim.peek() is None
+def test_peek_reports_next_timestamp():
+    sim = Simulator()
+    assert sim.peek() is None
+    sim.timeout(42)
+    assert sim.peek() == 42
+    sim.run()
+    assert sim.peek() is None
 
 
-@both_kernels
-def test_run_until_time_stops_inclusively(legacy):
-    sim = Simulator(legacy=legacy)
+@both_granularities
+def test_run_until_time_stops_inclusively(per_event):
+    sim = _sim(per_event)
     log = []
     tag = fired(log)
     sim.timeout(10).callbacks.append(tag("at10"))
@@ -178,9 +182,9 @@ def test_run_until_time_stops_inclusively(legacy):
     assert log == ["at10", "at20"]
 
 
-@both_kernels
-def test_run_until_event_stops_at_processing(legacy):
-    sim = Simulator(legacy=legacy)
+@both_granularities
+def test_run_until_event_stops_at_processing(per_event):
+    sim = _sim(per_event)
 
     def proc():
         yield sim.timeout(30)
@@ -192,9 +196,9 @@ def test_run_until_event_stops_at_processing(legacy):
     assert sim.now == 30
 
 
-@both_kernels
-def test_run_until_event_leaves_the_rest_of_its_batch_staged(legacy):
-    sim = Simulator(legacy=legacy)
+@both_granularities
+def test_run_until_event_leaves_the_rest_of_its_batch_staged(per_event):
+    sim = _sim(per_event)
     log = []
     tag = fired(log)
     sim.timeout(10).callbacks.append(tag("a"))
@@ -256,9 +260,9 @@ def test_run_until_event_keeps_dispatch_count_exact_on_a_crash():
 # PooledTimer contract
 
 
-@both_kernels
-def test_pooled_timer_rearm_cycle(legacy):
-    sim = Simulator(legacy=legacy)
+@both_granularities
+def test_pooled_timer_rearm_cycle(per_event):
+    sim = _sim(per_event)
     timer = sim.pooled_timer()
     assert timer.idle
     waits = []
@@ -275,9 +279,9 @@ def test_pooled_timer_rearm_cycle(legacy):
     assert sim.k_timer_rearms == 5
 
 
-@both_kernels
-def test_pooled_timer_rearm_in_flight_raises(legacy):
-    sim = Simulator(legacy=legacy)
+@both_granularities
+def test_pooled_timer_rearm_in_flight_raises(per_event):
+    sim = _sim(per_event)
     timer = sim.pooled_timer()
     timer.rearm(50)
     with pytest.raises(SimulationError):
@@ -295,9 +299,9 @@ def test_pooled_timer_zero_delay_uses_now_queue():
     assert sim.k_wheel_hits == 0 and sim.k_heap_hits == 0
 
 
-@both_kernels
-def test_pooled_timer_overflow_delay(legacy):
-    sim = Simulator(legacy=legacy)
+@both_granularities
+def test_pooled_timer_overflow_delay(per_event):
+    sim = _sim(per_event)
     timer = sim.pooled_timer()
     seen = []
 
@@ -320,9 +324,9 @@ def test_pooled_timer_is_event_subclass():
 # AnyOf loser detachment
 
 
-@both_kernels
-def test_anyof_losers_drop_condition_callback(legacy):
-    sim = Simulator(legacy=legacy)
+@both_granularities
+def test_anyof_losers_drop_condition_callback(per_event):
+    sim = _sim(per_event)
     slow = sim.timeout(1_000)
 
     def racer():
@@ -346,9 +350,9 @@ def test_anyof_does_not_subscribe_after_decided():
     assert late.callbacks == []  # never subscribed: decided by `done`
 
 
-@both_kernels
-def test_allof_gathers_all_values(legacy):
-    sim = Simulator(legacy=legacy)
+@both_granularities
+def test_allof_gathers_all_values(per_event):
+    sim = _sim(per_event)
     t1, t2 = sim.timeout(5, "a"), sim.timeout(9, "b")
 
     def proc():
@@ -362,9 +366,9 @@ def test_allof_gathers_all_values(legacy):
 # ---------------------------------------------------------------------------
 # Gate: shared pending event
 
-@both_kernels
-def test_gate_shares_one_event_across_waiters(legacy):
-    sim = Simulator(legacy=legacy)
+@both_granularities
+def test_gate_shares_one_event_across_waiters(per_event):
+    sim = _sim(per_event)
     gate = Gate(sim)
     ev1, ev2 = gate.wait(), gate.wait()
     assert ev1 is ev2  # one occurrence, one event
