@@ -31,8 +31,8 @@ from repro import HydraCluster
 from tests.core.test_schedule_digests import run_scenario
 if sys.argv[1] == "after_connect":
     HydraCluster(n_server_machines=1, shards_per_server=1).client()
-digest, events, _ = run_scenario(sys.argv[2])
-print(digest, events)
+(digest, events, wire), _ = run_scenario(sys.argv[2])
+print(digest, events, wire)
 """
 
 
@@ -46,8 +46,8 @@ def test_pipelined_digest_is_independent_of_the_process(hash_seed, prelude):
     out = subprocess.run([sys.executable, "-c", _SCRIPT, prelude, _SCENARIO],
                          env=env, cwd=_ROOT, capture_output=True, text=True,
                          check=True)
-    digest, events = out.stdout.split()
-    assert (digest, int(events)) == PINNED[_SCENARIO]
+    digest, events, wire = out.stdout.split()
+    assert (digest, int(events), wire) == PINNED[_SCENARIO]
 
 
 def test_connection_ids_are_numbered_per_cluster():

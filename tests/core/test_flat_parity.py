@@ -10,7 +10,7 @@ and the rest per event: a batch that reordered, dropped or duplicated
 one event would move the digest off its committed literal.
 """
 
-from tests.core.test_schedule_digests import PINNED, build_scenario
+from tests.core.test_schedule_digests import PINNED, build_scenario, pins
 from tests.dispatch import dispatching
 
 _SPLIT_NS = 40_000  # well inside every scenario (the shortest ends ~86 us)
@@ -25,7 +25,7 @@ def _digest(scenario, per_event=False):
     assert not done.processed
     sim.run(until=done)
     cluster.stop()
-    return sim.schedule_digest(), sim.k_dispatched
+    return pins(sim)
 
 
 def test_base_shard_flat_parity():
