@@ -88,28 +88,28 @@ _SMALL_CLIENTS = 256
 #: of the traced reduced clone), for the full-scale matrix and the
 #: ``--scale 0.05`` smoke cells.
 PINNED = {
-    ("scale_out", 1, 1, 32, 512): (10418, "fb03f526652ac414e6f948d8d0ee07c8"),
-    ("scale_out", 2, 2, 64, 1024): (18140, "ff1138d3a8a7f02eac079e0bcc12cad6"),
+    ("scale_out", 1, 1, 32, 512): (10418, "051033688ef36403ab494c7a9cd7ba52"),
+    ("scale_out", 2, 2, 64, 1024): (18140, "b8c56aa5858d70926713c7b8e8edfdf0"),
     ("scale_out", 4, 4, 128, 2048): (35903,
-                                     "05183012b2c7bb6e81b129718b47cfdb"),
+                                     "8a6791a8a6f0c60f65dfab7c9a79c42e"),
     ("scale_out", 8, 8, 256, 4096): (73208,
-                                     "36bace3b7c8edadd0bda771b9408287e"),
+                                     "89daf8fb68a991172440f972ee93dd38"),
     ("scale_out", 16, 16, 512, 8192): (131710,
-                                       "0ba3a59ae354fff59badda2f02ed6c07"),
+                                       "4ebd654bc52f726803e06685ebc32e78"),
     ("scale_out", 32, 32, 1024, 16384): (253465,
-                                         "37c4b913ea1154cdda0536568b984b21"),
+                                         "41e31c2609e944122b2c3941668e4dab"),
     ("scale_out", 64, 64, 2048, 32768): (500608,
-                                         "001fae54df372edd6ffaa2afff5cb3e7"),
-    ("scale_up", 1, 1, 64, 1024): (20730, "ce1261071f7e9d2718ff5b2bcf7897cf"),
-    ("scale_up", 1, 2, 64, 1024): (17635, "20cae57d27538bcae646f7b15e5a435b"),
-    ("scale_up", 1, 4, 64, 1024): (18186, "f3afaa34ec79bae6f1dfcf0e2ae425ca"),
-    ("scale_up", 1, 8, 64, 1024): (20563, "4926d0ee673e0f70cee4465f6e4b05ed"),
-    ("scale_out", 1, 1, 8, 32): (677, "77e16e39ad2a651062c041b6f7770371"),
-    ("scale_out", 8, 8, 12, 48): (985, "d635e765076372ab068239eb4b7d9f91"),
+                                         "6488b1236d4b46da7e04e274db0840e7"),
+    ("scale_up", 1, 1, 64, 1024): (20730, "5629c648edef907bb599d33dadc2ac86"),
+    ("scale_up", 1, 2, 64, 1024): (17635, "aa05e6dcedb1afeef45cafae21a4a73d"),
+    ("scale_up", 1, 4, 64, 1024): (18186, "8337afa55b289ddc28955f280ded588a"),
+    ("scale_up", 1, 8, 64, 1024): (20563, "cb64a85e823c095d9435ba7f53009c70"),
+    ("scale_out", 1, 1, 8, 32): (677, "7bb6e9347ebc40bdf8cd86d26375f4d4"),
+    ("scale_out", 8, 8, 12, 48): (985, "bc6d95ce15eb2a9b8b963657f8504f53"),
     ("scale_out", 64, 64, 102, 408): (8160,
-                                      "38571bbce47a38869234e961819554f4"),
-    ("scale_up", 1, 1, 8, 32): (677, "77e16e39ad2a651062c041b6f7770371"),
-    ("scale_up", 1, 8, 8, 32): (655, "5f347acec2f5421a1cbcf8577c37e7dc"),
+                                      "5edcdffc8498a1186a43412519075ca6"),
+    ("scale_up", 1, 1, 8, 32): (677, "7bb6e9347ebc40bdf8cd86d26375f4d4"),
+    ("scale_up", 1, 8, 8, 32): (655, "0e7e772facb0ef8d82e177eafcd57a84"),
 }
 
 

@@ -44,11 +44,13 @@ class QueuePair:
         self.peer = peer
         self.connected = True
         self.nic.qps.append(self)
+        self.nic._qps_changed()
 
     def destroy(self) -> None:
         """Tear the QP down (e.g. on connection close / process death)."""
         if self in self.nic.qps:
             self.nic.qps.remove(self)
+            self.nic._qps_changed()
         self.connected = False
 
     def force_error(self) -> None:

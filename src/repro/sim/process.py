@@ -79,11 +79,31 @@ class Process(Event):
     def _resume(self, event: Event) -> None:
         if not self._alive:
             return
-        if event._ok:
-            self._step(event.value, throw=False)
-        else:
+        if not event._ok:
             event.defuse()
-            self._step(event.value, throw=True)
+            self._step(event._value, throw=True)
+            return
+        # Fast path — the common wake: send the value and park on the
+        # event the generator yields next, in this one frame.  Anything
+        # else it yields (an already-processed event, a non-event) goes
+        # through _park / _step's drive loop.
+        sim = self.sim
+        self._target = None
+        sim._active_process = self
+        try:
+            target = self.gen.send(event._value)
+        except BaseException as exc:
+            sim._active_process = None
+            self._exit(exc)
+            return
+        sim._active_process = None
+        if isinstance(target, Event) and target.sim is sim \
+                and target.callbacks is not None:
+            self._target = target
+            target.callbacks.append(self._resume_cb)
+            return
+        value, throw = self._park(target)
+        self._step(value, throw)
 
     def _step(self, value: Any, throw: bool) -> None:
         # Iterative drive loop: yielding an already-processed event resumes
@@ -97,39 +117,42 @@ class Process(Event):
                     target = self.gen.throw(value)
                 else:
                     target = self.gen.send(value)
-            except StopIteration as stop:
-                self._alive = False
-                self.succeed(stop.value)
-                return
             except BaseException as exc:
-                self._alive = False
-                self.fail(exc)
-                return
-            finally:
                 sim._active_process = None
-            if not isinstance(target, Event):
-                value = SimulationError(
-                    f"process {self.name!r} yielded non-event {target!r}"
-                )
-                throw = True
-                continue
-            if target.sim is not sim:
-                value = SimulationError(
-                    "yielded event belongs to another simulator"
-                )
-                throw = True
-                continue
-            if target.callbacks is None:
-                # Already processed: resume immediately with its value.
-                if target._ok:
-                    value, throw = target.value, False
-                else:
-                    target.defuse()
-                    value, throw = target.value, True
-                continue
-            self._target = target
-            target.callbacks.append(self._resume_cb)
-            return
+                self._exit(exc)
+                return
+            sim._active_process = None
+            nxt = self._park(target)
+            if nxt is None:
+                return
+            value, throw = nxt
+
+    def _park(self, target: Any) -> Optional[tuple[Any, bool]]:
+        """Wait on ``target`` if it is a pending event of this simulator;
+        otherwise return the ``(value, throw)`` to resume with at once."""
+        if not isinstance(target, Event):
+            return SimulationError(
+                f"process {self.name!r} yielded non-event {target!r}"), True
+        if target.sim is not self.sim:
+            return SimulationError(
+                "yielded event belongs to another simulator"), True
+        if target.callbacks is None:
+            # Already processed: resume immediately with its value.
+            if target._ok:
+                return target._value, False
+            target.defuse()
+            return target._value, True
+        self._target = target
+        target.callbacks.append(self._resume_cb)
+        return None
+
+    def _exit(self, exc: BaseException) -> None:
+        """The generator returned (``StopIteration``) or raised."""
+        self._alive = False
+        if isinstance(exc, StopIteration):
+            self.succeed(exc.value)
+        else:
+            self.fail(exc)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Process {self.name!r} {'alive' if self._alive else 'done'}>"
