@@ -91,6 +91,9 @@ _client_ids = count(1)
 #: :class:`BadStatus` is *not* in this set — the shard answered, so the
 #: operation completed and replaying it would double-apply.
 _RETRYABLE = (RequestTimeout, QpError, NicDown)
+#: Everything that fails one key of a round: a transport failure, or a
+#: server shed (the shard answered ``Status.THROTTLED``).
+_ROUND_FAILURES = (TenantThrottled, *_RETRYABLE)
 
 
 @dataclass(frozen=True)
@@ -105,7 +108,7 @@ class PendingRequest:
 
 @dataclass(frozen=True)
 class _ReadItem:
-    """One key of a read fan-out: its batch index, key, and owning shard."""
+    """One key of a round: its index in the op, key, and owning shard."""
 
     idx: int
     key: bytes
@@ -198,14 +201,24 @@ class _ConnPipeline:
     #: req_id -> tenant for arbiter occupancy accounting
     #: (``qos.fair_queueing`` only; stays empty otherwise).
     req_tenant: dict[int, str] = field(default_factory=dict)
-    #: Monotone per-pipe post counter and slot -> post sequence.  Under
-    #: fair queueing a request can be assigned its req_id, then wait
-    #: arbitrarily long for a slot grant while later req_ids post first,
-    #: so req_id order no longer matches QP post order — the announce-
-    #: confirmation inference in :meth:`HydraClient._drain` must compare
-    #: post sequence instead.
-    post_seq: int = 0
-    slot_seq: dict[int, int] = field(default_factory=dict)
+
+
+class _Round:
+    """One round of the retry engine: what it issued and which keys failed."""
+
+    __slots__ = ("timeout_ns", "pendings", "failed", "dead")
+
+    def __init__(self, timeout_ns: int):
+        self.timeout_ns = timeout_ns
+        #: (item, PendingRequest) per issued request, in issue order — or
+        #: (item, Response) for a TCP request, which completes at issue.
+        self.pendings: list = []
+        #: (item, exc) per key that failed this round: a
+        #: :class:`TenantThrottled` for a server shed, else the transport
+        #: failure.
+        self.failed: list = []
+        #: Shard -> its first transport failure this round (fail-fast).
+        self.dead: dict = {}
 
 
 class StaticRouter:
@@ -318,9 +331,6 @@ class HydraClient:
         self._bucket = bucket
         self.tmetrics = (self.metrics.scoped(f"client.tenant.{tenant}")
                          if qos is not None else None)
-        #: Per-round shed bookkeeping for the multi-key replay engine.
-        self._round_sheds = 0
-        self._round_shed_hint = 0
         if (not self.client_cfg.rptr_cache_enabled
                 or self.hydra.transport != "rdma"):
             # No one-sided reads over TCP: the pointer cache is moot.
@@ -428,6 +438,8 @@ class HydraClient:
             tconn.close()
 
     # -- public operations (generator API) ---------------------------------
+    # Every operation runs as rounds of the one retry engine
+    # (:meth:`_retrying`); a single-key operation is a round of one.
     def get(self, key: bytes):
         """GET: RDMA-Read fast path, else message path.
 
@@ -436,21 +448,11 @@ class HydraClient:
         idempotent); raises :class:`ShardUnavailable` when the budget
         lapses, :class:`BadStatus` on an error status.
         """
-        def attempt(shard: Shard, timeout_ns: int):
-            if self.cache is not None:
-                hits, _demoted = yield from self._read_fanout(
-                    [_ReadItem(0, key, shard)])
-                if 0 in hits:
-                    return hits[0]
-            resp = yield from self._request(
-                shard, Request(op=Op.GET, key=key), timeout_ns)
-            if resp.status is Status.NOT_FOUND:
-                return None
-            if resp.status is not Status.OK:
-                raise BadStatus(resp.status, f"GET {key!r}")
-            self._maybe_cache(key, resp)
-            return resp.value
-        return (yield from self._retrying(key, attempt, "GET"))
+        results: list[Optional[bytes]] = [None]
+        yield from self._retrying(
+            [key], lambda rnd, items: self._get_round(rnd, items, results,
+                                                      overlap=False), "GET")
+        return results[0]
 
     def put(self, key: bytes, value: bytes):
         """Insert-or-update; returns the response Status (always OK).
@@ -485,18 +487,17 @@ class HydraClient:
 
     def lease_renew(self, key: bytes):
         """Explicitly extend the lease of a (popular) key; returns Status."""
-        def attempt(shard: Shard, timeout_ns: int):
-            resp = yield from self._request(
-                shard, Request(op=Op.LEASE_RENEW, key=key), timeout_ns)
-            if resp.status is Status.OK:
-                self._maybe_cache(key, resp)
-            return resp.status
-        return (yield from self._retrying(key, attempt, "LEASE_RENEW"))
+        return (yield from self._mutate(Op.LEASE_RENEW, key, b""))
+
+    def _mutate(self, op: Op, key: bytes, value: bytes):
+        statuses = [Status.ERROR]
+        yield from self._retrying(
+            [key], lambda rnd, items: self._write_round(rnd, items, op,
+                                                        (value,), statuses),
+            op.name, replayable=op is not Op.INSERT)
+        return statuses[0]
 
     # -- retry engine -------------------------------------------------------
-    def _budget_ns(self) -> int:
-        return self.deadline_us * 1_000
-
     def _backoff(self, wait_ns: int):
         """Sleep out one backoff step — or less, if a route change lands.
 
@@ -511,83 +512,109 @@ class HydraClient:
         else:
             yield self.sim.any_of([gate.wait(), self.sim.timeout(wait_ns)])
 
-    def _retrying(self, key: bytes, attempt, opname: str,
+    def _retrying(self, keys: list[bytes], round_fn, opname: str,
                   replayable: bool = True):
-        """Run one single-key ``attempt(shard, timeout_ns)`` to completion.
+        """Run ``keys`` to completion in rounds of ``round_fn(rnd, items)``.
 
-        The request is re-routed and replayed on transport failures
-        (timeout / QP error / dead NIC) until it succeeds or the deadline
-        budget lapses; each failure tears down the shard's connection and
-        drops the key's cached pointer so the replay starts clean.  With
-        a zero budget the first failure is re-raised unchanged
-        (single-attempt mode).  Non-replayable ops fail over to
-        :class:`ShardUnavailable` on the first transport failure.
+        Each round admits its keys, routes them afresh and runs the round
+        under a timeout of ``min(client.op_timeout_ns, deadline - now)``;
+        the round records every key that failed as ``(item, exc)``, and
+        only those keys go to the next round:
+
+        * every failure a server shed: sleep out the largest
+          ``retry_after_ns`` — the shard is alive, so no teardown, no
+          cache invalidation, no ``client.retries`` — or raise the
+          :class:`TenantThrottled` when the budget cannot cover it;
+        * otherwise: tear down the shards that failed at the transport
+          level (timeout / QP error / dead NIC) in failure order, drop
+          those keys' cached pointers and back off (capped exponential,
+          cut short by a route change).  Once the deadline lapses raise
+          :class:`RecoveryInProgress` if a failed key's shard is
+          replaying its durable log, else :class:`ShardUnavailable`.
+          Non-replayable ops raise :class:`ShardUnavailable` at once.
+
+        With a zero budget (single-attempt mode) the round's first
+        failure is re-raised unchanged.
         """
-        budget = self._budget_ns()
+        budget = self.deadline_us * 1_000
         deadline = self.sim.now + budget if budget > 0 else None
         backoff_ns = max(1, self.client_cfg.retry_backoff_min_us) * 1_000
         backoff_cap_ns = max(1, self.client_cfg.retry_backoff_max_us) * 1_000
-        first_failure_ns: Optional[int] = None
-        failed_shard: Optional[Shard] = None
+        first_failure_ns = 0
+        first_failed: Optional[set] = None
+        todo = list(enumerate(keys))
         while True:
             if self._bucket is not None:
-                yield from self._admit(deadline, opname)
-            shard = self.router.route(key)
+                yield from self._admit(deadline, opname, n=len(todo))
+            items = [_ReadItem(i, key, self.router.route(key))
+                     for i, key in todo]
             timeout_ns = self.client_cfg.op_timeout_ns
             if deadline is not None:
                 timeout_ns = min(timeout_ns, deadline - self.sim.now)
-            try:
-                result = yield from attempt(shard, timeout_ns)
-            except TenantThrottled as exc:
-                # Server-side shed: honor the retry hint under the budget
-                # (no connection teardown — the shard is alive, just
-                # refusing this tenant more slots this sweep).
-                if deadline is None:
-                    raise
-                wait_ns = max(1, exc.retry_after_ns)
-                if wait_ns >= deadline - self.sim.now:
-                    raise
+            rnd = _Round(timeout_ns)
+            yield from round_fn(rnd, items)
+            failed = rnd.failed
+            if not failed:
+                # Success on a shard that never failed on us is a completed
+                # failover (re-routed replay); same-shard success is just a
+                # transient absorbed by retry.
+                if first_failed is not None and any(
+                        item.shard not in first_failed for item in items):
+                    self._c_failovers.add()
+                    self.metrics.tally("client.failover_latency_ns").observe(
+                        self.sim.now - first_failure_ns)
+                if self.tmetrics is not None:
+                    self._tc_ops.add()
+                return
+            lost = [(item, exc) for item, exc in failed
+                    if not isinstance(exc, TenantThrottled)]
+            if not lost:
+                shed = max((exc for _item, exc in failed),
+                           key=lambda exc: exc.retry_after_ns)
+                wait_ns = max(1, shed.retry_after_ns)
+                if deadline is None or wait_ns >= deadline - self.sim.now:
+                    raise shed
                 yield self.sim.timeout(wait_ns)
-                continue
-            except _RETRYABLE as exc:
+            else:
+                first = lost[0][1]
                 if deadline is None:
-                    raise  # single-attempt mode: legacy contract
-                self._c_retries.add()
-                if first_failure_ns is None:
+                    raise first
+                self._c_retries.add(len(lost))
+                if first_failed is None:
                     first_failure_ns = self.sim.now
-                    failed_shard = shard
-                self.drop_connection(shard)
+                    first_failed = {item.shard for item, _exc in lost}
+                # dict.fromkeys, not a set: teardown order must follow
+                # failure order, not id()-hash order, or replay determinism
+                # breaks.
+                for shard in dict.fromkeys(item.shard for item, _exc in lost):
+                    self.drop_connection(shard)
                 if self.cache is not None:
-                    self.cache.invalidate(key)
+                    for item, _exc in lost:
+                        self.cache.invalidate(item.key)
+                what = (f"{self.client_id}: {opname} {len(lost)} of "
+                        f"{len(items)} keys (first {lost[0][0].key!r})")
                 if not replayable:
                     raise ShardUnavailable(
-                        f"{self.client_id}: {opname} {key!r} aborted after "
-                        f"transport failure (not replayable; it may or may "
-                        f"not have been applied)") from exc
+                        f"{what} aborted after transport failure (not "
+                        f"replayable; it may or may not have been "
+                        f"applied)") from first
                 remaining = deadline - self.sim.now
                 if remaining <= 0:
                     probe = getattr(self.router, "key_recovering", None)
-                    if probe is not None and probe(key):
+                    if probe is not None and any(probe(item.key)
+                                                 for item, _exc in lost):
                         # Diagnosed outage: the shard is mid durable-log
                         # replay and will come back with a route bump.
                         raise RecoveryInProgress(
-                            f"{self.client_id}: {opname} {key!r} deadline "
-                            f"({self.deadline_us}us) lapsed while the "
-                            f"shard replays its durable log") from exc
+                            f"{what}: deadline ({self.deadline_us}us) "
+                            f"lapsed while the shard replays its durable "
+                            f"log") from first
                     raise ShardUnavailable(
-                        f"{self.client_id}: {opname} {key!r} deadline "
-                        f"({self.deadline_us}us) lapsed with no live "
-                        f"route") from exc
+                        f"{what}: deadline ({self.deadline_us}us) lapsed "
+                        f"with no live route") from first
                 yield from self._backoff(min(backoff_ns, remaining))
                 backoff_ns = min(backoff_ns * 2, backoff_cap_ns)
-                continue
-            if first_failure_ns is not None and shard is not failed_shard:
-                self._c_failovers.add()
-                self.metrics.tally("client.failover_latency_ns").observe(
-                    self.sim.now - first_failure_ns)
-            if self.tmetrics is not None:
-                self._tc_ops.add()
-            return result
+            todo = [(item.idx, item.key) for item, _exc in failed]
 
     def _admit(self, deadline: Optional[int], opname: str = "", n: int = 1):
         """Token-bucket admission (``qos.rate_ops``).
@@ -616,24 +643,6 @@ class HydraClient:
                     f"tenant {self.tenant!r}",
                     retry_after_ns=wait_ns, tenant=self.tenant)
             yield self.sim.timeout(wait_ns)
-
-    # -- internals ---------------------------------------------------------
-    def _mutate(self, op: Op, key: bytes, value: bytes):
-        def attempt(shard: Shard, timeout_ns: int):
-            resp = yield from self._request(
-                shard, Request(op=op, key=key, value=value), timeout_ns)
-            if self.cache is not None:
-                # Any *completed* mutation drops the cached pointer — not
-                # just Status.OK.  A DELETE/UPDATE that raced to NOT_FOUND
-                # means a concurrent writer already retired the extent we
-                # point at; keeping the entry would leave co-located
-                # sharers Reading a dead item until the lease lapsed.
-                # (Out-of-place updates make our own pointer stale on OK,
-                # as before.)
-                self.cache.invalidate(key)
-            return resp.status
-        return (yield from self._retrying(
-            key, attempt, op.name, replayable=op is not Op.INSERT))
 
     # -- pipelined one-sided read engine ------------------------------------
     def _read_window(self, conn: Connection) -> int:
@@ -1121,8 +1130,6 @@ class HydraClient:
                     f"hydra.msg_slots_per_conn for large items")
             slot = pipe.free_slots.pop(0)
             pipe.slot_req[slot] = req_id
-            pipe.post_seq += 1
-            pipe.slot_seq[slot] = pipe.post_seq
             if conn.layout.occupancy:
                 # The occupancy word rides the frame's doorbell, posted
                 # second so RC lands the frame before its announce bit.
@@ -1196,7 +1203,6 @@ class HydraClient:
                 slot = pipe.inflight.pop(pending.req_id, None)
                 if slot is not None and slot >= 0:
                     pipe.slot_req.pop(slot, None)
-                    pipe.slot_seq.pop(slot, None)
                     pipe.confirmed.discard(slot)
                     insort(pipe.free_slots, slot)
                 self._release_slot(pipe, pending.req_id)
@@ -1280,8 +1286,24 @@ class HydraClient:
                 # keep the slot — its current request is still pending.
                 self._c_stale.add()
                 continue
-            pipe.slot_req.pop(slot)
-            seq_r = pipe.slot_seq.pop(slot, 0)
+            if self.hydra.occ_announce_mask:
+                # A response for slot s proves the shard's occupancy
+                # snapshot that carried s also carried every slot posted
+                # before s and still in flight (each occupancy write is
+                # the OR of all unconfirmed in-flight slots, and RC
+                # delivers in post order) — so those announces are
+                # consumed and need not be re-announced.  It must be post
+                # order, not req_id order: under fair queueing a low
+                # req_id can wait out a slot grant and post after higher
+                # ones, and confirming off req_ids would suppress an
+                # announce the shard never saw.  A slot enters
+                # ``slot_req`` at its post, so the dict's order is post
+                # order.
+                for other_slot in pipe.slot_req:
+                    if other_slot == slot:
+                        break
+                    pipe.confirmed.add(other_slot)
+            del pipe.slot_req[slot]
             pipe.confirmed.discard(slot)
             insort(pipe.free_slots, slot)
             pipe.inflight.pop(resp.req_id, None)
@@ -1290,29 +1312,6 @@ class HydraClient:
             landed += 1
             if pipe.issued_ns:
                 self._feed_rtt(conn, pipe, resp.req_id)
-            if self.hydra.occ_announce_mask:
-                # A response for req r proves the shard's occupancy
-                # snapshot that carried r also carried every
-                # earlier-POSTED still-in-flight slot (each occ write
-                # is the OR of all unconfirmed in-flight slots, and RC
-                # delivers in post order) — so those announces are
-                # consumed and need not be re-announced.  "Earlier"
-                # must mean post order: under fair queueing a low
-                # req_id can wait out a slot grant and post *after*
-                # higher req_ids, and confirming it off req_id order
-                # would suppress an announce the shard never saw —
-                # the request would hang until its op timeout.  On
-                # arbiter-free pipes post order and req_id order are
-                # the same thing; the legacy comparison is kept there
-                # so the default-path schedule stays bit-identical.
-                if pipe.arbiter is not None:
-                    for other_slot in pipe.slot_req:
-                        if pipe.slot_seq.get(other_slot, 0) < seq_r:
-                            pipe.confirmed.add(other_slot)
-                else:
-                    for other_slot, other_req in pipe.slot_req.items():
-                        if other_req < resp.req_id:
-                            pipe.confirmed.add(other_slot)
         return landed
 
     def _release_slot(self, pipe: _ConnPipeline, req_id: int) -> None:
@@ -1346,16 +1345,6 @@ class HydraClient:
         if ctl is not None:
             ctl.on_ack(self.sim.now - t0)
 
-    def _request(self, shard: Shard, req: Request,
-                 timeout_ns: Optional[int] = None):
-        """Message path: send the request, await the framed response."""
-        if self.hydra.transport == "tcp":
-            resp = yield from self._tcp_request(shard, req)
-            return resp
-        pending = yield from self.issue(shard, req, timeout_ns)
-        resp = yield from self.wait(pending, timeout_ns)
-        return resp
-
     # -- multi-key operations -----------------------------------------------
     def get_many(self, keys: list[bytes]):
         """Hybrid pipelined multi-GET; returns values aligned with ``keys``.
@@ -1369,215 +1358,134 @@ class HydraClient:
         Results align with ``keys``: value bytes per hit, ``None`` per
         absent key — the same NOT_FOUND-is-a-result contract as
         :meth:`get`, so a mixed batch never raises mid-population.  Keys
-        that fail at the transport level are re-routed and replayed in
-        further rounds under the shared deadline budget;
-        :class:`ShardUnavailable` is raised only when the budget lapses
-        with keys still unserved, and only after every in-flight request
-        of the final round has been drained (no leaked slots).  In
-        single-attempt mode (zero budget) the first round's timeout is
-        re-raised as before.
+        that fail are replayed in further rounds under the one deadline
+        budget, exactly as a single :meth:`get` is (see :meth:`_retrying`).
         """
         results: list[Optional[bytes]] = [None] * len(keys)
-        if self.hydra.transport == "tcp":
-            for i, key in enumerate(keys):
-                results[i] = yield from self.get(key)
-            return results
-        items = [_ReadItem(i, key, self.router.route(key))
-                 for i, key in enumerate(keys)]
-        yield from self._retrying_rounds(
-            items, lambda batch, timeout_ns:
-                self._get_round(batch, results, timeout_ns), "GET_MANY")
+        yield from self._retrying(
+            keys, lambda rnd, items: self._get_round(rnd, items, results),
+            "GET_MANY")
         return results
 
     def put_many(self, pairs: list[tuple[bytes, bytes]]):
         """Pipelined multi-PUT; returns a Status per ``(key, value)``.
 
-        Statuses align with ``pairs``.  Like :meth:`get_many`, transport
-        failures are replayed in re-routed rounds under the deadline
-        budget (PUTs are idempotent), every issued request is drained
-        before a round reports its failures, and the budget lapsing
-        raises :class:`ShardUnavailable`.
+        Statuses align with ``pairs``.  Like :meth:`get_many`, failed keys
+        are replayed in re-routed rounds under the deadline budget (PUTs
+        are idempotent), and every issued request is drained before a
+        round reports its failures.
         """
         statuses: list[Status] = [Status.ERROR] * len(pairs)
-        if self.hydra.transport == "tcp":
-            for i, (key, value) in enumerate(pairs):
-                statuses[i] = yield from self.put(key, value)
-            return statuses
-        items = [_ReadItem(i, key, self.router.route(key))
-                 for i, (key, _value) in enumerate(pairs)]
-        yield from self._retrying_rounds(
-            items, lambda batch, timeout_ns:
-                self._put_round(batch, pairs, statuses, timeout_ns),
+        values = [value for _key, value in pairs]
+        yield from self._retrying(
+            [key for key, _value in pairs],
+            lambda rnd, items: self._write_round(rnd, items, Op.PUT, values,
+                                                 statuses),
             "PUT_MANY")
         return statuses
 
-    def _retrying_rounds(self, items: list[_ReadItem], round_fn,
-                         opname: str):
-        """Replay engine for multi-key ops.
+    # -- rounds: the retry engine's unit of work ---------------------------
+    def _get_round(self, rnd: _Round, items: list[_ReadItem],
+                   results: list[Optional[bytes]], overlap: bool = True):
+        """One GET round: the one-sided Read fan-out, then the message path
+        for every key it could not serve.
 
-        Runs ``round_fn(items, timeout_ns)`` — which must drain everything
-        it issued and return the items that failed at the transport level
-        — then tears down the failed shards' connections, waits out a
-        backoff step (or a route change), re-routes the survivors, and
-        goes again until nothing fails or the deadline budget lapses.
+        With ``overlap`` a demoted key's request is issued the moment its
+        miss is known, overlapping the Reads still in flight.  A lone
+        :meth:`get` has nothing to overlap: it sends after the fan-out
+        returns, behind the Read's residual parse.
         """
-        budget = self._budget_ns()
-        deadline = self.sim.now + budget if budget > 0 else None
-        backoff_ns = max(1, self.client_cfg.retry_backoff_min_us) * 1_000
-        backoff_cap_ns = max(1, self.client_cfg.retry_backoff_max_us) * 1_000
-        first_failure_ns: Optional[int] = None
-        failed_shards: set[Shard] = set()
-        while True:
-            if self._bucket is not None:
-                yield from self._admit(deadline, opname, n=len(items))
-            timeout_ns = self.client_cfg.op_timeout_ns
-            if deadline is not None:
-                timeout_ns = max(1, min(timeout_ns, deadline - self.sim.now))
-            self._round_sheds = 0
-            self._round_shed_hint = 0
-            failed = yield from round_fn(items, timeout_ns)
-            if not failed:
-                # A retried round that succeeded against a shard that never
-                # failed on us is a completed failover (re-routed replay);
-                # same-shard success is just a transient absorbed by retry.
-                if first_failure_ns is not None and any(
-                        item.shard not in failed_shards for item in items):
-                    self._c_failovers.add()
-                    self.metrics.tally("client.failover_latency_ns").observe(
-                        self.sim.now - first_failure_ns)
-                return
-            if deadline is None:
-                # Single-attempt mode must still be *typed*: a round whose
-                # every failure was a server shed is throttling, not loss.
-                if self._round_sheds == len(failed):
-                    raise TenantThrottled(
-                        f"{self.client_id}: {opname}: shard shed "
-                        f"{len(failed)} of {len(items)} keys for tenant "
-                        f"{self.tenant!r}",
-                        retry_after_ns=self._round_shed_hint,
-                        tenant=self.tenant)
-                raise RequestTimeout(
-                    f"{self.client_id}: {opname}: {len(failed)} of "
-                    f"{len(items)} keys got no response")
-            self._c_retries.add(len(failed))
-            if first_failure_ns is None:
-                first_failure_ns = self.sim.now
-            # dict.fromkeys, not a set: teardown order must follow failure
-            # order, not id()-hash order, or replay determinism breaks.
-            for shard in dict.fromkeys(item.shard for item in failed):
-                failed_shards.add(shard)
-                self.drop_connection(shard)
-            if self.cache is not None:
-                for item in failed:
-                    self.cache.invalidate(item.key)
-            remaining = deadline - self.sim.now
-            if remaining <= 0:
-                raise ShardUnavailable(
-                    f"{self.client_id}: {opname} deadline "
-                    f"({self.deadline_us}us) lapsed with {len(failed)} of "
-                    f"{len(items)} keys unserved")
-            yield from self._backoff(min(backoff_ns, remaining))
-            backoff_ns = min(backoff_ns * 2, backoff_cap_ns)
-            items = [_ReadItem(it.idx, it.key, self.router.route(it.key))
-                     for it in failed]
+        def send(item: _ReadItem):
+            return self._send(rnd, item, Request(op=Op.GET, key=item.key))
 
-    def _get_round(self, items: list[_ReadItem],
-                   results: list[Optional[bytes]], timeout_ns: int):
-        """One multi-GET fan-out round; returns transport-failed items.
-
-        Drains every request it issued before returning — abandoning
-        pendings would leak their in-flight slots.  A shard that fails
-        once is skipped for the round's remaining items (fail-fast), so
-        one dead primary costs one timeout, not one per key.
-        """
-        msg_pendings: list[tuple[_ReadItem, PendingRequest]] = []
-        failed: list[_ReadItem] = []
-        dead_shards: set[Shard] = set()
-        failure: Optional[BaseException] = None
-
-        def send_message(item: _ReadItem):
-            if item.shard in dead_shards:
-                failed.append(item)
-                return
-            try:
-                pending = yield from self.issue(
-                    item.shard, Request(op=Op.GET, key=item.key), timeout_ns)
-            except _RETRYABLE:
-                dead_shards.add(item.shard)
-                failed.append(item)
-                return
-            msg_pendings.append((item, pending))
-
-        if self.cache is None:
-            for item in items:
-                yield from send_message(item)
-        else:
-            hits, _demoted = yield from self._read_fanout(
-                items, on_demote=send_message)
-            for idx, value in hits.items():
-                results[idx] = value
-        for item, pending in msg_pendings:
-            try:
-                resp = yield from self.wait(pending, timeout_ns)
-            except TenantThrottled as exc:
-                # Server shed one key of the batch: re-round it (the
-                # round backoff covers the retry hint).
-                self._round_sheds += 1
-                self._round_shed_hint = max(self._round_shed_hint,
-                                            exc.retry_after_ns)
-                failed.append(item)
-                continue
-            except _RETRYABLE:
-                dead_shards.add(item.shard)
-                failed.append(item)
-                continue
+        def landed(item: _ReadItem, resp: Response):
             if resp.status is Status.OK:
                 self._maybe_cache(item.key, resp)
                 results[item.idx] = resp.value
-            elif resp.status is not Status.NOT_FOUND and failure is None:
-                failure = BadStatus(resp.status, f"GET {item.key!r}")
-        if failure is not None:
-            raise failure
-        return failed
+            elif resp.status is not Status.NOT_FOUND:
+                return BadStatus(resp.status, f"GET {item.key!r}")
+            return None
 
-    def _put_round(self, items: list[_ReadItem],
-                   pairs: list[tuple[bytes, bytes]],
-                   statuses: list[Status], timeout_ns: int):
-        """One multi-PUT fan-out round; returns transport-failed items."""
-        msg_pendings: list[tuple[_ReadItem, PendingRequest]] = []
-        failed: list[_ReadItem] = []
-        dead_shards: set[Shard] = set()
-        for item in items:
-            if item.shard in dead_shards:
-                failed.append(item)
-                continue
-            try:
-                pending = yield from self.issue(
-                    item.shard, Request(op=Op.PUT, key=item.key,
-                                        value=pairs[item.idx][1]), timeout_ns)
-            except _RETRYABLE:
-                dead_shards.add(item.shard)
-                failed.append(item)
-                continue
-            msg_pendings.append((item, pending))
-        for item, pending in msg_pendings:
-            try:
-                resp = yield from self.wait(pending, timeout_ns)
-            except TenantThrottled as exc:
-                self._round_sheds += 1
-                self._round_shed_hint = max(self._round_shed_hint,
-                                            exc.retry_after_ns)
-                failed.append(item)
-                continue
-            except _RETRYABLE:
-                dead_shards.add(item.shard)
-                failed.append(item)
-                continue
-            if self.cache is not None:
-                # Any completed mutation invalidates, as in _mutate.
+        demoted = items
+        if self.cache is not None:
+            hits, demoted = yield from self._read_fanout(
+                items, on_demote=send if overlap else None)
+            for idx, value in hits.items():
+                results[idx] = value
+        for item in demoted:
+            yield from send(item)
+        yield from self._gather(rnd, landed)
+
+    def _write_round(self, rnd: _Round, items: list[_ReadItem], op: Op,
+                     values, statuses: list[Status]):
+        """One round of ``op`` (a mutation or a lease renewal) per key with
+        value ``values[item.idx]``; ``statuses[item.idx]`` gets each
+        answer."""
+        def landed(item: _ReadItem, resp: Response):
+            if op is Op.LEASE_RENEW:
+                if resp.status is Status.OK:
+                    self._maybe_cache(item.key, resp)
+            elif self.cache is not None:
+                # Any *completed* mutation drops the cached pointer — not
+                # just Status.OK.  A DELETE/UPDATE that raced to NOT_FOUND
+                # means a concurrent writer already retired the extent we
+                # point at; keeping the entry would leave co-located
+                # sharers Reading a dead item until the lease lapsed.
+                # (Out-of-place updates make our own pointer stale on OK.)
                 self.cache.invalidate(item.key)
             statuses[item.idx] = resp.status
-        return failed
+            return None
+
+        for item in items:
+            yield from self._send(rnd, item, Request(
+                op=op, key=item.key, value=values[item.idx]))
+        yield from self._gather(rnd, landed)
+
+    def _send(self, rnd: _Round, item: _ReadItem, req: Request):
+        """Issue one request of a round (over TCP: run it to completion).
+
+        A transport failure fails the key and marks its shard dead for
+        the rest of the round, so one dead primary costs the round one
+        timeout, not one per key.
+        """
+        exc = rnd.dead.get(item.shard)
+        if exc is None:
+            try:
+                if self.hydra.transport == "tcp":
+                    pending = yield from self._tcp_request(item.shard, req)
+                else:
+                    pending = yield from self.issue(item.shard, req,
+                                                    rnd.timeout_ns)
+            except _RETRYABLE as err:
+                exc = rnd.dead[item.shard] = err
+            else:
+                rnd.pendings.append((item, pending))
+                return
+        rnd.failed.append((item, exc))
+
+    def _gather(self, rnd: _Round, landed):
+        """Collect every response a round issued, in issue order.
+
+        Each response goes to ``landed(item, resp)``; a shed or a transport
+        failure fails its key instead.  Every pending is waited out — an
+        abandoned one would leak its slot — before the first error
+        ``landed`` returned is raised.
+        """
+        error = None
+        for item, pending in rnd.pendings:
+            if type(pending) is Response:
+                resp = pending
+            else:
+                try:
+                    resp = yield from self.wait(pending, rnd.timeout_ns)
+                except _ROUND_FAILURES as exc:
+                    rnd.failed.append((item, exc))
+                    continue
+            err = landed(item, resp)
+            if error is None:
+                error = err
+        if error is not None:
+            raise error
 
     def _tcp_request(self, shard: Shard, req: Request):
         """Kernel-TCP request path (transport == "tcp").
