@@ -104,6 +104,8 @@ class PendingRequest:
     shard: Shard
     conn: Connection
     slot: int  # -1 in two-sided (Send/Recv) mode
+    #: Instant past which :meth:`HydraClient.wait` gives up on it.
+    deadline: int
 
 
 @dataclass(frozen=True)
@@ -204,12 +206,18 @@ class _ConnPipeline:
 
 
 class _Round:
-    """One round of the retry engine: what it issued and which keys failed."""
+    """One round of the retry engine: what it issued and which keys failed.
 
-    __slots__ = ("timeout_ns", "pendings", "failed", "dead")
+    A round has one deadline: its first post fixes ``end`` at
+    ``timeout_ns`` past it, and every later request of the round shares
+    that instant, so k keys on a silent shard cost one timeout, not k.
+    """
+
+    __slots__ = ("timeout_ns", "end", "pendings", "failed", "dead")
 
     def __init__(self, timeout_ns: int):
         self.timeout_ns = timeout_ns
+        self.end: Optional[int] = None
         #: (item, PendingRequest) per issued request, in issue order — or
         #: (item, Response) for a TCP request, which completes at issue.
         self.pendings: list = []
@@ -1082,15 +1090,16 @@ class HydraClient:
                                    self.sim.timeout(remaining)])
 
     def issue(self, shard: Shard, req: Request,
-              timeout_ns: Optional[int] = None):
+              timeout_ns: Optional[int] = None,
+              deadline: Optional[int] = None):
         """Issue one message-path request; returns a :class:`PendingRequest`.
 
         Blocks (in simulated time) only while the connection's in-flight
         window is exhausted — draining completed responses as it waits —
         never on the issued request's own response.  Collect the response
-        later with :meth:`wait`.  ``timeout_ns`` caps the window wait
-        (defaults to ``client.op_timeout_ns``); the retry engine passes
-        the remaining deadline budget here.
+        later with :meth:`wait`.  The request has one deadline, bounding
+        both waits: the absolute instant ``deadline`` if given, else
+        ``timeout_ns`` (default ``client.op_timeout_ns``) past the post.
         """
         req_id = next(self._req_ids)
         self._c_messages.add()
@@ -1102,9 +1111,10 @@ class HydraClient:
         yield self.sim.timeout(self.cpu.parse_ns)  # marshalling
         conn = self.connection_to(shard)
         pipe = self._pipe(conn)
-        if timeout_ns is None:
-            timeout_ns = self.client_cfg.op_timeout_ns
-        deadline = self.sim.now + timeout_ns
+        if deadline is None:
+            if timeout_ns is None:
+                timeout_ns = self.client_cfg.op_timeout_ns
+            deadline = self.sim.now + timeout_ns
         if self._fair:
             yield from self._acquire_slot(pipe, conn, deadline)
         else:
@@ -1163,12 +1173,11 @@ class HydraClient:
         if self._autotune:
             pipe.issued_ns[req_id] = self.sim.now
         return PendingRequest(req_id=req_id, shard=shard, conn=conn,
-                              slot=slot)
+                              slot=slot, deadline=deadline)
 
-    def wait(self, pending: PendingRequest,
-             timeout_ns: Optional[int] = None):
+    def wait(self, pending: PendingRequest):
         """Collect the response for an issued request (blocks until it
-        lands or the timeout — default ``client.op_timeout_ns`` — expires).
+        lands or the request's deadline passes).
 
         A ``Status.THROTTLED`` response (server-side shed) surfaces as
         :class:`TenantThrottled` carrying the shard's retry hint; the
@@ -1176,9 +1185,7 @@ class HydraClient:
         """
         conn = pending.conn
         pipe = self._pipe(conn)
-        if timeout_ns is None:
-            timeout_ns = self.client_cfg.op_timeout_ns
-        deadline = self.sim.now + timeout_ns
+        deadline = pending.deadline
         while True:
             resp = pipe.completed.pop(pending.req_id, None)
             if resp is not None:
@@ -1454,8 +1461,9 @@ class HydraClient:
                 if self.hydra.transport == "tcp":
                     pending = yield from self._tcp_request(item.shard, req)
                 else:
-                    pending = yield from self.issue(item.shard, req,
-                                                    rnd.timeout_ns)
+                    pending = yield from self.issue(
+                        item.shard, req, rnd.timeout_ns, rnd.end)
+                    rnd.end = pending.deadline
             except _RETRYABLE as err:
                 exc = rnd.dead[item.shard] = err
             else:
@@ -1477,7 +1485,7 @@ class HydraClient:
                 resp = pending
             else:
                 try:
-                    resp = yield from self.wait(pending, rnd.timeout_ns)
+                    resp = yield from self.wait(pending)
                 except _ROUND_FAILURES as exc:
                     rnd.failed.append((item, exc))
                     continue

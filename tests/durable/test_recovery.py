@@ -124,7 +124,17 @@ def test_recovery_bumps_routing_generation_and_clears_flag():
     assert cluster.metrics.counter("swat.log_recoveries").value == 1
 
 
-def test_recovery_in_progress_is_typed_and_raised_mid_replay():
+_OPS = {
+    "get": lambda client: client.get(b"k"),
+    "put": lambda client: client.put(b"k", b"v2"),
+    "get_many": lambda client: client.get_many([b"k", b"k2"]),
+    "put_many": lambda client: client.put_many([(b"k", b"v2"),
+                                                (b"k2", b"v2")]),
+}
+
+
+@pytest.mark.parametrize("op", list(_OPS))
+def test_recovery_in_progress_is_typed_and_raised_mid_replay(op):
     assert issubclass(RecoveryInProgress, ShardUnavailable)
     assert issubclass(RecoveryInProgress, HydraError)
     cfg = SimConfig().with_overrides(
@@ -136,6 +146,7 @@ def test_recovery_in_progress_is_typed_and_raised_mid_replay():
     cluster.start()
     client = cluster.client(deadline_us=3_000)
     sid = cluster.routing.shard_ids()[0]
+    call = _OPS[op]
 
     def app():
         yield from client.put(b"k", b"v")
@@ -144,12 +155,13 @@ def test_recovery_in_progress_is_typed_and_raised_mid_replay():
         cluster.routing.mark_recovering(sid)
         cluster.servers[0].kill()
         with pytest.raises(RecoveryInProgress):
-            yield from client.get(b"k")
+            yield from call(client)
         # Once recovery clears, the same lapse degrades to the generic
         # typed unavailability error.
         cluster.routing.clear_recovering(sid)
-        with pytest.raises(ShardUnavailable):
-            yield from client.get(b"k")
+        with pytest.raises(ShardUnavailable) as exc:
+            yield from call(client)
+        assert not isinstance(exc.value, RecoveryInProgress)
 
     cluster.run(app())
 
