@@ -26,7 +26,7 @@ MS = 1_000_000
 def main() -> None:
     cfg = SimConfig().with_overrides(
         replication={"replicas": 1, "mode": "rdma_log"},
-        hydra={"op_timeout_ns": 5 * MS},
+        client={"op_timeout_ns": 5 * MS},
     )
     cluster = HydraCluster(config=cfg, n_server_machines=1,
                            shards_per_server=1, n_client_machines=1)

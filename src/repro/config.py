@@ -8,7 +8,6 @@ All times are integer nanoseconds; all rates are bytes per nanosecond.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Any
 
@@ -284,43 +283,12 @@ class HydraConfig:
     pipeline_read_penalty: float = 1.3
     pipeline_write_penalty: float = 2.2
 
-    # -- deprecation shim ----------------------------------------------------
-    # PR 8 moved the client/traversal knobs into the typed ClientConfig /
-    # TraversalConfig groups.  Reads and writes of the old flat names keep
-    # working (with a once-per-key DeprecationWarning) by forwarding through
-    # the owning SimConfig, which links itself in __post_init__.
-
-    def __getattr__(self, name: str) -> Any:
-        moved = _MOVED_HYDRA_KEYS.get(name)
-        if moved is None:
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}")
-        root = self.__dict__.get("_root")
-        if root is None:
-            raise AttributeError(
-                f"hydra.{name} moved to {moved[0]}.{moved[1]}; this "
-                f"HydraConfig is not attached to a SimConfig, so the old "
-                f"name cannot be forwarded")
-        _warn_moved_key(name, moved)
-        return getattr(getattr(root, moved[0]), moved[1])
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        moved = _MOVED_HYDRA_KEYS.get(name)
-        if moved is not None:
-            root = self.__dict__.get("_root")
-            if root is not None:
-                _warn_moved_key(name, moved)
-                setattr(getattr(root, moved[0]), moved[1], value)
-                return
-        object.__setattr__(self, name, value)
-
 
 @dataclass
 class ClientConfig:
     """Client-library parameters (windows, timeouts, retry, pointer cache).
 
-    Split out of :class:`HydraConfig` in PR 8; the old flat ``hydra.*``
-    names still resolve through a deprecation shim.
+    The ``client`` section of :class:`SimConfig`.
     """
 
     #: Client-side in-flight window per connection.  The effective window
@@ -454,37 +422,6 @@ class QosConfig:
     shed_retry_after_ns: int = 200_000
 
 
-#: Old flat ``hydra.<key>`` name -> (SimConfig section, new field name).
-_MOVED_HYDRA_KEYS: dict[str, tuple[str, str]] = {
-    "max_inflight_per_conn": ("client", "max_inflight_per_conn"),
-    "max_inflight_reads": ("client", "max_inflight_reads"),
-    "op_timeout_ns": ("client", "op_timeout_ns"),
-    "op_deadline_us": ("client", "op_deadline_us"),
-    "retry_backoff_min_us": ("client", "retry_backoff_min_us"),
-    "retry_backoff_max_us": ("client", "retry_backoff_max_us"),
-    "rptr_cache_enabled": ("client", "rptr_cache_enabled"),
-    "rptr_sharing": ("client", "rptr_sharing"),
-    "rptr_cache_entries": ("client", "rptr_cache_entries"),
-    "index_traversal": ("traversal", "enabled"),
-    "traversal_max_retries": ("traversal", "max_retries"),
-    "traversal_min_fanout": ("traversal", "min_fanout"),
-    "index_export_overflow": ("traversal", "export_overflow"),
-    "traversal_read_horizon_ns": ("traversal", "read_horizon_ns"),
-}
-
-_warned_moved_keys: set[str] = set()
-
-
-def _warn_moved_key(name: str, moved: tuple[str, str]) -> None:
-    if name in _warned_moved_keys:
-        return
-    _warned_moved_keys.add(name)
-    warnings.warn(
-        f"hydra.{name} is deprecated; use {moved[0]}.{moved[1]} "
-        f"(SimConfig.{moved[0]} section)",
-        DeprecationWarning, stacklevel=3)
-
-
 @dataclass
 class ReplicationConfig:
     """High-availability / replication parameters (§5)."""
@@ -572,18 +509,6 @@ class SimConfig:
     durability: DurabilityConfig = field(default_factory=DurabilityConfig)
     coord: CoordConfig = field(default_factory=CoordConfig)
 
-    def __post_init__(self) -> None:
-        # Back-link the hydra section so the deprecation shim can forward
-        # old flat keys to their new homes.  ``replace()`` reuses section
-        # instances for untouched sections, so an instance already linked
-        # to another SimConfig is copied first — each root resolves old
-        # names against its *own* client/traversal groups.
-        hydra = self.hydra
-        if hydra.__dict__.get("_root") is not None:
-            hydra = replace(hydra)
-            object.__setattr__(self, "hydra", hydra)
-        hydra.__dict__["_root"] = self
-
     def with_overrides(self, **sections: dict[str, Any]) -> "SimConfig":
         """Return a copy with per-section field overrides.
 
@@ -592,22 +517,10 @@ class SimConfig:
             cfg.with_overrides(client={"rptr_cache_enabled": False},
                                replication={"replicas": 2})
 
-        Old flat ``hydra.*`` keys that moved to the ``client`` /
-        ``traversal`` groups are still accepted under ``hydra={...}`` and
-        routed to their new section, with a once-per-key
-        DeprecationWarning.
+        An unknown field — including a client or traversal knob given
+        under ``hydra=`` instead of its own section — raises
+        :class:`TypeError`.
         """
-        sections = {name: dict(fields) for name, fields in sections.items()}
-        hydra_fields = sections.get("hydra")
-        if hydra_fields:
-            for key in list(hydra_fields):
-                moved = _MOVED_HYDRA_KEYS.get(key)
-                if moved is not None:
-                    _warn_moved_key(key, moved)
-                    sections.setdefault(moved[0], {})[moved[1]] = (
-                        hydra_fields.pop(key))
-            if not hydra_fields:
-                del sections["hydra"]
         updates: dict[str, Any] = {}
         for section, fields in sections.items():
             current = getattr(self, section)

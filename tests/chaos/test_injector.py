@@ -107,7 +107,7 @@ def test_torn_write_storm_end_to_end():
     sched = FaultSchedule(
         name="torn-e2e", seed=3,
         windows=(FaultWindow("write_torn", 0, ALWAYS, p=1.0),))
-    cfg = SimConfig().with_overrides(hydra={"op_timeout_ns": 2_000_000})
+    cfg = SimConfig().with_overrides(client={"op_timeout_ns": 2_000_000})
     cluster = HydraCluster(config=cfg, n_server_machines=1,
                            shards_per_server=1, n_client_machines=1)
     cluster.start()

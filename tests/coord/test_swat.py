@@ -7,10 +7,10 @@ from repro.core import RequestTimeout
 from repro.protocol import Status
 
 
-def ha_cluster(replicas=1, shards_per_server=1, **hydra):
+def ha_cluster(replicas=1, shards_per_server=1):
     cfg = SimConfig().with_overrides(
         replication={"replicas": replicas},
-        hydra={"op_timeout_ns": 5_000_000, **hydra},
+        client={"op_timeout_ns": 5_000_000},
     )
     cluster = HydraCluster(config=cfg, n_server_machines=1,
                            shards_per_server=shards_per_server)

@@ -12,7 +12,7 @@ S = 1_000_000_000
 def ha_cluster(replicas=1, shards=1):
     cfg = SimConfig().with_overrides(
         replication={"replicas": replicas},
-        hydra={"op_timeout_ns": 5 * MS},
+        client={"op_timeout_ns": 5 * MS},
     )
     cluster = HydraCluster(config=cfg, n_server_machines=1,
                            shards_per_server=shards)

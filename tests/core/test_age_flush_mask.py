@@ -17,10 +17,9 @@ KEYS = [f"af-{i:03d}".encode() for i in range(64)]
 
 
 def _cluster(**hydra):
-    over = {"msg_slots_per_conn": 8, "max_inflight_per_conn": 8,
-            "rptr_cache_enabled": False}
-    over.update(hydra)
-    cfg = SimConfig().with_overrides(hydra=over)
+    cfg = SimConfig().with_overrides(
+        hydra={"msg_slots_per_conn": 8, **hydra},
+        client={"max_inflight_per_conn": 8, "rptr_cache_enabled": False})
     cluster = HydraCluster(config=cfg, n_server_machines=1,
                            shards_per_server=1, n_client_machines=1)
     for key in KEYS:

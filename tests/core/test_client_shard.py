@@ -103,7 +103,7 @@ def test_stale_pointer_detected_after_update():
 
 
 def test_stale_pointer_invalid_hit_without_sharing():
-    cfg = SimConfig().with_overrides(hydra={"rptr_sharing": False})
+    cfg = SimConfig().with_overrides(client={"rptr_sharing": False})
     cluster = mini_cluster(cfg, n_client_machines=2)
     c1 = cluster.client(0)
     c2 = cluster.client(1)
@@ -156,7 +156,7 @@ def test_delete_invalidates_pointer():
 
 
 def test_rptr_cache_disabled_all_gets_are_messages():
-    cfg = SimConfig().with_overrides(hydra={"rptr_cache_enabled": False})
+    cfg = SimConfig().with_overrides(client={"rptr_cache_enabled": False})
     cluster = mini_cluster(cfg)
     client = cluster.client()
     assert client.cache is None
@@ -171,8 +171,8 @@ def test_rptr_cache_disabled_all_gets_are_messages():
 
 
 def test_send_recv_mode_roundtrip():
-    cfg = SimConfig().with_overrides(hydra={"rdma_write_messaging": False,
-                                            "rptr_cache_enabled": False})
+    cfg = SimConfig().with_overrides(hydra={"rdma_write_messaging": False},
+                                     client={"rptr_cache_enabled": False})
     cluster = mini_cluster(cfg)
     client = cluster.client()
     times = {}
@@ -203,14 +203,14 @@ def test_send_recv_slower_than_rdma_write_messaging():
         run(cluster, app())
         return out["t"]
 
-    base = SimConfig().with_overrides(hydra={"rptr_cache_enabled": False})
+    base = SimConfig().with_overrides(client={"rptr_cache_enabled": False})
     t_write = measure(base)
     t_sr = measure(base.with_overrides(hydra={"rdma_write_messaging": False}))
     assert t_sr > t_write
 
 
 def test_request_timeout_on_dead_server():
-    cfg = SimConfig().with_overrides(hydra={"op_timeout_ns": 5_000_000})
+    cfg = SimConfig().with_overrides(client={"op_timeout_ns": 5_000_000})
     cluster = mini_cluster(cfg)
     client = cluster.client()
 

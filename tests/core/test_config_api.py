@@ -10,10 +10,10 @@ from repro.protocol import Status
 
 def test_with_overrides_is_nondestructive():
     base = SimConfig()
-    derived = base.with_overrides(hydra={"rptr_cache_enabled": False},
+    derived = base.with_overrides(client={"rptr_cache_enabled": False},
                                   replication={"replicas": 2})
-    assert base.hydra.rptr_cache_enabled is True
-    assert derived.hydra.rptr_cache_enabled is False
+    assert base.client.rptr_cache_enabled is True
+    assert derived.client.rptr_cache_enabled is False
     assert derived.replication.replicas == 2
     assert base.replication.replicas == 0
     # Untouched sections are shared values, equal configuration.

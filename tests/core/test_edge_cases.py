@@ -25,8 +25,8 @@ def test_oversized_request_raises_cleanly():
 
 def test_oversized_response_degrades_to_error_status():
     # PUT through a big-buffer connection, then GET through a small one.
-    small = SimConfig().with_overrides(hydra={"conn_buf_bytes": 512,
-                                              "rptr_cache_enabled": False})
+    small = SimConfig().with_overrides(hydra={"conn_buf_bytes": 512},
+                                       client={"rptr_cache_enabled": False})
     cluster = HydraCluster(config=small, n_server_machines=1,
                            shards_per_server=1)
     cluster.start()
@@ -50,7 +50,7 @@ def test_oversized_response_degrades_to_error_status():
 
 
 def test_nic_recovery_restores_service():
-    cfg = SimConfig().with_overrides(hydra={"op_timeout_ns": 3_000_000})
+    cfg = SimConfig().with_overrides(client={"op_timeout_ns": 3_000_000})
     cluster = HydraCluster(config=cfg, n_server_machines=1,
                            shards_per_server=1)
     cluster.start()

@@ -7,11 +7,11 @@ from repro.core import BadStatus, RequestTimeout
 from repro.protocol import Op, Status
 
 
-def pipelined_config(window, **hydra):
-    over = {"msg_slots_per_conn": window, "max_inflight_per_conn": window,
-            "rptr_cache_enabled": False}
-    over.update(hydra)
-    return SimConfig().with_overrides(hydra=over)
+def pipelined_config(window, **client):
+    return SimConfig().with_overrides(
+        hydra={"msg_slots_per_conn": window},
+        client={"max_inflight_per_conn": window, "rptr_cache_enabled": False,
+                **client})
 
 
 def make_cluster(config=None, **kw):
@@ -64,7 +64,7 @@ def test_window1_defaults_match_stop_and_wait():
     """Default config is depth-1: the pipeline must not change behavior."""
     cfg = SimConfig()
     assert cfg.hydra.msg_slots_per_conn == 1
-    assert cfg.hydra.max_inflight_per_conn == 1
+    assert cfg.client.max_inflight_per_conn == 1
     cluster = make_cluster(shards_per_server=2)
     client = cluster.client()
 
@@ -143,7 +143,7 @@ def test_stale_response_discarded_not_fatal():
         with pytest.raises(RequestTimeout):
             yield from client.put(b"k", b"v")  # shard replies after ~4us
         # Restore a sane deadline and let the stale response land.
-        cluster.config.hydra.op_timeout_ns = 50_000_000
+        cluster.config.client.op_timeout_ns = 50_000_000
         yield cluster.sim.timeout(1_000_000)
         assert (yield from client.put(b"k", b"v2")) is Status.OK
         assert (yield from client.get(b"k")) == b"v2"

@@ -8,9 +8,9 @@ from repro.protocol import Status
 
 
 def pipelined_config(**extra):
-    overrides = {"pipelined_shards": True, "rptr_cache_enabled": False}
-    overrides.update(extra)
-    return SimConfig().with_overrides(hydra=overrides)
+    return SimConfig().with_overrides(
+        hydra={"pipelined_shards": True, **extra},
+        client={"rptr_cache_enabled": False})
 
 
 def test_pipelined_shard_correctness():
@@ -59,7 +59,7 @@ def test_pipelined_slower_than_single_threaded():
         return max(done.values())
 
     t_single = run_once(SimConfig().with_overrides(
-        hydra={"rptr_cache_enabled": False}))
+        client={"rptr_cache_enabled": False}))
     t_pipe = run_once(pipelined_config())
     assert t_pipe > t_single
 

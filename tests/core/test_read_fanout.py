@@ -5,12 +5,11 @@ from repro.core import BadStatus
 from repro.protocol import Op, Status
 
 
-def fanout_config(window=8, reads=8, **hydra):
-    over = {"msg_slots_per_conn": window, "max_inflight_per_conn": window,
-            "max_inflight_reads": reads,
-            "rptr_cache_enabled": True, "rptr_sharing": False}
-    over.update(hydra)
-    return SimConfig().with_overrides(hydra=over)
+def fanout_config(window=8, reads=8, **client):
+    return SimConfig().with_overrides(
+        hydra={"msg_slots_per_conn": window},
+        client={"max_inflight_per_conn": window, "max_inflight_reads": reads,
+                "rptr_cache_enabled": True, "rptr_sharing": False, **client})
 
 
 def make_cluster(config=None, **kw):

@@ -8,10 +8,9 @@ KEYS = [f"sw-{i:03d}".encode() for i in range(48)]
 
 
 def sweep_config(**hydra):
-    over = {"msg_slots_per_conn": 16, "max_inflight_per_conn": 16,
-            "rptr_cache_enabled": False}
-    over.update(hydra)
-    return SimConfig().with_overrides(hydra=over)
+    return SimConfig().with_overrides(
+        hydra={"msg_slots_per_conn": 16, **hydra},
+        client={"max_inflight_per_conn": 16, "rptr_cache_enabled": False})
 
 
 def run_batch_workload(config, n_clients=1):

@@ -162,7 +162,7 @@ def test_tcp_mode_failover_recovers():
     listener and clients reconnect lazily."""
     MS = 1_000_000
     cfg = SimConfig().with_overrides(
-        hydra={"transport": "tcp", "op_timeout_ns": 5 * MS},
+        hydra={"transport": "tcp"}, client={"op_timeout_ns": 5 * MS},
         replication={"replicas": 1})
     cluster = HydraCluster(config=cfg, n_server_machines=1,
                            shards_per_server=1)

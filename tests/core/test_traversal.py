@@ -9,11 +9,11 @@ from repro.protocol import Status
 KEYS = [f"trav-{i:03d}".encode() for i in range(24)]
 
 
-def traversal_config(**hydra):
-    over = {"msg_slots_per_conn": 16, "max_inflight_per_conn": 16,
-            "traversal_min_fanout": 1}
-    over.update(hydra)
-    return SimConfig().with_overrides(hydra=over)
+def traversal_config(traversal=None, **hydra):
+    return SimConfig().with_overrides(
+        hydra={"msg_slots_per_conn": 16, **hydra},
+        client={"max_inflight_per_conn": 16},
+        traversal={"min_fanout": 1, **(traversal or {})})
 
 
 def make_cluster(config=None, **kw):
@@ -80,7 +80,7 @@ def test_traversal_reprimes_the_pointer_cache():
 
 
 def test_min_fanout_gate_keeps_single_cold_gets_on_messages():
-    cluster = make_cluster(traversal_config(traversal_min_fanout=2))
+    cluster = make_cluster(traversal_config(traversal={"min_fanout": 2}))
     client = cluster.client()
     counters = cluster.metrics.counter
 
@@ -106,15 +106,15 @@ def _storm(read_delay_until_ns: int) -> FaultSchedule:
                              min_delay_ns=20_000, max_delay_ns=20_000),))
 
 
-def churn_cluster(**hydra):
+def churn_cluster(**traversal):
     # One main bucket forces multi-frame chains, so an absent key's
     # NOT_FOUND needs the head-confirm read — the raceable step.
-    cfg = traversal_config(buckets_per_shard=1, **hydra)
+    cfg = traversal_config(traversal, buckets_per_shard=1)
     return make_cluster(cfg)
 
 
 def test_race_retries_until_churn_subsides():
-    cluster = churn_cluster(traversal_max_retries=50)
+    cluster = churn_cluster(max_retries=50)
     injector = FaultInjector(cluster.sim, _storm(400_000))
     injector.attach(cluster)
     client = cluster.client()
@@ -144,7 +144,7 @@ def test_race_retries_until_churn_subsides():
 
 
 def test_races_demote_after_bounded_retries():
-    cluster = churn_cluster(traversal_max_retries=1)
+    cluster = churn_cluster(max_retries=1)
     # Reads stay delayed for the whole test: every walk races while the
     # churner runs, so the bounded retry must give up and demote.
     injector = FaultInjector(cluster.sim, _storm(50_000_000))

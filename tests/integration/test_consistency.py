@@ -209,7 +209,8 @@ def test_deterministic_across_runs():
 
 def test_send_recv_mode_full_storm():
     cfg = SimConfig().with_overrides(
-        hydra={"rdma_write_messaging": False, "rptr_cache_enabled": False})
+        hydra={"rdma_write_messaging": False},
+        client={"rptr_cache_enabled": False})
     cluster = HydraCluster(config=cfg, n_server_machines=1,
                            shards_per_server=2)
     cluster.start()

@@ -20,10 +20,10 @@ from repro.protocol import Status
 MS = 1_000_000
 
 
-def ha_cluster(n_client_machines=1, coord=None, **hydra):
+def ha_cluster(n_client_machines=1, coord=None):
     cfg = SimConfig().with_overrides(
         replication={"replicas": 1},
-        hydra={"op_timeout_ns": 5 * MS, **hydra},
+        client={"op_timeout_ns": 5 * MS},
         coord=coord or {},
     )
     cluster = HydraCluster(config=cfg, n_server_machines=1,
@@ -152,7 +152,7 @@ def test_put_many_rides_through_failover():
 def test_deadline_exhaustion_raises_shard_unavailable():
     # No replicas: nothing can be promoted, so the budget must lapse.
     cfg = SimConfig().with_overrides(
-        hydra={"op_timeout_ns": 5 * MS, "op_deadline_us": 100_000})
+        client={"op_timeout_ns": 5 * MS, "op_deadline_us": 100_000})
     cluster = HydraCluster(config=cfg, n_server_machines=1,
                            shards_per_server=1)
     cluster.start()
@@ -265,7 +265,7 @@ def test_cluster_context_manager_and_deadline_override():
         legacy = cluster.client(deadline_us=0)
         assert legacy.deadline_us == 0
         default = cluster.client()
-        assert default.deadline_us == cluster.config.hydra.op_deadline_us
+        assert default.deadline_us == cluster.config.client.op_deadline_us
 
         def app():
             assert (yield from client.put(b"k", b"v")) is Status.OK

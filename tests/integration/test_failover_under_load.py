@@ -20,7 +20,7 @@ def _write_storm_through_failover(horizon_ms, coord=None):
     the kill.  No acknowledged write may be missing afterwards."""
     cfg = SimConfig().with_overrides(
         replication={"replicas": 1},
-        hydra={"op_timeout_ns": 5 * MS},
+        client={"op_timeout_ns": 5 * MS},
         coord=coord or {},
     )
     cluster = HydraCluster(config=cfg, n_server_machines=1,
@@ -86,7 +86,7 @@ def test_reads_resume_after_failover_with_stale_pointers():
     exhaustion) and reads recover via the promoted shard."""
     cfg = SimConfig().with_overrides(
         replication={"replicas": 1},
-        hydra={"op_timeout_ns": 5 * MS},
+        client={"op_timeout_ns": 5 * MS},
     )
     cluster = HydraCluster(config=cfg, n_server_machines=1,
                            shards_per_server=1, n_client_machines=1)
@@ -123,7 +123,7 @@ def test_reads_resume_after_failover_with_stale_pointers():
 def test_double_failure_without_remaining_replica_is_detected():
     cfg = SimConfig().with_overrides(
         replication={"replicas": 1},
-        hydra={"op_timeout_ns": 5 * MS},
+        client={"op_timeout_ns": 5 * MS},
     )
     cluster = HydraCluster(config=cfg, n_server_machines=1,
                            shards_per_server=1)

@@ -18,13 +18,13 @@ OPS_PER_WORKER = 50
 def soak_config(occupancy, hints, batching, **extra):
     over = {
         "msg_slots_per_conn": 8,
-        "max_inflight_per_conn": 8,
         "occupancy_word": occupancy,
         "ready_hints": hints,
         "resp_doorbell_batch": 8 if batching else 0,
     }
     over.update(extra)
-    return SimConfig().with_overrides(hydra=over)
+    return SimConfig().with_overrides(
+        hydra=over, client={"max_inflight_per_conn": 8})
 
 
 def op_script(seed=1234):

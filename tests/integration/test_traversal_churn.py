@@ -13,9 +13,9 @@ from repro import HydraCluster, SimConfig
 
 
 def test_cold_get_many_under_put_delete_churn():
-    cfg = SimConfig().with_overrides(hydra={
-        "msg_slots_per_conn": 16, "max_inflight_per_conn": 16,
-        "traversal_min_fanout": 1, "buckets_per_shard": 4})
+    cfg = SimConfig().with_overrides(
+        hydra={"msg_slots_per_conn": 16, "buckets_per_shard": 4},
+        client={"max_inflight_per_conn": 16}, traversal={"min_fanout": 1})
     cluster = HydraCluster(config=cfg, n_server_machines=1,
                            shards_per_server=2, n_client_machines=2,
                            scribble_on_reclaim=True)

@@ -1,6 +1,6 @@
 """Tenant-scoped client API: golden default-path digest, typed
 throttling (never a silent stall), fairness under skew, server-side
-shed, and the flat-config deprecation shim."""
+shed, and the config sections client knobs live in."""
 
 import pytest
 
@@ -225,42 +225,21 @@ def test_server_shed_is_typed_and_counted():
 
 
 # ---------------------------------------------------------------------------
-# config shim
+# config sections
 
 
-@pytest.fixture(autouse=True)
-def _fresh_deprecation_state():
-    """The moved-key warning fires once per process; reset per test."""
-    from repro import config as config_mod
-    config_mod._warned_moved_keys.clear()
-    yield
-    config_mod._warned_moved_keys.clear()
-
-
-def test_moved_hydra_keys_resolve_with_deprecation_warning():
-    cfg = SimConfig()
-    with pytest.warns(DeprecationWarning, match="max_inflight_per_conn"):
-        assert cfg.hydra.max_inflight_per_conn == \
-            cfg.client.max_inflight_per_conn
-    with pytest.warns(DeprecationWarning, match="index_traversal"):
-        assert cfg.hydra.index_traversal == cfg.traversal.enabled
-
-
-def test_moved_hydra_key_writes_forward_to_new_section():
-    cfg = SimConfig()
-    with pytest.warns(DeprecationWarning):
-        cfg.hydra.op_timeout_ns = 123_456
-    assert cfg.client.op_timeout_ns == 123_456
-
-
-def test_with_overrides_accepts_legacy_flat_keys():
-    with pytest.warns(DeprecationWarning):
-        cfg = SimConfig().with_overrides(
-            hydra={"max_inflight_per_conn": 5})
-    assert cfg.client.max_inflight_per_conn == 5
+@pytest.mark.parametrize("key", ["max_inflight_per_conn", "op_timeout_ns",
+                                 "index_traversal"])
+def test_with_overrides_rejects_moved_hydra_keys(key):
+    """Client and traversal knobs live in their own sections only: under
+    ``hydra=`` they are unknown fields, as any typo is."""
+    with pytest.raises(TypeError, match=key):
+        SimConfig().with_overrides(hydra={key: 1})
 
 
 def test_unknown_hydra_key_still_raises():
     cfg = SimConfig()
     with pytest.raises(AttributeError):
         _ = cfg.hydra.definitely_not_a_knob
+    with pytest.raises(AttributeError):
+        _ = cfg.hydra.max_inflight_per_conn
