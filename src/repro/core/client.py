@@ -42,20 +42,26 @@ depth from observed RTT.  Overload surfaces as typed
 :class:`~repro.core.errors.TenantThrottled` errors whose
 ``retry_after_ns`` hints the retry engine honors — never a silent stall.
 
-Failure handling (§5): every public operation runs under a per-request
-deadline budget (``client.op_deadline_us``).  When one message-path
-attempt times out (``client.op_timeout_ns``) or dies at the QP/NIC layer,
-the
-client tears down the stale connection, drops the key's remote-pointer
-cache entry, re-resolves the key through the (versioned) routing table —
-blocking on the router's ``route_change`` gate so a SWAT promotion is
-picked up the instant it is republished — and replays the request against
-whatever shard now owns the key, with capped exponential backoff between
-attempts.  Only when the whole budget lapses does the caller see a
-:class:`~repro.core.errors.ShardUnavailable`.  Setting
-``op_deadline_us=0`` (or ``deadline_us=0`` per client) restores the
-pre-retry single-attempt contract.  See docs/PROTOCOLS.md for the full
-state machine and the idempotency rules (INSERT is never replayed).
+Failure handling (§5): every public operation runs as *rounds* of one
+retry engine (:meth:`HydraClient._retrying`) — a single-key op is a round
+of one — under one deadline budget (``client.op_deadline_us``).  A round
+issues every key's request and waits them all out; it has one deadline,
+``client.op_timeout_ns`` past its first post, so a silent shard costs a
+round one timeout however many keys it holds.  Keys the shard *shed*
+(``Status.THROTTLED``) are replayed after the largest retry hint, on the
+same connection.  Keys that failed at the transport level (timeout, QP
+error, dead NIC) cost their shards' connections and cached pointers, and
+are re-routed through the (versioned) routing table — blocking on the
+router's ``route_change`` gate, so a SWAT promotion is picked up the
+instant it is republished — and replayed against whatever shard now owns
+them, with capped exponential backoff between rounds.  Only when the
+whole budget lapses does the caller see a
+:class:`~repro.core.errors.ShardUnavailable` (a
+:class:`~repro.core.errors.RecoveryInProgress` if the shard is replaying
+its durable log).  Setting ``op_deadline_us=0`` (or ``deadline_us=0``
+per client) restores the single-attempt contract.  See docs/PROTOCOLS.md
+for the full state machine and the idempotency rules (INSERT is never
+replayed).
 """
 
 from __future__ import annotations
@@ -524,10 +530,10 @@ class HydraClient:
                   replayable: bool = True):
         """Run ``keys`` to completion in rounds of ``round_fn(rnd, items)``.
 
-        Each round admits its keys, routes them afresh and runs the round
-        under a timeout of ``min(client.op_timeout_ns, deadline - now)``;
-        the round records every key that failed as ``(item, exc)``, and
-        only those keys go to the next round:
+        Each round admits its keys, routes them afresh and runs with one
+        deadline, ``min(client.op_timeout_ns, deadline - now)`` past its
+        first post (see :class:`_Round`); it records every key that failed
+        as ``(item, exc)``, and only those keys go to the next round:
 
         * every failure a server shed: sleep out the largest
           ``retry_after_ns`` — the shard is alive, so no teardown, no
@@ -541,8 +547,9 @@ class HydraClient:
           replaying its durable log, else :class:`ShardUnavailable`.
           Non-replayable ops raise :class:`ShardUnavailable` at once.
 
-        With a zero budget (single-attempt mode) the round's first
-        failure is re-raised unchanged.
+        With a zero budget (single-attempt mode) the first round's
+        failure is re-raised unchanged: its first transport failure, else
+        the shed with the largest hint.
         """
         budget = self.deadline_us * 1_000
         deadline = self.sim.now + budget if budget > 0 else None
