@@ -25,20 +25,23 @@ lint:
 	fi
 
 bench:
-	$(PYTEST) benchmarks/ --benchmark-only
+	PYTHONPATH=$(CURDIR)/src $(PYTEST) benchmarks/ --benchmark-only
 
 bench-quick:
-	REPRO_SCALE=0.2 $(PYTEST) benchmarks/ --benchmark-only
+	REPRO_SCALE=0.2 PYTHONPATH=$(CURDIR)/src $(PYTEST) benchmarks/ \
+		--benchmark-only
 
 bench-inflight:
-	python -m repro.bench inflight --scale 1.0
+	PYTHONPATH=$(CURDIR)/src python -m repro.bench inflight --scale 1.0
+	PYTHONPATH=$(CURDIR)/src python -m repro.bench.validate BENCH_inflight.json
 
 bench-multiget:
-	python -m repro.bench multiget --scale 1.0
+	PYTHONPATH=$(CURDIR)/src python -m repro.bench multiget --scale 1.0
+	PYTHONPATH=$(CURDIR)/src python -m repro.bench.validate BENCH_multiget.json
 
 bench-failover:
-	python -m repro.bench failover --scale 1.0
-	python -m repro.bench.validate BENCH_failover.json
+	PYTHONPATH=$(CURDIR)/src python -m repro.bench failover --scale 1.0
+	PYTHONPATH=$(CURDIR)/src python -m repro.bench.validate BENCH_failover.json
 
 # Full-crash recovery from the per-shard durable write-behind log: a
 # correlated primary+secondary kill per ack mode — zero lost acked
@@ -49,8 +52,8 @@ bench-recovery:
 	PYTHONPATH=$(CURDIR)/src python -m repro.bench.validate BENCH_recovery.json
 
 bench-sweep:
-	python -m repro.bench server_sweep --scale 1.0
-	python -m repro.bench.validate BENCH_sweep.json
+	PYTHONPATH=$(CURDIR)/src python -m repro.bench server_sweep --scale 1.0
+	PYTHONPATH=$(CURDIR)/src python -m repro.bench.validate BENCH_sweep.json
 
 # Event-kernel microbench: events/sec of the two-tier calendar + now-queue
 # + pooled timers, each schedule shape gated on a committed BLAKE2
@@ -113,10 +116,11 @@ perf-compare:
 	python3 perf/compare.py $(A) $(B)
 
 figures:
-	python -m repro.bench all --scale 0.5
+	PYTHONPATH=$(CURDIR)/src python -m repro.bench all --scale 0.5
 
 examples:
-	@for ex in examples/*.py; do echo "== $$ex"; python $$ex; done
+	@for ex in examples/*.py; do echo "== $$ex"; \
+		PYTHONPATH=$(CURDIR)/src python $$ex; done
 
 # Code lines per package (physical minus blank / comment / docstring):
 # the measure a PR reports its src/ delta with.

@@ -10,6 +10,7 @@ records paper-vs-measured values produced by these exact functions.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from typing import Iterable, Optional, Sequence
@@ -25,6 +26,7 @@ from ..baselines import (
 from ..config import SimConfig
 from ..core import HydraCluster
 from ..hardware import Machine
+from ..index.export import fits_inline
 from ..index.hashing import hash64
 from ..protocol import Op, Status
 from ..rdma import Fabric, TcpNetwork
@@ -908,11 +910,11 @@ def write_inflight_artifact(rows: list[dict],
 
 def multiget_sweep(scale: float = 1.0,
                    batch_sizes: Sequence[int] = (4, 16, 64),
-                   value_bytes: int = 64) -> list[dict]:
+                   value_sizes: Sequence[int] = (32, 64)) -> list[dict]:
     """``get_many`` throughput: message path vs batched one-sided Reads.
 
     One client machine against one single-threaded shard, five regimes
-    per batch size:
+    per batch size and value size:
 
     * ``message`` — pointer cache disabled; the pipelined slotted message
       path carries every key (the PR-1 baseline).
@@ -925,8 +927,9 @@ def multiget_sweep(scale: float = 1.0,
       the cache (the legacy demotion semantics).
     * ``cold`` — every pointer is dropped before each batch and the
       client walks the exported index buckets instead: 0% hit rate, yet
-      every key resolves through pipelined one-sided bucket + item Reads
-      with near-zero server CPU.
+      every key resolves through pipelined one-sided Reads with
+      near-zero server CPU — one frame Read when the item fits its
+      frame's inline line (``inline``), frame + item Read otherwise.
     * ``mixed-hit`` — half the pointers dropped with traversal *on*:
       hits go straight to item Reads, misses take the bucket walk, all
       sharing one doorbell-coalesced read engine.
@@ -935,18 +938,20 @@ def multiget_sweep(scale: float = 1.0,
     pointer a batch lookup returns (``pointer_hits``) must come back as
     exactly one successful or invalid Read (``reconciled``) — plus the
     traversal counters (``bucket_reads``, ``traversal_races``,
-    ``demotions``, ``index_mutations_versioned``) and the measured
+    ``demotions``, ``index_mutations_versioned``), the RDMA Reads the
+    client posted per GET (``reads_per_get``) and the measured
     ``server_cpu_ns_per_get``.  BENCH_multiget.json records the sweep
     across PRs; the headlines are the warm-cache ``hybrid`` speedup over
-    ``message`` at batch 16, and ``cold`` beating ``message`` at 0% hit
-    rate without touching the server CPU.
+    ``message`` at batch 16, ``cold`` beating ``message`` at 0% hit rate
+    without touching the server CPU, and one Read per cold GET of a
+    small item.
     """
     n_ops = max(240, int(BASE_OPS * scale))
     keys = [f"mg{i:06d}".encode() for i in range(256)]
-    trav_counters = ("client.bucket_reads", "client.traversal_races",
-                     "client.demotions")
+    read_counters = ("client.bucket_reads", "client.traversal_races",
+                     "client.demotions", "client.rdma_reads")
     rows: list[dict] = []
-    for batch in batch_sizes:
+    for value_bytes, batch in itertools.product(value_sizes, batch_sizes):
         message_kops: Optional[float] = None
         for mode in ("message", "hybrid", "mixed", "cold", "mixed-hit"):
             traversal = mode in ("cold", "mixed-hit")
@@ -987,7 +992,7 @@ def multiget_sweep(scale: float = 1.0,
                         yield from client.get_many(keys[s:s + batch])
                     stats0.update(client.cache.stats())
                 snap0["busy"] = busy_ns()
-                for name in trav_counters:
+                for name in read_counters:
                     snap0[name] = counters(name).value
                 t0 = cluster.sim.now
                 done = 0
@@ -1011,6 +1016,8 @@ def multiget_sweep(scale: float = 1.0,
             row = {
                 "mode": mode,
                 "batch": batch,
+                "value_bytes": value_bytes,
+                "inline": fits_inline(len(keys[0]), value_bytes),
                 "get_kops": n_ops / elapsed["get"] * 1e6,
                 "server_cpu_ns_per_get": elapsed["busy"] / n_ops,
                 "bucket_reads": counters("client.bucket_reads").value
@@ -1019,6 +1026,8 @@ def multiget_sweep(scale: float = 1.0,
                 - snap0["client.traversal_races"],
                 "demotions": counters("client.demotions").value
                 - snap0["client.demotions"],
+                "reads_per_get": (counters("client.rdma_reads").value
+                                  - snap0["client.rdma_reads"]) / n_ops,
                 "index_mutations_versioned": counters(
                     "shard.index_mutations_versioned").value,
             }
@@ -1055,7 +1064,8 @@ def write_multiget_artifact(rows: list[dict],
                        "cache) vs legacy half-invalidated demotion vs "
                        "one-sided index traversal at 0% (cold) and 50% "
                        "(mixed-hit) hit rates (1 shard, 1 client, "
-                       "hit-rate x batch-size)",
+                       "hit-rate x batch-size x value-size; 'inline' rows "
+                       "hold items that fit a bucket frame's inline line)",
         "unit": "kops",
         "rows": rows,
     }

@@ -16,7 +16,8 @@ experiments promise:
   accounting (``successful_hits + invalid_hits == batch_hits``) balanced
   for every mode/batch cell; the ``cold`` (0% hit rate) cells must show
   one-sided index traversal beating the message path with near-zero
-  server CPU ns/GET;
+  server CPU ns/GET, and at batch >= 16 with items that fit the inline
+  line, at most 1.2 RDMA Reads per GET;
 * failover rows must show the availability contract held: zero
   client-visible exceptions, zero lost acked writes, at least one SWAT
   promotion, and post-kill throughput >= 80% of pre-kill;
@@ -71,9 +72,10 @@ _ROW_KEYS: dict[str, tuple[str, ...]] = {
     "inflight_depth_sweep": (
         "window", "get_kops", "put_kops", "get_speedup", "put_speedup"),
     "multiget_fanout_sweep": (
-        "mode", "batch", "get_kops", "speedup_vs_message", "pointer_hits",
-        "successful_hits", "invalid_hits", "demoted", "reconciled",
-        "bucket_reads", "traversal_races", "demotions",
+        "mode", "batch", "value_bytes", "inline", "get_kops",
+        "speedup_vs_message", "pointer_hits", "successful_hits",
+        "invalid_hits", "demoted", "reconciled", "bucket_reads",
+        "traversal_races", "demotions", "reads_per_get",
         "index_mutations_versioned", "server_cpu_ns_per_get"),
     "failover_availability": (
         "clients", "pre_kops", "post_kops", "recovered_ratio",
@@ -112,6 +114,11 @@ _ROW_KEYS: dict[str, tuple[str, ...]] = {
 #: order-of-magnitude guard means the kernel itself regressed
 #: catastrophically, not that the CI machine is slow.
 _SIMCORE_EPS_FLOOR = 150_000.0
+
+#: Reads per cold GET allowed when the items fit the inline line: one
+#: frame Read each, plus the few keys sharing a frame with the line's
+#: owner.
+_MULTIGET_INLINE_READS = 1.2
 
 #: chaos_soak row fields that must be exactly zero for the contract.
 _CHAOS_ZERO = ("untyped_errors", "corrupt_values", "lost_acked_writes",
@@ -176,12 +183,14 @@ def validate_artifact(payload: dict) -> list[str]:
                 problems.append(f"row {i} (mode={row.get('mode')!r}, "
                                 f"batch={row.get('batch')!r}): pointer "
                                 f"accounting did not reconcile")
-        message_cpu = {row.get("batch"): row.get("server_cpu_ns_per_get")
+        message_cpu = {(row.get("batch"), row.get("value_bytes")):
+                       row.get("server_cpu_ns_per_get")
                        for row in rows if row.get("mode") == "message"}
         for i, row in enumerate(rows):
             if row.get("mode") != "cold":
                 continue
-            label = f"row {i} (cold, batch={row.get('batch')!r})"
+            label = (f"row {i} (cold, batch={row.get('batch')!r}, "
+                     f"value_bytes={row.get('value_bytes')!r})")
             speedup = row.get("speedup_vs_message")
             if isinstance(row.get("batch"), int) and row["batch"] >= 16 \
                     and not (isinstance(speedup, (int, float))
@@ -195,8 +204,20 @@ def validate_artifact(payload: dict) -> list[str]:
             if not _positive(row, "bucket_reads"):
                 problems.append(f"{label}: traversal ran but bucket_reads "
                                 f"is {row.get('bucket_reads')!r}")
+            reads = row.get("reads_per_get")
+            if isinstance(row.get("batch"), int) and row["batch"] >= 16 \
+                    and row.get("inline") is True \
+                    and not (isinstance(reads, (int, float))
+                             and reads <= _MULTIGET_INLINE_READS):
+                # A small item rides in its bucket frame's inline line:
+                # the frame Read alone answers the GET.
+                problems.append(
+                    f"{label}: cold GETs of inline-sized items must cost "
+                    f"<= {_MULTIGET_INLINE_READS} Reads each, got "
+                    f"{reads!r}")
             cpu = row.get("server_cpu_ns_per_get")
-            baseline = message_cpu.get(row.get("batch"))
+            baseline = message_cpu.get((row.get("batch"),
+                                        row.get("value_bytes")))
             if not (isinstance(cpu, (int, float)) and math.isfinite(cpu)
                     and isinstance(baseline, (int, float)) and baseline > 0
                     and cpu <= 0.05 * baseline):

@@ -339,9 +339,9 @@ class TraversalConfig:
 
     #: The shard exports its compact hash table's buckets as a
     #: client-readable RDMA region, and a cold GET (no cached remote
-    #: pointer) resolves with a one-sided bucket Read followed by an item
-    #: Read — 2 RTTs, zero server CPU — instead of demoting to the
-    #: message path.  False restores the PR-2 behavior (cold keys always
+    #: pointer) resolves with one-sided Reads — the bucket frame alone
+    #: when it carries the item inline, else frame then item; zero
+    #: server CPU — instead of demoting to the message path.  False restores the PR-2 behavior (cold keys always
     #: go through messages).
     enabled: bool = True
     #: Bounded optimistic retry for the traversal: a read that races a
@@ -350,15 +350,16 @@ class TraversalConfig:
     #: before demoting the key to the message path.
     max_retries: int = 3
     #: Minimum number of *cold* keys in one read fan-out before the
-    #: traversal engine engages.  A lone cold key is two dependent RTTs
-    #: one-sided versus one message round-trip to an often-idle core, so
-    #: the message path wins below this; at or above it the bucket Reads
+    #: traversal engine engages.  A lone cold key is up to two dependent
+    #: RTTs one-sided versus one message round-trip to an often-idle
+    #: core, so the message path wins below this; at or above it the bucket Reads
     #: of different keys pipeline through one doorbell and the traversal
     #: amortizes.  1 = traverse every cold key (bench cold cells).
     min_fanout: int = 2
-    #: Exported overflow-bucket frames per shard.  Chains that extend
-    #: past this capacity set the demote flag in their last exported
-    #: frame and clients fall back to the message path for them.
+    #: Exported overflow-bucket frames per shard (128 B each, like the
+    #: main buckets).  Chains that extend past this capacity set the
+    #: demote flag in their last exported frame and clients fall back to
+    #: the message path for them.
     export_overflow: int = 1024
     #: Read-horizon deferral (ns): a retired extent is never freed
     #: earlier than retire-time + this horizon, even if its frozen lease

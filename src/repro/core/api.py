@@ -305,8 +305,8 @@ class HydraCluster:
         4. salvage any contiguous unmerged suffix from surviving
            secondary rings, ``promote_drain()``-style,
         5. restart the durable log on the same device past the validated
-           tail, start the shard (its index re-exports as the store is
-           already populated), and swap the route — the generation bump
+           tail, start the shard (its exported index is the populated
+           store's own table), and swap the route — the generation bump
            fires ``route_change`` so failover-aware clients replay
            through the recovered primary.
         """

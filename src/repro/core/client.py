@@ -128,7 +128,8 @@ class _Traversal:
     """State of one key's client-side index traversal (§4.2.2 extended).
 
     A cold key — no cached pointer — resolves with one-sided Reads alone:
-    bucket frame Read, signature match, item Read, guardian validation.
+    bucket frame Read, then either the frame's inline item (one Read) or
+    signature match, item Read, guardian validation.
     ``frames`` records every (frame index, seqlock version) visited this
     attempt; a multi-bucket NOT_FOUND is only concluded after re-reading
     the *head* frame and seeing its version unchanged (every chain
@@ -801,7 +802,7 @@ class HydraClient:
                 enqueue_bucket(trav, cs, trav.next_link)
                 return
             if len(trav.frames) == 1:
-                # One atomic 64 B snapshot held the whole chain: the key
+                # One atomic frame snapshot held the whole chain: the key
                 # was provably absent at the Read's DMA instant.
                 hits[trav.item.idx] = None
                 return
@@ -838,8 +839,19 @@ class HydraClient:
                 yield from race(trav, cs)
                 return
             trav.frames.append((frame_idx, bucket.version))
-            trav.candidates = [(cls, off) for _i, sig, cls, off
-                               in bucket.slots if sig == trav.sig]
+            inline = bucket.inline
+            if inline is not None and inline.key == trav.item.key:
+                # The frame carried the item beside its slot word: one
+                # Read, and the value linearizes to its DMA instant.
+                hits[trav.item.idx] = inline.value
+                self._prime_from_traversal(trav.item.key, inline.offset,
+                                           inline, trav.index)
+                return
+            # The inline slot's key is known not to be ours.
+            skip = inline.slot if inline is not None else -1
+            trav.candidates = [(cls, off) for i, sig, cls, off
+                               in bucket.slots
+                               if sig == trav.sig and i != skip]
             if any(cls >= len(trav.index.size_classes)
                    for cls, _off in trav.candidates):
                 # A size-class index the handshake never advertised:

@@ -710,7 +710,7 @@ class Shard:
         self._c_op[op].add()
         result = _run_op(self.store, op, req.key, req.value)
         is_ok_write = op in WRITE_OPS and result.status is Status.OK
-        if is_ok_write and self.store.export is not None:
+        if is_ok_write and self.store.exported:
             self._c_index_mut.add()
         yield self.core.execute(
             self.cpu.parse_ns + result.cost_ns + self.cpu.build_response_ns)
@@ -850,7 +850,7 @@ class Shard:
         durable = self.durable
         # Base shards execute every key against their one store
         # (store_for_key exists for the sub-sharded executors).
-        exported = store.export is not None
+        exported = store.exported
         region_rkey = store.region.rkey
         parse_build = cpu.parse_ns + cpu.build_response_ns
         if not self.hydra.rdma_write_messaging:

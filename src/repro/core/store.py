@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from ..config import SimConfig
 from ..index import ChainedHashTable, CompactHashTable, hash64
-from ..index.export import BucketExport, IndexHandshake
+from ..index.export import IndexHandshake
 from ..kvmem import (
     HEADER_BYTES,
     LeaseReclaimer,
@@ -72,27 +72,29 @@ class ShardStore:
                      "chained": ChainedHashTable}.get(table_kind)
         if table_cls is None:
             raise ValueError(f"unknown table_kind {table_kind!r}")
-        self.table = table_cls(config.hydra.buckets_per_shard, self.key_at)
+        # Client-readable index (traversal path): only the compact table
+        # has the bucket frame geometry, and its slot words name the item's
+        # size class in 4 bits.  An exported table *is* the registered
+        # region clients Read.
+        self.exported = (export_index and config.traversal.enabled
+                         and table_cls is CompactHashTable
+                         and len(self.alloc.classes) <= 16)
+        if self.exported:
+            self.table = CompactHashTable(
+                config.hydra.buckets_per_shard, self.key_at,
+                export_overflow=config.traversal.export_overflow,
+                numa_domain=numa_domain, name=name)
+            nic.register(self.table.region)
+            self._class_index = {c: i for i, c in enumerate(self.alloc.classes)}
+        else:
+            self.table = table_cls(config.hydra.buckets_per_shard,
+                                   self.key_at)
         self.leases = LeaseManager(sim, config.hydra)
-        # Client-readable index mirror (traversal path): only the compact
-        # table has the fixed 64 B bucket geometry the export encodes.
-        self.export: BucketExport | None = None
-        if (export_index and config.traversal.enabled
-                and table_cls is CompactHashTable):
-            class_index = {c: i for i, c in enumerate(self.alloc.classes)}
-            self.export = BucketExport(
-                config.hydra.buckets_per_shard,
-                config.traversal.export_overflow,
-                lambda off: class_index[self.alloc.extent_class(off)],
-                numa_domain=numa_domain, name=name,
-            )
-            nic.register(self.export.region)
-            self.table.attach_export(self.export)
         self.reclaimer = LeaseReclaimer(
             sim, self.alloc, config.memory.reclaim_period_ns,
             scribble=scribble_on_reclaim,
             horizon_ns=(config.traversal.read_horizon_ns
-                        if self.export is not None else 0),
+                        if self.exported else 0),
         )
 
     # -- arena access helpers ------------------------------------------------
@@ -172,12 +174,17 @@ class ShardStore:
         write_item(self.region, new_offset, key, value, version)
         cost += (self.cpu.alloc_ns + self.cpu.memcpy_ns(extent)
                  + self.cpu.update_extra_ns)
-        fw0 = self.export.frames_written if self.export is not None else 0
-        self.table.put(key, h, new_offset)
-        cost += self._line_ns(self.table.last_lines)
-        if self.export is not None:
-            # Each re-exported frame is one cacheline store.
-            cost += self._line_ns(self.export.frames_written - fw0)
+        if self.exported:
+            self.table.put(key, h, new_offset,
+                           self._class_index[self.alloc.extent_class(new_offset)],
+                           value, version)
+            cost += self._line_ns(self.table.last_lines)
+            # Each rewritten frame (inline line included) is one
+            # cacheline store.
+            cost += self._line_ns(self.table.last_frames)
+        else:
+            self.table.put(key, h, new_offset)
+            cost += self._line_ns(self.table.last_lines)
         retired = -1
         if old_offset is not None:
             old_klen, old_vlen, _ = self._header(old_offset)
@@ -194,11 +201,10 @@ class ShardStore:
     def remove(self, key: bytes) -> StoreResult:
         h = hash64(key)
         cost = self.cpu.hash_key_ns
-        fw0 = self.export.frames_written if self.export is not None else 0
         offset = self.table.remove(key, h)
         cost += self._index_cost(key)
-        if self.export is not None:
-            cost += self._line_ns(self.export.frames_written - fw0)
+        if self.exported:
+            cost += self._line_ns(self.table.last_frames)
         if offset is None:
             return StoreResult(status=Status.NOT_FOUND, cost_ns=cost)
         klen, vlen, version = self._header(offset)
@@ -233,10 +239,18 @@ class ShardStore:
 
     def index_handshake(self) -> IndexHandshake | None:
         """Traversal advertisement for new connections (None = no export)."""
-        if self.export is None:
+        table = self.table
+        if (not self.exported or table.region.rkey is None
+                or self.region.rkey is None):
             return None
-        hs = self.export.handshake(self.region, self.alloc.classes)
-        return hs
+        return IndexHandshake(
+            export_rkey=table.region.rkey,
+            n_buckets=table.n_buckets,
+            n_frames=table.n_frames,
+            arena_rkey=self.region.rkey,
+            arena_nbytes=self.region.nbytes,
+            size_classes=self.alloc.classes,
+        )
 
     # -- introspection -----------------------------------------------------
     def __len__(self) -> int:

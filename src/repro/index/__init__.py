@@ -4,9 +4,9 @@ from .chained import ChainedHashTable
 from .compact import SLOTS_PER_BUCKET, CompactHashTable
 from .export import (
     BUCKET_EXPORT_BYTES,
-    BucketExport,
     ExportedBucket,
     IndexHandshake,
+    InlineItem,
     parse_bucket,
 )
 from .hashing import bucket_index, hash64, signature16
@@ -16,9 +16,9 @@ __all__ = [
     "CompactHashTable",
     "SLOTS_PER_BUCKET",
     "ChainedHashTable",
-    "BucketExport",
     "ExportedBucket",
     "IndexHandshake",
+    "InlineItem",
     "parse_bucket",
     "BUCKET_EXPORT_BYTES",
     "LockFreeMap",

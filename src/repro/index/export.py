@@ -1,67 +1,117 @@
-"""Client-readable export of the compact hash index (HiStore-style).
+"""The bucket frame format of the compact index, and its client decoder.
 
-The compact table's numpy buckets are server-private; this module mirrors
-them into a registered :class:`~repro.rdma.memory.MemoryRegion` so clients
-can traverse the index with one-sided Reads (bucket Read -> item Read, two
-RTTs for a cold key, zero server CPU).
+:class:`~repro.index.compact.CompactHashTable` keeps its buckets in this
+format directly inside a :class:`~repro.rdma.memory.MemoryRegion`; when the
+shard exports its index (``traversal.enabled``) that region is registered
+with the NIC and clients traverse it with one-sided Reads.  There is no
+second copy: the frame a client Reads is the bucket the server probes.
 
-Export frame layout — one 64 B cacheline per bucket, eight little-endian
-u64 words, atomic per simulated DMA instant exactly like the real system's
-cacheline-granular PCIe reads:
+Frame layout — little-endian u64 words, atomic per simulated DMA instant
+exactly like the real system's cacheline-granular PCIe reads.  The first
+cacheline (the *index line*) is every table's bucket:
 
 ``word0``  bits 0-6   occupancy filter (which of the 7 slots hold entries)
-           bit 7      demote flag — chain not fully exportable, clients
-                      must fall back to the message path instead of
-                      concluding NOT_FOUND
+           bit 7      demote flag — the chain continues into frames past
+                      the exported region, clients must fall back to the
+                      message path instead of concluding NOT_FOUND
            bits 8-31  24-bit seqlock version, even when stable; bumped on
                       every mutation that touches the bucket's chain
-           bits 32-63 link: next export *frame index* + 1, 0 terminates
+           bits 32-63 link: next *frame index* + 1, 0 terminates
 ``word1-7``            ``sig16 << 48 | class_idx << 44 | offset``; the
                       4-bit size-class index tells the client how many
                       bytes to Read at ``offset`` (items are written at
                       size-class granularity, parsed by prefix).
 
+An exported frame is 128 B: its second cacheline is the **inline line**,
+one small item of the frame stored beside its slot so a cold GET of it is
+a single Read:
+
+``word8``  bits 0-2   slot index + 1 (0 = no inline item)
+           bits 3-8   klen;  bits 9-14  vlen
+           bits 15-58 the 44-bit arena offset of the slot word it was
+                      written beside
+``word9``              the item's version
+``bytes 80-127``       key then value (``klen + vlen <= 48``)
+
+The last eligible item written to a frame owns its line.
+
 Coherence contract (the part clients rely on):
 
-* every mutation of a chain re-encodes and version-bumps **every** frame
-  of that chain — ``_merge`` may move entries between any two buckets of
-  a chain, so a multi-bucket NOT_FOUND is only believable if re-reading
-  the *head* frame shows an unchanged version;
-* a freed overflow bucket's frame is emptied and bumped before it can be
-  reused by another chain, so a stale link lands on an empty frame with a
-  moved version, never on another chain's entries presented as this one's.
+* every mutation of a chain version-bumps **every** exported frame of that
+  chain — ``_merge`` may move entries between any two buckets of a chain,
+  so a multi-bucket NOT_FOUND is only believable if re-reading the *head*
+  frame shows an unchanged version;
+* a freed overflow frame is emptied and bumped before it can be reused by
+  another chain, so a stale link lands on an empty frame with a moved
+  version, never on another chain's entries presented as this one's;
+* an inline line is valid only beside the exact slot word it was written
+  for: a mutation that changes or frees that slot rewrites or clears the
+  line in the same frame update, and a decoder accepts the line only when
+  its slot is occupied and holds the recorded offset.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
-
-from ..rdma.memory import MemoryRegion
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .compact import CompactHashTable
+from typing import Optional
 
 __all__ = [
-    "BucketExport", "ExportedBucket", "IndexHandshake", "parse_bucket",
-    "BUCKET_EXPORT_BYTES",
+    "ExportedBucket", "IndexHandshake", "InlineItem", "parse_bucket",
+    "fits_inline", "BUCKET_EXPORT_BYTES", "INDEX_LINE_BYTES",
+    "INLINE_PAYLOAD_BYTES",
 ]
 
-#: One export frame is one cacheline, like the table's own buckets.
-BUCKET_EXPORT_BYTES = 64
+#: The index line: what every table's bucket is.
+INDEX_LINE_BYTES = 64
+#: An exported frame: index line + inline line.
+BUCKET_EXPORT_BYTES = 128
+#: Key + value bytes the inline line holds.
+INLINE_PAYLOAD_BYTES = 48
 
-_FILTER_MASK = 0x7F
-_DEMOTE_BIT = 0x80
-_VERSION_SHIFT = 8
-_VERSION_MASK = (1 << 24) - 1
-_LINK_SHIFT = 32
-_SLOT_SIG_SHIFT = 48
-_SLOT_CLASS_SHIFT = 44
-_SLOT_CLASS_MASK = 0xF
-_SLOT_OFFSET_MASK = (1 << 44) - 1
+SLOTS = 7
+FILTER_MASK = 0x7F
+DEMOTE_BIT = 0x80
+VERSION_SHIFT = 8
+VERSION_MASK = (1 << 24) - 1
+VERSION_BITS = VERSION_MASK << VERSION_SHIFT
+LINK_SHIFT = 32
+MAX_LINK = (1 << 32) - 1
+SIG_SHIFT = 48
+CLASS_SHIFT = 44
+CLASS_MASK = 0xF
+OFFSET_MASK = (1 << 44) - 1
 
-_FRAME = struct.Struct("<8Q")
+_INLINE_SLOT_MASK = 0x7
+_INLINE_KLEN_SHIFT = 3
+_INLINE_VLEN_SHIFT = 9
+_INLINE_LEN_MASK = 0x3F
+_INLINE_OFFSET_SHIFT = 15
+
+_FRAME = struct.Struct("<10Q")
+_INLINE_HEAD = struct.Struct("<QQ")
+
+
+def fits_inline(klen: int, vlen: int) -> bool:
+    """Whether an item of these lengths can live in an inline line."""
+    return klen + vlen <= INLINE_PAYLOAD_BYTES
+
+
+def encode_inline(slot: int, offset: int, key: bytes, value: bytes,
+                  version: int) -> bytes:
+    """The 64 B inline line for ``key`` living in ``slot`` at ``offset``."""
+    meta = ((slot + 1)
+            | len(key) << _INLINE_KLEN_SHIFT
+            | len(value) << _INLINE_VLEN_SHIFT
+            | offset << _INLINE_OFFSET_SHIFT)
+    payload = key + value
+    return (_INLINE_HEAD.pack(meta, version) + payload
+            + bytes(INLINE_PAYLOAD_BYTES - len(payload)))
+
+
+def inline_slot(meta: int) -> int:
+    """Slot an inline line's meta word describes, -1 if the line is empty."""
+    return (meta & _INLINE_SLOT_MASK) - 1
 
 
 @dataclass(frozen=True)
@@ -77,6 +127,17 @@ class IndexHandshake:
 
 
 @dataclass(frozen=True)
+class InlineItem:
+    """A frame's inline item, already checked against its slot word."""
+
+    slot: int
+    offset: int
+    version: int
+    key: bytes
+    value: bytes
+
+
+@dataclass(frozen=True)
 class ExportedBucket:
     """A decoded export frame, as seen by a traversing client."""
 
@@ -86,169 +147,49 @@ class ExportedBucket:
     link: Optional[int]
     #: (slot_index, signature16, class_idx, arena_offset) per live slot.
     slots: tuple[tuple[int, int, int, int], ...]
+    #: The inline item, None when the line is empty or does not describe
+    #: the slot word beside it.
+    inline: Optional[InlineItem] = None
 
 
 def parse_bucket(data: bytes) -> ExportedBucket:
-    """Decode a 64 B frame snapshot fetched by an RDMA Read."""
+    """Decode a 128 B frame snapshot fetched by an RDMA Read."""
     if len(data) != BUCKET_EXPORT_BYTES:
         raise ValueError(
             f"bucket frame must be {BUCKET_EXPORT_BYTES}B, got {len(data)}"
         )
-    words = _FRAME.unpack(data)
+    words = _FRAME.unpack_from(data)
     header = words[0]
-    filt = header & _FILTER_MASK
-    link_raw = header >> _LINK_SHIFT
+    filt = header & FILTER_MASK
+    link_raw = header >> LINK_SHIFT
     slots = tuple(
         (
             i,
-            words[1 + i] >> _SLOT_SIG_SHIFT,
-            (words[1 + i] >> _SLOT_CLASS_SHIFT) & _SLOT_CLASS_MASK,
-            words[1 + i] & _SLOT_OFFSET_MASK,
+            words[1 + i] >> SIG_SHIFT,
+            (words[1 + i] >> CLASS_SHIFT) & CLASS_MASK,
+            words[1 + i] & OFFSET_MASK,
         )
-        for i in range(7)
+        for i in range(SLOTS)
         if (filt >> i) & 1
     )
+    inline = None
+    meta = words[8]
+    slot = inline_slot(meta)
+    offset = meta >> _INLINE_OFFSET_SHIFT
+    if (slot >= 0 and (filt >> slot) & 1
+            and words[1 + slot] & OFFSET_MASK == offset):
+        klen = (meta >> _INLINE_KLEN_SHIFT) & _INLINE_LEN_MASK
+        vlen = (meta >> _INLINE_VLEN_SHIFT) & _INLINE_LEN_MASK
+        if klen + vlen <= INLINE_PAYLOAD_BYTES:
+            base = INDEX_LINE_BYTES + _INLINE_HEAD.size
+            inline = InlineItem(
+                slot=slot, offset=offset, version=words[9],
+                key=bytes(data[base:base + klen]),
+                value=bytes(data[base + klen:base + klen + vlen]))
     return ExportedBucket(
-        version=(header >> _VERSION_SHIFT) & _VERSION_MASK,
-        demote=bool(header & _DEMOTE_BIT),
+        version=(header >> VERSION_SHIFT) & VERSION_MASK,
+        demote=bool(header & DEMOTE_BIT),
         link=(link_raw - 1) if link_raw else None,
         slots=slots,
+        inline=inline,
     )
-
-
-class BucketExport:
-    """Server-side mirror of a :class:`CompactHashTable` in RDMA memory.
-
-    ``class_index_of(offset)`` maps a live arena offset to its size-class
-    index (what the slab allocator knows); entries whose offset or class
-    cannot be encoded demote their frame rather than silently vanish.
-    """
-
-    def __init__(self, n_buckets: int, overflow_frames: int,
-                 class_index_of: Callable[[int], int],
-                 numa_domain: int = 0, name: str = "index"):
-        if n_buckets <= 0:
-            raise ValueError("n_buckets must be positive")
-        if overflow_frames < 0:
-            raise ValueError("overflow_frames must be >= 0")
-        self.n_buckets = n_buckets
-        self.overflow_frames = overflow_frames
-        self.n_frames = n_buckets + overflow_frames
-        self.class_index_of = class_index_of
-        self.region = MemoryRegion(
-            self.n_frames * BUCKET_EXPORT_BYTES,
-            numa_domain=numa_domain, name=f"{name}.export",
-        )
-        #: Observables for the bench / tests.
-        self.mutations = 0          # sync_chain calls (one per index mutation)
-        self.frames_written = 0     # frames re-encoded (version bumps)
-        self.demoted_frames = 0     # frames flagged unexportable
-        #: Frames touched by the most recent sync — feeds the shard CPU
-        #: model (one extra cacheline write per frame).
-        self.last_frames = 0
-
-    # -- frame addressing -------------------------------------------------
-    def frame_index(self, ref: int) -> Optional[int]:
-        """Export frame index for a table bucket ref, None if past the cap."""
-        if ref >= 0:
-            return ref
-        overflow_idx = -ref - 1
-        if overflow_idx >= self.overflow_frames:
-            return None
-        return self.n_buckets + overflow_idx
-
-    def frame_offset(self, frame_idx: int) -> int:
-        return frame_idx * BUCKET_EXPORT_BYTES
-
-    # -- seqlock helpers --------------------------------------------------
-    def _bump_version(self, frame_idx: int) -> int:
-        off = self.frame_offset(frame_idx)
-        old = (self.region.read_u64(off) >> _VERSION_SHIFT) & _VERSION_MASK
-        return (old + 2) & _VERSION_MASK
-
-    def _write_frame(self, frame_idx: int, filt: int, demote: bool,
-                     link_frame: Optional[int], slot_words: list[int]) -> None:
-        header = (filt & _FILTER_MASK) \
-            | (_DEMOTE_BIT if demote else 0) \
-            | (self._bump_version(frame_idx) << _VERSION_SHIFT) \
-            | ((link_frame + 1) << _LINK_SHIFT if link_frame is not None
-               else 0)
-        words = [header] + slot_words + [0] * (7 - len(slot_words))
-        self.region.write(self.frame_offset(frame_idx), _FRAME.pack(*words))
-        self.frames_written += 1
-        self.last_frames += 1
-        if demote:
-            self.demoted_frames += 1
-
-    # -- mutation hooks (called by CompactHashTable) ----------------------
-    def sync_chain(self, table: "CompactHashTable", main_bucket: int) -> None:
-        """Re-export every bucket of ``main_bucket``'s chain, bumping each
-        frame's version.  Called after any put/remove touching the chain."""
-        self.mutations += 1
-        self.last_frames = 0
-        refs = list(table._chain(main_bucket))
-        frames = [self.frame_index(r) for r in refs]
-        # The exportable prefix ends at the first frame past the overflow
-        # cap; its predecessor carries the demote flag so clients stop
-        # trusting the chain for NOT_FOUND conclusions.
-        cut = len(refs)
-        for pos, fidx in enumerate(frames):
-            if fidx is None:
-                cut = pos
-                break
-        for pos in range(cut):
-            ref = refs[pos]
-            fidx = frames[pos]
-            header = table._header(ref)
-            filt = header & _FILTER_MASK
-            demote = False
-            slot_words: list[int] = []
-            out_filt = 0
-            for i in range(7):
-                if not (filt >> i) & 1:
-                    continue
-                word = table._slot(ref, i)
-                sig = word >> 48
-                offset = word & ((1 << 48) - 1)
-                try:
-                    cls = self.class_index_of(offset)
-                except KeyError:
-                    cls = -1
-                if offset > _SLOT_OFFSET_MASK or not 0 <= cls <= _SLOT_CLASS_MASK:
-                    # Entry not encodable: keep it out of the filter and
-                    # flag the frame so clients never infer its absence.
-                    demote = True
-                    continue
-                out_filt |= 1 << len(slot_words)
-                slot_words.append(
-                    (sig << _SLOT_SIG_SHIFT)
-                    | (cls << _SLOT_CLASS_SHIFT)
-                    | offset
-                )
-            link = frames[pos + 1] if pos + 1 < cut else None
-            if pos + 1 < len(refs) and pos + 1 >= cut:
-                # Chain continues into unexportable territory.
-                demote = True
-            self._write_frame(fidx, out_filt, demote, link, slot_words)
-
-    def invalidate_frame(self, ref: int) -> None:
-        """Empty + bump a freed overflow bucket's frame before reuse."""
-        fidx = self.frame_index(ref)
-        if fidx is None:
-            return
-        self.last_frames = 0
-        self._write_frame(fidx, 0, False, None, [])
-
-    def handshake(self, arena: MemoryRegion,
-                  size_classes: tuple[int, ...]) -> Optional[IndexHandshake]:
-        """Advertisement for the connection handshake (None if unregistered)."""
-        if self.region.rkey is None or arena.rkey is None:
-            return None
-        return IndexHandshake(
-            export_rkey=self.region.rkey,
-            n_buckets=self.n_buckets,
-            n_frames=self.n_frames,
-            arena_rkey=arena.rkey,
-            arena_nbytes=arena.nbytes,
-            size_classes=tuple(size_classes),
-        )

@@ -7,12 +7,13 @@ from repro.bench.validate import main, validate_artifact
 
 
 def _mg_row(**kw):
-    row = {"mode": "hybrid", "batch": 16, "get_kops": 250.0,
+    row = {"mode": "hybrid", "batch": 16, "value_bytes": 32,
+           "inline": True, "get_kops": 250.0,
            "speedup_vs_message": 2.5, "pointer_hits": 10,
            "successful_hits": 10, "invalid_hits": 0, "demoted": 0,
            "reconciled": True, "bucket_reads": 0, "traversal_races": 0,
-           "demotions": 0, "index_mutations_versioned": 0,
-           "server_cpu_ns_per_get": 0.0}
+           "demotions": 0, "reads_per_get": 1.0,
+           "index_mutations_versioned": 0, "server_cpu_ns_per_get": 0.0}
     row.update(kw)
     return row
 
@@ -64,6 +65,15 @@ def test_cold_rows_must_beat_message_with_near_zero_cpu():
     payload = good_multiget_payload()
     del payload["rows"][2]
     assert any("cold" in p for p in validate_artifact(payload))
+
+
+def test_cold_inline_rows_must_cost_one_read_per_get():
+    payload = good_multiget_payload()
+    payload["rows"][2]["reads_per_get"] = 2.0
+    assert any("Reads each" in p for p in validate_artifact(payload))
+    # Items past the inline line pay frame + item: no Read gate there.
+    payload["rows"][2]["inline"] = False
+    assert validate_artifact(payload) == []
 
 
 def test_unknown_experiment_rejected():

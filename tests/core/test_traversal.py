@@ -173,3 +173,99 @@ def test_races_demote_after_bounded_retries():
         stop["churn"] = True
 
     cluster.run(reader(), churner())
+
+
+def test_cold_get_many_of_small_items_is_one_read_per_key():
+    cluster = make_cluster()
+    client = cluster.client()
+    counters = cluster.metrics.counter
+    keys = KEYS[:16]
+
+    def app():
+        yield from client.put_many([(k, b"s:" + k) for k in keys])
+        chill(client, keys)
+        reads_before = counters("client.rdma_reads").value
+        messages_before = counters("client.messages").value
+        values = yield from client.get_many(keys)
+        assert values == [b"s:" + k for k in keys]
+        # Each key is its bucket frame's inline item: the frame Read
+        # carries the value, no item Read follows.
+        assert counters("client.rdma_reads").value - reads_before == 16
+        assert counters("client.messages").value == messages_before
+
+    cluster.run(app())
+
+
+def test_value_past_the_inline_line_costs_frame_plus_item_read():
+    cluster = make_cluster()
+    client = cluster.client()
+    counters = cluster.metrics.counter
+    big = b"B" * 64
+
+    def app():
+        yield from client.put(KEYS[0], big)
+        chill(client, KEYS[:1])
+        reads_before = counters("client.rdma_reads").value
+        assert (yield from client.get_many(KEYS[:1])) == [big]
+        assert counters("client.rdma_reads").value - reads_before == 2
+        assert counters("client.bucket_reads").value == 1
+
+    cluster.run(app())
+
+
+def test_update_racing_the_frame_read_returns_old_or_new():
+    # One bucket: both keys share a frame, so the inline line flips
+    # between them (foreign lines) and is cleared whenever a key takes a
+    # value too big for it, all while delayed frame Reads are in flight.
+    cluster = churn_cluster(max_retries=50)
+    injector = FaultInjector(cluster.sim, _storm(400_000))
+    injector.attach(cluster)
+    client = cluster.client()
+    writer = cluster.client()
+    counters = cluster.metrics.counter
+    keys = (b"race-hot", b"race-other")
+    #: key -> [(value, write start ns, write ack ns)] in write order.
+    history = {k: [] for k in keys}
+
+    def value_for(key, i):
+        body = b"%s:%d:" % (key, i)
+        return body + (b"L" * 64 if i % 3 == 0 else b"")
+
+    def allowed(key, t0, t1):
+        """Values a read issued at t0 and done at t1 may return."""
+        writes = history[key]
+        first = 0
+        for j, (_v, _start, ack) in enumerate(writes):
+            if ack <= t0:
+                first = j
+        return {v for v, start, _ack in writes[first:] if start <= t1}
+
+    def put(key, i):
+        v = value_for(key, i)
+        start = cluster.sim.now
+        assert (yield from writer.put(key, v)) is Status.OK
+        history[key].append((v, start, cluster.sim.now))
+
+    def churner():
+        i = 0
+        while cluster.sim.now < 300_000:
+            i += 1
+            for key in keys:
+                yield from put(key, i)
+
+    def reader():
+        for key in keys:
+            yield from put(key, 0)
+        served = 0
+        while cluster.sim.now < 350_000:
+            chill(client, list(keys))
+            t0 = cluster.sim.now
+            values = yield from client.get_many(list(keys))
+            t1 = cluster.sim.now
+            for key, v in zip(keys, values):
+                assert v in allowed(key, t0, t1), (key, v)
+            served += 1
+        assert served >= 5
+        assert counters("client.demotions").value == 0
+
+    cluster.run(reader(), churner())
