@@ -316,9 +316,7 @@ def run_soak(profile: str = "mixed", seed: int = 42, scale: float = 1.0,
     store: dict[bytes, bytes] = {}
     for sid in cluster.routing.shard_ids():
         shard = cluster.routing.resolve(sid)
-        # Sub-sharded instances spread keys over per-core sub-tables.
-        dump = getattr(shard, "dump_all", shard.store.dump)
-        store.update(dump())
+        store.update(shard.dump_all())
     lost = sum(1 for k, v in sealed.items() if store.get(k) != v)
 
     completions.sort()

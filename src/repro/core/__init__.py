@@ -10,7 +10,6 @@ from .ring import HashRing
 from .rptr import CachedPointer, RptrCache
 from .server import HydraServer
 from .shard import Connection, Shard, WRITE_OPS
-from .subshard import SubShardedShard
 from .store import ShardStore, StoreResult
 
 __all__ = [
@@ -30,7 +29,6 @@ __all__ = [
     "TenantThrottled",
     "HydraServer",
     "Shard",
-    "SubShardedShard",
     "Connection",
     "WRITE_OPS",
     "ShardStore",

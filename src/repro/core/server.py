@@ -29,11 +29,14 @@ class HydraServer:
                  scribble_on_reclaim: bool = False):
         if machine.nic is None:
             raise ValueError("machine must be attached to the fabric first")
-        if config.hydra.transport == "tcp" and (
-                config.hydra.pipelined_shards or config.hydra.subshards > 0):
+        h = config.hydra
+        if h.transport == "tcp" and (h.pipelined_shards or h.subshards > 0):
             raise ValueError(
                 "the TCP transport supports plain shards only "
                 "(pipelined/sub-sharded variants are RDMA-mode ablations)")
+        if h.pipelined_shards and h.subshards > 0:
+            raise ValueError(
+                "a shard is either sub-sharded or pipelined, not both")
         self.sim = sim
         self.config = config
         self.machine = machine
@@ -41,29 +44,15 @@ class HydraServer:
         self.metrics = metrics or MetricSet(sim)
         self.shards: list[Shard] = []
         n_domains = machine.numa.n_domains
-        if config.hydra.pipelined_shards:
-            from .pipelined import PipelinedShard
-            shard_cls = PipelinedShard
-        else:
-            shard_cls = Shard
         for i in range(n_shards):
             shard_id = f"{server_id}.{i}"
-            domain = i % n_domains
-            core = machine.allocate_core(shard_id, numa_domain=domain)
-            if config.hydra.subshards > 0:
-                from .subshard import SubShardedShard
-                self.shards.append(SubShardedShard(
-                    sim, config, shard_id, machine, core,
-                    n_subshards=config.hydra.subshards,
-                    metrics=self.metrics, table_kind=table_kind,
-                    numa_mode=numa_mode,
-                    scribble_on_reclaim=scribble_on_reclaim,
-                ))
-                continue
-            self.shards.append(shard_cls(
+            core = machine.allocate_core(shard_id,
+                                         numa_domain=i % n_domains)
+            self.shards.append(Shard(
                 sim, config, shard_id, machine, core, metrics=self.metrics,
                 table_kind=table_kind, numa_mode=numa_mode,
                 scribble_on_reclaim=scribble_on_reclaim,
+                subshards=h.subshards, pipelined=h.pipelined_shards,
             ))
 
     def start(self) -> None:

@@ -1,10 +1,33 @@
-"""The shard: HydraDB's single-threaded server-side execution unit (§4.1.1).
+"""The shard: HydraDB's server-side execution unit, one class with three
+execution strategies.
 
-One shard = one pinned core + one exclusively-owned :class:`ShardStore`.
-The thread does *everything*: it sweeps its per-connection request buffers
-(or receive CQs in the Send/Recv ablation mode), executes the operation
-against the store, replicates mutations, and RDMA-Writes the response —
-no hand-offs, no locks, no context switches.
+* **Plain** (§4.1.1, the paper's design): one pinned core + one
+  exclusively-owned :class:`ShardStore`.  The thread does *everything*:
+  it sweeps its per-connection request buffers (or receive CQs in the
+  Send/Recv ablation mode), executes the operation against the store,
+  replicates mutations, and RDMA-Writes the response — no hand-offs, no
+  locks, no context switches.
+* **Sub-sharded** (§6.3's proposal, ``subshards=K``): one ingest thread
+  owns every connection, so the QP count stays ``clients`` rather than
+  ``clients x cores``, and routes each request by key hash to one of K
+  executor lanes, each with its own core and its own store.  Sub-shards
+  share nothing, so execution stays lock-free; the added costs are the
+  hand-off and a short send-queue lock per response.  One connection
+  fronts K tables here, so no index is exported.
+* **Pipelined** (the §6.2.1 ablation the paper argues against,
+  ``pipelined=True``): ``pipeline_io_threads`` ingest threads split the
+  connections by ``conn_id`` and hand every request over one queue to
+  ``pipeline_worker_threads`` executor lanes that share the one store
+  behind a readers-writer lock, paying the hand-off, the lock and the
+  cacheline bounce of a shared partition (Fig. 10's "Pipeline + RDMA
+  Write" series).
+
+Whatever the strategy, a request is parsed by one :meth:`Shard._parse`
+and executed by one request body, :meth:`Shard._serve` — admission,
+[lock], store, CPU, write pipeline, [unlock], response — called by the
+plain shard's inline sweep and by every executor lane.  The TCP transport
+is plain-only and keeps its own body (:meth:`Shard._handle_tcp`): its
+responses carry no remote pointer.
 
 Polling model: requests are detected by sustained polling with the
 indicator format; after ``idle_polls_before_sleep`` empty probes the
@@ -51,6 +74,7 @@ from typing import Optional
 from ..config import SimConfig
 from ..hardware import Core, Machine
 from ..index.export import IndexHandshake
+from ..index.hashing import hash64
 from ..protocol import (
     Op,
     Request,
@@ -67,7 +91,7 @@ from ..protocol import (
 from ..protocol.messages import _REQ, _RESP
 from ..rdma import MemoryRegion, Nic, QpError, QueuePair, RemotePointer
 from ..rdma.tcp import TcpError
-from ..sim import Gate, MetricSet, Interrupt, Simulator, Store
+from ..sim import Gate, MetricSet, Interrupt, RwLock, Simulator, Store
 from .errors import LifecycleError
 from .store import ShardStore, StoreResult
 
@@ -93,6 +117,13 @@ _MAX_OP = int(max(Op))
 #: test membership with a range compare instead of a set lookup.
 _WRITE_LO, _WRITE_HI = int(Op.PUT), int(Op.DELETE)
 assert all(_WRITE_LO <= int(o) <= _WRITE_HI for o in WRITE_OPS)
+_unpack_req = _REQ.unpack_from
+_REQ_BASE = _REQ.size
+#: Sub-shard hand-off on top of the parse (cheaper than the pipelined
+#: one: no shared store, the request routes straight to its owner's queue).
+_SUBSHARD_HANDOFF_NS = 250
+#: Serializing response posts from several executor cores onto one QP.
+_SEND_LOCK_NS = 60
 
 
 def _probes_run(elapsed: int, window: int, probe: int) -> int:
@@ -106,7 +137,7 @@ def _probes_run(elapsed: int, window: int, probe: int) -> int:
 def _run_op(store: ShardStore, op: int, key: bytes,
             value: bytes) -> StoreResult:
     """Execute one request against ``store``, dispatched on its raw
-    opcode (the base shard's sweep inlines this)."""
+    opcode."""
     if op == 1:
         return store.get(key)
     if op <= 4:
@@ -196,7 +227,16 @@ class Connection:
 
 
 class Shard:
-    """A primary shard process."""
+    """A primary shard process.
+
+    ``subshards=K`` (K > 0) builds a sub-sharded instance and
+    ``pipelined=True`` a pipelined one (see the module docstring); the
+    default is the paper's plain shard.  The parts that differ are data,
+    not code: the ingest threads' cores (:attr:`io_cores`), the executor
+    lanes ``(thread tag, core, hand-off queue, store)`` (:attr:`lanes`,
+    none for a plain shard, whose ingest thread executes inline), and
+    the per-request CPU of the hand-off and of the executor's fixed part.
+    """
 
     def __init__(self, sim: Simulator, config: SimConfig, shard_id: str,
                  machine: Machine, core: Core,
@@ -204,7 +244,9 @@ class Shard:
                  table_kind: str = "compact", numa_mode: str = "local",
                  scribble_on_reclaim: bool = False,
                  store: Optional[ShardStore] = None,
-                 export_index: bool = True):
+                 subshards: int = 0, pipelined: bool = False):
+        if subshards < 0:
+            raise ValueError("subshards must be >= 0")
         self.sim = sim
         self.config = config
         self.hydra = config.hydra
@@ -216,14 +258,64 @@ class Shard:
         self.nic: Nic = machine.nic
         self.core = core
         self.metrics = metrics or MetricSet(sim)
+        # A sub-sharded store does not export: one connection fronts many
+        # tables, so a single bucket region cannot be advertised.
         self.store = store or ShardStore(
             sim, config, self.nic, core.numa_domain, shard_id,
             table_kind=table_kind, numa_mode=numa_mode,
             scribble_on_reclaim=scribble_on_reclaim,
-            export_index=export_index,
+            export_index=not subshards,
         )
-        #: Every store this instance owns (sub-sharded instances add more).
+        #: Every store this instance owns, in routing order (one per
+        #: sub-shard; just :attr:`store` otherwise).
         self.substores: list[ShardStore] = [self.store]
+        #: Cores of the ingest threads (thread ``tid`` sweeps on
+        #: ``io_cores[tid]``); one except in pipelined instances.
+        self.io_cores: list[Core] = [core]
+        #: Executor lanes: ``(thread tag, core, hand-off queue, store)``.
+        self.lanes: list[tuple[str, Core, Store, ShardStore]] = []
+        #: The distinct hand-off queues, in routing order.
+        self._queues: list[Store] = []
+        #: Store lock of lanes that share one store (pipelined).
+        self._lock: Optional[RwLock] = None
+        cpu = self.cpu
+        #: Executor CPU per request on top of the store's own cost.
+        self._exec_ns = cpu.parse_ns + cpu.build_response_ns
+        if not self.hydra.rdma_write_messaging:
+            self._exec_ns += cpu.sendrecv_server_extra_ns
+        #: Ingest CPU per request handed to a lane.
+        self._handoff_ns = 0
+        if subshards:
+            self._queues = [Store(sim) for _ in range(subshards)]
+            self.substores += [ShardStore(
+                sim, config, self.nic, core.numa_domain,
+                f"{shard_id}.sub{k}", table_kind=table_kind,
+                numa_mode=numa_mode, scribble_on_reclaim=scribble_on_reclaim,
+                export_index=False) for k in range(1, subshards)]
+            self.lanes = [
+                (f".sub{k}", machine.allocate_core(f"{shard_id}.sub{k}"),
+                 self._queues[k], self.substores[k])
+                for k in range(subshards)]
+            # The ingest thread parses (to route by key); sub-shards skip
+            # the parse and the Send/Recv surcharge.
+            self._handoff_ns = cpu.parse_ns + _SUBSHARD_HANDOFF_NS
+            self._exec_ns = cpu.build_response_ns + _SEND_LOCK_NS
+        elif pipelined:
+            h = self.hydra
+            # The paper pins whole instances per NUMA domain.
+            self.io_cores += [
+                machine.allocate_core(f"{shard_id}.io{i}",
+                                      numa_domain=core.numa_domain)
+                for i in range(1, h.pipeline_io_threads)]
+            cores = [machine.allocate_core(f"{shard_id}.w{i}",
+                                           numa_domain=core.numa_domain)
+                     for i in range(h.pipeline_worker_threads)]
+            self._queues = [Store(sim)]
+            self.lanes = [(f".w{i}", c, self._queues[0], self.store)
+                          for i, c in enumerate(cores)]
+            self._lock = RwLock(sim)
+            # Queueing + wake-up + cacheline bounce.
+            self._handoff_ns = h.pipeline_handoff_ns
         self.conns: list[Connection] = []
         self.doorbell = Gate(sim)
         #: Ready-connection scheduling state: connections flagged dirty by
@@ -231,6 +323,9 @@ class Shard:
         self._ready: dict[int, Connection] = {}
         self._rr = 0
         self._sweep_seq = 0
+        #: Per-ingest-thread connection partitions (several ingest threads
+        #: only), re-derived when the connection set changes.
+        self._parts: Optional[list[list[Connection]]] = None
         #: TCP-mode state (transport == "tcp"): epoll-style ready queue.
         self.tcp_port: int = -1
         self._tcp_ready = Store(sim)
@@ -268,23 +363,16 @@ class Shard:
         self._c_drain_deferred = m.counter("shard.drain_deferred")
         self._c_resp_doorbells = m.counter("shard.resp_doorbells")
         self._c_resp_coalesced = m.counter("shard.resp_coalesced")
-        #: Reused parse scratch: parallel arrays one sweep batch wide
-        #: (grown on demand, never shrunk) — the sweep's analogue of the
-        #: kernel's flat calendar slots.
-        self._ba_ops: list[int] = []
-        self._ba_slots: list[int] = []
-        self._ba_keys: list[bytes] = []
-        self._ba_vals: list[bytes] = []
-        self._ba_rids: list[int] = []
-        self._ba_tenants: list[bytes] = []
-        #: Connection-set generation: bumped on conn add/drop so holders
-        #: of derived connection lists (pipelined I/O threads) re-derive
-        #: them only when the set actually changed, instead of rebuilding
-        #: every sweep.
-        self._conn_gen = 0
+
+    @property
+    def cores_used(self) -> int:
+        return len(self.io_cores) + len(self.lanes)
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> None:
+        if self.replicator is not None and len(self.substores) > 1:
+            raise LifecycleError(
+                "sub-sharded instances do not support replication hooks")
         if self.alive:
             raise LifecycleError(f"{self.shard_id} already running")
         self.alive = True
@@ -296,9 +384,13 @@ class Shard:
 
     def _threads(self) -> list[tuple]:
         """``(name suffix, generator)`` of each thread :meth:`kill` must
-        interrupt, in start order; the variants run more than one."""
+        interrupt, in start order: the ingest threads, then the lanes."""
         if self.hydra.transport != "tcp":
-            return [("", self._ingest_loop(self.core))]
+            ingest = [(f".io{tid}" if self.lanes else "",
+                       self._ingest_loop(core, tid))
+                      for tid, core in enumerate(self.io_cores)]
+            return ingest + [(tag, self._exec_loop(core, queue, store))
+                             for tag, core, queue, store in self.lanes]
         stack = self.machine.tcp
         port = 7100
         while port in stack.listeners:
@@ -320,6 +412,15 @@ class Shard:
         if self.durable is not None:
             self.durable.crash()
         self._teardown_conns()
+        # Requests handed off but never picked up by a lane die with the
+        # process; count them so availability experiments can see how
+        # much in-flight work a failover drops on the floor.
+        dropped = 0
+        for queue in self._queues:
+            dropped += len(queue.items)
+            queue.items.clear()
+        if dropped:
+            self.metrics.counter("shard.dropped_handoffs").add(dropped)
 
     def attach_durable(self, dlog) -> None:
         """Install the durable log and hook its commit notifications."""
@@ -360,16 +461,23 @@ class Shard:
         self.doorbell.fire()
         self._release_parked()
 
-    def store_for_key(self, key: bytes) -> ShardStore:
-        """The store an out-of-band loader should install ``key`` into
-        (sub-sharded instances override to route by key hash)."""
-        return self.store
+    def _route(self, key: bytes) -> int:
+        """Index of the store (and hand-off queue) that owns ``key``: by
+        key hash across sub-shards, decorrelated from the cluster ring
+        (which uses the low bits); 0 with one store."""
+        n = len(self.substores)
+        return (hash64(key) >> 32) % n if n > 1 else 0
 
-    def _index_export(self) -> Optional[IndexHandshake]:
-        """Index advertisement for new connections.  Sub-sharded shards
-        return None — one connection fronts many tables there, so a
-        single bucket region cannot be advertised."""
-        return self.store.index_handshake()
+    def store_for_key(self, key: bytes) -> ShardStore:
+        """The store an out-of-band loader should install ``key`` into."""
+        return self.substores[self._route(key)]
+
+    def dump_all(self) -> dict[bytes, bytes]:
+        """Every live item, across all of this instance's stores."""
+        out: dict[bytes, bytes] = {}
+        for store in self.substores:
+            out.update(store.dump())
+        return out
 
     # -- connection setup ------------------------------------------------
     def connect(self, client_nic: Nic,
@@ -415,7 +523,7 @@ class Shard:
             req_occ_rptr=(RemotePointer(req_region.rkey, layout.occ_offset,
                                         layout.header_bytes)
                           if occupancy else None),
-            index=self._index_export(),
+            index=self.store.index_handshake(),
         )
         if self.hydra.rdma_write_messaging:
             # The doorbell carries which connection fired so the sweep
@@ -431,13 +539,13 @@ class Shard:
             client_qp.recv_cq.on_push.append(
                 lambda _cq, c=conn: c.client_doorbell.fire())
         self.conns.append(conn)
-        self._conn_gen += 1
+        self._parts = None
         return conn
 
     def disconnect(self, conn: Connection) -> None:
         if conn in self.conns:
             self.conns.remove(conn)
-            self._conn_gen += 1
+            self._parts = None
         self._ready.pop(conn.conn_id, None)
         conn.close()
         self.doorbell.fire(_HALT)
@@ -449,10 +557,17 @@ class Shard:
             self._ready[conn.conn_id] = conn
         self.doorbell.fire(conn)
 
-    def _pool(self, tid: Optional[int] = None) -> list[Connection]:
-        """The connections poller ``tid`` sweeps: all of them, except that
-        pipelined I/O threads partition them among themselves."""
-        return self.conns
+    def _pool(self, tid: int) -> list[Connection]:
+        """The connections ingest thread ``tid`` sweeps: all of them, or
+        its ``conn_id % len(io_cores)`` partition when there are several
+        (cached until a connect or disconnect)."""
+        n = len(self.io_cores)
+        if n == 1:
+            return self.conns
+        if self._parts is None:
+            self._parts = [[c for c in self.conns if c.conn_id % n == t]
+                           for t in range(n)]
+        return self._parts[tid]
 
     def _select_conns(self, pool: list[Connection]) -> list[Connection]:
         """Pick the connections of (non-empty) ``pool`` the next sweep
@@ -585,14 +700,13 @@ class Shard:
         return (self.cpu.cq_poll_ns * max(1, len(conns))
                 + self.cpu.post_recv_ns)
 
-    def _flagged(self, tid: Optional[int] = None) -> bool:
-        """Has a doorbell flagged a connection poller ``tid`` owns?"""
+    def _flagged(self, tid: int) -> bool:
+        """Has a doorbell flagged a connection ingest thread ``tid`` owns?"""
         ready = self._ready
-        return bool(ready) and (tid is None or any(
+        return bool(ready) and (len(self.io_cores) == 1 or any(
             c.conn_id in ready for c in self._pool(tid)))
 
-    def _idle(self, core: Core, idle_sweeps: int, swept: bool,
-              tid: Optional[int] = None):
+    def _idle(self, core: Core, idle_sweeps: int, swept: bool, tid: int):
         """Idle tail of an ingest loop after a pass that processed
         nothing; returns the new count of consecutive idle polls.
 
@@ -734,11 +848,11 @@ class Shard:
             # teardown): the response is undeliverable, not a shard crash.
             self.metrics.counter("shard.undeliverable_responses").add()
 
-    def _ingest_loop(self, core: Core, tid: Optional[int] = None):
-        """The polling loop of an ingest thread, shared by every variant:
-        wait out gray failure and an empty pool, sweep the flagged
-        connections through :meth:`_ingest`, idle when there was nothing
-        to do (:meth:`_idle`)."""
+    def _ingest_loop(self, core: Core, tid: int):
+        """The polling loop of ingest thread ``tid``: wait out gray
+        failure and an empty pool, sweep the flagged connections through
+        :meth:`_ingest`, idle when there was nothing to do
+        (:meth:`_idle`)."""
         idle_sweeps = 0
         try:
             while self.alive:
@@ -764,170 +878,116 @@ class Shard:
             self.alive = False
 
     def _ingest(self, core: Core, picked: list[Connection]):
-        """Drain and handle what one sweep of ``picked`` finds; returns
-        the number of requests processed."""
-        processed = 0
-        batch = self._new_batch()
+        """Drain what one sweep of ``picked`` finds; returns the number of
+        requests found.
+
+        Each parsed request is handed to the lane that owns its key, at
+        ``_handoff_ns`` of this thread's CPU.  With no lanes it is served
+        right here into one sweep batch, with an age-flush check after
+        every request so early responses do not wait out the rest of a
+        big sweep.
+        """
+        found = 0
+        queues = self._queues
+        batch = None if queues else self._new_batch()
         for conn in picked:
             ready, extra_ns = self._poll_conn(conn)
             if extra_ns:
                 yield core.execute(extra_ns)
-            if ready:
-                processed += len(ready)
-                yield from self._handle_batch(conn, ready, batch)
+            found += len(ready)
+            for slot, payload in ready:
+                req = self._parse(payload)
+                if queues:
+                    if req is not None:
+                        yield core.execute(self._handoff_ns)
+                        queues[self._route(req[1])].put((conn, slot) + req)
+                    continue
+                if req is not None:
+                    yield from self._serve(core, self.store, conn, slot,
+                                           *req, batch)
+                if self._batch_aged(batch):
+                    self._c_age_flushes.add()
+                    yield from self._finish_sweep(batch)
         yield from self._finish_sweep(batch)
-        return processed
+        return found
+
+    def _exec_loop(self, core: Core, queue: Store, store: ShardStore):
+        """An executor lane: serve hand-offs from ``queue`` against
+        ``store`` into one long-lived response batch, flushed once it has
+        aged past ``resp_flush_max_ns``, when the queue drains, or at the
+        ``resp_doorbell_batch`` cap."""
+        batch = self._new_batch()
+        try:
+            while self.alive:
+                req = yield queue.get()
+                yield from self._serve(core, store, *req, batch)
+                if batch is not None:
+                    if self._batch_aged(batch):
+                        self._c_age_flushes.add()
+                    elif queue.items and not self._batch_full(batch):
+                        continue
+                    yield from self._finish_sweep(batch)
+        except Interrupt:
+            self.alive = False
 
     # -- request execution ---------------------------------------------------
-    def _handle_batch(self, conn: Connection, ready: list,
-                      batch: Optional[_SweepBatch]):
-        """The request body: one connection's ready requests through
-        parse -> index -> replicate/durable -> respond.
+    def _parse(self, payload: bytes) -> Optional[tuple]:
+        """Unpack one request frame's header in place — no Request
+        objects: ``(op, key, value, req_id, tenant)``, or None (counted)
+        when it is malformed."""
+        self._c_requests.add()
+        if len(payload) >= _REQ_BASE:
+            op, tlen, klen, vlen, rid = _unpack_req(payload, 0)
+            end = _REQ_BASE + klen + vlen
+            if len(payload) == end + tlen and 1 <= op <= _MAX_OP:
+                self._c_op[op].add()
+                return (op, payload[_REQ_BASE:_REQ_BASE + klen],
+                        payload[_REQ_BASE + klen:end], rid,
+                        payload[end:] if tlen else b"")
+        self._c_bad_requests.add()
+        return None
 
-        Requests are handled as parallel arrays: headers are unpacked with
-        ``struct.unpack_from`` into reused scratch lists (no Request
-        objects), the store is dispatched on the raw opcode, and responses
-        are packed straight to wire bytes.  Three steps depend on the
-        mode.  Where the response goes: buffered into the sweep ``batch``
-        for its doorbell-coalesced flush, or — with no batch — posted on
-        its own by :meth:`_respond`.  Send/Recv messaging adds its
-        per-request CPU surcharge.  And with no batch, a write's
-        replication/durable wait blocks right here instead of once per
-        sweep (:meth:`_finish_sweep`).  Named-tenant requests pass
-        :meth:`_tenant_admit` first when there is a batch to account them
-        against.
+    def _serve(self, core: Core, store: ShardStore, conn: Connection,
+               slot: int, op: int, key: bytes, value: bytes, rid: int,
+               tenant: bytes, batch: Optional[_SweepBatch]):
+        """The request body, on ``core`` against ``store``: admission ->
+        [lock] -> store -> CPU -> write pipeline -> [unlock] -> respond.
+
+        Named-tenant requests pass :meth:`_tenant_admit` first when there
+        is a batch to account them against.  Lanes sharing one store take
+        its lock — shared for GETs, exclusive for mutations — and pay the
+        shared partition's cacheline penalty on the store's cost.  The
+        response goes into ``batch`` for its doorbell-coalesced flush, or
+        — with no batch — is posted on its own, after a write's
+        replication/durable wait blocked right here (:meth:`_commit_write`).
         """
-        c_req = self._c_requests
-        c_op = self._c_op
-        ops = self._ba_ops
-        slots_a = self._ba_slots
-        keys = self._ba_keys
-        vals = self._ba_vals
-        rids = self._ba_rids
-        tenants = self._ba_tenants
-        while len(ops) < len(ready):
-            ops.append(0)
-            slots_a.append(0)
-            keys.append(b"")
-            vals.append(b"")
-            rids.append(0)
-            tenants.append(b"")
-        unpack = _REQ.unpack_from
-        base = _REQ.size
-        n = 0
-        # Pass 1 — parse. No simulated time passes here (parsing cost is
-        # charged with the execute below), so batching the parses cannot
-        # reorder events.
-        for slot, payload in ready:
-            c_req.add()
-            bad = len(payload) < base
-            if not bad:
-                op, tlen, klen, vlen, rid = unpack(payload, 0)
-                bad = (len(payload) != base + klen + vlen + tlen
-                       or not 1 <= op <= _MAX_OP)
-            if bad:
-                self._c_bad_requests.add()
-                # Keep a no-op entry (opcode 0) so pass 2 still runs the
-                # per-request age-flush check after it.
-                ops[n] = 0
-                n += 1
-                continue
-            c_op[op].add()
-            ops[n] = op
-            slots_a[n] = slot
-            rids[n] = rid
-            keys[n] = payload[base:base + klen]
-            vals[n] = payload[base + klen:base + klen + vlen]
-            tenants[n] = payload[base + klen + vlen:] if tlen else b""
-            n += 1
-        # Pass 2 — execute + respond, in arrival order.
-        sim = self.sim
-        cpu = self.cpu
-        core = self.core
-        core_execute = core.execute
-        store = self.store
-        replicator = self.replicator
-        durable = self.durable
-        # Base shards execute every key against their one store
-        # (store_for_key exists for the sub-sharded executors).
-        exported = store.exported
-        region_rkey = store.region.rkey
-        parse_build = cpu.parse_ns + cpu.build_response_ns
-        if not self.hydra.rdma_write_messaging:
-            parse_build += cpu.sendrecv_server_extra_ns
-        pack = _RESP.pack
-        resp_rptrs = conn.resp_slot_rptrs
-        consumed = conn.consumed_pending
-        conn_id = conn.conn_id
-        ok = Status.OK
-        for i in range(n):
-            op = ops[i]
-            if op and tenants[i] and batch is not None:
-                shed = yield from self._tenant_admit(
-                    conn, slots_a[i], op, rids[i], tenants[i], batch, core)
-                if shed:
-                    op = 0
-            if op:
-                slot = slots_a[i]
-                key = keys[i]
-                if op == 1:
-                    result = store.get(key)
-                elif op <= 4:
-                    result = store.upsert(key, vals[i], _OP_BY_CODE[op])
-                elif op == 5:
-                    result = store.remove(key)
-                else:
-                    result = store.lease_renew(key)
-                status = result.status
-                is_ok_write = (status is ok
-                               and _WRITE_LO <= op <= _WRITE_HI)
-                if is_ok_write and exported:
-                    self._c_index_mut.add()
-                yield core_execute(parse_build + result.cost_ns)
-                # The write pipeline (:meth:`_commit_write`, inlined).
-                if replicator is not None and is_ok_write:
-                    rep_cost, wait_ev = replicator.replicate(
-                        _OP_BY_CODE[op], key, vals[i], result.version)
-                    yield core_execute(rep_cost)
-                    if wait_ev is not None:
-                        if batch is None:
-                            yield wait_ev
-                        else:
-                            batch.rep_waits.append(wait_ev)
-                if durable is not None and is_ok_write:
-                    yield core_execute(self._stage_durable(
-                        batch, _OP_BY_CODE[op], key, vals[i], result.version))
-                    if batch is None:
-                        yield from durable.wait_released()
-                if batch is None:
-                    self._respond(conn, slot, op, rids[i], result, store,
-                                  None)
-                else:
-                    # Buffer straight to wire bytes for the sweep's
-                    # doorbell-coalesced flush (:meth:`_respond`'s batch
-                    # branch, inlined).
-                    consumed.discard(slot)
-                    value = result.value
-                    offset = result.offset
-                    data = pack(op, status, 0, len(value), rids[i],
-                                region_rkey if (status is ok and offset >= 0)
-                                else 0,
-                                offset if offset > 0 else 0,
-                                result.extent, result.lease_expiry_ns,
-                                result.version) + value
-                    if frame_len(len(data)) > resp_rptrs[slot].length:
-                        self._c_resp_overflow.add()
-                        data = pack(op, Status.ERROR, 0, 0, rids[i],
-                                    0, 0, 0, 0, 0)
-                    if batch.first_ns is None:
-                        batch.first_ns = sim.now
-                    batch.resp.setdefault(conn_id, (conn, []))[1].append(
-                        (slot, data))
-            if self._batch_aged(batch):
-                # Mid-sweep age flush: don't let early responses wait out
-                # the rest of a big sweep.
-                self._c_age_flushes.add()
-                yield from self._finish_sweep(batch)
+        if tenant and batch is not None and (yield from self._tenant_admit(
+                conn, slot, op, rid, tenant, batch, core)):
+            return
+        is_write = _WRITE_LO <= op <= _WRITE_HI
+        lock = self._lock
+        if lock is not None:
+            h = self.hydra
+            yield lock.write_acquire() if is_write else lock.read_acquire()
+            yield core.execute(h.pipeline_lock_ns)
+        result = _run_op(store, op, key, value)
+        cost = result.cost_ns
+        if lock is not None:
+            cost = int(cost * (h.pipeline_write_penalty if is_write
+                               else h.pipeline_read_penalty))
+        ok_write = is_write and result.status is Status.OK
+        if ok_write and store.exported:
+            self._c_index_mut.add()
+        yield core.execute(self._exec_ns + cost)
+        if ok_write:
+            yield from self._commit_write(core, batch, op, key, value,
+                                          result.version)
+        if lock is not None:
+            if is_write:
+                lock.write_release()
+            else:
+                lock.read_release()
+        self._respond(conn, slot, op, rid, result, store, batch)
 
     def _tenant_admit(self, conn: Connection, slot: int, op: int, rid: int,
                       tenant: bytes, batch: _SweepBatch, core: Core):
@@ -966,7 +1026,7 @@ class Shard:
         return None
 
     def _batch_full(self, batch: _SweepBatch) -> bool:
-        """Long-lived batches (executor/worker loops) flush at this cap
+        """Long-lived batches (executor lanes) flush at this cap
         even when their input queue never drains."""
         cap = max(1, self.hydra.resp_doorbell_batch)
         buffered = sum(len(entries) for _c, entries in batch.resp.values())
@@ -1072,9 +1132,8 @@ class Shard:
         return cost
 
     def _commit_write(self, core: Core, batch: Optional[_SweepBatch],
-                      op: Op, key: bytes, value: bytes, version: int):
-        """Replicate and durable stages of an OK write (the base sweep
-        inlines them).
+                      op: int, key: bytes, value: bytes, version: int):
+        """Replicate and durable stages of an OK write.
 
         In rdma_log mode the shard moves on at once and the secondary's
         merge overlaps the *next* requests; strict mode blocks for the
@@ -1085,6 +1144,7 @@ class Shard:
         Send/Recv, ``resp_doorbell_batch=0``) wait until the log releases
         the record.
         """
+        op = _OP_BY_CODE[op]
         if self.replicator is not None:
             rep_cost, wait_ev = self.replicator.replicate(op, key, value,
                                                           version)

@@ -154,6 +154,36 @@ def test_client_rides_through_failover():
     assert cluster.metrics.tally("client.failover_latency_ns").count >= 1
 
 
+def test_promoted_primary_is_a_plain_shard_whatever_the_variant():
+    """Stated limit: SWAT promotes a secondary into a plain ``Shard``, so
+    a pipelined cluster serves from one core after failover."""
+    cfg = SimConfig().with_overrides(
+        hydra={"pipelined_shards": True}, replication={"replicas": 1},
+        client={"op_timeout_ns": 5_000_000})
+    cluster = HydraCluster(config=cfg, n_server_machines=1,
+                           shards_per_server=1)
+    ha = cluster.enable_ha()
+    cluster.start()
+    client = cluster.client()
+    shard_id = cluster.routing.shard_ids()[0]
+    old_shard = cluster.routing.resolve(shard_id)
+    assert old_shard.cores_used == 4 and old_shard.lanes
+
+    cluster.run(client.put(b"k", b"v"))
+    settle(cluster, 10_000_000)
+    cluster.servers[0].kill()
+    settle(cluster, 4_000_000_000)
+    new_shard = cluster.routing.resolve(shard_id)
+    assert ha.swat.failovers == 1 and new_shard is not old_shard
+    assert new_shard.cores_used == 1 and not new_shard.lanes
+    assert new_shard.io_cores == [new_shard.core]
+
+    def after():
+        assert (yield from client.get(b"k")) == b"v"
+
+    cluster.run(after())
+
+
 def test_failure_without_replica_counts_data_loss():
     cluster, ha = ha_cluster(replicas=0)
     settle(cluster, 20_000_000)

@@ -12,7 +12,7 @@ import pytest
 from repro import HydraCluster, SimConfig
 from repro.core.errors import ShardUnavailable
 from repro.protocol import Status
-from tests.variants import VARIANTS, variants
+from tests.core.test_shard_variants import VARIANTS, variants
 
 _US, _MS = 1_000, 1_000_000
 

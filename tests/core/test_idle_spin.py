@@ -14,7 +14,7 @@ import pytest
 from repro import HydraCluster, SimConfig
 from repro.hardware import Core
 from repro.sim import Gate, Simulator, kernel_snapshot
-from tests.variants import VARIANTS, variants
+from tests.core.test_shard_variants import VARIANTS, variants
 
 PROBE, POLLS, SLEEP = 25, 64, 100
 WINDOW = POLLS * PROBE
@@ -43,16 +43,16 @@ class Rig:
         self.client = self.cluster.client()
         self.cluster.run(self.client.put(b"k", b"v"))
         self.conn = self.shard.conns[0]
-        io_cores = getattr(self.shard, "io_cores", None)
-        self.tid = self.conn.conn_id % len(io_cores) if io_cores else None
-        self.core = io_cores[self.tid] if io_cores else self.shard.core
+        io_cores = self.shard.io_cores
+        self.tid = self.conn.conn_id % len(io_cores)
+        self.core = io_cores[self.tid]
         self.t0 = None
         self.idle_calls = []   # (time - t0, idle_sweeps, swept)
         self.sweeps = []       # time - t0 of every sweep since t0
         self._on_spin = on_spin
         idle, cost = self.shard._idle, self.shard._sweep_cost
 
-        def idle_spy(core, idle_sweeps, swept, tid=None):
+        def idle_spy(core, idle_sweeps, swept, tid):
             if tid == self.tid:
                 if self.t0 is None and not idle_sweeps:
                     self.t0 = self.sim.now
@@ -225,8 +225,7 @@ def test_no_lost_wakeup_at_the_end_of_the_window(variant, cascade, offset,
 
 # -- (e) kill / gray failure mid-spin ----------------------------------------
 def _no_live_timer(rig):
-    cores = getattr(rig.shard, "io_cores", [rig.shard.core])
-    return all(c._timer.idle for c in cores)
+    return all(c._timer.idle for c in rig.shard.io_cores)
 
 
 @variants

@@ -3,7 +3,6 @@
 import pytest
 
 from repro import HydraCluster, SimConfig
-from repro.core.pipelined import PipelinedShard
 from repro.protocol import Status
 
 
@@ -16,7 +15,10 @@ def pipelined_config(**extra):
 def test_pipelined_shard_correctness():
     cluster = HydraCluster(config=pipelined_config(), shards_per_server=2)
     cluster.start()
-    assert all(isinstance(s, PipelinedShard) for s in cluster.shards())
+    for shard in cluster.shards():
+        # Two I/O threads hand off to two worker lanes on the one store.
+        assert len(shard.io_cores) == 2 and len(shard.lanes) == 2
+        assert {store for *_, store in shard.lanes} == {shard.store}
     client = cluster.client()
 
     def app():

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import HydraCluster, SimConfig
-from repro.core import SubShardedShard
+from repro.core import Shard
 from repro.protocol import Status
 
 
@@ -24,7 +24,7 @@ def make_cluster(k=4, shards_per_server=1, **extra):
 def test_basic_correctness_across_subshards():
     cluster = make_cluster(k=4)
     shard = cluster.shards()[0]
-    assert isinstance(shard, SubShardedShard)
+    assert len(shard.substores) == 4 and len(shard.lanes) == 4
     client = cluster.client()
     model = {}
 
@@ -46,7 +46,6 @@ def test_basic_correctness_across_subshards():
     assert sum(sizes) == 59
     assert sum(1 for s in sizes if s > 0) >= 3
     assert shard.dump_all() == {k: v for k, v in model.items() if k != b"k0"}
-    assert shard.total_items() == 59
 
 
 def test_rdma_read_fast_path_works_on_substores():
@@ -106,7 +105,12 @@ def test_invalid_subshard_count():
     fabric.attach(machine)
     core = machine.allocate_core("s")
     with pytest.raises(ValueError):
-        SubShardedShard(sim, cfg, "s0", machine, core, n_subshards=0)
+        Shard(sim, cfg, "s0", machine, core, subshards=-1)
+    # Zero sub-shards is a plain shard: no lanes, one store, one core.
+    plain = Shard(sim, cfg, "s1", machine, machine.allocate_core("s1"),
+                  subshards=0)
+    assert not plain.lanes and plain.substores == [plain.store]
+    assert plain.cores_used == 1
 
 
 def test_kill_stops_everything():
