@@ -2,6 +2,12 @@
 
 PYTEST ?= python -m pytest
 RUFF ?= ruff
+BENCH = PYTHONPATH=$(CURDIR)/src python -m repro.bench
+VALIDATE = PYTHONPATH=$(CURDIR)/src python -m repro.bench.validate
+# Figures and ablations whose shape checks hold at the bench scale; fig2,
+# fig12out and ab-subshard need at least 0.25, 1.2 and 0.8.
+SHAPES = fig3 fig9 fig10 fig11 fig12up fig13 ab-table ab-numa ab-sharing \
+	ab-sleep ab-lease ab-transport ab-ud ab-valsize ab-ack
 
 .PHONY: test test-fast lint bench bench-quick bench-inflight bench-multiget \
 	bench-failover bench-recovery bench-sweep bench-simcore \
@@ -18,50 +24,54 @@ test-fast:
 
 lint:
 	@if command -v $(RUFF) >/dev/null 2>&1; then \
-		$(RUFF) check src tests benchmarks examples; \
+		$(RUFF) check src tests examples; \
 	else \
 		echo "ruff not installed; falling back to a syntax check"; \
-		python -m compileall -q src tests benchmarks examples; \
+		python -m compileall -q src tests examples; \
 	fi
 
+# Every figure and ablation with its shape check: all run, then the
+# target fails if any check printed a broken claim.
 bench:
-	PYTHONPATH=$(CURDIR)/src $(PYTEST) benchmarks/ --benchmark-only
+	$(BENCH) $(SHAPES) fig2 --scale 0.4; s=$$?; \
+	$(BENCH) fig12out --scale 1.2 || s=1; \
+	$(BENCH) ab-subshard --scale 0.8 || s=1; \
+	exit $$s
 
 bench-quick:
-	REPRO_SCALE=0.2 PYTHONPATH=$(CURDIR)/src $(PYTEST) benchmarks/ \
-		--benchmark-only
+	$(BENCH) $(SHAPES) --scale 0.2; s=$$?; \
+	$(BENCH) fig2 --scale 0.25 || s=1; \
+	$(BENCH) fig12out --scale 1.2 || s=1; \
+	$(BENCH) ab-subshard --scale 0.8 || s=1; \
+	exit $$s
 
+# Each artifact target writes its BENCH_*.json and exits non-zero if the
+# rows break the experiment's declared schema or check.
 bench-inflight:
-	PYTHONPATH=$(CURDIR)/src python -m repro.bench inflight --scale 1.0
-	PYTHONPATH=$(CURDIR)/src python -m repro.bench.validate BENCH_inflight.json
+	$(BENCH) inflight --scale 1.0
 
 bench-multiget:
-	PYTHONPATH=$(CURDIR)/src python -m repro.bench multiget --scale 1.0
-	PYTHONPATH=$(CURDIR)/src python -m repro.bench.validate BENCH_multiget.json
+	$(BENCH) multiget --scale 1.0
 
 bench-failover:
-	PYTHONPATH=$(CURDIR)/src python -m repro.bench failover --scale 1.0
-	PYTHONPATH=$(CURDIR)/src python -m repro.bench.validate BENCH_failover.json
+	$(BENCH) failover --scale 1.0
 
 # Full-crash recovery from the per-shard durable write-behind log: a
 # correlated primary+secondary kill per ack mode — zero lost acked
 # writes hard-required in ack_on_flush, bounded blackout, replay
 # throughput reported.
 bench-recovery:
-	PYTHONPATH=$(CURDIR)/src python -m repro.bench recovery --scale 1.0
-	PYTHONPATH=$(CURDIR)/src python -m repro.bench.validate BENCH_recovery.json
+	$(BENCH) recovery --scale 1.0
 
 bench-sweep:
-	PYTHONPATH=$(CURDIR)/src python -m repro.bench server_sweep --scale 1.0
-	PYTHONPATH=$(CURDIR)/src python -m repro.bench.validate BENCH_sweep.json
+	$(BENCH) server_sweep --scale 1.0
 
 # Event-kernel microbench: events/sec of the two-tier calendar + now-queue
 # + pooled timers, each schedule shape gated on a committed BLAKE2
 # schedule digest (the dispatch order has not moved) and an absolute
 # events/sec floor.
 bench-simcore:
-	PYTHONPATH=$(CURDIR)/src python -m repro.bench simcore --scale 1.0
-	PYTHONPATH=$(CURDIR)/src python -m repro.bench.validate BENCH_simcore.json
+	$(BENCH) simcore --scale 1.0
 
 # Seeded chaos soak: fault-storm profiles (torn writes, gray failure,
 # ZK expiry, QP flaps, mixed, stale pointers, tenant contention, and the
@@ -71,35 +81,28 @@ bench-simcore:
 # value surfaced, typed bounded errors, post-storm recovery — plus a
 # same-seed replay determinism check.
 chaos-soak:
-	PYTHONPATH=$(CURDIR)/src python -m repro.bench chaos --scale 0.5
-	PYTHONPATH=$(CURDIR)/src python -m repro.bench.validate BENCH_chaos.json
+	$(BENCH) chaos --scale 0.5
 
 # Multi-tenant QoS: DRR slot fairness, admission throttling, server-side
 # shed and AIMD window autotune — victim vs aggressor cells scored with
 # Jain's index over weighted water-filling fair shares.
 bench-tenants:
-	PYTHONPATH=$(CURDIR)/src python -m repro.bench tenants --scale 1.0
-	PYTHONPATH=$(CURDIR)/src python -m repro.bench.validate BENCH_tenants.json
+	$(BENCH) tenants --scale 1.0
 
 # Fig. 12 at cluster scale: 64 servers x 2048 closed-loop clients, each
 # cell's event count and the BLAKE2 schedule digest of its traced reduced
 # clone gated on committed per-shape constants.
 bench-scale:
-	PYTHONPATH=$(CURDIR)/src python -m repro.bench scale --scale 1.0
-	PYTHONPATH=$(CURDIR)/src python -m repro.bench.validate BENCH_scale.json
+	$(BENCH) scale --scale 1.0
 
 # Tiny end-to-end run of the artifact-emitting benches plus schema
 # validation of what they wrote; fast enough for CI.
 bench-smoke:
 	rm -rf .bench-smoke && mkdir -p .bench-smoke
 	cd .bench-smoke && \
-		PYTHONPATH=$(CURDIR)/src python -m repro.bench inflight multiget \
-			failover recovery server_sweep chaos simcore tenants scale \
-			--scale 0.05 && \
-		PYTHONPATH=$(CURDIR)/src python -m repro.bench.validate \
-			BENCH_inflight.json BENCH_multiget.json BENCH_failover.json \
-			BENCH_recovery.json BENCH_sweep.json BENCH_chaos.json \
-			BENCH_simcore.json BENCH_tenants.json BENCH_scale.json
+		$(BENCH) inflight multiget failover recovery server_sweep chaos \
+			simcore tenants scale --scale 0.05 && \
+		$(VALIDATE) BENCH_*.json
 
 # The repo's benchmark (BENCHMARK.json): six workloads, untraced +
 # traced, every metric by name -> perf/results/latest.json (~2 min;
@@ -116,7 +119,7 @@ perf-compare:
 	python3 perf/compare.py $(A) $(B)
 
 figures:
-	PYTHONPATH=$(CURDIR)/src python -m repro.bench all --scale 0.5
+	$(BENCH) all --scale 0.5
 
 examples:
 	@for ex in examples/*.py; do echo "== $$ex"; \
@@ -129,4 +132,4 @@ loc:
 
 clean:
 	find . -name __pycache__ -type d -exec rm -rf {} +
-	rm -rf .pytest_cache .benchmarks .hypothesis .bench-smoke
+	rm -rf .pytest_cache .hypothesis .bench-smoke

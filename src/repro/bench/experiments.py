@@ -3,17 +3,18 @@
 Each ``fig*`` function runs the corresponding experiment at a configurable
 ``scale`` (fraction of the default op/record counts — the paper's 60 M-op
 runs are scaled to simulator-friendly sizes; shapes, not absolute ops,
-are the reproduction target) and returns printable dict-rows.  The
-``benchmarks/`` tree wraps these for pytest-benchmark; EXPERIMENTS.md
-records paper-vs-measured values produced by these exact functions.
+are the reproduction target) and returns printable dict-rows.  Every
+experiment is declared once, with ``@experiment``: its CLI name, title,
+the ``BENCH_*.json`` artifact it may emit, and the check its rows must
+pass — for a figure, the qualitative shape the paper reports.
+EXPERIMENTS.md records paper-vs-measured values produced by these exact
+functions.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
-import os
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from ..baselines import (
     MemcachedClient,
@@ -25,6 +26,7 @@ from ..baselines import (
 )
 from ..config import SimConfig
 from ..core import HydraCluster
+from ..core.errors import HydraError, RecoveryInProgress
 from ..hardware import Machine
 from ..index.export import fits_inline
 from ..index.hashing import hash64
@@ -47,40 +49,9 @@ from ..workloads import (
     run_job,
 )
 from ..workloads.ycsb import YcsbSpec
+from .registry import Artifact, Claims, experiment, number, positive
 from .runner import drive_ycsb, preload_dicts, preload_hydra, run_hydra_ycsb
 from .stats import RunResult
-
-__all__ = [
-    "default_scale",
-    "fig2_mapreduce",
-    "fig3_sensemaking",
-    "fig9_overall",
-    "fig10_rdma_choices",
-    "fig11_hit_analysis",
-    "fig12_scale_out",
-    "fig12_scale_up",
-    "fig13_replication",
-    "ablation_hash_table",
-    "ablation_numa",
-    "ablation_rptr_sharing",
-    "ablation_subsharding",
-    "ablation_sleep_backoff",
-    "ablation_transport",
-    "ablation_ud_messaging",
-    "ablation_lease_length",
-    "ablation_value_size",
-    "ablation_ack_interval",
-    "failover_availability",
-    "inflight_sweep",
-    "multiget_sweep",
-    "recovery_dualfail",
-    "server_sweep",
-    "write_failover_artifact",
-    "write_inflight_artifact",
-    "write_multiget_artifact",
-    "write_recovery_artifact",
-    "write_sweep_artifact",
-]
 
 #: Default op/record count at scale=1.0 (the paper uses 60 M of each).
 BASE_OPS = 10_000
@@ -88,9 +59,8 @@ BASE_OPS = 10_000
 _MS = 1_000_000
 
 
-def default_scale() -> float:
-    """Scale factor from the REPRO_SCALE environment variable (default 1)."""
-    return float(os.environ.get("REPRO_SCALE", "1.0"))
+#: The paper's six YCSB mixes (a)-(f), as the figure checks name them.
+A, B, C, D, E, F = (spec.name for spec in PAPER_WORKLOADS)
 
 
 def _scaled_spec(base: YcsbSpec, scale: float) -> YcsbSpec:
@@ -126,36 +96,25 @@ class _World:
             self.tcpnet.attach(m)
 
 
+#: baseline -> (server, client); Redis shards keys over its instances.
+_BASELINES = {
+    "memcached": (MemcachedServer, MemcachedClient),
+    "redis": (RedisServer, RedisClient),
+    "ramcloud": (RamcloudServer, RamcloudClient),
+}
+
+
 def _run_baseline(kind: str, workload: YcsbWorkload,
                   n_clients: int) -> RunResult:
     world = _World(6)  # 1 server + 5 client machines, as in §6
-    server_machine = world.machines[0]
-    client_machines = world.machines[1:]
-    if kind == "memcached":
-        server = MemcachedServer(world.sim, world.config, server_machine)
-        preload_dicts([server.store], lambda k: 0, workload)
-        server.start()
-        clients = [MemcachedClient(world.sim, world.config,
-                                   client_machines[i % 5], server)
-                   for i in range(n_clients)]
-    elif kind == "redis":
-        server = RedisServer(world.sim, world.config, server_machine)
-        n_inst = len(server.instances)
-        preload_dicts([inst.store for inst in server.instances],
-                      lambda k: hash64(k) % n_inst, workload)
-        server.start()
-        clients = [RedisClient(world.sim, world.config,
-                               client_machines[i % 5], server)
-                   for i in range(n_clients)]
-    elif kind == "ramcloud":
-        server = RamcloudServer(world.sim, world.config, server_machine)
-        preload_dicts([server.store], lambda k: 0, workload)
-        server.start()
-        clients = [RamcloudClient(world.sim, world.config,
-                                  client_machines[i % 5], server)
-                   for i in range(n_clients)]
-    else:
-        raise ValueError(f"unknown baseline {kind!r}")
+    server_cls, client_cls = _BASELINES[kind]
+    server = server_cls(world.sim, world.config, world.machines[0])
+    stores = [inst.store for inst in getattr(server, "instances", [server])]
+    preload_dicts(stores, lambda k: hash64(k) % len(stores), workload)
+    server.start()
+    clients = [client_cls(world.sim, world.config, world.machines[1 + i % 5],
+                          server)
+               for i in range(n_clients)]
     return drive_ycsb(world.sim, clients, workload,
                       name=f"{kind}/{workload.spec.name}")
 
@@ -177,6 +136,31 @@ def _run_hydra(workload: YcsbWorkload, n_clients: int,
 # Fig. 2 — MapReduce acceleration
 # ---------------------------------------------------------------------------
 
+def _job_ns(sim: Simulator, profile, connect) -> int:
+    """Run ``profile``'s job over one ``connect(task)`` connection per task."""
+    conns = [sim.run(until=sim.process(connect(i)))
+             for i in range(profile.n_tasks)]
+    return run_job(sim, profile, conns)
+
+
+def _fig2_shape(rows: list[dict]) -> list[str]:
+    """I/O-bound Hadoop jobs speed up by an order of magnitude, Spark jobs
+    gain modestly, and RDMA beats TCP for every application."""
+    need = Claims()
+    for r in rows:
+        app, rdma, tcp = r["app"], r["speedup_rdma"], r["speedup_tcp"]
+        if app in ("TestDFSIO-Read", "Data-Loading"):
+            need(rdma > 8, f"{app}: RDMA speedup {rdma:.4g} > 8")
+        if app.startswith("Spark-"):
+            need(1.0 < rdma < 1.7, f"{app}: 1 < RDMA speedup {rdma:.4g} < 1.7")
+        need(rdma > tcp * 0.95, f"{app}: RDMA speedup {rdma:.4g} > 0.95x TCP's "
+             f"{tcp:.4g}")
+        need(tcp > 1.0, f"{app}: TCP speedup {tcp:.4g} > 1")
+    return need.broken
+
+
+@experiment("fig2", "Fig. 2 — MapReduce acceleration (speedups vs "
+            "in-memory HDFS)", check=_fig2_shape)
 def fig2_mapreduce(scale: float = 1.0,
                    apps=FIG2_APPS) -> list[dict]:
     """Speedup of HydraDB (RDMA and TCP) over in-memory HDFS per app."""
@@ -190,23 +174,17 @@ def fig2_mapreduce(scale: float = 1.0,
         world = _World(3)
         hdfs = HdfsBackend(world.sim, world.config, world.machines[0],
                            world.machines[1:])
-        conns = [world.sim.run(until=world.sim.process(
-            hdfs.connect(world.machines[1 + i % 2])))
-            for i in range(profile.n_tasks)]
-        t_hdfs = run_job(world.sim, profile, conns)
+        t_hdfs = _job_ns(world.sim, profile, lambda i: hdfs.connect(
+            world.machines[1 + i % 2]))
 
         backend = HydraBackend(None, SimConfig())
         backend.preload(profile.input_mb)
-        conns = [backend.sim.run(until=backend.sim.process(
-            backend.connect(i))) for i in range(profile.n_tasks)]
-        t_rdma = run_job(backend.sim, profile, conns)
+        t_rdma = _job_ns(backend.sim, profile, backend.connect)
 
         world2 = _World(3)
         tcp = HydraTcpBackend(world2.sim, world2.config, world2.machines[0])
-        conns = [world2.sim.run(until=world2.sim.process(
-            tcp.connect(world2.machines[1 + i % 2])))
-            for i in range(profile.n_tasks)]
-        t_tcp = run_job(world2.sim, profile, conns)
+        t_tcp = _job_ns(world2.sim, profile, lambda i: tcp.connect(
+            world2.machines[1 + i % 2]))
 
         rows.append({
             "app": profile.name,
@@ -224,6 +202,22 @@ def fig2_mapreduce(scale: float = 1.0,
 # Fig. 3 — G2 Sensemaking
 # ---------------------------------------------------------------------------
 
+def _fig3_shape(rows: list[dict]) -> list[str]:
+    """HydraDB serves an order of magnitude more events than the in-memory
+    database, which saturates by 8 engines while HydraDB keeps scaling."""
+    by_n = {r["engines"]: r for r in rows}
+    db_gain = by_n[32]["db_events_per_s"] / by_n[8]["db_events_per_s"]
+    hydra_gain = by_n[32]["hydra_events_per_s"] / by_n[8]["hydra_events_per_s"]
+    need = Claims()
+    for n, r in by_n.items():
+        need(r["ratio"] > 8, f"{n} engines: HydraDB/DB {r['ratio']:.4g} > 8")
+    need(db_gain < 1.5, f"DB gain 8 -> 32 engines {db_gain:.4g} < 1.5")
+    need(hydra_gain > 1.5, f"HydraDB gain 8 -> 32 engines {hydra_gain:.4g} > 1.5")
+    return need.broken
+
+
+@experiment("fig3", "Fig. 3 — G2 Sensemaking: events/s vs engines",
+            check=_fig3_shape)
 def fig3_sensemaking(scale: float = 1.0,
                      engine_counts: Sequence[int] = (1, 2, 4, 8, 16, 32)
                      ) -> list[dict]:
@@ -259,6 +253,31 @@ def fig3_sensemaking(scale: float = 1.0,
 # Fig. 9 — overall comparison against Memcached / Redis / RAMCloud
 # ---------------------------------------------------------------------------
 
+def _fig9_shape(rows: list[dict]) -> list[str]:
+    """An order of magnitude over the TCP baselines, a clear win over
+    RAMCloud, throughput growing with the GET fraction, and skewed
+    read-heavy traffic at least on par with uniform (RDMA Read reuse)."""
+    t = {(r["workload"], r["system"]): r["throughput_mops"] for r in rows}
+    lat = {(r["workload"], r["system"]): r["get_us"] for r in rows}
+    need = Claims()
+    for wl in sorted({r["workload"] for r in rows}):
+        hydra = t[(wl, "hydradb")]
+        for system, k in (("memcached", 5), ("redis", 5), ("ramcloud", 1.5)):
+            need(hydra > k * t[(wl, system)], f"{wl}: HydraDB {hydra:.4g} > "
+                 f"{k}x {system} {t[(wl, system)]:.4g} Mops")
+        need(lat[(wl, "hydradb")] < lat[(wl, "memcached")] / 4,
+             f"{wl}: HydraDB GET {lat[(wl, 'hydradb')]:.4g} < 1/4 of "
+             f"memcached's {lat[(wl, 'memcached')]:.4g} us")
+    zipf, unif = t[(C, "hydradb")], t[(F, "hydradb")]
+    zipf_gain, unif_gain = zipf / t[(A, "hydradb")], unif / t[(D, "hydradb")]
+    need(zipf_gain > 2.0, f"zipf gain 50% -> 100% GET {zipf_gain:.4g} > 2")
+    need(unif_gain > 1.7, f"unif gain 50% -> 100% GET {unif_gain:.4g} > 1.7")
+    need(zipf >= 0.9 * unif, f"{C} {zipf:.4g} >= 0.9x {F} {unif:.4g} Mops")
+    return need.broken
+
+
+@experiment("fig9", "Fig. 9 — HydraDB vs Memcached/Redis/RAMCloud (6 YCSB "
+            "mixes)", check=_fig9_shape)
 def fig9_overall(scale: float = 1.0, n_clients: int = 50,
                  systems: Sequence[str] = ("hydradb", "memcached", "redis",
                                            "ramcloud"),
@@ -295,6 +314,37 @@ FIG10_VARIANTS: dict[str, dict] = {
 }
 
 
+def _fig10_shape(rows: list[dict]) -> list[str]:
+    """RDMA-Write messaging beats Send/Recv by a gap growing with the GET
+    fraction, pointer caching never hurts and helps zipfian more, and the
+    single-threaded shard beats the pipelined one, worst at 50% GET."""
+    t = {(r["workload"], r["variant"]): r["throughput_mops"] for r in rows}
+    gap, pgap, rgain = {}, {}, {}
+    need = Claims()
+    for wl in sorted({r["workload"] for r in rows}):
+        send_recv, write_only, write_read, pipeline = (
+            t[(wl, v)] for v in FIG10_VARIANTS)
+        need(write_only > 1.5 * send_recv, f"{wl}: RDMA Write Only "
+             f"{write_only:.4g} > 1.5x Send/Recv {send_recv:.4g} Mops")
+        need(write_read >= 0.97 * write_only, f"{wl}: RDMA Write + Read "
+             f"{write_read:.4g} >= 0.97x RDMA Write Only {write_only:.4g}")
+        need(write_only > 1.1 * pipeline, f"{wl}: RDMA Write Only "
+             f"{write_only:.4g} > 1.1x Pipeline {pipeline:.4g}")
+        gap[wl], pgap[wl] = write_only / send_recv, write_only / pipeline
+        rgain[wl] = write_read / write_only
+    for read, mixed in ((C, A), (F, D)):
+        need(gap[read] > gap[mixed], f"Send/Recv gap {read} {gap[read]:.4g} "
+             f"> {mixed} {gap[mixed]:.4g}")
+    need(pgap[A] > pgap[C], f"pipeline gap {A} {pgap[A]:.4g} > {C} "
+         f"{pgap[C]:.4g}")
+    need(pgap[A] > 1.6, f"pipeline gap {A} {pgap[A]:.4g} > 1.6")
+    need(rgain[C] > rgain[F], f"read-caching gain {C} {rgain[C]:.4g} > {F} "
+         f"{rgain[F]:.4g}")
+    return need.broken
+
+
+@experiment("fig10", "Fig. 10 — incremental RDMA design choices",
+            check=_fig10_shape)
 def fig10_rdma_choices(scale: float = 1.0, n_clients: int = 50,
                        subset: Optional[Iterable[str]] = None,
                        variants: Optional[Iterable[str]] = None
@@ -321,6 +371,25 @@ def fig10_rdma_choices(scale: float = 1.0, n_clients: int = 50,
 # Fig. 11 — remote-pointer hit analysis
 # ---------------------------------------------------------------------------
 
+def _fig11_shape(rows: list[dict]) -> list[str]:
+    """Updates destroy successful pointer hits and create invalid ones;
+    zipfian reuses pointers far more than uniform at every mix."""
+    ok = {r["workload"]: r["successful_hits"] for r in rows}
+    bad = {r["workload"]: r["invalid_hits"] for r in rows}
+    need = Claims()
+    for wl in (C, F):
+        need(bad[wl] == 0, f"{wl}: invalid hits {bad[wl]} == 0")
+    need(ok[A] < 0.5 * ok[C], f"{A} hits {ok[A]} < 0.5x {C}'s {ok[C]}")
+    need(bad[A] > bad[B] * 0.5, f"{A} invalid hits {bad[A]} > 0.5x {B}'s "
+         f"{bad[B]}")
+    need(bad[A] > 0, f"{A} invalid hits {bad[A]} > 0")
+    for z, u in ((A, D), (B, E), (C, F)):
+        need(ok[z] > 1.5 * ok[u], f"{z} hits {ok[z]} > 1.5x {u}'s {ok[u]}")
+    return need.broken
+
+
+@experiment("fig11", "Fig. 11 — remote-pointer hit analysis",
+            check=_fig11_shape)
 def fig11_hit_analysis(scale: float = 1.0,
                        n_clients: int = 50) -> list[dict]:
     """Successful/invalid remote-pointer hit counts per workload."""
@@ -360,6 +429,24 @@ def _colocated_scaleout_cluster(n_servers: int) -> HydraCluster:
     return cluster
 
 
+def _fig12_out_shape(rows: list[dict]) -> list[str]:
+    """Uniform mixed traffic scales out near-linearly; zipfian plateaus
+    around 6 machines; 100% GET is attenuated by co-location.  Hot-shard
+    queueing needs enough operations to bite: run at scale >= 1.2."""
+    norm = {(r["workload"], r["servers"]): r["normalized"] for r in rows}
+    at7 = {wl: norm[(wl, 7)] for wl in (A, C, D, F)}
+    need = Claims()
+    need(at7[D] > 4.5, f"{D} at 7 servers {at7[D]:.4g} > 4.5")
+    for wl in (A, F, C):
+        need(at7[wl] < at7[D], f"{wl} {at7[wl]:.4g} < {D} {at7[D]:.4g} at 7 "
+             f"servers")
+    need(at7[A] < norm[(A, 6)] * 1.12, f"{A} at 7 servers {at7[A]:.4g} < "
+         f"1.12x 6 servers' {norm[(A, 6)]:.4g}")
+    return need.broken
+
+
+@experiment("fig12out", "Fig. 12(a,b) — scale-out 1..7 machines",
+            check=_fig12_out_shape)
 def fig12_scale_out(scale: float = 1.0, n_clients: int = 60,
                     server_counts: Sequence[int] = (1, 2, 3, 4, 5, 6, 7, 64),
                     subset: Optional[Iterable[str]] = None) -> list[dict]:
@@ -389,6 +476,29 @@ def fig12_scale_out(scale: float = 1.0, n_clients: int = 60,
     return rows
 
 
+def _fig12_up_shape(rows: list[dict]) -> list[str]:
+    """Uniform mixed traffic scales to ~5 shards before the QP-count wall
+    bends it, zipfian saturates earlier, and 100% GET peaks early."""
+    norm = {(r["workload"], r["shards"]): r["normalized"] for r in rows}
+    early = norm[(D, 5)] / 5
+    late = (norm[(D, 8)] - norm[(D, 5)]) / 3
+    need = Claims()
+    need(norm[(D, 5)] > 3.2, f"{D} at 5 shards {norm[(D, 5)]:.4g} > 3.2")
+    need(late < early, f"{D} gain per shard past 5 {late:.4g} < {early:.4g}")
+    need(norm[(A, 8)] < norm[(D, 8)], f"{A} {norm[(A, 8)]:.4g} < {D} "
+         f"{norm[(D, 8)]:.4g} at 8 shards")
+    for wl in (C, F):
+        peak_at = max(range(1, 9), key=lambda n: norm[(wl, n)])
+        at8 = norm[(wl, 8)]
+        need(peak_at <= 5, f"{wl} peaks at {peak_at} <= 5 shards")
+        need(at8 < 2.5, f"{wl} at 8 shards {at8:.4g} < 2.5")
+        need(at8 <= norm[(wl, peak_at)], f"{wl} at 8 shards {at8:.4g} <= "
+             f"its peak {norm[(wl, peak_at)]:.4g}")
+    return need.broken
+
+
+@experiment("fig12up", "Fig. 12(c,d) — scale-up 1..8 shards",
+            check=_fig12_up_shape)
 def fig12_scale_up(scale: float = 1.0, n_clients: int = 60,
                    shard_counts: Sequence[int] = (1, 2, 3, 4, 5, 6, 7, 8),
                    subset: Optional[Iterable[str]] = None) -> list[dict]:
@@ -414,6 +524,29 @@ def fig12_scale_up(scale: float = 1.0, n_clients: int = 60,
 # Fig. 13 — replication protocols
 # ---------------------------------------------------------------------------
 
+def _fig13_shape(rows: list[dict]) -> list[str]:
+    """RDMA logging adds little latency (one replica under 35%, two under
+    60%); strict request/ack roughly doubles it and always loses."""
+    pct = {(r["clients"], r["protocol"]): r["overhead_pct"] for r in rows}
+    need = Claims()
+    for n in (1, 10, 20, 40):
+        log1, log2, strict1, strict2 = (
+            pct[(n, p)] for p in ("rdma logging x1", "rdma logging x2",
+                                  "strict req/ack x1", "strict req/ack x2"))
+        need(log1 < 35, f"{n} clients: log x1 overhead {log1:.1f}% < 35%")
+        need(log1 < log2 < 60, f"{n} clients: log x1 {log1:.1f}% < log x2 "
+             f"{log2:.1f}% < 60%")
+        need(strict1 > 60, f"{n} clients: strict x1 overhead {strict1:.1f}% "
+             f"> 60%")
+        need(strict2 >= strict1 * 0.9, f"{n} clients: strict x2 "
+             f"{strict2:.1f}% >= 0.9x strict x1 {strict1:.1f}%")
+        need(log2 < strict1, f"{n} clients: log x2 {log2:.1f}% < strict x1 "
+             f"{strict1:.1f}%")
+    return need.broken
+
+
+@experiment("fig13", "Fig. 13 — replication protocol latency overhead",
+            check=_fig13_shape)
 def fig13_replication(scale: float = 1.0,
                       client_counts: Sequence[int] = (1, 10, 20, 40),
                       inserts_per_client: Optional[int] = None) -> list[dict]:
@@ -462,6 +595,23 @@ def fig13_replication(scale: float = 1.0,
 # Ablations called out in DESIGN.md
 # ---------------------------------------------------------------------------
 
+def _table_shape(rows: list[dict]) -> list[str]:
+    """The compact table touches fewer cachelines and compares fewer keys
+    per operation, at no throughput cost."""
+    compact, chained = (next(r for r in rows if r["table"] == kind)
+                        for kind in ("compact", "chained"))
+    need = Claims()
+    for key in ("lines_per_op", "keycmps_per_op"):
+        need(compact[key] < chained[key], f"compact {key} "
+             f"{compact[key]:.4g} < chained's {chained[key]:.4g}")
+    t = "throughput_mops"
+    need(compact[t] >= 0.98 * chained[t], f"compact {compact[t]:.4g} >= "
+         f"0.98x chained {chained[t]:.4g} Mops")
+    return need.broken
+
+
+@experiment("ab-table", "Ablation — compact vs chained hash table",
+            check=_table_shape)
 def ablation_hash_table(scale: float = 1.0, n_clients: int = 50
                         ) -> list[dict]:
     """Compact vs chained indexing (§4.1.3): throughput + cachelines/op."""
@@ -490,6 +640,19 @@ def ablation_hash_table(scale: float = 1.0, n_clients: int = 50
     return rows
 
 
+def _numa_shape(rows: list[dict]) -> list[str]:
+    """Throughput falls from NUMA-local to interleaved to remote memory."""
+    t = {r["numa_mode"]: r["throughput_mops"] for r in rows}
+    get_us = {r["numa_mode"]: r["get_us"] for r in rows}
+    need = Claims()
+    for hi, lo in (("local", "interleaved"), ("interleaved", "remote")):
+        need(t[hi] > t[lo], f"{hi} {t[hi]:.4g} > {lo} {t[lo]:.4g} Mops")
+    need(get_us["local"] < get_us["remote"], f"local GET "
+         f"{get_us['local']:.4g} < remote {get_us['remote']:.4g} us")
+    return need.broken
+
+
+@experiment("ab-numa", "Ablation — NUMA placement", check=_numa_shape)
 def ablation_numa(scale: float = 1.0, n_clients: int = 50) -> list[dict]:
     """NUMA-confined vs interleaved vs remote shard memory (§4.1.2)."""
     workload = _workloads(scale, subset=["(a) 50% GET zipf"])[0]
@@ -511,6 +674,23 @@ def ablation_numa(scale: float = 1.0, n_clients: int = 50) -> list[dict]:
     return rows
 
 
+def _sharing_shape(rows: list[dict]) -> list[str]:
+    """Exclusive caches each pay their own invalid Read after an update
+    (the cascading effect); one shared cache collapses them."""
+    shared, exclusive = (next(r for r in rows if r["sharing"] is s)
+                         for s in (True, False))
+    need = Claims()
+    need(shared["invalid_hits"] < exclusive["invalid_hits"], f"shared "
+         f"invalid hits {shared['invalid_hits']} < exclusive "
+         f"{exclusive['invalid_hits']}")
+    need(shared["caches"] == 1, f"shared: {shared['caches']} == 1 cache")
+    need(exclusive["caches"] > 1, f"exclusive: {exclusive['caches']} > 1 "
+         f"caches")
+    return need.broken
+
+
+@experiment("ab-sharing", "Ablation — shared vs exclusive rptr cache",
+            check=_sharing_shape)
 def ablation_rptr_sharing(scale: float = 1.0,
                           n_clients: int = 20) -> list[dict]:
     """Shared vs exclusive remote-pointer cache (§4.2.4) under updates."""
@@ -541,7 +721,27 @@ def ablation_rptr_sharing(scale: float = 1.0,
     return rows
 
 
-def ablation_ud_messaging(background_qps=(0, 256, 512),
+def _ud_shape(rows: list[dict]) -> list[str]:
+    """RC delivers everything but its RTT grows past the QP cache; UD is
+    flat in connection count but loses datagrams."""
+    by = {(r["transport"], r["background_qps"]): r for r in rows}
+    rc0, rc512 = (by[("rc_send", bg)]["mean_rtt_us"] for bg in (0, 512))
+    ud0, ud512 = (by[("ud", bg)]["mean_rtt_us"] for bg in (0, 512))
+    rc = [by[("rc_send", bg)]["delivered_pct"] for bg in (0, 256, 512)]
+    need = Claims()
+    need(all(pct == 100.0 for pct in rc), f"RC delivers 100%: {rc}")
+    need(rc512 > rc0 * 1.1, f"RC RTT at 512 QPs {rc512:.4g} > 1.1x at 0 "
+         f"{rc0:.4g} us")
+    need(ud512 <= ud0 * 1.02, f"UD RTT at 512 QPs {ud512:.4g} <= 1.02x at 0 "
+         f"{ud0:.4g} us")
+    need(by[("ud", 0)]["delivered_pct"] < 99.0, f"UD delivers "
+         f"{by[('ud', 0)]['delivered_pct']:.4g}% < 99%")
+    return need.broken
+
+
+@experiment("ab-ud", "Ablation — RC messaging vs HERD-style UD (§3)",
+            check=_ud_shape)
+def ablation_ud_messaging(scale: float = 1.0, background_qps=(0, 256, 512),
                           loss: float = 0.02,
                           echoes: int = 300) -> list[dict]:
     """HERD's UD messaging vs HydraDB's RC choice (§3, §4.2.1).
@@ -552,6 +752,7 @@ def ablation_ud_messaging(background_qps=(0, 256, 512),
     UD stays flat and fast (no connection state) but loses messages —
     the reliability gap the paper holds against HERD for enterprise use.
     """
+    del scale  # fixed-size experiment
     rows = []
     for transport in ("rc_send", "ud"):
         for bg in background_qps:
@@ -563,78 +764,75 @@ def ablation_ud_messaging(background_qps=(0, 256, 512),
                 world.fabric.connect(world.machines[0].nic,
                                      world.machines[1].nic)
             sim = world.sim
-            delivered = {"n": 0}
             rtts: list[int] = []
+
+            def echo_server(qp, reply):
+                while True:
+                    cqe = qp.recv_cq.poll_one()
+                    if cqe is None:
+                        yield qp.recv_cq.wait()
+                        continue
+                    qp.post_recv()
+                    yield reply(cqe.data)
+
             if transport == "rc_send":
                 cq, sq = world.fabric.connect(world.machines[0].nic,
                                               world.machines[1].nic)
-
-                def echo_server(sq=sq):
-                    while True:
-                        cqe = sq.recv_cq.poll_one()
-                        if cqe is None:
-                            yield sq.recv_cq.wait()
-                            continue
-                        sq.post_recv()
-                        yield sq.post_send(cqe.data)
-
-                sq.post_recv()
-                sim.process(echo_server())
 
                 def client(cq=cq):
                     for _i in range(echoes):
                         cq.post_recv()
                         t0 = sim.now
                         yield cq.post_send(b"x" * 64)
-                        while True:
-                            cqe = cq.recv_cq.poll_one()
-                            if cqe is not None:
-                                rtts.append(sim.now - t0)
-                                delivered["n"] += 1
-                                break
+                        while cq.recv_cq.poll_one() is None:
                             yield cq.recv_cq.wait()
+                        rtts.append(sim.now - t0)
 
-                sim.run(until=sim.process(client()))
+                server, reply = sq, sq.post_send
             else:
                 cu = world.fabric.create_ud_qp(world.machines[0].nic)
                 su = world.fabric.create_ud_qp(world.machines[1].nic)
 
-                def ud_server(cu=cu, su=su):
-                    while True:
-                        cqe = su.recv_cq.poll_one()
-                        if cqe is None:
-                            yield su.recv_cq.wait()
-                            continue
-                        su.post_recv()
-                        yield su.post_send(cu, cqe.data)
-
-                su.post_recv()
-                sim.process(ud_server())
-
-                def ud_client(cu=cu, su=su):
+                def client(cu=cu, su=su):
                     for _i in range(echoes):
                         cu.post_recv()
                         t0 = sim.now
                         yield cu.post_send(su, b"x" * 64)
                         deadline = sim.timeout(100_000)  # 100 us timeout
-                        got = yield sim.any_of([cu.recv_cq.wait(), deadline])
-                        del got
-                        cqe = cu.recv_cq.poll_one()
-                        if cqe is not None:
+                        yield sim.any_of([cu.recv_cq.wait(), deadline])
+                        if cu.recv_cq.poll_one() is not None:
                             rtts.append(sim.now - t0)
-                            delivered["n"] += 1
 
-                sim.run(until=sim.process(ud_client()))
+                server, reply = su, lambda data, cu=cu, su=su: su.post_send(
+                    cu, data)
+            server.post_recv()
+            sim.process(echo_server(server, reply))
+            sim.run(until=sim.process(client()))
             rows.append({
                 "transport": transport,
                 "background_qps": bg,
-                "delivered_pct": 100.0 * delivered["n"] / echoes,
+                "delivered_pct": 100.0 * len(rtts) / echoes,
                 "mean_rtt_us": (sum(rtts) / len(rtts) / 1000.0)
                 if rtts else float("nan"),
             })
     return rows
 
 
+def _transport_shape(rows: list[dict]) -> list[str]:
+    """The KV-level RDMA-vs-TCP gap behind Fig. 2: an order of magnitude."""
+    rdma, tcp = (next(r for r in rows if r["transport"] == t)
+                 for t in ("rdma", "tcp"))
+    need = Claims()
+    need(rdma["throughput_mops"] > 8 * tcp["throughput_mops"], f"RDMA "
+         f"{rdma['throughput_mops']:.4g} > 8x TCP "
+         f"{tcp['throughput_mops']:.4g} Mops")
+    need(tcp["get_us"] > 10 * rdma["get_us"], f"TCP GET {tcp['get_us']:.4g} "
+         f"> 10x RDMA's {rdma['get_us']:.4g} us")
+    return need.broken
+
+
+@experiment("ab-transport", "Ablation — HydraDB-RDMA vs HydraDB-TCP",
+            check=_transport_shape)
 def ablation_transport(scale: float = 1.0, n_clients: int = 50
                        ) -> list[dict]:
     """HydraDB-RDMA vs HydraDB-TCP (the TCP/IP mode §6 mentions).
@@ -656,6 +854,22 @@ def ablation_transport(scale: float = 1.0, n_clients: int = 50
     return rows
 
 
+def _sleep_shape(rows: list[dict]) -> list[str]:
+    """Under light load sleep mode burns almost no CPU for < 5% latency;
+    busy polling pegs the core."""
+    sleep, busy = (next(r for r in rows if r["sleep_backoff"] is b)
+                   for b in (True, False))
+    util, lat = "core_utilization_pct", "avg_update_us"
+    need = Claims()
+    need(sleep[util] < 10, f"sleep backoff: core {sleep[util]:.4g}% < 10%")
+    need(busy[util] > 90, f"busy polling: core {busy[util]:.4g}% > 90%")
+    need(sleep[lat] < busy[lat] * 1.05, f"sleep backoff UPDATE "
+         f"{sleep[lat]:.4g} < 1.05x busy polling's {busy[lat]:.4g} us")
+    return need.broken
+
+
+@experiment("ab-sleep", "Ablation — sleep backoff vs busy polling (§4.2.1)",
+            check=_sleep_shape)
 def ablation_sleep_backoff(scale: float = 1.0) -> list[dict]:
     """§4.2.1: high-resolution sleep vs pure busy polling under light load.
 
@@ -691,6 +905,28 @@ def ablation_sleep_backoff(scale: float = 1.0) -> list[dict]:
     return rows
 
 
+def _subshard_shape(rows: list[dict]) -> list[str]:
+    """Collapsing the QP count wins where the NIC binds (read-heavy cached
+    traffic), but the single dispatcher binds on message-heavy mixes.
+    Run at scale >= 0.8."""
+    by = {(r["regime"], r["layout"].split(" ")[0]): r for r in rows}
+    read_sub, read_plain, msg_sub, msg_plain = (
+        by[(regime, layout)] for regime in ("read-heavy cached",
+                                            "message-heavy")
+        for layout in ("1x8", "8"))
+    t = "throughput_mops"
+    need = Claims()
+    need(read_sub[t] > 1.15 * read_plain[t], f"read-heavy: 1x8 sub-shards "
+         f"{read_sub[t]:.4g} > 1.15x 8 shards {read_plain[t]:.4g} Mops")
+    need(read_sub["server_qps"] < read_plain["server_qps"], f"sub-shard QPs "
+         f"{read_sub['server_qps']} < {read_plain['server_qps']}")
+    need(msg_plain[t] > msg_sub[t], f"message-heavy: 8 shards "
+         f"{msg_plain[t]:.4g} > 1x8 sub-shards {msg_sub[t]:.4g} Mops")
+    return need.broken
+
+
+@experiment("ab-subshard", "Ablation — sub-sharding vs plain shards (§6.3)",
+            check=_subshard_shape)
 def ablation_subsharding(scale: float = 1.0, n_clients: int = 60
                          ) -> list[dict]:
     """§6.3 sub-sharding vs plain multi-shard scale-up past the QP wall.
@@ -728,6 +964,23 @@ def ablation_subsharding(scale: float = 1.0, n_clients: int = 60
     return rows
 
 
+def _lease_shape(rows: list[dict]) -> list[str]:
+    """Longer leases: monotonically more fast-path hits, but monotonically
+    more retired extents held in the arena."""
+    hits = [r["fastpath_hit_pct"] for r in rows]
+    pending = [r["retired_pending"] for r in rows]
+    need = Claims()
+    need(len(rows) >= 3, f"{len(rows)} >= 3 lease lengths")
+    need(hits == sorted(hits), f"fast-path hit % rises with lease: {hits}")
+    need(pending == sorted(pending), f"retired extents rise with lease: "
+         f"{pending}")
+    need(pending[-1] > 5 * max(1, pending[0]), f"longest lease retains "
+         f"{pending[-1]} > 5x the shortest's {pending[0]}")
+    return need.broken
+
+
+@experiment("ab-lease", "Ablation — lease length trade-off (§4.2.3 / "
+            "C-Hint)", check=_lease_shape)
 def ablation_lease_length(scale: float = 1.0,
                           lease_seconds: Sequence[float] = (0.002, 0.05,
                                                             2.0),
@@ -785,7 +1038,28 @@ def ablation_lease_length(scale: float = 1.0,
     return rows
 
 
-def ablation_value_size(sizes: Sequence[int] = (32, 256, 1024, 4096, 65536),
+def _valsize_shape(rows: list[dict]) -> list[str]:
+    """Small items are op-rate bound; large items converge on the ~40 Gb/s
+    line rate."""
+    small, large = rows[0], rows[-1]
+    goodputs = [r["goodput_gbps"] for r in rows]
+    kops = "throughput_kops"
+    need = Claims()
+    need(small[kops] > 10 * large[kops], f"smallest items {small[kops]:.4g} "
+         f"> 10x the largest's {large[kops]:.4g} kops")
+    need(large["goodput_gbps"] > 30, f"largest items "
+         f"{large['goodput_gbps']:.4g} > 30 Gb/s")
+    need(small["get_mean_us"] < 10, f"smallest items' GET "
+         f"{small['get_mean_us']:.4g} < 10 us")
+    need(goodputs == sorted(goodputs), f"goodput rises with value size: "
+         f"{goodputs}")
+    return need.broken
+
+
+@experiment("ab-valsize", "Ablation — value size sweep (§6 large items)",
+            check=_valsize_shape)
+def ablation_value_size(scale: float = 1.0,
+                        sizes: Sequence[int] = (32, 256, 1024, 4096, 65536),
                         n_clients: int = 20,
                         ops_per_client: int = 120) -> list[dict]:
     """§6: 'HydraDB can efficiently support much larger key-value items'.
@@ -794,6 +1068,7 @@ def ablation_value_size(sizes: Sequence[int] = (32, 256, 1024, 4096, 65536),
     bound (server CPU / round trips); large items converge to fabric
     bandwidth.
     """
+    del scale  # fixed-size experiment
     rows = []
     for size in sizes:
         buf = max(SimConfig().hydra.conn_buf_bytes, size * 2 + 4096)
@@ -832,6 +1107,21 @@ def ablation_value_size(sizes: Sequence[int] = (32, 256, 1024, 4096, 65536),
     return rows
 
 
+def _inflight_gate(rows: list[dict]) -> list[str]:
+    """The sweep carries its stop-and-wait baseline row."""
+    if not any(row.get("get_speedup") == 1.0 for row in rows):
+        return ["no baseline row with get_speedup == 1.0"]
+    return []
+
+
+@experiment(
+    "inflight", "Pipelined client — throughput vs in-flight window",
+    artifact=Artifact(
+        "BENCH_inflight.json", "inflight_depth_sweep",
+        "message-path ops/s vs per-connection in-flight window (1 shard, "
+        "1 client, rptr cache off)", "kops",
+        ("window", "get_kops", "put_kops", "get_speedup", "put_speedup")),
+    check=_inflight_gate)
 def inflight_sweep(scale: float = 1.0,
                    windows: Sequence[int] = (1, 4, 16),
                    value_bytes: int = 32) -> list[dict]:
@@ -892,22 +1182,75 @@ def inflight_sweep(scale: float = 1.0,
     return rows
 
 
-def write_inflight_artifact(rows: list[dict],
-                            path: str = "BENCH_inflight.json") -> str:
-    """Dump the inflight sweep as a machine-readable perf artifact."""
-    payload = {
-        "experiment": "inflight_depth_sweep",
-        "description": "message-path ops/s vs per-connection in-flight "
-                       "window (1 shard, 1 client, rptr cache off)",
-        "unit": "kops",
-        "rows": rows,
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    return path
+#: Reads per cold GET allowed when the items fit the inline line: one
+#: frame Read each, plus the few keys sharing a frame with the line's
+#: owner.
+_MULTIGET_INLINE_READS = 1.2
 
 
+def _multiget_gate(rows: list[dict]) -> list[str]:
+    """Pointer accounting reconciles in every cell (``successful_hits +
+    invalid_hits == batch_hits``), and the ``cold`` (0% hit rate) cells
+    show one-sided traversal beating the message path with near-zero
+    server CPU ns/GET — at batch >= 16 with inline-sized items, at most
+    1.2 RDMA Reads per GET."""
+    need = Claims()
+    modes = {row.get("mode") for row in rows}
+    need("message" in modes, "no message-path baseline rows")
+    need("cold" in modes, "no cold-cache (one-sided traversal) rows")
+    message_cpu = {(row.get("batch"), row.get("value_bytes")):
+                   row.get("server_cpu_ns_per_get")
+                   for row in rows if row.get("mode") == "message"}
+    for i, row in enumerate(rows):
+        need(row.get("reconciled") is True, f"row {i} (mode="
+             f"{row.get('mode')!r}, batch={row.get('batch')!r}): pointer "
+             f"accounting did not reconcile")
+        if row.get("mode") != "cold":
+            continue
+        label = (f"row {i} (cold, batch={row.get('batch')!r}, "
+                 f"value_bytes={row.get('value_bytes')!r})")
+        # Two dependent RTTs only amortize once the bucket and item Reads
+        # pipeline across a real fan-out.
+        fanout = isinstance(row.get("batch"), int) and row["batch"] >= 16
+        speedup, reads = row.get("speedup_vs_message"), row.get("reads_per_get")
+        if fanout:
+            need(number(speedup) and speedup > 1.0, f"{label}: one-sided "
+                 f"traversal must beat the message path at 0% hit rate, got "
+                 f"speedup {speedup!r}")
+        need(positive(row, "bucket_reads"), f"{label}: traversal ran but "
+             f"bucket_reads is {row.get('bucket_reads')!r}")
+        # A small item rides in its bucket frame's inline line: the frame
+        # Read alone answers the GET.
+        if fanout and row.get("inline") is True:
+            need(number(reads) and reads <= _MULTIGET_INLINE_READS,
+                 f"{label}: cold GETs of inline-sized items must cost <= "
+                 f"{_MULTIGET_INLINE_READS} Reads each, got {reads!r}")
+        cpu = row.get("server_cpu_ns_per_get")
+        baseline = message_cpu.get((row.get("batch"), row.get("value_bytes")))
+        need(number(cpu) and number(baseline) and baseline > 0
+             and cpu <= 0.05 * baseline, f"{label}: cold GETs must burn "
+             f"near-zero server CPU (<= 5% of the message path's), got "
+             f"{cpu!r} vs baseline {baseline!r}")
+    return need.broken
+
+
+@experiment(
+    "multiget", "Batched one-sided GET fan-out — message vs hybrid vs mixed "
+    "vs cold/mixed-hit index traversal",
+    artifact=Artifact(
+        "BENCH_multiget.json", "multiget_fanout_sweep",
+        "get_many ops/s: pipelined message path vs the hybrid "
+        "doorbell-coalesced Read fan-out (warm cache) vs legacy "
+        "half-invalidated demotion vs one-sided index traversal at 0% "
+        "(cold) and 50% (mixed-hit) hit rates (1 shard, 1 client, hit-rate "
+        "x batch-size x value-size; 'inline' rows hold items that fit a "
+        "bucket frame's inline line)", "kops",
+        ("mode", "batch", "value_bytes", "inline", "get_kops",
+         "speedup_vs_message", "pointer_hits", "successful_hits",
+         "invalid_hits", "demoted", "reconciled", "bucket_reads",
+         "traversal_races", "demotions", "reads_per_get",
+         "index_mutations_versioned", "server_cpu_ns_per_get")),
+    check=_multiget_gate)
 def multiget_sweep(scale: float = 1.0,
                    batch_sizes: Sequence[int] = (4, 16, 64),
                    value_sizes: Sequence[int] = (32, 64)) -> list[dict]:
@@ -1054,30 +1397,24 @@ def multiget_sweep(scale: float = 1.0,
     return rows
 
 
-def write_multiget_artifact(rows: list[dict],
-                            path: str = "BENCH_multiget.json") -> str:
-    """Dump the multiget sweep as a machine-readable perf artifact."""
-    payload = {
-        "experiment": "multiget_fanout_sweep",
-        "description": "get_many ops/s: pipelined message path vs the "
-                       "hybrid doorbell-coalesced Read fan-out (warm "
-                       "cache) vs legacy half-invalidated demotion vs "
-                       "one-sided index traversal at 0% (cold) and 50% "
-                       "(mixed-hit) hit rates (1 shard, 1 client, "
-                       "hit-rate x batch-size x value-size; 'inline' rows "
-                       "hold items that fit a bucket frame's inline line)",
-        "unit": "kops",
-        "rows": rows,
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    return path
+def _ack_shape(rows: list[dict]) -> list[str]:
+    """Per-record ack solicitation costs more than relaxed intervals."""
+    lat = {r["ack_interval"]: r["avg_insert_us"] for r in rows}
+    acks = {r["ack_interval"]: r["ack_requests"] for r in rows}
+    need = Claims()
+    need(lat[1] >= lat[32] * 0.99, f"interval 1 INSERT {lat[1]:.4g} >= "
+         f"0.99x interval 32's {lat[32]:.4g} us")
+    need(acks[1] > acks[128], f"interval 1 ack requests {acks[1]} > "
+         f"interval 128's {acks[128]}")
+    return need.broken
 
 
-def ablation_ack_interval(intervals: Sequence[int] = (1, 8, 32, 128),
+@experiment("ab-ack", "Ablation — replication ack interval", check=_ack_shape)
+def ablation_ack_interval(scale: float = 1.0,
+                          intervals: Sequence[int] = (1, 8, 32, 128),
                           inserts: int = 200) -> list[dict]:
     """How relaxed acknowledgements amortize replication cost (§5.2)."""
+    del scale  # fixed-size experiment
     rows = []
     for interval in intervals:
         cfg = SimConfig().with_overrides(
@@ -1104,6 +1441,134 @@ def ablation_ack_interval(intervals: Sequence[int] = (1, 8, 32, 128),
     return rows
 
 
+#: Paced-kill runs: the kill lands at 150 ms simulated; acked throughput
+#: is measured in equal windows just before it and at the tail of the run.
+_KILL_AT = 150 * _MS
+_KILL_WINDOW = 100 * _MS
+
+
+def _paced_kill(scale: float, n_clients: int, n_keys: int, value_bytes: int,
+                prefix: str, end_at: int, kill: Callable[[HydraCluster], None],
+                **overrides) -> tuple[HydraCluster, dict, dict]:
+    """A paced 50/50 GET/PUT workload on one replicated HA shard, with
+    ``kill(cluster)`` applied at 150 ms simulated.
+
+    Coordination timeouts are shrunk (50 ms heartbeats, 200 ms sessions)
+    so detection dominates neither the simulation nor the blackout the
+    way the production 2 s session would; the shape, not the absolute
+    window, is the reproduction target.  ``overrides`` are further
+    config sections.  Returns the cluster, the run's columns (ops, acked
+    writes, pre/post-kill kops and their ratio, the blackout — the
+    longest gap between completed operations once the kill lands — and
+    the acked writes the surviving store lost) and the client errors:
+    ``typed`` (a ``HydraError``, of which ``recovery`` were
+    ``RecoveryInProgress``) and ``untyped``.
+    """
+    think_ns = max(20_000, int(100_000 / max(scale, 1e-3)))
+    cfg = SimConfig().with_overrides(
+        replication={"replicas": 1},
+        coord={"heartbeat_ns": 50 * _MS, "session_timeout_ns": 200 * _MS},
+        client={"op_timeout_ns": 5 * _MS}, **overrides)
+    cluster = HydraCluster(config=cfg, n_server_machines=1,
+                           shards_per_server=1, n_client_machines=2)
+    cluster.enable_ha()
+    cluster.start()
+    sim = cluster.sim
+    keys = [f"{prefix}{i:06d}".encode() for i in range(n_keys)]
+    acked: dict[bytes, bytes] = {}
+    completions: list[int] = []
+    errors = {"typed": 0, "recovery": 0, "untyped": 0}
+
+    def preload():
+        client = cluster.client()
+        for key in keys:
+            yield from client.put(key, b"v" * value_bytes)
+
+    cluster.run(preload())
+
+    def worker(cid, client):
+        i = 0
+        while sim.now < end_at:
+            yield sim.timeout(think_ns)
+            key = keys[(i * 7 + cid * 13) % n_keys]
+            try:
+                if i % 2 == 0:
+                    value = f"c{cid}-{i}".encode()
+                    status = yield from client.put(key, value)
+                    if status is Status.OK:
+                        acked[key] = value
+                else:
+                    yield from client.get(key)
+            except RecoveryInProgress:
+                errors["typed"] += 1
+                errors["recovery"] += 1
+            except HydraError:
+                errors["typed"] += 1
+            except Exception:  # noqa: BLE001 - counted, not raised
+                errors["untyped"] += 1
+            completions.append(sim.now)
+            i += 1
+
+    def killer():
+        yield sim.timeout(_KILL_AT)
+        kill(cluster)
+
+    clients = [cluster.client(c % 2) for c in range(n_clients)]
+    sim.process(killer())
+    cluster.run(*[worker(c, cl) for c, cl in enumerate(clients)])
+
+    completions.sort()
+    pre = [t for t in completions if _KILL_AT - _KILL_WINDOW <= t < _KILL_AT]
+    post = [t for t in completions if t >= end_at - _KILL_WINDOW]
+    after_kill = [_KILL_AT] + [t for t in completions if t >= _KILL_AT]
+    blackout = max(b - a for a, b in zip(after_kill, after_kill[1:]))
+    shard_id = cluster.routing.shard_ids()[0]
+    survivor = cluster.routing.resolve(shard_id).store.dump()
+    pre_kops = len(pre) / _KILL_WINDOW * 1e6
+    post_kops = len(post) / _KILL_WINDOW * 1e6
+    run = {
+        "ops": len(completions),
+        "acked_writes": len(acked),
+        "pre_kops": pre_kops,
+        "post_kops": post_kops,
+        "recovered_ratio": post_kops / pre_kops if pre_kops else 0.0,
+        "blackout_ms": blackout / 1e6,
+        "lost_acked_writes": sum(1 for k, v in acked.items()
+                                 if survivor.get(k) != v),
+    }
+    return cluster, run, errors
+
+
+def _failover_gate(rows: list[dict]) -> list[str]:
+    """The availability contract: zero client-visible exceptions, zero
+    lost acked writes, at least one SWAT promotion, and post-kill
+    throughput >= 80% of pre-kill."""
+    need = Claims()
+    for i, row in enumerate(rows):
+        failovers, ratio = row.get("failovers"), row.get("recovered_ratio")
+        need(row.get("exceptions") == 0, f"row {i}: "
+             f"{row.get('exceptions')!r} client-visible exceptions (must be 0)")
+        need(row.get("lost_acked_writes") == 0, f"row {i}: "
+             f"{row.get('lost_acked_writes')!r} acknowledged writes lost "
+             f"(must be 0)")
+        need(isinstance(failovers, int) and failovers >= 1, f"row {i}: "
+             f"failovers must be >= 1, got {failovers!r}")
+        need(number(ratio) and ratio >= 0.8, f"row {i}: recovered_ratio "
+             f"must be >= 0.8, got {ratio!r}")
+    return need.broken
+
+
+@experiment(
+    "failover", "Availability — blackout + recovered throughput after a "
+    "primary kill",
+    artifact=Artifact(
+        "BENCH_failover.json", "failover_availability",
+        "paced 50/50 GET/PUT with a primary kill mid-run: blackout window, "
+        "recovered throughput, and the zero-exception / zero-lost-acked-write "
+        "contract (1 replicated shard, 200 ms ZK sessions)", "kops / ms",
+        ("clients", "pre_kops", "post_kops", "recovered_ratio", "blackout_ms",
+         "failovers", "client_retries", "exceptions", "lost_acked_writes")),
+    check=_failover_gate)
 def failover_availability(scale: float = 1.0,
                           client_counts: Sequence[int] = (2, 4),
                           n_keys: int = 256,
@@ -1121,116 +1586,107 @@ def failover_availability(scale: float = 1.0,
     * ``pre_kops`` / ``post_kops`` — acked throughput in equal windows
       immediately before the kill and at the tail of the run, and their
       ratio ``recovered_ratio`` (the headline: >= 0.8 required).
-
-    Coordination timeouts are shrunk (50 ms heartbeats, 200 ms sessions)
-    so detection dominates neither the simulation nor the blackout the
-    way the production 2 s session would; the shape, not the absolute
-    window, is the reproduction target.
     """
-    think_ns = max(20_000, int(100_000 / max(scale, 1e-3)))
-    kill_at = 150 * _MS
-    end_at = 800 * _MS
-    window_ns = 100 * _MS  # pre/post throughput measurement windows
     rows: list[dict] = []
     for n_clients in client_counts:
-        cfg = SimConfig().with_overrides(
-            replication={"replicas": 1},
-            coord={"heartbeat_ns": 50 * _MS,
-                   "session_timeout_ns": 200 * _MS},
-            client={"op_timeout_ns": 5 * _MS},
-        )
-        cluster = HydraCluster(config=cfg, n_server_machines=1,
-                               shards_per_server=1, n_client_machines=2)
-        cluster.enable_ha()
-        cluster.start()
-        sim = cluster.sim
-        keys = [f"fk{i:06d}".encode() for i in range(n_keys)]
-        acked: dict[bytes, bytes] = {}
-        completions: list[int] = []
-        exceptions = [0]
-
-        def preload(client=None):
-            client = cluster.client()
-            for key in keys:
-                yield from client.put(key, b"v" * value_bytes)
-
-        cluster.run(preload())
-
-        def worker(cid, client):
-            i = 0
-            while sim.now < end_at:
-                yield sim.timeout(think_ns)
-                key = keys[(i * 7 + cid * 13) % n_keys]
-                try:
-                    if i % 2 == 0:
-                        value = f"c{cid}-{i}".encode()
-                        status = yield from client.put(key, value)
-                        if status is Status.OK:
-                            acked[key] = value
-                    else:
-                        yield from client.get(key)
-                except Exception:  # noqa: BLE001 - counted, not raised
-                    exceptions[0] += 1
-                completions.append(sim.now)
-                i += 1
-
-        def killer():
-            yield sim.timeout(kill_at)
-            cluster.servers[0].kill()
-
-        clients = [cluster.client(c % 2) for c in range(n_clients)]
-        sim.process(killer())
-        cluster.run(*[worker(c, cl) for c, cl in enumerate(clients)])
-
-        completions.sort()
-        pre = [t for t in completions if kill_at - window_ns <= t < kill_at]
-        post = [t for t in completions if t >= end_at - window_ns]
-        after_kill = [kill_at] + [t for t in completions if t >= kill_at]
-        blackout = max(b - a for a, b in zip(after_kill, after_kill[1:]))
-        shard_id = cluster.routing.shard_ids()[0]
-        survivor = cluster.routing.resolve(shard_id).store.dump()
-        lost = sum(1 for k, v in acked.items() if survivor.get(k) != v)
-        pre_kops = len(pre) / window_ns * 1e6
-        post_kops = len(post) / window_ns * 1e6
-        tally = cluster.metrics.tally("client.failover_latency_ns")
+        cluster, run, errors = _paced_kill(
+            scale, n_clients, n_keys, value_bytes, "fk", 800 * _MS,
+            lambda cluster: cluster.servers[0].kill())
+        m = cluster.metrics
+        tally = m.tally("client.failover_latency_ns")
+        del run["acked_writes"]
+        lost = run.pop("lost_acked_writes")
         rows.append({
             "clients": n_clients,
-            "ops": len(completions),
-            "pre_kops": pre_kops,
-            "post_kops": post_kops,
-            "recovered_ratio": post_kops / pre_kops if pre_kops else 0.0,
-            "blackout_ms": blackout / 1e6,
-            "failovers": cluster.metrics.counter("swat.failovers").value,
-            "client_retries": cluster.metrics.counter(
-                "client.retries").value,
-            "client_failovers": cluster.metrics.counter(
-                "client.failovers").value,
+            **run,
+            "failovers": m.counter("swat.failovers").value,
+            "client_retries": m.counter("client.retries").value,
+            "client_failovers": m.counter("client.failovers").value,
             "failover_latency_ms": (tally.mean / 1e6
                                     if tally.count else 0.0),
-            "exceptions": exceptions[0],
+            "exceptions": errors["typed"] + errors["untyped"],
             "lost_acked_writes": lost,
         })
     return rows
 
 
-def write_failover_artifact(rows: list[dict],
-                            path: str = "BENCH_failover.json") -> str:
-    """Dump the availability experiment as a machine-readable artifact."""
-    payload = {
-        "experiment": "failover_availability",
-        "description": "paced 50/50 GET/PUT with a primary kill mid-run: "
-                       "blackout window, recovered throughput, and the "
-                       "zero-exception / zero-lost-acked-write contract "
-                       "(1 replicated shard, 200 ms ZK sessions)",
-        "unit": "kops / ms",
-        "rows": rows,
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    return path
+def _kill_primary_and_secondaries(cluster: HydraCluster) -> None:
+    """The correlated dual failure: the primary's server dies and every
+    covering secondary dies with its NIC, so the ring cannot seed a
+    promotion."""
+    server = cluster.servers[0]
+    sids = [sh.shard_id for sh in server.shards]
+    server.kill()
+    for sid in sids:
+        for sec in cluster.secondaries.get(sid, []):
+            if not sec.failing:
+                sec.kill()
+            if sec.machine.nic.alive:
+                sec.machine.nic.fail()
 
 
+#: blackout ceiling for the recovery bench (ms): detection is bounded by
+#: the 200 ms ZK session, then promotion + log replay + client route
+#: replay must land well inside the rest of this budget.
+_RECOVERY_BLACKOUT_MS = 500.0
+
+
+def _recovery_gate(rows: list[dict]) -> list[str]:
+    """The durability contract per ack mode: at least one durable-log
+    recovery, recovered throughput >= 80% of pre-kill, a bounded
+    blackout, zero untyped errors everywhere, and — hard-required for
+    the ``ack_on_flush`` row — zero lost acked writes and pre-kill
+    throughput >= 0.9x the ``ack_on_replicate`` row's (acks park behind
+    the flush; the sweep never stalls on it)."""
+    need = Claims()
+    pre = {row.get("ack_mode"): row.get("pre_kops") for row in rows}
+    flush, rep = pre.get("ack_on_flush"), pre.get("ack_on_replicate")
+    need("ack_on_flush" in pre, "no ack_on_flush row (the durability "
+         "contract under test)")
+    need(not (number(flush) and number(rep) and flush < 0.9 * rep),
+         f"ack_on_flush pre_kops {flush!r} is below 0.9x ack_on_replicate's "
+         f"{rep!r}: acks must park behind the flush, not stall the shard "
+         f"sweep")
+    for i, row in enumerate(rows):
+        label = f"row {i} (ack_mode={row.get('ack_mode')!r})"
+        recoveries, blackout = row.get("recoveries"), row.get("blackout_ms")
+        ratio = row.get("recovered_ratio")
+        need(row.get("untyped_errors") == 0, f"{label}: "
+             f"{row.get('untyped_errors')!r} untyped errors (must be 0 — the "
+             f"blackout must fail typed)")
+        if row.get("ack_mode") == "ack_on_flush":
+            need(row.get("lost_acked_writes") == 0, f"{label}: "
+                 f"{row.get('lost_acked_writes')!r} acked writes lost after "
+                 f"log replay (must be 0)")
+        need(isinstance(recoveries, int) and recoveries >= 1, f"{label}: "
+             f"recoveries must be >= 1, got {recoveries!r}")
+        need(positive(row, "replayed_records"), f"{label}: replayed_records "
+             f"must be positive, got {row.get('replayed_records')!r}")
+        need(number(blackout) and blackout <= _RECOVERY_BLACKOUT_MS,
+             f"{label}: blackout_ms must stay <= {_RECOVERY_BLACKOUT_MS}, "
+             f"got {blackout!r}")
+        need(number(ratio) and ratio >= 0.8, f"{label}: recovered_ratio "
+             f"must be >= 0.8, got {ratio!r}")
+    return need.broken
+
+
+@experiment(
+    "recovery", "Durable-log recovery — correlated primary+secondary kill, "
+    "replay from the PM write-behind log per ack mode",
+    artifact=Artifact(
+        "BENCH_recovery.json", "recovery_dualfail",
+        "paced 50/50 GET/PUT with a correlated primary+secondary kill "
+        "mid-run: SWAT rebuilds the shard by replaying the per-shard "
+        "durable write-behind log (torn tail truncated, "
+        "guardian-validated), per ack mode — ack_on_flush must lose zero "
+        "acked writes with typed errors only; ack_on_replicate bounds its "
+        "loss to one device write (1 shard, replicas=1, durable log on, "
+        "200 ms ZK sessions)", "kops / ms",
+        ("ack_mode", "clients", "ops", "acked_writes", "pre_kops",
+         "post_kops", "recovered_ratio", "blackout_ms", "recoveries",
+         "replayed_records", "replay_recs_per_ms", "typed_errors",
+         "untyped_errors", "lost_acked_writes")),
+    check=_recovery_gate)
 def recovery_dualfail(scale: float = 1.0,
                       ack_modes: Sequence[str] = ("ack_on_replicate",
                                                   "ack_on_flush"),
@@ -1257,102 +1713,21 @@ def recovery_dualfail(scale: float = 1.0,
     records replayed, and replay throughput (records/ms of recovery
     wall-clock).
     """
-    from ..core.errors import HydraError, RecoveryInProgress
-
-    think_ns = max(20_000, int(100_000 / max(scale, 1e-3)))
-    kill_at = 150 * _MS
-    end_at = 900 * _MS
-    window_ns = 100 * _MS
     rows: list[dict] = []
     for ack_mode in ack_modes:
-        cfg = SimConfig().with_overrides(
-            replication={"replicas": 1},
-            durability={"enabled": True, "ack_mode": ack_mode},
-            coord={"heartbeat_ns": 50 * _MS,
-                   "session_timeout_ns": 200 * _MS},
-            client={"op_timeout_ns": 5 * _MS},
-        )
-        cluster = HydraCluster(config=cfg, n_server_machines=1,
-                               shards_per_server=1, n_client_machines=2)
-        cluster.enable_ha()
-        cluster.start()
-        sim = cluster.sim
-        keys = [f"rk{i:06d}".encode() for i in range(n_keys)]
-        acked: dict[bytes, bytes] = {}
-        completions: list[int] = []
-        stats = {"typed": 0, "untyped": 0, "recovery_errors": 0}
-
-        def preload():
-            client = cluster.client()
-            for key in keys:
-                yield from client.put(key, b"v" * value_bytes)
-
-        cluster.run(preload())
-
-        def worker(cid, client):
-            i = 0
-            while sim.now < end_at:
-                yield sim.timeout(think_ns)
-                key = keys[(i * 7 + cid * 13) % n_keys]
-                try:
-                    if i % 2 == 0:
-                        value = f"c{cid}-{i}".encode()
-                        status = yield from client.put(key, value)
-                        if status is Status.OK:
-                            acked[key] = value
-                    else:
-                        yield from client.get(key)
-                except RecoveryInProgress:
-                    stats["typed"] += 1
-                    stats["recovery_errors"] += 1
-                except HydraError:
-                    stats["typed"] += 1
-                except Exception:  # noqa: BLE001 - counted, not raised
-                    stats["untyped"] += 1
-                completions.append(sim.now)
-                i += 1
-
-        def killer():
-            yield sim.timeout(kill_at)
-            server = cluster.servers[0]
-            sids = [sh.shard_id for sh in server.shards]
-            server.kill()
-            # The correlated half: every covering secondary dies with
-            # its NIC, so the ring cannot seed a promotion.
-            for sid in sids:
-                for sec in cluster.secondaries.get(sid, []):
-                    if not sec.failing:
-                        sec.kill()
-                    if sec.machine.nic.alive:
-                        sec.machine.nic.fail()
-
-        clients = [cluster.client(c % 2) for c in range(n_clients)]
-        sim.process(killer())
-        cluster.run(*[worker(c, cl) for c, cl in enumerate(clients)])
-
-        completions.sort()
-        pre = [t for t in completions if kill_at - window_ns <= t < kill_at]
-        post = [t for t in completions if t >= end_at - window_ns]
-        after_kill = [kill_at] + [t for t in completions if t >= kill_at]
-        blackout = max(b - a for a, b in zip(after_kill, after_kill[1:]))
-        shard_id = cluster.routing.shard_ids()[0]
-        survivor = cluster.routing.resolve(shard_id).store.dump()
-        lost = sum(1 for k, v in acked.items() if survivor.get(k) != v)
-        pre_kops = len(pre) / window_ns * 1e6
-        post_kops = len(post) / window_ns * 1e6
+        cluster, run, errors = _paced_kill(
+            scale, n_clients, n_keys, value_bytes, "rk", 900 * _MS,
+            _kill_primary_and_secondaries,
+            durability={"enabled": True, "ack_mode": ack_mode})
         m = cluster.metrics
         recovery = m.tally("durable.recovery_ns")
         replayed = m.counter("durable.replayed").value
         replay_ms = recovery.mean / 1e6 if recovery.count else 0.0
+        lost = run.pop("lost_acked_writes")
         rows.append({
             "ack_mode": ack_mode,
             "clients": n_clients,
-            "ops": len(completions),
-            "acked_writes": len(acked),
-            "pre_kops": pre_kops,
-            "post_kops": post_kops,
-            "recovered_ratio": post_kops / pre_kops if pre_kops else 0.0,
-            "blackout_ms": blackout / 1e6,
+            **run,
             "recoveries": m.counter("durable.recoveries").value,
             "replayed_records": replayed,
             "replay_ms": replay_ms,
@@ -1360,35 +1735,12 @@ def recovery_dualfail(scale: float = 1.0,
                                    if replay_ms else 0.0),
             "salvaged_records": m.counter("durable.salvaged").value,
             "log_flushes": m.counter("durable.flushes").value,
-            "typed_errors": stats["typed"],
-            "recovery_errors": stats["recovery_errors"],
-            "untyped_errors": stats["untyped"],
+            "typed_errors": errors["typed"],
+            "recovery_errors": errors["recovery"],
+            "untyped_errors": errors["untyped"],
             "lost_acked_writes": lost,
         })
     return rows
-
-
-def write_recovery_artifact(rows: list[dict],
-                            path: str = "BENCH_recovery.json") -> str:
-    """Dump the dual-failure recovery experiment as an artifact."""
-    payload = {
-        "experiment": "recovery_dualfail",
-        "description": "paced 50/50 GET/PUT with a correlated primary+"
-                       "secondary kill mid-run: SWAT rebuilds the shard "
-                       "by replaying the per-shard durable write-behind "
-                       "log (torn tail truncated, guardian-validated), "
-                       "per ack mode — ack_on_flush must lose zero acked "
-                       "writes with typed errors only; ack_on_replicate "
-                       "bounds its loss to one device write "
-                       "(1 shard, replicas=1, durable log on, 200 ms ZK "
-                       "sessions)",
-        "unit": "kops / ms",
-        "rows": rows,
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    return path
 
 
 #: Ablation grid for the server-side sweep layers (PR 4): each knob is
@@ -1407,6 +1759,49 @@ _SWEEP_MODES: Sequence[tuple[str, dict]] = (
 )
 
 
+def _sweep_gate(rows: list[dict]) -> list[str]:
+    """Read rows carry a linear-sweep baseline (speedup and cpu_ratio ==
+    1.0) and, at >= 32 connections, the all-layers mode beats it by >= 2x
+    in throughput or server CPU ns/op; write rows in the all-layers mode
+    show replication-ack batching (rep_batch_mean > 1)."""
+    need = Claims()
+    need(any(row.get("mode") == "baseline" and row.get("speedup") == 1.0
+             and row.get("cpu_ratio") == 1.0 for row in rows),
+         "no linear-sweep baseline row with speedup and cpu_ratio == 1.0")
+    for i, row in enumerate(rows):
+        if row.get("mode") != "all" or row.get("conns", 0) < 32:
+            continue
+        conns, rep = row.get("conns"), row.get("rep_batch_mean")
+        speedup, ratio = row.get("speedup"), row.get("cpu_ratio")
+        if row.get("workload", "read") == "write":
+            # Write-heavy rows promise replication-ack batching, not the
+            # read-path CPU headline.
+            need(number(rep) and rep > 1.0, f"row {i} (write, conns="
+                 f"{conns!r}): all-layers mode must batch replication acks "
+                 f"(rep_batch_mean > 1), got {rep!r}")
+        else:
+            need((number(speedup) and speedup >= 2.0)
+                 or (number(ratio) and ratio >= 2.0), f"row {i} (conns="
+                 f"{conns!r}): all-layers mode must show >= 2x throughput or "
+                 f">= 2x lower server CPU per op vs the linear sweep, got "
+                 f"speedup={speedup!r} cpu_ratio={ratio!r}")
+    return need.broken
+
+
+@experiment(
+    "server_sweep", "Server sweep scalability — CPU ns/op vs connections "
+    "(occupancy word / ready hints / resp batching)",
+    artifact=Artifact(
+        "BENCH_sweep.json", "server_sweep",
+        "server CPU ns/op and throughput vs connections at window 16, "
+        "ablating occupancy-word probing, ready-connection scheduling, and "
+        "doorbell-batched responses against the linear-sweep baseline "
+        "(1 shard, rptr cache off, paced get_many bursts; write rows: "
+        "replicated put_many bursts with rep-ack batching stats)",
+        "kops / ns-per-op",
+        ("conns", "window", "mode", "kops", "speedup", "server_cpu_ns_per_op",
+         "cpu_ratio", "sweeps", "probes", "resp_doorbells")),
+    check=_sweep_gate)
 def server_sweep(scale: float = 1.0,
                  conn_counts: Sequence[int] = (8, 32),
                  window: int = 16,
@@ -1519,27 +1914,75 @@ def server_sweep(scale: float = 1.0,
     return rows
 
 
-def write_sweep_artifact(rows: list[dict],
-                         path: str = "BENCH_sweep.json") -> str:
-    """Dump the server sweep ablation as a machine-readable artifact."""
-    payload = {
-        "experiment": "server_sweep",
-        "description": "server CPU ns/op and throughput vs connections at "
-                       "window 16, ablating occupancy-word probing, "
-                       "ready-connection scheduling, and doorbell-batched "
-                       "responses against the linear-sweep baseline "
-                       "(1 shard, rptr cache off, paced get_many bursts; "
-                       "write rows: replicated put_many bursts with "
-                       "rep-ack batching stats)",
-        "unit": "kops / ns-per-op",
-        "rows": rows,
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    return path
+#: chaos_soak row fields that must be exactly zero for the contract.
+_CHAOS_ZERO = ("untyped_errors", "corrupt_values", "lost_acked_writes",
+               "deadline_violations")
+
+#: storm profiles the acceptance criteria require in every artifact.
+_CHAOS_REQUIRED_PROFILES = ("torn", "gray", "zk", "stale", "tenant",
+                            "dualfail")
 
 
+def _chaos_gate(rows: list[dict]) -> list[str]:
+    """The resilience contract held under every storm: zero lost acked
+    writes, corrupt values, untyped errors and deadline violations,
+    convergence and recovered_ratio >= 0.8 post-storm; the required
+    profiles and the server-variant matrix (sub-sharded, pipelined,
+    replicas >= 2) present; the dualfail cell recovering through the
+    durable log; and the same-seed rerun flagged deterministic."""
+    need = Claims()
+    profiles = {row.get("profile") for row in rows}
+    variants = {row.get("variant") for row in rows}
+    missing = [p for p in _CHAOS_REQUIRED_PROFILES if p not in profiles]
+    need(not missing, f"missing required storm profiles: "
+         f"{', '.join(missing)}")
+    need(len(rows) >= 5, f"need >= 5 seeded storm cells, got {len(rows)}")
+    need(any(row.get("deterministic") is True for row in rows),
+         "no row carries the deterministic == True same-seed replay proof")
+    for variant in ("subshard", "pipelined"):
+        need(variant in variants, f"storm matrix missing a {variant!r} "
+             f"server-variant cell")
+    need(any(isinstance(row.get("replicas"), int) and row["replicas"] >= 2
+             for row in rows), "storm matrix missing a replicas >= 2 cell")
+    for i, row in enumerate(rows):
+        label = f"row {i} (profile={row.get('profile')!r})"
+        ratio, logs = row.get("recovered_ratio"), row.get("log_recoveries")
+        for key in _CHAOS_ZERO:
+            need(row.get(key) == 0, f"{label}: {key} must be 0, got "
+                 f"{row.get(key)!r}")
+        need(row.get("converged") is True, f"{label}: workload did not "
+             f"converge post-storm")
+        if row.get("profile") == "dualfail":
+            need(isinstance(logs, int) and logs >= 1, f"{label}: the "
+                 f"correlated storm must recover through the durable log "
+                 f"(log_recoveries >= 1), got {logs!r}")
+        need(row.get("deterministic", True) is True, f"{label}: same-seed "
+             f"rerun diverged")
+        need(number(ratio) and ratio >= 0.8, f"{label}: recovered_ratio "
+             f"must be >= 0.8, got {ratio!r}")
+    return need.broken
+
+
+@experiment(
+    "chaos", "Chaos soak — seeded fault storms vs the resilience contract "
+    "(acked writes, guardian words, typed errors)",
+    artifact=Artifact(
+        "BENCH_chaos.json", "chaos_soak",
+        "mixed GET/PUT/DELETE workload under seeded fault storms (torn "
+        "writes, gray failure, ZK session expiry, QP flaps, "
+        "crash+replication faults, stale-pointer read delays, tenant "
+        "contention, correlated dual failure vs the durable log) plus a "
+        "server-variant matrix (sub-sharded, pipelined, replicas=2): zero "
+        "lost acked writes, zero corrupt values, typed bounded errors, "
+        "post-storm recovery, and same-seed replayability (2 shards, HA on)",
+        "kops / ms",
+        ("profile", "seed", "variant", "replicas", "ops", "errors",
+         "error_rate", "untyped_errors", "corrupt_values",
+         "lost_acked_writes", "deadline_violations", "pre_kops", "post_kops",
+         "recovered_ratio", "p99_ms", "blackout_ms", "failovers",
+         "log_recoveries", "lease_skew_hazards", "injected_faults",
+         "schedule_hash", "converged")),
+    check=_chaos_gate)
 def chaos_soak(scale: float = 1.0) -> list[dict]:
     """Chaos soak: seeded fault storms vs the resilience contract.
 
@@ -1552,27 +1995,3 @@ def chaos_soak(scale: float = 1.0) -> list[dict]:
     """
     from ..chaos.harness import chaos_soak as _soak
     return _soak(scale=scale)
-
-
-def write_chaos_artifact(rows: list[dict],
-                         path: str = "BENCH_chaos.json") -> str:
-    """Dump the chaos soak as a machine-readable artifact."""
-    payload = {
-        "experiment": "chaos_soak",
-        "description": "mixed GET/PUT/DELETE workload under seeded fault "
-                       "storms (torn writes, gray failure, ZK session "
-                       "expiry, QP flaps, crash+replication faults, "
-                       "stale-pointer read delays, tenant contention, "
-                       "correlated dual failure vs the durable log) plus "
-                       "a server-variant matrix (sub-sharded, pipelined, "
-                       "replicas=2): zero lost acked writes, zero "
-                       "corrupt values, typed bounded errors, post-storm "
-                       "recovery, and same-seed replayability "
-                       "(2 shards, HA on)",
-        "unit": "kops / ms",
-        "rows": rows,
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    return path

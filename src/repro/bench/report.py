@@ -1,11 +1,11 @@
-"""Plain-text tables for experiment results (paper-style rows/series)."""
+"""Plain-text tables for experiment results (paper-style rows)."""
 
 from __future__ import annotations
 
 import math
 from typing import Any, Sequence
 
-__all__ = ["format_table", "print_table", "format_series"]
+__all__ = ["format_table"]
 
 
 def _fmt(value: Any) -> str:
@@ -43,15 +43,3 @@ def format_table(rows: Sequence[dict[str, Any]], title: str = "") -> str:
     for r in cells:
         lines.append("  ".join(v.rjust(w) for v, w in zip(r, widths)))
     return "\n".join(lines)
-
-
-def print_table(rows: Sequence[dict[str, Any]], title: str = "") -> None:
-    print(format_table(rows, title=title))
-    print()
-
-
-def format_series(name: str, xs: Sequence[Any], ys: Sequence[float],
-                  y_label: str = "y") -> str:
-    """One figure series as 'name: (x, y) (x, y) ...'."""
-    pairs = " ".join(f"({x}, {_fmt(y)})" for x, y in zip(xs, ys))
-    return f"{name} [{y_label}]: {pairs}"

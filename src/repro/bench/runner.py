@@ -13,12 +13,11 @@ simulated time), matching YCSB's separate load phase.
 from __future__ import annotations
 
 import gc
-import sys
 from typing import Callable, Optional, Sequence
 
 from ..core import HydraCluster
 from ..protocol import Op
-from ..sim import Simulator, Tally, kernel_snapshot
+from ..sim import Simulator, Tally
 from ..workloads.ycsb import OP_GET, YcsbWorkload
 from .stats import RunResult, summarize
 
@@ -88,20 +87,17 @@ def drive_ycsb(sim: Simulator, clients: Sequence, workload: YcsbWorkload,
     procs = [sim.process(client_proc(i, c), name=f"ycsb.c{i}")
              for i, c in enumerate(clients)]
     # Timed section runs with the collector parked: a GC pass mid-run
-    # adds wall-clock jitter without touching simulated results, and the
-    # allocation delta below would otherwise under-count churn.
+    # adds wall-clock jitter without touching simulated results.
     gc.collect()
-    blocks_before = sys.getallocatedblocks()
     gc.disable()
     try:
         sim.run(until=sim.all_of(procs))
     finally:
         gc.enable()
-    alloc_delta = sys.getallocatedblocks() - blocks_before
     start = max(w for w, _e, _m in windows)
     end = max(e for _w, e, _m in windows)
     measured = sum(m for _w, _e, m in windows)
-    result = RunResult(
+    return RunResult(
         name=name or workload.spec.name,
         measured_ops=measured,
         duration_ns=max(1, end - start),
@@ -109,9 +105,6 @@ def drive_ycsb(sim: Simulator, clients: Sequence, workload: YcsbWorkload,
         update_latency=summarize(upd_lat),
         extras=extras or {},
     )
-    result.extras.setdefault("kernel", kernel_snapshot(sim))
-    result.extras.setdefault("allocated_blocks_delta", alloc_delta)
-    return result
 
 
 def run_hydra_ycsb(cluster: HydraCluster, workload: YcsbWorkload,

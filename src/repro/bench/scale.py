@@ -47,15 +47,15 @@ and 8 message slots per connection so clients sharing a
 from __future__ import annotations
 
 import gc
-import json
 import time
 
 from ..config import SimConfig
 from ..core import HydraCluster
 from ..protocol import Op
 from ..sim import Simulator, kernel_snapshot
+from .registry import Artifact, Claims, experiment, positive
 
-__all__ = ["PINNED", "scale_matrix", "write_scale_artifact"]
+__all__ = ["PINNED", "scale_matrix"]
 
 #: Weak-scaling server counts (1 shard each); the top shape is the
 #: 64-server x 2048-client headline cell.
@@ -222,6 +222,53 @@ def _cell_rows(axis: str, servers: int, shards: int, n_clients: int,
     }
 
 
+def _gate(rows: list[dict]) -> list[str]:
+    """Both axes present with the 64-server headline row; every row's
+    events and digest equal the committed constants of its shape; each
+    axis normalized against its own first row (1.0)."""
+    need = Claims()
+    axes = {row.get("axis") for row in rows}
+    for axis in ("scale_out", "scale_up"):
+        need(axis in axes, f"missing axis {axis!r}")
+    need(any(row.get("axis") == "scale_out" and row.get("servers") == 64
+             for row in rows), "no 64-server scale-out row (the headline "
+         "shape)")
+    seen_axis: set = set()
+    for i, row in enumerate(rows):
+        shape = tuple(row.get(k) for k in ("axis", "servers", "shards",
+                                           "clients", "ops"))
+        label, pinned = f"row {i} {shape}", PINNED.get(shape)
+        measured = (row.get("events"), row.get("digest"))
+        need(pinned is not None, f"{label}: no committed constants for this "
+             f"shape (pinned shapes: --scale 1.0 and the 0.05 smoke)")
+        need(pinned in (None, measured), f"{label}: events/digest "
+             f"{measured!r} differ from the committed {pinned!r} — the "
+             f"schedule moved")
+        if row.get("axis") not in seen_axis:
+            seen_axis.add(row.get("axis"))
+            need(row.get("normalized") == 1.0, f"{label}: each axis's first "
+                 f"row is its own baseline and must have normalized == 1.0, "
+                 f"got {row.get('normalized')!r}")
+        else:
+            need(positive(row, "normalized"), f"{label}: normalized must be "
+                 f"a positive number, got {row.get('normalized')!r}")
+    return need.broken
+
+
+@experiment(
+    "scale", "Fig. 12 at cluster scale — 64 servers x 2048 clients, events "
+    "and schedule digests pinned per shape",
+    artifact=Artifact(
+        "BENCH_scale.json", "scale_matrix",
+        "Fig. 12 scale-out/scale-up matrix extended to 64 servers x 2048 "
+        "closed-loop clients (~12.5% writes, message hot path only).  "
+        "wall_s and events_per_sec time the simulator; events and digest "
+        "(BLAKE2 schedule digest of a traced reduced clone of the shape) "
+        "must equal the committed per-shape constants, proving the "
+        "schedule did not move.", "normalized throughput / events/sec",
+        ("axis", "servers", "shards", "clients", "ops", "throughput_mops",
+         "normalized", "wall_s", "events", "events_per_sec", "digest")),
+    check=_gate)
 def scale_matrix(scale: float = 1.0) -> list[dict]:
     """The BENCH_scale matrix: Fig. 12 axes at 64-server scale.
 
@@ -250,25 +297,3 @@ def scale_matrix(scale: float = 1.0) -> list[dict]:
             if r["axis"] == axis and base > 0:
                 r["normalized"] = round(r["throughput_mops"] / base, 3)
     return rows
-
-
-def write_scale_artifact(rows: list[dict],
-                         path: str = "BENCH_scale.json") -> str:
-    """Dump the scale matrix as a machine-readable artifact."""
-    payload = {
-        "experiment": "scale_matrix",
-        "description": "Fig. 12 scale-out/scale-up matrix extended to 64 "
-                       "servers x 2048 closed-loop clients (~12.5% "
-                       "writes, message hot path only).  wall_s and "
-                       "events_per_sec time the simulator; events and "
-                       "digest (BLAKE2 schedule digest of a traced "
-                       "reduced clone of the shape) must equal the "
-                       "committed per-shape constants, proving the "
-                       "schedule did not move.",
-        "unit": "normalized throughput / events/sec",
-        "rows": rows,
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    return path

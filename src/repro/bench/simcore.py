@@ -19,7 +19,7 @@ timed region; each cell reports the best of ``_REPS`` runs, with GC
 parked, same hygiene as the YCSB driver.  Every bench is preceded by an
 untimed *traced* run of the same workload at ``_TRACE_SCALE``; its
 BLAKE2 schedule digest (``digest``) must equal the committed constant in
-:data:`DIGESTS` (``repro.bench.validate`` checks), so a timing only
+:data:`DIGESTS` (the experiment's check), so a timing only
 counts for a kernel that still dispatches the pinned ``(time, seq)``
 order.
 """
@@ -27,13 +27,13 @@ order.
 from __future__ import annotations
 
 import gc
-import json
 import time
 from typing import Callable, Optional
 
 from ..sim import Simulator, kernel_snapshot
+from .registry import Artifact, Claims, experiment, number, positive
 
-__all__ = ["DIGESTS", "simcore_kernel", "write_simcore_artifact"]
+__all__ = ["DIGESTS", "simcore_kernel"]
 
 #: Repetitions per bench; best-of wins.
 _REPS = 3
@@ -162,6 +162,48 @@ def _digest(build, scale: float) -> str:
     return sim.schedule_digest()
 
 
+#: Absolute events/sec floor for every row: the committed artifact shows
+#: 0.5-3.5M events/sec; a drop below this order-of-magnitude guard means
+#: the kernel itself regressed catastrophically, not that the CI machine
+#: is slow.
+_EPS_FLOOR = 150_000.0
+
+
+def _gate(rows: list[dict]) -> list[str]:
+    """Every bench is present, carries its committed schedule digest (the
+    kernel still dispatches the pinned order) and clears the absolute
+    events/sec floor."""
+    need = Claims()
+    benches = {row.get("bench") for row in rows}
+    for bench in DIGESTS:
+        need(bench in benches, f"missing bench {bench!r}")
+    for i, row in enumerate(rows):
+        label = f"row {i} (bench={row.get('bench')!r})"
+        digest, eps = row.get("digest"), row.get("events_per_sec")
+        need(digest == DIGESTS.get(row.get("bench")), f"{label}: schedule "
+             f"digest {digest!r} is not the committed one — the kernel's "
+             f"dispatch order moved")
+        need(positive(row, "events"), f"{label}: events must be positive, "
+             f"got {row.get('events')!r}")
+        need(number(eps) and eps >= _EPS_FLOOR, f"{label}: events/sec "
+             f"regressed below the absolute {_EPS_FLOOR:.0f}/s floor, got "
+             f"{eps!r}")
+    return need.broken
+
+
+@experiment(
+    "simcore", "Kernel microbench — events/sec of the two-tier calendar + "
+    "now-queue + pooled timers, digests pinned",
+    artifact=Artifact(
+        "BENCH_simcore.json", "simcore_kernel",
+        "event-kernel events/sec on sweep-loop, wake-storm and "
+        "mixed-calendar schedule shapes (two-tier bucketed calendar + "
+        "inline now-queue + pooled timers + step_batch); digest is the "
+        "BLAKE2 schedule digest of a traced run, which must equal the "
+        "committed per-bench constant", "events/sec",
+        ("bench", "events", "wall_s", "events_per_sec", "digest", "now_rate",
+         "wheel_rate", "heap_rate", "timer_reuse_rate", "peak_calendar")),
+    check=_gate)
 def simcore_kernel(scale: float = 0.5) -> list[dict]:
     """The BENCH_simcore sweep: one row per schedule shape, carrying its
     events/sec, its schedule digest and the kernel's telemetry mix."""
@@ -190,23 +232,3 @@ def simcore_kernel(scale: float = 0.5) -> list[dict]:
             "peak_calendar": int(snap["peak_calendar"]),
         })
     return rows
-
-
-def write_simcore_artifact(rows: list[dict],
-                           path: str = "BENCH_simcore.json") -> str:
-    """Dump the kernel microbench as a machine-readable artifact."""
-    payload = {
-        "experiment": "simcore_kernel",
-        "description": "event-kernel events/sec on sweep-loop, wake-storm "
-                       "and mixed-calendar schedule shapes (two-tier "
-                       "bucketed calendar + inline now-queue + pooled "
-                       "timers + step_batch); digest is the BLAKE2 "
-                       "schedule digest of a traced run, which must equal "
-                       "the committed per-bench constant",
-        "unit": "events/sec",
-        "rows": rows,
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    return path

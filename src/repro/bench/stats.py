@@ -66,23 +66,3 @@ class RunResult:
             return 0.0
         # ops per ns == Gops/s; x1000 -> Mops/s.
         return self.measured_ops / self.duration_ns * 1000.0
-
-    @property
-    def throughput_kops(self) -> float:
-        return self.throughput_mops * 1000.0
-
-    def scaled_against(self, other: "RunResult") -> float:
-        """This run's throughput as a multiple of ``other``'s."""
-        base = other.throughput_mops
-        return self.throughput_mops / base if base else math.inf
-
-    def row(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "throughput_mops": round(self.throughput_mops, 4),
-            "get_mean_us": round(self.get_latency.mean_us, 2)
-            if self.get_latency.count else None,
-            "update_mean_us": round(self.update_latency.mean_us, 2)
-            if self.update_latency.count else None,
-            **self.extras,
-        }

@@ -37,20 +37,20 @@ and unused share spills to the hungry).  A bit-greedy aggressor
 therefore does not hurt the score as long as the victim gets its
 weighted share.
 
-``BENCH_tenants.json`` records the cells across PRs;
-``python -m repro.bench.validate`` enforces the acceptance floors.
+``BENCH_tenants.json`` records the cells across PRs; the experiment's
+check enforces the acceptance floors.
 """
 
 from __future__ import annotations
 
-import json
 import math
 
 from ..config import QosConfig, SimConfig
 from ..core import HydraCluster
 from ..protocol import Op
+from .registry import Artifact, Claims, experiment, number
 
-__all__ = ["tenant_fairness", "write_tenants_artifact"]
+__all__ = ["tenant_fairness"]
 
 #: Default paced-victim op count at scale=1.0.
 BASE_VICTIM_OPS = 2_000
@@ -320,6 +320,60 @@ def _share_cell(cell: str, horizon_ns: int, fair_queueing: bool,
                 0.0, jain, throttled, shed)
 
 
+def _gate(rows: list[dict]) -> list[str]:
+    """The QoS contract: every cell present; Jain's index >= 0.9 in every
+    fair-queueing cell; in the admission-capped cell the victim p99 stays
+    <= 2x its no-aggressor baseline and the client throttle trips; the
+    occupancy-capped cell sheds server-side; and the AIMD autotune cell
+    lands within 10% of the best static window."""
+    need = Claims()
+    cells = {row.get("cell"): row for row in rows}
+    for name in ("w1", "w16", "auto", "solo", "share-nofq", "share-fq",
+                 "share-fq-w4", "throttle", "shed"):
+        need(name in cells, f"missing cell {name!r}")
+    solo_p99 = cells.get("solo", {}).get("victim_p99_us")
+    for i, row in enumerate(rows):
+        cell = row.get("cell")
+        label = f"row {i} (cell={cell!r})"
+        if not need(isinstance(cell, str), f"{label}: cell must be a string"):
+            continue
+        jain, p99 = row.get("jain"), row.get("victim_p99_us")
+        throttled, shed = row.get("throttled"), row.get("shed")
+        best, kops = row.get("best_static_kops"), row.get("kops")
+        if cell.startswith("share-fq") or cell == "throttle":
+            need(number(jain) and jain >= 0.9, f"{label}: Jain's index must "
+                 f"be >= 0.9 with fair queueing on, got {jain!r}")
+        if cell == "throttle" and number(solo_p99) and solo_p99 > 0:
+            need(number(p99) and p99 <= 2.0 * solo_p99, f"{label}: with the "
+                 f"aggressor admission-shaped the victim p99 must stay <= 2x "
+                 f"its no-aggressor baseline ({solo_p99!r} us), got {p99!r}")
+        if cell == "throttle":
+            need(isinstance(throttled, int) and throttled > 0, f"{label}: "
+                 f"admission cap must trip the client throttle counter, got "
+                 f"{throttled!r}")
+        if cell == "shed":
+            need(isinstance(shed, int) and shed > 0, f"{label}: occupancy "
+                 f"cap must shed server-side, got {shed!r}")
+        if cell == "auto":
+            need(number(kops) and number(best) and best > 0
+                 and kops >= 0.9 * best, f"{label}: AIMD autotune must land "
+                 f"within 10% of the best static window ({best!r} kops), "
+                 f"got {kops!r}")
+    return need.broken
+
+
+@experiment(
+    "tenants", "Multi-tenant QoS — fair queueing, admission throttling, "
+    "server shed, AIMD autotune (victim vs aggressor)",
+    artifact=Artifact(
+        "BENCH_tenants.json", "tenant_fairness",
+        "multi-tenant fair queueing / admission control: well-behaved "
+        "tenant vs closed-loop aggressor sharing one transport against one "
+        "shard (Jain's index over weighted demand-satisfaction, victim p99 "
+        "vs solo, AIMD vs static windows)", "kops",
+        ("cell", "kops", "victim_kops", "victim_p99_us", "jain", "throttled",
+         "shed", "solo_p99_us", "best_static_kops")),
+    check=_gate)
 def tenant_fairness(scale: float = 1.0) -> list[dict]:
     """Run every cell; see the module docstring for the cell catalog."""
     n_ops = max(200, int(BASE_VICTIM_OPS * scale))
@@ -352,22 +406,3 @@ def tenant_fairness(scale: float = 1.0) -> list[dict]:
         row["solo_p99_us"] = solo_p99
         row["best_static_kops"] = best_static
     return rows
-
-
-def write_tenants_artifact(rows: list[dict],
-                           path: str = "BENCH_tenants.json") -> str:
-    """Dump the fairness cells as a machine-readable perf artifact."""
-    payload = {
-        "experiment": "tenant_fairness",
-        "description": "multi-tenant fair queueing / admission control: "
-                       "well-behaved tenant vs closed-loop aggressor "
-                       "sharing one transport against one shard (Jain's "
-                       "index over weighted demand-satisfaction, victim "
-                       "p99 vs solo, AIMD vs static windows)",
-        "unit": "kops",
-        "rows": rows,
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    return path

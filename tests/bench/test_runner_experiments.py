@@ -8,7 +8,6 @@ from repro.bench.experiments import (
     ablation_hash_table,
     ablation_numa,
     ablation_rptr_sharing,
-    default_scale,
     fig2_mapreduce,
     fig3_sensemaking,
     fig9_overall,
@@ -63,13 +62,6 @@ def test_drive_ycsb_detects_missing_preload():
     clients = [cluster.client()]
     with pytest.raises(AssertionError):
         drive_ycsb(cluster.sim, clients, wl)
-
-
-def test_default_scale_env(monkeypatch):
-    monkeypatch.setenv("REPRO_SCALE", "2.5")
-    assert default_scale() == 2.5
-    monkeypatch.delenv("REPRO_SCALE")
-    assert default_scale() == 1.0
 
 
 # -- one tiny smoke per experiment: wiring + row schema, not shape ----------

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.bench.report import format_series, format_table
+from repro.bench.report import format_table
 from repro.bench.stats import LatencySummary, RunResult, summarize
 from repro.sim import Tally
 
@@ -30,19 +30,8 @@ def test_summarize_empty():
 def test_run_result_throughput():
     r = RunResult(name="x", measured_ops=1000, duration_ns=1_000_000)
     assert r.throughput_mops == pytest.approx(1.0)
-    assert r.throughput_kops == pytest.approx(1000.0)
     zero = RunResult(name="z", measured_ops=10, duration_ns=0)
     assert zero.throughput_mops == 0.0
-
-
-def test_run_result_scaling_and_row():
-    a = RunResult(name="a", measured_ops=2000, duration_ns=1_000_000)
-    b = RunResult(name="b", measured_ops=1000, duration_ns=1_000_000)
-    assert a.scaled_against(b) == pytest.approx(2.0)
-    assert b.scaled_against(RunResult("0", 0, 1)) == math.inf
-    row = a.row()
-    assert row["name"] == "a" and row["throughput_mops"] == 2.0
-    assert row["get_mean_us"] is None  # no latency recorded
 
 
 def test_latency_summary_empty_factory():
@@ -65,9 +54,3 @@ def test_format_table_empty_and_large_numbers():
     assert "(no rows)" in format_table([], title="E")
     out = format_table([{"n": 123456.0, "nan": math.nan, "none": None}])
     assert "123,456" in out and "nan" in out and "-" in out
-
-
-def test_format_series():
-    s = format_series("zipf", [1, 2, 3], [0.5, 1.0, 1.5], y_label="Mops")
-    assert s.startswith("zipf [Mops]:")
-    assert "(1, 0.500)" in s and "(3, 1.500)" in s

@@ -3,6 +3,9 @@
 import json
 from pathlib import Path
 
+import pytest
+
+from repro.bench.registry import by_artifact, registered
 from repro.bench.validate import main, validate_artifact
 
 
@@ -165,3 +168,96 @@ def test_scale_rows_must_match_their_shape_constants():
     payload["rows"][0]["clients"] = 33
     assert any("no committed constants" in p
                for p in validate_artifact(payload))
+
+
+# -- the registry is the contract: every declared artifact is committed and
+# -- validates, and each semantic gate rejects the row it exists for --------
+
+ARTIFACTS = sorted(exp.artifact.file for exp in registered().values()
+                   if exp.artifact)
+
+
+@pytest.mark.parametrize("name", ARTIFACTS)
+def test_committed_artifact_validates(name):
+    payload = _committed(name)
+    exp = by_artifact(payload["experiment"])
+    assert exp is not None and exp.artifact.file == name
+    assert validate_artifact(payload) == []
+
+
+def _complaints(name, mutate):
+    payload = _committed(name)
+    mutate(payload["rows"])
+    return validate_artifact(payload)
+
+
+def test_inflight_needs_a_unity_baseline_row():
+    def drop_baseline(rows):
+        del rows[0]
+    assert any("get_speedup == 1.0" in p
+               for p in _complaints("BENCH_inflight.json", drop_baseline))
+
+
+@pytest.mark.parametrize("key, value, complaint", [
+    ("exceptions", 1, "client-visible exceptions"),
+    ("lost_acked_writes", 2, "acknowledged writes lost"),
+    ("recovered_ratio", 0.5, "recovered_ratio must be >= 0.8"),
+])
+def test_failover_contract_rejects_a_broken_row(key, value, complaint):
+    def breaks(rows):
+        rows[1][key] = value
+    assert any(complaint in p
+               for p in _complaints("BENCH_failover.json", breaks))
+
+
+def _drop_profile(profile):
+    def mutate(rows):
+        rows[:] = [r for r in rows if r["profile"] != profile]
+    return mutate
+
+
+def _set_chaos(profile, key, value):
+    def mutate(rows):
+        next(r for r in rows if r["profile"] == profile)[key] = value
+    return mutate
+
+
+def _set_all(key, value):
+    def mutate(rows):
+        for r in rows:
+            r[key] = value
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, complaint", [
+    (_drop_profile("stale"), "missing required storm profiles: stale"),
+    (_set_chaos("gray", "corrupt_values", 1), "corrupt_values must be 0"),
+    (_set_chaos("zk", "untyped_errors", 3), "untyped_errors must be 0"),
+    (_set_chaos("dualfail", "log_recoveries", 0), "through the durable log"),
+    (_set_chaos("torn", "deterministic", False), "same-seed rerun diverged"),
+    (_set_chaos("torn", "deterministic", None), "deterministic == True"),
+    (_set_all("variant", "plain"), "'subshard' server-variant cell"),
+    (_set_all("variant", "plain"), "'pipelined' server-variant cell"),
+    (_set_all("replicas", 1), "replicas >= 2 cell"),
+])
+def test_chaos_contract_rejects_a_broken_storm(mutate, complaint):
+    assert any(complaint in p
+               for p in _complaints("BENCH_chaos.json", mutate))
+
+
+def _set_cell(cell, key, value):
+    def mutate(rows):
+        next(r for r in rows if r["cell"] == cell)[key] = value
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, complaint", [
+    (_set_cell("share-fq", "jain", 0.85), "Jain's index must be >= 0.9"),
+    (_set_cell("throttle", "victim_p99_us", 5.0), "victim p99 must stay"),
+    (_set_cell("throttle", "throttled", 0), "client throttle counter"),
+    (_set_cell("shed", "shed", 0), "must shed server-side"),
+    (_set_cell("auto", "kops", 1000.0), "AIMD autotune"),
+])
+def test_tenant_contract_rejects_a_broken_cell(mutate, complaint):
+    assert any(complaint in p
+               for p in _complaints("BENCH_tenants.json", mutate))
