@@ -1743,96 +1743,71 @@ def recovery_dualfail(scale: float = 1.0,
     return rows
 
 
-#: Ablation grid for the server-side sweep layers (PR 4): each knob is
-#: independently toggleable so the bench isolates its contribution.
-_SWEEP_MODES: Sequence[tuple[str, dict]] = (
-    ("baseline", {"occupancy_word": False, "ready_hints": False,
-                  "resp_doorbell_batch": 0}),
-    ("occupancy", {"occupancy_word": True, "ready_hints": False,
-                   "resp_doorbell_batch": 0}),
-    ("ready", {"occupancy_word": False, "ready_hints": True,
-               "resp_doorbell_batch": 0}),
-    ("resp-batch", {"occupancy_word": False, "ready_hints": False,
-                    "resp_doorbell_batch": 16}),
-    ("all", {"occupancy_word": True, "ready_hints": True,
-             "resp_doorbell_batch": 16}),
-)
-
-
 def _sweep_gate(rows: list[dict]) -> list[str]:
-    """Read rows carry a linear-sweep baseline (speedup and cpu_ratio ==
-    1.0) and, at >= 32 connections, the all-layers mode beats it by >= 2x
-    in throughput or server CPU ns/op; write rows in the all-layers mode
-    show replication-ack batching (rep_batch_mean > 1)."""
+    """Server CPU per read stays flat as connections grow (max <= 1.25x
+    min across the read rows), the occupancy word keeps probes per op <=
+    1.5, and write rows batch replication acks (rep_batch_mean > 1)."""
     need = Claims()
-    need(any(row.get("mode") == "baseline" and row.get("speedup") == 1.0
-             and row.get("cpu_ratio") == 1.0 for row in rows),
-         "no linear-sweep baseline row with speedup and cpu_ratio == 1.0")
+    cpus = [row.get("server_cpu_ns_per_op") for row in rows
+            if row.get("workload") == "read"]
+    if need(len(cpus) >= 2 and all(number(c) and c > 0 for c in cpus),
+            f"need positive read server_cpu_ns_per_op at >= 2 connection "
+            f"counts, got {cpus!r}"):
+        need(max(cpus) <= 1.25 * min(cpus), f"read server CPU ns/op must "
+             f"stay flat across connection counts (max <= 1.25x min), got "
+             f"{min(cpus):.4g}..{max(cpus):.4g}")
     for i, row in enumerate(rows):
-        if row.get("mode") != "all" or row.get("conns", 0) < 32:
-            continue
-        conns, rep = row.get("conns"), row.get("rep_batch_mean")
-        speedup, ratio = row.get("speedup"), row.get("cpu_ratio")
-        if row.get("workload", "read") == "write":
-            # Write-heavy rows promise replication-ack batching, not the
-            # read-path CPU headline.
-            need(number(rep) and rep > 1.0, f"row {i} (write, conns="
-                 f"{conns!r}): all-layers mode must batch replication acks "
-                 f"(rep_batch_mean > 1), got {rep!r}")
-        else:
-            need((number(speedup) and speedup >= 2.0)
-                 or (number(ratio) and ratio >= 2.0), f"row {i} (conns="
-                 f"{conns!r}): all-layers mode must show >= 2x throughput or "
-                 f">= 2x lower server CPU per op vs the linear sweep, got "
-                 f"speedup={speedup!r} cpu_ratio={ratio!r}")
+        label = f"row {i} ({row.get('workload')}, conns={row.get('conns')!r})"
+        ppo, rep = row.get("probes_per_op"), row.get("rep_batch_mean")
+        need(number(ppo) and ppo <= 1.5, f"{label}: probes_per_op must be "
+             f"<= 1.5, got {ppo!r}")
+        if row.get("workload") == "write":
+            need(number(rep) and rep > 1.0, f"{label}: replicated writes "
+                 f"must batch replication acks (rep_batch_mean > 1), got "
+                 f"{rep!r}")
     return need.broken
 
 
 @experiment(
-    "server_sweep", "Server sweep scalability — CPU ns/op vs connections "
-    "(occupancy word / ready hints / resp batching)",
+    "server_sweep", "Server sweep scalability — CPU ns/op vs connections",
     artifact=Artifact(
         "BENCH_sweep.json", "server_sweep",
-        "server CPU ns/op and throughput vs connections at window 16, "
-        "ablating occupancy-word probing, ready-connection scheduling, and "
-        "doorbell-batched responses against the linear-sweep baseline "
-        "(1 shard, rptr cache off, paced get_many bursts; write rows: "
-        "replicated put_many bursts with rep-ack batching stats)",
+        "server CPU ns/op, probes per op and throughput vs connections at "
+        "window 16 (1 shard, rptr cache off, paced get_many bursts; write "
+        "row: strict-replicated put_many bursts with rep-ack batching "
+        "stats)",
         "kops / ns-per-op",
-        ("conns", "window", "mode", "kops", "speedup", "server_cpu_ns_per_op",
-         "cpu_ratio", "sweeps", "probes", "resp_doorbells")),
+        ("workload", "conns", "window", "kops", "server_cpu_ns_per_op",
+         "sweeps", "probes", "probes_per_op", "resp_doorbells",
+         "rep_batch_mean")),
     check=_sweep_gate)
 def server_sweep(scale: float = 1.0,
-                 conn_counts: Sequence[int] = (8, 32),
+                 conn_counts: Sequence[int] = (8, 32, 128),
                  window: int = 16,
                  value_bytes: int = 32) -> list[dict]:
-    """Server-side sweep scalability: CPU ns/op vs connections x window.
+    """Server-side sweep scalability: CPU ns/op vs connections.
 
     Many moderately-loaded connections against one single-threaded shard,
     remote-pointer cache disabled so every GET crosses the server CPU.
     Each client issues a small ``get_many`` burst and then thinks, so the
-    offered load stays below shard saturation — exactly the regime where
-    the seed's linear sweep burns the server core probing conns x slots
-    idle buffer slots per wakeup.  Five modes ablate the three layers
-    (occupancy word, ready hints, response doorbell batching); the
-    headline columns are ``server_cpu_ns_per_op`` and ``cpu_ratio``
-    (baseline CPU / mode CPU, higher is better) at >= 32 connections.
+    offered load stays below shard saturation — the regime where a linear
+    sweep would burn the server core probing conns x slots idle buffer
+    slots per wakeup.  The occupancy word, ready hints and batched
+    responses keep ``server_cpu_ns_per_op`` flat across connection counts
+    and ``probes_per_op`` near one.
 
-    A second, write-heavy pass at the largest connection count replaces
-    the ``get_many`` bursts with replicated ``put_many`` bursts
-    (``replicas=1``): those rows (``workload == "write"``) surface how
-    doorbell batching amortizes replication waits — ``rep_batch_mean``
-    is the average number of replication acks awaited per flush, > 1
-    whenever batching coalesces them.
+    A write pass at the largest connection count replaces the
+    ``get_many`` bursts with strict-replicated ``put_many`` bursts
+    (``replicas=1``): ``rep_batch_mean`` is the average number of
+    replication acks awaited per sweep flush, > 1 whenever the sweep
+    batches them.
     """
     n_rounds = max(4, int(24 * scale))
     burst = 4
     think_ns = 800_000
 
-    def cell(workload, conns, mode, knobs, base_kops, base_cpu):
-        hydra = {"msg_slots_per_conn": window}
-        hydra.update(knobs)
-        overrides = {"hydra": hydra,
+    def cell(workload, conns):
+        overrides = {"hydra": {"msg_slots_per_conn": window},
                      "client": {"max_inflight_per_conn": window,
                                 "rptr_cache_enabled": False}}
         if workload == "write":
@@ -1872,45 +1847,26 @@ def server_sweep(scale: float = 1.0,
         elapsed = max(1, sim.now - t0)
         n_ops = conns * n_rounds * burst
         shard = cluster.shards()[0]
-        busy_ns = shard.core.utilization() * sim.now
-        kops = n_ops / elapsed * 1e6
-        cpu = busy_ns / n_ops
-        if base_kops is None:
-            base_kops, base_cpu = kops, cpu
-        rep = cluster.metrics.tally("shard.rep_batch")
-        row = {
+        m = cluster.metrics
+        probes = int(m.counter("shard.probes").value)
+        rep = m.tally("shard.rep_batch")
+        return {
             "workload": workload,
             "conns": conns,
             "window": window,
-            "mode": mode,
-            "kops": kops,
-            "speedup": kops / base_kops,
-            "server_cpu_ns_per_op": cpu,
-            "cpu_ratio": base_cpu / cpu,
-            "sweeps": int(cluster.metrics.counter("shard.sweeps").value),
-            "probes": int(cluster.metrics.counter("shard.probes").value),
-            "resp_doorbells": int(
-                cluster.metrics.counter("shard.resp_doorbells").value),
+            "kops": n_ops / elapsed * 1e6,
+            "server_cpu_ns_per_op": shard.core.utilization() * sim.now
+            / n_ops,
+            "sweeps": int(m.counter("shard.sweeps").value),
+            "probes": probes,
+            "probes_per_op": probes / n_ops,
+            "resp_doorbells": int(m.counter("shard.resp_doorbells").value),
             "rep_batch_mean": rep.mean if rep.count else 0.0,
             "rep_flushes": rep.count,
         }
-        return row, base_kops, base_cpu
 
-    rows: list[dict] = []
-    for conns in conn_counts:
-        base_kops = base_cpu = None
-        for mode, knobs in _SWEEP_MODES:
-            row, base_kops, base_cpu = cell("read", conns, mode, knobs,
-                                            base_kops, base_cpu)
-            rows.append(row)
-    wconns = max(conn_counts)
-    base_kops = base_cpu = None
-    for mode, knobs in _SWEEP_MODES:
-        if mode not in ("baseline", "resp-batch", "all"):
-            continue
-        row, base_kops, base_cpu = cell("write", wconns, mode, knobs,
-                                        base_kops, base_cpu)
-        rows.append(row)
+    rows = [cell("read", conns) for conns in conn_counts]
+    rows.append(cell("write", max(conn_counts)))
     return rows
 
 

@@ -79,8 +79,7 @@ def _profile_overrides(profile: str) -> dict[str, dict]:
     """
     if profile == "stale":
         return {
-            "hydra": {"lease_min_ns": 5 * _MS, "lease_max_ns": 20 * _MS,
-                      "lease_renew_period_ns": 10 * _MS},
+            "hydra": {"lease_min_ns": 5 * _MS, "lease_max_ns": 20 * _MS},
             "traversal": {"min_fanout": 1, "read_horizon_ns": 20 * _MS},
             "memory": {"reclaim_period_ns": 2 * _MS},
         }

@@ -136,7 +136,6 @@ class CpuConfig:
     memcpy_bpns: float = 12.0
     #: Allocation from the slab allocator (size-class pop).
     alloc_ns: int = 100
-    free_ns: int = 60
     #: Additional write-path work per mutation: slab bookkeeping, lease
     #: table update, reclaim enqueue, stats.  This is the server-side
     #: read/write asymmetry §6.1 observes.
@@ -189,10 +188,10 @@ class MemoryConfig:
 class HydraConfig:
     """HydraDB protocol parameters.
 
-    The fields choose protocol behaviour — messaging, response batching,
-    shard variant, transport — never between two implementations of the
-    same behaviour: every combination runs through the one shard request
-    body and the one RDMA data path.
+    The fields choose protocol behaviour — messaging, shard variant,
+    transport — never between two implementations of the same
+    behaviour: every combination runs through the one shard request body
+    and the one RDMA data path.
     """
 
     #: Per-connection request/response buffer bytes.
@@ -202,17 +201,6 @@ class HydraConfig:
     #: K > 1 lets a client keep up to K requests in flight on one
     #: connection, with responses slot-matched to their requests.
     msg_slots_per_conn: int = 1
-    #: Per-connection drain budget for server sweeps: a single sweep
-    #: consumes at most this many ready slots from one connection, then
-    #: re-marks it ready so the next sweep continues — one hot
-    #: connection cannot dominate a sweep's handling time under skew.
-    #: 0 = unbounded (drain everything found).
-    sweep_drain_budget: int = 0
-    #: TCP-mode ready-queue drain cap: one epoll-style wake drains up to
-    #: this many queued payloads, and their responses are flushed per
-    #: connection through one batched syscall (``send_many``) instead of
-    #: one syscall each.  1 restores one-payload-per-wake.
-    tcp_drain_batch: int = 16
     #: Hash-table buckets per shard (power of two).
     buckets_per_shard: int = 1 << 15
     #: Lease bounds (paper: 1 s .. 64 s scaled by observed popularity).
@@ -220,26 +208,12 @@ class HydraConfig:
     lease_max_ns: int = 64_000_000_000
     #: GET count at which a key is considered maximally popular.
     lease_popularity_saturation: int = 64
-    #: Client-side lease renewal period for keys it deems popular.
-    lease_renew_period_ns: int = 500_000_000
     #: Use RDMA-Write indicator messaging (False = two-sided Send/Recv).
+    #: Every RDMA-Write request buffer carries an occupancy bitmap, and
+    #: the shard's responses leave in doorbell-coalesced chains
+    #: (``core/shard.py``); Send/Recv answers each request with its own
+    #: Send.
     rdma_write_messaging: bool = True
-    #: 64-bit occupancy bitmap in a header word of each request buffer
-    #: (the connection-buffer analogue of §4.1.3's bucket occupancy
-    #: filter): the client sets a slot's bit with the same doorbell as
-    #: its slot write, the shard snapshots+clears the word, and a sweep
-    #: probes one word per connection instead of every slot.
-    occupancy_word: bool = True
-    #: Doorbells carry *which* connection fired, and the shard keeps a
-    #: ready set so a sweep visits only dirty connections (periodic full
-    #: sweeps remain as a safety net).  False = every sweep walks every
-    #: connection (the seed design).
-    ready_hints: bool = True
-    #: Responses produced by one sweep are buffered per connection and
-    #: flushed as a single doorbell-coalesced RDMA Write chain of at most
-    #: this many WQEs.  0 disables batching: every response rings its own
-    #: doorbell (the seed design).
-    resp_doorbell_batch: int = 16
     #: Age bound (ns) on a buffered response: once the oldest response in a
     #: ``_SweepBatch`` has sat this long, the batch is flushed even if the
     #: sweep/queue that is filling it has not finished.  Bounds the added
@@ -247,17 +221,6 @@ class HydraConfig:
     #: sweeps.  0 disables the age flush (flush only at sweep boundary /
     #: queue drain / batch cap).
     resp_flush_max_ns: int = 100_000
-    #: "Announced since last response" masking of the occupancy word,
-    #: on both ends of the wire.  Client side: each occupancy write
-    #: carries only the in-flight slots not yet proven consumed (a
-    #: response for req r proves every older in-flight announce was in
-    #: the snapshot the shard swept).  Shard side: a re-announced bit
-    #: for a slot that was consumed but whose response has not been
-    #: posted yet is provably stale — the client cannot have reused the
-    #: slot — and is skipped without a probe.  Long in-flight windows
-    #: then stop re-announcing consumed slots, keeping shard probes ~=
-    #: requests.  False = full-window rewrite, probe every bit.
-    occ_announce_mask: bool = True
     #: Transport: "rdma" (the paper's main mode) or "tcp" (the kernel
     #: TCP/IPoIB fallback HydraDB also supports, §6) — in tcp mode the
     #: remote-pointer fast path is unavailable and every message costs

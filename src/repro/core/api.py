@@ -28,6 +28,7 @@ from typing import Generator, Optional
 
 from ..config import QosConfig, SimConfig
 from ..hardware import Machine
+from ..protocol import Op
 from ..qos import TokenBucket
 from ..rdma import Fabric, TcpNetwork
 from ..sim import Gate, MetricSet, Simulator
@@ -361,28 +362,16 @@ class HydraCluster:
             self.routing.clear_recovering(shard_id)
 
     def _salvage_ring(self, sec, store) -> int:
-        """Drain a surviving secondary ring's unmerged suffix into a
-        recovering store, ``promote_drain()``-style: contiguous records
-        only, stopping at the first sequence gap.  A secondary stopped on
-        a merge fault (``failing``) contributes nothing — its failed-seq
-        records were never acknowledged and must not be resurrected.
-        Suffix records that the log replay already covered are skipped by
-        the version guard (PUTs) or degrade to no-op removes (DELETEs).
+        """Drain a surviving secondary ring's unmerged suffix
+        (:meth:`~repro.replication.secondary.SecondaryShard.ring_suffix`)
+        into a recovering store.  A secondary stopped on a merge fault
+        (``failing``) contributes nothing — its failed-seq records were
+        never acknowledged and must not be resurrected.  Suffix records
+        that the log replay already covered are skipped by the version
+        guard (PUTs) or degrade to no-op removes (DELETEs).
         """
-        from ..protocol import Op
-        from ..replication.log import LogRecord, RecordType
-
         applied = 0
-        while not sec.failing:
-            payload = sec.reader.poll()
-            if payload is None:
-                break
-            record = LogRecord.decode(payload)
-            if record.rtype is RecordType.ACK_REQUEST:
-                continue
-            if record.seq != sec.applied_seq + 1:
-                break
-            sec.applied_seq = record.seq
+        for record in sec.ring_suffix():
             if (record.op is not Op.DELETE
                     and record.version <= store.get(record.key).version):
                 continue

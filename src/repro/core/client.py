@@ -198,9 +198,9 @@ class _ConnPipeline:
     inflight: dict[int, int] = field(default_factory=dict)
     #: Responses drained while waiting for a different request.
     completed: dict[int, Response] = field(default_factory=dict)
-    #: Slots whose announce is proven consumed by the shard
-    #: (``hydra.occ_announce_mask``): excluded from subsequent occupancy
-    #: words so long windows stop re-announcing drained slots.
+    #: Slots whose announce is proven consumed by the shard: excluded
+    #: from subsequent occupancy words so long windows stop
+    #: re-announcing drained slots.
     confirmed: set = field(default_factory=set)
     #: req_id -> issue instant for AIMD RTT sampling (``qos.autotune``
     #: only; stays empty otherwise).
@@ -1159,29 +1159,24 @@ class HydraClient:
                     f"hydra.msg_slots_per_conn for large items")
             slot = pipe.free_slots.pop(0)
             pipe.slot_req[slot] = req_id
-            if conn.layout.occupancy:
-                # The occupancy word rides the frame's doorbell, posted
-                # second so RC lands the frame before its announce bit.
-                # The word REPLACES the remote value, so it must carry a
-                # bit for every in-flight slot whose announce might still
-                # be unconsumed; a bit for an already-consumed slot merely
-                # costs the shard one spurious probe, never a lost
-                # message.  With the announce mask on, slots proven
-                # consumed (see _drain) are excluded, so long windows stop
-                # re-announcing drained slots.
-                if self.hydra.occ_announce_mask and pipe.confirmed:
-                    announce = [s for s in pipe.slot_req
-                                if s not in pipe.confirmed]
-                else:
-                    announce = pipe.slot_req
-                conn.client_qp.post_write_batch([
-                    (conn.req_slot_rptrs[slot], frame(data)),
-                    (conn.req_occ_rptr,
-                     occ_announce(announce, conn.layout.n_slots)),
-                ], signaled=False)
+            # The occupancy word rides the frame's doorbell, posted second
+            # so RC lands the frame before its announce bit.  The word
+            # REPLACES the remote value, so it must carry a bit for every
+            # in-flight slot whose announce might still be unconsumed; a
+            # bit for an already-consumed slot merely costs the shard one
+            # spurious probe, never a lost message.  Slots proven consumed
+            # (see _drain) are left out, so long windows stop
+            # re-announcing drained slots.
+            if pipe.confirmed:
+                announce = [s for s in pipe.slot_req
+                            if s not in pipe.confirmed]
             else:
-                conn.client_qp.post_write(conn.req_slot_rptrs[slot],
-                                          frame(data), signaled=False)
+                announce = pipe.slot_req
+            conn.client_qp.post_write_batch([
+                (conn.req_slot_rptrs[slot], frame(data)),
+                (conn.req_occ_rptr,
+                 occ_announce(announce, conn.layout.n_slots)),
+            ], signaled=False)
         else:
             conn.client_qp.post_recv()
             conn.client_qp.post_send(data)
@@ -1312,23 +1307,21 @@ class HydraClient:
                 # keep the slot — its current request is still pending.
                 self._c_stale.add()
                 continue
-            if self.hydra.occ_announce_mask:
-                # A response for slot s proves the shard's occupancy
-                # snapshot that carried s also carried every slot posted
-                # before s and still in flight (each occupancy write is
-                # the OR of all unconfirmed in-flight slots, and RC
-                # delivers in post order) — so those announces are
-                # consumed and need not be re-announced.  It must be post
-                # order, not req_id order: under fair queueing a low
-                # req_id can wait out a slot grant and post after higher
-                # ones, and confirming off req_ids would suppress an
-                # announce the shard never saw.  A slot enters
-                # ``slot_req`` at its post, so the dict's order is post
-                # order.
-                for other_slot in pipe.slot_req:
-                    if other_slot == slot:
-                        break
-                    pipe.confirmed.add(other_slot)
+            # A response for slot s proves the shard's occupancy snapshot
+            # that carried s also carried every slot posted before s and
+            # still in flight (each occupancy write is the OR of all
+            # unconfirmed in-flight slots, and RC delivers in post order)
+            # — so those announces are consumed and need not be
+            # re-announced.  It must be post order, not req_id order:
+            # under fair queueing a low req_id can wait out a slot grant
+            # and post after higher ones, and confirming off req_ids
+            # would suppress an announce the shard never saw.  A slot
+            # enters ``slot_req`` at its post, so the dict's order is
+            # post order.
+            for other_slot in pipe.slot_req:
+                if other_slot == slot:
+                    break
+                pipe.confirmed.add(other_slot)
             del pipe.slot_req[slot]
             pipe.confirmed.discard(slot)
             insort(pipe.free_slots, slot)

@@ -22,12 +22,14 @@ execution strategies.
   cacheline bounce of a shared partition (Fig. 10's "Pipeline + RDMA
   Write" series).
 
-Whatever the strategy, a request is parsed by one :meth:`Shard._parse`
-and executed by one request body, :meth:`Shard._serve` — admission,
-[lock], store, CPU, write pipeline, [unlock], response — called by the
-plain shard's inline sweep and by every executor lane.  The TCP transport
-is plain-only and keeps its own body (:meth:`Shard._handle_tcp`): its
-responses carry no remote pointer.
+Whatever the strategy or transport, a request is parsed by one
+:meth:`Shard._parse` and executed by one request body,
+:meth:`Shard._serve` — admission, [lock], store, CPU, write pipeline,
+[unlock], response — called by the plain shard's inline sweep, by every
+executor lane and by the (plain-only) TCP thread's epoll wake.  Only
+:meth:`Shard._respond` tells the transports apart: an RDMA-Write response
+joins the sweep's doorbell batch, a Send/Recv one is posted on its own,
+and a TCP one joins the wake's outbox with no remote pointer.
 
 Polling model: requests are detected by sustained polling with the
 indicator format; after ``idle_polls_before_sleep`` empty probes the
@@ -45,23 +47,23 @@ enqueued at doorbell time rather than one probe earlier, so two shards
 that wake in the same nanosecond may reach their shared NIC in the other
 order.
 
-Sweep scalability: three independently-ablatable layers keep server CPU
-per op flat as connections x slots grow (each has a ``hydra`` knob):
+The sweep keeps server CPU per op flat as connections x slots grow:
 
-* **Occupancy-word probing** (``hydra.occupancy_word``): each request
-  buffer carries a 64-bit occupancy bitmap the client sets with the same
-  doorbell as its slot write; a sweep probes one word per connection
-  instead of every slot (§4.1.3's bucket filter applied to messaging).
-* **Ready-connection scheduling** (``hydra.ready_hints``): the doorbell
-  carries *which* connection fired and the shard keeps a ready set, so a
-  sweep visits only dirty connections; every ``FULL_SWEEP_EVERY``-th
-  sweep probes everything as a safety net, and the ready list is rotated
-  so one hot connection cannot starve the rest.
-* **Doorbell-batched responses + pipelined replication**
-  (``hydra.resp_doorbell_batch``): responses produced by one sweep are
-  buffered per connection and flushed as a single chained RDMA-Write
-  post (slot order, one doorbell), and the sweep's replication waits are
-  awaited once as a batch instead of stalling per request.
+* **Occupancy-word probing**: each request buffer carries an occupancy
+  bitmap the client sets with the same doorbell as its slot write; a
+  sweep probes one word per connection instead of every slot (§4.1.3's
+  bucket filter applied to messaging), and skips a re-announced bit for
+  a slot it consumed whose response is not posted yet.
+* **Ready-connection scheduling**: the doorbell carries *which*
+  connection fired and the shard keeps a ready set, so a sweep visits
+  only dirty connections; every ``FULL_SWEEP_EVERY``-th sweep probes
+  everything as a safety net, and the ready list is rotated so one hot
+  connection cannot starve the rest.
+* **Doorbell-batched responses + pipelined replication**: responses
+  produced by one sweep are buffered per connection and flushed as
+  chained RDMA-Write posts of at most ``RESP_BATCH`` WQEs (slot order,
+  one doorbell each), and the sweep's replication waits are awaited once
+  as a batch instead of stalling per request.
 """
 
 from __future__ import annotations
@@ -77,8 +79,6 @@ from ..index.export import IndexHandshake
 from ..index.hashing import hash64
 from ..protocol import (
     Op,
-    Request,
-    Response,
     SlotLayout,
     Status,
     clear,
@@ -86,7 +86,6 @@ from ..protocol import (
     frame,
     frame_len,
     occ_probe,
-    occ_restore,
 )
 from ..protocol.messages import _REQ, _RESP
 from ..rdma import MemoryRegion, Nic, QpError, QueuePair, RemotePointer
@@ -95,12 +94,18 @@ from ..sim import Gate, MetricSet, Interrupt, RwLock, Simulator, Store
 from .errors import LifecycleError
 from .store import ShardStore, StoreResult
 
-__all__ = ["Shard", "Connection", "WRITE_OPS", "FULL_SWEEP_EVERY"]
+__all__ = ["Shard", "Connection", "WRITE_OPS", "FULL_SWEEP_EVERY",
+           "RESP_BATCH"]
 
 WRITE_OPS = frozenset({Op.PUT, Op.INSERT, Op.UPDATE, Op.DELETE})
-#: With ready hints on, every N-th sweep probes all connections anyway —
-#: the safety net that catches a connection whose hint was lost.
+#: Every N-th working sweep probes all connections anyway — the safety
+#: net that catches a connection whose ready hint was lost.
 FULL_SWEEP_EVERY = 64
+#: Most responses one doorbell carries: a connection's buffered responses
+#: flush as chains of at most this many WQEs, an executor lane flushes its
+#: long-lived batch at this many responses or replication waits, and one
+#: TCP epoll wake drains at most this many queued payloads.
+RESP_BATCH = 16
 #: Doorbell value of a control wake (gray failure, disconnect): it makes a
 #: poller still spinning look at what changed -- wedged or left without
 #: connections, it stops at its next probe boundary -- and does not wake
@@ -201,21 +206,18 @@ class Connection:
     resp_slot_rptrs: list[RemotePointer] = field(repr=False,
                                                  default_factory=list)
     #: Client-held capability for the request buffer's occupancy word
-    #: (None when the layout has no occupancy header).
+    #: (None on the Send/Recv path, whose layout has no occupancy header).
     req_occ_rptr: Optional[RemotePointer] = field(repr=False, default=None)
     #: Slots consumed by this shard whose response has not been posted
-    #: yet (``hydra.occ_announce_mask``).  The client frees a slot only
-    #: after draining its response (every timeout/retry path drops the
-    #: whole connection instead of reusing the slot), so an occupancy
-    #: bit re-announcing one of these is provably stale.
+    #: yet.  The client frees a slot only after draining its response
+    #: (every timeout/retry path drops the whole connection instead of
+    #: reusing the slot), so an occupancy bit re-announcing one of these
+    #: is provably stale.
     consumed_pending: set = field(repr=False, default_factory=set)
     #: Handshake advertisement of the shard's client-readable hash index
     #: (None = traversal unavailable; client demotes cold keys to the
     #: message path as before).
     index: Optional[IndexHandshake] = field(repr=False, default=None)
-    #: Rotating probe cursor for drain-budgeted sweeps of layouts without
-    #: an occupancy header, so deferred slots are reached eventually.
-    sweep_cursor: int = field(repr=False, default=0)
 
     @property
     def n_slots(self) -> int:
@@ -326,10 +328,13 @@ class Shard:
         #: Per-ingest-thread connection partitions (several ingest threads
         #: only), re-derived when the connection set changes.
         self._parts: Optional[list[list[Connection]]] = None
-        #: TCP-mode state (transport == "tcp"): epoll-style ready queue.
+        #: TCP-mode state (transport == "tcp"): epoll-style ready queue,
+        #: and the outbox the current wake's responses collect in
+        #: (``id(conn) -> (conn, [(bytes, wire bytes), ...])``; None = RDMA).
         self.tcp_port: int = -1
         self._tcp_ready = Store(sim)
         self._tcp_conns: list = []
+        self._outbox: Optional[dict[int, tuple]] = None
         #: Replication hook; installed by the HA wiring (repro.replication).
         self.replicator = None
         #: Durable write-behind log (:meth:`attach_durable`), if enabled.
@@ -360,7 +365,6 @@ class Shard:
         self._c_probes = m.counter("shard.probes")
         self._c_probes_skipped = m.counter("shard.probes_skipped")
         self._c_full_sweeps = m.counter("shard.full_sweeps")
-        self._c_drain_deferred = m.counter("shard.drain_deferred")
         self._c_resp_doorbells = m.counter("shard.resp_doorbells")
         self._c_resp_coalesced = m.counter("shard.resp_coalesced")
 
@@ -492,8 +496,7 @@ class Shard:
         fabric = self.nic.fabric
         client_qp, shard_qp = fabric.connect(client_nic, self.nic)
         buf = self.hydra.conn_buf_bytes
-        occupancy = (self.hydra.occupancy_word
-                     and self.hydra.rdma_write_messaging)
+        occupancy = self.hydra.rdma_write_messaging
         layout = SlotLayout(buf, self.hydra.msg_slots_per_conn,
                             occupancy=occupancy)
         req_region = MemoryRegion(buf, numa_domain=self.core.numa_domain,
@@ -553,8 +556,7 @@ class Shard:
     # -- main loop ---------------------------------------------------------
     def _mark_ready(self, conn: Connection) -> None:
         """Doorbell callback: flag ``conn`` dirty and wake the poller."""
-        if self.hydra.ready_hints:
-            self._ready[conn.conn_id] = conn
+        self._ready[conn.conn_id] = conn
         self.doorbell.fire(conn)
 
     def _pool(self, tid: int) -> list[Connection]:
@@ -573,33 +575,30 @@ class Shard:
         """Pick the connections of (non-empty) ``pool`` the next sweep
         should probe.
 
-        With ready hints on, only flagged connections (drained from the
-        ready set); every ``FULL_SWEEP_EVERY``-th *working* sweep is a
-        full sweep over the whole pool — the safety net against a lost
-        hint.  The cadence advances only when a sweep actually had ready
-        work, so an idle shard never degenerates into periodic
-        O(conns x slots) walks.  The result is rotated so a hot
-        connection at the front cannot starve the rest.
+        Only flagged connections (drained from the ready set); every
+        ``FULL_SWEEP_EVERY``-th *working* sweep is a full sweep over the
+        whole pool — the safety net against a lost hint.  The cadence
+        advances only when a sweep actually had ready work, so an idle
+        shard never degenerates into periodic O(conns) walks.  The result
+        is rotated so a hot connection at the front cannot starve the
+        rest.
         """
-        if not self.hydra.ready_hints:
+        picked = [c for c in pool if c.conn_id in self._ready]
+        if not picked:
+            if pool is self.conns:
+                # Whatever is still flagged belongs to dropped
+                # connections (a late write landed after disconnect).
+                self._ready.clear()
+            return []
+        self._sweep_seq += 1
+        if self._sweep_seq % FULL_SWEEP_EVERY == 0:
+            self._c_full_sweeps.add()
+            for c in pool:
+                self._ready.pop(c.conn_id, None)
             picked = pool
         else:
-            picked = [c for c in pool if c.conn_id in self._ready]
-            if not picked:
-                if pool is self.conns:
-                    # Whatever is still flagged belongs to dropped
-                    # connections (a late write landed after disconnect).
-                    self._ready.clear()
-                return []
-            self._sweep_seq += 1
-            if self._sweep_seq % FULL_SWEEP_EVERY == 0:
-                self._c_full_sweeps.add()
-                for c in pool:
-                    self._ready.pop(c.conn_id, None)
-                picked = pool
-            else:
-                for c in picked:
-                    del self._ready[c.conn_id]
+            for c in picked:
+                del self._ready[c.conn_id]
         if len(picked) > 1:
             self._rr = (self._rr + 1) % len(picked)
             picked = picked[self._rr:] + picked[:self._rr]
@@ -610,93 +609,49 @@ class Shard:
         """Non-blocking request sweep for one connection.
 
         Returns ``(ready, extra_ns)``: every ready ``(slot, payload)``
-        pair plus the per-slot probe cost *beyond* what
-        :meth:`_sweep_cost` already charged.  With an occupancy layout
-        the sweep cost covers only the one-word probe, so the slots the
-        snapshot indicates are charged here.  The word is trusted even
-        on safety-net full sweeps: the client writes it in the same
-        chained WQE as the frame, so — unlike a doorbell hint — it can
-        never under-report a landed request.
+        pair plus the probe cost *beyond* what :meth:`_sweep_cost`
+        already charged for the first occupancy word: the slots the
+        snapshot indicates, and the sub-words of a two-level header.  The
+        word is trusted even on safety-net full sweeps: the client writes
+        it in the same chained WQE as the frame, so — unlike a doorbell
+        hint — it can never under-report a landed request.  A bit for a
+        slot consumed on an earlier sweep whose response is still
+        unposted is stale (no new frame can occupy the slot yet) and is
+        skipped without a probe.
         """
         ready: list[tuple[int, bytes]] = []
-        budget = self.hydra.sweep_drain_budget
-        if self.hydra.rdma_write_messaging:
-            layout = conn.layout
-            if layout.occupancy:
-                slots, word_probes = occ_probe(
-                    conn.req_region, layout.n_slots, layout.occ_offset)
-                mask = self.hydra.occ_announce_mask
-                probed = 0
-                deferred: list[int] = []
-                for pos, slot in enumerate(slots):
-                    if mask and slot in conn.consumed_pending:
-                        # Consumed on an earlier sweep, response still
-                        # unposted: no new frame can occupy this slot
-                        # yet, so the re-announced bit is stale.
-                        continue
-                    if budget > 0 and len(ready) >= budget:
-                        # Drain budget exhausted: re-announce the rest of
-                        # the snapshot and re-mark the connection ready,
-                        # so one hot connection cannot dominate a sweep.
-                        deferred = slots[pos:]
-                        break
-                    probed += 1
-                    off = layout.offset(slot)
-                    payload = consume(conn.req_region, off)
-                    if payload is not None:
-                        clear(conn.req_region, off, len(payload))
-                        ready.append((slot, payload))
-                        if mask:
-                            conn.consumed_pending.add(slot)
-                if deferred:
-                    occ_restore(conn.req_region, deferred, layout.n_slots,
-                                layout.occ_offset)
-                    self._c_drain_deferred.add(len(deferred))
-                    # occ_restore bypasses write() (no doorbell): re-mark
-                    # explicitly so the next sweep picks the rest up.
-                    self._mark_ready(conn)
-                self._c_probes.add(probed)
-                self._c_probes_skipped.add(layout.n_slots - probed)
-                return ready, self.cpu.poll_probe_ns * (
-                    probed + max(0, word_probes - 1))
-            start = conn.sweep_cursor if budget > 0 else 0
-            deferred_plain = False
-            for i in range(layout.n_slots):
-                slot = (start + i) % layout.n_slots
-                if budget > 0 and len(ready) >= budget:
-                    conn.sweep_cursor = slot
-                    deferred_plain = True
-                    break
-                off = layout.offset(slot)
-                payload = consume(conn.req_region, off)
-                if payload is not None:
-                    clear(conn.req_region, off, len(payload))
-                    ready.append((slot, payload))
-            if deferred_plain:
-                self._c_drain_deferred.add()
-                self._mark_ready(conn)
-            self._c_probes.add(layout.n_slots)
-            return ready, 0
-        while True:
-            if budget > 0 and len(ready) >= budget:
-                self._c_drain_deferred.add()
-                self._mark_ready(conn)
-                return ready, 0
-            cqe = conn.shard_qp.recv_cq.poll_one()
-            if cqe is None or not cqe.ok:
-                return ready, 0
-            conn.shard_qp.post_recv()  # replenish
-            ready.append((-1, cqe.data))
+        if not self.hydra.rdma_write_messaging:
+            while True:
+                cqe = conn.shard_qp.recv_cq.poll_one()
+                if cqe is None or not cqe.ok:
+                    return ready, 0
+                conn.shard_qp.post_recv()  # replenish
+                ready.append((-1, cqe.data))
+        layout, region = conn.layout, conn.req_region
+        pending = conn.consumed_pending
+        slots, word_probes = occ_probe(region, layout.n_slots,
+                                       layout.occ_offset)
+        probed = 0
+        for slot in slots:
+            if slot in pending:
+                continue
+            probed += 1
+            off = layout.offset(slot)
+            payload = consume(region, off)
+            if payload is not None:
+                clear(region, off, len(payload))
+                ready.append((slot, payload))
+                pending.add(slot)
+        self._c_probes.add(probed)
+        self._c_probes_skipped.add(layout.n_slots - probed)
+        return ready, self.cpu.poll_probe_ns * (probed + word_probes - 1)
 
     def _sweep_cost(self, conns: list[Connection]) -> int:
-        """CPU cost of probing ``conns`` once (excluding per-ready-slot
-        work, which :meth:`_poll_conn` reports as it finds it)."""
+        """CPU cost of probing ``conns`` once — one occupancy word or one
+        receive CQ each — excluding the per-slot work :meth:`_poll_conn`
+        reports as it finds it."""
         if self.hydra.rdma_write_messaging:
-            # One occupancy-word probe per connection, or every slot on
-            # layouts without the header.
-            probes = sum(1 if c.layout.occupancy else c.n_slots
-                         for c in conns)
-            return self.cpu.poll_probe_ns * max(1, probes)
+            return self.cpu.poll_probe_ns * max(1, len(conns))
         return (self.cpu.cq_poll_ns * max(1, len(conns))
                 + self.cpu.post_recv_ns)
 
@@ -777,21 +732,22 @@ class Shard:
             self._tcp_ready.put((conn, payload))
 
     def _tcp_run(self):
+        """The TCP shard thread: one epoll-style wake drains everything
+        already queued (up to ``RESP_BATCH`` payloads) through the one
+        request body, then flushes each connection's responses as one
+        batched syscall — the TCP analogue of the RDMA sweep's
+        doorbell-coalesced response flush.  ``send_many`` charges the
+        kernel TX path to this (single) shard thread: the CPU toll that
+        separates TCP mode from RDMA-Write messaging."""
+        core, store = self.core, self.store
         try:
             while self.alive:
                 if self._gray:
                     yield self._gray_gate.wait()
                     continue
-                conn, payload = yield self._tcp_ready.get()
-                yield self.core.execute(self.cpu.poll_probe_ns)  # epoll wake
-                # Epoll-style ready-queue draining: one wake handles
-                # everything already queued (up to tcp_drain_batch), and
-                # each connection's responses flush as one batched
-                # syscall — the TCP analogue of the RDMA sweep's
-                # doorbell-coalesced response flush.
-                drained = [(conn, payload)]
-                cap = max(1, self.hydra.tcp_drain_batch)
-                while len(drained) < cap:
+                drained = [(yield self._tcp_ready.get())]
+                yield core.execute(self.cpu.poll_probe_ns)  # epoll wake
+                while len(drained) < RESP_BATCH:
                     got, item = self._tcp_ready.try_get()
                     if not got:
                         break
@@ -799,54 +755,24 @@ class Shard:
                 if len(drained) > 1:
                     self.metrics.counter("shard.tcp_drained").add(
                         len(drained) - 1)
-                outbox: dict[int, tuple] = {}
-                for c, p in drained:
-                    yield from self._handle_tcp(c, p, outbox)
-                for c, resps in outbox.values():
+                self._outbox = outbox = {}
+                for conn, payload in drained:
+                    req = self._parse(payload)
+                    if req is not None:
+                        yield from self._serve(core, store, conn, -1, *req,
+                                               None)
+                for conn, resps in outbox.values():
                     self.metrics.counter("shard.tcp_resp_batched").add(
                         len(resps) - 1)
                     try:
-                        yield c.send_many(resps)
+                        yield conn.send_many(resps)
                     except TcpError:
+                        # Reset under us (injected fault or client
+                        # teardown): undeliverable, not a shard crash.
                         self.metrics.counter(
                             "shard.undeliverable_responses").add(len(resps))
         except Interrupt:
             self.alive = False
-
-    def _handle_tcp(self, conn, payload: bytes, outbox=None):
-        self._c_requests.add()
-        try:
-            req = Request.decode(payload)
-        except (ValueError, KeyError):
-            self._c_bad_requests.add()
-            return
-        op = req.op
-        self._c_op[op].add()
-        result = _run_op(self.store, op, req.key, req.value)
-        is_ok_write = op in WRITE_OPS and result.status is Status.OK
-        if is_ok_write and self.store.exported:
-            self._c_index_mut.add()
-        yield self.core.execute(
-            self.cpu.parse_ns + result.cost_ns + self.cpu.build_response_ns)
-        if is_ok_write:
-            yield from self._commit_write(self.core, None, op, req.key,
-                                          req.value, result.version)
-        # No remote pointer over TCP: one-sided reads are impossible.
-        resp = Response(op=op, status=result.status, req_id=req.req_id,
-                        value=result.value, version=result.version)
-        data = resp.encode()
-        if outbox is not None and conn.open:
-            outbox.setdefault(id(conn), (conn, []))[1].append(
-                (data, resp.wire_len + 40))
-            return
-        # send() charges the kernel TX path to this (single) shard thread —
-        # the CPU toll that separates TCP mode from RDMA-Write messaging.
-        try:
-            yield conn.send(data, resp.wire_len + 40)
-        except TcpError:
-            # The connection was reset under us (injected fault or client
-            # teardown): the response is undeliverable, not a shard crash.
-            self.metrics.counter("shard.undeliverable_responses").add()
 
     def _ingest_loop(self, core: Core, tid: int):
         """The polling loop of ingest thread ``tid``: wait out gray
@@ -913,9 +839,10 @@ class Shard:
 
     def _exec_loop(self, core: Core, queue: Store, store: ShardStore):
         """An executor lane: serve hand-offs from ``queue`` against
-        ``store`` into one long-lived response batch, flushed once it has
-        aged past ``resp_flush_max_ns``, when the queue drains, or at the
-        ``resp_doorbell_batch`` cap."""
+        ``store`` into one long-lived response batch (none on the
+        Send/Recv path), flushed once it has aged past
+        ``resp_flush_max_ns``, when the queue drains, or at the
+        ``RESP_BATCH`` cap."""
         batch = self._new_batch()
         try:
             while self.alive:
@@ -958,8 +885,9 @@ class Shard:
         its lock — shared for GETs, exclusive for mutations — and pay the
         shared partition's cacheline penalty on the store's cost.  The
         response goes into ``batch`` for its doorbell-coalesced flush, or
-        — with no batch — is posted on its own, after a write's
-        replication/durable wait blocked right here (:meth:`_commit_write`).
+        — with no batch (Send/Recv, TCP) — is answered on its own, after a
+        write's replication/durable wait blocked right here
+        (:meth:`_commit_write`).
         """
         if tenant and batch is not None and (yield from self._tenant_admit(
                 conn, slot, op, rid, tenant, batch, core)):
@@ -1018,19 +946,15 @@ class Shard:
 
     # -- responses ---------------------------------------------------------
     def _new_batch(self) -> Optional[_SweepBatch]:
-        """A fresh sweep batch, or None when response batching is off
-        (``resp_doorbell_batch`` <= 0, or the two-sided/TCP paths)."""
-        if (self.hydra.resp_doorbell_batch > 0
-                and self.hydra.rdma_write_messaging):
-            return _SweepBatch()
-        return None
+        """A fresh sweep batch, or None on the batch-less Send/Recv path
+        (each response is its own Send)."""
+        return _SweepBatch() if self.hydra.rdma_write_messaging else None
 
     def _batch_full(self, batch: _SweepBatch) -> bool:
-        """Long-lived batches (executor lanes) flush at this cap
+        """Long-lived batches (executor lanes) flush at ``RESP_BATCH``
         even when their input queue never drains."""
-        cap = max(1, self.hydra.resp_doorbell_batch)
         buffered = sum(len(entries) for _c, entries in batch.resp.values())
-        return buffered >= cap or len(batch.rep_waits) >= cap
+        return buffered >= RESP_BATCH or len(batch.rep_waits) >= RESP_BATCH
 
     def _batch_aged(self, batch: Optional[_SweepBatch]) -> bool:
         """Age-based flush trigger (``hydra.resp_flush_max_ns``): True once
@@ -1045,12 +969,20 @@ class Shard:
     def _respond(self, conn: Connection, slot: int, op: int, rid: int,
                  result: StoreResult, store: ShardStore,
                  batch: Optional[_SweepBatch]) -> None:
-        """Answer one request from ``result`` (packed straight to wire
-        bytes, its remote pointer into ``store``): buffered into ``batch``
-        for the sweep's doorbell-coalesced flush, or — with no batch —
-        posted on its own, as one unsignaled RDMA Write or a Send."""
+        """Answer one request from ``result``, packed straight to wire
+        bytes: buffered into ``batch`` (RDMA-Write messaging, its remote
+        pointer into ``store``) for the sweep's doorbell-coalesced flush,
+        into the wake's outbox (TCP), or posted as one Send."""
         status = result.status
         value = result.value
+        if self._outbox is not None:
+            # No remote pointer over TCP: one-sided reads are impossible,
+            # so the pointer and lease fields go out zeroed.
+            data = _RESP.pack(op, status, 0, len(value), rid, 0, 0, 0, 0,
+                              result.version) + value
+            self._outbox.setdefault(id(conn), (conn, []))[1].append(
+                (data, len(data) + 40))
+            return
         offset = result.offset
         data = _RESP.pack(op, status, 0, len(value), rid,
                           (store.region.rkey
@@ -1058,39 +990,32 @@ class Shard:
                           offset if offset > 0 else 0,
                           result.extent, result.lease_expiry_ns,
                           result.version) + value
-        messaging = self.hydra.rdma_write_messaging
-        if messaging:
-            # From here the response is on its way (buffered or posted):
-            # the slot may legitimately carry a new frame once the client
-            # drains it, so stop treating announce bits for it as stale.
-            conn.consumed_pending.discard(slot)
-            rptr = conn.resp_slot_rptrs[slot]
-            if frame_len(len(data)) > rptr.length:
-                # The item outgrew the response slot (e.g. it was PUT over
-                # a bigger-buffered connection): degrade to an ERROR reply
-                # rather than silently dropping — the client sees a clean
-                # failure instead of a timeout.
-                self._c_resp_overflow.add()
-                data = _RESP.pack(op, Status.ERROR, 0, 0, rid, 0, 0, 0, 0, 0)
-            if batch is not None:
-                if batch.first_ns is None:
-                    batch.first_ns = self.sim.now
-                batch.resp.setdefault(conn.conn_id, (conn, []))[1].append(
-                    (slot, data))
-                return
-        # Fire-and-forget: the shard moves to the next request buffer
-        # without waiting for a completion (§4.1.1).
-        try:
-            if messaging:
-                conn.shard_qp.post_write(rptr, frame(data), signaled=False)
-                self._c_resp_doorbells.add()
-            else:
+        if batch is None:
+            # Fire-and-forget: the shard moves to the next request
+            # without waiting for a completion (§4.1.1).
+            try:
                 conn.shard_qp.post_send(data)
-        except QpError:
-            # The client tore the connection down (failover retry or
-            # teardown) between issuing the request and this response:
-            # the response is undeliverable, not a shard failure.
-            self.metrics.counter("shard.undeliverable_responses").add()
+            except QpError:
+                # The client tore the connection down (failover retry or
+                # teardown) between issuing the request and this
+                # response: undeliverable, not a shard failure.
+                self.metrics.counter("shard.undeliverable_responses").add()
+            return
+        # From here the response is on its way: the slot may legitimately
+        # carry a new frame once the client drains it, so stop treating
+        # announce bits for it as stale.
+        conn.consumed_pending.discard(slot)
+        if frame_len(len(data)) > conn.resp_slot_rptrs[slot].length:
+            # The item outgrew the response slot (e.g. it was PUT over a
+            # bigger-buffered connection): degrade to an ERROR reply
+            # rather than silently dropping — the client sees a clean
+            # failure instead of a timeout.
+            self._c_resp_overflow.add()
+            data = _RESP.pack(op, Status.ERROR, 0, 0, rid, 0, 0, 0, 0, 0)
+        if batch.first_ns is None:
+            batch.first_ns = self.sim.now
+        batch.resp.setdefault(conn.conn_id, (conn, []))[1].append(
+            (slot, data))
 
     def _flush_conn(self, conn: Connection, entries: list) -> None:
         """Flush one connection's buffered responses.
@@ -1098,16 +1023,15 @@ class Shard:
         Responses land in slot order before the (single) doorbell: the
         chain is posted slot-sorted on the RC QP, whose in-order delivery
         makes every frame visible to the client no later than the last
-        write of the chain.  Chains longer than ``resp_doorbell_batch``
-        are split, one doorbell per chain.  The chain is unsignaled: a
-        response is undeliverable only if its WQE failed to post at all
-        (torn-down QP, stale rkey, dead NIC); later transport failures are
-        the client's deadline to detect, not the shard's.
+        write of the chain.  Chains longer than ``RESP_BATCH`` are split,
+        one doorbell per chain.  The chain is unsignaled: a response is
+        undeliverable only if its WQE failed to post at all (torn-down QP,
+        stale rkey, dead NIC); later transport failures are the client's
+        deadline to detect, not the shard's.
         """
         entries.sort(key=lambda e: e[0])
-        cap = max(1, self.hydra.resp_doorbell_batch)
-        for i in range(0, len(entries), cap):
-            chunk = entries[i:i + cap]
+        for i in range(0, len(entries), RESP_BATCH):
+            chunk = entries[i:i + RESP_BATCH]
             chain = [(conn.resp_slot_rptrs[slot], frame(data))
                      for slot, data in chunk]
             try:
@@ -1141,8 +1065,7 @@ class Shard:
         :meth:`_finish_sweep`, before any of its responses is flushed)
         when responses are batched, right here otherwise.  The durable
         append never blocks a batching sweep; batch-less callers (TCP,
-        Send/Recv, ``resp_doorbell_batch=0``) wait until the log releases
-        the record.
+        Send/Recv) wait until the log releases the record.
         """
         op = _OP_BY_CODE[op]
         if self.replicator is not None:

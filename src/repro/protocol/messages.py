@@ -71,6 +71,8 @@ class Request:
     @classmethod
     def decode(cls, data: bytes) -> "Request":
         """Parse request bytes (raises ValueError on length mismatch)."""
+        if len(data) < _REQ.size:
+            raise ValueError("request shorter than its header")
         op, tlen, klen, vlen, req_id = _REQ.unpack_from(data, 0)
         base = _REQ.size
         if len(data) != base + klen + vlen + tlen:
@@ -121,6 +123,8 @@ class Response:
     @classmethod
     def decode(cls, data: bytes) -> "Response":
         """Parse response bytes (raises ValueError on length mismatch)."""
+        if len(data) < _RESP.size:
+            raise ValueError("response shorter than its header")
         (op, status, _r, vlen, req_id, rkey, roffset, rlen,
          lease, version) = _RESP.unpack_from(data, 0)
         base = _RESP.size

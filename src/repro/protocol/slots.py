@@ -64,7 +64,6 @@ __all__ = [
     "occ_header_bytes",
     "occ_announce",
     "occ_probe",
-    "occ_restore",
 ]
 
 #: Size of the occupancy bitmap header (one 64-bit word).
@@ -191,24 +190,6 @@ def occ_probe(region: MemoryRegion, n_slots: int, offset: int = 0
                 if slot < n_slots:
                     slots.append(slot)
     return slots, probes
-
-
-def occ_restore(region: MemoryRegion, slots, n_slots: int,
-                offset: int = 0) -> None:
-    """Poller-side re-announce: OR ``slots`` back into the header.
-
-    Used by drain-budgeted sweeps to hand the un-drained remainder of a
-    snapshot to the next sweep without losing announcements.
-    """
-    if n_slots <= 64:
-        occ_set(region, slots, offset)
-        return
-    for slot in slots:
-        g = slot // 64
-        sub_off = offset + OCC_WORD_BYTES * (1 + g)
-        region.write_u64(sub_off,
-                         region.read_u64(sub_off) | (1 << (slot % 64)))
-        region.write_u64(offset, region.read_u64(offset) | (1 << g))
 
 
 class SlotLayout:

@@ -106,30 +106,38 @@ class SecondaryShard:
         self.stop()
         self.store.reclaimer.stop()
 
+    def ring_suffix(self):
+        """Yield the ring's unmerged suffix: every in-sequence record the
+        merge thread has not folded in yet, advancing ``applied_seq`` past
+        each.  Ack requests are skipped; it stops at the first sequence
+        gap, like the merge loop, and yields nothing from a failing
+        stream (its tail is unrecoverable).  The caller applies."""
+        while not self.failing:
+            payload = self.reader.poll()
+            if payload is None:
+                return
+            record = LogRecord.decode(payload)
+            if record.rtype is RecordType.ACK_REQUEST:
+                continue
+            if record.seq != self.applied_seq + 1:
+                return
+            self.applied_seq = record.seq
+            yield record
+
     def promote_drain(self) -> int:
-        """Fold every in-sequence ring record into the store (promotion).
+        """Fold the ring's unmerged suffix into the store (promotion).
 
         Called by SWAT after stopping the merge thread and before wrapping
         this store in a fresh primary: writes the dead primary acked and
         replicated — but that the merge thread had not folded in yet — must
         not be lost in the handover, or a client would observe an acked
-        write vanish across the failover.  Stops at the first gap exactly
-        like the merge loop (a failing stream's tail is unrecoverable).
-        Returns the number of records applied.
+        write vanish across the failover.  Returns the number of records
+        applied.
         """
         applied = 0
-        while not self.failing:
-            payload = self.reader.poll()
-            if payload is None:
-                break
-            record = LogRecord.decode(payload)
-            if record.rtype is RecordType.ACK_REQUEST:
-                continue
-            if record.seq != self.applied_seq + 1:
-                break
+        for record in self.ring_suffix():
             self.store.apply(record.op, record.key, record.value,
                              version=record.version)
-            self.applied_seq = record.seq
             applied += 1
         if applied:
             self.metrics.counter("replica.drained").add(applied)

@@ -96,19 +96,25 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main([]) == 2
 
 
+def _sweep_row(**kw):
+    row = {"workload": "read", "conns": 8, "window": 16, "kops": 40.0,
+           "server_cpu_ns_per_op": 980.0, "sweeps": 385, "probes": 480,
+           "probes_per_op": 1.25, "resp_doorbells": 384,
+           "rep_batch_mean": 0.0}
+    row.update(kw)
+    return row
+
+
 def good_sweep_payload():
     return {
         "experiment": "server_sweep",
         "description": "d", "unit": "kops / ns-per-op",
         "rows": [
-            {"conns": 32, "window": 16, "mode": "baseline", "kops": 150.0,
-             "speedup": 1.0, "server_cpu_ns_per_op": 6000.0,
-             "cpu_ratio": 1.0, "sweeps": 100, "probes": 10000,
-             "resp_doorbells": 500},
-            {"conns": 32, "window": 16, "mode": "all", "kops": 151.0,
-             "speedup": 1.01, "server_cpu_ns_per_op": 1000.0,
-             "cpu_ratio": 6.0, "sweeps": 120, "probes": 400,
-             "resp_doorbells": 120},
+            _sweep_row(),
+            _sweep_row(conns=128, kops=640.0, server_cpu_ns_per_op=940.0),
+            _sweep_row(workload="write", conns=128, kops=310.0,
+                       server_cpu_ns_per_op=3100.0, probes_per_op=1.0,
+                       rep_batch_mean=31.6),
         ],
     }
 
@@ -117,16 +123,26 @@ def test_good_sweep_payload_validates():
     assert validate_artifact(good_sweep_payload()) == []
 
 
-def test_sweep_all_mode_must_win_2x_at_32_conns():
+def test_sweep_read_cpu_must_stay_flat_across_connections():
     payload = good_sweep_payload()
-    payload["rows"][1]["cpu_ratio"] = 1.4
-    assert any("2x" in p for p in validate_artifact(payload))
+    payload["rows"][1]["server_cpu_ns_per_op"] = 1300.0  # 1.33x the 8-conn row
+    assert any("flat" in p for p in validate_artifact(payload))
+    payload = good_sweep_payload()
+    del payload["rows"][1]  # one connection count shows no scaling
+    assert any(">= 2 connection counts" in p
+               for p in validate_artifact(payload))
 
 
-def test_sweep_needs_a_unity_baseline_row():
+def test_sweep_probes_per_op_is_bounded():
     payload = good_sweep_payload()
-    payload["rows"][0]["cpu_ratio"] = 1.1
-    assert any("baseline" in p for p in validate_artifact(payload))
+    payload["rows"][0]["probes_per_op"] = 1.6
+    assert any("probes_per_op" in p for p in validate_artifact(payload))
+
+
+def test_sweep_write_rows_must_batch_replication_acks():
+    payload = good_sweep_payload()
+    payload["rows"][2]["rep_batch_mean"] = 1.0
+    assert any("rep_batch_mean > 1" in p for p in validate_artifact(payload))
 
 
 def test_recovery_ack_on_flush_must_keep_pace_with_ack_on_replicate():

@@ -1,17 +1,18 @@
 """Age-bounded response flushes + the occupancy announce mask.
 
-Two latency/CPU refinements with behavior-identity obligations:
+Two latency/CPU refinements of the sweep:
 
 * ``hydra.resp_flush_max_ns`` caps how long a buffered response batch
-  may age before its doorbell fires, bounding the tail latency a large
-  ``resp_doorbell_batch`` can add under steady load;
-* ``hydra.occ_announce_mask`` prunes slots already confirmed-consumed
-  from the occupancy word, so the shard stops re-probing empty slots —
-  probes per request drop toward 1 with a deep in-flight window.
+  may age before its doorbell fires, bounding the latency a long sweep
+  can add under steady load;
+* the announce mask prunes slots already confirmed-consumed from the
+  client's occupancy word, and the shard skips re-announced bits of
+  slots whose response it has not posted yet — probes per request stay
+  near 1 with a deep in-flight window.
 """
 
 from repro import HydraCluster, SimConfig
-from repro.protocol import Op
+from repro.protocol import Op, occ_announce
 
 KEYS = [f"af-{i:03d}".encode() for i in range(64)]
 
@@ -60,10 +61,7 @@ def _burst_gets(cluster, n_clients=8, rounds=8, burst=8):
 
 
 def _age_flush_run(flush_max_ns):
-    cluster = _cluster(occupancy_word=True, ready_hints=True,
-                       resp_doorbell_batch=32,
-                       resp_flush_max_ns=flush_max_ns)
-    return _burst_gets(cluster)
+    return _burst_gets(_cluster(resp_flush_max_ns=flush_max_ns))
 
 
 def test_aged_batches_flush_before_the_cap():
@@ -77,12 +75,10 @@ def test_age_flush_disabled_when_zero():
 
 
 def test_age_flush_improves_mean_burst_latency():
-    """With a large batch cap, the age bound must cut the average time
-    responses sit buffered (client-visible burst completion time)."""
+    """The age bound must cut the average time responses sit buffered
+    (client-visible burst completion time)."""
     def mean_op_ns(flush_max_ns):
-        cluster = _cluster(occupancy_word=True, ready_hints=True,
-                           resp_doorbell_batch=32,
-                           resp_flush_max_ns=flush_max_ns)
+        cluster = _cluster(resp_flush_max_ns=flush_max_ns)
         lat = []
 
         def worker(w, client):
@@ -102,13 +98,12 @@ def test_age_flush_improves_mean_burst_latency():
     assert bounded < unbounded, (bounded, unbounded)
 
 
-def _mask_run(mask):
+def test_announce_mask_prunes_consumed_slots():
     # A pipelined server with a deep in-flight window: the poller
-    # consumes frames well ahead of the worker pool's responses, so
-    # every occupancy write from the still-issuing clients re-announces
+    # consumes frames well ahead of the worker pool's responses, so every
+    # occupancy write from the still-issuing clients would re-announce
     # slots the shard consumed sweeps ago.  The mask skips those.
-    cluster = _cluster(occupancy_word=True, occ_announce_mask=mask,
-                       pipelined_shards=True, resp_doorbell_batch=1)
+    cluster = _cluster(pipelined_shards=True)
     client = cluster.client()
 
     def worker(w):
@@ -117,20 +112,26 @@ def _mask_run(mask):
             assert value == b"v" * 32
 
     cluster.run(*(worker(w) for w in range(8)))
-    metrics = cluster.metrics
-    return (metrics.counter("shard.probes").value,
-            metrics.counter("shard.requests").value)
+    probes = cluster.metrics.counter("shard.probes").value
+    requests = cluster.metrics.counter("shard.requests").value
+    assert requests == 8 * 40
+    # Probes track requests (small slack for re-announces of slots whose
+    # response is already on the wire).
+    assert requests <= probes <= 1.1 * requests
 
 
-def test_announce_mask_prunes_consumed_slots():
-    probes_masked, requests = _mask_run(True)
-    probes_full, requests_full = _mask_run(False)
-    assert requests == requests_full  # identical workload either way
-    # Unmasked: every occupancy write re-announces all in-flight slots,
-    # so while responses queue behind the worker pool the shard keeps
-    # re-probing slots it consumed sweeps ago.
-    assert probes_full >= 1.5 * requests
-    # Masked: probes track requests (small slack for re-announces of
-    # slots whose response is already on the wire).
-    assert probes_masked <= 1.1 * requests
-    assert probes_masked < 0.7 * probes_full
+def test_shard_skips_a_reannounce_of_a_slot_awaiting_its_response():
+    cluster = _cluster()
+    client = cluster.client()
+    cluster.run(client.get(KEYS[0]))
+    shard = cluster.shards()[0]
+    conn = shard.conns[0]
+    probes = cluster.metrics.counter("shard.probes")
+    before = probes.value
+    # Slot 3 was consumed and its response is still unposted: the client
+    # cannot have reused it, so a set bit for it is a stale re-announce.
+    conn.consumed_pending.add(3)
+    conn.req_region.write(conn.layout.occ_offset,
+                          occ_announce([3], conn.layout.n_slots))
+    assert shard._poll_conn(conn) == ([], 0)
+    assert probes.value == before

@@ -1,7 +1,12 @@
 """SimConfig plumbing and the HydraCluster facade."""
 
+import ast
+import dataclasses
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro import HydraCluster, SimConfig
 from repro.config import NicConfig
 from repro.core import RoutingTable, StaticRouter
@@ -28,6 +33,25 @@ def test_with_overrides_unknown_field_rejected():
 def test_with_overrides_unknown_section_rejected():
     with pytest.raises(AttributeError):
         SimConfig().with_overrides(nonexistent={"x": 1})
+
+
+def test_every_config_field_is_read_somewhere():
+    # A knob nothing reads is a promise the code does not keep: every
+    # field of every SimConfig section must be read as an attribute
+    # somewhere in the package.
+    read = set()
+    for path in Path(repro.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                              ast.Load):
+                read.add(node.attr)
+    cfg = SimConfig()
+    unread = [f"{section.name}.{f.name}"
+              for section in dataclasses.fields(cfg)
+              if dataclasses.is_dataclass(getattr(cfg, section.name))
+              for f in dataclasses.fields(getattr(cfg, section.name))
+              if f.name not in read]
+    assert unread == []
 
 
 def test_qp_penalty_monotonic():

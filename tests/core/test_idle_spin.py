@@ -22,17 +22,22 @@ WINDOW = POLLS * PROBE
 
 class Rig:
     """One shard of ``variant`` with one message-path connection, and a
-    hook that runs ``on_spin(rig)`` at ``t0``: the first time the idle
-    tail runs with a zero idle-poll count, i.e. right after a served
-    request — with ready hints, the instant the spin begins."""
+    hook that runs ``on_spin(rig)`` at ``t0``: the instant the spin that
+    follows a served request begins — the first probe of the per-probe
+    reference poller.
 
-    def __init__(self, variant, on_spin, cpu=None, hydra=None):
-        # No occupancy word: a request is then one write and one doorbell.
-        # (Frame + word ring twice, and the second ring's empty sweep
-        # would already be idle poll 1 of the spin under test.)
+    A request lands as two writes, frame then occupancy word, and rings
+    the doorbell twice.  A poller woken from sleep sweeps while the word
+    is still in flight, so its sweep serves the request but the word's
+    ring leaves the connection flagged and the next sweep comes up empty:
+    that sweep is idle poll 1, and ``t0`` is its start.  A pegged poller
+    probes before the word lands, so the word's ring brings the sweep that
+    serves the request and ``t0`` is the idle tail right after it.
+    ``sweeps`` lists the sweeps after ``t0``."""
+
+    def __init__(self, variant, on_spin, cpu=None):
         cfg = SimConfig().with_overrides(
-            hydra=dict(VARIANTS[variant], occupancy_word=False,
-                       **(hydra or {})), cpu=cpu or {},
+            hydra=dict(VARIANTS[variant]), cpu=cpu or {},
             client={"rptr_cache_enabled": False},
             traversal={"enabled": False})
         self.cluster = HydraCluster(config=cfg, n_server_machines=1,
@@ -48,26 +53,33 @@ class Rig:
         self.core = io_cores[self.tid]
         self.t0 = None
         self.idle_calls = []   # (time - t0, idle_sweeps, swept)
-        self.sweeps = []       # time - t0 of every sweep since t0
+        self.sweeps = []       # time - t0 of every sweep after t0
         self._on_spin = on_spin
         idle, cost = self.shard._idle, self.shard._sweep_cost
+        requests = self.cluster.metrics.counter("shard.requests")
+
+        def spin_begins():
+            if self.t0 is None and requests.value > served:
+                self.t0 = self.sim.now
+                self._on_spin(self)
+                return True
+            return False
 
         def idle_spy(core, idle_sweeps, swept, tid):
             if tid == self.tid:
-                if self.t0 is None and not idle_sweeps:
-                    self.t0 = self.sim.now
-                    self._on_spin(self)
+                spin_begins()
                 if self.t0 is not None:
                     self.idle_calls.append(
                         (self.sim.now - self.t0, idle_sweeps, swept))
             return idle(core, idle_sweeps, swept, tid)
 
         def cost_spy(conns):
-            if self.t0 is not None:
+            if not spin_begins() and self.t0 is not None:
                 self.sweeps.append(self.sim.now - self.t0)
             return cost(conns)
 
         self.sim.run(until=self.sim.now + 10 * WINDOW)  # let it fall asleep
+        served = requests.value
         self.shard._idle, self.shard._sweep_cost = idle_spy, cost_spy
         self.sim.process(self.client.get(b"k"))
         while self.t0 is None:       # stop the clock at t0
@@ -153,11 +165,7 @@ def _closed_form(offset):
 def test_doorbell_is_swept_at_the_per_probe_instant(variant, offset):
     rig = Rig(variant, lambda r: r.ring(offset))
     rig.run_to(offset + 4 * WINDOW)
-    assert rig.sweeps[0] == _closed_form(offset)
-    # t0 + 0 is the one tie the reference cannot express: there the bell
-    # rings after the first probe began, here before the poller starts.
-    if offset:
-        assert rig.sweeps[0] == _reference(offset)[0]
+    assert rig.sweeps[0] == _closed_form(offset) == _reference(offset)[0]
 
 
 # -- (b) idle-poll count across an empty sweep -------------------------------
@@ -170,10 +178,11 @@ def test_spin_resumed_by_an_empty_sweep_keeps_counting(variant, second,
         r.ring(second)
     rig = Rig(variant, bells)
     rig.run_to(4 * WINDOW)
-    # Probes 1-4 were idle, the empty sweep is idle poll 5 (ends t0 + 150),
-    # and the 59 left of the 64 end at t0 + 150 + 59 * 25 = t0 + 1625.
-    assert rig.idle_calls[:3] == [(0, 0, False), (150, 4, True),
-                                  (150, 5, False)]
+    # t0's empty sweep is idle poll 1 and probes 2-4 were idle, the
+    # empty sweep is idle poll 5 (ends t0 + 150), and the 59 left of the
+    # 64 end at t0 + 150 + 59 * 25 = t0 + 1625.
+    assert rig.idle_calls[:4] == [(PROBE, 0, True), (PROBE, 1, False),
+                                  (150, 4, True), (150, 5, False)]
     assert rig.sweeps[:2] == [125, second + penalty]
 
 
@@ -325,17 +334,6 @@ def test_pegged_core_ablation(variant, offset):
     assert rig.sweeps == [seen]
     assert rig.core.busy.time_average() == 1.0
     assert _reference(offset, backoff=False, busy_at=seen)[1] == 1.0
-
-
-@variants
-def test_without_ready_hints_every_poll_is_a_real_sweep(variant):
-    rig = Rig(variant, lambda r: r.ring(3000), hydra={"ready_hints": False})
-    rig.run_to(4 * WINDOW)
-    # t0 is the end of idle poll 1; polls 2-64 are 25 ns sweeps of the one
-    # connection's occupancy word, then the thread sleeps until the bell.
-    assert all(swept for _t, _n, swept in rig.idle_calls)
-    assert rig.sweeps[:POLLS - 1] == [PROBE * i for i in range(POLLS - 1)]
-    assert rig.sweeps[POLLS - 1] == 3000 + SLEEP // 2
 
 
 # -- event budget ------------------------------------------------------------

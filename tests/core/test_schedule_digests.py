@@ -8,11 +8,11 @@ tracing on, and asserts the BLAKE2 dispatch digest and the dispatch
 count equal the literals below: every event fires at the same time, in
 the same order, with the same outcome.  The scenarios cover each input
 the shard's request body branches on — shard variant (plain,
-sub-sharded, pipelined), RDMA-Write vs Send/Recv messaging, batched vs
-per-response doorbells (``resp_doorbell_batch=0``), named-tenant
-admission with server-side shedding, blocking strict replication,
-relaxed replication, a mid-run shard kill (the undeliverable-response
-flush path) and the TCP transport.
+sub-sharded, pipelined), RDMA-Write messaging (doorbell-batched
+responses) vs Send/Recv (one Send per response), named-tenant admission
+with server-side shedding, relaxed replication, strict replication whose
+ack wait blocks the batch-less Send/Recv path, a mid-run shard kill (the
+undeliverable-response flush path) and the TCP transport.
 
 The literals were frozen while the flat-array hot paths, the original
 per-object (scalar) paths and the seed heapq event kernel still existed
@@ -36,10 +36,9 @@ _MODES = {
     "replicated": {"replication": {"replicas": 1}},
     "shard_kill": {},
     "sendrecv": {"hydra": {"rdma_write_messaging": False}},
-    "unbatched": {"hydra": {"resp_doorbell_batch": 0}},
     "shed": {"qos": {"server_shed_slots": 1}},
-    "strict_unbatched": {"hydra": {"resp_doorbell_batch": 0},
-                         "replication": {"replicas": 1, "mode": "strict"}},
+    "strict_sendrecv": {"hydra": {"rdma_write_messaging": False},
+                        "replication": {"replicas": 1, "mode": "strict"}},
     "tcp": {"hydra": {"transport": "tcp"}},
 }
 
@@ -62,6 +61,9 @@ _MODES = {
 #: included, when sub-shard executor lanes started running the same tenant
 #: admission as every other path: its first shed request is charged at
 #: 3,872 ns on lane ``sub1``'s core, where it used to reach the store.
+#: The ``*-strict_sendrecv`` pins were frozen on the code that still had
+#: per-response RDMA-Write doorbells and TCP's own request body, and held
+#: unchanged when both were retired (with the ``*-unbatched`` pins).
 PINNED = {
     "plain-default": ("184f8364acb0d5b89e014a608d030430", 2255,
                       "bc0ed8cdd06a32b8662ac36705c3737f"),
@@ -79,22 +81,16 @@ PINNED = {
                           "bf704ddc6ebf41efeba2f013a0100369"),
     "pipelined-sendrecv": ("006d1485c7104697816bab9d022b73d4", 2610,
                            "279c2beb3cdc40d0e464a39355ed4679"),
-    "plain-unbatched": ("79e6ec811b25ac5165c7fa440251747d", 2225,
-                        "cbad249b32555c048c113ae16623d266"),
-    "subshard-unbatched": ("27a04de28ee4d0627c2af77e5989c0fa", 3485,
-                           "34a0eb0b07fc817f0ca2900327d3b589"),
-    "pipelined-unbatched": ("bbb1014fbebd9e91255fc7d8236e80dd", 2788,
-                            "9e9e1daa1ae3cd517ff68f87d9667a93"),
     "plain-shed": ("5d51e42cb165bee550bcf8bfc7ddb413", 4288,
                    "ae0bf59abb3e49f93f00b199258a4b3b"),
     "subshard-shed": ("4d93e7431bc780e793fc3b040927afe9", 6390,
                       "0393e8c99364e90a8994b7ef30fc7d9c"),
     "pipelined-shed": ("7c90da039224dad2e9c7349c284c4ff7", 5869,
                        "52ac21e6565bbf0ac2b393255b5ad16b"),
-    "plain-strict_unbatched": ("ffeaeddf9775e28ae6c1c029eec82303", 3386,
-                               "96f593f77cc17b8775ef24ccc200af8b"),
-    "pipelined-strict_unbatched": ("7869c8d1e8ef6d5d5b7b3af8e1b8f090", 3997,
-                                   "3ccbd0dc4317fc2ce98e01e1c55ddf1e"),
+    "plain-strict_sendrecv": ("9e85a55a09de7877c26bed68a54c8a71", 3318,
+                              "b0e6c3193d8953ba2b10b606f2b8010e"),
+    "pipelined-strict_sendrecv": ("5a4bdd4c479433fb1ef6d96d6884f4af", 3833,
+                                  "e7d377ce18b02a8e1394be18ad724e0f"),
     "plain-tcp": ("86fa4944ae363367650780611fce8c1c", 3968,
                   "99640aa42456166a6e99b469b99a3795"),
 }
@@ -103,10 +99,9 @@ PINNED = {
 #: covering its path: ``mode -> check(counter value by name, variant)``.
 _EXERCISED = {
     "sendrecv": lambda c, _v: c("rdma.send.ops") > 0,
-    "unbatched": lambda c, _v: (c("shard.resp_doorbells") > 0
-                                and c("shard.resp_coalesced") == 0),
     "shed": lambda c, _v: c("shard.shed_ops") > 0,
-    "strict_unbatched": lambda c, _v: c("repl.ack_requests") > 0,
+    "strict_sendrecv": lambda c, _v: (c("repl.ack_requests") > 0
+                                      and c("rdma.send.ops") > 0),
     "tcp": lambda c, _v: c("shard.requests") > 0 and c("rdma.write.ops") == 0,
 }
 

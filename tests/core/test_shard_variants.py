@@ -104,8 +104,7 @@ def test_a_tenant_burst_is_shed(variant):
 @pytest.mark.parametrize("flush_max_ns", [0, 500])
 def test_resp_flush_max_ns_triggers_an_age_flush(variant, flush_max_ns):
     cluster, _shard = make_cluster(
-        variant, hydra={"resp_doorbell_batch": 32,
-                        "resp_flush_max_ns": flush_max_ns})
+        variant, hydra={"resp_flush_max_ns": flush_max_ns})
     clients = [cluster.client() for _ in range(4)]
 
     def burst(w, client):

@@ -186,3 +186,36 @@ def test_tcp_mode_failover_recovers():
                 f"v{i}".encode()
 
     cluster.run(verify())
+
+
+class _ShortOnce:
+    """Fault injector that truncates the ``nth`` TCP send, then no other."""
+
+    def __init__(self, nth):
+        self.left = nth
+
+    def tcp_fault(self, _conn, _payload, _nbytes):
+        self.left -= 1
+        return "short" if self.left == 0 else None
+
+
+@pytest.mark.parametrize("nth", [1, 2], ids=["request", "response"])
+def test_a_short_read_is_retried_and_spares_the_shard(nth):
+    # Send 1 is the client's request, send 2 the shard's response; either
+    # lands cut to half, shorter than its message header.
+    cluster = tcp_cluster(shards_per_server=1)
+    client = cluster.client()
+    cluster.tcpnet.fault_injector = _ShortOnce(nth)
+
+    def app():
+        assert (yield from client.put(b"k", b"v")) is Status.OK
+        assert (yield from client.get(b"k")) == b"v"
+
+    cluster.run(app())
+    shard = cluster.shards()[0]
+    assert shard.alive
+    counter = cluster.metrics.counter
+    if nth == 1:
+        assert counter("shard.bad_requests").value == 1
+    else:
+        assert counter("client.stale_responses").value >= 1

@@ -210,8 +210,7 @@ def test_promote_drain_applies_unmerged_tail_but_not_failed_stream():
 
 def _skewed_reads(guard_ns):
     cfg = SimConfig(seed=7).with_overrides(
-        hydra={"lease_min_ns": 300_000, "lease_max_ns": 300_000,
-               "lease_renew_period_ns": 10 ** 9},
+        hydra={"lease_min_ns": 300_000, "lease_max_ns": 300_000},
         client={"lease_skew_guard_ns": guard_ns},
     )
     cluster = HydraCluster(config=cfg, n_server_machines=1,

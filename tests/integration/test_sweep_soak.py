@@ -1,9 +1,11 @@
-"""Behavior-identity soak: the three sweep layers must not change results.
+"""Behavior-identity soak: the transport must not change results.
 
-The same randomized op sequence runs under every combination of
-(occupancy-word x ready-hints x response-batching); final store contents,
-per-op statuses/values, and item versions must be identical — the layers
-may only change *when* work happens, never *what* happens.
+The same randomized op sequence runs over RDMA-Write messaging (occupancy
+word, ready hints, doorbell-batched responses), two-sided Send/Recv (one
+Send per response) and kernel TCP, all through the shard's one request
+body; final store contents, per-op statuses/values, and item versions
+must be identical — a transport may only change *when* work happens,
+never *what* happens.
 """
 
 import random
@@ -14,17 +16,18 @@ from repro.protocol import Op, Status
 N_WORKERS = 3
 OPS_PER_WORKER = 50
 
+#: Transport -> ``hydra`` overrides.  TCP serves plain shards only.
+TRANSPORTS = {
+    "rdma-write": {},
+    "sendrecv": {"rdma_write_messaging": False},
+    "tcp": {"transport": "tcp"},
+}
 
-def soak_config(occupancy, hints, batching, **extra):
-    over = {
-        "msg_slots_per_conn": 8,
-        "occupancy_word": occupancy,
-        "ready_hints": hints,
-        "resp_doorbell_batch": 8 if batching else 0,
-    }
-    over.update(extra)
+
+def soak_config(transport, **extra):
     return SimConfig().with_overrides(
-        hydra=over, client={"max_inflight_per_conn": 8})
+        hydra={"msg_slots_per_conn": 8, **TRANSPORTS[transport], **extra},
+        client={"max_inflight_per_conn": 8})
 
 
 def op_script(seed=1234):
@@ -84,45 +87,34 @@ def run_soak(config, **cluster_kw):
     return results, state
 
 
-COMBOS = [(occ, hints, batching)
-          for occ in (True, False)
-          for hints in (True, False)
-          for batching in (True, False)]
-
-
-def test_all_layer_combos_behave_identically():
-    baseline_results, baseline_state = run_soak(
-        soak_config(False, False, False))
-    # The all-off combo is the seed design; sanity-check it did real work.
+def test_all_transports_behave_identically():
+    baseline_results, baseline_state = run_soak(soak_config("rdma-write"))
     assert any(s is Status.OK for r in baseline_results for s in r)
-    for occ, hints, batching in COMBOS[:-1]:
-        results, state = run_soak(soak_config(occ, hints, batching))
-        label = f"occ={occ} hints={hints} batch={batching}"
-        assert results == baseline_results, f"op results diverged: {label}"
-        assert state == baseline_state, f"store state diverged: {label}"
+    for transport in ("sendrecv", "tcp"):
+        results, state = run_soak(soak_config(transport))
+        assert results == baseline_results, f"op results diverged: {transport}"
+        assert state == baseline_state, f"store state diverged: {transport}"
 
 
-def test_layers_identical_under_strict_replication():
-    # Batched replication waits must not reorder acked writes: strict
-    # mode acks every record, so result identity covers the ack path.
+def test_transports_identical_under_strict_replication():
+    # Batched replication waits (RDMA-Write) and per-request blocking ones
+    # (Send/Recv, TCP) must ack the same writes: strict mode acks every
+    # record, so result identity covers the ack path.
     rep = {"replicas": 1, "mode": "strict"}
-    base = run_soak(soak_config(False, False, False)
-                    .with_overrides(replication=rep))
-    full = run_soak(soak_config(True, True, True)
-                    .with_overrides(replication=rep))
-    assert full == base
+    runs = [run_soak(soak_config(t).with_overrides(replication=rep))
+            for t in TRANSPORTS]
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]
 
 
-def test_layers_identical_on_subsharded_instances():
-    cfgs = [soak_config(occ, occ, occ, subshards=2) for occ in (False, True)]
-    base = run_soak(cfgs[0], shards_per_server=1)
-    full = run_soak(cfgs[1], shards_per_server=1)
-    assert full == base
+def test_transports_identical_on_subsharded_instances():
+    base, other = (run_soak(soak_config(t, subshards=2), shards_per_server=1)
+                   for t in ("rdma-write", "sendrecv"))
+    assert other == base
 
 
-def test_layers_identical_on_pipelined_instances():
-    cfgs = [soak_config(occ, occ, occ, pipelined_shards=True)
-            for occ in (False, True)]
-    base = run_soak(cfgs[0], shards_per_server=1)
-    full = run_soak(cfgs[1], shards_per_server=1)
-    assert full == base
+def test_transports_identical_on_pipelined_instances():
+    base, other = (run_soak(soak_config(t, pipelined_shards=True),
+                            shards_per_server=1)
+                   for t in ("rdma-write", "sendrecv"))
+    assert other == base

@@ -11,7 +11,6 @@ from repro.protocol import (
     occ_encode,
     occ_header_bytes,
     occ_probe,
-    occ_restore,
     occ_set,
     occ_slots,
     occ_word,
@@ -143,14 +142,15 @@ def test_two_level_probe_skips_clean_groups():
     assert probes == 2  # summary + group 2; groups 0 and 1 untouched
 
 
-def test_two_level_restore_reannounces_for_next_sweep():
+def test_two_level_probe_consumes_the_snapshot():
     n = 128
     region = MemoryRegion(occ_header_bytes(n))
     region.write(0, occ_announce([3, 100], n))
-    assert occ_probe(region, n)[0] == [3, 100]
-    # A budgeted sweep hands slot 100 back; the next probe sees only it.
-    occ_restore(region, [100], n)
-    assert occ_probe(region, n)[0] == [100]
+    assert occ_probe(region, n) == ([3, 100], 3)
+    # Summary and sub-words were zeroed: nothing is announced twice.
+    assert occ_probe(region, n) == ([], 1)
+    region.write(0, occ_announce([100], n))
+    assert occ_probe(region, n) == ([100], 2)
 
 
 def test_single_word_probe_counts_one():
