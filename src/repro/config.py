@@ -312,12 +312,13 @@ class TraversalConfig:
     #: reclaimed bytes) re-reads the bucket at most this many times
     #: before demoting the key to the message path.
     max_retries: int = 3
-    #: Minimum number of *cold* keys in one read fan-out before the
-    #: traversal engine engages.  A lone cold key is up to two dependent
-    #: RTTs one-sided versus one message round-trip to an often-idle
-    #: core, so the message path wins below this; at or above it the bucket Reads
-    #: of different keys pipeline through one doorbell and the traversal
-    #: amortizes.  1 = traverse every cold key (bench cold cells).
+    #: Minimum number of *cold* keys in one read fan-out for the full
+    #: walk (frame, item Reads, chain hops, retries): at or above it the
+    #: bucket Reads of different keys pipeline through one doorbell.
+    #: Below it each cold key gets at most one frame Read, and only while
+    #: its client machine's estimates (``core.rptr.ReadPath``) say one
+    #: Read beats a message round trip; otherwise it takes the message
+    #: path.  1 = fully walk every cold key (bench cold cells).
     min_fanout: int = 2
     #: Exported overflow-bucket frames per shard (128 B each, like the
     #: main buckets).  Chains that extend past this capacity set the

@@ -85,7 +85,7 @@ from ..rdma.tcp import TcpError
 from ..sim import MetricSet, Simulator
 from .errors import (BadStatus, RecoveryInProgress, RequestTimeout,
                      ShardUnavailable, SlotOverflow, TenantThrottled)
-from .rptr import CachedPointer, LEASE_SAFETY_NS, RptrCache
+from .rptr import CachedPointer, LEASE_SAFETY_NS, ReadPath, RptrCache
 from .shard import Connection, Shard
 
 __all__ = ["ClientTransport", "HydraClient", "PendingRequest",
@@ -112,6 +112,8 @@ class PendingRequest:
     slot: int  # -1 in two-sided (Send/Recv) mode
     #: Instant past which :meth:`HydraClient.wait` gives up on it.
     deadline: int
+    #: Instant the request was posted (message round-trip sampling).
+    posted_ns: int
 
 
 @dataclass(frozen=True)
@@ -152,6 +154,10 @@ class _Traversal:
     #: Link of the current bucket (export frame index, None = chain end).
     next_link: Optional[int] = None
     retries: int = 0
+    #: A rule-chosen walk of a lone cold key: exactly one frame Read,
+    #: which answers only from the inline line (or a one-frame
+    #: NOT_FOUND); anything else demotes instead of a dependent Read.
+    single: bool = False
 
 
 @dataclass
@@ -177,6 +183,8 @@ class _ReadState:
     """In-flight one-sided-Read bookkeeping for one connection."""
 
     conn: Connection
+    #: Estimators for the server machine this connection reaches.
+    path: ReadPath
     #: :class:`_ReadOp` entries not yet posted.
     queue: list = field(default_factory=list)
     inflight: int = 0
@@ -737,6 +745,13 @@ class HydraClient:
         miss is known, so a message-path request overlaps with the Reads
         still in flight, or collected when no callback is given.
 
+        Cold keys (no usable pointer) walk the server's exported index
+        when at least ``traversal.min_fanout`` of them share the fan-out.
+        Below that, each cold key walks only while its server machine's
+        :class:`ReadPath` says one frame Read beats a message round trip,
+        and such a walk stops at that one Read.  Every chain's post ->
+        last-CQE time and every value returned feed that estimator.
+
         Returns ``(hits, demoted)``: ``hits`` maps item index -> value,
         ``demoted`` lists items the caller must route through messages
         (empty when ``on_demote`` consumed them).
@@ -744,6 +759,10 @@ class HydraClient:
         cache = self.cache
         hits: dict[int, Optional[bytes]] = {}
         demoted: list[_ReadItem] = []
+
+        def hit(item: _ReadItem, value: bytes, cs: _ReadState) -> None:
+            hits[item.idx] = value
+            cs.path.on_value(len(item.key), len(value))
 
         def demote(item: _ReadItem):
             self._c_demotions.add()
@@ -776,15 +795,20 @@ class HydraClient:
             cs.queue.append(_ReadOp("titem", trav.item, rptr, trav,
                                     offset=offset))
 
-        def start_traversal(item: _ReadItem, cs: _ReadState) -> None:
+        def start_traversal(item: _ReadItem, cs: _ReadState,
+                            single: bool = False) -> None:
             index = cs.conn.index
             h = hash64(item.key)
             trav = _Traversal(item=item, index=index, sig=signature16(h),
-                              head_frame=bucket_index(h, index.n_buckets))
+                              head_frame=bucket_index(h, index.n_buckets),
+                              single=single)
             enqueue_bucket(trav, cs, trav.head_frame)
 
         def race(trav: _Traversal, cs: _ReadState):
             """The chain moved under the walk: restart, bounded."""
+            if trav.single:
+                yield from demote(trav.item)
+                return
             trav.retries += 1
             self._c_races.add()
             if trav.retries > self.trav_cfg.max_retries:
@@ -843,7 +867,7 @@ class HydraClient:
             if inline is not None and inline.key == trav.item.key:
                 # The frame carried the item beside its slot word: one
                 # Read, and the value linearizes to its DMA instant.
-                hits[trav.item.idx] = inline.value
+                hit(trav.item, inline.value, cs)
                 self._prime_from_traversal(trav.item.key, inline.offset,
                                            inline, trav.index)
                 return
@@ -859,6 +883,11 @@ class HydraClient:
                 yield from race(trav, cs)
                 return
             trav.next_link = bucket.link
+            if trav.single and (trav.candidates or bucket.link is not None):
+                # Not inline, and the answer is one dependent Read away:
+                # the message path costs no more and grants a lease.
+                yield from demote(trav.item)
+                return
             if trav.candidates:
                 enqueue_item_read(trav, cs)
             else:
@@ -879,7 +908,7 @@ class HydraClient:
                     # racing an update would retry and hot keys would
                     # demote, re-serializing on the server we just
                     # offloaded.  Only a live hit may prime the cache.
-                    hits[op.item.idx] = parsed.value
+                    hit(op.item, parsed.value, cs)
                     if parsed.live:
                         self._prime_from_traversal(op.item.key, op.offset,
                                                    parsed, trav.index)
@@ -906,10 +935,11 @@ class HydraClient:
         entries = cache.lookup_batch([it.key for it in items], lease_now)
         states: dict[int, _ReadState] = {}
 
-        def state_for(conn: Connection) -> _ReadState:
+        def state_for(conn: Connection, shard: Shard) -> _ReadState:
             cs = states.get(conn.conn_id)
             if cs is None:
-                cs = states[conn.conn_id] = _ReadState(conn)
+                cs = states[conn.conn_id] = _ReadState(
+                    conn, cache.path_to(shard.machine.machine_id))
             return cs
 
         misses: list[_ReadItem] = []
@@ -920,7 +950,7 @@ class HydraClient:
                     # Trusted under the skewed clock, expired on the true
                     # one: a potential dead-item read the guard missed.
                     self._c_skew_hazards.add()
-                cs = state_for(self.connection_to(item.shard))
+                cs = state_for(self.connection_to(item.shard), item.shard)
                 cs.queue.append(_ReadOp("item", item, entry.rptr))
                 continue
             conn = self.connection_to(item.shard)
@@ -932,9 +962,16 @@ class HydraClient:
             # Enough cold keys that their bucket Reads pipeline through
             # one doorbell: resolve them one-sidedly, zero server CPU.
             for item, conn in cold:
-                start_traversal(item, state_for(conn))
+                start_traversal(item, state_for(conn, item.shard))
         else:
-            misses.extend(item for item, _conn in cold)
+            # Too few to share a doorbell: one frame Read per key, and
+            # only while the server NIC has Read capacity to spare.
+            for item, conn in cold:
+                if cache.path_to(item.shard.machine.machine_id).walk():
+                    start_traversal(item, state_for(conn, item.shard),
+                                    single=True)
+                else:
+                    misses.append(item)
         #: (ops, batch event, conn state) gather list — one entry per
         #: posted chain; reads are in flight from here on, so everything
         #: below overlaps with them.
@@ -958,13 +995,16 @@ class HydraClient:
                 use = self._read_use.get(cs.conn.conn_id)
                 if use is not None and self.tenant in use:
                     use[self.tenant] = max(0, use[self.tenant] - len(ops))
-            if self._autotune and wcs:
-                ctl = self._read_ctls.get(cs.conn.conn_id)
-                if ctl is not None:
-                    if all(wc.ok for wc in wcs):
-                        ctl.on_ack(max(wc.ns for wc in wcs) - cs.post_ns)
-                    else:
-                        ctl.on_loss()
+            if wcs:
+                rtt = max(wc.ns for wc in wcs) - cs.post_ns
+                cs.path.on_read(rtt)
+                if self._autotune:
+                    ctl = self._read_ctls.get(cs.conn.conn_id)
+                    if ctl is not None:
+                        if all(wc.ok for wc in wcs):
+                            ctl.on_ack(rtt)
+                        else:
+                            ctl.on_loss()
             # The CQ drained incrementally while the chain was in flight:
             # WQE i's CQE landed at wc.ns, so its parse overlapped the
             # tail of the chain.  Model that poll pipeline — each parse
@@ -980,7 +1020,7 @@ class HydraClient:
                     if (parsed is not None and parsed.live
                             and parsed.key == op.item.key):
                         cache.record_successful()
-                        hits[op.item.idx] = parsed.value
+                        hit(op.item, parsed.value, cs)
                     else:
                         # Outdated pointer (dead item after an out-of-place
                         # update, reclaimed/garbage bytes, failed completion).
@@ -1187,7 +1227,8 @@ class HydraClient:
         if self._autotune:
             pipe.issued_ns[req_id] = self.sim.now
         return PendingRequest(req_id=req_id, shard=shard, conn=conn,
-                              slot=slot, deadline=deadline)
+                              slot=slot, deadline=deadline,
+                              posted_ns=self.sim.now)
 
     def wait(self, pending: PendingRequest):
         """Collect the response for an issued request (blocks until it
@@ -1417,7 +1458,12 @@ class HydraClient:
         def send(item: _ReadItem):
             return self._send(rnd, item, Request(op=Op.GET, key=item.key))
 
-        def landed(item: _ReadItem, resp: Response):
+        def landed(item: _ReadItem, resp: Response, pending):
+            if self.cache is not None:
+                path = self.cache.path_to(item.shard.machine.machine_id)
+                path.on_message(self.sim.now - pending.posted_ns)
+                if resp.status is Status.OK:
+                    path.on_value(len(item.key), len(resp.value))
             if resp.status is Status.OK:
                 self._maybe_cache(item.key, resp)
                 results[item.idx] = resp.value
@@ -1440,7 +1486,7 @@ class HydraClient:
         """One round of ``op`` (a mutation or a lease renewal) per key with
         value ``values[item.idx]``; ``statuses[item.idx]`` gets each
         answer."""
-        def landed(item: _ReadItem, resp: Response):
+        def landed(item: _ReadItem, resp: Response, _pending):
             if op is Op.LEASE_RENEW:
                 if resp.status is Status.OK:
                     self._maybe_cache(item.key, resp)
@@ -1486,10 +1532,10 @@ class HydraClient:
     def _gather(self, rnd: _Round, landed):
         """Collect every response a round issued, in issue order.
 
-        Each response goes to ``landed(item, resp)``; a shed or a transport
-        failure fails its key instead.  Every pending is waited out — an
-        abandoned one would leak its slot — before the first error
-        ``landed`` returned is raised.
+        Each response goes to ``landed(item, resp, pending)``; a shed or a
+        transport failure fails its key instead.  Every pending is waited
+        out — an abandoned one would leak its slot — before the first
+        error ``landed`` returned is raised.
         """
         error = None
         for item, pending in rnd.pendings:
@@ -1501,7 +1547,7 @@ class HydraClient:
                 except _ROUND_FAILURES as exc:
                     rnd.failed.append((item, exc))
                     continue
-            err = landed(item, resp)
+            err = landed(item, resp, pending)
             if error is None:
                 error = err
         if error is not None:

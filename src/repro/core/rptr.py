@@ -10,6 +10,11 @@ same: popular keys keep valid pointers).
 One cache instance may be *shared* by all clients on a machine through the
 lock-free map (§4.2.4), which both warms faster and converts what would be
 N invalid reads after an update into one.  Counters feed Fig. 11.
+
+Beside the pointers the cache keeps one :class:`ReadPath` per server
+machine: what its clients have observed of that machine's Read and
+message round trips, which decides the path of a lone cold GET.  The
+estimators are machine-wide exactly when the cache is shared.
 """
 
 from __future__ import annotations
@@ -18,9 +23,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..index import LockFreeMap
+from ..index.export import fits_inline
 from ..rdma import RemotePointer
 
-__all__ = ["CachedPointer", "RptrCache"]
+__all__ = ["CachedPointer", "ReadPath", "RptrCache"]
 
 #: An entry must outlive ``now`` by at least this much to be used (covers
 #: the RDMA Read round trip with margin).
@@ -34,6 +40,60 @@ class CachedPointer:
     rptr: RemotePointer
     lease_expiry_ns: int
     version: int
+
+
+class ReadPath:
+    """What a client machine has observed of one server machine.
+
+    A lone cold GET can walk the server's exported bucket frame — one
+    RDMA Read that answers only if the frame carries the item inline — or
+    take the message path.  A walk that misses the inline line pays its
+    Read *and* the message, so it wins while ``srtt < inline_share *
+    min_msg``, from three estimators:
+
+    * ``srtt``: SRTT-style EWMA (gain 1/8, RFC 6298) of every Read chain's
+      post -> last-CQE time — cached-pointer hits, walks and failed
+      completions alike — so it climbs as the server NIC's Read responder
+      queues up;
+    * ``min_msg``: the smallest GET message round trip seen.  The
+      *unloaded* price, not a smoothed one: cached-pointer Reads cannot
+      leave a congested responder, so a message RTT inflated by the same
+      load would keep sending walks into it;
+    * ``inline_share``: EWMA (gain 1/8) of ``fits_inline(klen, vlen)``
+      over GET results.
+
+    Each starts at its first sample; until ``srtt``, ``min_msg`` and
+    ``inline_share`` all have one, :meth:`walk` says no.
+    """
+
+    __slots__ = ("srtt", "min_msg", "inline_share")
+
+    def __init__(self):
+        self.srtt: Optional[float] = None
+        self.min_msg: Optional[int] = None
+        self.inline_share: Optional[float] = None
+
+    def on_read(self, rtt_ns: int) -> None:
+        """One Read chain's post -> last-CQE time."""
+        s = self.srtt
+        self.srtt = rtt_ns if s is None else s + (rtt_ns - s) / 8
+
+    def on_message(self, rtt_ns: int) -> None:
+        """One GET message's round trip."""
+        if self.min_msg is None or rtt_ns < self.min_msg:
+            self.min_msg = rtt_ns
+
+    def on_value(self, klen: int, vlen: int) -> None:
+        """One GET result of these key and value lengths."""
+        x = 1.0 if fits_inline(klen, vlen) else 0.0
+        s = self.inline_share
+        self.inline_share = x if s is None else s + (x - s) / 8
+
+    def walk(self) -> bool:
+        """Whether a lone cold GET should walk the frame."""
+        return (self.srtt is not None and self.min_msg is not None
+                and self.inline_share is not None
+                and self.srtt < self.inline_share * self.min_msg)
 
 
 class RptrCache:
@@ -58,6 +118,8 @@ class RptrCache:
         self.batches = 0
         self.batch_keys = 0
         self.batch_hits = 0
+        #: Server machine id -> :class:`ReadPath`.
+        self._paths: dict[int, ReadPath] = {}
 
     # -- sharing ---------------------------------------------------------
     def add_sharer(self) -> None:
@@ -84,6 +146,13 @@ class RptrCache:
         if n <= 1:
             return self.op_cost_ns() * max(0, n)
         return self.op_cost_ns() + (n - 1) * (self.op_cost_ns() // 2)
+
+    def path_to(self, machine_id: int) -> ReadPath:
+        """The (lazily created) estimators for one server machine."""
+        path = self._paths.get(machine_id)
+        if path is None:
+            path = self._paths[machine_id] = ReadPath()
+        return path
 
     # -- cache ops ---------------------------------------------------------
     def lookup(self, key: bytes, now: int) -> Optional[CachedPointer]:

@@ -4,6 +4,7 @@ retry under churn, bounded demotion, and cache re-priming."""
 from repro import HydraCluster, SimConfig
 from repro.chaos import FaultInjector
 from repro.chaos.schedule import FaultSchedule, FaultWindow
+from repro.core.rptr import ReadPath
 from repro.protocol import Status
 
 KEYS = [f"trav-{i:03d}".encode() for i in range(24)]
@@ -79,30 +80,193 @@ def test_traversal_reprimes_the_pointer_cache():
     cluster.run(app())
 
 
-def test_min_fanout_gate_keeps_single_cold_gets_on_messages():
-    cluster = make_cluster(traversal_config(traversal={"min_fanout": 2}))
+def lone_cluster():
+    """The default gate: a lone cold GET is below ``min_fanout``."""
+    return make_cluster(traversal_config(traversal={"min_fanout": 2}))
+
+
+def path_of(cluster, client, key=KEYS[0]):
+    """The client machine's estimators for ``key``'s server machine."""
+    return client.cache.path_to(cluster.route(key).machine.machine_id)
+
+
+class Tally:
+    """Message, Read and frame-Read counts since the last :meth:`take`."""
+
+    def __init__(self, cluster):
+        self.counter = cluster.metrics.counter
+        self.last = self._now()
+
+    def _now(self):
+        return {n: self.counter(f"client.{n}").value
+                for n in ("messages", "rdma_reads", "bucket_reads")}
+
+    def take(self):
+        now = self._now()
+        delta = {n: now[n] - self.last[n] for n in now}
+        self.last = now
+        return delta
+
+
+def prime(client, key):
+    """One cold GET (message: a message RTT and a value sample), then a
+    cached-pointer GET (one Read chain: a Read RTT sample)."""
+    chill(client, [key])
+    yield from client.get(key)
+    yield from client.get(key)
+
+
+def test_lone_cold_get_takes_messages_before_any_sample():
+    cluster = lone_cluster()
     client = cluster.client()
-    counters = cluster.metrics.counter
+    tally = Tally(cluster)
 
     def app():
         yield from client.put(KEYS[0], b"solo")
         chill(client)
+        tally.take()
+        assert not path_of(cluster, client).walk()
         assert (yield from client.get(KEYS[0])) == b"solo"
-        # One cold key is below the gate: message path, no bucket Read.
-        assert counters("client.bucket_reads").value == 0
-        chill(client)
-        values = yield from client.get_many(KEYS[:1] + [b"nope"])
-        assert values == [b"solo", None]
-        assert counters("client.bucket_reads").value > 0
+        assert tally.take() == {"messages": 1, "rdma_reads": 0,
+                                "bucket_reads": 0}
 
     cluster.run(app())
 
 
-def _storm(read_delay_until_ns: int) -> FaultSchedule:
-    """Every one-sided Read delayed 20 us until the given instant."""
+def test_lone_cold_get_with_idle_nic_and_inline_value_is_one_read():
+    cluster = lone_cluster()
+    client = cluster.client()
+    tally = Tally(cluster)
+
+    def app():
+        yield from client.put(KEYS[0], b"solo")
+        yield from prime(client, KEYS[0])
+        path = path_of(cluster, client)
+        assert path.inline_share == 1.0
+        assert path.srtt < path.min_msg
+        chill(client)
+        tally.take()
+        assert (yield from client.get(KEYS[0])) == b"solo"
+        assert tally.take() == {"messages": 0, "rdma_reads": 1,
+                                "bucket_reads": 1}
+
+    cluster.run(app())
+
+
+def test_lone_cold_gets_of_64_byte_values_stay_on_messages():
+    cluster = lone_cluster()
+    client = cluster.client()
+    tally = Tally(cluster)
+    big = b"B" * 64
+
+    def app():
+        yield from client.put(KEYS[0], big)
+        yield from prime(client, KEYS[0])
+        assert path_of(cluster, client).inline_share == 0.0
+        tally.take()
+        for _ in range(4):
+            chill(client)
+            assert (yield from client.get(KEYS[0])) == big
+        # No value fits the frame's inline line: a walk could only add a
+        # Read in front of the message it would still need.
+        assert tally.take() == {"messages": 4, "rdma_reads": 0,
+                                "bucket_reads": 0}
+
+    cluster.run(app())
+
+
+def test_read_delay_sends_lone_cold_gets_back_to_messages():
+    window = (200_000, 400_000)
+    cluster = lone_cluster()
+    FaultInjector(cluster.sim, _storm(window[1], window[0])).attach(cluster)
+    client = cluster.client()
+    tally = Tally(cluster)
+
+    def app():
+        yield from client.put(KEYS[0], b"solo")
+        yield from prime(client, KEYS[0])
+        assert path_of(cluster, client).walk()
+        assert cluster.sim.now < window[0]
+        yield cluster.sim.timeout(window[0] - cluster.sim.now)
+        # Cached-pointer Reads now take 20 us: the smoothed Read RTT
+        # climbs past the message round trip.
+        yield from client.get(KEYS[0])
+        tally.take()
+        chill(client)
+        assert (yield from client.get(KEYS[0])) == b"solo"
+        assert tally.take() == {"messages": 1, "rdma_reads": 0,
+                                "bucket_reads": 0}
+        # Past the window, fast Reads bring the estimate back down.
+        yield cluster.sim.timeout(window[1] - cluster.sim.now)
+        for _ in range(32):
+            if path_of(cluster, client).walk():
+                break
+            yield from client.get(KEYS[0])
+        chill(client)
+        tally.take()
+        assert (yield from client.get(KEYS[0])) == b"solo"
+        assert tally.take()["bucket_reads"] == 1
+
+    cluster.run(app())
+
+
+def test_walk_that_misses_the_inline_line_costs_one_read_then_a_lease():
+    cluster = lone_cluster()
+    client = cluster.client()
+    tally = Tally(cluster)
+    big = b"B" * 64
+
+    def app():
+        yield from client.put(KEYS[0], b"solo")
+        yield from client.put(KEYS[1], big)
+        yield from prime(client, KEYS[0])
+        assert path_of(cluster, client, KEYS[1]).walk()
+        chill(client)
+        tally.take()
+        # The frame cannot carry a 64 B value inline: the walk stops at
+        # its one frame Read and the key takes the message path.
+        assert (yield from client.get(KEYS[1])) == big
+        assert tally.take() == {"messages": 1, "rdma_reads": 1,
+                                "bucket_reads": 1}
+        # The message granted a lease: the next GET is a cached-pointer
+        # Read, no frame Read and no message.
+        assert (yield from client.get(KEYS[1])) == big
+        assert tally.take() == {"messages": 0, "rdma_reads": 1,
+                                "bucket_reads": 0}
+
+    cluster.run(app())
+
+
+def test_read_path_estimators():
+    path = ReadPath()
+    assert not path.walk()
+    path.on_read(1_000)
+    path.on_message(3_000)
+    assert not path.walk()  # no GET result yet: no inline share
+    path.on_value(8, 16)
+    assert path.inline_share == 1.0 and path.walk()
+    # SRTT: the first sample sets it, later ones move it by 1/8.
+    path.on_read(1_800)
+    assert path.srtt == 1_100
+    # Min filter: only a faster round trip moves it.
+    path.on_message(2_000)
+    path.on_message(5_000)
+    assert path.min_msg == 2_000
+    path.on_value(8, 64)  # past the inline line
+    assert path.inline_share == 0.875
+    assert path.walk()  # 1,100 < 0.875 * 2,000
+    path.on_read(20_000)  # a queued responder
+    assert path.srtt == 1_100 + 18_900 / 8
+    assert not path.walk()
+
+
+def _storm(read_delay_until_ns: int, from_ns: int = 0) -> FaultSchedule:
+    """Every one-sided Read delayed 20 us from ``from_ns`` until the given
+    instant."""
     return FaultSchedule(
         name="stale", seed=7,
-        windows=(FaultWindow("read_delay", 0, read_delay_until_ns, p=1.0,
+        windows=(FaultWindow("read_delay", from_ns, read_delay_until_ns,
+                             p=1.0,
                              min_delay_ns=20_000, max_delay_ns=20_000),))
 
 
