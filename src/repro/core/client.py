@@ -73,9 +73,6 @@ from typing import Optional
 
 from ..config import QosConfig, SimConfig
 from ..hardware import Machine
-from ..index.export import BUCKET_EXPORT_BYTES, IndexHandshake, parse_bucket
-from ..index.hashing import bucket_index, hash64, signature16
-from ..kvmem import item_size, parse_item, parse_item_prefix
 from ..protocol import (Op, Request, Response, Status, clear, consume,
                          frame, frame_len, occ_announce)
 from ..protocol.messages import _REQ
@@ -85,7 +82,8 @@ from ..rdma.tcp import TcpError
 from ..sim import MetricSet, Simulator
 from .errors import (BadStatus, RecoveryInProgress, RequestTimeout,
                      ShardUnavailable, SlotOverflow, TenantThrottled)
-from .rptr import CachedPointer, LEASE_SAFETY_NS, ReadPath, RptrCache
+from .rptr import (ABSENT, CachedPointer, ColdWalk, HIT, LEASE_SAFETY_NS,
+                   PointerRead, READ_FRAME, READ_ITEM, ReadPath, RptrCache)
 from .shard import Connection, Shard
 
 __all__ = ["ClientTransport", "HydraClient", "PendingRequest",
@@ -126,66 +124,14 @@ class _ReadItem:
 
 
 @dataclass
-class _Traversal:
-    """State of one key's client-side index traversal (§4.2.2 extended).
-
-    A cold key — no cached pointer — resolves with one-sided Reads alone:
-    bucket frame Read, then either the frame's inline item (one Read) or
-    signature match, item Read, guardian validation.
-    ``frames`` records every (frame index, seqlock version) visited this
-    attempt; a multi-bucket NOT_FOUND is only concluded after re-reading
-    the *head* frame and seeing its version unchanged (every chain
-    mutation bumps the head, so an unmoved head proves the walk saw one
-    consistent chain).  Any sign the chain moved under us — dead item,
-    garbage bytes, moved head — is a *race*: the walk restarts from the
-    head, at most ``traversal.max_retries`` times before the key
-    demotes to the message path.
-    """
-
-    item: _ReadItem
-    index: IndexHandshake
-    sig: int
-    head_frame: int
-    #: (frame_idx, version) per bucket frame visited this attempt.
-    frames: list = field(default_factory=list)
-    #: Unread signature-matching (class_idx, offset) slots of the current
-    #: bucket, probed in slot order.
-    candidates: list = field(default_factory=list)
-    #: Link of the current bucket (export frame index, None = chain end).
-    next_link: Optional[int] = None
-    retries: int = 0
-    #: A rule-chosen walk of a lone cold key: exactly one frame Read,
-    #: which answers only from the inline line (or a one-frame
-    #: NOT_FOUND); anything else demotes instead of a dependent Read.
-    single: bool = False
-
-
-@dataclass
-class _ReadOp:
-    """One posted (or queued) one-sided Read and how to interpret it.
-
-    ``kind``: ``"item"`` = cached-pointer item Read (hot path),
-    ``"bucket"`` = traversal bucket-frame Read, ``"titem"`` = traversal
-    item Read, ``"confirm"`` = head-frame re-read validating a
-    multi-bucket NOT_FOUND.
-    """
-
-    kind: str
-    item: _ReadItem
-    rptr: RemotePointer
-    trav: Optional[_Traversal] = None
-    #: Arena offset a ``titem`` Read targets (for cache re-priming).
-    offset: int = -1
-
-
-@dataclass
 class _ReadState:
     """In-flight one-sided-Read bookkeeping for one connection."""
 
     conn: Connection
     #: Estimators for the server machine this connection reaches.
     path: ReadPath
-    #: :class:`_ReadOp` entries not yet posted.
+    #: ``(item, read)`` pairs not yet posted, ``read`` a
+    #: :class:`PointerRead` or :class:`ColdWalk` whose ``rptr`` is due.
     queue: list = field(default_factory=list)
     inflight: int = 0
     #: Post instant of the outstanding batch (read-window AIMD sampling).
@@ -720,7 +666,7 @@ class HydraClient:
         self._c_rdma_reads.add(n)
         try:
             batch_ev = cs.conn.client_qp.post_read_batch(
-                [op.rptr for op in batch])
+                [read.rptr for _item, read in batch])
         except QpError:
             # Dead QP: nothing on this connection can be read one-sidedly.
             failed = batch + cs.queue
@@ -752,6 +698,10 @@ class HydraClient:
         and such a walk stops at that one Read.  Every chain's post ->
         last-CQE time and every value returned feed that estimator.
 
+        What each completion means is decided by the key's
+        :class:`PointerRead` or :class:`ColdWalk` (``core/rptr.py``); this
+        engine posts their Reads and carries out their actions.
+
         Returns ``(hits, demoted)``: ``hits`` maps item index -> value,
         ``demoted`` lists items the caller must route through messages
         (empty when ``on_demote`` consumed them).
@@ -760,10 +710,6 @@ class HydraClient:
         hits: dict[int, Optional[bytes]] = {}
         demoted: list[_ReadItem] = []
 
-        def hit(item: _ReadItem, value: bytes, cs: _ReadState) -> None:
-            hits[item.idx] = value
-            cs.path.on_value(len(item.key), len(value))
-
         def demote(item: _ReadItem):
             self._c_demotions.add()
             if on_demote is None:
@@ -771,158 +717,43 @@ class HydraClient:
             else:
                 yield from on_demote(item)
 
-        def fail_op(op: _ReadOp):
-            """A Read that could not be served (dead QP / bad completion
-            outside the traversal protocol): demote its key."""
-            if op.kind == "item":
-                cache.record_invalid(op.item.key)
-            yield from demote(op.item)
-
-        # -- traversal plumbing (cold keys, one-sided index walk) ---------
-        def enqueue_bucket(trav: _Traversal, cs: _ReadState,
-                          frame_idx: int, confirm: bool = False) -> None:
-            self._c_bucket_reads.add()
-            rptr = RemotePointer(trav.index.export_rkey,
-                                 frame_idx * BUCKET_EXPORT_BYTES,
-                                 BUCKET_EXPORT_BYTES)
-            cs.queue.append(_ReadOp("confirm" if confirm else "bucket",
-                                    trav.item, rptr, trav))
-
-        def enqueue_item_read(trav: _Traversal, cs: _ReadState) -> None:
-            cls_idx, offset = trav.candidates.pop(0)
-            rptr = RemotePointer(trav.index.arena_rkey, offset,
-                                 trav.index.size_classes[cls_idx])
-            cs.queue.append(_ReadOp("titem", trav.item, rptr, trav,
-                                    offset=offset))
-
-        def start_traversal(item: _ReadItem, cs: _ReadState,
-                            single: bool = False) -> None:
-            index = cs.conn.index
-            h = hash64(item.key)
-            trav = _Traversal(item=item, index=index, sig=signature16(h),
-                              head_frame=bucket_index(h, index.n_buckets),
-                              single=single)
-            enqueue_bucket(trav, cs, trav.head_frame)
-
-        def race(trav: _Traversal, cs: _ReadState):
-            """The chain moved under the walk: restart, bounded."""
-            if trav.single:
-                yield from demote(trav.item)
-                return
-            trav.retries += 1
-            self._c_races.add()
-            if trav.retries > self.trav_cfg.max_retries:
-                yield from demote(trav.item)
-                return
-            trav.frames.clear()
-            trav.candidates.clear()
-            trav.next_link = None
-            enqueue_bucket(trav, cs, trav.head_frame)
-
-        def advance(trav: _Traversal, cs: _ReadState) -> None:
-            """Current bucket's candidates exhausted: follow the link or
-            conclude NOT_FOUND."""
-            if trav.next_link is not None:
-                enqueue_bucket(trav, cs, trav.next_link)
-                return
-            if len(trav.frames) == 1:
-                # One atomic frame snapshot held the whole chain: the key
-                # was provably absent at the Read's DMA instant.
-                hits[trav.item.idx] = None
-                return
-            # Multi-bucket walk: only believable if the head frame never
-            # moved (every chain mutation bumps the head's version).
-            enqueue_bucket(trav, cs, trav.frames[0][0], confirm=True)
-
-        def handle_bucket(op: _ReadOp, wc, cs: _ReadState):
-            trav = op.trav
-            if not wc.ok:
-                yield from race(trav, cs)
-                return
-            try:
-                bucket = parse_bucket(wc.data)
-            except ValueError:
-                yield from race(trav, cs)
-                return
-            if op.kind == "confirm":
-                if bucket.version == trav.frames[0][1]:
-                    hits[trav.item.idx] = None  # confirmed NOT_FOUND
-                else:
-                    yield from race(trav, cs)
-                return
-            if bucket.demote:
-                # Chain not fully exportable: the server said don't trust
-                # one-sided conclusions here.
-                yield from demote(trav.item)
-                return
-            frame_idx = op.rptr.offset // BUCKET_EXPORT_BYTES
-            if (any(f == frame_idx for f, _v in trav.frames)
-                    or len(trav.frames) >= 64):
-                # Link cycle / absurd depth: stale frames mixed across
-                # instants — a race by definition.
-                yield from race(trav, cs)
-                return
-            trav.frames.append((frame_idx, bucket.version))
-            inline = bucket.inline
-            if inline is not None and inline.key == trav.item.key:
-                # The frame carried the item beside its slot word: one
-                # Read, and the value linearizes to its DMA instant.
-                hit(trav.item, inline.value, cs)
-                self._prime_from_traversal(trav.item.key, inline.offset,
-                                           inline, trav.index)
-                return
-            # The inline slot's key is known not to be ours.
-            skip = inline.slot if inline is not None else -1
-            trav.candidates = [(cls, off) for i, sig, cls, off
-                               in bucket.slots
-                               if sig == trav.sig and i != skip]
-            if any(cls >= len(trav.index.size_classes)
-                   for cls, _off in trav.candidates):
-                # A size-class index the handshake never advertised:
-                # stale/foreign frame bytes — treat as a race.
-                yield from race(trav, cs)
-                return
-            trav.next_link = bucket.link
-            if trav.single and (trav.candidates or bucket.link is not None):
-                # Not inline, and the answer is one dependent Read away:
-                # the message path costs no more and grants a lease.
-                yield from demote(trav.item)
-                return
-            if trav.candidates:
-                enqueue_item_read(trav, cs)
+        def settle(item: _ReadItem, read, act: int, cs: _ReadState) -> bool:
+            """Carry out ``read``'s action for ``item``; True when the key
+            must demote."""
+            if read.raced:
+                self._c_races.add()
+            if act == READ_FRAME:
+                self._c_bucket_reads.add()
+                cs.queue.append((item, read))
+            elif act == READ_ITEM:
+                cs.queue.append((item, read))
+            elif act == HIT:
+                hits[item.idx] = read.value
+                cs.path.on_value(len(item.key), len(read.value))
+                if read.prime is not None:
+                    # A *synthetic* expiry of half the read horizon: the
+                    # server holds no lease for this pointer, but defers
+                    # every reclaim ``read_horizon_ns`` past retirement,
+                    # so within it the extent can be dead or poisoned —
+                    # both caught by validation — yet never reused.
+                    cache.store(item.key, CachedPointer(
+                        rptr=read.prime,
+                        lease_expiry_ns=(self.sim.now
+                                         + self.trav_cfg.read_horizon_ns
+                                         // 2),
+                        version=read.version))
+            elif act == ABSENT:
+                hits[item.idx] = None
             else:
-                advance(trav, cs)
+                return True
+            return False
 
-        def handle_titem(op: _ReadOp, wc, cs: _ReadState):
-            trav = op.trav
-            parsed = parse_item_prefix(wc.data) if wc.ok else None
-            if parsed is not None:
-                if parsed.key == op.item.key:
-                    # A DEAD guardian is fine *here* (unlike the cached-
-                    # pointer path): the bucket snapshot proved this was
-                    # the key's current extent at the bucket Read's DMA
-                    # instant, so its retirement happened after that — and
-                    # reclaim defers a full read horizon past retirement,
-                    # so the bytes are intact and the value linearizes to
-                    # the bucket-read instant.  Without this, every GET
-                    # racing an update would retry and hot keys would
-                    # demote, re-serializing on the server we just
-                    # offloaded.  Only a live hit may prime the cache.
-                    hit(op.item, parsed.value, cs)
-                    if parsed.live:
-                        self._prime_from_traversal(op.item.key, op.offset,
-                                                   parsed, trav.index)
-                    return
-                # 16-bit signature collision: a *different* key answered.
-                # Not a race — keep probing candidates.
-                if trav.candidates:
-                    enqueue_item_read(trav, cs)
-                else:
-                    advance(trav, cs)
-                return
-            # Garbage bytes: the frame we walked was stale (failed Read,
-            # or an offset whose meaning changed under us).
-            yield from race(trav, cs)
+        def fail(reads: list):
+            """Reads that could not be posted (dead QP): demote their
+            keys."""
+            for item, read in reads:
+                read.abandon()
+                yield from demote(item)
 
         yield self.sim.timeout(cache.batch_op_cost_ns(len(items)))
         # Lease checks run on the *machine's* clock (possibly skewed),
@@ -942,6 +773,12 @@ class HydraClient:
                     conn, cache.path_to(shard.machine.machine_id))
             return cs
 
+        def start_walk(item: _ReadItem, conn: Connection,
+                       single: bool = False) -> None:
+            settle(item, ColdWalk(item.key, conn.index,
+                                  self.trav_cfg.max_retries, single),
+                   READ_FRAME, state_for(conn, item.shard))
+
         misses: list[_ReadItem] = []
         cold: list[tuple[_ReadItem, Connection]] = []
         for item, entry in zip(items, entries):
@@ -951,7 +788,8 @@ class HydraClient:
                     # one: a potential dead-item read the guard missed.
                     self._c_skew_hazards.add()
                 cs = state_for(self.connection_to(item.shard), item.shard)
-                cs.queue.append(_ReadOp("item", item, entry.rptr))
+                cs.queue.append((item, PointerRead(item.key, entry.rptr,
+                                                   cache)))
                 continue
             conn = self.connection_to(item.shard)
             if self.trav_cfg.enabled and conn.index is not None:
@@ -962,39 +800,37 @@ class HydraClient:
             # Enough cold keys that their bucket Reads pipeline through
             # one doorbell: resolve them one-sidedly, zero server CPU.
             for item, conn in cold:
-                start_traversal(item, state_for(conn, item.shard))
+                start_walk(item, conn)
         else:
             # Too few to share a doorbell: one frame Read per key, and
             # only while the server NIC has Read capacity to spare.
             for item, conn in cold:
                 if cache.path_to(item.shard.machine.machine_id).walk():
-                    start_traversal(item, state_for(conn, item.shard),
-                                    single=True)
+                    start_walk(item, conn, single=True)
                 else:
                     misses.append(item)
-        #: (ops, batch event, conn state) gather list — one entry per
+        #: (reads, batch event, conn state) gather list — one entry per
         #: posted chain; reads are in flight from here on, so everything
         #: below overlaps with them.
         pending: list = []
-        unusable: list[_ReadOp] = []
+        unusable: list = []
         for cs in states.values():
             posted, failed = self._post_read_batch(cs)
             pending.extend(posted)
             unusable.extend(failed)
         for item in misses:
             yield from demote(item)
-        for op in unusable:
-            yield from fail_op(op)
+        yield from fail(unusable)
         i = 0
         while i < len(pending):
-            ops, ev, cs = pending[i]
+            reads, ev, cs = pending[i]
             i += 1
             wcs = yield ev
-            cs.inflight -= len(ops)
+            cs.inflight -= len(reads)
             if self.qos is not None:
                 use = self._read_use.get(cs.conn.conn_id)
                 if use is not None and self.tenant in use:
-                    use[self.tenant] = max(0, use[self.tenant] - len(ops))
+                    use[self.tenant] = max(0, use[self.tenant] - len(reads))
             if wcs:
                 rtt = max(wc.ns for wc in wcs) - cs.post_ns
                 cs.path.on_read(rtt)
@@ -1013,24 +849,11 @@ class HydraClient:
             # serialising every parse after the last CQE.
             parse_ns = self.cpu.parse_ns
             pipe = 0
-            for op, wc in zip(ops, wcs):
+            for (item, read), wc in zip(reads, wcs):
                 pipe = max(pipe, wc.ns) + parse_ns
-                if op.kind == "item":
-                    parsed = parse_item(wc.data) if wc.ok else None
-                    if (parsed is not None and parsed.live
-                            and parsed.key == op.item.key):
-                        cache.record_successful()
-                        hit(op.item, parsed.value, cs)
-                    else:
-                        # Outdated pointer (dead item after an out-of-place
-                        # update, reclaimed/garbage bytes, failed completion).
-                        cache.record_invalid(op.item.key)
-                        yield from demote(op.item)
-                elif op.kind == "titem":
-                    yield from handle_titem(op, wc, cs)
-                else:  # "bucket" / "confirm"
-                    yield from handle_bucket(op, wc, cs)
-            # Every parse above copies out of wc.data; the chain's pooled
+                if settle(item, read, read.step(wc.ok, wc.data), cs):
+                    yield from demote(item)
+            # Every step above copies out of wc.data; the chain's pooled
             # CQEs can go back to the freelist.  (An exception mid-gather
             # leaks them to the GC — correct, unrecycled.)
             release = self.nic.wc_pool.release
@@ -1043,8 +866,7 @@ class HydraClient:
             if cs.inflight == 0 and cs.queue:
                 posted, failed = self._post_read_batch(cs)
                 pending.extend(posted)
-                for fop in failed:
-                    yield from fail_op(fop)
+                yield from fail(failed)
         return hits, demoted
 
     def _maybe_cache(self, key: bytes, resp: Response) -> None:
@@ -1054,27 +876,6 @@ class HydraClient:
             rptr=RemotePointer(resp.rkey, resp.roffset, resp.rlen),
             lease_expiry_ns=resp.lease_expiry_ns,
             version=resp.version,
-        ))
-
-    def _prime_from_traversal(self, key: bytes, offset: int, parsed,
-                              index: IndexHandshake) -> None:
-        """Re-prime the pointer cache from a traversal hit.
-
-        The entry carries a *synthetic* expiry of half the read horizon:
-        the server holds no lease for this pointer, but it defers every
-        reclaim ``traversal_read_horizon_ns`` past retirement, so within
-        this window the extent can be dead or poisoned — both caught by
-        guardian/parse validation — yet never *reused*, which is the only
-        hazard validation cannot catch by itself.
-        """
-        if self.cache is None:
-            return
-        extent = item_size(len(parsed.key), len(parsed.value))
-        self.cache.store(key, CachedPointer(
-            rptr=RemotePointer(index.arena_rkey, offset, extent),
-            lease_expiry_ns=(self.sim.now
-                             + self.trav_cfg.read_horizon_ns // 2),
-            version=parsed.version,
         ))
 
     # -- pipelined message path (issue / wait split) ------------------------

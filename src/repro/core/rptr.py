@@ -15,6 +15,14 @@ Beside the pointers the cache keeps one :class:`ReadPath` per server
 machine: what its clients have observed of that machine's Read and
 message round trips, which decides the path of a lone cold GET.  The
 estimators are machine-wide exactly when the cache is shared.
+
+What one key's one-sided Reads *mean* lives here too, free of any
+simulator: :class:`PointerRead` validates a cached pointer's item Read,
+and :class:`ColdWalk` is the traversal protocol of a cold key.  Both
+answer a completion's ``(ok, bytes)`` with the next action — Read
+``rptr`` again (:data:`READ_FRAME` / :data:`READ_ITEM`), :data:`HIT`,
+:data:`ABSENT` or :data:`DEMOTE` — and the client's read engine only
+posts the Reads and carries the actions out.
 """
 
 from __future__ import annotations
@@ -23,10 +31,23 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..index import LockFreeMap
-from ..index.export import fits_inline
+from ..index.export import (BUCKET_EXPORT_BYTES, IndexHandshake, fits_inline,
+                            parse_bucket)
+from ..index.hashing import bucket_index, hash64, signature16
+from ..kvmem import item_size, parse_item, parse_item_prefix
 from ..rdma import RemotePointer
 
-__all__ = ["CachedPointer", "ReadPath", "RptrCache"]
+__all__ = ["ABSENT", "CachedPointer", "ColdWalk", "DEMOTE", "HIT",
+           "PointerRead", "READ_FRAME", "READ_ITEM", "ReadPath",
+           "RptrCache"]
+
+#: Actions a :meth:`ColdWalk.step` / :meth:`PointerRead.step` returns.
+#: Read a bucket frame at ``rptr``; Read an item at ``rptr``; the key's
+#: value is ``value``; the key is provably absent; take the message path.
+READ_FRAME, READ_ITEM, HIT, ABSENT, DEMOTE = range(5)
+
+#: Frames one walk may visit before its chain counts as a race.
+_MAX_FRAMES = 64
 
 #: An entry must outlive ``now`` by at least this much to be used (covers
 #: the RDMA Read round trip with margin).
@@ -94,6 +115,204 @@ class ReadPath:
         return (self.srtt is not None and self.min_msg is not None
                 and self.inline_share is not None
                 and self.srtt < self.inline_share * self.min_msg)
+
+
+class PointerRead:
+    """A cached pointer's item Read (§4.2.2): one Read and guardian
+    validation.  A live item of the key is a :data:`HIT`; a dead or
+    garbage item, a key mismatch or a failed completion is an outdated
+    pointer, so the entry is dropped and the key demotes."""
+
+    __slots__ = ("key", "rptr", "value", "_cache")
+    #: Never a race, never primes: the :class:`ColdWalk` interface.
+    raced = False
+    prime = None
+
+    def __init__(self, key: bytes, rptr: RemotePointer, cache: "RptrCache"):
+        self.key = key
+        self.rptr = rptr
+        self._cache = cache
+
+    def step(self, ok: bool, data) -> int:
+        parsed = parse_item(data) if ok else None
+        if parsed is not None and parsed.live and parsed.key == self.key:
+            self._cache.record_successful()
+            self.value = parsed.value
+            return HIT
+        self._cache.record_invalid(self.key)
+        return DEMOTE
+
+    def abandon(self) -> None:
+        """The Read could not be posted (dead QP)."""
+        self._cache.record_invalid(self.key)
+
+
+class ColdWalk:
+    """One cold key's one-sided walk of a server's exported index
+    (§4.2.2 extended).
+
+    The first Read is the key's head bucket frame (``rptr`` on
+    construction).  A frame whose inline line holds the key answers in
+    that one Read; otherwise each signature-matching slot is a candidate
+    item Read, and a chain is followed link by link.  A multi-frame
+    NOT_FOUND is only concluded after re-reading the *head* frame and
+    seeing its version unchanged (every chain mutation bumps the head, so
+    an unmoved head proves the walk saw one consistent chain).  Any sign
+    the chain moved under the walk — a failed Read, garbage bytes, a
+    moved head, a link cycle, a size class the handshake never advertised
+    — is a *race*: the walk restarts from the head, and the race after
+    ``max_retries`` restarts demotes the key to the message path.
+
+    ``single`` is a rule-chosen walk of a lone cold key: exactly one
+    frame Read, which answers only from the inline line (or a one-frame
+    NOT_FOUND); a race or anything needing a dependent Read demotes.
+
+    After each :meth:`step`, ``raced`` says whether that step counted a
+    race; on :data:`HIT`, ``value`` is the value and ``prime`` the
+    pointer to re-prime the cache with (None unless the item was live),
+    at item ``version``.
+    """
+
+    __slots__ = ("key", "index", "single", "max_retries", "rptr", "raced",
+                 "value", "prime", "version", "_sig", "_head", "_frames",
+                 "_candidates", "_link", "_retries", "_pending", "_confirm")
+
+    def __init__(self, key: bytes, index: IndexHandshake, max_retries: int,
+                 single: bool = False):
+        h = hash64(key)
+        self.key = key
+        self.index = index
+        self.single = single
+        self.max_retries = max_retries
+        self.raced = False
+        self._sig = signature16(h)
+        self._head = bucket_index(h, index.n_buckets)
+        #: frame index -> seqlock version, per frame visited this attempt.
+        self._frames: dict[int, int] = {}
+        #: Unread signature-matching (class_idx, offset) slots of the
+        #: current frame, probed in slot order.
+        self._candidates: list[tuple[int, int]] = []
+        #: Link of the current frame (export frame index, None = end).
+        self._link: Optional[int] = None
+        self._retries = 0
+        self._read_frame(self._head)
+
+    def step(self, ok: bool, data) -> int:
+        """Interpret the completion of ``rptr``: the next action."""
+        self.raced = False
+        if self._pending == READ_ITEM:
+            return self._on_item(parse_item_prefix(data) if ok else None)
+        if not ok:
+            return self._race()
+        try:
+            bucket = parse_bucket(data)
+        except ValueError:
+            return self._race()
+        if self._confirm:
+            return (ABSENT if bucket.version == self._frames[self._head]
+                    else self._race())
+        if bucket.demote:
+            # Chain not fully exportable: the server said don't trust
+            # one-sided conclusions here.
+            return DEMOTE
+        frame_idx = self.rptr.offset // BUCKET_EXPORT_BYTES
+        if frame_idx in self._frames or len(self._frames) >= _MAX_FRAMES:
+            # Link cycle / absurd depth: stale frames mixed across
+            # instants — a race by definition.
+            return self._race()
+        self._frames[frame_idx] = bucket.version
+        inline = bucket.inline
+        if inline is not None and inline.key == self.key:
+            # The frame carried the item beside its slot word: one Read,
+            # and the value linearizes to its DMA instant.
+            return self._hit(inline.value, inline.version, inline.offset)
+        # The inline slot's key is known not to be ours.
+        skip = inline.slot if inline is not None else -1
+        self._candidates = [(cls, off) for i, sig, cls, off in bucket.slots
+                            if sig == self._sig and i != skip]
+        if any(cls >= len(self.index.size_classes)
+               for cls, _off in self._candidates):
+            # A size-class index the handshake never advertised:
+            # stale/foreign frame bytes.
+            return self._race()
+        self._link = bucket.link
+        if self.single and (self._candidates or bucket.link is not None):
+            # Not inline, and the answer is one dependent Read away: the
+            # message path costs no more and grants a lease.
+            return DEMOTE
+        return self._advance()
+
+    def abandon(self) -> None:
+        """The Read could not be posted (dead QP): nothing to undo."""
+
+    def _on_item(self, parsed) -> int:
+        if parsed is None:
+            # Garbage bytes: the frame walked was stale (failed Read, or
+            # an offset whose meaning changed under the walk).
+            return self._race()
+        if parsed.key != self.key:
+            # 16-bit signature collision: a *different* key answered.
+            # Not a race — keep probing candidates.
+            return self._advance()
+        # A DEAD guardian is fine *here* (unlike the cached-pointer
+        # path): the frame snapshot proved this was the key's current
+        # extent at the frame Read's DMA instant, so its retirement
+        # happened after that — and reclaim defers a full read horizon
+        # past retirement, so the bytes are intact and the value
+        # linearizes to the frame-read instant.  Without this, every GET
+        # racing an update would retry and hot keys would demote,
+        # re-serializing on the server the walk offloads.  Only a live
+        # hit may prime the cache.
+        return self._hit(parsed.value, parsed.version,
+                         self.rptr.offset if parsed.live else None)
+
+    def _hit(self, value: bytes, version: int,
+             offset: Optional[int]) -> int:
+        self.value = value
+        self.version = version
+        self.prime = None if offset is None else RemotePointer(
+            self.index.arena_rkey, offset, item_size(len(self.key),
+                                                     len(value)))
+        return HIT
+
+    def _advance(self) -> int:
+        """Probe the next candidate, follow the link, or conclude
+        NOT_FOUND."""
+        if self._candidates:
+            cls_idx, offset = self._candidates.pop(0)
+            self.rptr = RemotePointer(self.index.arena_rkey, offset,
+                                      self.index.size_classes[cls_idx])
+            self._pending = READ_ITEM
+            return READ_ITEM
+        if self._link is not None:
+            return self._read_frame(self._link)
+        if len(self._frames) == 1:
+            # One atomic frame snapshot held the whole chain: the key was
+            # provably absent at the Read's DMA instant.
+            return ABSENT
+        # Multi-frame walk: only believable if the head never moved.
+        return self._read_frame(self._head, confirm=True)
+
+    def _race(self) -> int:
+        """The chain moved under the walk: restart, bounded."""
+        if self.single:
+            return DEMOTE
+        self.raced = True
+        self._retries += 1
+        if self._retries > self.max_retries:
+            return DEMOTE
+        self._frames.clear()
+        self._candidates = []
+        self._link = None
+        return self._read_frame(self._head)
+
+    def _read_frame(self, frame_idx: int, confirm: bool = False) -> int:
+        self.rptr = RemotePointer(self.index.export_rkey,
+                                  frame_idx * BUCKET_EXPORT_BYTES,
+                                  BUCKET_EXPORT_BYTES)
+        self._pending = READ_FRAME
+        self._confirm = confirm
+        return READ_FRAME
 
 
 class RptrCache:

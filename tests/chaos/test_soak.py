@@ -8,6 +8,7 @@ corrupt value surfaced, typed bounded errors only, post-storm recovery.
 import pytest
 
 from repro.chaos.harness import run_soak
+from repro.index.export import fits_inline
 
 _SMALL = dict(scale=0.05, n_keys=16, n_clients=2)
 
@@ -50,11 +51,19 @@ def test_mixed_storm_drives_a_real_failover():
     assert row["injected_faults"] > 0
 
 
-@pytest.mark.parametrize("profile,seed", [("zk", 37), ("flap", 53)])
-def test_coordination_and_flap_storms(profile, seed):
-    row = run_soak(profile, seed, **_SMALL)
+@pytest.mark.parametrize("profile,seed,value_bytes", [
+    pytest.param("zk", 37, 48, id="zk-37"),
+    pytest.param("flap", 53, 48, id="flap-53"),
+    # Values that fit the inline line: lone GETs walk their bucket frames
+    # and inline lines answer them while links flap.
+    pytest.param("flap", 53, 24, id="flap-53-inline"),
+])
+def test_coordination_and_flap_storms(profile, seed, value_bytes):
+    row = run_soak(profile, seed, value_bytes=value_bytes, **_SMALL)
     _check_contract(row)
     assert row["injected_faults"] > 0
+    if fits_inline(len(b"chaos00000"), value_bytes):  # the soak's keys
+        assert row["bucket_reads"] > 0
 
 
 def test_stale_pointer_storm_traversal_contract_and_replay():

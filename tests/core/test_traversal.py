@@ -76,6 +76,16 @@ def test_traversal_reprimes_the_pointer_cache():
         assert values == [b"w" * 32] * len(KEYS)
         assert counters("client.bucket_reads").value == buckets_cold
         assert counters("client.messages").value == messages_before
+        # The primed entry expires half a read horizon after the walk, not
+        # after a lease (the stated "Lone cold GET" limit): once that much
+        # idle time passes, every key walks its frame again.
+        yield cluster.sim.timeout(cluster.config.traversal.read_horizon_ns
+                                  // 2)
+        values = yield from client.get_many(KEYS)
+        assert values == [b"w" * 32] * len(KEYS)
+        assert (counters("client.bucket_reads").value - buckets_cold
+                >= len(KEYS))
+        assert counters("client.messages").value == messages_before
 
     cluster.run(app())
 

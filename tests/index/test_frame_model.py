@@ -5,8 +5,10 @@ table — four buckets and two exported overflow frames, so chains cross
 the export cap and ``_merge`` folds them back — and after every step
 checks what a client could see in a byte snapshot of the region:
 
-* a one-sided walk returns the dict's value or NOT_FOUND, or demotes;
-  a key that is its frame's inline item resolves in one Read;
+* the client's own walker (:class:`~repro.core.rptr.ColdWalk`), its
+  Reads answered from the snapshot, returns the dict's value or
+  NOT_FOUND, or demotes, and never races; a key that is its frame's
+  inline item resolves in one Read;
 * every inline line the decoder accepts is byte for byte its slot's
   live item;
 * a mutation moved the version of every exported frame of its chain.
@@ -18,15 +20,21 @@ first, the harshest reclaim the seqlock and the inline rule must survive.
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
+from repro.core.rptr import (ColdWalk, DEMOTE, HIT, READ_FRAME,
+                             READ_ITEM)
 from repro.index import (BUCKET_EXPORT_BYTES, CompactHashTable, hash64,
                          parse_bucket)
-from repro.index.hashing import bucket_index, signature16
+from repro.index.export import IndexHandshake
+from repro.index.hashing import bucket_index
+from repro.kvmem import encode_item, item_size
 
 N_BUCKETS = 4
 EXPORT_OVERFLOW = 2
 KEYS = [b"k%02d" % i for i in range(40)]
 NOT_FOUND = object()
-DEMOTE = object()
+EXPORT_RKEY, ARENA_RKEY = 1, 2
+#: Every item the rules write fits the one size class (class index 0).
+SIZE_CLASSES = (item_size(3, 80),)
 
 
 class Arena:
@@ -53,36 +61,15 @@ class Arena:
     def key_at(self, offset: int) -> bytes:
         return self.items[offset][0]
 
+    def item_bytes(self, offset: int, length: int) -> bytes:
+        """What an item Read of ``length`` bytes at ``offset`` returns."""
+        key, value, version = self.items[offset]
+        return encode_item(key, value, version).ljust(length, b"\0")
+
 
 def frame_at(snapshot: bytes, idx: int):
     return parse_bucket(snapshot[idx * BUCKET_EXPORT_BYTES:
                                  (idx + 1) * BUCKET_EXPORT_BYTES])
-
-
-def walk(snapshot: bytes, arena: Arena, key: bytes):
-    """A client's cold GET over one consistent snapshot of the region:
-    (result, Reads posted)."""
-    h = hash64(key)
-    sig = signature16(h)
-    n_frames = len(snapshot) // BUCKET_EXPORT_BYTES
-    idx, reads = bucket_index(h, N_BUCKETS), 0
-    while idx is not None:
-        assert idx < n_frames, "a non-demoted frame linked past the region"
-        reads += 1
-        b = frame_at(snapshot, idx)
-        if b.demote:
-            return DEMOTE, reads
-        if b.inline is not None and b.inline.key == key:
-            return b.inline.value, reads
-        for _i, s, _cls, off in b.slots:
-            if s != sig:
-                continue
-            reads += 1
-            item = arena.items.get(off)
-            if item is not None and item[0] == key:
-                return item[1], reads
-        idx = b.link
-    return NOT_FOUND, reads
 
 
 class FrameMachine(RuleBasedStateMachine):
@@ -97,6 +84,25 @@ class FrameMachine(RuleBasedStateMachine):
     # -- helpers -----------------------------------------------------------
     def snapshot(self) -> bytes:
         return self.table.region.read(0, self.table.region.nbytes)
+
+    def client_walk(self, snapshot: bytes, key: bytes):
+        """The client's walk of ``key`` with every Read served from one
+        consistent snapshot: (walker, final action, Reads posted)."""
+        index = IndexHandshake(EXPORT_RKEY, N_BUCKETS, self.table.n_frames,
+                               ARENA_RKEY, 1 << 20, SIZE_CLASSES)
+        walk = ColdWalk(key, index, max_retries=0)
+        act, reads = READ_FRAME, 0
+        while act in (READ_FRAME, READ_ITEM):
+            rptr = walk.rptr
+            reads += 1
+            if rptr.rkey == EXPORT_RKEY:
+                assert rptr.offset + rptr.length <= len(snapshot), (
+                    "a non-demoted frame linked past the region")
+                data = snapshot[rptr.offset:rptr.offset + rptr.length]
+            else:
+                data = self.arena.item_bytes(rptr.offset, rptr.length)
+            act = walk.step(True, data)
+        return walk, act, reads
 
     def exported_chain(self, key: bytes) -> dict[int, int]:
         """frame index -> version along ``key``'s exported chain."""
@@ -155,9 +161,11 @@ class FrameMachine(RuleBasedStateMachine):
     def one_sided_walk_matches_the_dict(self):
         snap = self.snapshot()
         for key in KEYS:
-            got, reads = walk(snap, self.arena, key)
-            if got is DEMOTE:
+            walk, act, reads = self.client_walk(snap, key)
+            assert not walk.raced, "one consistent snapshot raced"
+            if act == DEMOTE:
                 continue
+            got = walk.value if act == HIT else NOT_FOUND
             want = self.model.get(key, NOT_FOUND)
             assert got == want, key
             head = frame_at(snap, bucket_index(hash64(key), N_BUCKETS))

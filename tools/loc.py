@@ -2,6 +2,9 @@
 docstring lines (ROADMAP aim 2's "line count goes down" measure).
 
     python3 tools/loc.py [ROOT=src/repro] [FILE ...]   # FILEs listed singly
+
+A ROOT that is one file counts that file, so
+``python3 tools/loc.py src/repro/core/client.py`` gives one file's count.
 """
 
 import ast
@@ -33,7 +36,7 @@ def code_lines(path) -> int:
 if __name__ == "__main__":
     root = Path(sys.argv[1] if len(sys.argv) > 1 else "src/repro")
     totals: dict[str, int] = {}
-    for path in sorted(root.rglob("*.py")):
+    for path in [root] if root.is_file() else sorted(root.rglob("*.py")):
         rel = path.relative_to(root)
         package = rel.parts[0] if len(rel.parts) > 1 else "."
         totals[package] = totals.get(package, 0) + code_lines(path)
