@@ -2,10 +2,11 @@
 """High-availability walkthrough (§5): replication, crash, SWAT failover.
 
 A primary shard replicates every mutation to a secondary through the RDMA
-logging protocol.  We then kill the whole server machine: the shard's
-ZooKeeper session expires, the SWAT leader notices the missing liveness
-znode, promotes the secondary around its existing store, republishes the
-routing metadata — and the failover-aware client *rides through*: a GET
+logging protocol.  We then kill the whole server machine: the SWAT
+leader's one-sided Reads of the shard's heartbeat word start failing,
+three misses condemn it, and the leader fences it, promotes the secondary
+around its existing store and republishes the routing metadata — and the
+failover-aware client *rides through*: a GET
 issued mid-blackout retries inside its deadline budget, re-routes via
 the bumped routing generation, and completes against the promoted shard
 with every acknowledged write intact.  A legacy single-attempt client

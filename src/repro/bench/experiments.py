@@ -1453,10 +1453,10 @@ def _paced_kill(scale: float, n_clients: int, n_keys: int, value_bytes: int,
     """A paced 50/50 GET/PUT workload on one replicated HA shard, with
     ``kill(cluster)`` applied at 150 ms simulated.
 
-    Coordination timeouts are shrunk (50 ms heartbeats, 200 ms sessions)
-    so detection dominates neither the simulation nor the blackout the
-    way the production 2 s session would; the shape, not the absolute
-    window, is the reproduction target.  ``overrides`` are further
+    SWAT detects the kill with heartbeat probes (a verdict within
+    K·P + RC retry timeout, 5 ms at the defaults); ZooKeeper sessions are
+    shrunk (50 ms heartbeats, 200 ms sessions) so the dead primary's
+    session also lapses inside the run.  ``overrides`` are further
     config sections.  Returns the cluster, the run's columns (ops, acked
     writes, pre/post-kill kops and their ratio, the blackout — the
     longest gap between completed operations once the kill lands — and
@@ -1565,7 +1565,8 @@ def _failover_gate(rows: list[dict]) -> list[str]:
         "BENCH_failover.json", "failover_availability",
         "paced 50/50 GET/PUT with a primary kill mid-run: blackout window, "
         "recovered throughput, and the zero-exception / zero-lost-acked-write "
-        "contract (1 replicated shard, 200 ms ZK sessions)", "kops / ms",
+        "contract (1 replicated shard, heartbeat-probe detection, 200 ms "
+        "ZK sessions)", "kops / ms",
         ("clients", "pre_kops", "post_kops", "recovered_ratio", "blackout_ms",
          "failovers", "client_retries", "exceptions", "lost_acked_writes")),
     check=_failover_gate)
@@ -1625,9 +1626,10 @@ def _kill_primary_and_secondaries(cluster: HydraCluster) -> None:
                 sec.machine.nic.fail()
 
 
-#: blackout ceiling for the recovery bench (ms): detection is bounded by
-#: the 200 ms ZK session, then promotion + log replay + client route
-#: replay must land well inside the rest of this budget.
+#: blackout ceiling for the recovery bench (ms): the probe verdict lands
+#: within K·P + RC retry timeout (5 ms at the defaults), then the
+#: reaction + log replay + client route replay must land well inside the
+#: rest of this budget.
 _RECOVERY_BLACKOUT_MS = 500.0
 
 
@@ -1681,7 +1683,7 @@ def _recovery_gate(rows: list[dict]) -> list[str]:
         "guardian-validated), per ack mode — ack_on_flush must lose zero "
         "acked writes with typed errors only; ack_on_replicate bounds its "
         "loss to one device write (1 shard, replicas=1, durable log on, "
-        "200 ms ZK sessions)", "kops / ms",
+        "heartbeat-probe detection, 200 ms ZK sessions)", "kops / ms",
         ("ack_mode", "clients", "ops", "acked_writes", "pre_kops",
          "post_kops", "recovered_ratio", "blackout_ms", "recoveries",
          "replayed_records", "replay_recs_per_ms", "typed_errors",

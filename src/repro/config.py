@@ -272,9 +272,10 @@ class ClientConfig:
     #: connection, re-resolves the key through the (versioned) routing
     #: table, and replays the request with capped exponential backoff
     #: until this budget lapses — then raises ShardUnavailable.  The
-    #: default comfortably covers a full SWAT failover (ZooKeeper session
-    #: expiry + reaction + promotion ≈ 2.5 s).  0 disables retries: every
-    #: attempt failure surfaces immediately (the pre-retry API).
+    #: default comfortably covers a full SWAT failover (heartbeat-probe
+    #: verdict + reaction + promotion ≈ 10 ms) or a durable-log recovery.
+    #: 0 disables retries: every attempt failure surfaces immediately
+    #: (the pre-retry API).
     op_deadline_us: int = 4_000_000
     #: Capped exponential backoff between retry attempts (microseconds):
     #: first wait, and the cap it doubles up to.  A routing-table change

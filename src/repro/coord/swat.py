@@ -1,40 +1,95 @@
 """SWAT — Status Watcher and reAct Team (§5.1).
 
-An independent group of processes that watches the ZooKeeper view of shard
-liveness and reacts to status changes:
+An independent group of processes that watches shard liveness and reacts
+to status changes:
 
 * **Leader election**: members race for ephemeral-sequential znodes under
   ``/swat/members``; the lowest sequence leads, the rest watch their
   predecessor and take over on its death.
-* **Failure reaction**: every primary shard has a :class:`ShardAgent`
-  holding an ephemeral znode under ``/shards``; when the shard (or its
-  machine) dies, the session expires, the znode vanishes, and the SWAT
-  leader promotes a secondary: its merge thread stops, a fresh primary
-  shard is started around the *same* store, remaining secondaries are
-  resynchronized and re-attached, and the routing metadata is republished.
+* **Failure detection**: every primary shard has a :class:`ShardAgent`
+  holding an ephemeral znode under ``/shards`` whose data advertises the
+  shard's heartbeat word (an 8 B counter its process bumps in a region
+  registered on its NIC).  The leader probes every advertised word with
+  one-sided RDMA Reads from the coordinator machine
+  (:class:`~repro.coord.probe.Prober`); :data:`PROBE_MISSES` consecutive
+  misses condemn the primary.  A vanished znode (ZK session expiry) also
+  triggers the reaction, but the verdict still comes from the probes: a
+  primary they prove alive re-registers and is never promoted away.
+* **Failure reaction**: the leader fences the condemned primary — powers
+  its process off through the machine's management plane — *before*
+  anything else, because a dropped probe Read looks exactly like a dead
+  NIC and a verdict can be wrong.  It then promotes a secondary that a
+  probe Read reaches: its merge thread stops, its ring drains, a fresh
+  primary shard is started around the *same* store, remaining
+  secondaries are resynchronized and re-attached, and the routing
+  metadata is republished.
 * **Node join**: a new server's shards are added to the consistent-hash
   ring after the keys they now own are migrated out of the old owners.
+
+ZooKeeper is left with leader election, serialising the decisions (one
+leader reacts, one shard at a time) and publishing routes.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
+from ..config import SimConfig
 from ..core.api import HydraCluster
 from ..core.shard import Shard
 from ..protocol import Op
+from ..rdma import Nic, RemotePointer
 from ..sim import Interrupt, Simulator
+from .probe import Prober
 from .zookeeper import ZkError, ZkSession, ZooKeeper
 
-__all__ = ["SwatTeam", "ShardAgent", "HaControl"]
+__all__ = ["SwatTeam", "ShardAgent", "HaControl", "PROBE_MISSES",
+           "probe_period_ns", "bump_period_ns"]
 
 SHARDS_PATH = "/shards"
 ROUTING_PATH = "/routing"
 MEMBERS_PATH = "/swat/members"
 
+#: K: consecutive probe misses that condemn a primary.  One miss is a
+#: dropped Read's worth of evidence; three in a row cost at most
+#: K·P + retry timeout (5 ms at the defaults) after a machine dies.
+PROBE_MISSES = 3
+
+
+def probe_period_ns(config: SimConfig) -> int:
+    """P, the probe period: half the RC retry timeout (1 ms at the
+    defaults).  ``fabric.retry_timeout_ns`` is the soonest a one-sided
+    Read can report a dead NIC (``RETRY_EXC``), so probing faster would
+    only stack more Reads on a dead target without an earlier verdict."""
+    return config.fabric.retry_timeout_ns // 2
+
+
+def bump_period_ns(config: SimConfig) -> int:
+    """B, the heartbeat bump period: half of P, so a Read posted one
+    period after the previous one completed is more than B after it and
+    a live bumper has always bumped in between (the stall rule in
+    :mod:`repro.coord.probe`)."""
+    return probe_period_ns(config) // 2
+
+
+def _encode_word(nic: Nic, rptr: RemotePointer) -> bytes:
+    return (f"nic={nic.nic_id};rkey={rptr.rkey};off={rptr.offset};"
+            f"len={rptr.length}").encode()
+
+
+def _decode_word(data: bytes) -> tuple[int, RemotePointer]:
+    fields = dict(part.split("=") for part in data.decode().split(";"))
+    return int(fields["nic"]), RemotePointer(
+        int(fields["rkey"]), int(fields["off"]), int(fields["len"]))
+
 
 class ShardAgent:
-    """Holds a shard's ephemeral liveness znode while the shard lives."""
+    """Holds a shard's ephemeral liveness znode while the shard lives.
+
+    The agent is a thread of the shard's process (:meth:`Shard.adopt`), so
+    a kill stops its ZooKeeper heartbeats along with the shard.  Its znode
+    data advertises the shard's heartbeat word for the SWAT prober.
+    """
 
     def __init__(self, sim: Simulator, zk: ZooKeeper, shard: Shard):
         self.sim = sim
@@ -42,41 +97,53 @@ class ShardAgent:
         self.shard = shard
         self.session: Optional[ZkSession] = None
         self.proc = sim.process(self._run(), name=f"agent.{shard.shard_id}")
+        shard.adopt(self.proc)
 
     def _run(self):
-        self.session = self.zk.connect(owner=self.shard.shard_id)
-        path = f"{SHARDS_PATH}/{self.shard.shard_id}"
-        while self.shard.alive:
-            try:
-                yield from self.session.create(path, ephemeral=True)
-                break
-            except ZkError:
-                if not self.session.alive:
-                    # Session expired mid-registration (e.g. injected
-                    # ensemble-side expiry).  Retire; the SWAT leader will
-                    # notice the missing znode and re-register the shard.
-                    return
-                # A predecessor's ephemeral is still lingering; wait for
-                # the ensemble to clear it.
-                if self.zk.node_exists(path):
-                    yield self.zk.watch(path, "deleted")
-        # Heartbeat for as long as the shard process is alive; a crash
-        # stops the heartbeats and the session times out at the ensemble.
-        yield from self.session.keepalive(
-            while_alive=lambda: self.shard.alive and self.shard.nic.alive)
+        shard = self.shard
+        self.session = self.zk.connect(owner=shard.shard_id)
+        path = f"{SHARDS_PATH}/{shard.shard_id}"
+        word = _encode_word(shard.nic,
+                            shard.heartbeat(bump_period_ns(shard.config)))
+        try:
+            while True:
+                try:
+                    yield from self.session.create(path, word,
+                                                   ephemeral=True)
+                    break
+                except ZkError:
+                    if not self.session.alive:
+                        # Session expired mid-registration (e.g. injected
+                        # ensemble-side expiry).  Retire; the SWAT leader
+                        # will notice the missing znode and re-register
+                        # the shard.
+                        return
+                    # A predecessor's ephemeral is still lingering; wait
+                    # for the ensemble to clear it.
+                    if self.zk.node_exists(path):
+                        yield self.zk.watch(path, "deleted")
+            # Heartbeat until the shard's process dies (a kill interrupts
+            # this thread); then the session times out at the ensemble.
+            yield from self.session.keepalive()
+        except Interrupt:
+            pass
 
 
 class SwatTeam:
     """The SWAT member group plus its reaction logic."""
 
     def __init__(self, sim: Simulator, cluster: HydraCluster, zk: ZooKeeper,
-                 n_members: int = 3):
+                 nic: Nic, n_members: int = 3):
         self.sim = sim
         self.cluster = cluster
         self.zk = zk
         self.config = cluster.config
+        #: The coordinator machine's NIC, which the leader probes from.
+        self.nic = nic
         self.n_members = n_members
         self.leader_id: Optional[int] = None
+        #: The current leader's failure detector (None between leaders).
+        self.prober: Optional[Prober] = None
         self.failovers = 0
         self.member_procs = []
         self._member_alive = [True] * n_members
@@ -152,20 +219,47 @@ class SwatTeam:
             path = f"{ROUTING_PATH}/{shard_id}"
             if not self.zk.node_exists(path):
                 yield from session.create(path, self._route_blob(shard_id))
-        pending_register: set[str] = set()
-        while session.alive:
-            registered = set(
-                (yield from session.get_children(SHARDS_PATH)))
-            pending_register -= registered
-            expected = set(self.cluster.routing.shard_ids())
-            missing = sorted(expected - registered - pending_register)
-            for shard_id in missing:
-                yield from self._react_to_failure(session, shard_id)
-                # The replacement agent's registration is in flight; do
-                # not react to this shard again until it lands.
-                pending_register.add(shard_id)
-            if not missing:
-                yield self.zk.watch(SHARDS_PATH, "children")
+        prober = self.prober = Prober(
+            self.sim, self.nic, probe_period_ns(self.config), PROBE_MISSES,
+            bump_period_ns(self.config))
+        try:
+            pending_register: set[str] = set()
+            while session.alive:
+                # A condemnation is acted on at once, before any ZK round.
+                for shard_id in prober.condemned():
+                    yield from self._react_to_failure(session, shard_id)
+                    pending_register.add(shard_id)
+                registered = set(
+                    (yield from session.get_children(SHARDS_PATH)))
+                pending_register -= registered
+                for shard_id in sorted(registered - prober.watched()):
+                    yield from self._watch_word(session, shard_id)
+                expected = set(self.cluster.routing.shard_ids())
+                missing = sorted(expected - registered - pending_register)
+                for shard_id in missing:
+                    yield from self._react_to_failure(session, shard_id)
+                    # The replacement agent's registration is in flight;
+                    # do not react to this shard again until it lands.
+                    pending_register.add(shard_id)
+                if not missing and not prober.condemned():
+                    yield self.sim.any_of([
+                        self.zk.watch(SHARDS_PATH, "children"),
+                        prober.condemnation()])
+        finally:
+            prober.stop()
+            if self.prober is prober:
+                self.prober = None
+
+    def _watch_word(self, session: ZkSession, shard_id: str):
+        """Read a registered shard's advertised heartbeat word and probe
+        it from now on."""
+        try:
+            data, _version = yield from session.get_data(
+                f"{SHARDS_PATH}/{shard_id}")
+        except ZkError:
+            return  # gone again; the children watch brings it back
+        nic_id, rptr = _decode_word(data)
+        self.prober.watch(shard_id, self.cluster.fabric.nics[nic_id], rptr)
 
     def _route_blob(self, shard_id: str) -> bytes:
         # The blob carries the routing generation so observers can order
@@ -175,43 +269,73 @@ class SwatTeam:
                 f"gen={self.cluster.routing.generation}").encode()
 
     def _react_to_failure(self, session: ZkSession, shard_id: str):
-        """Promote a secondary and republish routing (§5.1)."""
-        react_start = self.sim.now
-        yield self.sim.timeout(self.config.coord.swat_react_ns)
+        """Fence a condemned primary, promote a secondary and republish
+        routing (§5.1).  A primary the probes prove alive re-registers."""
+        prober = self.prober
         old_primary = self.cluster.routing.resolve(shard_id)
-        if old_primary.alive and old_primary.nic.alive:
-            # Transient flap (agent session expired but shard is healthy):
-            # re-register instead of promoting.
+        if shard_id not in prober.watched():
+            # Its agent never advertised a word (the process died before
+            # it registered): probe the word of the shard the routing
+            # table names.
+            prober.watch(shard_id, old_primary.nic, old_primary.heartbeat(
+                bump_period_ns(self.config)))
+        if (yield prober.verdict(shard_id)):
+            # Only its ZK session lapsed (flap, partition from the
+            # ensemble): the probes still see it, so it keeps serving.
             ShardAgent(self.sim, self.zk, old_primary)
             return
-        candidates = [
-            sec for sec in self.cluster.secondaries.get(shard_id, [])
-            if sec.machine.nic.alive
-        ]
+        react_start = self.sim.now
+        prober.forget(shard_id)
+        # Fence first: a dropped probe Read is indistinguishable from a
+        # dead NIC, so the verdict may be wrong, and a deposed primary
+        # that still served would split the shard's history.
+        old_primary.kill()
+        self.cluster.metrics.counter("swat.fenced").add()
+        # The reaction also outlasts the RC retry timeout, so every Write
+        # the deposed primary posted before the fence (its last ring
+        # records among them) has landed or failed before the drain.
+        yield self.sim.timeout(max(self.config.coord.swat_react_ns,
+                                   self.config.fabric.retry_timeout_ns))
+        candidates = []
+        for sec in self.cluster.secondaries.get(shard_id, []):
+            if (yield from prober.reach(sec.machine.nic,
+                                        sec.ring_rptr().slice(0, 8))):
+                candidates.append(sec)
         if not candidates:
             # Correlated primary+secondary death.  With a durable log the
             # shard is rebuilt from persistent media (replay + ring
             # salvage + route republication); without one, the data is
             # gone and we can only count the loss.
-            if getattr(self.cluster, "durable_logs", {}).get(shard_id):
-                new_primary = yield from self.cluster.recover_shard(shard_id)
-                try:
-                    yield from session.set_data(
-                        f"{ROUTING_PATH}/{shard_id}",
-                        self._route_blob(shard_id))
-                except ZkError:  # pragma: no cover - routing node races
-                    pass
-                ShardAgent(self.sim, self.zk, new_primary)
-                self.failovers += 1
-                self.cluster.metrics.counter("swat.failovers").add()
-                self.cluster.metrics.counter("swat.log_recoveries").add()
-                self.cluster.metrics.tally("swat.promotion_ns").observe(
-                    self.sim.now - react_start)
+            if not getattr(self.cluster, "durable_logs", {}).get(shard_id):
+                self.cluster.metrics.counter("swat.data_loss").add()
                 return
-            self.cluster.metrics.counter("swat.data_loss").add()
-            return
-        promoted = candidates[0]
-        remaining = candidates[1:]
+            new_primary = yield from self.cluster.recover_shard(shard_id)
+            self.cluster.metrics.counter("swat.log_recoveries").add()
+        else:
+            new_primary = yield from self._promote(shard_id, candidates)
+        try:
+            yield from session.set_data(f"{ROUTING_PATH}/{shard_id}",
+                                        self._route_blob(shard_id))
+        except ZkError:  # pragma: no cover - routing node races
+            pass
+        self.failovers += 1
+        self.cluster.metrics.counter("swat.failovers").add()
+        #: Reaction-to-republication latency (excludes detection: the
+        #: probe misses that condemned the primary).
+        self.cluster.metrics.tally("swat.promotion_ns").observe(
+            self.sim.now - react_start)
+        try:
+            # The deposed primary's znode would outlive it until its
+            # session expires; clear it so the new agent registers now.
+            yield from session.delete(f"{SHARDS_PATH}/{shard_id}")
+        except ZkError:  # its session already expired and took it along
+            pass
+        ShardAgent(self.sim, self.zk, new_primary)
+
+    def _promote(self, shard_id: str, candidates: list):
+        """Turn the first candidate secondary into the primary and re-wire
+        the rest behind it; returns the new primary."""
+        promoted, remaining = candidates[0], candidates[1:]
         promoted.stop()
         # Acked-but-unmerged ring records must survive the handover.
         promoted.promote_drain()
@@ -226,27 +350,15 @@ class SwatTeam:
             replicator = LogReplicator(self.sim, self.config, new_primary,
                                        metrics=self.cluster.metrics)
             for sec in remaining:
-                nbytes = yield from self._resync(new_primary, sec)
+                yield from self._resync(new_primary, sec)
                 sec.rebind()
                 replicator.add_secondary(sec)
-                del nbytes
             self.cluster.replicators[shard_id] = replicator
         else:
             self.cluster.replicators.pop(shard_id, None)
         self.cluster.secondaries[shard_id] = remaining
         self.cluster.routing.set(shard_id, new_primary)
-        try:
-            yield from session.set_data(f"{ROUTING_PATH}/{shard_id}",
-                                        self._route_blob(shard_id))
-        except ZkError:  # pragma: no cover - routing node races
-            pass
-        ShardAgent(self.sim, self.zk, new_primary)
-        self.failovers += 1
-        self.cluster.metrics.counter("swat.failovers").add()
-        #: Reaction-to-republication latency (excludes detection, i.e. the
-        #: ZK session expiry that triggered _lead's missing-shard sweep).
-        self.cluster.metrics.tally("swat.promotion_ns").observe(
-            self.sim.now - react_start)
+        return new_primary
 
     def _resync(self, primary: Shard, sec):
         """Bulk state transfer: make ``sec``'s store match the new primary."""
@@ -327,12 +439,17 @@ class SwatTeam:
 
 
 class HaControl:
-    """Bundles ZooKeeper + SWAT + shard agents for a cluster."""
+    """Bundles ZooKeeper + SWAT (on a coordinator machine) + shard agents
+    for a cluster."""
 
     def __init__(self, cluster: HydraCluster, n_swat: int = 3):
         self.cluster = cluster
         self.zk = ZooKeeper(cluster.sim, cluster.config.coord)
-        self.swat = SwatTeam(cluster.sim, cluster, self.zk, n_members=n_swat)
+        #: The coordinator machine the SWAT members run on; its NIC
+        #: carries the leader's heartbeat probes.
+        self.machine = cluster._new_machine(cores_per_numa=1)
+        self.swat = SwatTeam(cluster.sim, cluster, self.zk, self.machine.nic,
+                             n_members=n_swat)
         self.agents: list[ShardAgent] = []
 
     def start(self) -> None:

@@ -228,6 +228,30 @@ class Connection:
         self.client_qp.destroy()
 
 
+class _HeartbeatWord(MemoryRegion):
+    """A shard's heartbeat counter: bumped once when its process starts
+    (``since``) and every ``period_ns`` after, until the process dies
+    (``until``).  The count is worked out from the clock when the word is
+    read -- exactly what a bumping thread would have stored by then --
+    instead of costing a timer event per bump."""
+
+    __slots__ = ("sim", "period_ns", "since", "until")
+
+    def __init__(self, sim: Simulator, period_ns: int, numa_domain: int,
+                 name: str):
+        super().__init__(8, numa_domain=numa_domain, name=name)
+        self.sim = sim
+        self.period_ns = period_ns
+        self.since: Optional[int] = None
+        self.until: Optional[int] = None
+
+    def read(self, offset: int, length: int) -> bytes:
+        if self.since is not None:
+            now = self.sim.now if self.until is None else self.until
+            self.write_u64(0, 1 + (now - self.since) // self.period_ns)
+        return super().read(offset, length)
+
+
 class Shard:
     """A primary shard process.
 
@@ -349,7 +373,12 @@ class Shard:
         self._gray = False
         self._gray_gate = Gate(sim)
         self.alive = False
+        #: Every thread :meth:`kill` interrupts: the shard's own loops and
+        #: the ones :meth:`adopt` hands it (its coordination agent).
         self._procs: list = []
+        self._killed = False
+        #: Heartbeat word (:meth:`heartbeat`), registered on first use.
+        self._hb: Optional[_HeartbeatWord] = None
         m = self.metrics
         self._c_requests = m.counter("shard.requests")
         self._c_bad_requests = m.counter("shard.bad_requests")
@@ -380,8 +409,10 @@ class Shard:
         if self.alive:
             raise LifecycleError(f"{self.shard_id} already running")
         self.alive = True
-        self._procs = [self.sim.process(loop, name=self.shard_id + tag)
-                       for tag, loop in self._threads()]
+        self._procs += [self.sim.process(loop, name=self.shard_id + tag)
+                        for tag, loop in self._threads()]
+        if self._hb is not None:
+            self._hb.since = self.sim.now
         for store in self.substores:
             if store.reclaimer._proc is None:
                 store.reclaimer.start()
@@ -406,8 +437,15 @@ class Shard:
         return [("", self._tcp_run())]
 
     def kill(self) -> None:
-        """Crash the shard process (failure injection)."""
+        """Crash the shard process (failure injection, or a fence: the
+        machine's management plane powering the process off).  A no-op
+        on a shard already killed."""
+        if self._killed:
+            return
+        self._killed = True
         self.alive = False
+        if self._hb is not None:
+            self._hb.until = self.sim.now
         for store in self.substores:
             store.reclaimer.stop()
         for p in self._procs:
@@ -425,6 +463,32 @@ class Shard:
             queue.items.clear()
         if dropped:
             self.metrics.counter("shard.dropped_handoffs").add(dropped)
+
+    def adopt(self, proc) -> None:
+        """Make ``proc`` a thread of this process: :meth:`kill`
+        interrupts it along with the shard's own loops (at once, if the
+        shard is already dead)."""
+        self._procs.append(proc)
+        if self._killed:
+            proc.interrupt("killed")
+
+    def heartbeat(self, period_ns: int) -> RemotePointer:
+        """The remote pointer of this process's heartbeat word.
+
+        An 8 B counter in a region registered on the shard's NIC, bumped
+        every ``period_ns`` for as long as the process lives; a
+        :meth:`kill` freezes it, a gray failure does not (the bump is not
+        the sweep).  Created on the first call; later calls return the
+        same word.
+        """
+        if self._hb is None:
+            self._hb = _HeartbeatWord(self.sim, period_ns,
+                                      self.core.numa_domain,
+                                      f"{self.shard_id}.hb")
+            self.nic.register(self._hb)
+            if self.alive:
+                self._hb.since = self.sim.now
+        return RemotePointer(self._hb.rkey, 0, 8)
 
     def attach_durable(self, dlog) -> None:
         """Install the durable log and hook its commit notifications."""

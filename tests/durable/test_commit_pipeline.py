@@ -120,7 +120,6 @@ def test_killed_shard_acks_no_parked_write_and_recovers_without_loss():
     sim = cluster.sim
     client = cluster.client()
     acked = {}
-    kill_at = []
 
     def app():
         for i in range(4):
@@ -133,14 +132,15 @@ def test_killed_shard_acks_no_parked_write_and_recovers_without_loss():
         status = yield from client.put(b"a0", b"new")
         assert status is Status.OK
         acked[b"a0"] = b"new"
-        assert sim.now > kill_at[0] + 100 * _MS
+        # The ack came from the recovered shard: the replay waited out the
+        # SWAT verdict and the log recovery.
+        assert counter(cluster, "durable.recoveries") == 1
         for key, value in acked.items():
             assert (yield from client.get(key)) == value
 
     def killer():
         yield sim.timeout(100 * _US)
         assert len(shard._parked) == 1
-        kill_at.append(sim.now)
         cluster.servers[0].kill()
         assert not shard._parked
 

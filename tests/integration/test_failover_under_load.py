@@ -9,15 +9,21 @@ from repro.protocol import Status
 MS = 1_000_000
 
 
-#: Coordination timing that detects the kill in ~200 ms instead of ~2 s,
-#: so the short twins reach promotion well inside their horizon.
+#: ZooKeeper timing of the short twins (50 ms heartbeats, 200 ms
+#: sessions): the dead primary's session lapses inside their run.  The
+#: kill itself is detected by heartbeat probes in a few ms either way.
 FAST_HA = {"heartbeat_ns": 50 * MS, "session_timeout_ns": 200 * MS}
 
+#: Writers stop this long after the kill if no promotion is observed
+#: (the test then fails on its failover count instead of hanging).
+NO_PROMOTION_CAP_MS = 5_000
 
-def _write_storm_through_failover(horizon_ms, coord=None):
+
+def _write_storm_through_failover(after_promotion_ms, coord=None):
     """Four single-attempt writers hammer one replicated shard whose
-    primary dies at 30 ms; they keep writing until ``horizon_ms`` after
-    the kill.  No acknowledged write may be missing afterwards."""
+    primary dies at 30 ms; they keep writing until ``after_promotion_ms``
+    after the observed promotion (the first route swap).  No acknowledged
+    write may be missing afterwards."""
     cfg = SimConfig().with_overrides(
         replication={"replicas": 1},
         client={"op_timeout_ns": 5 * MS},
@@ -32,14 +38,23 @@ def _write_storm_through_failover(horizon_ms, coord=None):
     timeouts = {"n": 0}
     kill_at = 30 * MS
 
+    promoted_at = []
+
     def killer():
         yield sim.timeout(kill_at)
         cluster.servers[0].kill()
+        yield cluster.route_change.wait()
+        promoted_at.append(sim.now)
+
+    def writing() -> bool:
+        if not promoted_at:
+            return sim.now < kill_at + NO_PROMOTION_CAP_MS * MS
+        return sim.now < promoted_at[0] + after_promotion_ms * MS
 
     def writer(cid, client):
         i = 0
         # Write until well after failover has completed.
-        while sim.now < kill_at + horizon_ms * MS:
+        while writing():
             key = f"c{cid}-k{i:06d}".encode()
             value = f"v{cid}-{i}".encode()
             try:
@@ -70,15 +85,18 @@ def _write_storm_through_failover(horizon_ms, coord=None):
 
 @pytest.mark.soak
 def test_failover_during_write_storm_loses_no_acked_write():
-    _write_storm_through_failover(4_500)
+    # 2,023.8 ms: what followed the promotion when this soak still wrote
+    # to a fixed kill + 4.5 s and detection waited out the 2 s ZK
+    # session (promotion at kill + 2,476.2 ms).
+    _write_storm_through_failover(2_024)
 
 
 def test_failover_during_short_write_storm_loses_no_acked_write():
-    """Tier-1 twin of the soak above: same storm, same assertions, cut at
-    kill + 500 ms with ~200 ms failure detection — past promotion, but
-    without the ~790k inserts whose ever-longer bucket chains make the
-    soak slow."""
-    _write_storm_through_failover(500, coord=FAST_HA)
+    """Tier-1 twin of the soak above: same storm, same assertions, cut
+    274 ms after the promotion (what followed it when the twin wrote to a
+    fixed kill + 500 ms and detection took 226 ms) — without the ~790k
+    inserts whose ever-longer bucket chains make the soak slow."""
+    _write_storm_through_failover(274, coord=FAST_HA)
 
 
 def test_reads_resume_after_failover_with_stale_pointers():

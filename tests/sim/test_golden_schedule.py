@@ -148,9 +148,9 @@ def _traced_soak(monkeypatch) -> tuple[dict, tuple[str, int]]:
 
 #: (schedule digest, events dispatched, wire digest, injection-log hash,
 #: ops) of the ``mixed``/71 storm cell.
-STORM_PINNED = ("947999da8708b13d1635f69ecfd0bd6b", 13_577,
-                "c51558e0cd8120b790c95789e798b2eb",
-                "436d1e04ed30026f", 579)
+STORM_PINNED = ("6f83a3f09d1d79350d1e966c9f94b81a", 26_082,
+                "ac9772e03eab71a0896a2846149caacb",
+                "6606576570d0ecbc", 661)
 
 
 def test_chaos_storm_schedule_is_pinned(monkeypatch):
