@@ -70,13 +70,16 @@ class RoutingTable:
         """Install/replace the shard serving ``shard_id``.
 
         Replacing a routed entry with a different shard object is a
-        *swap* (SWAT promotion): the generation counter advances and the
-        change gate fires.
+        *swap* (SWAT promotion, log recovery): the generation counter
+        advances, the deposed shard wakes every client waiting on it
+        (:meth:`Shard.depose`), and the change gate fires.
         """
         prev = self._map.get(shard_id)
         self._map[shard_id] = shard
         if prev is not None and prev is not shard:
             self.generation += 1
+            if isinstance(prev, Shard):
+                prev.depose()
             if self.route_change is not None:
                 self.route_change.fire(shard_id)
 

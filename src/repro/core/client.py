@@ -51,11 +51,14 @@ round one timeout however many keys it holds.  Keys the shard *shed*
 (``Status.THROTTLED``) are replayed after the largest retry hint, on the
 same connection.  Keys that failed at the transport level (timeout, QP
 error, dead NIC) cost their shards' connections and cached pointers, and
-are re-routed through the (versioned) routing table — blocking on the
-router's ``route_change`` gate, so a SWAT promotion is picked up the
-instant it is republished — and replayed against whatever shard now owns
-them, with capped exponential backoff between rounds.  Only when the
-whole budget lapses does the caller see a
+are re-routed through the (versioned) routing table and replayed
+against whatever shard now owns them, with capped exponential backoff
+between rounds, cut short by the router's ``route_change`` gate.  A route
+swap also wakes every request still waiting on the deposed shard, which
+fails its round at once, and a round whose route moved replays without
+backing off: a SWAT promotion is picked up the instant it is
+republished, not when an attempt on the dead primary times out.  Only
+when the whole budget lapses does the caller see a
 :class:`~repro.core.errors.ShardUnavailable` (a
 :class:`~repro.core.errors.RecoveryInProgress` if the shard is replaying
 its durable log).  Setting ``op_deadline_us=0`` (or ``deadline_us=0``
@@ -471,11 +474,16 @@ class HydraClient:
         """Sleep out one backoff step — or less, if a route change lands.
 
         Routers that publish failovers (``HydraCluster``) expose a
-        ``route_change`` gate; blocking on it alongside the timer turns
-        the worst-case blackout from *promotion + residual backoff* into
-        just *promotion*.
+        ``route_change`` gate; blocking on it alongside the timer ends
+        the sleep at the next route swap.  Only a round that failed
+        before its shard was swapped out sleeps here at all (see
+        :meth:`_retrying`): a request still waiting on the deposed shard
+        at the swap is woken by it, and its round replays at once.  So
+        the blackout a failing primary costs a client is detection +
+        reaction + the swap, with no residual backoff or attempt timeout
+        on top.
         """
-        gate = getattr(self.router, "route_change", None)
+        gate = self.router.route_change
         if gate is None:
             yield self.sim.timeout(wait_ns)
         else:
@@ -495,11 +503,14 @@ class HydraClient:
           cache invalidation, no ``client.retries`` — or raise the
           :class:`TenantThrottled` when the budget cannot cover it;
         * otherwise: tear down the shards that failed at the transport
-          level (timeout / QP error / dead NIC) in failure order, drop
-          those keys' cached pointers and back off (capped exponential,
-          cut short by a route change).  Once the deadline lapses raise
-          :class:`RecoveryInProgress` if a failed key's shard is
-          replaying its durable log, else :class:`ShardUnavailable`.
+          level (timeout / QP error / dead NIC / deposed shard) in
+          failure order, drop those keys' cached pointers and back off
+          (capped exponential, cut short by a route change) — unless the
+          routing generation moved since the round was routed: then the
+          next round starts at once, on the new route.  Once the
+          deadline lapses raise :class:`RecoveryInProgress` if a failed
+          key's shard is replaying its durable log, else
+          :class:`ShardUnavailable`.
           Non-replayable ops raise :class:`ShardUnavailable` at once.
 
         With a zero budget (single-attempt mode) the first round's
@@ -516,6 +527,7 @@ class HydraClient:
         while True:
             if self._bucket is not None:
                 yield from self._admit(deadline, opname, n=len(todo))
+            generation = self.router.generation
             items = [_ReadItem(i, key, self.router.route(key))
                      for i, key in todo]
             timeout_ns = self.client_cfg.op_timeout_ns
@@ -582,8 +594,9 @@ class HydraClient:
                     raise ShardUnavailable(
                         f"{what}: deadline ({self.deadline_us}us) lapsed "
                         f"with no live route") from first
-                yield from self._backoff(min(backoff_ns, remaining))
-                backoff_ns = min(backoff_ns * 2, backoff_cap_ns)
+                if self.router.generation == generation:
+                    yield from self._backoff(min(backoff_ns, remaining))
+                    backoff_ns = min(backoff_ns * 2, backoff_cap_ns)
             todo = [(item.idx, item.key) for item, _exc in failed]
 
     def _admit(self, deadline: Optional[int], opname: str = "", n: int = 1):
@@ -904,7 +917,7 @@ class HydraClient:
         return cap
 
     def _acquire_slot(self, pipe: _ConnPipeline, conn: Connection,
-                      deadline: int):
+                      shard: Shard, deadline: int):
         """DRR-arbitrated slot acquisition (``qos.fair_queueing``).
 
         Submits a ticket to the pipeline's arbiter and blocks until it is
@@ -912,7 +925,9 @@ class HydraClient:
         waiter pumps the arbiter when it wakes, so grants happen in DRR
         order no matter whose process observes the freed capacity first.
         There is no simulated yield between the grant and the slot take
-        back in :meth:`issue`, so a grant is a safe reservation.
+        back in :meth:`issue`, so a grant is a safe reservation.  The
+        ticket is cancelled when ``deadline`` passes or a route swap
+        deposes ``shard``.
         """
         arb = pipe.arbiter
         if arb is None:
@@ -935,7 +950,7 @@ class HydraClient:
             if drained:
                 continue
             remaining = deadline - self.sim.now
-            if remaining <= 0:
+            if remaining <= 0 or shard.deposed:
                 arb.cancel(ticket)
                 if arb.waiting():
                     # A cancelled grant frees capacity other tenants may
@@ -960,6 +975,8 @@ class HydraClient:
         later with :meth:`wait`.  The request has one deadline, bounding
         both waits: the absolute instant ``deadline`` if given, else
         ``timeout_ns`` (default ``client.op_timeout_ns``) past the post.
+        Either wait also ends, as a :class:`RequestTimeout`, the moment a
+        route swap deposes ``shard`` (:meth:`Shard.depose`).
         """
         req_id = next(self._req_ids)
         self._c_messages.add()
@@ -976,7 +993,7 @@ class HydraClient:
                 timeout_ns = self.client_cfg.op_timeout_ns
             deadline = self.sim.now + timeout_ns
         if self._fair:
-            yield from self._acquire_slot(pipe, conn, deadline)
+            yield from self._acquire_slot(pipe, conn, shard, deadline)
         else:
             while (len(pipe.inflight) >= self._window(conn)
                    or (self.hydra.rdma_write_messaging
@@ -985,7 +1002,7 @@ class HydraClient:
                 if drained:
                     continue
                 remaining = deadline - self.sim.now
-                if remaining <= 0:
+                if remaining <= 0 or shard.deposed:
                     raise RequestTimeout(
                         f"{self.client_id}: window full and shard silent "
                         f"(conn {conn.conn_id})")
@@ -1033,7 +1050,8 @@ class HydraClient:
 
     def wait(self, pending: PendingRequest):
         """Collect the response for an issued request (blocks until it
-        lands or the request's deadline passes).
+        lands, the request's deadline passes or a route swap deposes its
+        shard; the last two abandon it and raise :class:`RequestTimeout`).
 
         A ``Status.THROTTLED`` response (server-side shed) surfaces as
         :class:`TenantThrottled` carrying the shard's retry hint; the
@@ -1058,10 +1076,11 @@ class HydraClient:
             if drained:
                 continue
             remaining = deadline - self.sim.now
-            if remaining <= 0:
+            if remaining <= 0 or pending.shard.deposed:
                 # Abandon the request and reclaim its slot (the request —
-                # or its response — is presumed lost with the shard).  A
-                # late response carries a req_id nobody waits on any more,
+                # or its response — is presumed lost with the shard, or
+                # a route swap deposed the shard and woke us).  A late
+                # response carries a req_id nobody waits on any more,
                 # so _land discards it as stale instead of raising.
                 slot = pipe.inflight.pop(pending.req_id, None)
                 if slot is not None and slot >= 0:
@@ -1075,7 +1094,8 @@ class HydraClient:
                         ctl.on_loss()
                 raise RequestTimeout(
                     f"{self.client_id}: no response from shard "
-                    f"(conn {conn.conn_id})")
+                    f"(conn {conn.conn_id}"
+                    f"{', deposed' if remaining > 0 else ''})")
             ev = yield self.sim.any_of([
                 conn.client_doorbell.wait(),
                 self.sim.timeout(remaining),

@@ -377,6 +377,11 @@ class Shard:
         #: the ones :meth:`adopt` hands it (its coordination agent).
         self._procs: list = []
         self._killed = False
+        #: True once a route swap replaced this shard (:meth:`depose`).
+        self.deposed = False
+        #: Client doorbells of connections disconnected after the kill
+        #: while a client still waited on them (:meth:`disconnect`).
+        self._orphans: list[Gate] = []
         #: Heartbeat word (:meth:`heartbeat`), registered on first use.
         self._hb: Optional[_HeartbeatWord] = None
         m = self.metrics
@@ -463,6 +468,21 @@ class Shard:
             queue.items.clear()
         if dropped:
             self.metrics.counter("shard.dropped_handoffs").add(dropped)
+
+    def depose(self) -> None:
+        """The routing table swapped this shard out (SWAT promotion or
+        log recovery).  Wakes every client waiting on one of its
+        connections, whether for a response or for a free slot: no
+        answer will come from here any more, so each abandons its request
+        at once instead of at its deadline, and replays on the new
+        route.  Connections made after this wake no one; a wait on them
+        gives up before it blocks."""
+        self.deposed = True
+        for conn in self.conns:
+            conn.client_doorbell.fire()
+        for doorbell in self._orphans:
+            doorbell.fire()
+        self._orphans.clear()
 
     def adopt(self, proc) -> None:
         """Make ``proc`` a thread of this process: :meth:`kill`
@@ -613,6 +633,12 @@ class Shard:
         if conn in self.conns:
             self.conns.remove(conn)
             self._parts = None
+            if self._killed and conn.client_doorbell.waiting:
+                # While this process is dead, every post replaces its
+                # connection (the NIC is gone, so none is usable), even
+                # one another request still waits on: remember whom the
+                # route swap must wake.
+                self._orphans.append(conn.client_doorbell)
         self._ready.pop(conn.conn_id, None)
         conn.close()
         self.doorbell.fire(_HALT)

@@ -263,6 +263,12 @@ class Gate:
         self._n_waiting += 1
         return ev
 
+    @property
+    def waiting(self) -> bool:
+        """True when ``wait()`` was called since the last firing (its
+        waiter may have moved on since, e.g. past a timeout it raced)."""
+        return self._pending is not None
+
     def fire(self, value: Any = None) -> int:
         """Wake all current waiters; returns how many were woken."""
         ev, self._pending = self._pending, None

@@ -178,3 +178,39 @@ def test_a_budget_bounds_a_multi_key_call():
         assert cluster.sim.now - t0 < budget_us * US + SLACK
 
     cluster.run(app())
+
+
+@pytest.mark.parametrize("moved", [False, True], ids=["held", "moved"])
+def test_failed_round_backs_off_only_while_its_route_holds(moved):
+    """A round that failed after the routing generation moved replays at
+    once: the new route exists, so there is nothing to wait for."""
+    cluster, client = _cluster(BUDGET_US)
+    sim = cluster.sim
+    starts: list[int] = []
+    backoffs: list[int] = []
+    backoff = client._backoff
+
+    def counted(wait_ns):
+        backoffs.append(wait_ns)
+        yield from backoff(wait_ns)
+
+    client._backoff = counted
+
+    def round_fn(rnd, items):
+        starts.append(sim.now)
+        yield sim.timeout(1)
+        if len(starts) == 1:
+            if moved:
+                cluster.routing.generation += 1
+            rnd.failed.append((items[0], RequestTimeout("lost")))
+
+    def app():
+        yield from client._retrying([KEYS[0]], round_fn, "GET")
+
+    cluster.run(app())
+    assert len(starts) == 2
+    if moved:
+        assert backoffs == [] and starts[1] - starts[0] == 1
+    else:
+        floor = cluster.config.client.retry_backoff_min_us * US
+        assert backoffs == [floor] and starts[1] - starts[0] == 1 + floor

@@ -4,8 +4,9 @@ The tentpole contract under test: with the default deadline budget, a
 primary crash mid-workload is invisible to applications — every public
 operation replays through the versioned routing table onto the promoted
 secondary, no acked write is lost, and the blackout is bounded by
-detection (K missed heartbeat probes) + reaction + one attempt timeout,
-not by anything the client adds on top.
+detection (K missed heartbeat probes) + reaction + the route swap, not
+by anything the client adds on top: a request waiting on the dead
+primary at the swap cuts over within microseconds.
 """
 
 import pytest
@@ -23,6 +24,11 @@ MS = 1_000_000
 #: Writers stop this long after the kill if no promotion is observed
 #: (the test then fails on its failover count instead of hanging).
 NO_PROMOTION_CAP_MS = 5_000
+
+#: How long past the swap a request stuck on the killed primary may take
+#: to complete on the promoted one: a few round trips, far below any
+#: backoff step (1 ms) or attempt timeout.
+CUTOVER_SLACK_NS = 100_000
 
 
 def ha_cluster(n_client_machines=1, coord=None):
@@ -99,14 +105,14 @@ def _ride_through_failover(after_promotion_ms, coord=None):
     # K probe periods plus one RC retry timeout of the kill, the reaction
     # (fence, then max(swat_react_ns, retry timeout) before the drain)
     # adds its wait, and a write posted to the dead primary just before
-    # the route swap costs one attempt timeout before it replays there.
+    # the route swap is woken by the swap and replays within microseconds.
     cfg = cluster.config
     verdict = PROBE_MISSES * probe_period_ns(cfg) \
         + cfg.fabric.retry_timeout_ns
     react = max(cfg.coord.swat_react_ns, cfg.fabric.retry_timeout_ns)
     gaps = [b - a for a, b in zip(completions, completions[1:])]
     blackout = max(gaps)
-    assert blackout < verdict + react + cfg.client.op_timeout_ns
+    assert blackout < verdict + react + CUTOVER_SLACK_NS
     after = [t for t in completions if t > kill_at + blackout]
     assert len(after) > 50  # service genuinely resumed
 
@@ -315,3 +321,155 @@ def test_get_many_returns_none_per_miss_not_raise():
             assert values == [None, b"yes", None]
 
         cluster.run(app())
+
+
+# -- cut-over at the route swap --------------------------------------------
+def _cutover_cluster(client=None, replication=None, hydra=None):
+    """One replicated shard at the *default* ``op_timeout_ns`` (50 ms),
+    message path only, so a request posted to the killed primary waits
+    on its response buffer until something wakes it."""
+    cfg = SimConfig().with_overrides(
+        hydra=hydra or {},
+        replication={"replicas": 1, **(replication or {})},
+        client={"rptr_cache_enabled": False, **(client or {})},
+        traversal={"enabled": False})
+    cluster = HydraCluster(config=cfg, n_server_machines=1,
+                           shards_per_server=1)
+    cluster.enable_ha()
+    cluster.start()
+    return cluster
+
+
+def _swap_watch(cluster, swaps: list):
+    def watch():
+        yield cluster.route_change.wait()
+        swaps.append(cluster.sim.now)
+    cluster.sim.process(watch())
+
+
+def test_requests_on_a_killed_primary_cut_over_at_the_swap():
+    """A GET and an UPDATE posted to the killed primary complete within
+    microseconds of the route swap, not an attempt timeout after it.
+
+    Both run on one client with room for both in its window.  The dead
+    NIC makes each post replace the connection, so the GET waits on one
+    the UPDATE's post disconnected: the swap must reach it all the same.
+    """
+    cluster = _cutover_cluster(client={"max_inflight_per_conn": 2},
+                               hydra={"msg_slots_per_conn": 2})
+    sim = cluster.sim
+    assert cluster.config.client.op_timeout_ns == 50 * MS
+    client = cluster.client()
+    done: dict[str, int] = {}
+    swaps: list[int] = []
+
+    def load():
+        yield from client.put(b"g", b"v0")
+        yield from client.put(b"u", b"w0")
+
+    def get():
+        assert (yield from client.get(b"g")) == b"v0"
+        done["get"] = sim.now
+
+    def update():
+        assert (yield from client.update(b"u", b"w1")) is Status.OK
+        done["update"] = sim.now
+
+    cluster.run(load())
+    sim.run(until=sim.now + 20 * MS)
+    cluster.servers[0].kill()
+    _swap_watch(cluster, swaps)
+    cluster.run(get(), update())
+    assert len(swaps) == 1
+    assert cluster.metrics.counter("client.retries").value == 2
+    for op, t in done.items():
+        assert 0 <= t - swaps[0] <= CUTOVER_SLACK_NS, (op, t - swaps[0])
+    promoted = cluster.routing.resolve(cluster.routing.shard_ids()[0])
+    assert promoted.store.dump()[b"u"] == b"w1"
+
+
+def test_insert_on_a_killed_primary_fails_at_the_swap():
+    """An INSERT is never replayed: it raises ShardUnavailable at the
+    swap instant instead of when its attempt times out."""
+    cluster = _cutover_cluster()
+    sim = cluster.sim
+    client = cluster.client()
+    swaps: list[int] = []
+    raised: list[int] = []
+
+    def insert():
+        with pytest.raises(ShardUnavailable):
+            yield from client.insert(b"fresh", b"v")
+        raised.append(sim.now)
+
+    sim.run(until=20 * MS)
+    cluster.servers[0].kill()
+    _swap_watch(cluster, swaps)
+    cluster.run(insert())
+    assert raised == swaps
+
+
+def test_promotion_drains_acked_writes_the_secondary_had_not_merged():
+    """A slow merge thread (it re-polls its ring 100 ms after a doorbell,
+    past the promotion) leaves acked writes unmerged when the primary
+    dies: the promotion folds them in, none is lost, and the first reads
+    after the cut-over return them."""
+    cluster = _cutover_cluster(client={"op_timeout_ns": 5 * MS},
+                               replication={"merge_poll_ns": 100 * MS})
+    sim = cluster.sim
+    shard_id = cluster.routing.shard_ids()[0]
+    secondary = cluster.secondaries[shard_id][0]
+    client, reader = cluster.client(), cluster.client()
+    kill_at = 30 * MS
+    acked: dict[bytes, bytes] = {}
+    unmerged: dict[bytes, bytes] = {}
+    read_back: dict[bytes, bytes] = {}
+
+    def writer():
+        i = 0
+        while sim.now < kill_at:
+            key, value = b"k%05d" % i, b"v%05d" % i
+            assert (yield from client.put(key, value)) is Status.OK
+            acked[key] = value
+            i += 1
+
+    def killer():
+        yield sim.timeout(kill_at - sim.now)
+        merged = secondary.store.dump()
+        unmerged.update((k, v) for k, v in acked.items()
+                        if merged.get(k) != v)
+        cluster.servers[0].kill()
+        yield cluster.route_change.wait()
+        for key in unmerged:
+            read_back[key] = yield from reader.get(key)
+
+    cluster.run(writer(), killer())
+    assert len(unmerged) >= 1
+    assert read_back == unmerged
+    survivor = cluster.routing.resolve(shard_id).store.dump()
+    assert {k: v for k, v in acked.items() if survivor.get(k) != v} == {}
+    assert cluster.metrics.counter("replica.drained").value >= len(unmerged)
+
+
+def test_healthy_run_leaves_no_waiter_on_the_route_gate():
+    """No wait subscribes to ``route_change`` unless its round failed, so
+    10k healthy operations leave the gate with no pending event."""
+    cfg = SimConfig().with_overrides(replication={"replicas": 1})
+    cluster = HydraCluster(config=cfg, n_server_machines=1,
+                           shards_per_server=2)
+    cluster.enable_ha()
+    cluster.start()
+    clients = [cluster.client() for _ in range(4)]
+
+    def ops(cid, client):
+        for i in range(2_500):
+            key = b"c%d-%03d" % (cid, i % 200)
+            if i % 2:
+                yield from client.get(key)
+            else:
+                yield from client.put(key, b"v%d" % i)
+
+    cluster.run(*[ops(i, c) for i, c in enumerate(clients)])
+    assert cluster.metrics.counter("client.retries").value == 0
+    gate = cluster.route_change
+    assert not gate.waiting

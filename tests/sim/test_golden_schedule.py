@@ -148,9 +148,9 @@ def _traced_soak(monkeypatch) -> tuple[dict, tuple[str, int]]:
 
 #: (schedule digest, events dispatched, wire digest, injection-log hash,
 #: ops) of the ``mixed``/71 storm cell.
-STORM_PINNED = ("6f83a3f09d1d79350d1e966c9f94b81a", 26_082,
-                "ac9772e03eab71a0896a2846149caacb",
-                "6606576570d0ecbc", 661)
+STORM_PINNED = ("18d1fa62657bd475d47719dc61968db8", 26_089,
+                "27e51d67c0901ee6718b5249916e1478",
+                "420af16485b9bab8", 663)
 
 
 def test_chaos_storm_schedule_is_pinned(monkeypatch):
