@@ -25,6 +25,7 @@ from ..baselines import (
     RedisServer,
 )
 from ..config import SimConfig
+from ..coord.swat import verdict_bound_ns
 from ..core import HydraCluster
 from ..core.errors import HydraError, RecoveryInProgress
 from ..hardware import Machine
@@ -1454,7 +1455,7 @@ def _paced_kill(scale: float, n_clients: int, n_keys: int, value_bytes: int,
     ``kill(cluster)`` applied at 150 ms simulated.
 
     SWAT detects the kill with heartbeat probes (a verdict within
-    K·P + RC retry timeout, 5 ms at the defaults); ZooKeeper sessions are
+    P + K·D_floor, 1.77 ms at the defaults); ZooKeeper sessions are
     shrunk (50 ms heartbeats, 200 ms sessions) so the dead primary's
     session also lapses inside the run.  ``overrides`` are further
     config sections.  Returns the cluster, the run's columns (ops, acked
@@ -1510,7 +1511,9 @@ def _paced_kill(scale: float, n_clients: int, n_keys: int, value_bytes: int,
             i += 1
 
     def killer():
-        yield sim.timeout(_KILL_AT)
+        # At 150 ms simulated, not 150 ms after the preload: the blackout
+        # and the pre-kill window are measured from that instant.
+        yield sim.timeout(_KILL_AT - sim.now)
         kill(cluster)
 
     clients = [cluster.client(c % 2) for c in range(n_clients)]
@@ -1539,13 +1542,35 @@ def _paced_kill(scale: float, n_clients: int, n_keys: int, value_bytes: int,
     return cluster, run, errors
 
 
+def _verdict_ms(cluster: HydraCluster) -> float:
+    """Mean silence from a condemned primary's last proof of life to its
+    verdict, as SWAT saw it (ms; 0.0 without a verdict)."""
+    tally = cluster.metrics.tally("swat.verdict_ns")
+    return tally.mean / 1e6 if tally.count else 0.0
+
+
+def _blackout_ceiling_ms() -> float:
+    """The longest a machine kill may stall clients at the defaults: the
+    detector's verdict bound, the reaction's settle and 1 ms for the
+    promotion and the cut-over (7.77 ms)."""
+    cfg = SimConfig()
+    react = max(cfg.coord.swat_react_ns, cfg.fabric.retry_timeout_ns)
+    return (verdict_bound_ns(cfg) + react + _MS) / 1e6
+
+
 def _failover_gate(rows: list[dict]) -> list[str]:
     """The availability contract: zero client-visible exceptions, zero
-    lost acked writes, at least one SWAT promotion, and post-kill
-    throughput >= 80% of pre-kill."""
+    lost acked writes, at least one SWAT promotion, post-kill throughput
+    >= 80% of pre-kill, and a blackout no longer than detection plus
+    reaction plus 1 ms (:func:`_blackout_ceiling_ms`)."""
     need = Claims()
+    ceiling = _blackout_ceiling_ms()
     for i, row in enumerate(rows):
         failovers, ratio = row.get("failovers"), row.get("recovered_ratio")
+        blackout = row.get("blackout_ms")
+        need(number(blackout) and blackout <= ceiling, f"row {i}: "
+             f"blackout_ms must stay <= {ceiling:.3f} (verdict bound + "
+             f"reaction + 1 ms), got {blackout!r}")
         need(row.get("exceptions") == 0, f"row {i}: "
              f"{row.get('exceptions')!r} client-visible exceptions (must be 0)")
         need(row.get("lost_acked_writes") == 0, f"row {i}: "
@@ -1568,7 +1593,8 @@ def _failover_gate(rows: list[dict]) -> list[str]:
         "contract (1 replicated shard, heartbeat-probe detection, 200 ms "
         "ZK sessions)", "kops / ms",
         ("clients", "pre_kops", "post_kops", "recovered_ratio", "blackout_ms",
-         "failovers", "client_retries", "exceptions", "lost_acked_writes")),
+         "verdict_ms", "failovers", "client_retries", "exceptions",
+         "lost_acked_writes")),
     check=_failover_gate)
 def failover_availability(scale: float = 1.0,
                           client_counts: Sequence[int] = (2, 4),
@@ -1584,6 +1610,8 @@ def failover_availability(scale: float = 1.0,
 
     * ``blackout_ms`` — the longest gap between consecutive completed
       operations once the kill lands (detection + promotion + replay);
+    * ``verdict_ms`` — how long SWAT went without a proof of life from
+      the primary before condemning it;
     * ``pre_kops`` / ``post_kops`` — acked throughput in equal windows
       immediately before the kill and at the tail of the run, and their
       ratio ``recovered_ratio`` (the headline: >= 0.8 required).
@@ -1600,6 +1628,7 @@ def failover_availability(scale: float = 1.0,
         rows.append({
             "clients": n_clients,
             **run,
+            "verdict_ms": _verdict_ms(cluster),
             "failovers": m.counter("swat.failovers").value,
             "client_retries": m.counter("client.retries").value,
             "client_failovers": m.counter("client.failovers").value,
@@ -1627,9 +1656,9 @@ def _kill_primary_and_secondaries(cluster: HydraCluster) -> None:
 
 
 #: blackout ceiling for the recovery bench (ms): the probe verdict lands
-#: within K·P + RC retry timeout (5 ms at the defaults), then the
-#: reaction + log replay + client route replay must land well inside the
-#: rest of this budget.
+#: within P + K·D_floor (1.77 ms at the defaults), then the reaction +
+#: log replay + client route replay must land well inside the rest of
+#: this budget.
 _RECOVERY_BLACKOUT_MS = 500.0
 
 
@@ -1685,7 +1714,8 @@ def _recovery_gate(rows: list[dict]) -> list[str]:
         "loss to one device write (1 shard, replicas=1, durable log on, "
         "heartbeat-probe detection, 200 ms ZK sessions)", "kops / ms",
         ("ack_mode", "clients", "ops", "acked_writes", "pre_kops",
-         "post_kops", "recovered_ratio", "blackout_ms", "recoveries",
+         "post_kops", "recovered_ratio", "blackout_ms", "verdict_ms",
+         "recoveries",
          "replayed_records", "replay_recs_per_ms", "typed_errors",
          "untyped_errors", "lost_acked_writes")),
     check=_recovery_gate)
@@ -1711,9 +1741,9 @@ def recovery_dualfail(scale: float = 1.0,
       staged or in flight may die with both copies.  ``lost_acked_writes``
       bounds that exposure (about one device write of records).
 
-    Also reported: the blackout window, recovered throughput ratio,
-    records replayed, and replay throughput (records/ms of recovery
-    wall-clock).
+    Also reported: the blackout window, the verdict's silence from the
+    last proof of life, recovered throughput ratio, records replayed, and
+    replay throughput (records/ms of recovery wall-clock).
     """
     rows: list[dict] = []
     for ack_mode in ack_modes:
@@ -1730,6 +1760,7 @@ def recovery_dualfail(scale: float = 1.0,
             "ack_mode": ack_mode,
             "clients": n_clients,
             **run,
+            "verdict_ms": _verdict_ms(cluster),
             "recoveries": m.counter("durable.recoveries").value,
             "replayed_records": replayed,
             "replay_ms": replay_ms,
@@ -1872,9 +1903,10 @@ def server_sweep(scale: float = 1.0,
     return rows
 
 
-#: chaos_soak row fields that must be exactly zero for the contract.
+#: chaos_soak row fields that must be exactly zero for the contract
+#: (``false_verdicts``: no storm may get a live primary condemned).
 _CHAOS_ZERO = ("untyped_errors", "corrupt_values", "lost_acked_writes",
-               "deadline_violations")
+               "deadline_violations", "false_verdicts")
 
 #: storm profiles the acceptance criteria require in every artifact.
 _CHAOS_REQUIRED_PROFILES = ("torn", "gray", "zk", "stale", "tenant",
@@ -1883,11 +1915,12 @@ _CHAOS_REQUIRED_PROFILES = ("torn", "gray", "zk", "stale", "tenant",
 
 def _chaos_gate(rows: list[dict]) -> list[str]:
     """The resilience contract held under every storm: zero lost acked
-    writes, corrupt values, untyped errors and deadline violations,
-    convergence and recovered_ratio >= 0.8 post-storm; the required
-    profiles and the server-variant matrix (sub-sharded, pipelined,
-    replicas >= 2) present; the dualfail cell recovering through the
-    durable log; and the same-seed rerun flagged deterministic."""
+    writes, corrupt values, untyped errors, deadline violations and
+    false verdicts, convergence and recovered_ratio >= 0.8 post-storm;
+    the required profiles and the server-variant matrix (sub-sharded,
+    pipelined, replicas >= 2) present; the dualfail cell recovering
+    through the durable log; and the same-seed rerun flagged
+    deterministic."""
     need = Claims()
     profiles = {row.get("profile") for row in rows}
     variants = {row.get("variant") for row in rows}
@@ -1938,7 +1971,7 @@ def _chaos_gate(rows: list[dict]) -> list[str]:
          "error_rate", "untyped_errors", "corrupt_values",
          "lost_acked_writes", "deadline_violations", "pre_kops", "post_kops",
          "recovered_ratio", "p99_ms", "blackout_ms", "failovers",
-         "log_recoveries", "lease_skew_hazards", "injected_faults",
+         "false_verdicts", "log_recoveries", "lease_skew_hazards", "injected_faults",
          "schedule_hash", "converged")),
     check=_chaos_gate)
 def chaos_soak(scale: float = 1.0) -> list[dict]:

@@ -193,7 +193,16 @@ def run_soak(profile: str = "mixed", seed: int = 42, scale: float = 1.0,
     )
     cluster = HydraCluster(config=cfg, n_server_machines=2,
                            shards_per_server=1, n_client_machines=2)
-    cluster.enable_ha()
+    ha = cluster.enable_ha()
+    # Ground truth the control plane never reads: was a condemned primary
+    # still alive (process and NIC) when SWAT's probes condemned it?
+    false_verdicts: list[str] = []
+
+    def judge(primary) -> None:
+        if primary.alive and primary.nic.alive:
+            false_verdicts.append(primary.shard_id)
+
+    ha.swat.verdict_hooks.append(judge)
     cluster.start()
     sim = cluster.sim
     injector = FaultInjector(sim, schedule).attach(cluster)
@@ -348,6 +357,7 @@ def run_soak(profile: str = "mixed", seed: int = 42, scale: float = 1.0,
         "p99_ms": p99 / 1e6,
         "blackout_ms": blackout / 1e6,
         "failovers": counters("swat.failovers").value,
+        "false_verdicts": len(false_verdicts),
         "log_recoveries": counters("durable.recoveries").value,
         "log_replayed": counters("durable.replayed").value,
         "lease_skew_hazards": counters("client.lease_skew_hazards").value,

@@ -11,10 +11,12 @@ to status changes:
   shard's heartbeat word (an 8 B counter its process bumps in a region
   registered on its NIC).  The leader probes every advertised word with
   one-sided RDMA Reads from the coordinator machine
-  (:class:`~repro.coord.probe.Prober`); :data:`PROBE_MISSES` consecutive
-  misses condemn the primary.  A vanished znode (ZK session expiry) also
-  triggers the reaction, but the verdict still comes from the probes: a
-  primary they prove alive re-registers and is never promoted away.
+  (:class:`~repro.coord.probe.Prober`); :data:`PROBE_MISSES` misses,
+  each a Read that failed, overran its RTT-derived deadline or saw a
+  stalled word, condemn the primary.  A vanished znode (ZK session
+  expiry) also triggers the reaction, but the verdict still comes from
+  the probes: a primary they prove alive re-registers and is never
+  promoted away.
 * **Failure reaction**: the leader fences the condemned primary — powers
   its process off through the machine's management plane — *before*
   anything else, because a dropped probe Read looks exactly like a dead
@@ -32,7 +34,7 @@ leader reacts, one shard at a time) and publishing routes.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from ..config import SimConfig
 from ..core.api import HydraCluster
@@ -40,28 +42,40 @@ from ..core.shard import Shard
 from ..protocol import Op
 from ..rdma import Nic, RemotePointer
 from ..sim import Interrupt, Simulator
-from .probe import Prober
+from .probe import PROBE_DEADLINE_FLOOR_NS, Prober
 from .zookeeper import ZkError, ZkSession, ZooKeeper
 
 __all__ = ["SwatTeam", "ShardAgent", "HaControl", "PROBE_MISSES",
-           "probe_period_ns", "bump_period_ns"]
+           "probe_period_ns", "bump_period_ns", "verdict_bound_ns"]
 
 SHARDS_PATH = "/shards"
 ROUTING_PATH = "/routing"
 MEMBERS_PATH = "/swat/members"
 
-#: K: consecutive probe misses that condemn a primary.  One miss is a
-#: dropped Read's worth of evidence; three in a row cost at most
-#: K·P + retry timeout (5 ms at the defaults) after a machine dies.
+#: K: probe misses, newer than the last proof of life, that condemn a
+#: primary.  One miss is a dropped or delayed Read's worth of evidence;
+#: each miss re-probes at once, so after a machine dies the first probe
+#: posted (within P) and two re-probes miss their deadlines in turn: a
+#: verdict within P + K·D_floor (1.77 ms at the defaults), see
+#: :func:`verdict_bound_ns`.
 PROBE_MISSES = 3
 
 
 def probe_period_ns(config: SimConfig) -> int:
-    """P, the probe period: half the RC retry timeout (1 ms at the
-    defaults).  ``fabric.retry_timeout_ns`` is the soonest a one-sided
-    Read can report a dead NIC (``RETRY_EXC``), so probing faster would
-    only stack more Reads on a dead target without an earlier verdict."""
+    """P, the probe period of a healthy target: half the RC retry
+    timeout (1 ms at the defaults).  It bounds how long a death goes
+    unprobed; the misses after it come from re-probes, each judged at
+    its own RTT-derived deadline, not at the retry timeout.  A shorter P
+    would buy a slightly earlier first miss for a proportionally higher
+    probe rate on every live target."""
     return config.fabric.retry_timeout_ns // 2
+
+
+def verdict_bound_ns(config: SimConfig) -> int:
+    """The latest a machine kill is condemned after it while the
+    target's probe deadline sits at its floor: one period until the first
+    probe after the death, then K deadlines, P + K·D_floor."""
+    return probe_period_ns(config) + PROBE_MISSES * PROBE_DEADLINE_FLOOR_NS
 
 
 def bump_period_ns(config: SimConfig) -> int:
@@ -145,6 +159,9 @@ class SwatTeam:
         #: The current leader's failure detector (None between leaders).
         self.prober: Optional[Prober] = None
         self.failovers = 0
+        #: Called with the primary at each condemnation, before the
+        #: reaction (the chaos harness scores false verdicts with it).
+        self.verdict_hooks: list[Callable[[Shard], None]] = []
         self.member_procs = []
         self._member_alive = [True] * n_members
 
@@ -221,7 +238,7 @@ class SwatTeam:
                 yield from session.create(path, self._route_blob(shard_id))
         prober = self.prober = Prober(
             self.sim, self.nic, probe_period_ns(self.config), PROBE_MISSES,
-            bump_period_ns(self.config))
+            bump_period_ns(self.config), on_condemn=self._condemned)
         try:
             pending_register: set[str] = set()
             while session.alive:
@@ -249,6 +266,15 @@ class SwatTeam:
             prober.stop()
             if self.prober is prober:
                 self.prober = None
+
+    def _condemned(self, shard_id: str, silence_ns: int) -> None:
+        """The prober condemned ``shard_id``: tally how long it had gone
+        without a proof of life and tell the verdict hooks."""
+        self.cluster.metrics.tally("swat.verdict_ns").observe(silence_ns)
+        if self.verdict_hooks:
+            primary = self.cluster.routing.resolve(shard_id)
+            for hook in self.verdict_hooks:
+                hook(primary)
 
     def _watch_word(self, session: ZkSession, shard_id: str):
         """Read a registered shard's advertised heartbeat word and probe

@@ -167,6 +167,9 @@ class _ConnPipeline:
     #: req_id -> tenant for arbiter occupancy accounting
     #: (``qos.fair_queueing`` only; stays empty otherwise).
     req_tenant: dict[int, str] = field(default_factory=dict)
+    #: Processes asleep in :meth:`HydraClient.issue`'s window-full wait:
+    #: whoever frees a slot while one sleeps rings the doorbell for it.
+    window_waiters: int = 0
 
 
 class _Round:
@@ -361,13 +364,17 @@ class HydraClient:
     def connection_to(self, shard: Shard) -> Connection:
         """The (lazily created) RDMA connection to a shard.
 
-        A cached connection whose QP is no longer usable — torn down by
-        the peer, or either NIC dead — is dropped and re-established
-        up front, so a post-failover operation reconnects immediately
-        instead of black-holing a post and burning a whole timeout.
+        A cached connection whose QP was torn down (by the peer, a flap,
+        or the shard's process dying) is dropped and re-established up
+        front, so a post-failover operation reconnects immediately
+        instead of failing its post.  One that is still connected but
+        cannot reach its peer (a dead NIC) is kept: a replacement would
+        be just as dead, and other requests may be waiting on it for the
+        route swap.  So a client holds at most one connection per shard
+        and routing generation while that shard's NIC is down.
         """
         conn = self.conns.get(shard)
-        if conn is not None and not conn.client_qp.usable:
+        if conn is not None and not conn.client_qp.connected:
             self.drop_connection(shard)
             conn = None
         if conn is None:
@@ -567,9 +574,15 @@ class HydraClient:
                     first_failed = {item.shard for item, _exc in lost}
                 # dict.fromkeys, not a set: teardown order must follow
                 # failure order, not id()-hash order, or replay determinism
-                # breaks.
+                # breaks.  A connection to a dead NIC stays up until its
+                # shard is deposed (see connection_to): a replacement
+                # would be just as dead.
                 for shard in dict.fromkeys(item.shard for item, _exc in lost):
-                    self.drop_connection(shard)
+                    qp = getattr(self.conns.get(shard), "client_qp", None)
+                    stranded = qp is not None and qp.connected \
+                        and not qp.usable
+                    if shard.deposed or not stranded:
+                        self.drop_connection(shard)
                 if self.cache is not None:
                     for item, _exc in lost:
                         self.cache.invalidate(item.key)
@@ -1006,8 +1019,10 @@ class HydraClient:
                     raise RequestTimeout(
                         f"{self.client_id}: window full and shard silent "
                         f"(conn {conn.conn_id})")
+                pipe.window_waiters += 1
                 yield self.sim.any_of([conn.client_doorbell.wait(),
                                        self.sim.timeout(remaining)])
+                pipe.window_waiters -= 1
         if self.hydra.rdma_write_messaging:
             slot_bytes = conn.layout.slot_bytes
             if frame_len(len(data)) > slot_bytes:
@@ -1087,6 +1102,8 @@ class HydraClient:
                     pipe.slot_req.pop(slot, None)
                     pipe.confirmed.discard(slot)
                     insort(pipe.free_slots, slot)
+                if slot is not None and pipe.window_waiters:
+                    conn.client_doorbell.fire()  # see _drain_slots
                 self._release_slot(pipe, pending.req_id)
                 if pipe.issued_ns.pop(pending.req_id, None) is not None:
                     ctl = self._ctls.get(conn.conn_id)
@@ -1141,6 +1158,8 @@ class HydraClient:
                                                      None) is None:
                     self._c_stale.add()
                     continue
+                if pipe.window_waiters:
+                    conn.client_doorbell.fire()  # see _drain_slots
                 self._release_slot(pipe, resp.req_id)
                 pipe.completed[resp.req_id] = resp
                 landed += 1
@@ -1188,6 +1207,11 @@ class HydraClient:
             pipe.confirmed.discard(slot)
             insort(pipe.free_slots, slot)
             pipe.inflight.pop(resp.req_id, None)
+            if pipe.window_waiters:
+                # A window waiter that woke on this frame's doorbell may
+                # have found it consumed and gone back to sleep before the
+                # slot was free: ring again for it (no event otherwise).
+                conn.client_doorbell.fire()
             self._release_slot(pipe, resp.req_id)
             pipe.completed[resp.req_id] = resp
             landed += 1

@@ -634,10 +634,9 @@ class Shard:
             self.conns.remove(conn)
             self._parts = None
             if self._killed and conn.client_doorbell.waiting:
-                # While this process is dead, every post replaces its
-                # connection (the NIC is gone, so none is usable), even
-                # one another request still waits on: remember whom the
-                # route swap must wake.
+                # The kill tore every connection down, so the next post
+                # replaces one even if another request still waits on
+                # it: remember whom the route swap must wake.
                 self._orphans.append(conn.client_doorbell)
         self._ready.pop(conn.conn_id, None)
         conn.close()

@@ -218,6 +218,9 @@ def test_inflight_needs_a_unity_baseline_row():
     ("exceptions", 1, "client-visible exceptions"),
     ("lost_acked_writes", 2, "acknowledged writes lost"),
     ("recovered_ratio", 0.5, "recovered_ratio must be >= 0.8"),
+    # 9.52 ms: the blackout before probes were judged at their own
+    # deadline, over the 7.77 ms ceiling.
+    ("blackout_ms", 9.52, "blackout_ms must stay <= 7.768"),
 ])
 def test_failover_contract_rejects_a_broken_row(key, value, complaint):
     def breaks(rows):
@@ -249,6 +252,7 @@ def _set_all(key, value):
     (_drop_profile("stale"), "missing required storm profiles: stale"),
     (_set_chaos("gray", "corrupt_values", 1), "corrupt_values must be 0"),
     (_set_chaos("zk", "untyped_errors", 3), "untyped_errors must be 0"),
+    (_set_chaos("stale", "false_verdicts", 1), "false_verdicts must be 0"),
     (_set_chaos("dualfail", "log_recoveries", 0), "through the durable log"),
     (_set_chaos("torn", "deterministic", False), "same-seed rerun diverged"),
     (_set_chaos("torn", "deterministic", None), "deterministic == True"),

@@ -1,12 +1,17 @@
 """The SWAT failure detector: one-sided Reads of each primary's heartbeat
-word, K misses to a verdict, and a fence before every promotion."""
+word, each judged at an RTT-derived deadline, K misses to a verdict, and
+a fence before every promotion."""
 
 import ast
+import random
 from pathlib import Path
 
+import pytest
+
 from repro import HydraCluster, SimConfig
+from repro.coord.probe import PROBE_DEADLINE_FLOOR_NS
 from repro.coord.swat import (PROBE_MISSES, SHARDS_PATH, bump_period_ns,
-                              probe_period_ns)
+                              probe_period_ns, verdict_bound_ns)
 from repro.protocol import Status
 from repro.replication import SecondaryShard
 
@@ -40,19 +45,38 @@ def fenced(cluster) -> int:
     return cluster.metrics.counter("swat.fenced").value
 
 
-def test_machine_kill_gets_a_verdict_within_k_periods_plus_retry_timeout():
+#: Room for probe round trips (about 1.5 us each) in the verdict bounds.
+RTT_SLACK_NS = 10_000
+
+
+@pytest.mark.parametrize("phase_ns", [0, 250_000, 600_000, 999_000])
+def test_machine_kill_is_condemned_within_p_plus_k_deadlines(
+        phase_ns):
+    """A dead NIC answers no Read: the first probe after the kill and its
+    two re-probes each overrun D_floor, so the verdict lands within
+    P + K·D_floor of the kill, whatever the probe phase, and long before
+    the RC retry timeout of the first of them."""
     cluster, ha = ha_cluster()
     cfg = cluster.config
+    cluster.sim.run(until=cluster.sim.now + phase_ns)
+    shard_id = cluster.routing.shard_ids()[0]
+    assert ha.swat.prober.deadline_ns(shard_id) == PROBE_DEADLINE_FLOOR_NS
     times = verdict_times(cluster, ha)
     killed_at = cluster.sim.now
     cluster.servers[0].kill()
     cluster.sim.run(until=killed_at + 100 * MS)
-    bound = PROBE_MISSES * probe_period_ns(cfg) + cfg.fabric.retry_timeout_ns
     assert len(times) == 1
-    assert times[0] - killed_at <= bound
-    # Misses on a dead NIC are RETRY_EXC completions: none lands before
-    # the retry timeout of the first Read posted after the kill.
-    assert times[0] - killed_at > cfg.fabric.retry_timeout_ns
+    since = times[0] - killed_at
+    assert since <= verdict_bound_ns(cfg) + RTT_SLACK_NS
+    # K deadlines in a row, the first on a Read posted at most one round
+    # trip before the kill.
+    assert since >= PROBE_MISSES * PROBE_DEADLINE_FLOOR_NS - RTT_SLACK_NS
+    assert since < cfg.fabric.retry_timeout_ns
+    # SWAT tallies the silence from the last proof of life to the verdict.
+    silence = cluster.metrics.tally("swat.verdict_ns")
+    assert silence.count == 1
+    assert PROBE_MISSES * PROBE_DEADLINE_FLOOR_NS <= silence.mean \
+        <= since + probe_period_ns(cfg)
     assert ha.swat.failovers == 1 and fenced(cluster) == 1
 
 
@@ -66,12 +90,11 @@ def test_process_kill_with_nic_up_gets_a_verdict_from_a_stalled_word():
     cluster.sim.run(until=killed_at + 100 * MS)
     assert len(times) == 1
     # Every probe completed, so the verdict came from the frozen word: at
-    # most one Read after the kill still sees a fresh bump, then K stall
-    # misses, each one period apart.
-    assert times[0] - killed_at <= (PROBE_MISSES + 1) * probe_period_ns(cfg) \
-        + bump_period_ns(cfg)
-    assert times[0] - killed_at < PROBE_MISSES * probe_period_ns(cfg) \
-        + cfg.fabric.retry_timeout_ns
+    # most one Read after the kill still sees a fresh bump, the next
+    # periodic probe stalls, and each re-probe waits one bump period so
+    # every one of the K stall misses covers a bump of its own.
+    assert times[0] - killed_at <= 2 * probe_period_ns(cfg) \
+        + (PROBE_MISSES - 1) * bump_period_ns(cfg) + RTT_SLACK_NS
     assert ha.swat.failovers == 1 and fenced(cluster) == 1
     promoted = cluster.routing.resolve(shard.shard_id)
     assert promoted is not shard
@@ -83,6 +106,127 @@ def test_process_kill_with_nic_up_gets_a_verdict_from_a_stalled_word():
         assert (yield from client.get(b"k")) == b"v"
 
     cluster.run(app())
+
+
+class _DelayHeartbeatReads:
+    """Fault hook: Reads of ``nic``'s heartbeat word are delayed — by the
+    next entry of ``script`` while it lasts, else with probability ``p``
+    by 0.1-2 ms (the ``stale`` storm's read-delay window) — from
+    ``start`` to ``end``; every other verb is clean."""
+
+    def __init__(self, nic, start, end, p=0.0, script=(), seed=0):
+        self.nic, self.start, self.end, self.p = nic, start, end, p
+        self.script = list(script)
+        self.rng = random.Random(seed)
+        #: (post instant, delay) of every delayed Read.
+        self.delayed: list[tuple[int, int]] = []
+
+    def rdma_read_fault(self, nic, qp, region, offset, length):
+        now = nic.sim.now
+        if (qp.peer.nic is not self.nic or not region.name.endswith(".hb")
+                or not self.start <= now < self.end):
+            return None
+        if self.script:
+            delay = self.script.pop(0)
+        elif self.rng.random() < self.p:
+            delay = self.rng.randint(100_000, 2_000_000)
+        else:
+            return None
+        self.delayed.append((now, delay))
+        return {"delay_ns": delay}
+
+    def rdma_write_fault(self, nic, qp, region, offset, data):
+        return None
+
+
+def test_live_target_with_delayed_probe_reads_is_never_condemned():
+    """For one second, 45% of the probe Reads of a live primary are held
+    back 0.1-2 ms, far past D_floor: its deadline stretches with the
+    late round trips, and no run of overdue probes and re-probes
+    condemns it.  Once the delays stop, D returns to its floor."""
+    cluster, ha = ha_cluster()
+    sim = cluster.sim
+    shard_id = cluster.routing.shard_ids()[0]
+    shard = cluster.routing.resolve(shard_id)
+    prober = ha.swat.prober
+    start, seq0 = sim.now, prober._targets[shard_id].seq
+    hook = _DelayHeartbeatReads(shard.nic, start, start + 1_000 * MS,
+                                p=0.45, seed=7)
+    cluster.fabric.fault_injector = hook
+    deadlines: list[int] = []
+
+    def watch():
+        while sim.now < start + 1_000 * MS:
+            deadlines.append(prober.deadline_ns(shard_id))
+            yield sim.timeout(probe_period_ns(cluster.config))
+
+    sim.process(watch())
+    times = verdict_times(cluster, ha)
+    sim.run(until=start + 1_100 * MS)
+    assert len(hook.delayed) > 300
+    # Probes overran their deadline and were re-probed (more probes than
+    # periods)...
+    assert prober._targets[shard_id].seq - seq0 > 1_100
+    assert max(deadlines) > 4 * PROBE_DEADLINE_FLOOR_NS
+    # ...but the target was never condemned.
+    assert times == [] and not prober.condemned()
+    assert ha.swat.failovers == 0 and fenced(cluster) == 0
+    assert cluster.routing.resolve(shard_id) is shard
+    assert prober.deadline_ns(shard_id) == PROBE_DEADLINE_FLOOR_NS
+
+
+def test_late_success_after_an_overdue_miss_clears_that_miss():
+    """A probe held back 700 us misses its deadline, and so do its two
+    re-probes (all four Reads held back 1.5 ms).  When the first probe's
+    Read lands late with an advanced word, before the third deadline, it
+    is proof of life: its own miss is cleared, the first re-probe's
+    stays, and the third deadline makes two misses, not a verdict."""
+    cluster, ha = ha_cluster()
+    sim = cluster.sim
+    shard_id = cluster.routing.shard_ids()[0]
+    shard = cluster.routing.resolve(shard_id)
+    prober = ha.swat.prober
+    target = prober._targets[shard_id]
+    hook = _DelayHeartbeatReads(shard.nic, sim.now, sim.now + 10 * MS,
+                                script=(700_000,) + (1_500_000,) * 4)
+    cluster.fabric.fault_injector = hook
+    while len(hook.delayed) < 3:
+        sim.run(until=sim.now + 10_000)
+    posted = hook.delayed[0][0]
+    first = target.seq - 1  # the probe, then its two-Read re-probe
+    sim.run(until=posted + 2 * PROBE_DEADLINE_FLOOR_NS - 1_000)
+    assert target.missed == [first]  # the probe is overdue
+    proofs: list[tuple[int, bool]] = []
+    prober.verdict(shard_id).callbacks.append(
+        lambda ev: proofs.append((sim.now, ev.value)))
+    sim.run(until=posted + 700_000 + RTT_SLACK_NS)
+    assert target.missed == [first + 1] and target.alive_seq == first
+    assert len(proofs) == 1 and proofs[0][1] is True
+    assert proofs[0][0] - posted >= 700_000
+    sim.run(until=posted + 3 * PROBE_DEADLINE_FLOOR_NS + RTT_SLACK_NS)
+    assert len(hook.delayed) == 5  # the third deadline re-probed...
+    assert target.missed == []  # ...and its Reads proved life at once
+    sim.run(until=sim.now + 20 * MS)
+    assert not prober.condemned() and ha.swat.failovers == 0
+
+
+def test_a_path_turning_slow_all_at_once_is_condemned():
+    """Stated limit: when every probe Read of a live primary suddenly
+    takes 1.5 ms, the probe and both re-probes overrun D_floor before
+    the first late round trip lands, exactly as on a dead NIC: a false
+    verdict, K deadlines after the first delayed post, and a fence."""
+    cluster, ha = ha_cluster()
+    sim = cluster.sim
+    shard = cluster.routing.resolve(cluster.routing.shard_ids()[0])
+    hook = _DelayHeartbeatReads(shard.nic, sim.now, sim.now + 100 * MS,
+                                script=(1_500_000,) * 100)
+    cluster.fabric.fault_injector = hook
+    times = verdict_times(cluster, ha)
+    sim.run(until=sim.now + 100 * MS)
+    assert len(times) == 1
+    assert times[0] - hook.delayed[0][0] == \
+        PROBE_MISSES * PROBE_DEADLINE_FLOOR_NS
+    assert ha.swat.failovers == 1 and fenced(cluster) == 1
 
 
 def test_primary_dead_before_its_agent_registers_still_fails_over():

@@ -15,8 +15,10 @@ was replaced, and the simulated time the call took.
   costs one ``op_timeout_ns`` however many keys it carries; under a
   budget the engine tears down the connection and replays until the
   budget lapses.
-* **dead server NIC** — the same, except that even single-attempt mode
-  finds the connection's QP unusable and reconnects.
+* **dead server NIC** — the same, except that the engine keeps the
+  connection under a budget too: a replacement to a dead NIC would be
+  just as dead, so a client holds one connection per shard and routing
+  generation while the NIC is down.
 """
 
 import pytest
@@ -99,10 +101,11 @@ def _expected(op: str, failure: str, budget: bool, keys: int):
             return None, 0, False, HINT
         return TenantThrottled, 0, False, 0
     if not budget:
-        return RequestTimeout, 0, failure == "dead_nic", TIMEOUT
+        return RequestTimeout, 0, False, TIMEOUT
+    replaced = failure == "silent"
     if op == "insert":
-        return ShardUnavailable, keys, True, TIMEOUT
-    return ShardUnavailable, 4 * keys, True, BUDGET_US * US
+        return ShardUnavailable, keys, replaced, TIMEOUT
+    return ShardUnavailable, 4 * keys, replaced, BUDGET_US * US
 
 
 @pytest.mark.parametrize("budget", [False, True], ids=["single", "budget"])

@@ -16,7 +16,8 @@ from repro.core import (BadStatus, HydraError, LifecycleError,
                         RequestTimeout, RoutingTable, ShardUnavailable,
                         SlotOverflow)
 from repro.core.api import HydraCluster as _ApiCluster
-from repro.coord.swat import PROBE_MISSES, probe_period_ns
+from repro.core.shard import Shard
+from repro.coord.swat import verdict_bound_ns
 from repro.protocol import Status
 
 MS = 1_000_000
@@ -102,13 +103,12 @@ def _ride_through_failover(after_promotion_ms, coord=None):
     assert cluster.metrics.tally("client.failover_latency_ns").count >= 1
     # Blackout (largest inter-completion gap straddling the kill) is
     # bounded by what the detector guarantees: the verdict lands within
-    # K probe periods plus one RC retry timeout of the kill, the reaction
+    # one probe period plus K probe deadlines of the kill, the reaction
     # (fence, then max(swat_react_ns, retry timeout) before the drain)
     # adds its wait, and a write posted to the dead primary just before
     # the route swap is woken by the swap and replays within microseconds.
     cfg = cluster.config
-    verdict = PROBE_MISSES * probe_period_ns(cfg) \
-        + cfg.fabric.retry_timeout_ns
+    verdict = verdict_bound_ns(cfg)
     react = max(cfg.coord.swat_react_ns, cfg.fabric.retry_timeout_ns)
     gaps = [b - a for a, b in zip(completions, completions[1:])]
     blackout = max(gaps)
@@ -347,18 +347,14 @@ def _swap_watch(cluster, swaps: list):
     cluster.sim.process(watch())
 
 
-def test_requests_on_a_killed_primary_cut_over_at_the_swap():
-    """A GET and an UPDATE posted to the killed primary complete within
-    microseconds of the route swap, not an attempt timeout after it.
-
-    Both run on one client with room for both in its window.  The dead
-    NIC makes each post replace the connection, so the GET waits on one
-    the UPDATE's post disconnected: the swap must reach it all the same.
-    """
-    cluster = _cutover_cluster(client={"max_inflight_per_conn": 2},
-                               hydra={"msg_slots_per_conn": 2})
+def _get_and_update_across_a_kill(update_first: bool):
+    """A GET and an UPDATE run concurrently on one client at the default
+    window of 1, posted right after the primary's machine is killed.
+    Returns ``(cluster, completion instant per op, swap instants)``."""
+    cluster = _cutover_cluster()
     sim = cluster.sim
     assert cluster.config.client.op_timeout_ns == 50 * MS
+    assert cluster.config.client.max_inflight_per_conn == 1
     client = cluster.client()
     done: dict[str, int] = {}
     swaps: list[int] = []
@@ -379,13 +375,77 @@ def test_requests_on_a_killed_primary_cut_over_at_the_swap():
     sim.run(until=sim.now + 20 * MS)
     cluster.servers[0].kill()
     _swap_watch(cluster, swaps)
-    cluster.run(get(), update())
+    cluster.run(*((update(), get()) if update_first else (get(), update())))
+    return cluster, done, swaps
+
+
+def test_requests_on_a_killed_primary_cut_over_at_the_swap():
+    """A GET and an UPDATE posted to the killed primary complete within
+    microseconds of the route swap, not an attempt timeout after it.
+
+    Both run on one client at the default window of 1: the UPDATE waits
+    for the window on the connection the GET was posted on, and the swap
+    must reach both waits."""
+    cluster, done, swaps = _get_and_update_across_a_kill(False)
     assert len(swaps) == 1
     assert cluster.metrics.counter("client.retries").value == 2
+    assert set(done) == {"get", "update"}
     for op, t in done.items():
         assert 0 <= t - swaps[0] <= CUTOVER_SLACK_NS, (op, t - swaps[0])
     promoted = cluster.routing.resolve(cluster.routing.shard_ids()[0])
     assert promoted.store.dump()[b"u"] == b"w1"
+
+
+@pytest.mark.parametrize("update_first", [False, True],
+                         ids=["get-first", "update-first"])
+def test_replayed_requests_sharing_one_slot_both_cut_over(update_first):
+    """Both requests replay at the swap onto one connection to the
+    promoted shard, whose one slot they take in turn.  Whichever drains
+    the first response frees the slot while the other may already be back
+    asleep in the window wait, having found the frame consumed: the
+    process that frees the slot must wake it, or it sleeps out its 50 ms
+    deadline."""
+    cluster, done, swaps = _get_and_update_across_a_kill(update_first)
+    promoted = cluster.routing.resolve(cluster.routing.shard_ids()[0])
+    assert len(promoted.conns) == 1
+    assert set(done) == {"get", "update"}
+    for op, t in done.items():
+        assert 0 <= t - swaps[0] <= CUTOVER_SLACK_NS, (op, t - swaps[0])
+
+
+def test_a_dead_nic_costs_a_client_one_connection_per_generation(
+        monkeypatch):
+    """Two requests of one client posted to a primary whose machine died
+    share one connection to it, and replay onto one connection to the
+    promoted shard: no post replaces the connection its sibling waits on,
+    and no retry round builds another to the dead NIC."""
+    cluster = _cutover_cluster()
+    sim = cluster.sim
+    client = cluster.client()
+    old = cluster.routing.resolve(cluster.routing.shard_ids()[0])
+    connects: dict = {}
+    connect = Shard.connect
+
+    def counted(shard, *args, **kwargs):
+        key = (shard, cluster.routing.generation)
+        connects[key] = connects.get(key, 0) + 1
+        return connect(shard, *args, **kwargs)
+
+    monkeypatch.setattr(Shard, "connect", counted)
+
+    def get():
+        assert (yield from client.get(b"g")) is None
+
+    def update():
+        assert (yield from client.update(b"u", b"w1")) is Status.NOT_FOUND
+
+    sim.run(until=20 * MS)
+    generation = cluster.routing.generation
+    cluster.servers[0].kill()
+    cluster.run(get(), update())
+    new = cluster.routing.resolve(old.shard_id)
+    assert new is not old
+    assert connects == {(old, generation): 1, (new, generation + 1): 1}
 
 
 def test_insert_on_a_killed_primary_fails_at_the_swap():

@@ -148,9 +148,9 @@ def _traced_soak(monkeypatch) -> tuple[dict, tuple[str, int]]:
 
 #: (schedule digest, events dispatched, wire digest, injection-log hash,
 #: ops) of the ``mixed``/71 storm cell.
-STORM_PINNED = ("18d1fa62657bd475d47719dc61968db8", 26_089,
-                "27e51d67c0901ee6718b5249916e1478",
-                "420af16485b9bab8", 663)
+STORM_PINNED = ("9cbc9eb664f4c86c9c121115f452237c", 27_537,
+                "863a116590c291a305f93ecd4978ee26",
+                "c4ff59230023957f", 666)
 
 
 def test_chaos_storm_schedule_is_pinned(monkeypatch):
