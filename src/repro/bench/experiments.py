@@ -25,7 +25,7 @@ from ..baselines import (
     RedisServer,
 )
 from ..config import SimConfig
-from ..coord.swat import verdict_bound_ns
+from ..coord.swat import revoke_bound_ns, verdict_bound_ns
 from ..core import HydraCluster
 from ..core.errors import HydraError, RecoveryInProgress
 from ..hardware import Machine
@@ -1551,11 +1551,10 @@ def _verdict_ms(cluster: HydraCluster) -> float:
 
 def _blackout_ceiling_ms() -> float:
     """The longest a machine kill may stall clients at the defaults: the
-    detector's verdict bound, the reaction's settle and 1 ms for the
-    promotion and the cut-over (7.77 ms)."""
+    detector's verdict bound, the settle and revocation round's bound and
+    1 ms for the promotion and the cut-over (5.07 ms)."""
     cfg = SimConfig()
-    react = max(cfg.coord.swat_react_ns, cfg.fabric.retry_timeout_ns)
-    return (verdict_bound_ns(cfg) + react + _MS) / 1e6
+    return (verdict_bound_ns(cfg) + revoke_bound_ns(cfg) + _MS) / 1e6
 
 
 def _failover_gate(rows: list[dict]) -> list[str]:
@@ -1570,7 +1569,7 @@ def _failover_gate(rows: list[dict]) -> list[str]:
         blackout = row.get("blackout_ms")
         need(number(blackout) and blackout <= ceiling, f"row {i}: "
              f"blackout_ms must stay <= {ceiling:.3f} (verdict bound + "
-             f"reaction + 1 ms), got {blackout!r}")
+             f"revoke bound + 1 ms), got {blackout!r}")
         need(row.get("exceptions") == 0, f"row {i}: "
              f"{row.get('exceptions')!r} client-visible exceptions (must be 0)")
         need(row.get("lost_acked_writes") == 0, f"row {i}: "
@@ -1655,11 +1654,14 @@ def _kill_primary_and_secondaries(cluster: HydraCluster) -> None:
                 sec.machine.nic.fail()
 
 
-#: blackout ceiling for the recovery bench (ms): the probe verdict lands
-#: within P + K·D_floor (1.77 ms at the defaults), then the reaction +
-#: log replay + client route replay must land well inside the rest of
-#: this budget.
-_RECOVERY_BLACKOUT_MS = 500.0
+def _recovery_ceiling_ms(replay_ms: float) -> float:
+    """The longest a correlated kill may stall clients at the defaults,
+    given the row's own recovery time: the verdict bound, the settle and
+    the revocation round (no secondary answers, so it runs to its
+    bound), the recovery (``replay_ms``) and 1 ms for the cut-over."""
+    cfg = SimConfig()
+    return (verdict_bound_ns(cfg) + revoke_bound_ns(cfg)) / 1e6 \
+        + replay_ms + 1.0
 
 
 def _recovery_gate(rows: list[dict]) -> list[str]:
@@ -1693,9 +1695,13 @@ def _recovery_gate(rows: list[dict]) -> list[str]:
              f"recoveries must be >= 1, got {recoveries!r}")
         need(positive(row, "replayed_records"), f"{label}: replayed_records "
              f"must be positive, got {row.get('replayed_records')!r}")
-        need(number(blackout) and blackout <= _RECOVERY_BLACKOUT_MS,
-             f"{label}: blackout_ms must stay <= {_RECOVERY_BLACKOUT_MS}, "
-             f"got {blackout!r}")
+        replay = row.get("replay_ms")
+        if need(number(replay) and replay > 0, f"{label}: replay_ms must "
+                f"be positive, got {replay!r}"):
+            ceiling = _recovery_ceiling_ms(replay)
+            need(number(blackout) and blackout <= ceiling, f"{label}: "
+                 f"blackout_ms must stay <= {ceiling:.3f} (verdict bound + "
+                 f"revoke bound + replay_ms + 1 ms), got {blackout!r}")
         need(number(ratio) and ratio >= 0.8, f"{label}: recovered_ratio "
              f"must be >= 0.8, got {ratio!r}")
     return need.broken

@@ -453,8 +453,6 @@ class CoordConfig:
     session_timeout_ns: int = 2_000_000_000
     #: ZK request proposal/commit latency (quorum round).
     zk_op_ns: int = 1_200_000
-    #: SWAT reaction processing time after a failure notification.
-    swat_react_ns: int = 5_000_000
 
 
 @dataclass

@@ -170,15 +170,22 @@ class Prober:
         (None before its first round-trip sample)."""
         return self._deadline(self._targets[shard_id])
 
-    def reach(self, nic: Nic, rptr: RemotePointer):
-        """One probe Read of ``rptr`` on ``nic``, outside the period
-        (generator): True if it completes successfully."""
+    def path_deadline_ns(self, nic: Nic) -> int:
+        """How long a round trip to ``nic`` is given: the longest
+        deadline of a target watched there, floored at D_floor."""
+        deadlines = [self._deadline(t) for t in self._targets.values()
+                     if t.nic is nic]
+        return max([PROBE_DEADLINE_FLOOR_NS]
+                   + [d for d in deadlines if d is not None])
+
+    def post_write(self, nic: Nic, rptr: RemotePointer, data: bytes) -> None:
+        """One unsignaled Write of ``data`` at ``rptr`` on ``nic``, on the
+        probe queue pair; one that cannot be posted is dropped (its
+        receiver's silence tells the caller)."""
         try:
-            wc = yield self._qp(nic).post_read(rptr)
+            self._qp(nic).post_write(rptr, data, signaled=False)
         except QpError:
             self._drop_qp(nic)
-            return False
-        return wc.status is WcStatus.SUCCESS
 
     def stop(self) -> None:
         """Stop probing and tear down every queue pair (leader change)."""

@@ -20,11 +20,22 @@ to status changes:
 * **Failure reaction**: the leader fences the condemned primary — powers
   its process off through the machine's management plane — *before*
   anything else, because a dropped probe Read looks exactly like a dead
-  NIC and a verdict can be wrong.  It then promotes a secondary that a
-  probe Read reaches: its merge thread stops, its ring drains, a fresh
-  primary shard is started around the *same* store, remaining
-  secondaries are resynchronized and re-attached, and the routing
-  metadata is republished.
+  NIC and a verdict can be wrong.  It then waits until the RC retry
+  timeout since the fence has passed: in rdma_log mode a client is acked
+  once its ring record is posted, so a record still in flight must land,
+  not be cut.  Then it has every secondary of the shard revoke the
+  deposed primary's rkey on its ring: one Write of a fence request into
+  each secondary's fence word, which revokes, re-registers the ring
+  under a fresh rkey and acknowledges, each acknowledgement awaited
+  under that path's deadline plus the MR update (:func:`revoke_bound_ns`
+  bounds settle and round together).  A Write of the deposed primary
+  that outlives the retry timeout then fails where it reaches a ring
+  instead of landing after the drain.  The first secondary that
+  acknowledged is promoted: its merge thread stops, its ring drains, a
+  fresh primary shard is started around the *same* store, the other
+  acknowledged secondaries are resynchronized and re-attached, and the
+  routing metadata is republished.  With none, the shard is rebuilt
+  from its durable log.
 * **Node join**: a new server's shards are added to the consistent-hash
   ring after the keys they now own are migrated out of the old owners.
 
@@ -40,13 +51,15 @@ from ..config import SimConfig
 from ..core.api import HydraCluster
 from ..core.shard import Shard
 from ..protocol import Op
-from ..rdma import Nic, RemotePointer
+from ..rdma import MemoryRegion, Nic, RemotePointer
+from ..replication.secondary import FENCE, MR_UPDATE_NS
 from ..sim import Interrupt, Simulator
 from .probe import PROBE_DEADLINE_FLOOR_NS, Prober
 from .zookeeper import ZkError, ZkSession, ZooKeeper
 
 __all__ = ["SwatTeam", "ShardAgent", "HaControl", "PROBE_MISSES",
-           "probe_period_ns", "bump_period_ns", "verdict_bound_ns"]
+           "probe_period_ns", "bump_period_ns", "verdict_bound_ns",
+           "revoke_bound_ns"]
 
 SHARDS_PATH = "/shards"
 ROUTING_PATH = "/routing"
@@ -76,6 +89,17 @@ def verdict_bound_ns(config: SimConfig) -> int:
     target's probe deadline sits at its floor: one period until the first
     probe after the death, then K deadlines, P + K·D_floor."""
     return probe_period_ns(config) + PROBE_MISSES * PROBE_DEADLINE_FLOOR_NS
+
+
+def revoke_bound_ns(config: SimConfig) -> int:
+    """The longest from the fence to the end of the revocation round when
+    every secondary's path deadline sits at its floor: the RC retry
+    timeout the settle waits out, then D_floor plus the MR update a
+    silent secondary is given.  A round in which every secondary
+    acknowledges ends one coordinator round trip plus that MR update
+    after the settle."""
+    return (config.fabric.retry_timeout_ns + PROBE_DEADLINE_FLOOR_NS
+            + MR_UPDATE_NS)
 
 
 def bump_period_ns(config: SimConfig) -> int:
@@ -164,6 +188,12 @@ class SwatTeam:
         self.verdict_hooks: list[Callable[[Shard], None]] = []
         self.member_procs = []
         self._member_alive = [True] * n_members
+        #: The word on the coordinator NIC that secondaries acknowledge
+        #: fence requests in, the last token issued, and the waits of the
+        #: round in progress by token.
+        self._ack: Optional[MemoryRegion] = None
+        self._fence_token = 0
+        self._fence_acks: dict = {}
 
     def start(self) -> None:
         """Bootstrap the znode tree and launch every SWAT member."""
@@ -317,16 +347,17 @@ class SwatTeam:
         # that still served would split the shard's history.
         old_primary.kill()
         self.cluster.metrics.counter("swat.fenced").add()
-        # The reaction also outlasts the RC retry timeout, so every Write
-        # the deposed primary posted before the fence (its last ring
-        # records among them) has landed or failed before the drain.
-        yield self.sim.timeout(max(self.config.coord.swat_react_ns,
-                                   self.config.fabric.retry_timeout_ns))
+        # Then settle: in rdma_log mode a client is acked once its ring
+        # record is posted, so every Write the deposed primary posted
+        # before the fence must land or fail before the drain -- the RC
+        # retry timeout since the fence.  Then revoke: a secondary that
+        # acknowledges refuses any Write of the deposed primary that
+        # outlived that timeout, so its ring can drain.
+        secondaries = self.cluster.secondaries.get(shard_id, [])
         candidates = []
-        for sec in self.cluster.secondaries.get(shard_id, []):
-            if (yield from prober.reach(sec.machine.nic,
-                                        sec.ring_rptr().slice(0, 8))):
-                candidates.append(sec)
+        if secondaries:
+            yield self.sim.timeout(self.config.fabric.retry_timeout_ns)
+            candidates = yield from self._revoke(secondaries)
         if not candidates:
             # Correlated primary+secondary death.  With a durable log the
             # shard is rebuilt from persistent media (replay + ring
@@ -357,6 +388,40 @@ class SwatTeam:
         except ZkError:  # its session already expired and took it along
             pass
         ShardAgent(self.sim, self.zk, new_primary)
+
+    def _revoke(self, secondaries: list):
+        """One revocation round (generator): write a fence request into
+        every secondary's fence word, all at once, and return those that
+        acknowledged, each within its path's deadline plus the MR update
+        it waits on."""
+        prober, sim = self.prober, self.sim
+        ack = self._ack
+        if ack is None:
+            ack = self._ack = MemoryRegion(8, name="swat.ack")
+            self.nic.register(ack)
+            ack.subscribe(self._acked)
+        waits = []
+        for sec in secondaries:
+            self._fence_token += 1
+            acked = self._fence_acks[self._fence_token] = sim.event()
+            nic = sec.machine.nic
+            waits.append((acked, sim.now + prober.path_deadline_ns(nic)
+                          + MR_UPDATE_NS))
+            prober.post_write(nic, sec.fence_rptr(), FENCE.pack(
+                self._fence_token, self.nic.nic_id, ack.rkey))
+        for acked, due in waits:
+            if not acked.triggered and due > sim.now:
+                yield sim.any_of([acked, sim.timeout(due - sim.now)])
+        self._fence_acks.clear()
+        return [sec for sec, (acked, _due) in zip(secondaries, waits)
+                if acked.triggered]
+
+    def _acked(self, ack: MemoryRegion) -> None:
+        """An acknowledgement landed: the token it carries releases its
+        wait (a late one, after its round ended, finds none)."""
+        acked = self._fence_acks.get(ack.read_u64(0))
+        if acked is not None and not acked.triggered:
+            acked.succeed()
 
     def _promote(self, shard_id: str, candidates: list):
         """Turn the first candidate secondary into the primary and re-wire
@@ -479,7 +544,11 @@ class HaControl:
         self.agents: list[ShardAgent] = []
 
     def start(self) -> None:
-        """Start SWAT and register a liveness agent per primary shard."""
+        """Start SWAT, expose every secondary's fence word and register a
+        liveness agent per primary shard."""
         self.swat.start()
+        for secs in self.cluster.secondaries.values():
+            for sec in secs:
+                sec.fence_rptr()
         for shard in self.cluster.routing.live_shards():
             self.agents.append(ShardAgent(self.cluster.sim, self.zk, shard))

@@ -231,9 +231,9 @@ class Connection:
 class _HeartbeatWord(MemoryRegion):
     """A shard's heartbeat counter: bumped once when its process starts
     (``since``) and every ``period_ns`` after, until the process dies
-    (``until``).  The count is worked out from the clock when the word is
-    read -- exactly what a bumping thread would have stored by then --
-    instead of costing a timer event per bump."""
+    (``until``).  The count is worked out from the clock when a remote
+    Read snapshots the word -- exactly what a bumping thread would have
+    stored by then -- instead of costing a timer event per bump."""
 
     __slots__ = ("sim", "period_ns", "since", "until")
 
@@ -245,11 +245,11 @@ class _HeartbeatWord(MemoryRegion):
         self.since: Optional[int] = None
         self.until: Optional[int] = None
 
-    def read(self, offset: int, length: int) -> bytes:
+    def dma_read(self, rkey, offset: int, length: int) -> bytes:
         if self.since is not None:
             now = self.sim.now if self.until is None else self.until
             self.write_u64(0, 1 + (now - self.since) // self.period_ns)
-        return super().read(offset, length)
+        return super().dma_read(rkey, offset, length)
 
 
 class Shard:

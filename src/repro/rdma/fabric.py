@@ -71,6 +71,8 @@ class Fabric:
         return region
 
     def deregister(self, region: MemoryRegion) -> None:
+        """Drop ``region``'s rkey.  This revokes it: a verb already in
+        flight under that key fails where it reaches the region."""
         if region.rkey is None:
             return
         self._rkey_table.pop(region.rkey, None)

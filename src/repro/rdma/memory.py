@@ -86,6 +86,41 @@ class MemoryRegion:
         for cb in self._watchers:
             cb(self)
 
+    # -- remote access: what a NIC's DMA engine does for a one-sided verb --
+    def dma_write(self, rkey: int | None, offset: int,
+                  data: bytes | bytearray | memoryview) -> None:
+        """Land a remote Write posted under ``rkey``: :meth:`write` with
+        the permission check folded into the bounds check, so a key that
+        is no longer this region's (revoked, or re-registered since the
+        post) raises :class:`AccessViolation` and changes no byte."""
+        end = offset + len(data)
+        if rkey != self.rkey or offset < 0 or end > self.nbytes:
+            raise AccessViolation(
+                f"[{self.name}] access {offset}+{len(data)} under rkey "
+                f"{rkey} denied (rkey {self.rkey}, {self.nbytes} bytes)")
+        self.buf[offset:end] = data
+        for cb in self._watchers:
+            cb(self)
+
+    def dma_read(self, rkey: int | None, offset: int, length: int) -> bytes:
+        """Snapshot ``length`` bytes for a remote Read posted under
+        ``rkey``; checked like :meth:`dma_write`."""
+        end = offset + length
+        if rkey != self.rkey or offset < 0 or length < 0 \
+                or end > self.nbytes:
+            raise AccessViolation(
+                f"[{self.name}] access {offset}+{length} under rkey "
+                f"{rkey} denied (rkey {self.rkey}, {self.nbytes} bytes)")
+        return bytes(self.buf[offset:end])
+
+    def revoke(self) -> None:
+        """Withdraw every remote permission: each Write or Read that
+        reaches this region from now on -- those already in flight
+        included -- completes ``REM_ACCESS_ERR``.  Local access is
+        unaffected; registering the region again gives it a fresh rkey."""
+        if self.owner_nic is not None:
+            self.owner_nic.fabric.deregister(self)
+
     def subscribe(self, callback) -> None:
         """Register a doorbell callback invoked after every write()."""
         self._watchers.append(callback)

@@ -180,8 +180,8 @@ class _WriteOp:
     ack (or where the packet is lost).
     """
 
-    __slots__ = ("nic", "qp", "region", "offset", "data", "wr_id", "ev",
-                 "fault", "prop", "peer_nic", "wc_pool", "pending",
+    __slots__ = ("nic", "qp", "region", "rkey", "offset", "data", "wr_id",
+                 "ev", "fault", "prop", "peer_nic", "wc_pool", "pending",
                  "status", "timer", "cb_after_tx", "cb_arrive",
                  "cb_deliver", "cb_acked", "cb_redeliver")
 
@@ -214,6 +214,7 @@ class _WriteOp:
         self.ev = ev
         self.qp = qp
         self.region = region
+        self.rkey = region.rkey  # checked again where the bytes land
         self.offset = offset
         self.data = data
         self.wr_id = wr_id
@@ -261,9 +262,10 @@ class _WriteOp:
         sim = self.nic.sim
         region, offset, data = self.region, self.offset, self.data
         try:
-            region.write(offset, data)
+            region.dma_write(self.rkey, offset, data)
         except AccessViolation:
             status = WcStatus.REM_ACCESS_ERR
+            self.nic.metrics.counter("rdma.rem_access_err").add()
         else:
             status = WcStatus.SUCCESS
             if sim._tracing:
@@ -287,7 +289,7 @@ class _WriteOp:
         duplicate (the first full landing is inline in :meth:`_deliver`)."""
         region, offset = self.region, self.offset
         try:
-            region.write(offset, data)
+            region.dma_write(self.rkey, offset, data)
         except AccessViolation:
             return
         sim = self.nic.sim
@@ -339,10 +341,11 @@ class _ReadOp:
     own :class:`PooledTimer`.
     """
 
-    __slots__ = ("nic", "qp", "region", "offset", "length", "wr_id", "ev",
-                 "fault", "prop", "peer_nic", "wc_pool", "pending", "data",
-                 "timer", "cb_after_tx", "cb_arrive", "cb_responder_done",
-                 "cb_response_sent", "cb_back_home", "cb_complete")
+    __slots__ = ("nic", "qp", "region", "rkey", "offset", "length", "wr_id",
+                 "ev", "fault", "prop", "peer_nic", "wc_pool", "pending",
+                 "data", "timer", "cb_after_tx", "cb_arrive",
+                 "cb_responder_done", "cb_response_sent", "cb_back_home",
+                 "cb_complete")
 
     def __init__(self, nic: "Nic"):
         self.nic = nic
@@ -368,6 +371,7 @@ class _ReadOp:
         self.ev = ev
         self.qp = qp
         self.region = region
+        self.rkey = region.rkey
         self.offset = offset
         self.length = length
         self.wr_id = wr_id
@@ -404,8 +408,10 @@ class _ReadOp:
         # instant that matters for read/write races.
         region, offset = self.region, self.offset
         try:
-            self.data = data = region.read(offset, self.length)
+            self.data = data = region.dma_read(self.rkey, offset,
+                                               self.length)
         except AccessViolation:
+            self.nic.metrics.counter("rdma.rem_access_err").add()
             ev = self.ev
             if not ev.triggered:
                 self.nic._fail_completion(ev, Opcode.RDMA_READ,

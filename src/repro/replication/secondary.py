@@ -7,12 +7,18 @@ failure (injectable for tests) it stops advancing ``applied_seq``,
 discards subsequent records, and waits for the primary's ack request to
 report the first failed sequence — exactly the §5.2 recovery protocol.
 
-On promotion (SWAT failover) the merge thread stops and the store is
+Before a failover drains it, and once the RC retry timeout since the
+primary's fence has passed, SWAT fences the ring: a Write into the
+secondary's fence word (:meth:`SecondaryShard.fence_rptr`) makes it
+revoke the ring's rkey, so no Write the deposed primary posted can land
+there any more, register the ring again under a fresh rkey and
+acknowledge.  On promotion the merge thread stops and the store is
 handed to a fresh primary :class:`~repro.core.shard.Shard`.
 """
 
 from __future__ import annotations
 
+import struct
 from typing import Optional
 
 import numpy as np
@@ -20,13 +26,22 @@ import numpy as np
 from ..config import SimConfig
 from ..hardware import Core, Machine
 from ..protocol import RingReader
-from ..rdma import MemoryRegion, QueuePair, RemotePointer
+from ..rdma import MemoryRegion, QpError, QueuePair, RemotePointer
 from ..sim import Gate, Interrupt, MetricSet, Simulator
 from ..core.errors import LifecycleError
 from ..core.store import ShardStore
 from .log import Ack, LogRecord, RecordType
 
-__all__ = ["SecondaryShard"]
+__all__ = ["SecondaryShard", "FENCE", "MR_UPDATE_NS"]
+
+#: A fence request: a token, and the NIC id and rkey of the 8 B word the
+#: secondary acknowledges it in by writing the token there.
+FENCE = struct.Struct("<QQQ")
+
+#: Re-keying the ring: the verbs call that revokes its rkey and registers
+#: it again, paid on the secondary's core before it acknowledges a fence
+#: request (CALIBRATION.md; not a config field).
+MR_UPDATE_NS = 50_000
 
 
 class SecondaryShard:
@@ -66,10 +81,54 @@ class SecondaryShard:
         self.fault_injector = None
         self.alive = False
         self._proc = None
+        #: The fence word and the queue pair acknowledgements go out on,
+        #: both made on first use (:meth:`fence_rptr`, :meth:`_fence`).
+        self._fence_word: Optional[MemoryRegion] = None
+        self._fence_qp: Optional[QueuePair] = None
 
     # -- wiring ---------------------------------------------------------
     def ring_rptr(self) -> RemotePointer:
         return RemotePointer(self.ring_region.rkey, 0, self.rep.log_bytes)
+
+    def fence_rptr(self) -> RemotePointer:
+        """Where a fence request (:data:`FENCE`) is written; the word is
+        registered on the first call."""
+        word = self._fence_word
+        if word is None:
+            word = self._fence_word = MemoryRegion(
+                FENCE.size, numa_domain=self.core.numa_domain,
+                name=f"{self.shard_id}.fence")
+            self.machine.nic.register(word)
+            word.subscribe(self._fence_rung)
+        return RemotePointer(word.rkey, 0, FENCE.size)
+
+    def _fence_rung(self, word: MemoryRegion) -> None:
+        # The doorbell wakes a thread of this process; a dead one answers
+        # nothing.
+        if self.alive:
+            self.sim.process(self._fence(*FENCE.unpack_from(word.buf, 0)),
+                             name=f"{self.shard_id}.fence")
+
+    def _fence(self, token: int, nic_id: int, rkey: int):
+        """Re-key the ring and acknowledge.  The MR update runs on this
+        core; when it completes the old rkey is revoked -- a Write of the
+        deposed primary that outlived the settle fails where it reaches
+        the ring -- and the ring is registered under a fresh one.  Revoking last,
+        right before the acknowledgement, keeps what lands in between
+        in the ring the drain reads."""
+        yield self.core.execute(MR_UPDATE_NS)
+        nic = self.machine.nic
+        self.ring_region.revoke()
+        nic.register(self.ring_region)
+        qp = self._fence_qp
+        if qp is None or not qp.connected:
+            qp = self._fence_qp = nic.fabric.connect(
+                nic, nic.fabric.nics[nic_id])[0]
+        try:
+            qp.post_write(RemotePointer(rkey, 0, 8),
+                          token.to_bytes(8, "little"), signaled=False)
+        except QpError:
+            pass  # the coordinator's word is gone: no acknowledgement
 
     def attach(self, qp: QueuePair, ack_rptr: RemotePointer) -> None:
         self.qp = qp

@@ -218,15 +218,34 @@ def test_inflight_needs_a_unity_baseline_row():
     ("exceptions", 1, "client-visible exceptions"),
     ("lost_acked_writes", 2, "acknowledged writes lost"),
     ("recovered_ratio", 0.5, "recovered_ratio must be >= 0.8"),
-    # 9.52 ms: the blackout before probes were judged at their own
-    # deadline, over the 7.77 ms ceiling.
-    ("blackout_ms", 9.52, "blackout_ms must stay <= 7.768"),
+    # Over the 5.07 ms ceiling: 9.52 ms, the blackout before probes were
+    # judged at their own deadline, and 6.37 ms, the blackout while the
+    # reaction slept out a fixed 5 ms settle.
+    ("blackout_ms", 9.52, "blackout_ms must stay <= 5.074"),
+    ("blackout_ms", 6.37, "blackout_ms must stay <= 5.074"),
 ])
 def test_failover_contract_rejects_a_broken_row(key, value, complaint):
     def breaks(rows):
         rows[1][key] = value
     assert any(complaint in p
                for p in _complaints("BENCH_failover.json", breaks))
+
+
+def test_recovery_contract_derives_the_ceiling_from_the_row_replay():
+    """A recovery row may stall clients for the verdict bound, the
+    revoke bound (settle and round), its own replay and 1 ms; more than
+    that fails."""
+    payload = _committed("BENCH_recovery.json")
+    row = payload["rows"][0]
+    ceiling = 1.768 + 2.306 + row["replay_ms"] + 1.0
+    row["blackout_ms"] = ceiling - 0.01
+    assert validate_artifact(payload) == []
+    row["blackout_ms"] = ceiling + 0.01
+    assert any("blackout_ms must stay <=" in p
+               for p in validate_artifact(payload))
+    del row["replay_ms"]
+    assert any("replay_ms must be positive" in p
+               for p in validate_artifact(payload))
 
 
 def _drop_profile(profile):

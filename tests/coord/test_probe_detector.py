@@ -299,22 +299,46 @@ class _DropReadsTo:
         return None
 
 
-def test_false_verdict_fences_the_live_primary_before_the_drain(
-        monkeypatch):
-    """Stated limit: a false verdict causes a fenced failover.  Reads to a
-    live primary are all dropped, so its probes miss exactly as if it
-    were dead; SWAT powers it off before the promoted secondary drains,
-    and no acked write is lost or read stale afterwards."""
+class _LastRecordsInFlight(_DropReadsTo):
+    """As :class:`_DropReadsTo`, and while ``armed()`` every ring Write
+    ``nic`` posts is delayed by ``delay_ns``: the primary's last records
+    are still in flight when it is fenced, while the responses that ack
+    their clients go out at once."""
+
+    def __init__(self, nic, armed, delay_ns):
+        super().__init__(nic)
+        self.armed = armed
+        self.delay_ns = delay_ns
+        #: (region, offset, bytes) of every delayed ring Write.
+        self.delayed: list = []
+
+    def rdma_write_fault(self, nic, qp, region, offset, data):
+        if nic is self.nic and region.name.endswith(".ring") \
+                and self.armed():
+            self.delayed.append((region, offset, bytes(data)))
+            return {"delay_ns": self.delay_ns}
+        return None
+
+
+def _false_verdict_failover(monkeypatch, delay_ns):
+    """Reads to a live primary are all dropped, so its probes miss
+    exactly as if it were dead, and the ring Writes it posts once one
+    more miss condemns it are delayed by ``delay_ns``.  Two writers and a
+    reader run through the fenced failover that follows; returns what
+    the checks need."""
     cluster, ha = ha_cluster(n_client_machines=2)
     sim = cluster.sim
     shard_id = cluster.routing.shard_ids()[0]
     old = cluster.routing.resolve(shard_id)
     alive_at_drain: list[bool] = []
     drain = SecondaryShard.promote_drain
+    drained: list = []  # (when, the store the new primary starts from)
 
     def watched_drain(sec):
         alive_at_drain.append(old.alive)
-        return drain(sec)
+        applied = drain(sec)
+        drained.append((sim.now, sec.store.dump()))
+        return applied
 
     monkeypatch.setattr(SecondaryShard, "promote_drain", watched_drain)
     promoted_at: list[int] = []
@@ -335,9 +359,15 @@ def test_false_verdict_fences_the_live_primary_before_the_drain(
 
     cluster.run(preload())
     sim.run(until=sim.now + 5 * MS)  # replication settles
-    hook = _DropReadsTo(old.nic)
+
+    def armed():
+        target = ha.swat.prober._targets.get(shard_id)
+        return target is not None \
+            and len(target.missed) == PROBE_MISSES - 1
+
+    hook = _LastRecordsInFlight(old.nic, armed, delay_ns)
     cluster.fabric.fault_injector = hook
-    end_at = sim.now + 30 * MS  # verdict ~5 ms in, route swap ~5 ms on
+    end_at = sim.now + 30 * MS  # verdict, fence and swap come early on
 
     def writer(cid, client):
         mine, seq = keys[cid::2], 0
@@ -379,13 +409,58 @@ def test_false_verdict_fences_the_live_primary_before_the_drain(
     assert not old.alive
     new = cluster.routing.resolve(shard_id)
     assert new is not old and new.nic is not old.nic
+    assert reads_after_promotion["n"] > 100
+    assert hook.delayed
+    # At the end of the run the new primary holds every key's last acked
+    # write.
     survivor = new.store.dump()
     acked_last = {k: [v for _t, a, v in h if a is not None][-1]
                   for k, h in writes.items()}
     assert {k: v for k, v in acked_last.items()
             if survivor.get(k) != v} == {}
-    assert reads_after_promotion["n"] > 100
+    (drained_at, handed_over), = drained
+    # Keys whose store handed to the new primary misses a write acked
+    # before the handover.
+    lost = {k for k in keys if not admissible(k, handed_over[k], drained_at)}
+    delayed_keys = {k for k in keys
+                    if any(k in data for _r, _o, data in hook.delayed)}
+    return cluster, hook, lost, delayed_keys, stale_reads
+
+
+def test_false_verdict_fences_the_live_primary_before_the_drain(
+        monkeypatch):
+    """Stated limit: a false verdict causes a fenced failover.  SWAT
+    powers the live primary off before the promoted secondary drains.
+    The ring records it posted last are acked to their clients but still
+    in flight, 1 ms behind, at the fence: the settle waits them out, so
+    each lands before the secondary revokes the primary's rkey, and no
+    acked write is lost or read stale afterwards."""
+    cluster, _hook, lost, delayed_keys, stale_reads = \
+        _false_verdict_failover(monkeypatch, delay_ns=1 * MS)
+    assert delayed_keys
+    assert cluster.metrics.counter("rdma.rem_access_err").value == 0
+    assert lost == set()
     assert stale_reads == []
+
+
+def test_a_ring_write_outliving_the_retry_timeout_is_refused(monkeypatch):
+    """A ring Write of the fenced primary delayed past the RC retry
+    timeout reaches a ring whose rkey the secondary has revoked: it
+    completes ``REM_ACCESS_ERR`` and changes no byte, instead of landing
+    in a ring already drained.  Stated limit: such a record's client was
+    acked when it was posted, so its write is missing from the store the
+    new primary starts from -- the only acked writes that are, and the
+    only keys a read after the promotion may see stale until a later
+    write supersedes them."""
+    retry_ns = SimConfig().fabric.retry_timeout_ns
+    cluster, hook, lost, delayed_keys, stale_reads = \
+        _false_verdict_failover(monkeypatch, delay_ns=retry_ns + 1 * MS)
+    assert cluster.metrics.counter("rdma.rem_access_err").value \
+        == len(hook.delayed)
+    for region, offset, data in hook.delayed:
+        assert region.read(offset, len(data)) != data
+    assert lost <= delayed_keys
+    assert {k for k, _v in stale_reads} <= lost
 
 
 def test_coord_reads_no_liveness_ground_truth():

@@ -17,7 +17,7 @@ from repro.core import (BadStatus, HydraError, LifecycleError,
                         SlotOverflow)
 from repro.core.api import HydraCluster as _ApiCluster
 from repro.core.shard import Shard
-from repro.coord.swat import verdict_bound_ns
+from repro.coord.swat import revoke_bound_ns, verdict_bound_ns
 from repro.protocol import Status
 
 MS = 1_000_000
@@ -104,15 +104,15 @@ def _ride_through_failover(after_promotion_ms, coord=None):
     # Blackout (largest inter-completion gap straddling the kill) is
     # bounded by what the detector guarantees: the verdict lands within
     # one probe period plus K probe deadlines of the kill, the reaction
-    # (fence, then max(swat_react_ns, retry timeout) before the drain)
-    # adds its wait, and a write posted to the dead primary just before
-    # the route swap is woken by the swap and replays within microseconds.
+    # (fence, the settle of one RC retry timeout, then one revocation
+    # round before the drain) adds at most the revoke bound, and a write
+    # posted to the dead primary just before the route swap is woken by
+    # the swap and replays within microseconds.
     cfg = cluster.config
-    verdict = verdict_bound_ns(cfg)
-    react = max(cfg.coord.swat_react_ns, cfg.fabric.retry_timeout_ns)
     gaps = [b - a for a, b in zip(completions, completions[1:])]
     blackout = max(gaps)
-    assert blackout < verdict + react + CUTOVER_SLACK_NS
+    assert blackout < verdict_bound_ns(cfg) + revoke_bound_ns(cfg) \
+        + CUTOVER_SLACK_NS
     after = [t for t in completions if t > kill_at + blackout]
     assert len(after) > 50  # service genuinely resumed
 

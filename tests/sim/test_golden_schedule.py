@@ -148,9 +148,9 @@ def _traced_soak(monkeypatch) -> tuple[dict, tuple[str, int]]:
 
 #: (schedule digest, events dispatched, wire digest, injection-log hash,
 #: ops) of the ``mixed``/71 storm cell.
-STORM_PINNED = ("9cbc9eb664f4c86c9c121115f452237c", 27_537,
-                "863a116590c291a305f93ecd4978ee26",
-                "c4ff59230023957f", 666)
+STORM_PINNED = ("20d97bcff510cda4c5d4131ea29559f6", 27_640,
+                "7243f3e6ccc32b96e0827dea1c11c637",
+                "673b845b4f844a2b", 669)
 
 
 def test_chaos_storm_schedule_is_pinned(monkeypatch):
