@@ -1551,8 +1551,8 @@ def _verdict_ms(cluster: HydraCluster) -> float:
 
 def _blackout_ceiling_ms() -> float:
     """The longest a machine kill may stall clients at the defaults: the
-    detector's verdict bound, the settle and revocation round's bound and
-    1 ms for the promotion and the cut-over (5.07 ms)."""
+    detector's verdict bound, the revocation round's bound and 1 ms for
+    the promotion and the cut-over (3.07 ms)."""
     cfg = SimConfig()
     return (verdict_bound_ns(cfg) + revoke_bound_ns(cfg) + _MS) / 1e6
 
@@ -1656,9 +1656,9 @@ def _kill_primary_and_secondaries(cluster: HydraCluster) -> None:
 
 def _recovery_ceiling_ms(replay_ms: float) -> float:
     """The longest a correlated kill may stall clients at the defaults,
-    given the row's own recovery time: the verdict bound, the settle and
-    the revocation round (no secondary answers, so it runs to its
-    bound), the recovery (``replay_ms``) and 1 ms for the cut-over."""
+    given the row's own recovery time: the verdict bound, the
+    revocation round (no secondary answers, so it runs to its bound),
+    the recovery (``replay_ms``) and 1 ms for the cut-over."""
     cfg = SimConfig()
     return (verdict_bound_ns(cfg) + revoke_bound_ns(cfg)) / 1e6 \
         + replay_ms + 1.0

@@ -20,22 +20,21 @@ to status changes:
 * **Failure reaction**: the leader fences the condemned primary — powers
   its process off through the machine's management plane — *before*
   anything else, because a dropped probe Read looks exactly like a dead
-  NIC and a verdict can be wrong.  It then waits until the RC retry
-  timeout since the fence has passed: in rdma_log mode a client is acked
-  once its ring record is posted, so a record still in flight must land,
-  not be cut.  Then it has every secondary of the shard revoke the
-  deposed primary's rkey on its ring: one Write of a fence request into
-  each secondary's fence word, which revokes, re-registers the ring
-  under a fresh rkey and acknowledges, each acknowledgement awaited
-  under that path's deadline plus the MR update (:func:`revoke_bound_ns`
-  bounds settle and round together).  A Write of the deposed primary
-  that outlives the retry timeout then fails where it reaches a ring
-  instead of landing after the drain.  The first secondary that
-  acknowledged is promoted: its merge thread stops, its ring drains, a
-  fresh primary shard is started around the *same* store, the other
-  acknowledged secondaries are resynchronized and re-attached, and the
-  routing metadata is republished.  With none, the shard is rebuilt
-  from its durable log.
+  NIC and a verdict can be wrong.  At once it has every secondary of the
+  shard revoke the deposed primary's rkey on its ring: one Write of a
+  fence request into each secondary's fence word, which revokes,
+  re-registers the ring under a fresh rkey and acknowledges, each
+  acknowledgement awaited under that path's deadline plus the MR update
+  (:func:`revoke_bound_ns`).  No settle is needed: under HA a client is
+  acked only once its ring record has landed on every secondary
+  (:meth:`~repro.replication.LogReplicator.land_before_ack`), so a
+  record still in flight at the revoke was never acked, and it fails
+  where it reaches the revoked ring instead of landing after the drain.
+  The first secondary that acknowledged is promoted: its merge thread
+  stops, its ring drains, a fresh primary shard is started around the
+  *same* store, the other acknowledged secondaries are resynchronized
+  and re-attached, and the routing metadata is republished.  With none,
+  the shard is rebuilt from its durable log.
 * **Node join**: a new server's shards are added to the consistent-hash
   ring after the keys they now own are migrated out of the old owners.
 
@@ -93,13 +92,11 @@ def verdict_bound_ns(config: SimConfig) -> int:
 
 def revoke_bound_ns(config: SimConfig) -> int:
     """The longest from the fence to the end of the revocation round when
-    every secondary's path deadline sits at its floor: the RC retry
-    timeout the settle waits out, then D_floor plus the MR update a
-    silent secondary is given.  A round in which every secondary
-    acknowledges ends one coordinator round trip plus that MR update
-    after the settle."""
-    return (config.fabric.retry_timeout_ns + PROBE_DEADLINE_FLOOR_NS
-            + MR_UPDATE_NS)
+    every secondary's path deadline sits at its floor: D_floor plus the
+    MR update a silent secondary is given (306 µs at the defaults).  A
+    round in which every secondary acknowledges ends one coordinator
+    round trip plus that MR update after the fence."""
+    return PROBE_DEADLINE_FLOOR_NS + MR_UPDATE_NS
 
 
 def bump_period_ns(config: SimConfig) -> int:
@@ -347,16 +344,13 @@ class SwatTeam:
         # that still served would split the shard's history.
         old_primary.kill()
         self.cluster.metrics.counter("swat.fenced").add()
-        # Then settle: in rdma_log mode a client is acked once its ring
-        # record is posted, so every Write the deposed primary posted
-        # before the fence must land or fail before the drain -- the RC
-        # retry timeout since the fence.  Then revoke: a secondary that
-        # acknowledges refuses any Write of the deposed primary that
-        # outlived that timeout, so its ring can drain.
+        # Then revoke, at once: a secondary that acknowledges refuses any
+        # Write of the deposed primary still in flight, and none of those
+        # records was acked (acks wait for the ring record to land), so
+        # its ring can drain.
         secondaries = self.cluster.secondaries.get(shard_id, [])
         candidates = []
         if secondaries:
-            yield self.sim.timeout(self.config.fabric.retry_timeout_ns)
             candidates = yield from self._revoke(secondaries)
         if not candidates:
             # Correlated primary+secondary death.  With a durable log the
@@ -440,6 +434,7 @@ class SwatTeam:
             from ..replication import LogReplicator
             replicator = LogReplicator(self.sim, self.config, new_primary,
                                        metrics=self.cluster.metrics)
+            replicator.land_before_ack(remaining)
             for sec in remaining:
                 yield from self._resync(new_primary, sec)
                 sec.rebind()
@@ -544,9 +539,12 @@ class HaControl:
         self.agents: list[ShardAgent] = []
 
     def start(self) -> None:
-        """Start SWAT, expose every secondary's fence word and register a
-        liveness agent per primary shard."""
+        """Start SWAT, have every replicated primary ack a write only once
+        its ring record has landed, expose every secondary's fence word
+        and register a liveness agent per primary shard."""
         self.swat.start()
+        for shard_id, replicator in self.cluster.replicators.items():
+            replicator.land_before_ack(self.cluster.secondaries[shard_id])
         for secs in self.cluster.secondaries.values():
             for sec in secs:
                 sec.fence_rptr()

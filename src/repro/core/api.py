@@ -368,10 +368,11 @@ class HydraCluster:
         """Drain a surviving secondary ring's unmerged suffix
         (:meth:`~repro.replication.secondary.SecondaryShard.ring_suffix`)
         into a recovering store.  A secondary stopped on a merge fault
-        (``failing``) contributes nothing — its failed-seq records were
-        never acknowledged and must not be resurrected.  Suffix records
-        that the log replay already covered are skipped by the version
-        guard (PUTs) or degrade to no-op removes (DELETEs).
+        (``failing``) contributes the records it discarded too, in
+        sequence: each is a valid record the primary applied, only
+        unprocessed.  Suffix records that the log replay already covered
+        are skipped by the version guard (PUTs) or degrade to no-op
+        removes (DELETEs).
         """
         applied = 0
         for record in sec.ring_suffix():

@@ -161,7 +161,7 @@ class _SweepBatch:
     instead of once per mutation.
     """
 
-    __slots__ = ("resp", "rep_waits", "commit_seq", "first_ns",
+    __slots__ = ("resp", "rep_waits", "commit_seq", "land_seq", "first_ns",
                  "tenant_slots")
 
     def __init__(self):
@@ -170,6 +170,9 @@ class _SweepBatch:
         self.rep_waits: list = []
         #: Highest durable-log seq this batch staged (0 = none); see _park.
         self.commit_seq = 0
+        #: Highest replication seq whose landing this batch's acks wait
+        #: for (0 = none; ack on landing only); see _park.
+        self.land_seq = 0
         #: Sim time the oldest still-buffered response entered the batch
         #: (None while empty) — drives the age-based flush
         #: (``hydra.resp_flush_max_ns``).
@@ -363,8 +366,9 @@ class Shard:
         self.replicator = None
         #: Durable write-behind log (:meth:`attach_durable`), if enabled.
         self.durable = None
-        #: Commit queue (``ack_on_flush``), in park order: ``(commit_seq,
-        #: [(conn, entries), ...])`` of swept batches awaiting their flush.
+        #: Commit queue (``ack_on_flush``, ack on landing), in park order:
+        #: ``(commit_seq, land_seq, [(conn, entries), ...])`` of swept
+        #: batches awaiting their flush and their ring records' landing.
         self._parked: deque = deque()
         #: Gray-failure state: True = the shard thread has stopped sweeping
         #: while the process, NIC, and QPs all stay up (wedged core, lost
@@ -379,9 +383,9 @@ class Shard:
         self._killed = False
         #: True once a route swap replaced this shard (:meth:`depose`).
         self.deposed = False
-        #: Client doorbells of connections disconnected after the kill
-        #: while a client still waited on them (:meth:`disconnect`).
-        self._orphans: list[Gate] = []
+        #: Connections disconnected after the kill while a client still
+        #: waited on them (:meth:`disconnect`).
+        self._orphans: list[Connection] = []
         #: Heartbeat word (:meth:`heartbeat`), registered on first use.
         self._hb: Optional[_HeartbeatWord] = None
         m = self.metrics
@@ -472,16 +476,17 @@ class Shard:
     def depose(self) -> None:
         """The routing table swapped this shard out (SWAT promotion or
         log recovery).  Wakes every client waiting on one of its
-        connections, whether for a response or for a free slot: no
-        answer will come from here any more, so each abandons its request
-        at once instead of at its deadline, and replays on the new
-        route.  Connections made after this wake no one; a wait on them
-        gives up before it blocks."""
+        connections, whether for a response or for a free slot, and
+        flushes the one-sided Reads still in flight on them
+        (``WR_FLUSH_ERR``): no answer will come from here any more, so
+        each abandons its request at once instead of at its deadline or
+        the RC retry timeout, and replays on the new route.  Connections
+        made after this wake no one; a wait on them gives up before it
+        blocks."""
         self.deposed = True
-        for conn in self.conns:
+        for conn in self.conns + self._orphans:
+            conn.client_qp.flush()
             conn.client_doorbell.fire()
-        for doorbell in self._orphans:
-            doorbell.fire()
         self._orphans.clear()
 
     def adopt(self, proc) -> None:
@@ -514,9 +519,19 @@ class Shard:
         """Install the durable log and hook its commit notifications."""
         self.durable = dlog
         dlog.on_commit = self._release_parked
-        self._c_parked = self.metrics.counter("shard.parked_batches")
-        self._c_parked_dropped = self.metrics.counter("shard.parked_dropped")
-        self._c_parked_peak = self.metrics.counter("shard.parked_peak")
+        self._count_parking()
+
+    def park_for_landing(self, replicator) -> None:
+        """Hold write responses until ``replicator``'s ring records have
+        landed (ack on landing, under HA) and hook its notifications."""
+        replicator.on_landed = self._release_parked
+        self._count_parking()
+
+    def _count_parking(self) -> None:
+        m = self.metrics
+        self._c_parked = m.counter("shard.parked_batches")
+        self._c_parked_dropped = m.counter("shard.parked_dropped")
+        self._c_parked_peak = m.counter("shard.parked_peak")
 
     def _teardown_conns(self) -> None:
         """Destroy every connection's QPs on death.
@@ -637,7 +652,7 @@ class Shard:
                 # The kill tore every connection down, so the next post
                 # replaces one even if another request still waits on
                 # it: remember whom the route swap must wake.
-                self._orphans.append(conn.client_doorbell)
+                self._orphans.append(conn)
         self._ready.pop(conn.conn_id, None)
         conn.close()
         self.doorbell.fire(_HALT)
@@ -1149,7 +1164,10 @@ class Shard:
         """Replicate and durable stages of an OK write.
 
         In rdma_log mode the shard moves on at once and the secondary's
-        merge overlaps the *next* requests; strict mode blocks for the
+        merge overlaps the *next* requests (under HA the response still
+        waits for the record to land in every ring: it parks behind
+        ``landed_seq`` with a batch, and waits right here without one);
+        strict mode blocks for the
         request/acknowledge round trip — once per sweep (in
         :meth:`_finish_sweep`, before any of its responses is flushed)
         when responses are batched, right here otherwise.  The durable
@@ -1157,15 +1175,21 @@ class Shard:
         Send/Recv) wait until the log releases the record.
         """
         op = _OP_BY_CODE[op]
-        if self.replicator is not None:
-            rep_cost, wait_ev = self.replicator.replicate(op, key, value,
-                                                          version)
+        rep = self.replicator
+        if rep is not None:
+            rep_cost, wait_ev = rep.replicate(op, key, value, version)
+            seq = rep.seq
             yield core.execute(rep_cost)
             if wait_ev is not None:
                 if batch is not None:
                     batch.rep_waits.append(wait_ev)
                 else:
                     yield wait_ev
+            if rep.landing:
+                if batch is not None:
+                    batch.land_seq = seq
+                else:
+                    yield from rep.wait_landed(seq)
         if self.durable is not None:
             yield core.execute(self._stage_durable(batch, op, key, value,
                                                    version))
@@ -1174,43 +1198,59 @@ class Shard:
 
     def _park(self, batch: _SweepBatch) -> None:
         """Queue the batch's responses until the log releases its records
-        (no-op if it already has, or acks do not wait for the flush)."""
+        and, under ack on landing, its ring records have landed on every
+        secondary (no-op if both already hold, or acks wait for
+        neither)."""
         seq, batch.commit_seq = batch.commit_seq, 0
+        land, batch.land_seq = batch.land_seq, 0
         durable = self.durable
-        if seq <= durable.released_seq or not durable.ack_on_flush:
+        if seq and (seq <= durable.released_seq or not durable.ack_on_flush):
+            seq = 0
+        if land and land <= self.replicator.landed_seq:
+            land = 0
+        if not (seq or land):
             return
         parked = self._parked
-        parked.append((seq, list(batch.resp.values())))
+        parked.append((seq, land, list(batch.resp.values())))
         batch.resp.clear()
         self._c_parked.add()
         if len(parked) > self._c_parked_peak.value:
             self._c_parked_peak.value = len(parked)
-        if not durable.alive:
+        if durable is not None and not durable.alive:
             self._release_parked()  # crashed log: dropped, never acked
 
     def _release_parked(self) -> None:
-        """Durable-log commit callback: flush every parked batch the log
-        has released, in park order, in flush-completion context (no
-        process, no event per batch).  Deferred while gray-wedged; dropped
-        and counted when the shard or its log is dead — a write whose
-        flush never landed is never acked."""
+        """Commit and landing callback: flush every parked batch the log
+        has released and whose ring records have landed, in park order,
+        in completion context (no process, no event per batch).  Deferred
+        while gray-wedged; dropped and counted when the shard or its log
+        is dead — a write whose flush or ring record never landed is
+        never acked."""
         parked = self._parked
         if not parked:
             return
         durable = self.durable
-        if not (self.alive and durable.alive):
+        if not self.alive or (durable is not None and not durable.alive):
             self._c_parked_dropped.add(len(parked))
             parked.clear()
         elif not self._gray:
-            upto = durable.released_seq
-            while parked and parked[0][0] <= upto:
-                for conn, entries in parked.popleft()[1]:
-                    self._flush_conn(conn, entries)
+            released = durable.released_seq if durable is not None else 0
+            landed = 0
+            while parked:
+                seq, land, entries = parked[0]
+                if land > landed:
+                    landed = self.replicator.landed_seq
+                if seq > released or land > landed:
+                    break
+                parked.popleft()
+                for conn, resp in entries:
+                    self._flush_conn(conn, resp)
 
     def _finish_sweep(self, batch: Optional[_SweepBatch]):
         """Settle one sweep: wait once on the batch of replication acks,
         park the responses behind any unreleased ``ack_on_flush`` log
-        records the sweep staged, and flush whatever is left."""
+        records the sweep staged and any of its ring records still in
+        flight (ack on landing), and flush whatever is left."""
         if batch is None:
             return
         if batch.rep_waits:
@@ -1218,7 +1258,7 @@ class Shard:
                 len(batch.rep_waits))
             yield self.sim.all_of(batch.rep_waits)
             batch.rep_waits.clear()
-        if batch.commit_seq:
+        if batch.commit_seq or batch.land_seq:
             self._park(batch)
         if batch.resp:
             for conn, entries in list(batch.resp.values()):

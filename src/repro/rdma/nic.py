@@ -573,6 +573,17 @@ class Nic:
         if self._retry_timer.callbacks is None:  # idle: nothing was queued
             self._retry_fire(None)
 
+    def flush(self, qp: "QueuePair") -> None:
+        """Complete every signaled WQE still outstanding on ``qp`` with
+        ``WR_FLUSH_ERR``, in post order: what moving a QP to the error
+        state does to its send queue.  A hop of a flushed WQE that
+        arrives later finds its completion taken."""
+        qp_num = qp.qp_num
+        for _deadline, ev, op, wr_id, num, pool in self._retry_q:
+            if num == qp_num and ev._value is _PENDING:
+                self._fail_completion(ev, op, WcStatus.WR_FLUSH_ERR, wr_id,
+                                      num, pool)
+
     def _retry_fire(self, _t: Optional[Event]) -> None:
         """Fail every overdue unacked WQE, in post order, and arm the timer
         for the oldest one still in flight (none: idle until the next post).

@@ -66,6 +66,13 @@ class QueuePair:
             self.peer.destroy()
         self.destroy()
 
+    def flush(self) -> None:
+        """Move this end to the error state, as ``ibv_modify_qp`` does:
+        its outstanding WQEs complete ``WR_FLUSH_ERR`` and later posts
+        raise :class:`QpError`."""
+        self.connected = False
+        self.nic.flush(self)
+
     @property
     def usable(self) -> bool:
         """True while posts on this QP can still make progress.

@@ -28,6 +28,8 @@ class WcStatus(Enum):
     RETRY_EXC = auto()
     #: QP transitioned to error state locally.
     LOCAL_QP_ERR = auto()
+    #: The QP was moved to the error state with this WQE outstanding.
+    WR_FLUSH_ERR = auto()
 
 
 class RdmaError(Exception):

@@ -10,6 +10,21 @@ ack replenishes write credit and, if it reports a failure, triggers
 rollback: every unacknowledged record is re-placed in order, then
 re-solicited.  The shard blocks only when the ring is out of credit.
 
+**Ack on landing** (under HA, :meth:`LogReplicator.land_before_ack`):
+the paper's replication is synchronous, so a client is acked only once
+its record has *landed* in every secondary's ring, not once it is
+posted.  Each record's ring Write is signaled, and its RC completion
+feeds :attr:`LogReplicator.landed_seq`, the highest sequence every
+live secondary holds; the shard parks a write's response behind it.  A
+record is signaled on its own rather than once per sweep, so the
+watermark does not rest on the QP's Writes landing in post order (a
+delayed Write may be overtaken).  A failed completion never counts as
+landed: it detaches the link, so a dead secondary stalls acks for at
+most one RC retry timeout and is never promoted, since it leaves the
+cluster's roster of the shard's secondaries too.  A deposed primary's
+records that reach a ring after the new primary's revocation therefore
+fail, and none of them was acked.
+
 **strict mode** (the Fig. 13 baseline): every record is followed by an
 ACK_REQUEST and the shard blocks until every secondary has applied it —
 one full round trip plus secondary merge time per mutation.
@@ -18,7 +33,7 @@ one full round trip plus secondary merge time per mutation.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional
+from typing import Callable, Deque, Optional
 
 from ..config import SimConfig
 from ..protocol import Op, RingFull, RingWriter
@@ -53,12 +68,28 @@ class SecondaryLink:
         #: Strict-mode waiters: (seq, event).
         self.waiters: list[tuple[int, Event]] = []
         self.resends = 0
+        #: Ack on landing: seq -> ring Writes of that record (or a
+        #: placement still pending) whose completion is outstanding.
+        self.unlanded: dict[int, int] = {}
+        #: Ack on landing: the completion callback of this link's ring
+        #: Writes (None: Writes go out unsignaled).
+        self.on_complete = None
 
-    def place_and_write(self, payload: bytes) -> None:
-        """Reserve ring space and issue the RDMA write(s). May raise RingFull."""
+    def place_and_write(self, payload: bytes, seq: int = 0) -> None:
+        """Reserve ring space and issue the RDMA write(s). May raise RingFull.
+
+        Under ack on landing a DATA record (``seq`` > 0) goes out
+        signaled, each Write counted in :attr:`unlanded` until it
+        completes."""
+        on_complete = self.on_complete if seq else None
         for offset, blob in self.writer.place(payload):
-            self.qp.post_write(self.ring_rptr.slice(offset, len(blob)), blob,
-                               signaled=False)
+            rptr = self.ring_rptr.slice(offset, len(blob))
+            if on_complete is None:
+                self.qp.post_write(rptr, blob, signaled=False)
+                continue
+            self.unlanded[seq] = self.unlanded.get(seq, 0) + 1
+            self.qp.post_write(rptr, blob, wr_id=seq).callbacks.append(
+                on_complete)
 
 
 class LogReplicator:
@@ -77,6 +108,13 @@ class LogReplicator:
         self.seq = 0
         self._last_ackreq_seq = 0
         self.alive = True
+        #: Ack on landing (:meth:`land_before_ack`): the cluster's roster
+        #: of this shard's secondaries, None when acks go out on post.
+        self.roster: Optional[list[SecondaryShard]] = None
+        #: Runs whenever a ring Write completes under ack on landing: the
+        #: shard releases the responses parked behind :attr:`landed_seq`.
+        self.on_landed: Callable[[], None] = lambda: None
+        self._landed = Gate(sim)
         primary.replicator = self
 
     # -- wiring ---------------------------------------------------------
@@ -95,9 +133,76 @@ class LogReplicator:
                              secondary.ring_rptr(), ack_region,
                              self.rep.log_bytes)
         self.links.append(link)
+        if self.landing:
+            self._signal(link)
         self.sim.process(self._ack_monitor(link),
                          name=f"{self.primary.shard_id}.ackmon")
         return link
+
+    def land_before_ack(self, roster: list[SecondaryShard]) -> None:
+        """Ack a mutation only once its ring record has landed on every
+        secondary (rdma_log mode; strict mode's acks already imply it).
+        ``roster`` is the cluster's list of this shard's secondaries, the
+        candidates a failover promotes from: a secondary whose ring Write
+        fails leaves it."""
+        if self.rep.mode != "rdma_log":
+            return
+        self.roster = roster
+        self.primary.park_for_landing(self)
+        for link in self.links:
+            self._signal(link)
+
+    def _signal(self, link: SecondaryLink) -> None:
+        link.on_complete = lambda ev: self._completed(link, ev)
+
+    @property
+    def landing(self) -> bool:
+        """True when acks wait for the ring records to land."""
+        return self.roster is not None
+
+    @property
+    def landed_seq(self) -> int:
+        """The highest sequence whose record, and every one before it,
+        has landed on every attached secondary."""
+        seq = self.seq
+        for link in self.links:
+            if link.unlanded:
+                seq = min(seq, min(link.unlanded) - 1)
+        return seq
+
+    def wait_landed(self, seq: int):
+        """Block (generator) until :attr:`landed_seq` covers ``seq``: the
+        batch-less ack-on-landing wait."""
+        while self.landed_seq < seq:
+            yield self._landed.wait()
+
+    def _completed(self, link: SecondaryLink, ev: Event) -> None:
+        """A ring Write of ``link`` completed.  Success retires it; a
+        failure (dead secondary, revoked ring) detaches the link, unless
+        this primary's process is dead and reacts to nothing."""
+        if link not in self.links or not self.primary.alive:
+            return
+        wc = ev.value
+        if wc.ok:
+            seq = wc.wr_id
+            left = link.unlanded.pop(seq) - 1
+            if left:
+                link.unlanded[seq] = left
+        else:
+            self._detach(link)
+        if self._landed.waiting:
+            self._landed.fire()
+        self.on_landed()
+
+    def _detach(self, link: SecondaryLink) -> None:
+        """Drop a secondary whose ring Write failed: acks no longer wait
+        for it, and it is no longer a failover candidate."""
+        self.links.remove(link)
+        link.unlanded.clear()
+        link.ack_doorbell.fire()  # a placement waiting for credit gives up
+        if link.secondary in self.roster:
+            self.roster.remove(link.secondary)
+        self.metrics.counter("repl.detached").add()
 
     # -- the shard-facing hook -----------------------------------------------
     def replicate(self, op: Op, key: bytes, value: bytes,
@@ -116,10 +221,12 @@ class LogReplicator:
         blocked: list[SecondaryLink] = []
         for link in self.links:
             try:
-                link.place_and_write(record)
+                link.place_and_write(record, self.seq)
                 link.unacked.append((self.seq, record))
             except RingFull:
                 blocked.append(link)
+                if self.landing:
+                    link.unlanded[self.seq] = 1  # placement pending
         if want_ack and not blocked:
             self._solicit_acks()
         if self.rep.mode == "strict" or blocked:
@@ -148,10 +255,12 @@ class LogReplicator:
         """Slow path: finish placement on full rings and/or await acks."""
         # First, push the record into any ring that was full.
         for link in blocked:
-            while True:
+            while link in self.links:
                 try:
-                    link.place_and_write(record)
+                    link.place_and_write(record, seq)
                     link.unacked.append((seq, record))
+                    if self.landing:
+                        link.unlanded[seq] -= 1  # placed: drop the marker
                     break
                 except RingFull:
                     self._solicit_acks()

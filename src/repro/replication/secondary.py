@@ -6,14 +6,17 @@ into its own :class:`~repro.core.store.ShardStore`.  On a processing
 failure (injectable for tests) it stops advancing ``applied_seq``,
 discards subsequent records, and waits for the primary's ack request to
 report the first failed sequence — exactly the §5.2 recovery protocol.
+The records it discards are valid and have landed (under HA their
+clients are acked), only unprocessed, so it keeps them until the resend
+supersedes them, and a drain applies them in sequence with the ring.
 
-Before a failover drains it, and once the RC retry timeout since the
-primary's fence has passed, SWAT fences the ring: a Write into the
-secondary's fence word (:meth:`SecondaryShard.fence_rptr`) makes it
-revoke the ring's rkey, so no Write the deposed primary posted can land
-there any more, register the ring again under a fresh rkey and
-acknowledge.  On promotion the merge thread stops and the store is
-handed to a fresh primary :class:`~repro.core.shard.Shard`.
+Before a failover drains it, right after the primary's fence, SWAT
+fences the ring: a Write into the secondary's fence word
+(:meth:`SecondaryShard.fence_rptr`) makes it revoke the ring's rkey, so
+no Write the deposed primary posted can land there any more, register
+the ring again under a fresh rkey and acknowledge.  On promotion the
+merge thread stops and the store is handed to a fresh primary
+:class:`~repro.core.shard.Shard`.
 """
 
 from __future__ import annotations
@@ -73,6 +76,9 @@ class SecondaryShard:
         self.ack_rptr: Optional[RemotePointer] = None
         self.applied_seq = 0
         self.failing = False
+        #: Records the merge thread discarded past ``applied_seq`` while
+        #: failing, by seq: kept for a drain (:meth:`ring_suffix`).
+        self._held: dict[int, LogRecord] = {}
         self._ack_epoch = 0
         self._fault_rng = fault_rng
         #: Optional chaos hook (:class:`repro.chaos.FaultInjector`): when
@@ -112,8 +118,8 @@ class SecondaryShard:
     def _fence(self, token: int, nic_id: int, rkey: int):
         """Re-key the ring and acknowledge.  The MR update runs on this
         core; when it completes the old rkey is revoked -- a Write of the
-        deposed primary that outlived the settle fails where it reaches
-        the ring -- and the ring is registered under a fresh one.  Revoking last,
+        deposed primary still in flight fails where it reaches the ring
+        -- and the ring is registered under a fresh one.  Revoking last,
         right before the acknowledgement, keeps what lands in between
         in the ring the drain reads."""
         yield self.core.execute(MR_UPDATE_NS)
@@ -145,6 +151,7 @@ class SecondaryShard:
         self.reader = RingReader(self.ring_region)
         self.applied_seq = 0
         self.failing = False
+        self._held.clear()
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> None:
@@ -166,29 +173,36 @@ class SecondaryShard:
         self.store.reclaimer.stop()
 
     def ring_suffix(self):
-        """Yield the ring's unmerged suffix: every in-sequence record the
-        merge thread has not folded in yet, advancing ``applied_seq`` past
-        each.  Ack requests are skipped; it stops at the first sequence
-        gap, like the merge loop, and yields nothing from a failing
-        stream (its tail is unrecoverable).  The caller applies."""
-        while not self.failing:
-            payload = self.reader.poll()
-            if payload is None:
-                return
-            record = LogRecord.decode(payload)
-            if record.rtype is RecordType.ACK_REQUEST:
-                continue
-            if record.seq != self.applied_seq + 1:
-                return
+        """Yield the unmerged suffix in sequence, advancing
+        ``applied_seq`` past each record: the next one is taken from the
+        records a failing merge thread discarded and kept, else polled
+        from the ring.  Ack requests and resent records already applied
+        are skipped, a record ahead of sequence is kept for later, and it
+        stops at the first gap neither closes.  The caller applies."""
+        held = self._held
+        while True:
+            record = held.pop(self.applied_seq + 1, None)
+            if record is None:
+                payload = self.reader.poll()
+                if payload is None:
+                    return
+                record = LogRecord.decode(payload)
+                if record.rtype is RecordType.ACK_REQUEST \
+                        or record.seq <= self.applied_seq:
+                    continue
+                if record.seq != self.applied_seq + 1:
+                    held[record.seq] = record
+                    continue
             self.applied_seq = record.seq
             yield record
 
     def promote_drain(self) -> int:
-        """Fold the ring's unmerged suffix into the store (promotion).
+        """Fold the unmerged suffix into the store (promotion).
 
         Called by SWAT after stopping the merge thread and before wrapping
         this store in a fresh primary: writes the dead primary acked and
-        replicated — but that the merge thread had not folded in yet — must
+        replicated — but that the merge thread had not folded in yet,
+        whether still in the ring or discarded by a failing merge — must
         not be lost in the handover, or a client would observe an acked
         write vanish across the failover.  Returns the number of records
         applied.
@@ -241,12 +255,16 @@ class SecondaryShard:
                     # stop advancing, discard until the primary resends the
                     # expected sequence (triggered by our failing ack).
                     self.failing = True
+                    if record.seq > self.applied_seq:
+                        self._held[record.seq] = record
                     self.metrics.counter("replica.discarded").add()
                     continue
                 result = self.store.apply(record.op, record.key, record.value,
                                           version=record.version)
                 yield self.core.execute(result.cost_ns)
                 self.applied_seq = record.seq
+                if self._held:
+                    self._held.pop(record.seq, None)
                 self.failing = False
                 self.metrics.counter("replica.applied").add()
         except Interrupt:

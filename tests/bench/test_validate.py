@@ -218,11 +218,13 @@ def test_inflight_needs_a_unity_baseline_row():
     ("exceptions", 1, "client-visible exceptions"),
     ("lost_acked_writes", 2, "acknowledged writes lost"),
     ("recovered_ratio", 0.5, "recovered_ratio must be >= 0.8"),
-    # Over the 5.07 ms ceiling: 9.52 ms, the blackout before probes were
-    # judged at their own deadline, and 6.37 ms, the blackout while the
-    # reaction slept out a fixed 5 ms settle.
-    ("blackout_ms", 9.52, "blackout_ms must stay <= 5.074"),
-    ("blackout_ms", 6.37, "blackout_ms must stay <= 5.074"),
+    # Over the 3.07 ms ceiling: 9.52 ms, the blackout before probes were
+    # judged at their own deadline, 6.37 ms, the blackout while the
+    # reaction slept out a fixed 5 ms settle, and 3.42 ms, the blackout
+    # while it waited out the RC retry timeout before the revocation.
+    ("blackout_ms", 9.52, "blackout_ms must stay <= 3.074"),
+    ("blackout_ms", 6.37, "blackout_ms must stay <= 3.074"),
+    ("blackout_ms", 3.42, "blackout_ms must stay <= 3.074"),
 ])
 def test_failover_contract_rejects_a_broken_row(key, value, complaint):
     def breaks(rows):
@@ -233,11 +235,11 @@ def test_failover_contract_rejects_a_broken_row(key, value, complaint):
 
 def test_recovery_contract_derives_the_ceiling_from_the_row_replay():
     """A recovery row may stall clients for the verdict bound, the
-    revoke bound (settle and round), its own replay and 1 ms; more than
-    that fails."""
+    revoke bound (a revocation round no secondary answers), its own
+    replay and 1 ms; more than that fails."""
     payload = _committed("BENCH_recovery.json")
     row = payload["rows"][0]
-    ceiling = 1.768 + 2.306 + row["replay_ms"] + 1.0
+    ceiling = 1.768 + 0.306 + row["replay_ms"] + 1.0
     row["blackout_ms"] = ceiling - 0.01
     assert validate_artifact(payload) == []
     row["blackout_ms"] = ceiling + 0.01

@@ -13,7 +13,9 @@ from repro.coord.probe import PROBE_DEADLINE_FLOOR_NS
 from repro.coord.swat import (PROBE_MISSES, SHARDS_PATH, bump_period_ns,
                               probe_period_ns, verdict_bound_ns)
 from repro.protocol import Status
-from repro.replication import SecondaryShard
+from repro.rdma import MemoryRegion
+from repro.rdma.memory import AccessViolation
+from repro.replication import LogRecord, RecordType, SecondaryShard
 
 MS = 1_000_000
 S = 1_000_000_000
@@ -302,22 +304,31 @@ class _DropReadsTo:
 class _LastRecordsInFlight(_DropReadsTo):
     """As :class:`_DropReadsTo`, and while ``armed()`` every ring Write
     ``nic`` posts is delayed by ``delay_ns``: the primary's last records
-    are still in flight when it is fenced, while the responses that ack
-    their clients go out at once."""
+    are still in flight when it is fenced.  Responses go out at once, as
+    soon as the shard releases them."""
 
     def __init__(self, nic, armed, delay_ns):
         super().__init__(nic)
         self.armed = armed
         self.delay_ns = delay_ns
-        #: (region, offset, bytes) of every delayed ring Write.
-        self.delayed: list = []
+        self.delayed = 0
 
     def rdma_write_fault(self, nic, qp, region, offset, data):
         if nic is self.nic and region.name.endswith(".ring") \
                 and self.armed():
-            self.delayed.append((region, offset, bytes(data)))
+            self.delayed += 1
             return {"delay_ns": self.delay_ns}
         return None
+
+
+def _ring_record(data: bytes):
+    """The replication record a ring Write carries (None: a wrap marker
+    or an ack request)."""
+    size = int.from_bytes(data[:8], "little") & 0xFFFFFFFF
+    if size == 0 or 16 + size > len(data):
+        return None
+    record = LogRecord.decode(data[8:8 + size])
+    return record if record.rtype is RecordType.DATA else None
 
 
 def _false_verdict_failover(monkeypatch, delay_ns):
@@ -341,6 +352,21 @@ def _false_verdict_failover(monkeypatch, delay_ns):
         return applied
 
     monkeypatch.setattr(SecondaryShard, "promote_drain", watched_drain)
+    #: (key, value) of every replication record a revoked ring refused.
+    refused: list = []
+    dma_write = MemoryRegion.dma_write
+
+    def watched_dma_write(region, rkey, offset, data):
+        try:
+            return dma_write(region, rkey, offset, data)
+        except AccessViolation:
+            record = _ring_record(data) if region.name.endswith(".ring") \
+                else None
+            if record is not None:
+                refused.append((record.key, record.value))
+            raise
+
+    monkeypatch.setattr(MemoryRegion, "dma_write", watched_dma_write)
     promoted_at: list[int] = []
     cluster.route_change.wait().callbacks.append(
         lambda _ev: promoted_at.append(sim.now))
@@ -422,45 +448,49 @@ def _false_verdict_failover(monkeypatch, delay_ns):
     # Keys whose store handed to the new primary misses a write acked
     # before the handover.
     lost = {k for k in keys if not admissible(k, handed_over[k], drained_at)}
-    delayed_keys = {k for k in keys
-                    if any(k in data for _r, _o, data in hook.delayed)}
-    return cluster, hook, lost, delayed_keys, stale_reads
+    # Refused records whose client held an ack from the deposed primary:
+    # one given before the handover (a replay may later be acked by the
+    # new primary, which applied it itself).
+    acked_refused = [(k, v) for k, v in refused
+                     if any(val == v and a is not None and a <= drained_at
+                            for _t, a, val in writes[k])]
+    return cluster, refused, acked_refused, lost, stale_reads
 
 
 def test_false_verdict_fences_the_live_primary_before_the_drain(
         monkeypatch):
-    """Stated limit: a false verdict causes a fenced failover.  SWAT
-    powers the live primary off before the promoted secondary drains.
-    The ring records it posted last are acked to their clients but still
-    in flight, 1 ms behind, at the fence: the settle waits them out, so
-    each lands before the secondary revokes the primary's rkey, and no
-    acked write is lost or read stale afterwards."""
-    cluster, _hook, lost, delayed_keys, stale_reads = \
+    """A false verdict causes a fenced failover: SWAT powers the live
+    primary off before the promoted secondary drains, and revokes its
+    ring rkey at once.  The ring records it posted last are still in
+    flight, 1 ms behind, at the fence.  None of them was acked -- a write
+    is acked only once its record has landed -- so each reaches a
+    revoked ring and is refused (``REM_ACCESS_ERR``) while its client
+    holds no ack; no acked write is missing from the store handed to the
+    new primary, and no read after the promotion is stale."""
+    cluster, refused, acked_refused, lost, stale_reads = \
         _false_verdict_failover(monkeypatch, delay_ns=1 * MS)
-    assert delayed_keys
-    assert cluster.metrics.counter("rdma.rem_access_err").value == 0
+    assert cluster.metrics.counter("rdma.rem_access_err").value >= 1
+    assert refused
+    assert acked_refused == []
     assert lost == set()
     assert stale_reads == []
 
 
 def test_a_ring_write_outliving_the_retry_timeout_is_refused(monkeypatch):
-    """A ring Write of the fenced primary delayed past the RC retry
-    timeout reaches a ring whose rkey the secondary has revoked: it
-    completes ``REM_ACCESS_ERR`` and changes no byte, instead of landing
-    in a ring already drained.  Stated limit: such a record's client was
-    acked when it was posted, so its write is missing from the store the
-    new primary starts from -- the only acked writes that are, and the
-    only keys a read after the promotion may see stale until a later
-    write supersedes them."""
+    """The same guarantee when the fenced primary's ring Writes are
+    delayed past the RC retry timeout: each reaches a ring whose rkey the
+    secondary has revoked, completes ``REM_ACCESS_ERR`` and changes no
+    byte, instead of landing in a ring already drained; its client holds
+    no ack, so no acked write is missing from the handed-over store and
+    no read after the promotion is stale."""
     retry_ns = SimConfig().fabric.retry_timeout_ns
-    cluster, hook, lost, delayed_keys, stale_reads = \
+    cluster, refused, acked_refused, lost, stale_reads = \
         _false_verdict_failover(monkeypatch, delay_ns=retry_ns + 1 * MS)
-    assert cluster.metrics.counter("rdma.rem_access_err").value \
-        == len(hook.delayed)
-    for region, offset, data in hook.delayed:
-        assert region.read(offset, len(data)) != data
-    assert lost <= delayed_keys
-    assert {k for k, _v in stale_reads} <= lost
+    assert cluster.metrics.counter("rdma.rem_access_err").value >= 1
+    assert refused
+    assert acked_refused == []
+    assert lost == set()
+    assert stale_reads == []
 
 
 def test_coord_reads_no_liveness_ground_truth():

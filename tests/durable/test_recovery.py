@@ -171,7 +171,7 @@ def test_recovery_in_progress_is_typed_and_raised_mid_replay(op):
 
 # -- promote_drain contract (satellite: merge-faulted secondary) --------------
 
-def test_promote_drain_applies_unmerged_tail_but_not_failed_stream():
+def test_promote_drain_applies_unmerged_tail_and_kept_discards_once():
     cfg = SimConfig().with_overrides(replication={"replicas": 1})
     cluster = HydraCluster(config=cfg, n_server_machines=1,
                            shards_per_server=1, n_client_machines=1)
@@ -180,29 +180,32 @@ def test_promote_drain_applies_unmerged_tail_but_not_failed_stream():
     sid = cluster.routing.shard_ids()[0]
     sec = cluster.secondaries[sid][0]
 
+    class FaultNinth:
+        """Merge fault on the 9th record: the merge thread turns failing
+        and discards it and every record after it (no ack request comes
+        before the 32nd, so no resend)."""
+
+        def replication_fault(self, secondary):
+            return secondary.applied_seq == 8
+
+    sec.fault_injector = FaultNinth()
+
     def app():
-        for i in range(8):
+        for i in range(16):
             yield from client.put(f"d{i:03d}".encode(), b"v")
-        # Let the merge thread drain fully, then halt it between records
-        # so the next batch stays in the ring as an in-sequence tail.
         yield cluster.sim.timeout(2 * _MS)
-        sec.stop()
-        for i in range(8, 16):
-            yield from client.put(f"d{i:03d}".encode(), b"v")
 
     cluster.run(app())
-    assert sec.applied_seq == 8
-    applied_before = sec.applied_seq
-    # Stopped on a merge fault: the stream past the failure is
-    # unrecoverable, so promotion must NOT silently re-ack it.
-    sec.failing = True
-    assert sec.promote_drain() == 0
-    assert sec.applied_seq == applied_before
-    # The same ring, healthy: the in-sequence tail folds in exactly once.
-    sec.failing = False
-    drained = sec.promote_drain()
-    assert drained > 0
-    assert sec.applied_seq == applied_before + drained
+    assert sec.failing and sec.applied_seq == 8
+    assert cluster.metrics.counter("replica.discarded").value == 8
+    assert f"d{8:03d}".encode() not in sec.store.dump()
+    # Stopped on a merge fault: the discarded records are valid and
+    # landed, only unprocessed, so promotion folds them in, in sequence
+    # and exactly once.
+    sec.stop()
+    assert sec.promote_drain() == 8
+    assert sec.applied_seq == 16
+    assert sec.store.dump() == cluster.routing.resolve(sid).store.dump()
     assert sec.promote_drain() == 0  # nothing left, nothing re-applied
 
 

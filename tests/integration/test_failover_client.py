@@ -17,8 +17,9 @@ from repro.core import (BadStatus, HydraError, LifecycleError,
                         SlotOverflow)
 from repro.core.api import HydraCluster as _ApiCluster
 from repro.core.shard import Shard
-from repro.coord.swat import revoke_bound_ns, verdict_bound_ns
+from repro.coord.swat import SwatTeam, revoke_bound_ns, verdict_bound_ns
 from repro.protocol import Status
+from repro.replication import SecondaryShard
 
 MS = 1_000_000
 
@@ -104,10 +105,10 @@ def _ride_through_failover(after_promotion_ms, coord=None):
     # Blackout (largest inter-completion gap straddling the kill) is
     # bounded by what the detector guarantees: the verdict lands within
     # one probe period plus K probe deadlines of the kill, the reaction
-    # (fence, the settle of one RC retry timeout, then one revocation
-    # round before the drain) adds at most the revoke bound, and a write
-    # posted to the dead primary just before the route swap is woken by
-    # the swap and replays within microseconds.
+    # (fence, then one revocation round before the drain) adds at most
+    # the revoke bound, and a write posted to the dead primary just
+    # before the route swap is woken by the swap and replays within
+    # microseconds.
     cfg = cluster.config
     gaps = [b - a for a, b in zip(completions, completions[1:])]
     blackout = max(gaps)
@@ -509,6 +510,158 @@ def test_promotion_drains_acked_writes_the_secondary_had_not_merged():
     survivor = cluster.routing.resolve(shard_id).store.dump()
     assert {k: v for k, v in acked.items() if survivor.get(k) != v} == {}
     assert cluster.metrics.counter("replica.drained").value >= len(unmerged)
+
+
+def test_promotion_drains_acked_records_a_failing_secondary_discarded(
+        monkeypatch):
+    """A merge fault on the secondary 10 us before the primary's machine
+    dies leaves it failing: it discarded the faulted record and every
+    one after it, each landed in its ring -- so acked -- and only
+    unprocessed, and no resend came before the kill.  The promotion folds
+    them in, in sequence with the ring suffix, so no acked write is
+    missing from the promoted store."""
+    cluster = _cutover_cluster(client={"op_timeout_ns": 5 * MS})
+    sim = cluster.sim
+    shard_id = cluster.routing.shard_ids()[0]
+    secondary = cluster.secondaries[shard_id][0]
+    fault_at = 30 * MS
+    acked: dict[bytes, bytes] = {}
+    failing_at_drain: list[bool] = []
+    drain = SecondaryShard.promote_drain
+
+    def watched_drain(sec):
+        failing_at_drain.append(sec.failing)
+        return drain(sec)
+
+    monkeypatch.setattr(SecondaryShard, "promote_drain", watched_drain)
+
+    def kill():
+        yield sim.timeout(10_000)
+        cluster.servers[0].kill()
+
+    class FaultThenKill:
+        fired = False
+
+        def replication_fault(self, _sec):
+            if self.fired or sim.now < fault_at:
+                return False
+            self.fired = True
+            sim.process(kill())
+            return True
+
+    secondary.fault_injector = FaultThenKill()
+
+    def writer(cid, client):
+        i = 0
+        while sim.now < fault_at + 20 * MS:
+            key, value = b"c%d-%05d" % (cid, i), b"v%05d" % i
+            if (yield from client.put(key, value)) is Status.OK:
+                acked[key] = value
+            i += 1
+
+    cluster.run(*[writer(c, cluster.client()) for c in range(2)])
+    assert failing_at_drain == [True]
+    assert cluster.metrics.counter("replica.discarded").value >= 2
+    survivor = cluster.routing.resolve(shard_id).store.dump()
+    assert {k: v for k, v in acked.items() if survivor.get(k) != v} == {}
+
+
+def test_a_dead_secondary_stalls_acks_for_at_most_one_retry_timeout(
+        monkeypatch):
+    """The replica machine dies under write load.  Acks wait for each
+    ring record to land, so the writes in flight stall -- until their
+    ring Write fails at the RC retry timeout, which detaches the
+    secondary: acks no longer wait for it, and it leaves the shard's
+    roster, so the failover after the primary's death later has no
+    candidate to try."""
+    cluster = _cutover_cluster(client={"op_timeout_ns": 5 * MS})
+    sim = cluster.sim
+    shard_id = cluster.routing.shard_ids()[0]
+    secondary = cluster.secondaries[shard_id][0]
+    revoked: list = []
+    revoke = SwatTeam._revoke
+
+    def watched_revoke(team, secondaries):
+        revoked.append(list(secondaries))
+        return (yield from revoke(team, secondaries))
+
+    monkeypatch.setattr(SwatTeam, "_revoke", watched_revoke)
+    kill_at, end_at = 30 * MS, 40 * MS
+    latencies: list[tuple[int, int]] = []  # (issued, took)
+
+    def writer(cid, client):
+        i = 0
+        while sim.now < end_at:
+            t0 = sim.now
+            key = b"c%d-%05d" % (cid, i)
+            assert (yield from client.put(key, b"v")) is Status.OK
+            latencies.append((t0, sim.now - t0))
+            i += 1
+
+    def killer():
+        yield sim.timeout(kill_at - sim.now)
+        secondary.kill()
+        secondary.machine.nic.fail()
+
+    sim.process(killer())
+    cluster.run(*[writer(c, cluster.client()) for c in range(2)])
+    retry_ns = cluster.config.fabric.retry_timeout_ns
+    stalled = max(took for t0, took in latencies if t0 < kill_at + retry_ns)
+    assert retry_ns <= stalled <= retry_ns + CUTOVER_SLACK_NS
+    # Past the detach, acks no longer wait for the dead secondary.
+    assert max(took for t0, took in latencies
+               if t0 > kill_at + retry_ns + CUTOVER_SLACK_NS) < 50_000
+    assert cluster.secondaries[shard_id] == []
+    assert cluster.replicators[shard_id].links == []
+    assert cluster.metrics.counter("repl.detached").value == 1
+    cluster.servers[0].kill()
+    sim.run(until=sim.now + 20 * MS)
+    assert revoked == []  # no revocation round: no candidate at all
+    assert cluster.metrics.counter("swat.data_loss").value >= 1
+    assert cluster.metrics.counter("swat.failovers").value == 0
+
+
+@pytest.mark.parametrize("cached", [True, False], ids=["pointer", "frame"])
+def test_a_read_in_flight_to_the_killed_primary_is_flushed_at_the_swap(
+        cached):
+    """A GET whose one-sided Read -- through a cached remote pointer, or
+    of the key's bucket frame -- is posted just after the primary's
+    machine dies never gets an answer.  The route swap flushes it
+    (``WR_FLUSH_ERR``) instead of leaving it to the RC retry timeout, so
+    the key demotes to the message path and completes on the promoted
+    shard within microseconds of the swap."""
+    cfg = SimConfig().with_overrides(
+        replication={"replicas": 1},
+        client={"rptr_cache_enabled": True},
+        traversal={"enabled": True, "min_fanout": 1})
+    cluster = HydraCluster(config=cfg, n_server_machines=1,
+                           shards_per_server=1)
+    cluster.enable_ha()
+    cluster.start()
+    sim = cluster.sim
+    client = cluster.client()
+    swaps: list[int] = []
+    done: list[int] = []
+
+    def cache():
+        assert (yield from client.get(b"g")) == b"v0"
+        assert client.cache.lookup_batch([b"g"], sim.now)[0] is not None
+
+    def get():
+        demotions = cluster.metrics.counter("client.demotions").value
+        assert (yield from client.get(b"g")) == b"v0"
+        assert cluster.metrics.counter("client.demotions").value > demotions
+        done.append(sim.now)
+
+    cluster.run(client.put(b"g", b"v0"))
+    sim.run(until=sim.now + 20 * MS)
+    if cached:
+        cluster.run(cache())
+    cluster.servers[0].kill()
+    _swap_watch(cluster, swaps)
+    cluster.run(get())
+    assert len(swaps) == 1
+    assert 0 <= done[0] - swaps[0] <= CUTOVER_SLACK_NS, done[0] - swaps[0]
 
 
 def test_healthy_run_leaves_no_waiter_on_the_route_gate():

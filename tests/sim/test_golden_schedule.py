@@ -148,9 +148,9 @@ def _traced_soak(monkeypatch) -> tuple[dict, tuple[str, int]]:
 
 #: (schedule digest, events dispatched, wire digest, injection-log hash,
 #: ops) of the ``mixed``/71 storm cell.
-STORM_PINNED = ("20d97bcff510cda4c5d4131ea29559f6", 27_640,
-                "7243f3e6ccc32b96e0827dea1c11c637",
-                "673b845b4f844a2b", 669)
+STORM_PINNED = ("630fbe004f92832814d1750247ff55ab", 28_305,
+                "0649ebd48587f1d067d9946049a9953f",
+                "9a783a2fcb391db6", 671)
 
 
 def test_chaos_storm_schedule_is_pinned(monkeypatch):
