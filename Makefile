@@ -74,12 +74,12 @@ bench-simcore:
 	$(BENCH) simcore --scale 1.0
 
 # Seeded chaos soak: fault-storm profiles (torn writes, gray failure,
-# ZK expiry, QP flaps, mixed, stale pointers, tenant contention, and the
-# correlated dualfail storm recovered through the durable log) across a
-# server-variant matrix (plain / sub-sharded / pipelined, replicas up to
-# 2) against the resilience contract — no acked write lost, no corrupt
-# value surfaced, typed bounded errors, post-storm recovery — plus a
-# same-seed replay determinism check.
+# ZK watch delays + SWAT leader churn, QP flaps, mixed, stale pointers,
+# tenant contention, and the correlated dualfail storm recovered through
+# the durable log) across a server-variant matrix (plain / sub-sharded /
+# pipelined, replicas up to 2) against the resilience contract — no
+# acked write lost, no corrupt value surfaced, typed bounded errors,
+# post-storm recovery — plus a same-seed replay determinism check.
 chaos-soak:
 	$(BENCH) chaos --scale 0.5
 

@@ -1455,9 +1455,9 @@ def _paced_kill(scale: float, n_clients: int, n_keys: int, value_bytes: int,
     ``kill(cluster)`` applied at 150 ms simulated.
 
     SWAT detects the kill with heartbeat probes (a verdict within
-    P + K·D_floor, 1.77 ms at the defaults); ZooKeeper sessions are
-    shrunk (50 ms heartbeats, 200 ms sessions) so the dead primary's
-    session also lapses inside the run.  ``overrides`` are further
+    P + K·D_floor, 1.77 ms at the defaults); ZooKeeper sessions, which
+    only SWAT members hold, are shrunk (50 ms heartbeats, 200 ms
+    sessions).  ``overrides`` are further
     config sections.  Returns the cluster, the run's columns (ops, acked
     writes, pre/post-kill kops and their ratio, the blackout — the
     longest gap between completed operations once the kill lands — and
@@ -1966,7 +1966,7 @@ def _chaos_gate(rows: list[dict]) -> list[str]:
     artifact=Artifact(
         "BENCH_chaos.json", "chaos_soak",
         "mixed GET/PUT/DELETE workload under seeded fault storms (torn "
-        "writes, gray failure, ZK session expiry, QP flaps, "
+        "writes, gray failure, ZK watch delays and SWAT churn, QP flaps, "
         "crash+replication faults, stale-pointer read delays, tenant "
         "contention, correlated dual failure vs the durable log) plus a "
         "server-variant matrix (sub-sharded, pipelined, replicas=2): zero "

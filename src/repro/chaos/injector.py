@@ -6,8 +6,8 @@ each layer through a single nullable attribute (``fabric.fault_injector``,
 ``fault_injector``).  Hooks are *pull*-style: the layer asks "does this
 event fault?" at the moment it happens, the injector samples its named
 RNG stream against the schedule's active window and answers.  Discrete
-actions (crashes, gray failures, session expiries, QP flaps, SWAT churn)
-are applied by a driver process started with ``start()``.
+actions (crashes, gray failures, QP flaps, SWAT churn) are applied by a
+driver process started with ``start()``.
 
 Because every sample comes from
 :class:`~repro.sim.StreamRegistry` seeded by the schedule and the
@@ -224,14 +224,6 @@ class FaultInjector:
                 sh.gray_recover()
 
             self.sim.process(_heal(), name="chaos.gray_heal")
-        elif kind == "zk_expire_agent":
-            ha = getattr(cluster, "ha", None)
-            shard = self._shard_at(action.index)
-            if ha is None or shard is None:
-                return
-            n = ha.zk.expire_sessions_of(shard.shard_id)
-            if n:
-                self._record("zk_expire", f"{shard.shard_id}:{n}")
         elif kind == "swat_churn":
             ha = getattr(cluster, "ha", None)
             if ha is None:

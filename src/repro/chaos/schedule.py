@@ -2,7 +2,7 @@
 
 A schedule is pure data — a set of :class:`FaultWindow` intervals (during
 which a fault *site* fires probabilistically) plus a list of discrete
-:class:`FaultAction` events (crash this shard, expire that session).
+:class:`FaultAction` events (crash this shard, churn the SWAT leader).
 Everything is derived from a single seed via
 :class:`~repro.sim.StreamRegistry`, so two runs with the same profile and
 seed see exactly the same storm — the property the determinism test and
@@ -27,8 +27,7 @@ rep_fault   secondary merge thread rejects a replication record
 
 Action **kinds** (discrete, applied by the injector's driver process):
 ``shard_crash``, ``gray`` (stop sweeping, QPs stay alive, heal after
-``duration_ns``), ``zk_expire_agent`` (force-expire a shard agent's
-session), ``swat_churn`` (kill + expire the SWAT leader, spawn a
+``duration_ns``), ``swat_churn`` (kill + expire the SWAT leader, spawn a
 replacement), ``qp_flap`` (spontaneous QP error on a live client
 connection), ``dual_crash`` (correlated failure: kill a server *and*
 its shards' secondaries — replication cannot cover it, so SWAT must
@@ -60,8 +59,8 @@ SITES = ("write_drop", "write_delay", "write_dup", "write_torn",
          "watch_delay", "rep_fault")
 
 #: Discrete action kinds the driver process applies.
-ACTION_KINDS = ("shard_crash", "gray", "zk_expire_agent", "swat_churn",
-                "qp_flap", "dual_crash", "clock_skew")
+ACTION_KINDS = ("shard_crash", "gray", "swat_churn", "qp_flap",
+                "dual_crash", "clock_skew")
 
 #: Named storm profiles understood by :func:`build_schedule`.
 PROFILES = ("torn", "gray", "zk", "flap", "mixed", "stale", "tenant",
@@ -172,11 +171,8 @@ def build_schedule(profile: str, seed: int,
                                    duration_ns=dur))
         window("write_delay", 0.02, 0.05, min_d=20_000, max_d=200_000)
     elif profile == "zk":
-        # Coordination storm: agent session expiries, laggy watches, and
-        # one SWAT leader churn, with the data plane untouched.
-        for _ in range(3):
-            actions.append(FaultAction(jit(0.05, 0.9), "zk_expire_agent",
-                                       index=int(rng.integers(0, 4))))
+        # Coordination storm: laggy watches and one SWAT leader churn,
+        # with the data plane untouched.
         window("watch_delay", 0.3, 0.6, min_d=1 * _MS, max_d=10 * _MS)
         actions.append(FaultAction(jit(0.3, 0.7), "swat_churn"))
     elif profile == "flap":
@@ -227,8 +223,6 @@ def build_schedule(profile: str, seed: int,
         window("write_dup", 0.02, 0.06)
         window("write_torn", 0.01, 0.04)
         window("write_drop", 0.005, 0.02)
-        actions.append(FaultAction(jit(0.5, 0.8), "zk_expire_agent",
-                                   index=int(rng.integers(0, 4))))
         actions.append(FaultAction(jit(0.6, 0.9), "qp_flap"))
 
     return FaultSchedule(name=profile, seed=seed,

@@ -1,6 +1,6 @@
 """Coordination: ZooKeeper-like ensemble and the SWAT failover team."""
 
-from .swat import HaControl, ShardAgent, SwatTeam
+from .swat import HaControl, SwatTeam
 from .zookeeper import WatchEvent, ZkError, ZkSession, ZooKeeper
 
 __all__ = [
@@ -9,6 +9,5 @@ __all__ = [
     "ZkError",
     "WatchEvent",
     "SwatTeam",
-    "ShardAgent",
     "HaControl",
 ]

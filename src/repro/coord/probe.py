@@ -73,8 +73,8 @@ class _Target:
     """Probe state of one watched heartbeat word."""
 
     __slots__ = ("shard_id", "nic", "rptr", "seq", "alive_seq", "alive_at",
-                 "missed", "word", "word_at", "condemned", "verdicts",
-                 "srtt", "rttvar", "due_seq", "due_at", "timer", "wake")
+                 "missed", "word", "word_at", "condemned", "srtt", "rttvar",
+                 "due_seq", "due_at", "timer", "wake")
 
     def __init__(self, shard_id: str, nic: Nic, rptr: RemotePointer,
                  now: int):
@@ -94,8 +94,6 @@ class _Target:
         self.word = -1
         self.word_at = 0
         self.condemned = False
-        #: Events awaiting the next conclusive result (:meth:`verdict`).
-        self.verdicts: list[Event] = []
         #: RFC 6298 round-trip estimators (None until the first sample).
         self.srtt: Optional[float] = None
         self.rttvar = 0.0
@@ -152,18 +150,6 @@ class Prober:
     def condemnation(self) -> Event:
         """An event that fires at the next condemnation."""
         return self._condemned.wait()
-
-    def verdict(self, shard_id: str) -> Event:
-        """An event that fires True at the next proof of life of the
-        watched ``shard_id`` and False once it is condemned (at once if
-        it already is)."""
-        ev = Event(self.sim)
-        target = self._targets[shard_id]
-        if target.condemned:
-            ev.succeed(False)
-        else:
-            target.verdicts.append(ev)
-        return ev
 
     def deadline_ns(self, shard_id: str) -> Optional[int]:
         """D of the watched ``shard_id``: how long its next probe is given
@@ -288,7 +274,6 @@ class Prober:
             if seq > target.alive_seq:
                 target.alive_seq, target.alive_at = seq, now
             target.missed = [s for s in target.missed if s > seq]
-            self._conclude(target, True)
         elif word == target.word and posted - target.word_at > self.bump_ns:
             # Stalled: the bumper is gone.  This Read becomes the stall
             # rule's reference, so the next one is conclusive only once
@@ -302,7 +287,6 @@ class Prober:
         target.missed.append(seq)
         if len(target.missed) >= self.misses:
             target.condemned = True
-            self._conclude(target, False)
             if self.on_condemn is not None:
                 self.on_condemn(target.shard_id,
                                 self.sim.now - target.alive_at)
@@ -312,8 +296,3 @@ class Prober:
                 lambda _e: self._judged(target) or self._post(target))
         else:
             self._post(target, REPROBE_READS)
-
-    def _conclude(self, target: _Target, alive: bool) -> None:
-        verdicts, target.verdicts = target.verdicts, []
-        for ev in verdicts:
-            ev.succeed(alive)

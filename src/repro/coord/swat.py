@@ -6,17 +6,16 @@ to status changes:
 * **Leader election**: members race for ephemeral-sequential znodes under
   ``/swat/members``; the lowest sequence leads, the rest watch their
   predecessor and take over on its death.
-* **Failure detection**: every primary shard has a :class:`ShardAgent`
-  holding an ephemeral znode under ``/shards`` whose data advertises the
-  shard's heartbeat word (an 8 B counter its process bumps in a region
-  registered on its NIC).  The leader probes every advertised word with
-  one-sided RDMA Reads from the coordinator machine
+* **Failure detection**: every primary shard has a persistent znode
+  under ``/shards`` whose data advertises the shard's heartbeat word (an
+  8 B counter its process bumps in a region registered on its NIC),
+  written when the shard starts and rewritten by the reaction that
+  replaces it.  The leader probes every advertised word with one-sided
+  RDMA Reads from the coordinator machine
   (:class:`~repro.coord.probe.Prober`); :data:`PROBE_MISSES` misses,
   each a Read that failed, overran its RTT-derived deadline or saw a
-  stalled word, condemn the primary.  A vanished znode (ZK session
-  expiry) also triggers the reaction, but the verdict still comes from
-  the probes: a primary they prove alive re-registers and is never
-  promoted away.
+  stalled word, condemn the primary.  The probes are the only detector:
+  no ZooKeeper session stands for a shard's liveness.
 * **Failure reaction**: the leader fences the condemned primary — powers
   its process off through the machine's management plane — *before*
   anything else, because a dropped probe Read looks exactly like a dead
@@ -33,10 +32,14 @@ to status changes:
   The first secondary that acknowledged is promoted: its merge thread
   stops, its ring drains, a fresh primary shard is started around the
   *same* store, the other acknowledged secondaries are resynchronized
-  and re-attached, and the routing metadata is republished.  With none,
-  the shard is rebuilt from its durable log.
+  and re-attached, the routing metadata is republished, and the shard's
+  znode is rewritten with the new primary's word, which the leader
+  probes from then on.  With none, the shard is rebuilt from its durable
+  log the same way; with no log either, the data is lost and the
+  shard's znode is deleted, since nothing is left to probe.
 * **Node join**: a new server's shards are added to the consistent-hash
-  ring after the keys they now own are migrated out of the old owners.
+  ring after the keys they now own are migrated out of the old owners,
+  and registered.
 
 ZooKeeper is left with leader election, serialising the decisions (one
 leader reacts, one shard at a time) and publishing routes.
@@ -56,7 +59,7 @@ from ..sim import Interrupt, Simulator
 from .probe import PROBE_DEADLINE_FLOOR_NS, Prober
 from .zookeeper import ZkError, ZkSession, ZooKeeper
 
-__all__ = ["SwatTeam", "ShardAgent", "HaControl", "PROBE_MISSES",
+__all__ = ["SwatTeam", "HaControl", "PROBE_MISSES",
            "probe_period_ns", "bump_period_ns", "verdict_bound_ns",
            "revoke_bound_ns"]
 
@@ -116,52 +119,6 @@ def _decode_word(data: bytes) -> tuple[int, RemotePointer]:
     fields = dict(part.split("=") for part in data.decode().split(";"))
     return int(fields["nic"]), RemotePointer(
         int(fields["rkey"]), int(fields["off"]), int(fields["len"]))
-
-
-class ShardAgent:
-    """Holds a shard's ephemeral liveness znode while the shard lives.
-
-    The agent is a thread of the shard's process (:meth:`Shard.adopt`), so
-    a kill stops its ZooKeeper heartbeats along with the shard.  Its znode
-    data advertises the shard's heartbeat word for the SWAT prober.
-    """
-
-    def __init__(self, sim: Simulator, zk: ZooKeeper, shard: Shard):
-        self.sim = sim
-        self.zk = zk
-        self.shard = shard
-        self.session: Optional[ZkSession] = None
-        self.proc = sim.process(self._run(), name=f"agent.{shard.shard_id}")
-        shard.adopt(self.proc)
-
-    def _run(self):
-        shard = self.shard
-        self.session = self.zk.connect(owner=shard.shard_id)
-        path = f"{SHARDS_PATH}/{shard.shard_id}"
-        word = _encode_word(shard.nic,
-                            shard.heartbeat(bump_period_ns(shard.config)))
-        try:
-            while True:
-                try:
-                    yield from self.session.create(path, word,
-                                                   ephemeral=True)
-                    break
-                except ZkError:
-                    if not self.session.alive:
-                        # Session expired mid-registration (e.g. injected
-                        # ensemble-side expiry).  Retire; the SWAT leader
-                        # will notice the missing znode and re-register
-                        # the shard.
-                        return
-                    # A predecessor's ephemeral is still lingering; wait
-                    # for the ensemble to clear it.
-                    if self.zk.node_exists(path):
-                        yield self.zk.watch(path, "deleted")
-            # Heartbeat until the shard's process dies (a kill interrupts
-            # this thread); then the session times out at the ensemble.
-            yield from self.session.keepalive()
-        except Interrupt:
-            pass
 
 
 class SwatTeam:
@@ -267,25 +224,15 @@ class SwatTeam:
             self.sim, self.nic, probe_period_ns(self.config), PROBE_MISSES,
             bump_period_ns(self.config), on_condemn=self._condemned)
         try:
-            pending_register: set[str] = set()
             while session.alive:
                 # A condemnation is acted on at once, before any ZK round.
                 for shard_id in prober.condemned():
                     yield from self._react_to_failure(session, shard_id)
-                    pending_register.add(shard_id)
-                registered = set(
-                    (yield from session.get_children(SHARDS_PATH)))
-                pending_register -= registered
-                for shard_id in sorted(registered - prober.watched()):
-                    yield from self._watch_word(session, shard_id)
-                expected = set(self.cluster.routing.shard_ids())
-                missing = sorted(expected - registered - pending_register)
-                for shard_id in missing:
-                    yield from self._react_to_failure(session, shard_id)
-                    # The replacement agent's registration is in flight;
-                    # do not react to this shard again until it lands.
-                    pending_register.add(shard_id)
-                if not missing and not prober.condemned():
+                registered = yield from session.get_children(SHARDS_PATH)
+                for shard_id in registered:
+                    if shard_id not in prober.watched():
+                        yield from self._watch_word(session, shard_id)
+                if not prober.condemned():
                     yield self.sim.any_of([
                         self.zk.watch(SHARDS_PATH, "children"),
                         prober.condemnation()])
@@ -303,6 +250,18 @@ class SwatTeam:
             for hook in self.verdict_hooks:
                 hook(primary)
 
+    def _register(self, shard: Shard) -> None:
+        """Advertise ``shard``'s heartbeat word in its persistent
+        ``/shards`` znode, created directly in the tree as :meth:`start`
+        bootstraps it, so it exists before any leader is elected."""
+        self.zk._create_node(f"{SHARDS_PATH}/{shard.shard_id}",
+                             _encode_word(shard.nic, self._word(shard)),
+                             None)
+
+    def _word(self, shard: Shard) -> RemotePointer:
+        """The remote pointer of ``shard``'s heartbeat word."""
+        return shard.heartbeat(bump_period_ns(self.config))
+
     def _watch_word(self, session: ZkSession, shard_id: str):
         """Read a registered shard's advertised heartbeat word and probe
         it from now on."""
@@ -310,7 +269,7 @@ class SwatTeam:
             data, _version = yield from session.get_data(
                 f"{SHARDS_PATH}/{shard_id}")
         except ZkError:
-            return  # gone again; the children watch brings it back
+            return  # deleted since the listing: its data was lost
         nic_id, rptr = _decode_word(data)
         self.prober.watch(shard_id, self.cluster.fabric.nics[nic_id], rptr)
 
@@ -322,23 +281,12 @@ class SwatTeam:
                 f"gen={self.cluster.routing.generation}").encode()
 
     def _react_to_failure(self, session: ZkSession, shard_id: str):
-        """Fence a condemned primary, promote a secondary and republish
-        routing (§5.1).  A primary the probes prove alive re-registers."""
-        prober = self.prober
-        old_primary = self.cluster.routing.resolve(shard_id)
-        if shard_id not in prober.watched():
-            # Its agent never advertised a word (the process died before
-            # it registered): probe the word of the shard the routing
-            # table names.
-            prober.watch(shard_id, old_primary.nic, old_primary.heartbeat(
-                bump_period_ns(self.config)))
-        if (yield prober.verdict(shard_id)):
-            # Only its ZK session lapsed (flap, partition from the
-            # ensemble): the probes still see it, so it keeps serving.
-            ShardAgent(self.sim, self.zk, old_primary)
-            return
+        """Fence a condemned primary, promote a secondary, republish
+        routing (§5.1) and advertise the new primary's word, which is
+        probed from then on."""
         react_start = self.sim.now
-        prober.forget(shard_id)
+        self.prober.forget(shard_id)
+        old_primary = self.cluster.routing.resolve(shard_id)
         # Fence first: a dropped probe Read is indistinguishable from a
         # dead NIC, so the verdict may be wrong, and a deposed primary
         # that still served would split the shard's history.
@@ -359,6 +307,8 @@ class SwatTeam:
             # gone and we can only count the loss.
             if not getattr(self.cluster, "durable_logs", {}).get(shard_id):
                 self.cluster.metrics.counter("swat.data_loss").add()
+                # Nothing is left to probe: no leader watches it again.
+                yield from session.delete(f"{SHARDS_PATH}/{shard_id}")
                 return
             new_primary = yield from self.cluster.recover_shard(shard_id)
             self.cluster.metrics.counter("swat.log_recoveries").add()
@@ -375,13 +325,10 @@ class SwatTeam:
         #: probe misses that condemned the primary).
         self.cluster.metrics.tally("swat.promotion_ns").observe(
             self.sim.now - react_start)
-        try:
-            # The deposed primary's znode would outlive it until its
-            # session expires; clear it so the new agent registers now.
-            yield from session.delete(f"{SHARDS_PATH}/{shard_id}")
-        except ZkError:  # its session already expired and took it along
-            pass
-        ShardAgent(self.sim, self.zk, new_primary)
+        word = self._word(new_primary)
+        yield from session.set_data(f"{SHARDS_PATH}/{shard_id}",
+                                    _encode_word(new_primary.nic, word))
+        self.prober.watch(shard_id, new_primary.nic, word)
 
     def _revoke(self, secondaries: list):
         """One revocation round (generator): write a fence request into
@@ -519,14 +466,14 @@ class SwatTeam:
             + 1_000 * max(1, moves))
         for shard in server.shards:
             cluster.ring.add(shard.shard_id)
-            ShardAgent(self.sim, self.zk, shard)
+            self._register(shard)
         self.cluster.metrics.counter("swat.joins").add()
         return server
 
 
 class HaControl:
-    """Bundles ZooKeeper + SWAT (on a coordinator machine) + shard agents
-    for a cluster."""
+    """Bundles ZooKeeper + SWAT (on a coordinator machine) for a
+    cluster."""
 
     def __init__(self, cluster: HydraCluster, n_swat: int = 3):
         self.cluster = cluster
@@ -536,12 +483,11 @@ class HaControl:
         self.machine = cluster._new_machine(cores_per_numa=1)
         self.swat = SwatTeam(cluster.sim, cluster, self.zk, self.machine.nic,
                              n_members=n_swat)
-        self.agents: list[ShardAgent] = []
 
     def start(self) -> None:
         """Start SWAT, have every replicated primary ack a write only once
         its ring record has landed, expose every secondary's fence word
-        and register a liveness agent per primary shard."""
+        and register every primary shard's heartbeat word."""
         self.swat.start()
         for shard_id, replicator in self.cluster.replicators.items():
             replicator.land_before_ack(self.cluster.secondaries[shard_id])
@@ -549,4 +495,4 @@ class HaControl:
             for sec in secs:
                 sec.fence_rptr()
         for shard in self.cluster.routing.live_shards():
-            self.agents.append(ShardAgent(self.cluster.sim, self.zk, shard))
+            self.swat._register(shard)

@@ -377,8 +377,7 @@ class Shard:
         self._gray = False
         self._gray_gate = Gate(sim)
         self.alive = False
-        #: Every thread :meth:`kill` interrupts: the shard's own loops and
-        #: the ones :meth:`adopt` hands it (its coordination agent).
+        #: Every thread :meth:`kill` interrupts: the shard's own loops.
         self._procs: list = []
         self._killed = False
         #: True once a route swap replaced this shard (:meth:`depose`).
@@ -488,14 +487,6 @@ class Shard:
             conn.client_qp.flush()
             conn.client_doorbell.fire()
         self._orphans.clear()
-
-    def adopt(self, proc) -> None:
-        """Make ``proc`` a thread of this process: :meth:`kill`
-        interrupts it along with the shard's own loops (at once, if the
-        shard is already dead)."""
-        self._procs.append(proc)
-        if self._killed:
-            proc.interrupt("killed")
 
     def heartbeat(self, period_ns: int) -> RemotePointer:
         """The remote pointer of this process's heartbeat word.

@@ -181,8 +181,9 @@ def test_late_success_after_an_overdue_miss_clears_that_miss():
     """A probe held back 700 us misses its deadline, and so do its two
     re-probes (all four Reads held back 1.5 ms).  When the first probe's
     Read lands late with an advanced word, before the third deadline, it
-    is proof of life: its own miss is cleared, the first re-probe's
-    stays, and the third deadline makes two misses, not a verdict."""
+    is proof of life, at its landing: its own miss is cleared, the
+    first re-probe's stays, and the third deadline makes two misses, not
+    a verdict."""
     cluster, ha = ha_cluster()
     sim = cluster.sim
     shard_id = cluster.routing.shard_ids()[0]
@@ -198,13 +199,10 @@ def test_late_success_after_an_overdue_miss_clears_that_miss():
     first = target.seq - 1  # the probe, then its two-Read re-probe
     sim.run(until=posted + 2 * PROBE_DEADLINE_FLOOR_NS - 1_000)
     assert target.missed == [first]  # the probe is overdue
-    proofs: list[tuple[int, bool]] = []
-    prober.verdict(shard_id).callbacks.append(
-        lambda ev: proofs.append((sim.now, ev.value)))
+    assert target.alive_seq < first and target.alive_at < posted
     sim.run(until=posted + 700_000 + RTT_SLACK_NS)
     assert target.missed == [first + 1] and target.alive_seq == first
-    assert len(proofs) == 1 and proofs[0][1] is True
-    assert proofs[0][0] - posted >= 700_000
+    assert 700_000 <= target.alive_at - posted <= 700_000 + RTT_SLACK_NS
     sim.run(until=posted + 3 * PROBE_DEADLINE_FLOOR_NS + RTT_SLACK_NS)
     assert len(hook.delayed) == 5  # the third deadline re-probed...
     assert target.missed == []  # ...and its Reads proved life at once
@@ -231,35 +229,25 @@ def test_a_path_turning_slow_all_at_once_is_condemned():
     assert ha.swat.failovers == 1 and fenced(cluster) == 1
 
 
-def test_primary_dead_before_its_agent_registers_still_fails_over():
-    """No znode ever advertised the word: SWAT probes the word where the
-    shard was placed, and the frozen word condemns it."""
+def test_primary_killed_before_a_leader_is_elected_still_fails_over():
+    """The registration exists from the start, before any leader: the
+    first leader probes the advertised word of a primary already dead,
+    and its silence condemns it."""
     cfg = SimConfig().with_overrides(replication={"replicas": 1},
                                      client={"op_timeout_ns": 5 * MS})
     cluster = HydraCluster(config=cfg, n_server_machines=1,
                            shards_per_server=1)
     ha = cluster.enable_ha()
     cluster.start()
-    cluster.sim.run(until=500_000)  # before the agent's first ZK round
+    cluster.sim.run(until=500_000)  # before the first ZK round ends
     shard_id = cluster.routing.shard_ids()[0]
-    assert not ha.zk.node_exists(f"{SHARDS_PATH}/{shard_id}")
+    assert ha.zk.node_exists(f"{SHARDS_PATH}/{shard_id}")
+    assert ha.swat.leader_id is None and ha.swat.prober is None
     cluster.servers[0].kill()
     cluster.sim.run(until=100 * MS)
     assert ha.swat.failovers == 1 and fenced(cluster) == 1
-    assert ha.zk.node_exists(f"{SHARDS_PATH}/{shard_id}")
-
-
-def test_zk_expiry_of_a_live_primary_reregisters_it_without_failover():
-    cluster, ha = ha_cluster()
-    shard_id = cluster.routing.shard_ids()[0]
-    original = cluster.routing.resolve(shard_id)
-    assert ha.zk.expire_sessions_of(shard_id) == 1
-    cluster.sim.run(until=cluster.sim.now + 4 * S)
-    assert cluster.routing.resolve(shard_id) is original
-    assert ha.swat.failovers == 0 and fenced(cluster) == 0
-    assert ha.zk.node_exists(f"{SHARDS_PATH}/{shard_id}")
-    assert shard_id in ha.swat.prober.watched()
-    assert not ha.swat.prober.condemned()
+    promoted = cluster.routing.resolve(shard_id)
+    assert ha.swat.prober._targets[shard_id].nic is promoted.nic
 
 
 def test_gray_primary_gets_no_verdict_while_gray():
@@ -493,18 +481,38 @@ def test_a_ring_write_outliving_the_retry_timeout_is_refused(monkeypatch):
     assert stale_reads == []
 
 
+def _session_bound(call: ast.Call) -> bool:
+    """Whether ``call`` creates a znode tied to a ZK session: an
+    ``ephemeral`` keyword, or a ``_create_node`` owner session, that is
+    not the constant ``False`` / ``None``."""
+    owners = [kw.value for kw in call.keywords
+              if kw.arg in ("ephemeral", "ephemeral_session")]
+    if isinstance(call.func, ast.Attribute) \
+            and call.func.attr == "_create_node":
+        owners += call.args[2:]
+    return any(not (isinstance(v, ast.Constant) and v.value in (False, None))
+               for v in owners)
+
+
 def test_coord_reads_no_liveness_ground_truth():
     """The control plane decides only from what it can observe: no
     ``.alive`` read of a shard, NIC or machine anywhere in ``coord/``.
     A ZooKeeper session's own liveness is the one allowed ``.alive``
-    (``self`` inside the ZooKeeper model is a session)."""
+    (``self`` inside the ZooKeeper model is a session).  Nor does
+    liveness ride on a ZK session: outside the ZooKeeper model, the one
+    znode ``coord/`` ties to a session is a SWAT member's election node
+    (``SwatTeam._member``); every ``/shards`` registration is
+    persistent."""
     coord = Path(__file__).resolve().parents[2] / "src" / "repro" / "coord"
     offenders = []
+    session_bound = []
     for path in sorted(coord.glob("*.py")):
         sessions = {"session", "self.session", "sess"}
         if path.name == "zookeeper.py":
             sessions.add("self")
         tree = ast.parse(path.read_text())
+        scopes = [n for n in ast.walk(tree)
+                  if isinstance(n, (ast.ClassDef, ast.FunctionDef))]
         for node in ast.walk(tree):
             if (isinstance(node, ast.Attribute) and node.attr == "alive"
                     and isinstance(node.ctx, ast.Load)):
@@ -514,4 +522,11 @@ def test_coord_reads_no_liveness_ground_truth():
                                      f"{owner}.alive")
             elif isinstance(node, ast.Constant) and node.value == "alive":
                 offenders.append(f"{path.name}:{node.lineno} 'alive'")
+            elif (isinstance(node, ast.Call) and _session_bound(node)
+                    and path.name != "zookeeper.py"):
+                # Enclosing scopes, outermost first (ast.walk is BFS).
+                session_bound.append(".".join(
+                    s.name for s in scopes
+                    if s.lineno <= node.lineno <= s.end_lineno))
     assert offenders == []
+    assert session_bound == ["SwatTeam._member"]

@@ -54,7 +54,7 @@ def test_failover_promotes_secondary_without_data_loss():
     cluster.run(phase1())
     settle(cluster, 10_000_000)  # let replication drain
     cluster.servers[0].kill()
-    # Session expiry (2 s) + reaction time.
+    # Probe verdict + reaction time.
     settle(cluster, 4_000_000_000)
     new_shard = cluster.routing.resolve(shard_id)
     assert new_shard is not old_shard and new_shard.alive

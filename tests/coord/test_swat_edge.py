@@ -1,12 +1,15 @@
-"""SWAT edge cases: session flaps, join+failover interplay, agent retry."""
+"""SWAT edge cases: persistent registrations, leader churn after a
+promotion, join+failover interplay."""
 
 
 from repro import HydraCluster, SimConfig
-from repro.coord.swat import SHARDS_PATH, ShardAgent
-from repro.protocol import Status
+from repro.coord.swat import SHARDS_PATH, _decode_word, verdict_bound_ns
 
 MS = 1_000_000
 S = 1_000_000_000
+
+#: Room for probe round trips (about 1.5 us each) in the verdict bound.
+RTT_SLACK_NS = 10_000
 
 
 def ha_cluster(replicas=1, shards=1):
@@ -21,44 +24,90 @@ def ha_cluster(replicas=1, shards=1):
     return cluster, ha
 
 
-def test_transient_session_flap_reregisters_without_promotion():
-    """An agent session expiry with a healthy shard must NOT promote."""
-    cluster, ha = ha_cluster()
+def registration(ha, shard_id):
+    """The znode advertising ``shard_id``'s heartbeat word."""
+    return ha.zk._nodes[f"{SHARDS_PATH}/{shard_id}"]
+
+
+def test_registrations_are_persistent():
+    """A shard's ``/shards`` znode belongs to no ZK session: expiring
+    sessions by its id finds none, and nothing about the shard changes."""
+    cluster, ha = ha_cluster(shards=2)
     cluster.sim.run(until=30 * MS)
-    shard_id = cluster.routing.shard_ids()[0]
-    original = cluster.routing.resolve(shard_id)
-    # Kill only the agent's ZK session (simulate a GC pause / flap).
-    agent = ha.agents[0]
-    ha.zk._expire_session(ha.zk._sessions[agent.session.session_id])
+    shard_ids = cluster.routing.shard_ids()
+    originals = [cluster.routing.resolve(sid) for sid in shard_ids]
+    for shard_id in shard_ids:
+        assert registration(ha, shard_id).ephemeral_session is None
+        assert ha.zk.expire_sessions_of(shard_id) == 0
     cluster.sim.run(until=cluster.sim.now + 4 * S)
-    # Same shard object still routes; no failover counted.
-    assert cluster.routing.resolve(shard_id) is original
+    assert [cluster.routing.resolve(sid) for sid in shard_ids] == originals
     assert ha.swat.failovers == 0
-    assert ha.zk.node_exists(f"{SHARDS_PATH}/{shard_id}")
-
-    # And the shard still serves.
-    client = cluster.client()
-
-    def app():
-        assert (yield from client.put(b"k", b"v")) is Status.OK
-
-    cluster.run(app())
+    assert ha.swat.prober.watched() == set(shard_ids)
 
 
-def test_agent_waits_out_lingering_ephemeral():
-    """A replacement agent must wait for the stale znode, then register."""
+def test_promotion_rewrites_the_registration_and_probes_the_new_word():
+    """After a promotion ``/shards/<id>`` advertises the new primary's
+    word, and the leader probes that word straight from the reaction,
+    without a children round or a read of the znode."""
     cluster, ha = ha_cluster()
     cluster.sim.run(until=30 * MS)
-    shard = cluster.routing.resolve(cluster.routing.shard_ids()[0])
-    # Start a second agent while the first one's znode still exists.
-    dup = ShardAgent(cluster.sim, ha.zk, shard)
+    swat = ha.swat
+    shard_id = cluster.routing.shard_ids()[0]
+    reads = []
+    watch_word = swat._watch_word
+
+    def counted(session, sid):
+        reads.append(sid)
+        return (yield from watch_word(session, sid))
+
+    swat._watch_word = counted
+    cluster.servers[0].kill()
     cluster.sim.run(until=cluster.sim.now + 100 * MS)
-    assert dup.proc.is_alive  # parked on the deletion watch, no crash
-    # Expire the first agent's session: the duplicate takes over.
-    first = ha.agents[0]
-    ha.zk._expire_session(ha.zk._sessions[first.session.session_id])
-    cluster.sim.run(until=cluster.sim.now + 4 * S)
-    assert ha.zk.node_exists(f"{SHARDS_PATH}/{shard.shard_id}")
+    assert swat.failovers == 1
+    promoted = cluster.routing.resolve(shard_id)
+    nic_id, rptr = _decode_word(registration(ha, shard_id).data)
+    assert nic_id == promoted.nic.nic_id
+    assert registration(ha, shard_id).ephemeral_session is None
+    target = swat.prober._targets[shard_id]
+    assert (target.nic, target.rptr) == (promoted.nic, rptr)
+    assert reads == []
+    assert target.alive_seq > 0  # the new word proves life
+
+
+def test_churned_leader_probes_the_promoted_primary():
+    """A leader elected after a promotion reads the rewritten znode and
+    probes the promoted primary, so a second machine kill (replicas 2)
+    fails over within the verdict bound too."""
+    cluster, ha = ha_cluster(replicas=2)
+    cluster.sim.run(until=30 * MS)
+    swat = ha.swat
+    shard_id = cluster.routing.shard_ids()[0]
+    cluster.servers[0].kill()
+    cluster.sim.run(until=cluster.sim.now + 100 * MS)
+    assert swat.failovers == 1
+    promoted = cluster.routing.resolve(shard_id)
+    # swat_churn, as the chaos injector applies it.
+    old_leader = swat.leader_id
+    swat.kill_member(old_leader)
+    ha.zk.expire_sessions_of(f"swat.m{old_leader}")
+    swat.spawn_member()
+    cluster.sim.run(until=cluster.sim.now + 100 * MS)
+    assert swat.leader_id not in (None, old_leader)
+    target = swat.prober._targets[shard_id]
+    assert target.nic is promoted.nic and target.alive_seq > 0
+    verdicts = []
+    swat.prober.condemnation().callbacks.append(
+        lambda _ev: verdicts.append(cluster.sim.now))
+    killed_at = cluster.sim.now
+    promoted.kill()
+    promoted.machine.nic.fail()
+    cluster.sim.run(until=killed_at + 100 * MS)
+    assert len(verdicts) == 1
+    assert verdicts[0] - killed_at <= verdict_bound_ns(cluster.config) \
+        + RTT_SLACK_NS
+    assert swat.failovers == 2
+    third = cluster.routing.resolve(shard_id)
+    assert third is not promoted and third.alive
 
 
 def test_join_then_failover_of_original_server():

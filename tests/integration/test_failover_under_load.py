@@ -10,8 +10,8 @@ MS = 1_000_000
 
 
 #: ZooKeeper timing of the short twins (50 ms heartbeats, 200 ms
-#: sessions): the dead primary's session lapses inside their run.  The
-#: kill itself is detected by heartbeat probes in a few ms either way.
+#: sessions), which only SWAT members' sessions follow.  The kill itself
+#: is detected by heartbeat probes in a few ms either way.
 FAST_HA = {"heartbeat_ns": 50 * MS, "session_timeout_ns": 200 * MS}
 
 #: Writers stop this long after the kill if no promotion is observed
@@ -165,17 +165,27 @@ def test_double_failure_without_remaining_replica_is_detected():
     promoted.kill()
     promoted.machine.nic.fail()
     sim.run(until=sim.now + 4_000 * MS)
-    assert cluster.metrics.counter("swat.data_loss").value >= 1
+    # The loss is counted once: the lost shard's registration is deleted,
+    # so no leader probes (and condemns, fences, counts) it again.
+    assert cluster.metrics.counter("swat.data_loss").value == 1
+    assert cluster.metrics.counter("swat.fenced").value == 2
+    assert shard_id not in ha.swat.prober.watched()
+    assert not ha.zk.node_exists(f"/shards/{shard_id}")
 
 
 def test_failover_with_pytest_marker_sanity():
-    # Guard: enable_ha on a started cluster still registers agents.
+    # Guard: enable_ha registers every primary's heartbeat word, and
+    # the elected leader probes each of them.
     cluster = HydraCluster(
         config=SimConfig().with_overrides(replication={"replicas": 1}),
         n_server_machines=1, shards_per_server=2)
     ha = cluster.enable_ha()
     cluster.start()
     cluster.sim.run(until=20 * MS)
-    assert len(ha.agents) == 2
+    shard_ids = cluster.routing.shard_ids()
+    assert len(shard_ids) == 2
+    for shard_id in shard_ids:
+        assert ha.zk.node_exists(f"/shards/{shard_id}")
+    assert ha.swat.prober.watched() == set(shard_ids)
     with pytest.raises(RuntimeError):
         cluster.start()  # double start rejected
