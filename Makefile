@@ -17,8 +17,9 @@ SHAPES = fig3 fig9 fig10 fig11 fig12up fig13 ab-table ab-numa ab-sharing \
 test:
 	$(PYTEST) tests/
 
-# Inner loop: everything but the seven `soak`-marked tests (~2 min of the
-# ~16).  `make test` and CI still run all of them.
+# Inner loop: everything but the seven `soak`-marked tests (1,018 tests in
+# 67 s, against 1,025 in 4 m 26 s for the whole tier-1 suite, measured on
+# a 2-core machine).  `make test` and CI still run all of them.
 test-fast:
 	$(PYTEST) tests/ -m "not soak"
 

@@ -135,9 +135,10 @@ class Prober:
         target.wake = partial(self._due, target)
         self._targets[shard_id] = target
 
-    def forget(self, shard_id: str) -> None:
-        """Stop probing ``shard_id`` (it was deposed)."""
-        self._targets.pop(shard_id, None)
+    def forget(self, shard_id: str) -> Optional[_Target]:
+        """Stop probing ``shard_id`` (it was deposed); returns the target
+        dropped, if it was watched."""
+        return self._targets.pop(shard_id, None)
 
     def watched(self) -> set[str]:
         return set(self._targets)

@@ -32,17 +32,23 @@ to status changes:
   The first secondary that acknowledged is promoted: its merge thread
   stops, its ring drains, a fresh primary shard is started around the
   *same* store, the other acknowledged secondaries are resynchronized
-  and re-attached, the routing metadata is republished, and the shard's
-  znode is rewritten with the new primary's word, which the leader
-  probes from then on.  With none, the shard is rebuilt from its durable
-  log the same way; with no log either, the data is lost and the
-  shard's znode is deleted, since nothing is left to probe.
+  and re-attached, and the route is swapped in the routing table.  Then
+  the shard's znode is rewritten with the new primary's word, which the
+  leader probes from then on.  With none, the shard is rebuilt from its
+  durable log the same way; with no log either, the data is lost and
+  the shard's znode is deleted, since nothing is left to probe.  Only a
+  word that belongs to the routed primary is fenced: a word left
+  advertised by a leader that died between the swap and the rewrite
+  belongs to the deposed primary, so the successor that condemns it
+  rewrites the znode with the routed primary's word and fences nothing.
 * **Node join**: a new server's shards are added to the consistent-hash
   ring after the keys they now own are migrated out of the old owners,
   and registered.
 
-ZooKeeper is left with leader election, serialising the decisions (one
-leader reacts, one shard at a time) and publishing routes.
+The ``/shards`` record is the published route: the one per-shard record
+in ZooKeeper, and the one write a reaction makes there.  ZooKeeper is
+left with leader election, serialising the decisions (one leader reacts,
+one shard at a time) and publishing that record.
 """
 
 from __future__ import annotations
@@ -64,7 +70,6 @@ __all__ = ["SwatTeam", "HaControl", "PROBE_MISSES",
            "revoke_bound_ns"]
 
 SHARDS_PATH = "/shards"
-ROUTING_PATH = "/routing"
 MEMBERS_PATH = "/swat/members"
 
 #: K: probe misses, newer than the last proof of life, that condemn a
@@ -151,12 +156,10 @@ class SwatTeam:
 
     def start(self) -> None:
         """Bootstrap the znode tree and launch every SWAT member."""
-        boot = self.zk.connect("swat.boot")
         # Bootstrap the static tree synchronously (no contention at t=0).
-        for path in ("/swat", MEMBERS_PATH, SHARDS_PATH, ROUTING_PATH):
+        for path in ("/swat", MEMBERS_PATH, SHARDS_PATH):
             if not self.zk.node_exists(path):
                 self.zk._create_node(path, b"", None)
-        del boot
         for mid in range(self.n_members):
             self.member_procs.append(
                 self.sim.process(self._member(mid), name=f"swat.m{mid}"))
@@ -215,11 +218,6 @@ class SwatTeam:
 
     # -- leader duties ---------------------------------------------------------
     def _lead(self, session: ZkSession):
-        # Publish the initial routing map.
-        for shard_id in self.cluster.routing.shard_ids():
-            path = f"{ROUTING_PATH}/{shard_id}"
-            if not self.zk.node_exists(path):
-                yield from session.create(path, self._route_blob(shard_id))
         prober = self.prober = Prober(
             self.sim, self.nic, probe_period_ns(self.config), PROBE_MISSES,
             bump_period_ns(self.config), on_condemn=self._condemned)
@@ -273,24 +271,23 @@ class SwatTeam:
         nic_id, rptr = _decode_word(data)
         self.prober.watch(shard_id, self.cluster.fabric.nics[nic_id], rptr)
 
-    def _route_blob(self, shard_id: str) -> bytes:
-        # The blob carries the routing generation so observers can order
-        # republications without comparing machine ids.
-        shard = self.cluster.routing.resolve(shard_id)
-        return (f"machine={shard.machine.machine_id};"
-                f"gen={self.cluster.routing.generation}").encode()
-
     def _react_to_failure(self, session: ZkSession, shard_id: str):
-        """Fence a condemned primary, promote a secondary, republish
-        routing (§5.1) and advertise the new primary's word, which is
-        probed from then on."""
+        """Fence a condemned primary, promote a secondary, swap the route
+        (§5.1) and advertise the new primary's word, which is probed from
+        then on."""
         react_start = self.sim.now
-        self.prober.forget(shard_id)
-        old_primary = self.cluster.routing.resolve(shard_id)
+        condemned = self.prober.forget(shard_id)
+        routed = self.cluster.routing.resolve(shard_id)
+        if (condemned.nic, condemned.rptr) != (routed.nic,
+                                               self._word(routed)):
+            # A stale word: a leader died between the route swap and the
+            # rewrite, so the routed primary is not the one condemned.
+            yield from self._advertise(session, shard_id, routed)
+            return
         # Fence first: a dropped probe Read is indistinguishable from a
         # dead NIC, so the verdict may be wrong, and a deposed primary
         # that still served would split the shard's history.
-        old_primary.kill()
+        routed.kill()
         self.cluster.metrics.counter("swat.fenced").add()
         # Then revoke, at once: a secondary that acknowledges refuses any
         # Write of the deposed primary still in flight, and none of those
@@ -303,8 +300,8 @@ class SwatTeam:
         if not candidates:
             # Correlated primary+secondary death.  With a durable log the
             # shard is rebuilt from persistent media (replay + ring
-            # salvage + route republication); without one, the data is
-            # gone and we can only count the loss.
+            # salvage + route swap); without one, the data is gone and we
+            # can only count the loss.
             if not getattr(self.cluster, "durable_logs", {}).get(shard_id):
                 self.cluster.metrics.counter("swat.data_loss").add()
                 # Nothing is left to probe: no leader watches it again.
@@ -314,21 +311,23 @@ class SwatTeam:
             self.cluster.metrics.counter("swat.log_recoveries").add()
         else:
             new_primary = yield from self._promote(shard_id, candidates)
-        try:
-            yield from session.set_data(f"{ROUTING_PATH}/{shard_id}",
-                                        self._route_blob(shard_id))
-        except ZkError:  # pragma: no cover - routing node races
-            pass
+        # Counted with the route swap, before any yield: a leader that
+        # dies in the rewrite has still failed the shard over.
         self.failovers += 1
         self.cluster.metrics.counter("swat.failovers").add()
-        #: Reaction-to-republication latency (excludes detection: the
+        yield from self._advertise(session, shard_id, new_primary)
+        #: Reaction-to-publication latency (excludes detection: the
         #: probe misses that condemned the primary).
         self.cluster.metrics.tally("swat.promotion_ns").observe(
             self.sim.now - react_start)
-        word = self._word(new_primary)
+
+    def _advertise(self, session: ZkSession, shard_id: str, primary: Shard):
+        """Rewrite ``/shards/<shard_id>`` with ``primary``'s heartbeat
+        word and probe that word from now on."""
+        word = self._word(primary)
         yield from session.set_data(f"{SHARDS_PATH}/{shard_id}",
-                                    _encode_word(new_primary.nic, word))
-        self.prober.watch(shard_id, new_primary.nic, word)
+                                    _encode_word(primary.nic, word))
+        self.prober.watch(shard_id, primary.nic, word)
 
     def _revoke(self, secondaries: list):
         """One revocation round (generator): write a fence request into

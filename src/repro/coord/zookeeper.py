@@ -23,7 +23,7 @@ __all__ = ["ZooKeeper", "ZkSession", "ZkError", "WatchEvent"]
 
 
 class ZkError(Exception):
-    """NodeExists / NoNode / NotEmpty / BadVersion / SessionExpired."""
+    """NodeExists / NoNode / NotEmpty / SessionExpired."""
 
 
 @dataclass
@@ -31,7 +31,7 @@ class WatchEvent:
     """Delivered to a one-shot watch when its condition fires."""
 
     path: str
-    kind: str  # "created" | "deleted" | "data" | "children"
+    kind: str  # "deleted" | "children"
 
 
 @dataclass
@@ -98,7 +98,7 @@ class ZooKeeper:
     # -- watches ---------------------------------------------------------
     def watch(self, path: str, kind: str) -> Event:
         """One-shot watch; fires with a :class:`WatchEvent`."""
-        if kind not in ("created", "deleted", "data", "children"):
+        if kind not in ("deleted", "children"):
             raise ValueError(f"unknown watch kind {kind!r}")
         ev = Event(self.sim)
         self._watches.setdefault((path, kind), []).append(ev)
@@ -158,7 +158,6 @@ class ZooKeeper:
         self._nodes[path] = _Znode(data=data,
                                    ephemeral_session=ephemeral_session)
         pnode.children.add(path.rsplit("/", 1)[1])
-        self._fire(path, "created")
         self._fire(parent, "children")
 
     def _delete_node(self, path: str) -> None:
@@ -205,13 +204,6 @@ class ZkSession:
             self.heartbeat()
             yield self.zk.sim.timeout(self.zk.config.heartbeat_ns)
 
-    def close(self):
-        """Gracefully end the session (ephemerals removed immediately)."""
-        yield self._op_delay()
-        sess = self.zk._sessions.get(self.session_id)
-        if sess is not None and sess.alive:
-            self.zk._expire_session(sess)
-
     # -- operations --------------------------------------------------------
     def create(self, path: str, data: bytes = b"", ephemeral: bool = False,
                sequential: bool = False):
@@ -235,19 +227,15 @@ class ZkSession:
         self.zk._session(self.session_id)
         self.zk._delete_node(path)
 
-    def set_data(self, path: str, data: bytes,
-                 expected_version: Optional[int] = None):
-        """Write znode data (optionally compare-and-set on version)."""
+    def set_data(self, path: str, data: bytes):
+        """Write znode data; returns its new version."""
         yield self._op_delay()
         self.zk._session(self.session_id)
         node = self.zk._nodes.get(path)
         if node is None:
             raise ZkError(f"NoNode: {path}")
-        if expected_version is not None and node.version != expected_version:
-            raise ZkError(f"BadVersion: {path} is at {node.version}")
         node.data = data
         node.version += 1
-        self.zk._fire(path, "data")
         return node.version
 
     def get_data(self, path: str):
@@ -267,9 +255,3 @@ class ZkSession:
         if node is None:
             raise ZkError(f"NoNode: {path}")
         return sorted(node.children)
-
-    def exists(self, path: str):
-        """Whether the znode exists (one quorum round)."""
-        yield self._op_delay()
-        self.zk._session(self.session_id)
-        return path in self.zk._nodes

@@ -539,9 +539,10 @@ class Shard:
     def gray_fail(self) -> None:
         """Enter gray failure: stop sweeping, keep everything else alive.
 
-        The agent's liveness checks (``alive`` + NIC up) still pass, the
-        QPs still accept writes, so requests land in the buffers and rot.
-        Chaos-injection entry point.
+        The heartbeat word keeps bumping (the bump is not the sweep), so
+        SWAT's probes keep seeing life, and the QPs still accept writes,
+        so requests land in the buffers and rot.  Chaos-injection entry
+        point.
         """
         self._gray = True
         self.metrics.counter("shard.gray_failures").add()

@@ -29,12 +29,11 @@ def test_leader_elected():
     assert ha.swat.leader_id is not None
 
 
-def test_shard_agents_register():
+def test_every_primary_is_registered():
     cluster, ha = ha_cluster(shards_per_server=2)
     settle(cluster, 20_000_000)
     for shard_id in cluster.routing.shard_ids():
         assert ha.zk.node_exists(f"/shards/{shard_id}")
-        assert ha.zk.node_exists(f"/routing/{shard_id}")
 
 
 def test_failover_promotes_secondary_without_data_loss():

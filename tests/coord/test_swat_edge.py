@@ -110,6 +110,46 @@ def test_churned_leader_probes_the_promoted_primary():
     assert third is not promoted and third.alive
 
 
+def test_leader_dying_between_route_swap_and_rewrite_fences_nothing_live():
+    """A leader churned right after the route swap dies in the
+    ``/shards`` rewrite, leaving the deposed primary's word advertised.
+    Its successor condemns that stale word, but the routed primary is the
+    promoted one: it re-advertises and probes that primary instead of
+    fencing it, so with one replica no data is lost."""
+    cluster, ha = ha_cluster(replicas=1)
+    swat = ha.swat
+    shard_id = cluster.routing.shard_ids()[0]
+
+    def churn(_ev):
+        # swat_churn, as the chaos injector applies it.
+        leader = swat.leader_id
+        swat.kill_member(leader)
+        ha.zk.expire_sessions_of(f"swat.m{leader}")
+        swat.spawn_member()
+
+    cluster.sim.run(until=30 * MS)
+    cluster.routing.route_change.wait().callbacks.append(churn)
+    cluster.servers[0].kill()
+    cluster.sim.run(until=cluster.sim.now + 100 * MS)
+    metrics = cluster.metrics
+    assert metrics.counter("swat.fenced").value == 1
+    assert metrics.counter("swat.data_loss").value == 0
+    assert metrics.counter("swat.failovers").value == 1
+    promoted = cluster.routing.resolve(shard_id)
+    assert promoted.alive
+    nic_id, rptr = _decode_word(registration(ha, shard_id).data)
+    assert nic_id == promoted.nic.nic_id
+    target = swat.prober._targets[shard_id]
+    assert (target.nic, target.rptr) == (promoted.nic, rptr)
+    client = cluster.client()
+
+    def roundtrip():
+        yield from client.put(b"after", b"churn")
+        return (yield from client.get(b"after"))
+
+    assert cluster.run(roundtrip()) == b"churn"
+
+
 def test_join_then_failover_of_original_server():
     """Grow the cluster, then lose the original server: the promoted shard
     plus the joined server keep the whole keyspace available."""
@@ -147,7 +187,7 @@ def test_join_then_failover_of_original_server():
     cluster.run(verify())
 
 
-def test_join_server_starts_agents_for_new_shards():
+def test_join_server_registers_new_shards():
     cluster, ha = ha_cluster(replicas=0, shards=1)
     cluster.sim.run(until=30 * MS)
     join = cluster.sim.process(ha.swat.join_server(n_shards=1))

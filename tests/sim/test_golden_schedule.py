@@ -148,9 +148,9 @@ def _traced_soak(monkeypatch) -> tuple[dict, tuple[str, int]]:
 
 #: (schedule digest, events dispatched, wire digest, injection-log hash,
 #: ops) of the ``mixed``/71 storm cell.
-STORM_PINNED = ("4575ea3f64be2594f249ae20a90d5eac", 28_275,
-                "2b635b61e0a5edcde036fb4b59ace826",
-                "1e1c6c6cf921c8fa", 671)
+STORM_PINNED = ("f2047fba709cda0bfff64bf88192b6af", 28_402,
+                "0bad8bc1f73173955a0ce69da86c696a",
+                "b8473f0d2baa2134", 673)
 
 
 def test_chaos_storm_schedule_is_pinned(monkeypatch):
