@@ -341,8 +341,9 @@ class TraversalConfig:
 class QosConfig:
     """Multi-tenant traffic engineering (PR 8).
 
-    Doubles as the per-tenant policy handed to
-    ``HydraCluster.client(tenant=..., qos=QosConfig(...))`` and as the
+    Doubles as the per-tenant settings handed to
+    ``HydraCluster.client(tenant=..., qos=QosConfig(...))`` — from which
+    the tenant's :class:`~repro.qos.TenantPolicy` is built — and as the
     cluster-wide defaults section ``SimConfig.qos``.
     """
 
@@ -380,9 +381,9 @@ class QosConfig:
     #: Clean completions per +1 additive-increase step.
     aimd_probe_interval: int = 8
     #: Server-side load shedding: with N > 0, a sweep that finds more
-    #: than N requests from one tenant while other tenants are also
-    #: queued sheds the excess with ``Status.THROTTLED`` instead of
-    #: executing them.  0 = never shed (default).
+    #: than N requests from one named tenant sheds the excess with
+    #: ``Status.THROTTLED`` instead of executing them — even when that
+    #: tenant is the only one queued.  0 = never shed (default).
     server_shed_slots: int = 0
     #: ``retry_after_ns`` hint carried by server-side THROTTLED responses.
     shed_retry_after_ns: int = 200_000

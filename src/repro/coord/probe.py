@@ -107,12 +107,13 @@ class _Target:
 class Prober:
     """Probe heartbeat words from one coordinator NIC.
 
-    ``on_condemn(shard_id, silence_ns)`` is called at each condemnation
-    with the time since the target's last proof of life."""
+    ``on_condemn(target, silence_ns)`` is called at each condemnation
+    with the condemned :class:`_Target` and the time since its last
+    proof of life."""
 
     def __init__(self, sim: Simulator, nic: Nic, period_ns: int,
                  misses: int, bump_ns: int,
-                 on_condemn: Optional[Callable[[str, int], None]] = None):
+                 on_condemn: Optional[Callable[[_Target, int], None]] = None):
         self.sim = sim
         self.nic = nic
         self.period_ns = period_ns
@@ -289,8 +290,7 @@ class Prober:
         if len(target.missed) >= self.misses:
             target.condemned = True
             if self.on_condemn is not None:
-                self.on_condemn(target.shard_id,
-                                self.sim.now - target.alive_at)
+                self.on_condemn(target, self.sim.now - target.alive_at)
             self._condemned.fire()
         elif stalled:
             self.sim.timeout(self.bump_ns + 1).callbacks.append(

@@ -40,7 +40,8 @@ to status changes:
   word that belongs to the routed primary is fenced: a word left
   advertised by a leader that died between the swap and the rewrite
   belongs to the deposed primary, so the successor that condemns it
-  rewrites the znode with the routed primary's word and fences nothing.
+  rewrites the znode with the routed primary's word and fences nothing
+  (nor are the verdict hooks told of the stale word's condemnation).
 * **Node join**: a new server's shards are added to the consistent-hash
   ring after the keys they now own are migrated out of the old owners,
   and registered.
@@ -142,8 +143,9 @@ class SwatTeam:
         #: The current leader's failure detector (None between leaders).
         self.prober: Optional[Prober] = None
         self.failovers = 0
-        #: Called with the primary at each condemnation, before the
-        #: reaction (the chaos harness scores false verdicts with it).
+        #: Called with the primary at each condemnation of its word,
+        #: before the reaction (the chaos harness scores false verdicts
+        #: with it); a stale word's condemnation names no primary.
         self.verdict_hooks: list[Callable[[Shard], None]] = []
         self.member_procs = []
         self._member_alive = [True] * n_members
@@ -239,14 +241,25 @@ class SwatTeam:
             if self.prober is prober:
                 self.prober = None
 
-    def _condemned(self, shard_id: str, silence_ns: int) -> None:
-        """The prober condemned ``shard_id``: tally how long it had gone
-        without a proof of life and tell the verdict hooks."""
+    def _condemned(self, target, silence_ns: int) -> None:
+        """The prober condemned ``target``: tally how long it had gone
+        without a proof of life and, when the word is the routed
+        primary's, tell the verdict hooks."""
         self.cluster.metrics.tally("swat.verdict_ns").observe(silence_ns)
         if self.verdict_hooks:
-            primary = self.cluster.routing.resolve(shard_id)
-            for hook in self.verdict_hooks:
-                hook(primary)
+            primary, own = self._routed(target)
+            if own:
+                for hook in self.verdict_hooks:
+                    hook(primary)
+
+    def _routed(self, target) -> tuple[Shard, bool]:
+        """The routed primary of ``target``'s shard, and whether
+        ``target`` probes that primary's own word.  A word that is not
+        its is stale: a leader died between the route swap and the
+        ``/shards`` rewrite."""
+        routed = self.cluster.routing.resolve(target.shard_id)
+        return routed, (target.nic is routed.nic
+                        and target.rptr == self._word(routed))
 
     def _register(self, shard: Shard) -> None:
         """Advertise ``shard``'s heartbeat word in its persistent
@@ -276,10 +289,8 @@ class SwatTeam:
         (§5.1) and advertise the new primary's word, which is probed from
         then on."""
         react_start = self.sim.now
-        condemned = self.prober.forget(shard_id)
-        routed = self.cluster.routing.resolve(shard_id)
-        if (condemned.nic, condemned.rptr) != (routed.nic,
-                                               self._word(routed)):
+        routed, own = self._routed(self.prober.forget(shard_id))
+        if not own:
             # A stale word: a leader died between the route swap and the
             # rewrite, so the routed primary is not the one condemned.
             yield from self._advertise(session, shard_id, routed)

@@ -29,7 +29,7 @@ from typing import Generator, Optional
 from ..config import QosConfig, SimConfig
 from ..hardware import Machine
 from ..protocol import Op
-from ..qos import TokenBucket
+from ..qos import TenantPolicy
 from ..rdma import Fabric, TcpNetwork
 from ..sim import Gate, MetricSet, Simulator
 from .client import ClientTransport, HydraClient
@@ -134,9 +134,9 @@ class HydraCluster:
         #: handles (tenants on one machine share connections so fair
         #: queueing arbitrates real contention).
         self._transports: dict[int, ClientTransport] = {}
-        #: Per-tenant admission buckets (``qos.rate_ops``), first handle
-        #: wins — every handle of one tenant drains one budget.
-        self._tenant_buckets: dict[str, Optional[TokenBucket]] = {}
+        #: Per-tenant traffic-engineering policies, first handle wins —
+        #: every handle of one tenant drains one admission budget.
+        self._policies: dict[str, TenantPolicy] = {}
         self._started = False
         for _ in range(n_server_machines):
             machine = self._new_machine(cores_per_numa)
@@ -404,14 +404,16 @@ class HydraCluster:
         handle only (0 = single-attempt mode, no retries).
 
         ``tenant``/``qos`` scope the handle to a named tenant with a
-        traffic-engineering policy: tenant handles on one machine share
-        the machine's connections, with token-bucket admission
-        (``qos.rate_ops``), DRR-fair slot queueing
-        (``qos.fair_queueing``), and AIMD window autotuning
+        traffic-engineering policy (:class:`~repro.qos.TenantPolicy`):
+        tenant handles on one machine share the machine's connections,
+        with token-bucket admission (``qos.rate_ops``), DRR-fair slot
+        queueing (``qos.fair_queueing``), and AIMD window autotuning
         (``qos.autotune``) per the policy.  A named tenant without an
         explicit ``qos`` inherits a copy of the cluster-wide
-        ``config.qos``.  The default ``tenant="default"`` with no ``qos``
-        is bit-for-bit the pre-tenant client.
+        ``config.qos``.  A tenant's first handle fixes its policy; later
+        handles of the same tenant share it.  The default
+        ``tenant="default"`` with no ``qos`` has no policy and is
+        bit-for-bit the pre-tenant client.
 
         ``share_transport`` makes default-tenant handles on one machine
         share that machine's connections/QPs too (as the paper's client
@@ -442,7 +444,7 @@ class HydraCluster:
         if qos is None and tenant != "default":
             qos = replace(self.config.qos)
         shared = None
-        bucket = None
+        policy = None
         if qos is not None or share_transport:
             # Tenant handles on one machine share one transport: the same
             # physical connections, slots, and windows — the contention
@@ -453,25 +455,17 @@ class HydraCluster:
                 shared = self._transports[machine.machine_id] = (
                     ClientTransport())
         if qos is not None:
-            bucket = self._bucket_for(tenant, qos)
+            policy = self._policies.get(tenant)
+            if policy is None:
+                policy = self._policies[tenant] = TenantPolicy(
+                    self.sim, tenant, qos, self.metrics)
         client = HydraClient(self.sim, self.config, machine, router=self,
                              metrics=self.metrics, rptr_cache=cache,
-                             deadline_us=deadline_us, tenant=tenant,
-                             qos=qos, shared=shared, bucket=bucket)
+                             deadline_us=deadline_us, policy=policy,
+                             shared=shared)
         if connect:
             client.connect_all()
         return client
-
-    def _bucket_for(self, tenant: str,
-                    qos: QosConfig) -> Optional[TokenBucket]:
-        """The tenant's shared admission bucket (first policy wins; None
-        when the tenant is unthrottled, ``qos.rate_ops <= 0``)."""
-        if tenant in self._tenant_buckets:
-            return self._tenant_buckets[tenant]
-        bucket = (TokenBucket(qos.rate_ops, qos.burst, now_ns=self.sim.now)
-                  if qos.rate_ops > 0 else None)
-        self._tenant_buckets[tenant] = bucket
-        return bucket
 
     def rptr_stats(self) -> dict[str, int]:
         """Aggregate remote-pointer cache counters across shared caches."""

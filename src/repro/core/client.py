@@ -33,14 +33,11 @@ cache.  Single-key ``get`` rides the same engine with a batch of one.
 Multi-tenancy (traffic engineering): handles from
 ``HydraCluster.client(tenant=..., qos=QosConfig(...))`` share one
 :class:`ClientTransport` per machine — the same physical connections —
-and compete for its message slots and read windows.  Admission is
-token-bucket-gated per tenant (``qos.rate_ops``), slot grants are
-deficit-round-robin-arbitrated across tenants (``qos.fair_queueing``),
-and with ``qos.autotune`` an AIMD controller replaces the static
-``client.max_inflight_*`` windows, tuning each connection's in-flight
-depth from observed RTT.  Overload surfaces as typed
-:class:`~repro.core.errors.TenantThrottled` errors whose
-``retry_after_ns`` hints the retry engine honors — never a silent stall.
+and compete for its message slots and read windows.  Every tenant
+decision (admission, DRR slot grants, AIMD windows, the read-window
+share, shed errors) is made by the handle's
+:class:`~repro.qos.TenantPolicy`, consulted at one ``is None`` test per
+hook; a default handle has no policy and takes none of those branches.
 
 Failure handling (§5): every public operation runs as *rounds* of one
 retry engine (:meth:`HydraClient._retrying`) — a single-key op is a round
@@ -72,14 +69,13 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass, field
 from itertools import count
-from typing import Optional
+from typing import Optional, TYPE_CHECKING
 
-from ..config import QosConfig, SimConfig
+from ..config import SimConfig
 from ..hardware import Machine
 from ..protocol import (Op, Request, Response, Status, clear, consume,
                          frame, frame_len, occ_announce)
 from ..protocol.messages import _REQ
-from ..qos import AimdController, SlotArbiter
 from ..rdma import Nic, NicDown, QpError, RemotePointer
 from ..rdma.tcp import TcpError
 from ..sim import MetricSet, Simulator
@@ -88,6 +84,9 @@ from .errors import (BadStatus, RecoveryInProgress, RequestTimeout,
 from .rptr import (ABSENT, CachedPointer, ColdWalk, HIT, LEASE_SAFETY_NS,
                    PointerRead, READ_FRAME, READ_ITEM, ReadPath, RptrCache)
 from .shard import Connection, Shard
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..qos import PipeQos, TenantPolicy
 
 __all__ = ["ClientTransport", "HydraClient", "PendingRequest",
            "RequestTimeout", "StaticRouter"]
@@ -139,6 +138,8 @@ class _ReadState:
     inflight: int = 0
     #: Post instant of the outstanding batch (read-window AIMD sampling).
     post_ns: int = 0
+    #: The connection pipeline's tenant state (tenant handles only).
+    qos: Optional["PipeQos"] = None
 
 
 @dataclass
@@ -159,17 +160,12 @@ class _ConnPipeline:
     #: from subsequent occupancy words so long windows stop
     #: re-announcing drained slots.
     confirmed: set = field(default_factory=set)
-    #: req_id -> issue instant for AIMD RTT sampling (``qos.autotune``
-    #: only; stays empty otherwise).
-    issued_ns: dict[int, int] = field(default_factory=dict)
-    #: Lazily created DRR slot arbiter (``qos.fair_queueing`` only).
-    arbiter: Optional[SlotArbiter] = None
-    #: req_id -> tenant for arbiter occupancy accounting
-    #: (``qos.fair_queueing`` only; stays empty otherwise).
-    req_tenant: dict[int, str] = field(default_factory=dict)
     #: Processes asleep in :meth:`HydraClient.issue`'s window-full wait:
     #: whoever frees a slot while one sleeps rings the doorbell for it.
     window_waiters: int = 0
+    #: Tenant state (slot arbiter, AIMD controllers, read use), attached
+    #: by the first tenant handle that uses the connection.
+    qos: Optional["PipeQos"] = None
 
 
 class _Round:
@@ -228,28 +224,18 @@ class ClientTransport:
     the machine's physical connections — that is what makes fair
     queueing meaningful: competing tenants contend for the *same*
     per-connection message slots and one-sided read windows, arbitrated
-    by each pipeline's :class:`~repro.qos.SlotArbiter`.  A standalone
+    by each pipeline's :class:`~repro.qos.PipeQos`.  A standalone
     :class:`HydraClient` creates a private transport, preserving the
     single-tenant behavior bit-for-bit.
     """
 
-    __slots__ = ("conns", "tcp_conns", "pipes", "req_ids", "ctls",
-                 "read_ctls", "read_use", "weights")
+    __slots__ = ("conns", "tcp_conns", "pipes", "req_ids")
 
     def __init__(self):
         self.conns: dict[Shard, Connection] = {}
         self.tcp_conns: dict[Shard, object] = {}
         self.pipes: dict[int, _ConnPipeline] = {}
         self.req_ids = count(1)
-        #: conn_id -> AIMD controller for the message-path window.
-        self.ctls: dict[int, AimdController] = {}
-        #: conn_id -> AIMD controller for the one-sided read window.
-        self.read_ctls: dict[int, AimdController] = {}
-        #: conn_id -> {tenant: outstanding one-sided reads} for
-        #: weight-proportional read-window sharing.
-        self.read_use: dict[int, dict[str, int]] = {}
-        #: tenant -> DRR weight, registered at handle creation.
-        self.weights: dict[str, float] = {}
 
 
 class HydraClient:
@@ -274,10 +260,9 @@ class HydraClient:
                  router, metrics: Optional[MetricSet] = None,
                  rptr_cache: Optional[RptrCache] = None,
                  client_id: Optional[str] = None, numa_domain: int = 0,
-                 deadline_us: Optional[int] = None, tenant: str = "default",
-                 qos: Optional[QosConfig] = None,
-                 shared: Optional[ClientTransport] = None,
-                 bucket=None):
+                 deadline_us: Optional[int] = None,
+                 policy: Optional["TenantPolicy"] = None,
+                 shared: Optional[ClientTransport] = None):
         self.sim = sim
         self.config = config
         self.hydra = config.hydra
@@ -294,18 +279,11 @@ class HydraClient:
         #: Per-request retry budget in µs; 0 = single-attempt (legacy) mode.
         self.deadline_us = (self.client_cfg.op_deadline_us
                             if deadline_us is None else deadline_us)
-        #: Tenant identity and traffic-engineering policy.  ``qos=None``
-        #: (the default handle) takes the exact pre-QoS code paths.
-        self.tenant = tenant
-        self.qos = qos
-        self._wire_tenant = tenant.encode() if tenant != "default" else b""
-        self._fair = qos is not None and qos.fair_queueing
-        self._autotune = qos is not None and qos.autotune
-        #: Shared per-tenant admission bucket (``qos.rate_ops``), owned by
-        #: the cluster so every handle of one tenant drains one budget.
-        self._bucket = bucket
-        self.tmetrics = (self.metrics.scoped(f"client.tenant.{tenant}")
-                         if qos is not None else None)
+        #: The tenant's traffic-engineering policy, shared by every handle
+        #: of the tenant; None (the default handle) takes the exact
+        #: pre-QoS code paths.
+        self.policy = policy
+        self._wire_tenant = b"" if policy is None else policy.wire
         if (not self.client_cfg.rptr_cache_enabled
                 or self.hydra.transport != "rdma"):
             # No one-sided reads over TCP: the pointer cache is moot.
@@ -321,15 +299,10 @@ class HydraClient:
         #: transparently on the next operation.
         if shared is None:
             shared = ClientTransport()
-        self._shared = shared
         self.conns = shared.conns
         self._tcp_conns = shared.tcp_conns
         self._pipes = shared.pipes
         self._req_ids = shared.req_ids
-        self._ctls = shared.ctls
-        self._read_ctls = shared.read_ctls
-        self._read_use = shared.read_use
-        shared.weights[tenant] = qos.weight if qos is not None else 1.0
         # Precomputed counter handles (``MetricSet.counter`` is get-or-
         # create, so these are the same objects a per-call lookup would
         # return) and reusable drain scratch lists: the gather loops would
@@ -348,13 +321,6 @@ class HydraClient:
         self._c_demotions = m.counter("client.demotions")
         self._c_bucket_reads = m.counter("client.bucket_reads")
         self._c_races = m.counter("client.traversal_races")
-        if self.tmetrics is not None:
-            tm = self.tmetrics
-            self._tc_ops = tm.counter("ops")
-            self._tc_throttled = tm.counter("throttled")
-            self._tc_server_shed = tm.counter("server_shed")
-            self._tc_slot_grants = tm.counter("slot_grants")
-            self._tc_slot_wait = tm.tally("slot_wait_ns")
         #: Pool of drain-order scratch lists (one per *concurrent* drain:
         #: fan-outs run many issue/wait processes on one handle, each of
         #: which may be parked mid-drain at a simulated poll yield).
@@ -531,9 +497,11 @@ class HydraClient:
         first_failure_ns = 0
         first_failed: Optional[set] = None
         todo = list(enumerate(keys))
+        policy = self.policy
         while True:
-            if self._bucket is not None:
-                yield from self._admit(deadline, opname, n=len(todo))
+            if policy is not None:
+                yield from policy.admit(self.client_id, deadline, opname,
+                                        len(todo))
             generation = self.router.generation
             items = [_ReadItem(i, key, self.router.route(key))
                      for i, key in todo]
@@ -552,8 +520,8 @@ class HydraClient:
                     self._c_failovers.add()
                     self.metrics.tally("client.failover_latency_ns").observe(
                         self.sim.now - first_failure_ns)
-                if self.tmetrics is not None:
-                    self._tc_ops.add()
+                if policy is not None:
+                    policy.ops.add()
                 return
             lost = [(item, exc) for item, exc in failed
                     if not isinstance(exc, TenantThrottled)]
@@ -612,48 +580,7 @@ class HydraClient:
                     backoff_ns = min(backoff_ns * 2, backoff_cap_ns)
             todo = [(item.idx, item.key) for item, _exc in failed]
 
-    def _admit(self, deadline: Optional[int], opname: str = "", n: int = 1):
-        """Token-bucket admission (``qos.rate_ops``).
-
-        Waits out the bucket refill under the deadline budget; when the
-        budget cannot cover the wait (or there is no budget to sleep
-        under) the op fails *promptly* with :class:`TenantThrottled`
-        carrying the ``retry_after_ns`` hint — never a silent stall.
-
-        Batches larger than the bucket depth are admitted in
-        burst-sized chunks, so a multi-op call always makes progress
-        instead of asking for more tokens than can ever accrue at once.
-        """
-        chunk = max(1, int(self._bucket.burst))
-        while n > 0:
-            take_n = min(n, chunk)
-            wait_ns = self._bucket.take(self.sim.now, take_n)
-            if wait_ns == 0:
-                n -= take_n
-                continue
-            if self.tmetrics is not None:
-                self._tc_throttled.add()
-            if deadline is None or wait_ns >= deadline - self.sim.now:
-                raise TenantThrottled(
-                    f"{self.client_id}: {opname} admission refused for "
-                    f"tenant {self.tenant!r}",
-                    retry_after_ns=wait_ns, tenant=self.tenant)
-            yield self.sim.timeout(wait_ns)
-
     # -- pipelined one-sided read engine ------------------------------------
-    def _read_window(self, conn: Connection) -> int:
-        """Total one-sided read window for one connection (AIMD-governed
-        when ``qos.autotune``, else the static ``client`` knob)."""
-        if self._autotune:
-            ctl = self._read_ctls.get(conn.conn_id)
-            if ctl is None:
-                ctl = self._read_ctls[conn.conn_id] = (
-                    AimdController.from_config(
-                        self.qos,
-                        initial=max(1, self.client_cfg.max_inflight_reads)))
-            return ctl.window
-        return max(1, self.client_cfg.max_inflight_reads)
-
     def _post_read_batch(self, cs: _ReadState):
         """Post the next doorbell-coalesced Read batch on one connection.
 
@@ -664,24 +591,18 @@ class HydraClient:
         to be unusable (torn down by a failover) — the caller demotes
         those to the message path.
 
-        Tenant handles (``qos`` set) share the window weight-
-        proportionally across the tenants with reads outstanding on this
-        connection, so an aggressor's fan-outs cannot monopolize the
-        read window any more than the message slots.
+        A tenant handle's policy sizes the window (AIMD with
+        ``qos.autotune``) and shares it weight-proportionally across the
+        tenants with reads outstanding on this connection, so an
+        aggressor's fan-outs cannot monopolize the read window any more
+        than the message slots.
         """
-        total = self._read_window(cs.conn)
-        if self.qos is None:
-            limit, mine = total, cs.inflight
+        static = self.client_cfg.max_inflight_reads
+        if cs.qos is None:
+            room = max(1, static) - cs.inflight
         else:
-            use = self._read_use.setdefault(cs.conn.conn_id, {})
-            weights = self._shared.weights
-            active = {t for t, u in use.items() if u > 0}
-            active.add(self.tenant)
-            w_sum = sum(weights.get(t, 1.0) for t in active)
-            limit = max(1, int(total * weights.get(self.tenant, 1.0)
-                               / w_sum))
-            mine = use.get(self.tenant, 0)
-        n = min(limit - mine, len(cs.queue))
+            room = self.policy.read_room(cs.qos, static)
+        n = min(room, len(cs.queue))
         if n <= 0 and cs.inflight == 0 and cs.queue:
             # Anti-strand: whatever the share math says, a chain with
             # nothing in flight must make progress.
@@ -699,9 +620,8 @@ class HydraClient:
             cs.queue = []
             return [], failed
         cs.inflight += n
-        if self.qos is not None:
-            use = self._read_use.setdefault(cs.conn.conn_id, {})
-            use[self.tenant] = use.get(self.tenant, 0) + n
+        if cs.qos is not None:
+            self.policy.reads_posted(cs.qos, n)
         cs.post_ns = self.sim.now
         return [(batch, batch_ev, cs)], []
 
@@ -733,6 +653,7 @@ class HydraClient:
         (empty when ``on_demote`` consumed them).
         """
         cache = self.cache
+        policy = self.policy
         hits: dict[int, Optional[bytes]] = {}
         demoted: list[_ReadItem] = []
 
@@ -797,6 +718,8 @@ class HydraClient:
             if cs is None:
                 cs = states[conn.conn_id] = _ReadState(
                     conn, cache.path_to(shard.machine.machine_id))
+                if policy is not None:
+                    cs.qos = policy.state(self._pipe(conn))
             return cs
 
         def start_walk(item: _ReadItem, conn: Connection,
@@ -853,20 +776,10 @@ class HydraClient:
             i += 1
             wcs = yield ev
             cs.inflight -= len(reads)
-            if self.qos is not None:
-                use = self._read_use.get(cs.conn.conn_id)
-                if use is not None and self.tenant in use:
-                    use[self.tenant] = max(0, use[self.tenant] - len(reads))
+            if cs.qos is not None:
+                policy.reads_landed(cs.qos, len(reads), wcs, cs.post_ns)
             if wcs:
-                rtt = max(wc.ns for wc in wcs) - cs.post_ns
-                cs.path.on_read(rtt)
-                if self._autotune:
-                    ctl = self._read_ctls.get(cs.conn.conn_id)
-                    if ctl is not None:
-                        if all(wc.ok for wc in wcs):
-                            ctl.on_ack(rtt)
-                        else:
-                            ctl.on_loss()
+                cs.path.on_read(max(wc.ns for wc in wcs) - cs.post_ns)
             # The CQ drained incrementally while the chain was in flight:
             # WQE i's CQE landed at wc.ns, so its parse overlapped the
             # tail of the chain.  Model that poll pipeline — each parse
@@ -905,77 +818,25 @@ class HydraClient:
         ))
 
     # -- pipelined message path (issue / wait split) ------------------------
-    def _window(self, conn: Connection) -> int:
-        """Message-path in-flight window for one connection (AIMD-governed
-        when ``qos.autotune``, else the static ``client`` knob)."""
-        if self._autotune:
-            ctl = self._ctls.get(conn.conn_id)
-            if ctl is None:
-                ctl = self._ctls[conn.conn_id] = AimdController.from_config(
-                    self.qos,
-                    initial=max(1, self.client_cfg.max_inflight_per_conn))
-            window = ctl.window
+    def _window(self, pipe: _ConnPipeline) -> int:
+        """Message-path in-flight window for one connection (the static
+        ``client`` knob, or the tenant policy's AIMD window)."""
+        static = self.client_cfg.max_inflight_per_conn
+        if self.policy is None:
+            window = max(1, static)
         else:
-            window = max(1, self.client_cfg.max_inflight_per_conn)
+            window = self.policy.window(pipe, static)
         if self.hydra.rdma_write_messaging:
-            window = min(window, conn.n_slots)
+            window = min(window, pipe.conn.n_slots)
         return window
 
-    def _slot_capacity(self, pipe: _ConnPipeline, conn: Connection) -> int:
+    def _slot_capacity(self, pipe: _ConnPipeline) -> int:
         """Grantable slot capacity right now (window minus in-flight,
         bounded by actually-free request slots)."""
-        cap = self._window(conn) - len(pipe.inflight)
+        cap = self._window(pipe) - len(pipe.inflight)
         if self.hydra.rdma_write_messaging:
             cap = min(cap, len(pipe.free_slots))
         return cap
-
-    def _acquire_slot(self, pipe: _ConnPipeline, conn: Connection,
-                      shard: Shard, deadline: int):
-        """DRR-arbitrated slot acquisition (``qos.fair_queueing``).
-
-        Submits a ticket to the pipeline's arbiter and blocks until it is
-        granted in deficit-round-robin order across tenants.  Every
-        waiter pumps the arbiter when it wakes, so grants happen in DRR
-        order no matter whose process observes the freed capacity first.
-        There is no simulated yield between the grant and the slot take
-        back in :meth:`issue`, so a grant is a safe reservation.  The
-        ticket is cancelled when ``deadline`` passes or a route swap
-        deposes ``shard``.
-        """
-        arb = pipe.arbiter
-        if arb is None:
-            arb = pipe.arbiter = SlotArbiter(
-                self.sim, self.qos.drr_quantum if self.qos else 1.0)
-        ticket = arb.submit(self.tenant,
-                            self.qos.weight if self.qos else 1.0)
-        t0 = self.sim.now
-        while True:
-            arb.pump(self._slot_capacity(pipe, conn),
-                     total=self._window(conn))
-            if ticket.granted:
-                arb.consume(ticket)
-                if self.tmetrics is not None:
-                    self._tc_slot_grants.add()
-                    self._tc_slot_wait.observe(
-                        self.sim.now - t0)
-                return
-            drained = yield from self._drain(pipe)
-            if drained:
-                continue
-            remaining = deadline - self.sim.now
-            if remaining <= 0 or shard.deposed:
-                arb.cancel(ticket)
-                if arb.waiting():
-                    # A cancelled grant frees capacity other tenants may
-                    # already be asleep waiting for.
-                    arb.pump(self._slot_capacity(pipe, conn),
-                             total=self._window(conn))
-                raise RequestTimeout(
-                    f"{self.client_id}: window full and shard silent "
-                    f"(conn {conn.conn_id})")
-            yield self.sim.any_of([ticket.gate.wait(),
-                                   conn.client_doorbell.wait(),
-                                   self.sim.timeout(remaining)])
 
     def issue(self, shard: Shard, req: Request,
               timeout_ns: Optional[int] = None,
@@ -1005,10 +866,10 @@ class HydraClient:
             if timeout_ns is None:
                 timeout_ns = self.client_cfg.op_timeout_ns
             deadline = self.sim.now + timeout_ns
-        if self._fair:
-            yield from self._acquire_slot(pipe, conn, shard, deadline)
-        else:
-            while (len(pipe.inflight) >= self._window(conn)
+        policy = self.policy
+        if policy is None or not (
+                yield from policy.acquire(self, pipe, shard, deadline)):
+            while (len(pipe.inflight) >= self._window(pipe)
                    or (self.hydra.rdma_write_messaging
                        and not pipe.free_slots)):
                 drained = yield from self._drain(pipe)
@@ -1055,10 +916,8 @@ class HydraClient:
             conn.client_qp.post_send(data)
             slot = -1
         pipe.inflight[req_id] = slot
-        if self._fair:
-            pipe.req_tenant[req_id] = self.tenant
-        if self._autotune:
-            pipe.issued_ns[req_id] = self.sim.now
+        if policy is not None:
+            policy.posted(pipe, req_id)
         return PendingRequest(req_id=req_id, shard=shard, conn=conn,
                               slot=slot, deadline=deadline,
                               posted_ns=self.sim.now)
@@ -1079,13 +938,9 @@ class HydraClient:
             resp = pipe.completed.pop(pending.req_id, None)
             if resp is not None:
                 if resp.status is Status.THROTTLED:
-                    if self.tmetrics is not None:
-                        self._tc_server_shed.add()
-                    raise TenantThrottled(
-                        f"{self.client_id}: shard shed {resp.op.name} for "
-                        f"tenant {self.tenant!r}",
-                        retry_after_ns=resp.retry_after_ns,
-                        tenant=self.tenant)
+                    # Shards shed only frames that name a tenant, and
+                    # only a tenant handle (with a policy) names one.
+                    raise self.policy.shed(self.client_id, resp)
                 return resp
             drained = yield from self._drain(pipe)
             if drained:
@@ -1104,11 +959,8 @@ class HydraClient:
                     insort(pipe.free_slots, slot)
                 if slot is not None and pipe.window_waiters:
                     conn.client_doorbell.fire()  # see _drain_slots
-                self._release_slot(pipe, pending.req_id)
-                if pipe.issued_ns.pop(pending.req_id, None) is not None:
-                    ctl = self._ctls.get(conn.conn_id)
-                    if ctl is not None:
-                        ctl.on_loss()
+                if pipe.qos is not None:
+                    pipe.qos.done(self, pipe, pending.req_id, lost=True)
                 raise RequestTimeout(
                     f"{self.client_id}: no response from shard "
                     f"(conn {conn.conn_id}"
@@ -1160,11 +1012,10 @@ class HydraClient:
                     continue
                 if pipe.window_waiters:
                     conn.client_doorbell.fire()  # see _drain_slots
-                self._release_slot(pipe, resp.req_id)
                 pipe.completed[resp.req_id] = resp
                 landed += 1
-                if pipe.issued_ns:
-                    self._feed_rtt(conn, pipe, resp.req_id)
+                if pipe.qos is not None:
+                    pipe.qos.done(self, pipe, resp.req_id)
         return landed
 
     def _drain_slots(self, pipe: _ConnPipeline, conn: Connection, slots):
@@ -1212,43 +1063,11 @@ class HydraClient:
                 # have found it consumed and gone back to sleep before the
                 # slot was free: ring again for it (no event otherwise).
                 conn.client_doorbell.fire()
-            self._release_slot(pipe, resp.req_id)
             pipe.completed[resp.req_id] = resp
             landed += 1
-            if pipe.issued_ns:
-                self._feed_rtt(conn, pipe, resp.req_id)
+            if pipe.qos is not None:
+                pipe.qos.done(self, pipe, resp.req_id)
         return landed
-
-    def _release_slot(self, pipe: _ConnPipeline, req_id: int) -> None:
-        """Return a landed/abandoned request's slot to its tenant's
-        occupancy budget in the pipeline's arbiter (fair-queueing
-        bookkeeping only; a no-op on the default path).
-
-        The release itself pumps the arbiter: occupancy caps may have
-        just lifted (the releasing tenant can go idle here, shrinking
-        the active set), and the tenants it unblocks may have already
-        drained every pending response — with no future doorbell to
-        wake them, the grant must happen now, not at their timeout.
-        """
-        tenant = pipe.req_tenant.pop(req_id, None)
-        if tenant is not None and pipe.arbiter is not None:
-            pipe.arbiter.release(tenant)
-            if pipe.arbiter.waiting():
-                pipe.arbiter.pump(self._slot_capacity(pipe, pipe.conn),
-                                  total=self._window(pipe.conn))
-
-    def _feed_rtt(self, conn: Connection, pipe: _ConnPipeline,
-                  req_id: int) -> None:
-        """Feed one landed response's RTT to the connection's AIMD
-        controller (``qos.autotune``; the issue instant is recorded by
-        whichever tenant handle autotunes, the sample lands in the
-        shared per-connection controller)."""
-        t0 = pipe.issued_ns.pop(req_id, None)
-        if t0 is None:
-            return
-        ctl = self._ctls.get(conn.conn_id)
-        if ctl is not None:
-            ctl.on_ack(self.sim.now - t0)
 
     # -- multi-key operations -----------------------------------------------
     def get_many(self, keys: list[bytes]):

@@ -1,7 +1,9 @@
-"""Traffic engineering for multi-tenant clients (PR 8).
+"""Traffic engineering for multi-tenant clients.
 
-Three deterministic building blocks, wired into the client library by
-:mod:`repro.core.client` / :mod:`repro.core.api`:
+One seam: a tenant handle (``HydraCluster.client(tenant=..., qos=...)``)
+holds a :class:`TenantPolicy`, and every client-side tenant decision is
+made there — a default handle holds ``None`` and carries no tenant
+state.  The policy composes three deterministic building blocks:
 
 * :class:`TokenBucket` — per-tenant admission control at op-issue time;
   an empty bucket yields a ``retry_after_ns`` hint the retry engine
@@ -16,18 +18,24 @@ Three deterministic building blocks, wired into the client library by
   observed RTT (``qos.autotune``), replacing the static
   ``client.max_inflight_*`` caps.
 
-The math classes are simulator-free (unit-testable with plain ints);
-only :class:`SlotArbiter` touches sim primitives (a broadcast
-:class:`~repro.sim.Gate` per ticket).
+Per-connection state (arbiter, controllers, read use) is a
+:class:`PipeQos` on the client's connection pipeline, attached by the
+first tenant handle that uses the connection.  Only this package
+constructs the building blocks.  The math classes are simulator-free
+(unit-testable with plain ints); :class:`SlotArbiter` touches sim
+primitives (a broadcast :class:`~repro.sim.Gate` per ticket).
 """
 
 from .aimd import AimdController
 from .bucket import TokenBucket
 from .drr import DeficitRoundRobin, SlotArbiter
+from .policy import PipeQos, TenantPolicy
 
 __all__ = [
     "AimdController",
     "DeficitRoundRobin",
+    "PipeQos",
     "SlotArbiter",
+    "TenantPolicy",
     "TokenBucket",
 ]

@@ -30,7 +30,7 @@ class AimdController:
 
     __slots__ = ("min_window", "max_window", "rtt_smooth", "rtt_inflation",
                  "decrease", "probe_interval", "window", "srtt", "best_rtt",
-                 "_good", "_cooldown", "acks", "losses", "cuts")
+                 "_good", "_cooldown", "losses", "cuts")
 
     def __init__(self, min_window: int = 1, max_window: int = 64,
                  rtt_smooth: float = 0.125, rtt_inflation: float = 3.0,
@@ -57,7 +57,6 @@ class AimdController:
         #: queued requests all carry inflated RTTs — costs one cut, not a
         #: collapse to min_window.
         self._cooldown = 0
-        self.acks = 0
         self.losses = 0
         self.cuts = 0
 
@@ -74,7 +73,6 @@ class AimdController:
 
     def on_ack(self, rtt_ns: int) -> None:
         """One completed request with the given round-trip time."""
-        self.acks += 1
         if rtt_ns < self.best_rtt:
             self.best_rtt = rtt_ns
         a = self.rtt_smooth

@@ -55,11 +55,6 @@ class DeficitRoundRobin:
         q = self._queues.get(tenant)
         return len(q) if q else 0
 
-    @property
-    def tenants(self) -> list[str]:
-        """Backlogged tenants in current round order."""
-        return list(self._ring)
-
     def enqueue(self, tenant: str, item, weight: float = 1.0) -> None:
         q = self._queues.get(tenant)
         if q is None:
@@ -139,7 +134,7 @@ class _Ticket:
 class SlotArbiter:
     """DRR arbitration of message-slot grants on one connection pipeline.
 
-    Protocol (see ``HydraClient._acquire_slot``): ``submit()`` a ticket,
+    Protocol (see ``TenantPolicy.acquire``): ``submit()`` a ticket,
     then loop — ``pump(avail, total)``, check ``ticket.granted``,
     otherwise block on the ticket's gate / the connection doorbell / the
     deadline.  Whoever frees capacity also pumps, so grants happen in
@@ -163,10 +158,6 @@ class SlotArbiter:
         self.drr = DeficitRoundRobin(quantum)
         #: Grants not yet consumed: reserved capacity.
         self.outstanding = 0
-        #: Total grants ever issued (fairness accounting).
-        self.grants = 0
-        #: Per-tenant grant counters (slot-share fairness metrics).
-        self.grants_by_tenant: dict[str, int] = {}
         #: Per-tenant slots currently in flight (consumed, not released).
         self.inflight: dict[str, int] = {}
         #: Per-tenant grants not yet consumed (reserved slots).
@@ -191,13 +182,9 @@ class SlotArbiter:
         Active = backlogged in the DRR ring or holding slots.  With one
         (or zero) active tenants there is nothing to share, so no cap.
         """
-        active = set(self.drr.tenants)
-        for tenant, n in self.inflight.items():
-            if n > 0:
-                active.add(tenant)
-        for tenant, n in self.reserved.items():
-            if n > 0:
-                active.add(tenant)
+        active = set(self.drr._ring)
+        active.update(t for t, n in self.inflight.items() if n > 0)
+        active.update(t for t, n in self.reserved.items() if n > 0)
         if len(active) < 2:
             return None
         wsum = sum(self.drr._weights.get(t, 1.0) for t in active)
@@ -221,9 +208,6 @@ class SlotArbiter:
             ticket.granted = True
             self.outstanding += 1
             self.reserved[tenant] = self.reserved.get(tenant, 0) + 1
-            self.grants += 1
-            self.grants_by_tenant[tenant] = (
-                self.grants_by_tenant.get(tenant, 0) + 1)
             ticket.gate.fire(ticket)
             avail -= 1
             n += 1

@@ -315,7 +315,3 @@ class LogReplicator:
             link.place_and_write(LogRecord.ack_request(self.seq).encode())
         except RingFull:  # pragma: no cover
             pass
-
-    @property
-    def min_applied_seq(self) -> int:
-        return min((l.applied_seq for l in self.links), default=self.seq)

@@ -115,10 +115,19 @@ def test_leader_dying_between_route_swap_and_rewrite_fences_nothing_live():
     ``/shards`` rewrite, leaving the deposed primary's word advertised.
     Its successor condemns that stale word, but the routed primary is the
     promoted one: it re-advertises and probes that primary instead of
-    fencing it, so with one replica no data is lost."""
+    fencing it, so with one replica no data is lost, and the verdict
+    hooks are not handed the live primary for the stale word."""
     cluster, ha = ha_cluster(replicas=1)
     swat = ha.swat
     shard_id = cluster.routing.shard_ids()[0]
+    live_verdicts = []
+
+    def judge(primary):
+        # The chaos harness's false-verdict score.
+        if primary.alive and primary.nic.alive:
+            live_verdicts.append(primary.shard_id)
+
+    swat.verdict_hooks.append(judge)
 
     def churn(_ev):
         # swat_churn, as the chaos injector applies it.
@@ -135,6 +144,7 @@ def test_leader_dying_between_route_swap_and_rewrite_fences_nothing_live():
     assert metrics.counter("swat.fenced").value == 1
     assert metrics.counter("swat.data_loss").value == 0
     assert metrics.counter("swat.failovers").value == 1
+    assert live_verdicts == []
     promoted = cluster.routing.resolve(shard_id)
     assert promoted.alive
     nic_id, rptr = _decode_word(registration(ha, shard_id).data)
