@@ -86,13 +86,17 @@ _SMALL_CLIENTS = 256
 
 #: ``(axis, servers, shards, clients, ops)`` -> (events dispatched, digest
 #: of the traced reduced clone), for the full-scale matrix and the
-#: ``--scale 0.05`` smoke cells.
+#: ``--scale 0.05`` smoke cells.  The 8-server scale-out cell went 73,208
+#: -> 73,227 events (7.6598 -> 7.6158 Mops) when a client that frees a
+#: slot started re-ringing the doorbell for window-full waiters: its 256
+#: ``share_transport`` handles are the only full cell that waits on full
+#: windows.  Its reduced clone's schedule and wire digests held.
 PINNED = {
     ("scale_out", 1, 1, 32, 512): (10418, "051033688ef36403ab494c7a9cd7ba52"),
     ("scale_out", 2, 2, 64, 1024): (18140, "b8c56aa5858d70926713c7b8e8edfdf0"),
     ("scale_out", 4, 4, 128, 2048): (35903,
                                      "8a6791a8a6f0c60f65dfab7c9a79c42e"),
-    ("scale_out", 8, 8, 256, 4096): (73208,
+    ("scale_out", 8, 8, 256, 4096): (73227,
                                      "89daf8fb68a991172440f972ee93dd38"),
     ("scale_out", 16, 16, 512, 8192): (131710,
                                        "4ebd654bc52f726803e06685ebc32e78"),
