@@ -209,8 +209,9 @@ class HydraConfig:
     #: GET count at which a key is considered maximally popular.
     lease_popularity_saturation: int = 64
     #: Use RDMA-Write indicator messaging (False = two-sided Send/Recv).
-    #: Every RDMA-Write request buffer carries an occupancy bitmap, and
-    #: the shard's responses leave in doorbell-coalesced chains
+    #: A multi-slot RDMA-Write request buffer carries an occupancy bitmap
+    #: (a one-slot one is polled at its frame's head indicator), and the
+    #: shard's responses leave in doorbell-coalesced chains
     #: (``core/shard.py``); Send/Recv answers each request with its own
     #: Send.
     rdma_write_messaging: bool = True

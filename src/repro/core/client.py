@@ -893,24 +893,29 @@ class HydraClient:
                     f"hydra.msg_slots_per_conn for large items")
             slot = pipe.free_slots.pop(0)
             pipe.slot_req[slot] = req_id
-            # The occupancy word rides the frame's doorbell, posted second
-            # so RC lands the frame before its announce bit.  The word
-            # REPLACES the remote value, so it must carry a bit for every
-            # in-flight slot whose announce might still be unconsumed; a
-            # bit for an already-consumed slot merely costs the shard one
-            # spurious probe, never a lost message.  Slots proven consumed
-            # (see _drain) are left out, so long windows stop
-            # re-announcing drained slots.
-            if pipe.confirmed:
-                announce = [s for s in pipe.slot_req
-                            if s not in pipe.confirmed]
+            if conn.req_occ_rptr is None:
+                # One slot: the shard polls the frame's own indicator.
+                conn.client_qp.post_write(conn.req_slot_rptrs[slot],
+                                          frame(data), signaled=False)
             else:
-                announce = pipe.slot_req
-            conn.client_qp.post_write_batch([
-                (conn.req_slot_rptrs[slot], frame(data)),
-                (conn.req_occ_rptr,
-                 occ_announce(announce, conn.layout.n_slots)),
-            ], signaled=False)
+                # The occupancy word rides the frame's doorbell, posted
+                # second so RC lands the frame before its announce bit.
+                # The word REPLACES the remote value, so it must carry a
+                # bit for every in-flight slot whose announce might still
+                # be unconsumed; a bit for an already-consumed slot merely
+                # costs the shard one spurious probe, never a lost
+                # message.  Slots proven consumed (see _drain) are left
+                # out, so long windows stop re-announcing drained slots.
+                if pipe.confirmed:
+                    announce = [s for s in pipe.slot_req
+                                if s not in pipe.confirmed]
+                else:
+                    announce = pipe.slot_req
+                conn.client_qp.post_write_batch([
+                    (conn.req_slot_rptrs[slot], frame(data)),
+                    (conn.req_occ_rptr,
+                     occ_announce(announce, conn.layout.n_slots)),
+                ], signaled=False)
         else:
             conn.client_qp.post_recv()
             conn.client_qp.post_send(data)

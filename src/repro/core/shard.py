@@ -49,11 +49,14 @@ order.
 
 The sweep keeps server CPU per op flat as connections x slots grow:
 
-* **Occupancy-word probing**: each request buffer carries an occupancy
-  bitmap the client sets with the same doorbell as its slot write; a
-  sweep probes one word per connection instead of every slot (§4.1.3's
-  bucket filter applied to messaging), and skips a re-announced bit for
-  a slot it consumed whose response is not posted yet.
+* **Occupancy-word probing**: each multi-slot request buffer carries an
+  occupancy bitmap the client sets with the same doorbell as its slot
+  write; a sweep probes one word per connection instead of every slot
+  (§4.1.3's bucket filter applied to messaging), and skips a
+  re-announced bit for a slot it consumed whose response is not posted
+  yet.  A one-slot buffer (the paper's layout) has no word: the sweep
+  probes the slot's head indicator in its place, and a request is one
+  Write and one doorbell.
 * **Ready-connection scheduling**: the doorbell carries *which*
   connection fired and the shard keeps a ready set, so a sweep visits
   only dirty connections; every ``FULL_SWEEP_EVERY``-th sweep probes
@@ -129,6 +132,8 @@ _REQ_BASE = _REQ.size
 _SUBSHARD_HANDOFF_NS = 250
 #: Serializing response posts from several executor cores onto one QP.
 _SEND_LOCK_NS = 60
+#: The slots a one-slot buffer's sweep probes: its only one, directly.
+_ONE_SLOT = (0,)
 
 
 def _probes_run(elapsed: int, window: int, probe: int) -> int:
@@ -209,7 +214,8 @@ class Connection:
     resp_slot_rptrs: list[RemotePointer] = field(repr=False,
                                                  default_factory=list)
     #: Client-held capability for the request buffer's occupancy word
-    #: (None on the Send/Recv path, whose layout has no occupancy header).
+    #: (None for a one-slot buffer and on the Send/Recv path, whose
+    #: layouts have no occupancy header).
     req_occ_rptr: Optional[RemotePointer] = field(repr=False, default=None)
     #: Slots consumed by this shard whose response has not been posted
     #: yet.  The client frees a slot only after draining its response
@@ -587,9 +593,11 @@ class Shard:
         fabric = self.nic.fabric
         client_qp, shard_qp = fabric.connect(client_nic, self.nic)
         buf = self.hydra.conn_buf_bytes
-        occupancy = self.hydra.rdma_write_messaging
-        layout = SlotLayout(buf, self.hydra.msg_slots_per_conn,
-                            occupancy=occupancy)
+        n_slots = self.hydra.msg_slots_per_conn
+        # A one-slot buffer's own head indicator is the poll target: an
+        # occupancy word would only repeat it, one Write later.
+        occupancy = self.hydra.rdma_write_messaging and n_slots > 1
+        layout = SlotLayout(buf, n_slots, occupancy=occupancy)
         req_region = MemoryRegion(buf, numa_domain=self.core.numa_domain,
                                   name=f"{self.shard_id}.req")
         self.nic.register(req_region)
@@ -706,14 +714,16 @@ class Shard:
 
         Returns ``(ready, extra_ns)``: every ready ``(slot, payload)``
         pair plus the probe cost *beyond* what :meth:`_sweep_cost`
-        already charged for the first occupancy word: the slots the
-        snapshot indicates, and the sub-words of a two-level header.  The
-        word is trusted even on safety-net full sweeps: the client writes
-        it in the same chained WQE as the frame, so — unlike a doorbell
-        hint — it can never under-report a landed request.  A bit for a
-        slot consumed on an earlier sweep whose response is still
-        unposted is stale (no new frame can occupy the slot yet) and is
-        skipped without a probe.
+        already charged for the connection's first word.  A one-slot
+        buffer has no header: that word is the slot's own head
+        indicator, so it costs nothing more.  Otherwise it is the
+        occupancy word, and the extra is the slots its snapshot
+        indicates plus the sub-words of a two-level header.  The word is
+        trusted even on safety-net full sweeps: the client writes it in
+        the same chained WQE as the frame, so — unlike a doorbell hint —
+        it can never under-report a landed request.  A slot consumed on
+        an earlier sweep whose response is still unposted cannot hold a
+        new frame yet, so it is skipped without a probe.
         """
         ready: list[tuple[int, bytes]] = []
         if not self.hydra.rdma_write_messaging:
@@ -725,8 +735,11 @@ class Shard:
                 ready.append((-1, cqe.data))
         layout, region = conn.layout, conn.req_region
         pending = conn.consumed_pending
-        slots, word_probes = occ_probe(region, layout.n_slots,
-                                       layout.occ_offset)
+        if layout.occupancy:
+            slots, word_probes = occ_probe(region, layout.n_slots,
+                                           layout.occ_offset)
+        else:
+            slots, word_probes = _ONE_SLOT, 0
         probed = 0
         for slot in slots:
             if slot in pending:
@@ -740,12 +753,15 @@ class Shard:
                 pending.add(slot)
         self._c_probes.add(probed)
         self._c_probes_skipped.add(layout.n_slots - probed)
+        if not word_probes:
+            return ready, 0
         return ready, self.cpu.poll_probe_ns * (probed + word_probes - 1)
 
     def _sweep_cost(self, conns: list[Connection]) -> int:
-        """CPU cost of probing ``conns`` once — one occupancy word or one
-        receive CQ each — excluding the per-slot work :meth:`_poll_conn`
-        reports as it finds it."""
+        """CPU cost of probing ``conns`` once — one occupancy word (a
+        one-slot buffer's head indicator) or one receive CQ each —
+        excluding the per-slot work :meth:`_poll_conn` reports as it
+        finds it."""
         if self.hydra.rdma_write_messaging:
             return self.cpu.poll_probe_ns * max(1, len(conns))
         return (self.cpu.cq_poll_ns * max(1, len(conns))

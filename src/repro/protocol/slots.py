@@ -20,6 +20,11 @@ aligned.  ``n_slots=1`` degenerates to the original single-message layout
 Occupancy word (server-sweep scalability)
 -----------------------------------------
 
+The shard builds multi-slot RDMA-Write request buffers with
+``occupancy=True``.  A one-slot buffer gets no header: the poller probes
+the slot's own head indicator, which already says everything the word
+would, and the writer posts one Write instead of a two-WQE chain.
+
 With ``occupancy=True`` the first 8 bytes of the buffer hold a 64-bit
 **occupancy bitmap** and the slots start after it.  The writer announces
 slot ``i`` by setting bit ``i % 64`` (wraparound: layouts beyond 64 slots

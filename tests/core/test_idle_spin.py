@@ -4,9 +4,13 @@ An idle poller is one wait on its doorbell, not one event per probe.
 What a per-probe loop would have done is the spec, so a per-probe
 reference poller lives here (``_reference``) and the three shard
 variants are held to it: the instant a doorbell is swept, the idle-poll
-count a spin resumes with, and the core's busy integral.
+count a spin resumes with, and the core's busy integral.  Each rig test
+runs on a two-slot request buffer (frame plus occupancy word, two
+Writes) and has a ``*_one_slot`` twin on the paper's one-slot buffer
+(one Write per request).
 """
 
+import functools
 import math
 
 import pytest
@@ -21,23 +25,26 @@ WINDOW = POLLS * PROBE
 
 
 class Rig:
-    """One shard of ``variant`` with one message-path connection, and a
-    hook that runs ``on_spin(rig)`` at ``t0``: the instant the spin that
-    follows a served request begins — the first probe of the per-probe
-    reference poller.
+    """One shard of ``variant`` with one message-path connection of
+    ``slots`` request slots, and a hook that runs ``on_spin(rig)`` at
+    ``t0``: the instant the spin that follows a served request begins —
+    the first probe of the per-probe reference poller.
 
-    A request lands as two writes, frame then occupancy word, and rings
-    the doorbell twice.  A poller woken from sleep sweeps while the word
-    is still in flight, so its sweep serves the request but the word's
-    ring leaves the connection flagged and the next sweep comes up empty:
-    that sweep is idle poll 1, and ``t0`` is its start.  A pegged poller
-    probes before the word lands, so the word's ring brings the sweep that
-    serves the request and ``t0`` is the idle tail right after it.
-    ``sweeps`` lists the sweeps after ``t0``."""
+    On two slots a request lands as two writes, frame then occupancy
+    word, and rings the doorbell twice.  A poller woken from sleep sweeps
+    while the word is still in flight, so its sweep serves the request
+    but the word's ring leaves the connection flagged and the next sweep
+    comes up empty: that sweep is idle poll 1, and ``t0`` is its start.
+    A pegged poller probes before the word lands, so the word's ring
+    brings the sweep that serves the request and ``t0`` is the idle tail
+    right after it.  On one slot a request is one write and one ring: the
+    sweep it brings serves the request, and ``t0`` is the idle tail right
+    after it either way.  ``sweeps`` lists the sweeps after ``t0``."""
 
-    def __init__(self, variant, on_spin, cpu=None):
+    def __init__(self, variant, on_spin, slots, cpu=None):
         cfg = SimConfig().with_overrides(
-            hydra=dict(VARIANTS[variant]), cpu=cpu or {},
+            hydra=dict(VARIANTS[variant], msg_slots_per_conn=slots),
+            cpu=cpu or {},
             client={"rptr_cache_enabled": False},
             traversal={"enabled": False})
         self.cluster = HydraCluster(config=cfg, n_server_machines=1,
@@ -162,8 +169,8 @@ def _closed_form(offset):
 @variants
 @pytest.mark.parametrize(
     "offset", [0, 1, 24, 25, 26, 49, 50, 1599, 1600, 1601, 5000])
-def test_doorbell_is_swept_at_the_per_probe_instant(variant, offset):
-    rig = Rig(variant, lambda r: r.ring(offset))
+def test_doorbell_is_swept_at_the_per_probe_instant(variant, offset, slots=2):
+    rig = Rig(variant, lambda r: r.ring(offset), slots)
     rig.run_to(offset + 4 * WINDOW)
     assert rig.sweeps[0] == _closed_form(offset) == _reference(offset)[0]
 
@@ -172,27 +179,30 @@ def test_doorbell_is_swept_at_the_per_probe_instant(variant, offset):
 @variants
 @pytest.mark.parametrize("second,penalty", [(1625, 0), (1626, SLEEP // 2)])
 def test_spin_resumed_by_an_empty_sweep_keeps_counting(variant, second,
-                                                        penalty):
+                                                        penalty, slots=2):
     def bells(r):
         r.ring(110)      # seen by probe 5 (t0 + 125); its sweep finds nothing
         r.ring(second)
-    rig = Rig(variant, bells)
+    rig = Rig(variant, bells, slots)
     rig.run_to(4 * WINDOW)
-    # t0's empty sweep is idle poll 1 and probes 2-4 were idle, the
-    # empty sweep is idle poll 5 (ends t0 + 150), and the 59 left of the
-    # 64 end at t0 + 150 + 59 * 25 = t0 + 1625.
-    assert rig.idle_calls[:4] == [(PROBE, 0, True), (PROBE, 1, False),
-                                  (150, 4, True), (150, 5, False)]
+    # Probes 1-4 were idle (on two slots, t0's empty sweep is idle poll 1
+    # and probes 2-4 spin), the empty sweep is idle poll 5 (ends t0 +
+    # 150), and the 59 left of the 64 end at t0 + 150 + 59 * 25 = t0 +
+    # 1625.
+    spin = ([(0, 0, False)] if slots == 1
+            else [(PROBE, 0, True), (PROBE, 1, False)])
+    assert rig.idle_calls[:len(spin) + 2] == spin + [(150, 4, True),
+                                                     (150, 5, False)]
     assert rig.sweeps[:2] == [125, second + penalty]
 
 
 # -- (c) busy integral -------------------------------------------------------
 @variants
-def test_busy_integral_over_spin_sleep_wake(variant):
+def test_busy_integral_over_spin_sleep_wake(variant, slots=2):
     def setup(r):
         r.core.busy.reset()
         r.ring(3000)
-    rig = Rig(variant, setup)
+    rig = Rig(variant, setup, slots)
     rig.run_to(1000)
     assert rig.core.busy.time_average() == 1.0          # spinning
     rig.run_to(2000)
@@ -206,11 +216,11 @@ def test_busy_integral_over_spin_sleep_wake(variant):
 
 @variants
 @pytest.mark.parametrize("offset", [1, 110, 1600])
-def test_busy_integral_of_an_interrupted_spin(variant, offset):
+def test_busy_integral_of_an_interrupted_spin(variant, offset, slots=2):
     def setup(r):
         r.core.busy.reset()
         r.ring(offset)
-    rig = Rig(variant, setup)
+    rig = Rig(variant, setup, slots)
     seen = _closed_form(offset)
     rig.run_to(seen)
     assert rig.core.busy.time_average() == 1.0
@@ -223,11 +233,11 @@ def test_busy_integral_of_an_interrupted_spin(variant, offset):
 @pytest.mark.parametrize("offset,seen", [(WINDOW, WINDOW),
                                          (WINDOW + 1, WINDOW + 1 + SLEEP // 2)])
 def test_no_lost_wakeup_at_the_end_of_the_window(variant, cascade, offset,
-                                                 seen):
+                                                 seen, slots=2):
     # No event marks the end of the window, so there is no expiry for the
     # doorbell to race: however it is dispatched within its nanosecond, it
     # is the last probe's if it lands on the boundary and a sleeper's after.
-    rig = Rig(variant, lambda r: r.ring(offset, cascade))
+    rig = Rig(variant, lambda r: r.ring(offset, cascade), slots)
     rig.run_to(4 * WINDOW)
     assert rig.sweeps[0] == seen
 
@@ -238,11 +248,11 @@ def _no_live_timer(rig):
 
 
 @variants
-def test_kill_mid_spin_charges_to_the_probe_boundary(variant):
+def test_kill_mid_spin_charges_to_the_probe_boundary(variant, slots=2):
     def setup(r):
         r.core.busy.reset()
         r.at(110, r.shard.kill)
-    rig = Rig(variant, setup)
+    rig = Rig(variant, setup, slots)
     rig.run_to(2 * WINDOW)
     assert rig.core.busy.value == 0.0
     assert rig.core.busy.time_average() == 125 / (2 * WINDOW)
@@ -252,13 +262,13 @@ def test_kill_mid_spin_charges_to_the_probe_boundary(variant):
 
 
 @variants
-def test_gray_failure_mid_spin_stops_at_the_probe_boundary(variant):
+def test_gray_failure_mid_spin_stops_at_the_probe_boundary(variant, slots=2):
     def setup(r):
         r.core.busy.reset()
         r.at(110, r.shard.gray_fail)
         r.ring(300)                      # lands while wedged: not swept
         r.at(3000, r.shard.gray_recover)
-    rig = Rig(variant, setup)
+    rig = Rig(variant, setup, slots)
     rig.run_to(2999)
     assert rig.core.busy.value == 0.0
     assert rig.core.busy.time_average() == 125 / 2999
@@ -268,7 +278,8 @@ def test_gray_failure_mid_spin_stops_at_the_probe_boundary(variant):
 
 
 @pytest.mark.parametrize("gray_first", [False, True])
-def test_gray_failure_sharing_an_instant_with_a_foreign_doorbell(gray_first):
+def test_gray_failure_sharing_an_instant_with_a_foreign_doorbell(gray_first,
+                                                                 slots=2):
     # Two rings in one instant share one gate event and the spinner sees
     # only the first one's value; when that is the doorbell of the other
     # I/O thread's partition, the control wake behind it must not be lost.
@@ -280,7 +291,7 @@ def test_gray_failure_sharing_an_instant_with_a_foreign_doorbell(gray_first):
             other = r.shard.connect(nic)
         rings = [lambda: r.shard._mark_ready(other), r.shard.gray_fail]
         r.at(110, lambda: [fn() for fn in rings[::-1 if gray_first else 1]])
-    rig = Rig("pipelined", setup)
+    rig = Rig("pipelined", setup, slots)
     rig.run_to(2 * WINDOW)
     assert rig.core.busy.value == 0.0
     assert rig.core.busy.time_average() == 125 / (2 * WINDOW)
@@ -291,11 +302,11 @@ def test_gray_failure_sharing_an_instant_with_a_foreign_doorbell(gray_first):
 @pytest.mark.parametrize("offset,charged", [(110, 125),
                                             (WINDOW + 400, WINDOW)])
 def test_last_disconnect_stops_a_spinner_and_spares_a_sleeper(
-        variant, offset, charged):
+        variant, offset, charged, slots=2):
     def setup(r):
         r.core.busy.reset()
         r.at(offset, lambda: r.shard.disconnect(r.conn))
-    rig = Rig(variant, setup)
+    rig = Rig(variant, setup, slots)
     rig.run_to(4 * WINDOW)
     assert not rig.sweeps
     assert rig.core.busy.time_average() == charged / (4 * WINDOW)
@@ -303,7 +314,7 @@ def test_last_disconnect_stops_a_spinner_and_spares_a_sleeper(
 
 @variants
 def test_a_late_write_on_a_dropped_connection_does_not_stop_the_sleep(
-        variant):
+        variant, slots=2):
     # The flag of a dropped connection can never be swept; left in the
     # ready set it kept the per-probe loop spinning forever.
     def setup(r):
@@ -312,7 +323,7 @@ def test_a_late_write_on_a_dropped_connection_does_not_stop_the_sleep(
         r.shard.disconnect(dropped)
         r.at(110, lambda: r.shard._mark_ready(dropped))
         r.ring(3000)
-    rig = Rig(variant, setup)
+    rig = Rig(variant, setup, slots)
     rig.run_to(3000 + SLEEP // 2)
     assert rig.sweeps == [3000 + SLEEP // 2]
 
@@ -320,11 +331,11 @@ def test_a_late_write_on_a_dropped_connection_does_not_stop_the_sleep(
 # -- (f) the ablations that keep their old shape -----------------------------
 @variants
 @pytest.mark.parametrize("offset", [110, WINDOW, WINDOW + 1, 5000])
-def test_pegged_core_ablation(variant, offset):
+def test_pegged_core_ablation(variant, offset, slots=2):
     def setup(r):
         r.core.busy.reset()
         r.ring(offset)
-    rig = Rig(variant, setup, cpu={"sleep_backoff": False})
+    rig = Rig(variant, setup, slots, cpu={"sleep_backoff": False})
     seen = _reference(offset, backoff=False)[0]
     rig.run_to(seen)
     # Never sleeps: one probe after the window instead of the sleep
@@ -334,6 +345,39 @@ def test_pegged_core_ablation(variant, offset):
     assert rig.sweeps == [seen]
     assert rig.core.busy.time_average() == 1.0
     assert _reference(offset, backoff=False, busy_at=seen)[1] == 1.0
+
+
+# -- one-slot twins ----------------------------------------------------------
+def _one_slot(test):
+    """``test`` (whose rig runs on two slots) on a one-slot buffer: one
+    Write and one doorbell per request, held to the same reference."""
+    @functools.wraps(test)
+    def twin(**params):
+        test(**params, slots=1)
+    return twin
+
+
+test_doorbell_is_swept_at_the_per_probe_instant_one_slot = _one_slot(
+    test_doorbell_is_swept_at_the_per_probe_instant)
+test_spin_resumed_by_an_empty_sweep_keeps_counting_one_slot = _one_slot(
+    test_spin_resumed_by_an_empty_sweep_keeps_counting)
+test_busy_integral_over_spin_sleep_wake_one_slot = _one_slot(
+    test_busy_integral_over_spin_sleep_wake)
+test_busy_integral_of_an_interrupted_spin_one_slot = _one_slot(
+    test_busy_integral_of_an_interrupted_spin)
+test_no_lost_wakeup_at_the_end_of_the_window_one_slot = _one_slot(
+    test_no_lost_wakeup_at_the_end_of_the_window)
+test_kill_mid_spin_charges_to_the_probe_boundary_one_slot = _one_slot(
+    test_kill_mid_spin_charges_to_the_probe_boundary)
+test_gray_failure_mid_spin_stops_at_the_probe_boundary_one_slot = _one_slot(
+    test_gray_failure_mid_spin_stops_at_the_probe_boundary)
+test_gray_failure_sharing_an_instant_with_a_foreign_doorbell_one_slot = \
+    _one_slot(test_gray_failure_sharing_an_instant_with_a_foreign_doorbell)
+test_last_disconnect_stops_a_spinner_and_spares_a_sleeper_one_slot = \
+    _one_slot(test_last_disconnect_stops_a_spinner_and_spares_a_sleeper)
+test_a_late_write_on_a_dropped_connection_does_not_stop_the_sleep_one_slot = \
+    _one_slot(test_a_late_write_on_a_dropped_connection_does_not_stop_the_sleep)
+test_pegged_core_ablation_one_slot = _one_slot(test_pegged_core_ablation)
 
 
 # -- event budget ------------------------------------------------------------
