@@ -464,7 +464,7 @@ class SwatTeam:
                 # is a mutation they must also apply, or a later failover
                 # would resurrect orphaned keys.
                 if old_shard.replicator is not None:
-                    rep_cost, wait_ev = old_shard.replicator.replicate(
+                    rep_cost, wait_ev = old_shard.replicator.replicate_now(
                         Op.DELETE, key, b"", 0)
                     yield self.sim.timeout(rep_cost)
                     if wait_ev is not None:

@@ -65,8 +65,9 @@ The sweep keeps server CPU per op flat as connections x slots grow:
 * **Doorbell-batched responses + pipelined replication**: responses
   produced by one sweep are buffered per connection and flushed as
   chained RDMA-Write posts of at most ``RESP_BATCH`` WQEs (slot order,
-  one doorbell each), and the sweep's replication waits are awaited once
-  as a batch instead of stalling per request.
+  one doorbell each); the sweep's ring records go to each secondary as
+  one chain posted before any of them, and its replication waits are
+  awaited once as a batch instead of stalling per request.
 """
 
 from __future__ import annotations
@@ -945,8 +946,8 @@ class Shard:
                                            *req, batch)
                 if self._batch_aged(batch):
                     self._c_age_flushes.add()
-                    yield from self._finish_sweep(batch)
-        yield from self._finish_sweep(batch)
+                    yield from self._finish_sweep(core, batch)
+        yield from self._finish_sweep(core, batch)
         return found
 
     def _exec_loop(self, core: Core, queue: Store, store: ShardStore):
@@ -965,7 +966,7 @@ class Shard:
                         self._c_age_flushes.add()
                     elif queue.items and not self._batch_full(batch):
                         continue
-                    yield from self._finish_sweep(batch)
+                    yield from self._finish_sweep(core, batch)
         except Interrupt:
             self.alive = False
 
@@ -1171,23 +1172,28 @@ class Shard:
                       op: int, key: bytes, value: bytes, version: int):
         """Replicate and durable stages of an OK write.
 
-        In rdma_log mode the shard moves on at once and the secondary's
-        merge overlaps the *next* requests (under HA the response still
-        waits for the record to land in every ring: it parks behind
-        ``landed_seq`` with a batch, and waits right here without one);
-        strict mode blocks for the
-        request/acknowledge round trip — once per sweep (in
-        :meth:`_finish_sweep`, before any of its responses is flushed)
-        when responses are batched, right here otherwise.  The durable
-        append never blocks a batching sweep; batch-less callers (TCP,
-        Send/Recv) wait until the log releases the record.
+        In rdma_log mode the record is staged and posted with the rest of
+        the sweep's in one ring chain per secondary (in
+        :meth:`_finish_sweep`; batch-less callers, TCP and Send/Recv,
+        post it right here), and the secondary's merge overlaps the
+        *next* requests (under HA the response still waits for the
+        record to land in every ring: it parks behind ``landed_seq``
+        with a batch, and waits right here without one); strict mode
+        blocks for the request/acknowledge round trip — once per sweep
+        (in :meth:`_finish_sweep`, before any of its responses is
+        flushed) when responses are batched, right here otherwise.  The
+        durable append never blocks a batching sweep; batch-less callers
+        wait until the log releases the record.
         """
         op = _OP_BY_CODE[op]
         rep = self.replicator
         if rep is not None:
-            rep_cost, wait_ev = rep.replicate(op, key, value, version)
+            replicate = rep.replicate if batch is not None \
+                else rep.replicate_now
+            rep_cost, wait_ev = replicate(op, key, value, version)
             seq = rep.seq
-            yield core.execute(rep_cost)
+            if rep_cost:
+                yield core.execute(rep_cost)
             if wait_ev is not None:
                 if batch is not None:
                     batch.rep_waits.append(wait_ev)
@@ -1254,13 +1260,22 @@ class Shard:
                 for conn, resp in entries:
                     self._flush_conn(conn, resp)
 
-    def _finish_sweep(self, batch: Optional[_SweepBatch]):
-        """Settle one sweep: wait once on the batch of replication acks,
-        park the responses behind any unreleased ``ack_on_flush`` log
-        records the sweep staged and any of its ring records still in
-        flight (ack on landing), and flush whatever is left."""
+    def _finish_sweep(self, core: Core, batch: Optional[_SweepBatch]):
+        """Settle one sweep on ``core``: post the staged ring records as
+        one chain per secondary, wait once on the batch of replication
+        acks (and on a ring that filled), park the responses behind any
+        unreleased ``ack_on_flush`` log records the sweep staged and any
+        of its ring records still in flight (ack on landing), and flush
+        whatever is left."""
         if batch is None:
             return
+        rep = self.replicator
+        if rep is not None and rep.staged:
+            cost, wait_ev = rep.post_staged()
+            if wait_ev is not None:
+                batch.rep_waits.append(wait_ev)
+            if cost:
+                yield core.execute(cost)
         if batch.rep_waits:
             self.metrics.tally("shard.rep_batch").observe(
                 len(batch.rep_waits))

@@ -10,24 +10,39 @@ ack replenishes write credit and, if it reports a failure, triggers
 rollback: every unacknowledged record is re-placed in order, then
 re-solicited.  The shard blocks only when the ring is out of credit.
 
+**One doorbell per sweep**: :meth:`LogReplicator.replicate` only stages
+a record (and its ACK_REQUEST when one is due) in one list per
+replicator, in seq order whichever executor lane served the write.  The
+shard calls :meth:`LogReplicator.post_staged` when its sweep ends,
+before it parks or flushes any response, and the staged records go to
+each secondary as one doorbell chain: their ring pieces are contiguous,
+so the chain is one Write WQE, or two at a wrap.  Callers with no sweep
+(TCP, Send/Recv, a migration) post each record at once.  The primary
+pays ``post_cost_ns`` per chain and secondary, whatever its length.  A
+ring that fills part-way through a chain holds the rest of it, and
+every later record for that secondary, in the link's backlog, which the
+slow path places in seq order as credit returns; the sweep waits on it.
+
 **Ack on landing** (under HA, :meth:`LogReplicator.land_before_ack`):
 the paper's replication is synchronous, so a client is acked only once
 its record has *landed* in every secondary's ring, not once it is
-posted.  Each record's ring Write is signaled, and its RC completion
-feeds :attr:`LogReplicator.landed_seq`, the highest sequence every
-live secondary holds; the shard parks a write's response behind it.  A
-record is signaled on its own rather than once per sweep, so the
-watermark does not rest on the QP's Writes landing in post order (a
-delayed Write may be overtaken).  A failed completion never counts as
-landed: it detaches the link, so a dead secondary stalls acks for at
-most one RC retry timeout and is never promoted, since it leaves the
-cluster's roster of the shard's secondaries too.  A deposed primary's
-records that reach a ring after the new primary's revocation therefore
-fail, and none of them was acked.
+posted.  Every WQE of a chain is signaled, and the chain's completion,
+which fires once all of them have completed, feeds
+:attr:`LogReplicator.landed_seq`, the highest sequence every live
+secondary holds; the shard parks a write's response behind it.  The
+watermark therefore never rests on the QP's chains landing in post
+order (a delayed Write may be overtaken).  A failed completion never
+counts as landed: it detaches the link without retiring any seq of its
+chain, so a dead secondary stalls acks for at most one RC retry timeout
+and is never promoted, since it leaves the cluster's roster of the
+shard's secondaries too.  A deposed primary's records that reach a ring
+after the new primary's revocation therefore fail, and none of them was
+acked.
 
-**strict mode** (the Fig. 13 baseline): every record is followed by an
-ACK_REQUEST and the shard blocks until every secondary has applied it —
-one full round trip plus secondary merge time per mutation.
+**strict mode** (the Fig. 13 baseline): every record is posted on its
+own, followed by an ACK_REQUEST, and the shard blocks until every
+secondary has applied it — one full round trip plus secondary merge
+time per mutation, at twice the post cost.
 """
 
 from __future__ import annotations
@@ -65,31 +80,83 @@ class SecondaryLink:
         self.last_epoch = 0
         #: Records placed but not yet covered by an ack (for rollback).
         self.unacked: Deque[tuple[int, bytes]] = deque()
+        #: Records waiting for ring credit, in seq order ((seq, payload),
+        #: seq 0 for an ack request), and the process placing them.
+        self.backlog: Deque[tuple[int, bytes]] = deque()
+        self.draining: Optional[Event] = None
         #: Strict-mode waiters: (seq, event).
         self.waiters: list[tuple[int, Event]] = []
         self.resends = 0
-        #: Ack on landing: seq -> ring Writes of that record (or a
+        #: Ack on landing: seq -> chains carrying that record (or a
         #: placement still pending) whose completion is outstanding.
         self.unlanded: dict[int, int] = {}
-        #: Ack on landing: the completion callback of this link's ring
-        #: Writes (None: Writes go out unsignaled).
+        #: Ack on landing: the completion callback of this link's chains,
+        #: called with the chain's event and seqs (None: chains go out
+        #: unsignaled).
         self.on_complete = None
 
-    def place_and_write(self, payload: bytes, seq: int = 0) -> None:
-        """Reserve ring space and issue the RDMA write(s). May raise RingFull.
+    def post(self, pieces: list[tuple[int, bytes]], seqs) -> None:
+        """Post placed ring ``pieces`` ((offset, bytes), in placement
+        order) as one doorbell chain, contiguous pieces merged into one
+        WQE.  Under ack on landing a chain carrying DATA records
+        (``seqs``) goes out signaled, each seq counted in
+        :attr:`unlanded` until the chain completes."""
+        wqes, parts, start, end = [], [], 0, -1
+        for offset, blob in pieces:
+            if offset != end and parts:
+                wqes.append((self.ring_rptr.slice(start, end - start),
+                             b"".join(parts)))
+                parts = []
+            if not parts:
+                start = offset
+            parts.append(blob)
+            end = offset + len(blob)
+        wqes.append((self.ring_rptr.slice(start, end - start),
+                     b"".join(parts)))
+        on_complete = self.on_complete
+        if on_complete is None or not seqs:
+            self.qp.post_write_batch(wqes, signaled=False)
+            return
+        unlanded = self.unlanded
+        for seq in seqs:
+            unlanded[seq] = unlanded.get(seq, 0) + 1
+        self.qp.post_write_batch(wqes).callbacks.append(
+            lambda ev: on_complete(ev, seqs))
 
-        Under ack on landing a DATA record (``seq`` > 0) goes out
-        signaled, each Write counted in :attr:`unlanded` until it
-        completes."""
-        on_complete = self.on_complete if seq else None
-        for offset, blob in self.writer.place(payload):
-            rptr = self.ring_rptr.slice(offset, len(blob))
-            if on_complete is None:
-                self.qp.post_write(rptr, blob, signaled=False)
-                continue
-            self.unlanded[seq] = self.unlanded.get(seq, 0) + 1
-            self.qp.post_write(rptr, blob, wr_id=seq).callbacks.append(
-                on_complete)
+    def place_and_write(self, payload: bytes, seq: int = 0) -> None:
+        """Reserve ring space for one record and post it on its own.  May
+        raise RingFull."""
+        self.post(self.writer.place(payload), (seq,) if seq else ())
+
+    def post_chain(self, records: list[tuple[int, bytes]]) -> bool:
+        """Place ``records`` ((seq, payload), seq 0 for an ack request)
+        in order and post them as one chain.  Records behind an earlier
+        backlog, or from the first one the ring has no credit for, join
+        :attr:`backlog` instead; returns True when any did."""
+        if self.backlog:
+            self._defer(records)
+            return True
+        place, pieces, seqs = self.writer.place, [], []
+        for i, (seq, payload) in enumerate(records):
+            try:
+                pieces += place(payload)
+            except RingFull:
+                self._defer(records[i:])
+                break
+            if seq:
+                seqs.append(seq)
+                self.unacked.append((seq, payload))
+        if pieces:
+            self.post(pieces, seqs)
+        return bool(self.backlog)
+
+    def _defer(self, records: list[tuple[int, bytes]]) -> None:
+        self.backlog.extend(records)
+        if self.on_complete is not None:
+            unlanded = self.unlanded
+            for seq, _payload in records:
+                if seq:  # placement pending: not landed
+                    unlanded[seq] = unlanded.get(seq, 0) + 1
 
 
 class LogReplicator:
@@ -107,11 +174,14 @@ class LogReplicator:
         self.links: list[SecondaryLink] = []
         self.seq = 0
         self._last_ackreq_seq = 0
+        #: Records replicated but not yet posted ((seq, payload), seq 0
+        #: for an ack request), in seq order: :meth:`post_staged`.
+        self.staged: list[tuple[int, bytes]] = []
         self.alive = True
         #: Ack on landing (:meth:`land_before_ack`): the cluster's roster
         #: of this shard's secondaries, None when acks go out on post.
         self.roster: Optional[list[SecondaryShard]] = None
-        #: Runs whenever a ring Write completes under ack on landing: the
+        #: Runs whenever a chain completes under ack on landing: the
         #: shard releases the responses parked behind :attr:`landed_seq`.
         self.on_landed: Callable[[], None] = lambda: None
         self._landed = Gate(sim)
@@ -143,7 +213,7 @@ class LogReplicator:
         """Ack a mutation only once its ring record has landed on every
         secondary (rdma_log mode; strict mode's acks already imply it).
         ``roster`` is the cluster's list of this shard's secondaries, the
-        candidates a failover promotes from: a secondary whose ring Write
+        candidates a failover promotes from: a secondary whose chain
         fails leaves it."""
         if self.rep.mode != "rdma_log":
             return
@@ -153,7 +223,7 @@ class LogReplicator:
             self._signal(link)
 
     def _signal(self, link: SecondaryLink) -> None:
-        link.on_complete = lambda ev: self._completed(link, ev)
+        link.on_complete = lambda ev, seqs: self._completed(link, seqs, ev)
 
     @property
     def landing(self) -> bool:
@@ -163,8 +233,9 @@ class LogReplicator:
     @property
     def landed_seq(self) -> int:
         """The highest sequence whose record, and every one before it,
-        has landed on every attached secondary."""
-        seq = self.seq
+        has landed on every attached secondary (a staged record has not
+        landed anywhere)."""
+        seq = self.staged[0][0] - 1 if self.staged else self.seq
         for link in self.links:
             if link.unlanded:
                 seq = min(seq, min(link.unlanded) - 1)
@@ -176,18 +247,19 @@ class LogReplicator:
         while self.landed_seq < seq:
             yield self._landed.wait()
 
-    def _completed(self, link: SecondaryLink, ev: Event) -> None:
-        """A ring Write of ``link`` completed.  Success retires it; a
-        failure (dead secondary, revoked ring) detaches the link, unless
-        this primary's process is dead and reacts to nothing."""
+    def _completed(self, link: SecondaryLink, seqs, ev: Event) -> None:
+        """A chain of ``link`` carrying ``seqs`` completed.  Success
+        retires them; a failed WQE (dead secondary, revoked ring)
+        detaches the link and retires none, unless this primary's
+        process is dead and reacts to nothing."""
         if link not in self.links or not self.primary.alive:
             return
-        wc = ev.value
-        if wc.ok:
-            seq = wc.wr_id
-            left = link.unlanded.pop(seq) - 1
-            if left:
-                link.unlanded[seq] = left
+        if all(wc.ok for wc in ev.value):
+            unlanded = link.unlanded
+            for seq in seqs:
+                left = unlanded.pop(seq) - 1
+                if left:
+                    unlanded[seq] = left
         else:
             self._detach(link)
         if self._landed.waiting:
@@ -195,48 +267,72 @@ class LogReplicator:
         self.on_landed()
 
     def _detach(self, link: SecondaryLink) -> None:
-        """Drop a secondary whose ring Write failed: acks no longer wait
-        for it, and it is no longer a failover candidate."""
+        """Drop a secondary whose chain failed: acks no longer wait for
+        it, and it is no longer a failover candidate."""
         self.links.remove(link)
         link.unlanded.clear()
+        link.backlog.clear()
         link.ack_doorbell.fire()  # a placement waiting for credit gives up
         if link.secondary in self.roster:
             self.roster.remove(link.secondary)
         self.metrics.counter("repl.detached").add()
 
-    # -- the shard-facing hook -----------------------------------------------
+    # -- the shard-facing hooks ----------------------------------------------
     def replicate(self, op: Op, key: bytes, value: bytes,
                   version: int) -> tuple[int, Optional[Event]]:
-        """Returns (cpu_cost_ns, optional event the shard must wait on)."""
+        """Assign the mutation its seq and encode its record.  rdma_log
+        stages it for :meth:`post_staged` and costs nothing here; strict
+        posts it with its ack request at once.  Returns (cpu_cost_ns,
+        optional event the shard must wait on)."""
         if not self.links:
             return 0, None
         self.seq += 1
-        record = LogRecord(rtype=RecordType.DATA, seq=self.seq, op=op,
+        seq = self.seq
+        record = LogRecord(rtype=RecordType.DATA, seq=seq, op=op,
                            key=key, value=value, version=version).encode()
-        want_ack = (self.rep.mode == "strict"
-                    or self.seq - self._last_ackreq_seq >= self.rep.ack_interval)
-        # CPU: build + post one record per secondary, plus the ack request
-        # when one is due — soliciting every record costs every record.
-        cost = self.rep.post_cost_ns * len(self.links) * (2 if want_ack else 1)
-        blocked: list[SecondaryLink] = []
-        for link in self.links:
-            try:
-                link.place_and_write(record, self.seq)
-                link.unacked.append((self.seq, record))
-            except RingFull:
-                blocked.append(link)
-                if self.landing:
-                    link.unlanded[self.seq] = 1  # placement pending
-        if want_ack and not blocked:
-            self._solicit_acks()
-        if self.rep.mode == "strict" or blocked:
-            ev = self.sim.process(
-                self._synchronize(self.seq, record, blocked),
-                name=f"{self.primary.shard_id}.repwait",
-            )
-            return cost, ev
+        if self.rep.mode == "strict":
+            # Build + post the record and its ack request per secondary:
+            # soliciting every record costs every record.
+            blocked = [link for link in self.links
+                       if link.post_chain([(seq, record)])]
+            if not blocked:
+                self._solicit_acks()
+            else:
+                self._drain_backlogs(blocked)
+            ev = self.sim.process(self._await_applied(seq, blocked),
+                                  name=f"{self.primary.shard_id}.repwait")
+            return self.rep.post_cost_ns * len(self.links) * 2, ev
+        staged = self.staged
+        staged.append((seq, record))
+        if seq - self._last_ackreq_seq >= self.rep.ack_interval:
+            staged.append((0, LogRecord.ack_request(seq).encode()))
+            self._last_ackreq_seq = seq
+            self.metrics.counter("repl.ack_requests").add()
         self.metrics.counter("repl.records").add()
-        return cost, None
+        return 0, None
+
+    def post_staged(self) -> tuple[int, Optional[Event]]:
+        """Post every staged record to each secondary as one doorbell
+        chain.  Returns (cpu_cost_ns: ``post_cost_ns`` per chain, the
+        event of the slow path placing what found a ring full, or None)."""
+        staged = self.staged
+        if not staged:
+            return 0, None
+        self.staged = []
+        blocked = [link for link in self.links if link.post_chain(staged)]
+        cost = self.rep.post_cost_ns * len(self.links)
+        if not blocked:
+            return cost, None
+        waits = self._drain_backlogs(blocked)
+        return cost, waits[0] if len(waits) == 1 else self.sim.all_of(waits)
+
+    def replicate_now(self, op: Op, key: bytes, value: bytes,
+                      version: int) -> tuple[int, Optional[Event]]:
+        """:meth:`replicate` for a caller with no sweep to end: the record
+        goes out at once, as a chain of its own."""
+        cost, ev = self.replicate(op, key, value, version)
+        post_cost, post_ev = self.post_staged()
+        return cost + post_cost, ev or post_ev
 
     # -- internals ---------------------------------------------------------
     def _solicit_acks(self) -> None:
@@ -250,27 +346,42 @@ class LogReplicator:
         self._last_ackreq_seq = self.seq
         self.metrics.counter("repl.ack_requests").add()
 
-    def _synchronize(self, seq: int, record: bytes,
-                     blocked: list[SecondaryLink]):
-        """Slow path: finish placement on full rings and/or await acks."""
-        # First, push the record into any ring that was full.
+    def _drain_backlogs(self, blocked: list[SecondaryLink]) -> list[Event]:
+        """The slow-path process of each link in ``blocked``, started
+        unless one already runs (it places what joined the backlog
+        since)."""
         for link in blocked:
-            while link in self.links:
-                try:
-                    link.place_and_write(record, seq)
-                    link.unacked.append((seq, record))
-                    if self.landing:
-                        link.unlanded[seq] -= 1  # placed: drop the marker
-                    break
-                except RingFull:
-                    self._solicit_acks()
-                    yield link.ack_doorbell.wait()
-        if blocked:
-            self._solicit_acks()
-        if self.rep.mode != "strict":
-            self.metrics.counter("repl.records").add()
-            return
-        # Strict: wait until every secondary has applied this sequence.
+            if link.draining is None:
+                link.draining = self.sim.process(
+                    self._drain(link), name=f"{self.primary.shard_id}.repwait")
+        return [link.draining for link in blocked]
+
+    def _drain(self, link: SecondaryLink):
+        """Slow path: place ``link``'s backlog in seq order, one record
+        at a time, as acks return ring credit."""
+        backlog = link.backlog
+        while backlog and link in self.links:
+            seq, payload = backlog[0]
+            try:
+                pieces = link.writer.place(payload)
+            except RingFull:
+                self._solicit_acks()
+                yield link.ack_doorbell.wait()
+                continue
+            backlog.popleft()
+            if seq:
+                link.unlanded.pop(seq, None)  # the placement-pending mark
+                link.unacked.append((seq, payload))
+            link.post(pieces, (seq,) if seq else ())
+        link.draining = None
+        self._solicit_acks()
+
+    def _await_applied(self, seq: int, blocked: list[SecondaryLink]):
+        """Strict mode: wait until every secondary has applied ``seq``
+        (after the slow path placed it on a full ring)."""
+        for link in blocked:
+            if link.draining is not None:
+                yield link.draining
         for link in self.links:
             if link.applied_seq >= seq:
                 continue
