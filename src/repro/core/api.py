@@ -314,8 +314,7 @@ class HydraCluster:
            fires ``route_change`` so failover-aware clients replay
            through the recovered primary.
         """
-        from ..durable import (DurableLog, LOG_BASE, read_watermark,
-                               replay_into, scan_log)
+        from ..durable import DurableLog, LOG_BASE, replay_into, scan_log
 
         device = self.durable_devices[shard_id]
         old_log = self.durable_logs.get(shard_id)
@@ -343,11 +342,9 @@ class HydraCluster:
                                               shard.store, self.config)
             for sec in self.secondaries.get(shard_id, []):
                 self._salvage_ring(sec, shard.store)
-            _seq, epoch = read_watermark(device)
             dlog = DurableLog(self.sim, self.config, device, metrics=m,
                               name=f"{shard_id}.dlog",
-                              start_seq=scan.next_seq, tail=valid_end,
-                              wm_epoch=epoch)
+                              start_seq=scan.next_seq, tail=valid_end)
             shard.attach_durable(dlog)
             self.durable_logs[shard_id] = dlog
             dlog.start()

@@ -8,16 +8,13 @@ replaying the log (``scan_log`` + ``replay_into``).
 """
 
 from .device import PMDevice
-from .log import (DurableLog, DurableScan, LOG_BASE, WATERMARK_BYTES,
-                  read_watermark, scan_log, replay_into)
+from .log import DurableLog, DurableScan, LOG_BASE, scan_log, replay_into
 
 __all__ = [
     "PMDevice",
     "DurableLog",
     "DurableScan",
     "LOG_BASE",
-    "WATERMARK_BYTES",
-    "read_watermark",
     "scan_log",
     "replay_into",
 ]

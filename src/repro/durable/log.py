@@ -1,4 +1,4 @@
-"""Per-shard write-behind durable log: group commit, watermark, replay.
+"""Per-shard write-behind durable log: group commit and replay.
 
 Record encoding reuses :class:`repro.replication.log.LogRecord` — the
 same bytes the replication ring carries — wrapped in an on-media frame
@@ -14,21 +14,18 @@ how long it claims to be); the guardian is a content checksum, so a torn
 group-commit blob — the PM device lands only a prefix at crash — is
 detected and truncated, while in-place corruption mid-log (guardian
 fails but later media is non-zero) is reported distinctly and stops
-replay.
-
-The first :data:`WATERMARK_BYTES` of the device hold an A/B pair of
-watermark slots recording ``flushed_seq``: the writer alternates slots
-each flush so a crash mid-watermark-write always leaves one valid slot
-(pick the higher epoch that checks out).
+replay.  The log needs no separate watermark: every guardian-valid
+frame is durable and replayed, and the last one carries the highest
+persisted seq, so a group commit is one device write.
 
 Appends are asynchronous and off the replication path: the shard calls
 :meth:`DurableLog.append` at write-commit time, paying only a small CPU
 cost and getting the record's log sequence number back.  Group commit is
 *self-clocked*: the flusher starts a device write the moment anything is
 staged and the device is idle, and whatever is appended while that write
-and its watermark are in flight forms the next group.  ``released_seq``
-advances (and ``on_commit`` runs, in flush-completion context) only
-after data blob *and* watermark have landed; under ``ack_on_flush`` the
+is in flight forms the next group.  ``released_seq`` advances (and
+``on_commit`` runs, in flush-completion context) only once every frame
+of the group has landed on media; under ``ack_on_flush`` the
 shard holds each response until ``released_seq`` covers its record, so
 an acked write is durable even if primary and secondary both die.
 """
@@ -51,19 +48,15 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..sim import Simulator
     from .device import PMDevice
 
-__all__ = ["DurableLog", "DurableScan", "LOG_BASE", "WATERMARK_BYTES",
-           "read_watermark", "scan_log", "replay_into"]
+__all__ = ["DurableLog", "DurableScan", "LOG_BASE", "scan_log",
+           "replay_into"]
 
 _U64 = struct.Struct("<Q")
-_WM = struct.Struct("<QQ")        # flushed_seq, epoch
 
 #: u64 head + u64 guardian around each payload.
 FRAME_OVERHEAD = 16
-#: Two 24-byte watermark slots (A at 0, B at 32), padded to one line.
-WATERMARK_BYTES = 64
-_WM_SLOT_BYTES = 32
 #: Log frames start here.
-LOG_BASE = WATERMARK_BYTES
+LOG_BASE = 0
 
 
 def _guardian(payload: bytes) -> int:
@@ -90,27 +83,12 @@ class DurableScan:
     torn_bytes: int = 0
     #: Non-torn guardian/head failures (corruption mid-log); replay stops.
     guardian_mismatches: int = 0
-    #: Highest flushed_seq recoverable from the A/B watermark slots.
-    watermark_seq: int = 0
     stop_reason: str = "clean_end"   # clean_end | torn_tail | guardian_mismatch
 
     @property
     def next_seq(self) -> int:
-        return max([self.watermark_seq] + [r.seq for r in self.records])
-
-
-def read_watermark(device: "PMDevice") -> tuple[int, int]:
-    """(flushed_seq, epoch) from the best valid A/B watermark slot."""
-    best = (0, 0)
-    for slot in (0, _WM_SLOT_BYTES):
-        raw = device.read(slot, _WM.size + 8)
-        payload, guard = raw[:_WM.size], raw[_WM.size:]
-        if _U64.unpack(guard)[0] != _guardian(payload):
-            continue
-        seq, epoch = _WM.unpack(payload)
-        if epoch >= best[1]:
-            best = (seq, epoch)
-    return best
+        """The highest persisted seq: a resumed log appends past it."""
+        return self.records[-1].seq if self.records else 0
 
 
 def scan_log(device: "PMDevice") -> DurableScan:
@@ -122,8 +100,6 @@ def scan_log(device: "PMDevice") -> DurableScan:
     scan stops there and reports it distinctly.
     """
     scan = DurableScan()
-    seq, _epoch = read_watermark(device)
-    scan.watermark_seq = seq
     media = device.media
     hi = max(device.hiwater, LOG_BASE)
     off = LOG_BASE
@@ -204,7 +180,7 @@ class DurableLog:
     def __init__(self, sim: "Simulator", config: "SimConfig",
                  device: "PMDevice", metrics: Optional[MetricSet] = None,
                  name: str = "dlog", start_seq: int = 0,
-                 tail: int = LOG_BASE, wm_epoch: int = 0) -> None:
+                 tail: int = LOG_BASE) -> None:
         self.sim = sim
         self.config = config
         self.dur = config.durability
@@ -213,13 +189,12 @@ class DurableLog:
         self.name = name
         #: Last sequence number assigned to an append.
         self.seq = start_seq
-        #: Highest sequence persisted (data + watermark landed).
+        #: Highest sequence persisted (its group's frames landed).
         self.flushed_seq = start_seq
         #: Highest sequence whose acks may go out: ``flushed_seq``, or past
         #: it when a full log dropped a group (fail-soft ``log_full``).
         self.released_seq = start_seq
         self.tail = tail
-        self.wm_epoch = wm_epoch
         self.pending: list[LogRecord] = []
         #: Sim time the oldest pending record was staged.
         self._staged_ns = 0
@@ -311,7 +286,6 @@ class DurableLog:
                     yield self.sim.timeout(cost)
                     self.device.commit_write()
                     self.tail += len(blob)
-                    yield from self._write_watermark(last)
                     self.flushed_seq = last
                     self._c_flushes.add()
                     self._c_records.add(len(batch))
@@ -323,15 +297,6 @@ class DurableLog:
                 self.on_commit()
         except Interrupt:
             pass
-
-    def _write_watermark(self, seq: int):
-        self.wm_epoch += 1
-        slot = _WM_SLOT_BYTES * (self.wm_epoch % 2)
-        payload = _WM.pack(seq, self.wm_epoch)
-        blob = payload + _U64.pack(_guardian(payload))
-        cost = self.device.begin_write(slot, blob)
-        yield self.sim.timeout(cost)
-        self.device.commit_write()
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"<DurableLog {self.name} seq={self.seq} "

@@ -3,12 +3,12 @@
 Under ``ack_on_flush`` a sweep that staged durable-log records does not
 block on the flush: ``Shard._finish_sweep`` parks the sweep's responses
 on a FIFO commit queue keyed by the highest log seq it staged and keeps
-sweeping; the log's commit callback releases them once data blob *and*
-watermark are on media.  Pinned here (docs/PROTOCOLS.md, durability):
+sweeping; the log's commit callback releases them once every frame of
+their group is on media.  Pinned here (docs/PROTOCOLS.md, durability):
 
 * a later sweep's responses go out while an earlier batch is parked —
   including a GET that already sees the parked PUT's value;
-* parked batches release in seq order, never before the watermark;
+* parked batches release in seq order, never before their frames land;
 * a killed shard / crashed log sends none of its parked responses and
   counts them, and the client's retry lands on the recovered shard with
   no acked write lost;
@@ -70,14 +70,14 @@ def test_later_sweep_is_answered_while_an_earlier_batch_is_parked():
     # PUT's ack — and it already observes the PUT's value (the same
     # visibility one-sided Reads have always had).
     assert done["get"][1] == b"new" and done["get"][2] == 1
-    assert done["get"][0] < 2 * _PM_NS < done["put"][0]
+    assert done["get"][0] < _PM_NS < done["put"][0]
     assert done["put"][1] is Status.OK
     assert counter(cluster, "shard.parked_batches") == 1
     assert counter(cluster, "shard.parked_peak") == 1
     assert not shard._parked
 
 
-def test_parked_batches_release_in_seq_order_after_the_watermark():
+def test_parked_batches_release_in_seq_order_once_their_frames_land():
     cluster, shard, dlog = make_cluster()
     sim = cluster.sim
     clients = [cluster.client() for _ in range(3)]
@@ -87,7 +87,7 @@ def test_parked_batches_release_in_seq_order_after_the_watermark():
 
     def spy(conn, entries):
         scan = scan_log(dlog.device)
-        releases.append((sim.now, scan.next_seq, scan.watermark_seq))
+        releases.append((sim.now, scan.next_seq))
         flush_conn(conn, entries)
 
     shard._flush_conn = spy
@@ -101,15 +101,15 @@ def test_parked_batches_release_in_seq_order_after_the_watermark():
 
     cluster.run(*[put(i) for i in range(3)])
     assert acked == [0, 1, 2]
-    # Every release saw its records and the covering watermark on media.
-    assert [r[1:] for r in releases] == [(1, 1), (3, 3), (3, 3)]
-    assert releases[0][0] >= 2 * _PM_NS
-    assert releases[1][0] >= 4 * _PM_NS
+    # Every release saw its group's records on media, one PM write each.
+    assert [r[1] for r in releases] == [1, 3, 3]
+    assert releases[0][0] >= _PM_NS
+    assert releases[1][0] >= 2 * _PM_NS
     assert counter(cluster, "shard.parked_batches") == 3
     assert counter(cluster, "shard.parked_peak") == 3
     assert counter(cluster, "durable.flushes") == 2
     wait = cluster.metrics.tally("durable.commit_wait_ns")
-    assert wait.count == 2 and wait.min >= 2 * _PM_NS
+    assert wait.count == 2 and wait.min >= _PM_NS
 
 
 def test_killed_shard_acks_no_parked_write_and_recovers_without_loss():
@@ -202,8 +202,8 @@ def test_gray_failure_defers_release_until_recovery():
 
 
 def test_log_full_is_fail_soft_through_the_parked_path():
-    # Room for the watermark block plus two 64 B-value frames.
-    cluster, shard, dlog = make_cluster(durability={"log_bytes": 64 + 250})
+    # Room for two 64 B-value frames (106 B each), not three.
+    cluster, shard, dlog = make_cluster(durability={"log_bytes": 250})
     sim = cluster.sim
     clients = [cluster.client() for _ in range(2)]
     statuses = []

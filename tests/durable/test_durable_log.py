@@ -6,9 +6,9 @@ flushed frame is indicator-headed and guardian-summed; a crash lands an
 while non-zero media past a bad frame is *corruption* (stop, report);
 replay force-applies logged versions so running it twice is idempotent;
 group commit is self-clocked (an idle device commits at once, appends
-during an in-flight write form the next group); and ``released_seq``
-advances — and ``on_commit`` runs — only after the data blob *and* the
-watermark have landed.
+during an in-flight write form the next group) and is one device write;
+and ``released_seq`` advances — and ``on_commit`` runs — only once every
+frame of the group is on media.
 """
 
 import mmap
@@ -21,7 +21,6 @@ from repro.durable import (
     DurableLog,
     LOG_BASE,
     PMDevice,
-    read_watermark,
     replay_into,
     scan_log,
 )
@@ -81,45 +80,46 @@ def test_flush_scan_roundtrip_clean_end():
     assert [r.seq for r in scan.records] == [1, 2, 3, 4, 5, 6]
     assert [r.version for r in scan.records] == [1, 2, 3, 4, 5, 6]
     assert scan.torn_bytes == 0 and scan.guardian_mismatches == 0
-    assert scan.watermark_seq == 6 and scan.next_seq == 6
+    assert scan.next_seq == 6
     assert metrics.counter("durable.flushes").value >= 1
     assert metrics.counter("durable.records").value == 6
 
 
-def test_self_clocked_groups_and_release_waits_for_watermark():
+def test_self_clocked_groups_released_once_every_frame_is_on_media():
     sim, _cfg, device, dlog, metrics = make_env(ack_mode="ack_on_flush")
     dlog.start()
     commits = []
 
     def on_commit():
-        # At release time both the data frames and the watermark must
-        # already be on media: durable means replayable *now*.
+        # At release time every frame of the group must already be on
+        # media: durable means replayable *now*.
         scan = scan_log(device)
-        commits.append((sim.now, dlog.released_seq, scan.next_seq,
-                        scan.watermark_seq))
+        commits.append((sim.now, dlog.released_seq,
+                        [r.seq for r in scan.records]))
 
     dlog.on_commit = on_commit
     append_n(dlog, 1)
-    blob_cost = device.write_cost(8 + 24 + 5 + 24 + 8)
-    wm_cost = device.write_cost(24)
+    frame = 8 + 24 + 5 + 24 + 8
+    blob_cost = device.write_cost(frame)
     # Idle device: the lone record's write starts at once (no aging
     # window); two more arrive while it is in flight.
     sim.run(until=blob_cost // 2)
     assert device._inflight is not None
     append_n(dlog, 2, start=1)
-    # Blob landed, watermark still in flight: nothing is released yet.
-    sim.run(until=blob_cost + wm_cost // 2)
-    assert scan_log(device).next_seq == 1
+    # The group's one write still in flight: nothing is released yet.
     assert dlog.released_seq == 0 and not commits
     sim.run(until=10_000_000)
-    # Group 1 = the lone record, group 2 = what arrived during its write.
-    assert [(c[1], c[2], c[3]) for c in commits] == [(1, 1, 1), (3, 3, 3)]
-    assert commits[0][0] == blob_cost + wm_cost
+    # Group 1 = the lone record, group 2 = what arrived during its write;
+    # each is released the instant its one device write lands.
+    assert commits == [(blob_cost, 1, [1]),
+                       (blob_cost + device.write_cost(2 * frame), 3,
+                        [1, 2, 3])]
     assert metrics.counter("durable.flushes").value == 2
+    assert device.writes == 2  # one PM write per group commit
     group = metrics.tally("durable.group_records")
     assert (group.min, group.max) == (1, 2)
     wait = metrics.tally("durable.commit_wait_ns")
-    assert wait.count == 2 and wait.min == blob_cost + wm_cost
+    assert wait.count == 2 and wait.min == blob_cost
 
 
 def test_wait_released_blocks_only_under_ack_on_flush():
@@ -182,7 +182,7 @@ def test_crash_with_no_inflight_write_is_harmless():
     assert scan_log(device).stop_reason == "clean_end"
     # Unflushed staging is counted as lost write-behind exposure.
     dlog2 = DurableLog(sim, _cfg, device, metrics=metrics,
-                       start_seq=2, tail=dlog.tail, wm_epoch=dlog.wm_epoch)
+                       start_seq=2, tail=dlog.tail)
     dlog2.append(Op.PUT, b"k", b"v", 3)
     dlog2.crash()
     assert metrics.counter("durable.lost_pending").value == 1
@@ -254,20 +254,25 @@ def test_double_replay_is_idempotent_and_versions_monotonic():
     assert store.get(b"a").version == 2
 
 
-def test_watermark_survives_losing_one_slot():
-    sim, _cfg, device, dlog, _m = make_env()
+def test_a_group_torn_mid_write_is_never_released():
+    """A crash while a group's one write is in flight lands only a
+    prefix of its frames: the scan truncates the torn suffix, and no
+    record of the group was released, so none of them was acked."""
+    sim, _cfg, device, dlog, _m = make_env(ack_mode="ack_on_flush")
     dlog.start()
-    dlog.append(Op.PUT, b"k", b"v", 1)
-    sim.run(until=5_000_000)
-    first = read_watermark(device)
-    dlog.append(Op.PUT, b"k", b"v2", 2)
-    sim.run(until=10_000_000)
-    seq, epoch = read_watermark(device)
-    assert (seq, epoch) == (2, 2) and first == (1, 1)
-    # Tear the newer slot (A/B alternation: epoch 2 lives in slot 0);
-    # the reader falls back to the surviving older slot.
-    device.media[5] ^= 0xFF
-    assert read_watermark(device) == (1, 1)
+    append_n(dlog, 1)
+    sim.run(until=1)  # the lone record's write is in flight
+    append_n(dlog, 3, start=1)
+    sim.run(until=device.write_cost(8 + 24 + 5 + 24 + 8))
+    assert dlog.released_seq == 1 and device._inflight is not None
+    sim.run(until=sim.now + device.write_cost(3 * (8 + 24 + 5 + 24 + 8))
+            // 2)
+    dlog.crash()
+    scan = scan_log(device)
+    assert scan.stop_reason == "torn_tail" and scan.torn_bytes > 0
+    assert [r.seq for r in scan.records][:1] == [1]
+    assert len(scan.records) < 4
+    assert dlog.released_seq == 1
 
 
 def test_log_full_is_fail_soft_and_still_releases_the_ack():
