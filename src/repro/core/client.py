@@ -1038,10 +1038,11 @@ class HydraClient:
                 resp = Response.decode(payload)
             except (ValueError, KeyError):
                 resp = None
-            if resp is None or resp.req_id != pipe.slot_req[slot]:
-                # Garbage frame or a late response from a request that
-                # timed out before this slot was reused: discard it and
-                # keep the slot — its current request is still pending.
+            if resp is None or resp.req_id != pipe.slot_req.get(slot):
+                # Garbage frame or a late response (delayed or duplicated
+                # on the wire) for a request this slot no longer holds:
+                # discard it and keep the slot as it is — free, or its
+                # current request still pending.
                 self._c_stale.add()
                 continue
             # A response for slot s proves the shard's occupancy snapshot

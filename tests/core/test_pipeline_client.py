@@ -152,6 +152,33 @@ def test_stale_response_discarded_not_fatal():
     assert cluster.metrics.counter("client.stale_responses").value >= 1
 
 
+def test_late_response_in_a_free_slot_is_stale_not_fatal():
+    """A response frame that lands again in a slot after its request was
+    answered (a delayed or duplicated Write) finds the slot free: a drain
+    whose snapshot still holds the slot counts it stale instead of
+    raising on the missing request."""
+    cluster = make_cluster(pipelined_config(2))
+    client = cluster.client()
+    shard = cluster.route(b"k")
+    frames = []
+
+    def app():
+        conn = client.connection_to(shard)
+        off = conn.layout.offset(0)
+        conn.resp_region.subscribe(lambda r: frames.append(
+            r.read(off, conn.layout.slot_bytes)) if not frames else None)
+        assert (yield from client.put(b"k", b"v")) is Status.OK
+        pipe = client._pipe(conn)
+        assert 0 not in pipe.slot_req
+        conn.resp_region.write(off, frames[0])  # the late copy lands
+        landed = yield from client._drain_slots(pipe, conn, [0])
+        assert landed == 0 and 0 in pipe.free_slots
+        assert (yield from client.get(b"k")) == b"v"
+
+    cluster.run(app())
+    assert cluster.metrics.counter("client.stale_responses").value == 1
+
+
 def test_window_full_and_dead_shard_times_out_cleanly():
     cfg = pipelined_config(2, op_timeout_ns=5_000_000)
     cluster = make_cluster(cfg)
